@@ -1,10 +1,10 @@
-//! Mixed-cost tail benchmark for the unified scheduler: a batch whose
-//! heaviest job sits **last** in input order — the worst case for FIFO
-//! dispatch, where every light job runs first and the heavy one begins
-//! only after the pool has mostly gone idle. Cost-seeded dispatch
-//! (`run_ordered_with` + estimated cycles) starts the heavy job first, so
-//! the tail overlaps the light work and the cost-seeded median comes in
-//! clearly under the FIFO one.
+//! Mixed-cost tail benchmark for the engine's batch dispatch: a batch
+//! whose heaviest job sits **last** in input order — the worst case for
+//! FIFO dispatch, where every light job runs first and the heavy one
+//! begins only after the lanes have mostly gone idle. Cost-seeded
+//! dispatch (`Engine::run` with estimated cycles) starts the heavy job
+//! first, so the tail overlaps the light work and the cost-seeded median
+//! comes in clearly under the FIFO one.
 //!
 //! Jobs are fixed-duration waits rather than spin loops: sleeping
 //! threads overlap even when the host has a single hardware core (CI
@@ -16,7 +16,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gradpim_engine::sched::Scheduler;
+use gradpim_engine::Engine;
 
 /// A job of a known duration `n` (microseconds) — a stand-in for a sweep
 /// point whose simulated cycle count the cost model estimated as `n`.
@@ -27,21 +27,21 @@ fn wait(n: u64) -> u64 {
 
 const LIGHT_US: u64 = 2_000;
 /// Seven light jobs and one 4x-heavy job, heavy last in input order. A
-/// budget of 4 gives three worker lanes (the submitting bench thread is
-/// not a worker): FIFO burns two full light rounds before the heavy job
-/// starts (makespan ~6 light-units); cost-seeded starts it immediately
-/// (makespan ~4 light-units).
+/// budget of 4 gives four lanes (the submitting bench thread is one):
+/// FIFO burns a full light round before the heavy job starts (makespan
+/// ~5 light-units); cost-seeded starts it immediately (makespan ~4
+/// light-units).
 const JOBS: [u64; 8] =
     [LIGHT_US, LIGHT_US, LIGHT_US, LIGHT_US, LIGHT_US, LIGHT_US, LIGHT_US, 4 * LIGHT_US];
 
 fn bench_tail_dispatch(c: &mut Criterion) {
-    let sched = Scheduler::new(4);
+    let engine = Engine::new(4);
     let expect: Vec<u64> = JOBS.to_vec();
     let mut g = c.benchmark_group("sched_tail");
     g.sample_size(10);
     g.bench_function("tail_heavy_fifo", |b| {
         b.iter(|| {
-            let out = sched.run_ordered(&JOBS, |_, &n| Ok::<_, ()>(wait(n))).unwrap();
+            let out = engine.run(&JOBS, None, |_, &n, _| Ok::<_, ()>(wait(n))).unwrap();
             assert_eq!(out, expect, "FIFO dispatch changed the results");
             out.len()
         })
@@ -49,9 +49,7 @@ fn bench_tail_dispatch(c: &mut Criterion) {
     let costs: Vec<u64> = JOBS.to_vec();
     g.bench_function("tail_heavy_cost_seeded", |b| {
         b.iter(|| {
-            let out = sched
-                .run_ordered_with(&JOBS, Some(&costs), |_, &n, _| Ok::<_, ()>(wait(n)))
-                .unwrap();
+            let out = engine.run(&JOBS, Some(&costs), |_, &n, _| Ok::<_, ()>(wait(n))).unwrap();
             assert_eq!(out, expect, "cost-seeded dispatch changed the results");
             out.len()
         })

@@ -41,14 +41,12 @@
 //! merged).
 //!
 //! `--threads` (default: `GRADPIM_THREADS`, else available parallelism)
-//! sizes the engine's persistent worker pool; `--quick` (the default)
+//! sizes the engine's worker pool; `--quick` (the default)
 //! caps simulated traffic per point, `--full` uses the library's generous
 //! defaults (combine with `GRADPIM_FULL=1` to remove caps entirely).
 //! `check report` parses a previously emitted report JSON and reports its
 //! shape — a cheap integrity gate for scripted pipelines; `check trace`
-//! and `check cache` do the same for trace files and cache stores. The
-//! older `check-report FILE` / `check-trace FILE` spellings remain as
-//! deprecated aliases.
+//! and `check cache` do the same for trace files and cache stores.
 //!
 //! Caching: `--cache DIR` (or ambient `GRADPIM_CACHE`) attaches a
 //! content-addressed on-disk result store ([`gradpim_engine::cache`]).
@@ -66,7 +64,7 @@
 //! JSON; `GRADPIM_SCHED_STATS=1` renders the same registry to stderr.
 //! Both artifacts are emitted after — and entirely off — the report
 //! stream, and a traced run's report is byte-identical to an untraced
-//! one. `check-trace` validates an emitted trace and prints its shape.
+//! one. `check trace` validates an emitted trace and prints its shape.
 
 #![forbid(unsafe_code)]
 
@@ -109,11 +107,9 @@ enum Mode {
     /// Worker mode: execute one shard sub-spec (`-` = stdin) and print
     /// its report JSON.
     ShardWorker(String),
-    /// Parse a report JSON and print its shape (`check report`, plus the
-    /// deprecated `check-report` alias).
+    /// Parse a report JSON and print its shape (`check report`).
     CheckReport(String),
-    /// Parse a Chrome-trace JSON and print its shape (`check trace`, plus
-    /// the deprecated `check-trace` alias).
+    /// Parse a Chrome-trace JSON and print its shape (`check trace`).
     CheckTrace(String),
     /// Open a cache store and verify every entry (`check cache`).
     CheckCache(String),
@@ -196,10 +192,6 @@ fn usage() -> String {
     s.push_str("  cache {stats|clear|verify}   inspect or reset the result store\n");
     s.push_str("                               (from --cache DIR or GRADPIM_CACHE)\n");
     s.push_str("  shard-worker FILE|-   run one shard sub-spec, report JSON on stdout\n");
-    s.push_str(
-        "\ndeprecated (kept for existing scripts): `check-report FILE` and\n\
-         `check-trace FILE` are aliases of `check report` / `check trace`.\n",
-    );
     s
 }
 
@@ -313,16 +305,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     }
                 };
                 set_mode(&mut mode, Mode::Cache(cmd))?;
-            }
-            // Deprecated aliases of `check report` / `check trace`, kept so
-            // existing scripts and CI pipelines keep working unchanged.
-            "check-report" => {
-                let v = it.next().ok_or("check-report needs a report file path")?;
-                set_mode(&mut mode, Mode::CheckReport(v.clone()))?;
-            }
-            "check-trace" => {
-                let v = it.next().ok_or("check-trace needs a trace file path")?;
-                set_mode(&mut mode, Mode::CheckTrace(v.clone()))?;
             }
             "shard-worker" => {
                 let v = it.next().ok_or("shard-worker needs a spec file path (or `-`)")?;
@@ -450,7 +432,7 @@ fn entries(n: usize) -> String {
 }
 
 /// The shared rendering for `check {report|trace|cache}` validation
-/// failures (and their deprecated aliases): one shape, every artifact.
+/// failures: one shape, every artifact.
 fn check_failure(path: &str, what: &str, err: impl std::fmt::Display) -> CliError {
     CliError::Run(format!("`{path}` is not a valid {what}: {err}"))
 }
@@ -479,11 +461,6 @@ fn record_sched_stats(engine: &Engine) {
     let s = engine.sched_stats();
     gradpim_obs::counter_set("sched.batches", s.batches);
     gradpim_obs::counter_set("sched.jobs", s.jobs);
-    gradpim_obs::counter_set("sched.drain_chunks", s.drain_chunks);
-    gradpim_obs::counter_set("sched.steals", s.steals);
-    gradpim_obs::counter_set("sched.injector_pops", s.injector_pops);
-    gradpim_obs::counter_set("sched.spawned", s.spawned as u64);
-    gradpim_obs::counter_set("sched.max_live", s.max_live as u64);
 }
 
 /// Emits the observability artifacts: the `GRADPIM_SCHED_STATS=1` stderr

@@ -11,7 +11,7 @@
 //!    ([`Shard`]); [`ExperimentSpec::layout`] names every group's row
 //!    count without simulating anything, which is the whole merge plan.
 //! 2. [`run_sharded`] fans the sub-specs over the [`Engine`]'s worker
-//!    pool. Each pool job drives one [`ShardExec`] — normally a
+//!    lanes. Each job drives one [`ShardExec`] — normally a
 //!    [`ProcessWorker`] that re-invokes `gradpim-cli shard-worker`,
 //!    pipes the sub-spec JSON to its stdin, and parses the report JSON
 //!    from its stdout — with a bounded retry budget per shard, so a
@@ -20,13 +20,12 @@
 //!    against the layout, then interleaves the row sets back into figure
 //!    order.
 //!
-//! Failure semantics match [`crate::pool::WorkerPool::run_ordered`]
-//! exactly: when several shards exhaust their retries, the
-//! **lowest-indexed** shard's error is returned — what a sequential
-//! left-to-right coordinator would have stopped on — and once a shard has
-//! failed for good, launches for higher-indexed shards are cancelled
-//! best-effort (a live worker process is killed) since their results can
-//! no longer be observed.
+//! Failure semantics match [`Engine::run`] exactly: when several shards
+//! exhaust their retries, the **lowest-indexed** shard's error is
+//! returned — what a sequential left-to-right coordinator would have
+//! stopped on — and once a shard has failed for good, launches for
+//! higher-indexed shards are cancelled best-effort (a live worker process
+//! is killed) since their results can no longer be observed.
 //!
 //! Workers exchange plain JSON over pipes, so "distribute across hosts"
 //! is only a transport swap away: anything that can carry a spec document
@@ -59,7 +58,7 @@ use std::time::Duration;
 
 use gradpim_sim::report::Report;
 
-use crate::pool::Cancel;
+use crate::sched::Cancel;
 use crate::serialize::{ExperimentSpec, Shard, SpecError};
 use crate::{report, Engine};
 
@@ -214,7 +213,7 @@ pub enum DistError {
     /// before any worker is spawned.
     Spec(SpecError),
     /// A shard exhausted its retry budget; the lowest-indexed failing
-    /// shard's last error, matching `pool::run_ordered` semantics.
+    /// shard's last error, matching [`Engine::run`] semantics.
     Worker {
         /// The failing shard index.
         shard: usize,
@@ -558,7 +557,7 @@ pub fn run_sharded<X: ShardExec + ?Sized>(
         return spec.run(engine).map_err(DistError::Spec);
     }
     let subs = spec.shard_specs(opts.shards);
-    let reports = engine.run_with_cancel(&subs, |shard, sub, cancel| {
+    let reports = engine.run(&subs, None, |shard, sub, cancel| {
         let _span = gradpim_obs::span_lazy(|| format!("dist.shard{shard}"), "dist");
         let mut attempts = 0;
         loop {

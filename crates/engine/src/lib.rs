@@ -1,23 +1,18 @@
-//! The parallel execution engine: threaded multi-channel DRAM stepping, a
-//! work-distributing sweep scheduler, and the plumbing behind the
-//! `gradpim-cli` experiment runner.
+//! The parallel execution engine: the sweep-point pool, process
+//! sharding, the result cache, and the plumbing behind the `gradpim-cli`
+//! experiment runner.
 //!
-//! GradPIM's evaluation is embarrassingly parallel at two levels, and this
-//! crate exploits both without changing a single simulated bit. Both
-//! levels execute on **one** [`sched::Scheduler`] — a std-only
-//! work-stealing deque scheduler that owns the process-wide thread budget:
+//! GradPIM's evaluation is a flat set of independent simulations, and
+//! this crate runs them in parallel without changing a single simulated
+//! bit:
 //!
-//! * **Within one simulation** — DRAM channels share no state and, on the
-//!   event-driven core, only need to agree on a final cycle. The
-//!   [`channels`] module drains each channel's `Controller` as a
-//!   stealable scheduler task ([`channels::par_drain_on`]), bit-identical
-//!   to the sequential [`gradpim_dram::MemorySystem::drain`].
-//! * **Across simulations** — sweep and experiment points (Fig. 12a–d,
-//!   13, 14) are independent. The [`pool`] module fans them over the
-//!   scheduler with deterministic, input-ordered result collection and
-//!   input-order-first error propagation; [`sweeps`] wires the
-//!   `gradpim_sim` spec enumerations through it, seeding dispatch with
-//!   the [`sched::cost`] model so the heaviest points start first.
+//! * **Across simulations** — sweep and experiment points (Fig. 9,
+//!   12a–d, 13, 14) share no state. [`Engine::run`] fans them over the
+//!   scoped, ordered pool in [`sched`] with input-ordered results and
+//!   the lowest-indexed failure winning, exactly as a sequential run;
+//!   [`sweeps`] wires the `gradpim_sim` spec enumerations through it,
+//!   seeding dispatch with the [`sched::cost`] model so the heaviest
+//!   points start first.
 //! * **Across processes** — the [`dist`] module splits one
 //!   [`serialize::ExperimentSpec`] into per-shard sub-specs, launches
 //!   worker processes (`gradpim-cli shard-worker`), retries crashed
@@ -25,19 +20,14 @@
 //!   bit-identical to the sequential run, and one transport swap away
 //!   from cross-host distribution.
 //!
-//! Because both levels share the deques, an idle pool lends its threads to
-//! a running point: [`Engine::run`] installs a drain hook (see
-//! [`gradpim_sim::phase::with_drain_exec`]) so the phase executors'
-//! inner multi-channel drains execute as stealable segments on the same
-//! budget — multi-channel design points win *inside* a sweep, and the
-//! process never holds more live simulation threads than the budget.
+//! Each simulation itself runs on one thread: a memory system's channels
+//! drain sequentially inside [`gradpim_dram::MemorySystem::drain`].
 //!
 //! [`Engine`] carries the one knob — the worker count — resolved from
 //! `GRADPIM_THREADS` (falling back to the machine's available
-//! parallelism) **exactly once**, at construction: the resolved count
-//! becomes the scheduler budget and is never re-read downstream.
-//! `GRADPIM_THREADS=1` runs everything inline on the calling thread,
-//! preserving the classic sequential behavior exactly.
+//! parallelism) **exactly once**, at construction, and never re-read
+//! downstream. `GRADPIM_THREADS=1` runs everything inline on the calling
+//! thread, preserving the classic sequential behavior exactly.
 //!
 //! # Example
 //!
@@ -54,11 +44,7 @@
 //! # Ok::<(), gradpim_sim::PhaseError>(())
 //! ```
 
-// `deny`, not the workspace-standard `forbid`: the scheduler's
-// lifetime-erased task handoff (sched/mod.rs) is the workspace's single
-// sanctioned unsafe pattern, opted in per-site with `#[allow(unsafe_code)]`
-// and a SAFETY comment.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 // Tests assert invariants; unwrap/expect is their natural idiom. The
@@ -66,11 +52,9 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
-pub mod channels;
 pub mod dist;
 pub mod env;
 mod json;
-pub mod pool;
 pub mod report;
 pub mod sched;
 pub mod serialize;
@@ -79,37 +63,34 @@ pub mod trace;
 
 use std::sync::Arc;
 
-use gradpim_dram::{MemError, MemorySystem};
-use gradpim_sim::phase::{with_drain_exec, with_phase_memo, DrainExec, PhaseMemo};
+use gradpim_sim::phase::{with_phase_memo, PhaseMemo};
 
 use cache::CacheBackend;
-use pool::WorkerPool;
-use sched::SchedStats;
+use sched::{Cancel, Counters, SchedStats};
 
-/// The parallel execution engine: a persistent [`WorkerPool`] — i.e. one
-/// [`sched::Scheduler`], spawned once, reused by every sweep, joined on
-/// drop — shared by the channel-threaded stepping and the sweep
-/// scheduler. An optional result cache ([`Engine::with_cache`]) memoizes
+/// The parallel execution engine: a worker count, the batch counters,
+/// and an optional result cache ([`Engine::with_cache`]) that memoizes
 /// phase executions inside every job and row groups in
 /// [`serialize::ExperimentSpec::run`] — bit-identical results, less
 /// re-simulation.
 #[derive(Debug)]
 pub struct Engine {
-    pool: WorkerPool,
+    threads: usize,
     cache: Option<Arc<dyn CacheBackend>>,
+    counters: Counters,
 }
 
 impl Engine {
     /// An engine with exactly `threads` workers (clamped to at least 1).
-    /// The scheduler threads are spawned now and reused by every
-    /// subsequent [`Engine::run`] call; nothing below ever spawns more.
+    /// Threads are spawned per parallel batch and joined before
+    /// [`Engine::run`] returns; nothing outlives a batch.
     pub fn new(threads: usize) -> Self {
-        Self { pool: WorkerPool::new(threads), cache: None }
+        Self { threads: threads.max(1), cache: None, counters: Counters::default() }
     }
 
     /// A single-threaded engine: every job runs inline on the calling
-    /// thread, in order — the classic sequential behavior. No scheduler
-    /// threads are spawned.
+    /// thread, in order — the classic sequential behavior. No threads are
+    /// ever spawned.
     pub fn sequential() -> Self {
         Self::new(1)
     }
@@ -123,9 +104,8 @@ impl Engine {
     /// is emitted at most once per process: benchmark loops that build an
     /// engine per iteration no longer spam stderr mid-measurement.
     ///
-    /// The variable is read **here and only here**: the resolved count
-    /// seeds the scheduler budget, and every downstream layer (sweep
-    /// batches, channel drains, shard fan-out) inherits that budget
+    /// The variable is read **here and only here**: every downstream
+    /// layer (sweep batches, shard fan-out) inherits the resolved count
     /// instead of re-reading the environment.
     pub fn from_env() -> Self {
         let var = crate::env::threads_var();
@@ -160,8 +140,7 @@ impl Engine {
     /// [`gradpim_sim::phase::PhaseMemo`] over `store` installed (phase
     /// results served from / stored to the cache, bit-identically), and
     /// [`serialize::ExperimentSpec::run`] additionally consults `store`
-    /// at row-group granularity. `GRADPIM_REFERENCE=1` bypasses the memo
-    /// exactly as it bypasses the drain hook.
+    /// at row-group granularity. `GRADPIM_REFERENCE=1` bypasses the memo.
     #[must_use]
     pub fn with_cache(mut self, store: Arc<dyn CacheBackend>) -> Self {
         self.cache = Some(store);
@@ -173,130 +152,47 @@ impl Engine {
         self.cache.as_ref()
     }
 
-    /// The phase memo jobs run under, when a cache is attached.
-    fn phase_memo(&self) -> Option<Arc<dyn PhaseMemo>> {
-        self.cache
-            .as_ref()
-            .map(|c| Arc::new(cache::CacheMemo::new(c.clone())) as Arc<dyn PhaseMemo>)
-    }
-
-    /// The worker count — the global thread budget.
+    /// The worker count — the most lanes any batch runs.
     pub fn threads(&self) -> usize {
-        self.pool.threads()
+        self.threads
     }
 
-    /// A snapshot of the scheduler's counters: batches/jobs executed,
-    /// drain segments run as stealable tasks ([`SchedStats::drain_chunks`]
-    /// — the intra-point parallelism observable), steals, and the
-    /// spawned/live thread high-water marks that pin the budget.
+    /// A snapshot of the batch counters: batches and jobs executed on the
+    /// parallel path.
     pub fn sched_stats(&self) -> SchedStats {
-        self.pool.scheduler().stats()
+        self.counters.snapshot()
     }
 
-    /// The drain executor this engine hands to jobs: multi-channel drains
-    /// as stealable tasks on the engine's own scheduler.
-    fn drain_exec(&self) -> DrainExec {
-        let sched = self.pool.scheduler().handle();
-        std::sync::Arc::new(move |mem: &mut MemorySystem, max_cycles: u64| {
-            channels::par_drain_on(&sched, mem, max_cycles)
-        })
-    }
-
-    /// Fans `jobs` over the persistent scheduler (see
-    /// [`WorkerPool::run_ordered`]): results come back in input order, and
-    /// the lowest-indexed failing job's error wins — both independent of
-    /// scheduling. While a job runs, the engine's drain hook is installed
-    /// (see [`gradpim_sim::phase::with_drain_exec`]), so any phase
-    /// executor inside the job drains multi-channel memory systems as
-    /// stealable tasks on this same scheduler — bit-identical results,
-    /// shared thread budget.
+    /// Fans `jobs` over up to [`Engine::threads`] lanes (see [`sched`]):
+    /// results come back in input order, and the lowest-indexed failing
+    /// job's error or panic wins — both independent of scheduling. Each
+    /// job gets a [`Cancel`] handle it may poll to shed doomed tail work
+    /// after an earlier failure. `costs` (estimated cycles, see
+    /// [`sched::cost`]) seed longest-first dispatch; they change the wall
+    /// clock, never the results. While a job runs, the engine's phase
+    /// memo is installed when a cache is attached.
     ///
     /// # Errors
     ///
     /// The error of the lowest-indexed failing job.
-    pub fn run<T, R, E, F>(&self, jobs: &[T], f: F) -> Result<Vec<R>, E>
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the original payload of the lowest-indexed panicking job.
+    pub fn run<T, R, E, F>(&self, jobs: &[T], costs: Option<&[u64]>, f: F) -> Result<Vec<R>, E>
     where
         T: Sync,
         R: Send,
         E: Send,
-        F: Fn(usize, &T) -> Result<R, E> + Sync,
+        F: Fn(usize, &T, &Cancel<'_>) -> Result<R, E> + Sync,
     {
-        let exec = self.drain_exec();
-        let memo = self.phase_memo();
-        self.pool.run_ordered(jobs, move |i, job| in_job_env(&exec, &memo, || f(i, job)))
-    }
-
-    /// [`Engine::run`] with per-job cost estimates (see [`sched::cost`])
-    /// that seed longest-first dispatch, so a heavy tail point starts
-    /// first instead of last. Results, ordering, and failure semantics
-    /// are byte-identical to [`Engine::run`] — only the wall-clock
-    /// changes.
-    ///
-    /// # Errors
-    ///
-    /// The error of the lowest-indexed failing job.
-    pub fn run_weighted<T, R, E, F>(&self, jobs: &[T], costs: &[u64], f: F) -> Result<Vec<R>, E>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(usize, &T) -> Result<R, E> + Sync,
-    {
-        let exec = self.drain_exec();
-        let memo = self.phase_memo();
-        self.pool.scheduler().run_ordered_with(jobs, Some(costs), move |i, job, _| {
-            in_job_env(&exec, &memo, || f(i, job))
+        let memo: Option<Arc<dyn PhaseMemo>> =
+            self.cache.as_ref().map(|c| Arc::new(cache::CacheMemo::new(c.clone())) as _);
+        sched::run_batch(self.threads, &self.counters, jobs, costs, |i, job, cancel| match &memo {
+            Some(m) => with_phase_memo(m.clone(), || f(i, job, cancel)),
+            None => f(i, job, cancel),
         })
     }
-
-    /// [`Engine::run`] with a [`pool::Cancel`] handle passed to each job,
-    /// so long jobs can re-check the failure watermark mid-flight and bail
-    /// out of doomed tail work early (see [`pool`] for the exact
-    /// guarantee).
-    ///
-    /// # Errors
-    ///
-    /// The error of the lowest-indexed failing job.
-    pub fn run_with_cancel<T, R, E, F>(&self, jobs: &[T], f: F) -> Result<Vec<R>, E>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(usize, &T, &pool::Cancel<'_>) -> Result<R, E> + Sync,
-    {
-        let exec = self.drain_exec();
-        let memo = self.phase_memo();
-        self.pool.run_ordered_with(jobs, move |i, job, cancel| {
-            in_job_env(&exec, &memo, || f(i, job, cancel))
-        })
-    }
-
-    /// Drains `mem` with its channels fanned across the engine's
-    /// scheduler (see [`channels::par_drain_on`]), bit-identical to
-    /// [`MemorySystem::drain`].
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::DrainTimeout`] if work remains after `max_cycles`.
-    pub fn drain(&self, mem: &mut MemorySystem, max_cycles: u64) -> Result<u64, MemError> {
-        channels::par_drain_on(&self.pool.scheduler().handle(), mem, max_cycles)
-    }
-
-    /// Runs `mem` to exactly `cycle` with its channels fanned across the
-    /// engine's scheduler (see [`channels::par_run_until_on`]).
-    pub fn run_until(&self, mem: &mut MemorySystem, cycle: u64) {
-        channels::par_run_until_on(&self.pool.scheduler().handle(), mem, cycle)
-    }
-}
-
-/// One job's ambient environment: the engine's drain hook, plus — when a
-/// cache is attached — the phase memo. Both are thread-local
-/// installations scoped exactly to the job body.
-fn in_job_env<R>(exec: &DrainExec, memo: &Option<Arc<dyn PhaseMemo>>, f: impl FnOnce() -> R) -> R {
-    with_drain_exec(exec.clone(), || match memo {
-        Some(m) => with_phase_memo(m.clone(), f),
-        None => f(),
-    })
 }
 
 /// `GRADPIM_THREADS` resolution, factored pure so every fallback is unit-
@@ -370,16 +266,22 @@ mod tests {
 
     #[test]
     fn oversubscribed_engine_stays_within_its_budget() {
-        // More threads than points × channels: the scheduler must still
-        // spawn exactly threads - 1 workers, never more, and the batch
-        // must complete with sequential-identical results.
+        // More threads than jobs: the batch runs min(threads, jobs) lanes,
+        // never more, and completes with sequential-identical results.
         let engine = Engine::new(16);
         let jobs: Vec<u64> = (0..4).collect();
-        let out = engine.run(&jobs, |_, &j| Ok::<_, ()>(j * 2)).unwrap();
+        let lanes = std::sync::Mutex::new(std::collections::BTreeSet::new());
+        let out = engine
+            .run(&jobs, None, |_, &j, _| {
+                lanes.lock().unwrap().insert(format!("{:?}", std::thread::current().id()));
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                Ok::<_, ()>(j * 2)
+            })
+            .unwrap();
         assert_eq!(out, vec![0, 2, 4, 6]);
-        let stats = engine.sched_stats();
-        assert_eq!(stats.spawned, 15, "budget is threads - 1, resolved exactly once");
-        assert!(stats.max_live <= stats.spawned);
+        let lanes = lanes.into_inner().unwrap().len();
+        assert!((1..=4).contains(&lanes), "{lanes} lanes ran a 4-job batch");
+        assert_eq!(engine.sched_stats().jobs, 4);
     }
 
     #[test]
@@ -426,8 +328,8 @@ mod tests {
         let engine = Engine::new(3);
         let jobs: Vec<u64> = (0..9).collect();
         let costs: Vec<u64> = jobs.iter().map(|&j| (j % 4) * 100 + 1).collect();
-        let plain = engine.run(&jobs, |_, &j| Ok::<_, ()>(j + 7)).unwrap();
-        let weighted = engine.run_weighted(&jobs, &costs, |_, &j| Ok::<_, ()>(j + 7)).unwrap();
+        let plain = engine.run(&jobs, None, |_, &j, _| Ok::<_, ()>(j + 7)).unwrap();
+        let weighted = engine.run(&jobs, Some(&costs), |_, &j, _| Ok::<_, ()>(j + 7)).unwrap();
         assert_eq!(plain, weighted);
     }
 }

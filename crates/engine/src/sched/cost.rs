@@ -2,16 +2,11 @@
 //!
 //! The estimate only has to get the *ordering* of a batch roughly right —
 //! it never touches simulation results (dispatch order is invisible; see
-//! the `super::batch` internals). Under `GRADPIM_COST=measured` the
-//! static estimate yields to wall-clock durations observed by
-//! [`gradpim_obs`] on earlier runs of the same sweep shapes (see
-//! [`batch_costs`]); the static model remains the fallback whenever any
-//! shape in a batch has no measurement. A
-//! sweep point's wall-clock is dominated by how many DRAM commands the
-//! simulated training step issues, which scales with the model's
-//! parameter count and the number of streamed activations per step
-//! (batch), and is divided across however many channels the memory system
-//! drains in parallel. Anything finer (timing-parameter differences,
+//! [`super`]). A sweep point's wall-clock is dominated by how many DRAM
+//! commands the simulated training step issues, which scales with the
+//! model's parameter count and the number of streamed activations per
+//! step (batch), and is spread across the memory system's channels.
+//! Anything finer (timing-parameter differences,
 //! PIM-mode command mix) moves points by small factors, not the orders of
 //! magnitude that separate an MLP from resnet50 — so the model stops
 //! here.
@@ -28,34 +23,6 @@ pub fn sweep_point_cycles(params: u64, batch: usize, channels: usize) -> u64 {
     // stand-in ratio, not a measurement.
     let per_step = params.saturating_add((params / 256).saturating_mul(batch as u64));
     per_step.div_ceil(channels).max(1)
-}
-
-/// The measured-cost store key for one sweep shape. Shapes — not job
-/// indices — key the store so a measurement from any sweep front (or an
-/// earlier repetition) prices the same shape elsewhere.
-pub fn cost_key(params: u64, batch: usize, channels: usize) -> String {
-    format!("sweep/{params}/{batch}/{channels}")
-}
-
-/// Dispatch costs for a batch of sweep shapes `(params, batch, channels)`.
-///
-/// When [`gradpim_obs::cost_feedback`] is on **and** every shape in the
-/// batch has a recorded duration, returns the measured nanoseconds;
-/// otherwise returns [`sweep_point_cycles`] for every shape. All-or-nothing
-/// because the two scales (observed ns vs. abstract cycles) are not
-/// comparable — mixing them inside one longest-first sort would order the
-/// batch by unit, not by cost.
-pub fn batch_costs(shapes: &[(u64, usize, usize)]) -> Vec<u64> {
-    if gradpim_obs::cost_feedback() {
-        let measured: Vec<Option<u64>> = shapes
-            .iter()
-            .map(|&(p, b, c)| gradpim_obs::measured_cost(&cost_key(p, b, c)))
-            .collect();
-        if measured.iter().all(Option::is_some) {
-            return measured.into_iter().flatten().collect();
-        }
-    }
-    shapes.iter().map(|&(p, b, c)| sweep_point_cycles(p, b, c)).collect()
 }
 
 #[cfg(test)]
@@ -76,22 +43,6 @@ mod tests {
     #[test]
     fn antitone_in_channels() {
         assert!(sweep_point_cycles(1_000_000, 16, 1) > sweep_point_cycles(1_000_000, 16, 8));
-    }
-
-    #[test]
-    fn batch_costs_uses_measured_only_when_every_shape_has_one() {
-        let shapes = [(1_000u64, 4usize, 2usize), (2_000, 4, 2)];
-        let fallback = vec![sweep_point_cycles(1_000, 4, 2), sweep_point_cycles(2_000, 4, 2)];
-        gradpim_obs::set_cost_feedback(Some(true));
-        gradpim_obs::record_measured_cost(&cost_key(1_000, 4, 2), 70);
-        // One shape still unmeasured: the whole batch stays on the static
-        // model rather than mixing nanoseconds with abstract cycles.
-        assert_eq!(batch_costs(&shapes), fallback);
-        gradpim_obs::record_measured_cost(&cost_key(2_000, 4, 2), 30);
-        assert_eq!(batch_costs(&shapes), vec![70, 30]);
-        gradpim_obs::set_cost_feedback(Some(false));
-        assert_eq!(batch_costs(&shapes), fallback);
-        gradpim_obs::set_cost_feedback(None);
     }
 
     #[test]

@@ -1,688 +1,601 @@
-//! The unified, cost-aware, work-stealing task scheduler behind both of
-//! the engine's parallelism layers.
+//! The engine's one parallel primitive: an ordered batch of independent
+//! jobs over a scoped pool of lanes.
 //!
-//! Before this module existed the workspace had **two disjoint thread
-//! pools**: `pool::WorkerPool` handed whole sweep points to channel-fed
-//! threads in input order, and `channels::par_drain` spun up its own
-//! scoped threads for every multi-channel drain. A long tail point ran on
-//! one worker while the rest of the pool idled, and a drain inside a
-//! running point *added* threads beyond the configured worker count. Both
-//! layers are now thin front-ends over one [`Scheduler`]:
+//! GradPIM's evaluation is a flat set of independent sweep points, so
+//! parallelism here is flat too. A parallel batch runs
+//! `min(threads, jobs)` lanes — the calling thread plus
+//! [`std::thread::scope`] threads spawned for this batch and joined before
+//! it returns — and every lane takes job indices from one atomic cursor
+//! over the batch's dispatch order. The contract is that of a sequential
+//! left-to-right executor:
 //!
-//! * **One thread budget.** A scheduler built for `threads` workers spawns
-//!   exactly `threads - 1` OS threads, once, and *never spawns again* — a
-//!   multi-channel drain nested inside a sweep point executes as stealable
-//!   tasks on the same threads instead of spawning scoped helpers.
-//!   [`SchedStats::spawned`] exposes the count so tests can pin the
-//!   budget.
-//! * **Work-stealing deques.** Every worker owns a deque: it pushes and
-//!   pops its own bottom, and idle workers steal from a random victim's
-//!   top (falling back to a shared injector queue for tasks submitted by
-//!   non-worker threads). A worker that finishes its sweep points steals
-//!   the *channel-drain segments* of a still-running point — the idle pool
-//!   lends its threads to the tail.
-//! * **Cost-seeded dispatch.** Ordered batches optionally carry per-job
-//!   cost estimates (see [`cost`]); dispatch starts the estimated-longest
-//!   jobs first so the tail shrinks, while result collection, the
-//!   lowest-index failure contract, and cancel semantics stay byte-for-
-//!   byte those of the sequential executor (see the `batch` internals; the
-//!   public contract is documented on [`crate::pool::WorkerPool`]).
+//! * results come back in **input order**;
+//! * the failure (error *or* panic) of the **lowest-indexed** failing job
+//!   wins, exactly the one a sequential run would have stopped on, and a
+//!   panic payload is re-raised intact via [`std::panic::resume_unwind`]
+//!   (never masked by a secondary poisoned-mutex panic);
+//! * once a failure at index `k` is observed, not-yet-started jobs above
+//!   `k` are skipped **best-effort**: the check races with failure
+//!   recording, so a higher-indexed job may still start. Every job below
+//!   the final failure watermark runs to completion, so the returned
+//!   failure is identical under any schedule, and a job that observes
+//!   [`Cancel::should_cancel`] is doomed — whatever it returns is never
+//!   observed;
+//! * with one thread or at most one job everything runs inline on the
+//!   caller, sequentially and fail-fast.
 //!
-//! # Deadlock freedom
-//!
-//! Nested waits are *helping* waits: a thread that blocks on a scope's
-//! completion first drains its **own** deque, so the tasks it pushed for
-//! that scope run even if every other worker is busy. A pushed task is
-//! therefore always executed — by a thief if one is idle, by the pusher
-//! otherwise — and every scope strictly nests, so no cycle of waits can
-//! form.
+//! The one freedom the contract leaves open is **dispatch order**: with
+//! per-job cost estimates (see [`cost`]) the lanes start the estimated-
+//! longest jobs first, so a heavy tail point never begins last. Results
+//! are collected in input order either way, so dispatch order is
+//! invisible in the output.
 
-mod batch;
 pub mod cost;
 
-pub use batch::Cancel;
-
-use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// An erased task shipped across threads. The `'static` bound is a lie
-/// told through [`std::mem::transmute`]; every scope that pushes borrowed
-/// tasks waits on a latch that guarantees the borrowed state outlives
-/// them.
-type Task = Box<dyn FnOnce() + Send + 'static>;
-
-thread_local! {
-    /// Which scheduler (by `Inner` address) and deque this thread serves,
-    /// if it is a scheduler worker. Decides where a pushed task lands:
-    /// workers push to their own deque (stealable bottom), everyone else
-    /// to the shared injector.
-    static WORKER: std::cell::Cell<Option<(usize, usize)>> = const { std::cell::Cell::new(None) };
-}
-
-/// Locks a mutex, ignoring poison: every guarded value in this module
-/// stays consistent across a panic (plain stores), and panic payloads are
+/// Locks a mutex, ignoring poison: every guarded value here is a plain
+/// store that stays consistent across a panic, and panic payloads are
 /// propagated explicitly instead of through poison.
 fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Erases the borrow lifetime of a scoped task so it can cross deques.
-///
-/// # Safety
-///
-/// The caller must not let the borrowed frame return or unwind past the
-/// task's completion — every call site pairs the push with a latch that
-/// is awaited (with helping) before the frame ends.
-#[allow(unsafe_code)] // The workspace's single sanctioned unsafe pattern (see lib.rs).
-unsafe fn erase_task_lifetime<'a>(task: Box<dyn FnOnce() + Send + 'a>) -> Task {
-    unsafe {
-        std::mem::transmute::<Box<dyn FnOnce() + Send + 'a>, Box<dyn FnOnce() + Send + 'static>>(
-            task,
-        )
+/// Cooperative-cancellation view handed to each running job (see the
+/// module docs for the exact guarantee).
+#[derive(Debug)]
+pub struct Cancel<'a> {
+    index: usize,
+    failed: &'a AtomicUsize,
+}
+
+impl Cancel<'_> {
+    /// True once a lower-indexed job has failed, i.e. this job's result
+    /// can no longer be observed: the overall call will return that
+    /// failure, so a long job may bail out with any value.
+    pub fn should_cancel(&self) -> bool {
+        self.index > self.failed.load(Ordering::Relaxed)
     }
 }
 
-/// Counts outstanding pool-side tasks of one scope; the owner blocks on it
-/// (helping from its own deque) before touching the scope's state again.
-struct Latch {
-    left: Mutex<usize>,
-    done: Condvar,
-}
-
-impl Latch {
-    fn new(n: usize) -> Self {
-        Self { left: Mutex::new(n), done: Condvar::new() }
-    }
-
-    fn arrive(&self) {
-        let mut left = lock_unpoisoned(&self.left);
-        *left -= 1;
-        if *left == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        *lock_unpoisoned(&self.left) == 0
+impl Cancel<'static> {
+    /// A handle that never reports cancellation — for driving a
+    /// cancel-aware job (e.g. a [`crate::dist::ShardExec`] worker launch)
+    /// outside a batch, where no failure watermark exists.
+    pub fn never() -> Self {
+        static NEVER_FAILED: AtomicUsize = AtomicUsize::new(usize::MAX);
+        Cancel { index: 0, failed: &NEVER_FAILED }
     }
 }
 
-/// Decrements the latch even if the guarded scope unwinds.
-struct ArriveOnDrop<'a>(&'a Latch);
-
-impl Drop for ArriveOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.arrive();
-    }
-}
-
-/// Wake coordination for idle workers. `generation` is bumped on every
-/// submitted task; a worker records the generation *before* hunting for
-/// work and only sleeps if it is unchanged after an empty hunt, so a
-/// submit can never slip between the hunt and the sleep unnoticed.
-struct Sleep {
-    generation: u64,
-    shutdown: bool,
-}
-
-/// Cumulative scheduler counters, snapshotted by [`Scheduler::stats`].
-///
-/// The counters are monotone and advisory (Relaxed atomics): they exist so
-/// tests and operators can *observe* scheduling behavior — that drains
-/// really ran as stealable segments, that stealing happened, that the
-/// thread budget held — not to feed back into scheduling decisions.
+/// Cumulative batch counters of one [`crate::Engine`], snapshotted by
+/// [`crate::Engine::sched_stats`]. Monotone and advisory: they let tests
+/// and operators observe scheduling, they never feed back into it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Ordered batches executed on the parallel path.
+    /// Batches executed on the parallel path.
     pub batches: u64,
-    /// Batch jobs executed (sweep points, shard launches, …).
+    /// Jobs executed on the parallel path (sweep points, shard launches,
+    /// …); the inline path counts none.
     pub jobs: u64,
-    /// Multi-channel drain segments executed as scheduler tasks — the
-    /// intra-point parallelism counter: non-zero iff a drain ran through
-    /// the scheduler instead of sequentially on its caller.
+    /// Always 0. Channel-level drains no longer exist; the field stays
+    /// so existing readers of the counters keep compiling.
     pub drain_chunks: u64,
-    /// Tasks taken from another worker's deque.
-    pub steals: u64,
-    /// Tasks taken from the shared injector queue.
-    pub injector_pops: u64,
-    /// OS threads this scheduler has spawned — always `threads - 1`, the
-    /// global budget minus the participating caller. Nested drains must
-    /// never move this.
-    pub spawned: usize,
-    /// High-water mark of workers concurrently executing tasks; bounded by
-    /// [`SchedStats::spawned`] by construction.
-    pub max_live: usize,
 }
 
-/// Shared scheduler state: deques, injector, sleep coordination, stats.
-struct Inner {
-    /// Concurrent worker target (spawned workers + the calling thread).
-    threads: usize,
-    /// One deque per spawned worker; owners push/pop the back, thieves
-    /// steal the front.
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Overflow queue for tasks submitted by non-worker threads.
-    injector: Mutex<VecDeque<Task>>,
-    sleep: Mutex<Sleep>,
-    wake: Condvar,
+/// The live counters behind [`SchedStats`].
+#[derive(Debug, Default)]
+pub(crate) struct Counters {
     batches: AtomicU64,
     jobs: AtomicU64,
-    drain_chunks: AtomicU64,
-    steals: AtomicU64,
-    injector_pops: AtomicU64,
-    spawned: AtomicUsize,
-    live: AtomicUsize,
-    max_live: AtomicUsize,
 }
 
-impl Inner {
-    /// True when the current thread is one of this scheduler's workers,
-    /// returning its deque index.
-    fn worker_index(self: &Arc<Self>) -> Option<usize> {
-        match WORKER.get() {
-            Some((addr, idx)) if addr == Arc::as_ptr(self) as usize => Some(idx),
-            _ => None,
-        }
-    }
-
-    /// Queues one task: onto the current worker's own deque when called
-    /// from a worker of this scheduler (stealable by idle peers), onto the
-    /// shared injector otherwise — then wakes sleepers.
-    fn push(self: &Arc<Self>, task: Task) {
-        match self.worker_index() {
-            Some(idx) => match self.deques.get(idx) {
-                Some(dq) => lock_unpoisoned(dq).push_back(task),
-                None => lock_unpoisoned(&self.injector).push_back(task),
-            },
-            None => lock_unpoisoned(&self.injector).push_back(task),
-        }
-        let mut sleep = lock_unpoisoned(&self.sleep);
-        sleep.generation += 1;
-        drop(sleep);
-        self.wake.notify_all();
-    }
-
-    /// One hunt for work, in steal order: own deque bottom, then a random
-    /// victim's top (scanning all victims from a random start), then the
-    /// injector front.
-    fn find_task(&self, me: usize, rng: &mut u64) -> Option<Task> {
-        if let Some(dq) = self.deques.get(me) {
-            if let Some(t) = lock_unpoisoned(dq).pop_back() {
-                return Some(t);
-            }
-        }
-        let n = self.deques.len();
-        if n > 1 {
-            let start = (xorshift(rng) % n as u64) as usize;
-            for k in 0..n {
-                let v = (start + k) % n;
-                if v == me {
-                    continue;
-                }
-                if let Some(dq) = self.deques.get(v) {
-                    if let Some(t) = lock_unpoisoned(dq).pop_front() {
-                        self.steals.fetch_add(1, Ordering::Relaxed);
-                        gradpim_obs::instant("sched.steal", "sched");
-                        return Some(t);
-                    }
-                }
-            }
-        }
-        let t = lock_unpoisoned(&self.injector).pop_front();
-        if t.is_some() {
-            self.injector_pops.fetch_add(1, Ordering::Relaxed);
-            gradpim_obs::instant("sched.injector_pop", "sched");
-        }
-        t
-    }
-
-    /// Executes one task on a worker thread, tracking the live high-water
-    /// mark (the budget observable) and containing stray panics — scope
-    /// tasks catch their own, but a worker must survive regardless.
-    fn run_task(&self, task: Task) {
-        let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
-        self.max_live.fetch_max(live, Ordering::Relaxed);
-        debug_assert!(
-            live <= self.spawned.load(Ordering::Relaxed),
-            "more live workers than spawned threads"
-        );
-        let _ = panic::catch_unwind(AssertUnwindSafe(task));
-        self.live.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Blocks until `latch` reaches zero, first draining the calling
-    /// worker's own deque — the helping wait that makes nested scopes
-    /// deadlock-free (see the module docs). Non-worker callers wait on the
-    /// latch directly; their tasks sit in the injector where the spawned
-    /// workers drain them.
-    fn wait_latch(self: &Arc<Self>, latch: &Latch) {
-        if let Some(me) = self.worker_index() {
-            loop {
-                if latch.is_done() {
-                    return;
-                }
-                let task = self.deques.get(me).and_then(|dq| lock_unpoisoned(dq).pop_back());
-                match task {
-                    // Usually the innermost scope's own task (LIFO); if a
-                    // thief already stole those, this may be an *enclosing*
-                    // scope's task — also safe to run here, since every
-                    // enclosing frame is still live below us on the stack.
-                    Some(task) => task(),
-                    None => break,
-                }
-            }
-        }
-        let mut left = lock_unpoisoned(&latch.left);
-        while *left > 0 {
-            left = latch.done.wait(left).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// One step of a xorshift64* sequence — victim selection only, never
-/// simulation state, so scheduler randomness cannot touch results.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-/// Worker main loop: hunt (own deque → steal → injector), run, sleep when
-/// the generation shows nothing new arrived during an empty hunt.
-fn worker_main(inner: &Arc<Inner>, index: usize) {
-    WORKER.set(Some((Arc::as_ptr(inner) as usize, index)));
-    let mut rng = (index as u64 + 1) ^ 0x9E37_79B9_7F4A_7C15;
-    loop {
-        let generation = lock_unpoisoned(&inner.sleep).generation;
-        if let Some(task) = inner.find_task(index, &mut rng) {
-            inner.run_task(task);
-            continue;
-        }
-        let sleep = lock_unpoisoned(&inner.sleep);
-        if sleep.shutdown {
-            return;
-        }
-        if sleep.generation == generation {
-            let woke = inner.wake.wait(sleep).unwrap_or_else(PoisonError::into_inner);
-            drop(woke);
-        }
-    }
-}
-
-/// A cheap, clonable capability to execute tasks on a [`Scheduler`] —
-/// what [`crate::Engine`] hands to the drain hook so phase executors deep
-/// inside a sweep point can route their multi-channel drains onto the
-/// same thread budget that runs the sweep.
-#[derive(Clone)]
-pub struct SchedHandle {
-    inner: Arc<Inner>,
-}
-
-impl std::fmt::Debug for SchedHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SchedHandle").field("threads", &self.inner.threads).finish()
-    }
-}
-
-impl SchedHandle {
-    /// The scheduler's concurrent worker target (spawned + caller).
-    pub fn threads(&self) -> usize {
-        self.inner.threads
-    }
-
-    /// Applies `f` to every item, fanned across the scheduler as stealable
-    /// chunk tasks (contiguous chunks, results in item order). The caller
-    /// runs the first chunk itself and help-waits for the rest, so the
-    /// call completes even when every worker is busy; idle workers steal
-    /// the remaining chunks — this is how an idle pool lends threads to a
-    /// running point's multi-channel drain. With one thread or one item
-    /// everything runs inline on the caller.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the panic of the lowest-indexed panicking chunk.
-    pub fn for_each_mut<T, R>(&self, items: &mut [T], f: impl Fn(&mut T) -> R + Sync) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-    {
-        let workers = self.inner.threads.min(items.len()).max(1);
-        if workers <= 1 {
-            return items.iter_mut().map(f).collect();
-        }
-        let chunk = items.len().div_ceil(workers);
-        let chunks: Vec<&mut [T]> = items.chunks_mut(chunk).collect();
-        let n = chunks.len();
-        self.inner.drain_chunks.fetch_add(n as u64, Ordering::Relaxed);
-        let slots: Vec<Mutex<Option<Vec<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        // Lowest-indexed chunk panic, re-raised on the caller after every
-        // chunk has finished (the borrows below must not outlive them).
-        let panicked: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
-        let run_chunk = |i: usize, part: &mut [T]| {
-            let _span = gradpim_obs::span_lazy(|| format!("sched.drain_chunk[{i}]"), "sched");
-            match panic::catch_unwind(AssertUnwindSafe(|| part.iter_mut().map(&f).collect())) {
-                Ok(results) => {
-                    if let Some(slot) = slots.get(i) {
-                        *lock_unpoisoned(slot) = Some(results);
-                    }
-                }
-                Err(payload) => {
-                    let mut first = lock_unpoisoned(&panicked);
-                    if first.as_ref().is_none_or(|(p, _)| i < *p) {
-                        *first = Some((i, payload));
-                    }
-                }
-            }
-        };
-        let latch = Latch::new(n - 1);
-        let mut rest = chunks.into_iter().enumerate();
-        #[allow(clippy::expect_used)]
-        // gradpim-lint: allow(panic-discipline): chunks is non-empty (workers >= 2
-        // implies items.len() >= 2), so the first chunk always exists.
-        let (_, first) = rest.next().expect("at least one chunk");
-        for (i, part) in rest {
-            let latch = &latch;
-            let run_chunk = &run_chunk;
-            let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let _arrive = ArriveOnDrop(latch);
-                run_chunk(i, part);
-            });
-            // SAFETY: the task borrows `run_chunk`, `latch`, `slots`,
-            // `panicked`, and the chunked `items`. `wait_latch` below does
-            // not return until every pushed task has finished (ArriveOnDrop
-            // fires even on unwind), so the borrows never dangle.
-            #[allow(unsafe_code)] // Opt-in under the crate's deny; SAFETY above.
-            let task = unsafe { erase_task_lifetime(task) };
-            self.inner.push(task);
-        }
-        run_chunk(0, first);
-        self.inner.wait_latch(&latch);
-        if let Some((_, payload)) = lock_unpoisoned(&panicked).take() {
-            panic::resume_unwind(payload);
-        }
-        let mut out = Vec::with_capacity(n);
-        for slot in slots {
-            match lock_unpoisoned(&slot).take() {
-                Some(results) => out.extend(results),
-                // gradpim-lint: allow(panic-discipline): every chunk either filled
-                // its slot or recorded a panic that was re-raised above.
-                None => unreachable!("empty chunk slot without a recorded panic"),
-            }
-        }
-        out
-    }
-
-    /// Fans `jobs` across the scheduler with input-ordered results and the
-    /// sequential failure contract; `costs` (estimated cycles, see
-    /// [`cost`]) seed longest-first dispatch when given. Semantics are
-    /// documented on [`crate::pool::WorkerPool::run_ordered`].
-    ///
-    /// # Errors
-    ///
-    /// The error of the lowest-indexed failing job.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the original payload of the lowest-indexed panicking job.
-    pub fn run_ordered_with<T, R, E, F>(
-        &self,
-        jobs: &[T],
-        costs: Option<&[u64]>,
-        f: F,
-    ) -> Result<Vec<R>, E>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(usize, &T, &Cancel<'_>) -> Result<R, E> + Sync,
-    {
-        batch::run_batch(&self.inner, jobs, costs, f)
-    }
-
-    /// A point-in-time copy of the scheduler counters.
-    pub fn stats(&self) -> SchedStats {
+impl Counters {
+    /// A point-in-time copy of the counters.
+    pub(crate) fn snapshot(&self) -> SchedStats {
         SchedStats {
-            batches: self.inner.batches.load(Ordering::Relaxed),
-            jobs: self.inner.jobs.load(Ordering::Relaxed),
-            drain_chunks: self.inner.drain_chunks.load(Ordering::Relaxed),
-            steals: self.inner.steals.load(Ordering::Relaxed),
-            injector_pops: self.inner.injector_pops.load(Ordering::Relaxed),
-            spawned: self.inner.spawned.load(Ordering::Relaxed),
-            max_live: self.inner.max_live.load(Ordering::Relaxed),
+            batches: self.batches.load(Ordering::Relaxed),
+            jobs: self.jobs.load(Ordering::Relaxed),
+            drain_chunks: 0,
         }
     }
 }
 
-/// The work-stealing scheduler: owns the thread budget (`threads - 1` OS
-/// threads spawned at construction, joined on drop — nothing else in the
-/// workspace creates simulation threads) and executes every kind of engine
-/// task: whole sweep points, shard launches, and the channel segments of a
-/// multi-channel drain.
-pub struct Scheduler {
-    inner: Arc<Inner>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for Scheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scheduler")
-            .field("threads", &self.inner.threads)
-            .field("spawned", &self.workers.len())
-            .finish()
+/// The order in which batch jobs are *started*: input order when no costs
+/// are given, otherwise descending estimated cost with input order as the
+/// tie-break (stable sort). A cost slice shorter than the batch treats the
+/// missing entries as zero.
+fn dispatch_order(len: usize, costs: Option<&[u64]>) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..len).collect();
+    if let Some(costs) = costs {
+        order.sort_by_key(|&i| std::cmp::Reverse(costs.get(i).copied().unwrap_or(0)));
     }
+    order
 }
 
-impl Scheduler {
-    /// A scheduler sized for `threads` concurrent workers (clamped to at
-    /// least 1). `threads - 1` OS threads are spawned now — the calling
-    /// thread is the remaining worker of every batch and drain — and this
-    /// is the *only* spawn site: the count never grows, no matter how
-    /// deeply drains nest inside points.
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let inner = Arc::new(Inner {
-            threads,
-            deques: (0..threads.saturating_sub(1)).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            sleep: Mutex::new(Sleep { generation: 0, shutdown: false }),
-            wake: Condvar::new(),
-            batches: AtomicU64::new(0),
-            jobs: AtomicU64::new(0),
-            drain_chunks: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            injector_pops: AtomicU64::new(0),
-            spawned: AtomicUsize::new(0),
-            live: AtomicUsize::new(0),
-            max_live: AtomicUsize::new(0),
-        });
-        #[allow(clippy::expect_used)] // Fatal setup failure; justified below.
-        let workers = (0..threads.saturating_sub(1))
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                inner.spawned.fetch_add(1, Ordering::Relaxed);
-                std::thread::Builder::new()
-                    .name(format!("gradpim-sched-{i}"))
-                    .spawn(move || worker_main(&inner, i))
-                    // gradpim-lint: allow(panic-discipline): scheduler construction
-                    // runs before any batch exists; a failed OS thread spawn is fatal
-                    // setup, not a mid-batch panic to propagate.
-                    .expect("spawn scheduler worker")
-            })
+/// One job's outcome, its panic payload included; `None` until it ran.
+type Slot<R, E> = Mutex<Option<std::thread::Result<Result<R, E>>>>;
+
+/// Runs `f` over every job on up to `threads` lanes with the contract in
+/// the module docs; `costs` seed longest-first dispatch on the parallel
+/// path.
+///
+/// # Errors
+///
+/// The error of the lowest-indexed failing job.
+///
+/// # Panics
+///
+/// Re-raises the original payload of the lowest-indexed panicking job.
+pub(crate) fn run_batch<T, R, E, F>(
+    threads: usize,
+    counters: &Counters,
+    jobs: &[T],
+    costs: Option<&[u64]>,
+    f: F,
+) -> Result<Vec<R>, E>
+where
+    T: Sync,
+    R: Send,
+    E: Send,
+    F: Fn(usize, &T, &Cancel<'_>) -> Result<R, E> + Sync,
+{
+    if threads <= 1 || jobs.len() <= 1 {
+        // Inline: fail-fast, so the watermark can never drop below a
+        // running job's index and cancellation never triggers.
+        let never_failed = AtomicUsize::new(usize::MAX);
+        return jobs
+            .iter()
+            .enumerate()
+            .map(|(i, job)| f(i, job, &Cancel { index: i, failed: &never_failed }))
             .collect();
-        Self { inner, workers }
     }
+    counters.batches.fetch_add(1, Ordering::Relaxed);
+    let _span = gradpim_obs::span_lazy(|| format!("sched.batch[{}]", jobs.len()), "sched");
 
-    /// The concurrent worker target (spawned workers + the caller) — the
-    /// global thread budget.
-    pub fn threads(&self) -> usize {
-        self.inner.threads
-    }
+    let order = dispatch_order(jobs.len(), costs);
+    let cursor = AtomicUsize::new(0);
+    // Lowest failing (error or panic) index observed so far; only ever
+    // decreases. Every slot below the final watermark holds an Ok.
+    let failed = AtomicUsize::new(usize::MAX);
+    let slots: Vec<Slot<R, E>> = jobs.iter().map(|_| Mutex::new(None)).collect();
 
-    /// A clonable execution handle (see [`SchedHandle`]).
-    pub fn handle(&self) -> SchedHandle {
-        SchedHandle { inner: Arc::clone(&self.inner) }
-    }
-
-    /// See [`SchedHandle::run_ordered_with`]; this is the unweighted,
-    /// no-cancel convenience.
-    ///
-    /// # Errors
-    ///
-    /// The error of the lowest-indexed failing job.
-    pub fn run_ordered<T, R, E, F>(&self, jobs: &[T], f: F) -> Result<Vec<R>, E>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(usize, &T) -> Result<R, E> + Sync,
-    {
-        self.handle().run_ordered_with(jobs, None, |i, job, _| f(i, job))
-    }
-
-    /// See [`SchedHandle::run_ordered_with`].
-    ///
-    /// # Errors
-    ///
-    /// The error of the lowest-indexed failing job.
-    pub fn run_ordered_with<T, R, E, F>(
-        &self,
-        jobs: &[T],
-        costs: Option<&[u64]>,
-        f: F,
-    ) -> Result<Vec<R>, E>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(usize, &T, &Cancel<'_>) -> Result<R, E> + Sync,
-    {
-        self.handle().run_ordered_with(jobs, costs, f)
-    }
-
-    /// See [`SchedHandle::for_each_mut`].
-    pub fn for_each_mut<T, R>(&self, items: &mut [T], f: impl Fn(&mut T) -> R + Sync) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-    {
-        self.handle().for_each_mut(items, f)
-    }
-
-    /// A point-in-time copy of the scheduler counters.
-    pub fn stats(&self) -> SchedStats {
-        self.handle().stats()
-    }
-}
-
-impl Drop for Scheduler {
-    fn drop(&mut self) {
-        {
-            let mut sleep = lock_unpoisoned(&self.inner.sleep);
-            sleep.shutdown = true;
+    let lane = || {
+        while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let (Some(job), Some(slot)) = (jobs.get(i), slots.get(i)) else { break };
+            if i > failed.load(Ordering::Relaxed) {
+                continue;
+            }
+            counters.jobs.fetch_add(1, Ordering::Relaxed);
+            let cancel = Cancel { index: i, failed: &failed };
+            // Catch panics per job: the payload must reach the caller
+            // intact, and the lane must stay alive for the rest of the
+            // batch.
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| f(i, job, &cancel)));
+            if !matches!(outcome, Ok(Ok(_))) {
+                failed.fetch_min(i, Ordering::Relaxed);
+            }
+            *lock_unpoisoned(slot) = Some(outcome);
         }
-        self.inner.wake.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+    };
+    std::thread::scope(|s| {
+        for k in 1..threads.min(jobs.len()) {
+            // A lane that fails to spawn is not an error: the lanes that
+            // did start (the caller's at least) drain the whole cursor.
+            let _ =
+                std::thread::Builder::new().name(format!("gradpim-lane-{k}")).spawn_scoped(s, lane);
+        }
+        lane();
+    });
+
+    // Every lane has joined. Failure resolution is a sequential in-order
+    // scan, so the lowest-indexed failure wins whether it was an Err or a
+    // panic.
+    let mut out = Vec::with_capacity(jobs.len());
+    for slot in slots {
+        match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            Some(Ok(Ok(r))) => out.push(r),
+            Some(Ok(Err(e))) => return Err(e),
+            Some(Err(payload)) => panic::resume_unwind(payload),
+            // A skipped job: only possible past the lowest failing index,
+            // whose own slot is reached first.
+            // gradpim-lint: allow(panic-discipline): documented invariant above —
+            // an empty slot before the first failure cannot occur.
+            None => unreachable!("empty result slot before the first failure"),
         }
     }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use std::sync::atomic::AtomicU32;
+    use std::time::Duration;
+
+    /// One batch on a fresh engine of `threads` lanes.
+    fn run<T, R, E>(
+        threads: usize,
+        jobs: &[T],
+        f: impl Fn(usize, &T) -> Result<R, E> + Sync,
+    ) -> Result<Vec<R>, E>
+    where
+        T: Sync,
+        R: Send,
+        E: Send,
+    {
+        Engine::new(threads).run(jobs, None, |i, job, _| f(i, job))
+    }
+
+    fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn dispatch_order_without_costs_is_identity() {
+        assert_eq!(dispatch_order(5, None), vec![0, 1, 2, 3, 4]);
+        assert_eq!(dispatch_order(0, None), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn dispatch_order_starts_the_heaviest_first() {
+        let costs = [1u64, 1, 1, 1, 1, 1000];
+        assert_eq!(dispatch_order(6, Some(&costs)), vec![5, 0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn dispatch_order_breaks_cost_ties_by_input_order() {
+        let costs = [7u64, 9, 7, 9, 7];
+        assert_eq!(dispatch_order(5, Some(&costs)), vec![1, 3, 0, 2, 4]);
+    }
+
+    #[test]
+    fn dispatch_order_treats_missing_costs_as_zero() {
+        let costs = [5u64, 9];
+        assert_eq!(dispatch_order(4, Some(&costs)), vec![1, 0, 2, 3]);
+    }
 
     #[test]
     fn spawn_count_is_the_budget_minus_the_caller() {
+        // A batch runs on the caller plus at most threads - 1 spawned
+        // lanes; a 1-thread engine never leaves the caller.
+        let caller = std::thread::current().id();
         for threads in [1usize, 2, 5] {
-            let sched = Scheduler::new(threads);
-            assert_eq!(sched.stats().spawned, threads - 1, "threads={threads}");
-            assert_eq!(sched.threads(), threads);
-        }
-        assert_eq!(Scheduler::new(0).threads(), 1, "clamped to sequential");
-    }
-
-    #[test]
-    fn for_each_mut_preserves_item_order() {
-        let sched = Scheduler::new(4);
-        let mut items: Vec<u64> = (0..23).collect();
-        let out = sched.for_each_mut(&mut items, |x| {
-            *x += 1;
-            *x * 10
-        });
-        assert_eq!(out, (1..24).map(|x| x * 10).collect::<Vec<_>>());
-        assert_eq!(items, (1..24).collect::<Vec<_>>());
-        assert!(sched.stats().drain_chunks > 0);
-    }
-
-    #[test]
-    fn for_each_mut_single_item_runs_inline() {
-        let sched = Scheduler::new(8);
-        let mut items = [7u64];
-        assert_eq!(sched.for_each_mut(&mut items, |x| *x * 2), vec![14]);
-        assert_eq!(sched.stats().drain_chunks, 0, "inline path must not count chunks");
-    }
-
-    #[test]
-    fn for_each_mut_propagates_the_lowest_chunk_panic() {
-        let sched = Scheduler::new(4);
-        let mut items: Vec<u64> = (0..16).collect();
-        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-            sched.for_each_mut(&mut items, |x| {
-                if *x % 5 == 0 {
-                    panic!("chunk panic at {x}");
+            let lanes = Mutex::new(Vec::new());
+            let jobs: Vec<u64> = (0..32).collect();
+            run(threads, &jobs, |_, _| {
+                let me = std::thread::current().id();
+                let mut seen = lock_unpoisoned(&lanes);
+                if !seen.contains(&me) {
+                    seen.push(me);
                 }
-                *x
+                drop(seen);
+                std::thread::sleep(Duration::from_micros(200));
+                Ok::<_, ()>(())
+            })
+            .unwrap();
+            let lanes = lanes.into_inner().unwrap();
+            let spawned = lanes.iter().filter(|&&t| t != caller).count();
+            assert!(spawned < threads, "threads={threads}: {spawned} spawned lanes ran jobs");
+            if threads == 1 {
+                assert_eq!(lanes, vec![caller], "a 1-thread batch runs inline");
+            }
+        }
+        assert_eq!(Engine::new(0).threads(), 1, "clamped to sequential");
+    }
+
+    #[test]
+    fn results_come_back_in_input_order() {
+        let jobs: Vec<usize> = (0..40).collect();
+        // Deliberately uneven job times so completion order scrambles.
+        let out: Vec<usize> = run(4, &jobs, |i, &j| {
+            if j % 7 == 0 {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            assert_eq!(i, j);
+            Ok::<_, ()>(j * 10)
+        })
+        .unwrap();
+        assert_eq!(out, (0..40).map(|j| j * 10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn first_error_in_input_order_wins() {
+        let jobs: Vec<usize> = (0..32).collect();
+        // Jobs 5 and 20 fail; the input-order-first error (5) must be
+        // returned no matter which lane hits which first.
+        for threads in [1usize, 3, 8] {
+            let err = run(threads, &jobs, |_, &j| {
+                if j == 5 || j == 20 {
+                    Err(format!("job {j} failed"))
+                } else {
+                    Ok(j)
+                }
+            })
+            .unwrap_err();
+            assert_eq!(err, "job 5 failed", "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn failure_cancels_higher_indexed_jobs() {
+        // Job 0 fails immediately; the remaining jobs are slow. Once the
+        // failure watermark is set, the tail must be skipped rather than
+        // simulated to completion. Determinism still demands the job-0
+        // error back.
+        let jobs: Vec<usize> = (0..2000).collect();
+        let ran = AtomicU32::new(0);
+        let err = run(2, &jobs, |_, &j| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            if j == 0 {
+                Err("job 0 failed")
+            } else {
+                std::thread::sleep(Duration::from_micros(200));
+                Ok(j)
+            }
+        })
+        .unwrap_err();
+        assert_eq!(err, "job 0 failed");
+        // Jobs in flight when the watermark dropped may have run, but the
+        // vast majority of the tail must have been skipped.
+        assert!(
+            ran.load(Ordering::Relaxed) < jobs.len() as u32 / 2,
+            "ran {} of {} jobs after an early failure",
+            ran.load(Ordering::Relaxed),
+            jobs.len()
+        );
+    }
+
+    #[test]
+    fn sequential_fallback_is_fail_fast() {
+        let ran = AtomicU32::new(0);
+        let jobs: Vec<usize> = (0..10).collect();
+        let err = run(1, &jobs, |_, &j| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            if j == 3 {
+                Err("boom")
+            } else {
+                Ok(())
+            }
+        })
+        .unwrap_err();
+        assert_eq!(err, "boom");
+        // Inline mode stops at the failing job, like a plain loop.
+        assert_eq!(ran.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn more_threads_than_jobs_is_fine() {
+        let jobs = [1u64, 2];
+        let out = run(16, &jobs, |_, &j| Ok::<_, ()>(j + 1)).unwrap();
+        assert_eq!(out, vec![2, 3]);
+    }
+
+    #[test]
+    fn empty_jobs_yield_empty_results() {
+        let jobs: [u8; 0] = [];
+        let out: Vec<u8> = run(4, &jobs, |_, &j| Ok::<_, ()>(j)).unwrap();
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn pool_is_reused_across_batches() {
+        // Many small batches on one engine: results stay deterministic
+        // batch after batch.
+        let engine = Engine::new(4);
+        for round in 0..50usize {
+            let jobs: Vec<usize> = (0..8).collect();
+            let out = engine.run(&jobs, None, |_, &j, _| Ok::<_, ()>(j + round)).unwrap();
+            assert_eq!(out, (0..8).map(|j| j + round).collect::<Vec<_>>());
+        }
+        assert_eq!(engine.threads(), 4);
+    }
+
+    #[test]
+    fn panicking_job_propagates_the_original_payload() {
+        // Regression: a panicking job used to poison its slot mutex and
+        // the collection loop then died on a secondary "result slot
+        // poisoned" panic, masking the real payload.
+        let jobs: Vec<usize> = (0..16).collect();
+        for threads in [1usize, 4] {
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                run(threads, &jobs, |_, &j| {
+                    if j == 6 {
+                        panic!("original payload from job {j}");
+                    }
+                    Ok::<_, ()>(j)
+                })
+            }))
+            .unwrap_err();
+            assert_eq!(payload_text(&*caught), "original payload from job 6", "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn lowest_indexed_panic_wins_across_panics() {
+        let jobs: Vec<usize> = (0..32).collect();
+        // Make the higher-indexed panic land first.
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            run(4, &jobs, |_, &j| {
+                if j == 3 {
+                    std::thread::sleep(Duration::from_millis(5));
+                    panic!("panic at 3");
+                }
+                if j == 20 {
+                    panic!("panic at 20");
+                }
+                std::thread::sleep(Duration::from_micros(100));
+                Ok::<_, ()>(j)
             })
         }))
         .unwrap_err();
-        let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert_eq!(msg, "chunk panic at 0");
-        // The scheduler survives: workers caught the stray panics.
-        let mut again: Vec<u64> = (0..16).collect();
-        assert_eq!(sched.for_each_mut(&mut again, |x| *x).len(), 16);
+        assert_eq!(payload_text(&*caught), "panic at 3");
     }
 
     #[test]
-    fn nested_for_each_mut_inside_a_batch_completes_within_budget() {
-        // The fusion case: every batch job runs a nested multi-chunk
-        // for_each_mut. The budget must hold (no new threads) and the
-        // helping wait must prevent deadlock even when jobs outnumber
-        // workers.
-        let sched = Scheduler::new(3);
-        let jobs: Vec<u64> = (0..8).collect();
-        let out = sched
-            .run_ordered(&jobs, |_, &j| {
-                let mut parts: Vec<u64> = (0..6).map(|k| j * 10 + k).collect();
-                let sums = sched.handle().for_each_mut(&mut parts, |x| *x + 1);
-                Ok::<_, ()>(sums.iter().sum::<u64>())
+    fn lower_indexed_error_beats_higher_indexed_panic() {
+        // Sequential semantics: job 2 errors before job 9 would ever run,
+        // so the error is returned and the panic payload is discarded.
+        let jobs: Vec<usize> = (0..16).collect();
+        let res = panic::catch_unwind(AssertUnwindSafe(|| {
+            run(4, &jobs, |_, &j| {
+                if j == 2 {
+                    std::thread::sleep(Duration::from_millis(2));
+                    return Err("error at 2");
+                }
+                if j == 9 {
+                    panic!("panic at 9");
+                }
+                Ok(j)
+            })
+        }))
+        .expect("an error below a panic must not re-panic");
+        assert_eq!(res.unwrap_err(), "error at 2");
+    }
+
+    #[test]
+    fn lower_indexed_panic_beats_higher_indexed_error() {
+        let jobs: Vec<usize> = (0..16).collect();
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            run(4, &jobs, |_, &j| {
+                if j == 1 {
+                    std::thread::sleep(Duration::from_millis(2));
+                    panic!("panic at 1");
+                }
+                if j == 8 {
+                    return Err("error at 8");
+                }
+                Ok(j)
+            })
+        }))
+        .unwrap_err();
+        assert_eq!(payload_text(&*caught), "panic at 1");
+    }
+
+    #[test]
+    fn pool_survives_a_panicking_batch() {
+        // A panic in one batch must not wedge the engine's next batch.
+        let engine = Engine::new(3);
+        let jobs: Vec<usize> = (0..8).collect();
+        let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+            engine.run(&jobs, None, |_, &j, _| {
+                if j == 0 {
+                    panic!("first batch dies");
+                }
+                Ok::<_, ()>(j)
+            })
+        }));
+        let out = engine.run(&jobs, None, |_, &j, _| Ok::<_, ()>(j * 2)).unwrap();
+        assert_eq!(out, (0..8).map(|j| j * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn long_jobs_observe_cancellation() {
+        // Job 0 fails once another job is in flight; the in-flight job is
+        // "long" and polls the cancel hook, so at least one observer must
+        // see cancellation promptly.
+        let engine = Engine::new(4);
+        let jobs: Vec<usize> = (0..12).collect();
+        let cancelled = AtomicU32::new(0);
+        let started = AtomicU32::new(0);
+        let err = engine
+            .run(&jobs, None, |_, &j, cancel| {
+                if j == 0 {
+                    // Fail only after a long job has started, so the test
+                    // cannot race into skipping every other job outright.
+                    while started.load(Ordering::Relaxed) == 0 {
+                        std::thread::sleep(Duration::from_micros(50));
+                    }
+                    return Err("job 0 failed");
+                }
+                started.fetch_add(1, Ordering::Relaxed);
+                for _ in 0..10_000 {
+                    if cancel.should_cancel() {
+                        cancelled.fetch_add(1, Ordering::Relaxed);
+                        // A cancelled job's value is never observed.
+                        return Ok(usize::MAX);
+                    }
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+                Ok(j)
+            })
+            .unwrap_err();
+        assert_eq!(err, "job 0 failed");
+        assert!(cancelled.load(Ordering::Relaxed) > 0, "no long job saw the cancel signal");
+    }
+
+    #[test]
+    fn never_handle_never_cancels() {
+        let cancel = Cancel::never();
+        assert!(!cancel.should_cancel());
+    }
+
+    #[test]
+    fn inline_jobs_are_never_cancelled() {
+        // threads=1 is fail-fast: the watermark can never be below a
+        // running job, so should_cancel is always false.
+        let jobs: Vec<usize> = (0..4).collect();
+        let out = Engine::new(1)
+            .run(&jobs, None, |_, &j, cancel| {
+                assert!(!cancel.should_cancel());
+                Ok::<_, ()>(j)
             })
             .unwrap();
-        let expect: Vec<u64> = (0..8).map(|j| (0..6).map(|k| j * 10 + k + 1).sum()).collect();
-        assert_eq!(out, expect);
-        let stats = sched.stats();
-        assert_eq!(stats.spawned, 2, "nested drains must not spawn threads");
-        assert!(stats.max_live <= 2, "live workers {} exceed spawned", stats.max_live);
-        assert!(stats.drain_chunks > 0);
+        assert_eq!(out, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn nested_runs_from_inside_a_job_complete() {
+        // A batch run from inside a job gets lanes of its own for its
+        // duration; results are those of the sequential nesting.
+        let engine = Engine::new(2);
+        let outer: Vec<usize> = (0..4).collect();
+        let out = engine
+            .run(&outer, None, |_, &j, _| {
+                let inner: Vec<usize> = (0..3).collect();
+                let sums = engine.run(&inner, None, |_, &k, _| Ok::<_, ()>(k * 10))?;
+                Ok::<_, ()>(j + sums.iter().sum::<usize>())
+            })
+            .unwrap();
+        assert_eq!(out, vec![30, 31, 32, 33]);
+    }
+
+    #[test]
+    fn concurrent_batches_share_one_pool() {
+        // Two threads driving the same engine concurrently: each batch
+        // keeps its own ordering.
+        let engine = Engine::new(4);
+        std::thread::scope(|s| {
+            for round in 0..4usize {
+                let engine = &engine;
+                s.spawn(move || {
+                    let jobs: Vec<usize> = (0..32).collect();
+                    let out = engine.run(&jobs, None, |_, &j, _| Ok::<_, ()>(j * round)).unwrap();
+                    assert_eq!(out, (0..32).map(|j| j * round).collect::<Vec<_>>());
+                });
+            }
+        });
+        assert_eq!(engine.sched_stats().batches, 4);
     }
 
     #[test]
     fn cost_seeding_keeps_results_in_input_order() {
         // Dispatch reorders (heaviest first — pinned deterministically by
-        // the batch::dispatch_order tests); collection must not.
-        let sched = Scheduler::new(4);
+        // the dispatch_order tests); collection must not.
+        let engine = Engine::new(4);
         let jobs: Vec<usize> = (0..24).collect();
         let costs: Vec<u64> = jobs.iter().map(|&j| 1 + (23 - j as u64) % 7 * 100).collect();
-        let out = sched
-            .run_ordered_with(&jobs, Some(&costs), |i, &j, _| {
+        let out = engine
+            .run(&jobs, Some(&costs), |i, &j, _| {
                 assert_eq!(i, j);
-                std::thread::sleep(std::time::Duration::from_micros(50));
+                std::thread::sleep(Duration::from_micros(50));
                 Ok::<_, ()>(j * 3)
             })
             .unwrap();
@@ -693,12 +606,12 @@ mod tests {
     fn cost_seeding_preserves_the_lowest_index_error_contract() {
         // Errors at 4 and 19 with costs that dispatch 19 first: the
         // returned error must still be the input-order-first one (4).
-        let sched = Scheduler::new(4);
+        let engine = Engine::new(4);
         let jobs: Vec<usize> = (0..24).collect();
         let mut costs = vec![1u64; 24];
         costs[19] = 1000;
-        let err = sched
-            .run_ordered_with(&jobs, Some(&costs), |_, &j, _| {
+        let err = engine
+            .run(&jobs, Some(&costs), |_, &j, _| {
                 if j == 4 || j == 19 {
                     Err(format!("job {j} failed"))
                 } else {
@@ -711,12 +624,12 @@ mod tests {
 
     #[test]
     fn equal_costs_keep_input_dispatch_order() {
-        let sched = Scheduler::new(1); // inline: strict input order
+        let engine = Engine::new(1); // inline: strict input order
         let seen = Mutex::new(Vec::new());
         let jobs: Vec<usize> = (0..5).collect();
         let costs = [7u64; 5];
-        sched
-            .run_ordered_with(&jobs, Some(&costs), |i, _, _| {
+        engine
+            .run(&jobs, Some(&costs), |i, _, _| {
                 lock_unpoisoned(&seen).push(i);
                 Ok::<_, ()>(())
             })
@@ -725,39 +638,26 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_batches_jobs_and_steals_consistently() {
-        let sched = Scheduler::new(4);
+    fn stats_count_batches_and_jobs_consistently() {
+        let engine = Engine::new(4);
         let jobs: Vec<u64> = (0..64).collect();
         for _ in 0..4 {
-            let out = sched
-                .run_ordered(&jobs, |_, &j| {
+            let out = engine
+                .run(&jobs, None, |_, &j, _| {
                     std::hint::black_box((0..500u64).sum::<u64>());
                     Ok::<_, ()>(j)
                 })
                 .unwrap();
             assert_eq!(out.len(), 64);
         }
-        let stats = sched.stats();
-        assert_eq!(stats.batches, 4);
-        assert_eq!(stats.jobs, 4 * 64);
-        assert!(stats.max_live <= stats.spawned);
-    }
-
-    #[test]
-    fn external_submissions_drain_through_the_injector() {
-        // A non-worker caller's helper tasks land in the injector; the
-        // spawned workers must pick them up.
-        let sched = Scheduler::new(3);
-        let jobs: Vec<u64> = (0..32).collect();
-        let hits = AtomicU32::new(0);
-        sched
-            .run_ordered(&jobs, |_, _| {
-                hits.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(std::time::Duration::from_micros(100));
-                Ok::<_, ()>(())
-            })
-            .unwrap();
-        assert_eq!(hits.load(Ordering::Relaxed), 32);
-        assert!(sched.stats().injector_pops > 0, "helpers never left the injector");
+        // The inline path counts nothing: a 1-job batch on this engine,
+        // and any batch on a single-thread engine.
+        engine.run(&[1u8], None, |_, &j, _| Ok::<_, ()>(j)).unwrap();
+        let stats = engine.sched_stats();
+        assert_eq!((stats.batches, stats.jobs, stats.drain_chunks), (4, 4 * 64, 0));
+        let sequential = Engine::sequential();
+        sequential.run(&jobs, None, |_, &j, _| Ok::<_, ()>(j)).unwrap();
+        let stats = sequential.sched_stats();
+        assert_eq!((stats.batches, stats.jobs, stats.drain_chunks), (0, 0, 0));
     }
 }

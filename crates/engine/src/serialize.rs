@@ -487,7 +487,7 @@ fn run_family<F: SweepFamily>(spec: &ExperimentSpec, engine: &Engine) -> Result<
     // Row-group cache consultation: a schema-validated hit pins the
     // group's rows; a miss queues the group's specs for simulation.
     // GRADPIM_REFERENCE=1 bypasses the cache exactly as it bypasses the
-    // phase memo and the drain hook — reference runs recompute everything.
+    // phase memo — reference runs recompute everything.
     let store = if gradpim_sim::env::reference_mode() { None } else { engine.cache() };
     let mut keys: Vec<Option<String>> = Vec::with_capacity(groups.len());
     let mut hits: Vec<Option<Vec<SweepRow>>> = Vec::with_capacity(groups.len());
@@ -509,9 +509,7 @@ fn run_family<F: SweepFamily>(spec: &ExperimentSpec, engine: &Engine) -> Result<
         .flat_map(|(group, _)| group.iter().cloned())
         .collect();
     let costs = sweeps::costs_of(&jobs, F::workload);
-    let outs = engine.run_weighted(&jobs, &costs, |_, s: &F::Spec| {
-        sweeps::measured(F::workload(s), || F::run_spec(s))
-    })?;
+    let outs = engine.run(&jobs, Some(&costs), |_, s: &F::Spec, _| F::run_spec(s))?;
 
     // Reassemble in group order, storing freshly computed groups back.
     let mut outs = outs.into_iter();

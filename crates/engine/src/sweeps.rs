@@ -11,19 +11,10 @@
 //! Dispatch is **cost-seeded**: every spec exposes its coarse workload
 //! shape (`params`, `batch`, `channels`), which
 //! [`crate::sched::cost::sweep_point_cycles`] turns into an estimated
-//! cycle count, and [`Engine::run_weighted`] starts the heaviest points
-//! first. A full fig09-style batch that ends with resnet50 no longer
-//! leaves its longest point to run alone on one worker after the rest of
-//! the pool has gone idle — and since the idle workers also steal the
-//! running point's multi-channel drain segments (see [`crate::sched`]),
-//! the tail shrinks twice over. Dispatch order is unobservable in the
-//! results.
-//!
-//! Under `GRADPIM_COST=measured` every job additionally records its
-//! wall-clock under its shape's [`cost::cost_key`], and later batches
-//! whose shapes are all priced switch from the static estimate to the
-//! observed durations (see [`cost::batch_costs`]). Like the estimate,
-//! measured costs only reorder dispatch — results are unchanged.
+//! cycle count, and [`Engine::run`] starts the heaviest points first. A
+//! full fig09-style batch that ends with resnet50 no longer leaves its
+//! longest point to run alone on one worker after the rest of the pool
+//! has gone idle. Dispatch order is unobservable in the results.
 
 use gradpim_sim::distributed::{scaling_specs, DistReport, DistSpec};
 use gradpim_sim::report::{Kind, Report, Schema, SweepRow, ToRow};
@@ -39,31 +30,9 @@ use crate::sched::cost;
 use crate::Engine;
 
 /// Dispatch cost per spec, from each spec's workload shape — the
-/// longest-first seed. Static [`cost::sweep_point_cycles`] estimates, or
-/// observed durations when measured-cost feedback has priced every shape
-/// (see [`cost::batch_costs`]).
+/// longest-first seed (see [`cost::sweep_point_cycles`]).
 pub(crate) fn costs_of<T>(specs: &[T], workload: impl Fn(&T) -> (u64, usize, usize)) -> Vec<u64> {
-    let shapes: Vec<(u64, usize, usize)> = specs.iter().map(workload).collect();
-    cost::batch_costs(&shapes)
-}
-
-/// Runs one sweep job, recording its wall-clock under the shape's
-/// measured-cost key when `GRADPIM_COST=measured` feedback is on. The
-/// timing wraps the job from the outside, so results are untouched either
-/// way.
-pub(crate) fn measured<R, E>(
-    shape: (u64, usize, usize),
-    f: impl FnOnce() -> Result<R, E>,
-) -> Result<R, E> {
-    if !gradpim_obs::cost_feedback() {
-        return f();
-    }
-    let start = std::time::Instant::now();
-    let out = f();
-    let (params, batch, channels) = shape;
-    let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    gradpim_obs::record_measured_cost(&cost::cost_key(params, batch, channels), nanos);
-    out
+    specs.iter().map(workload).map(|(p, b, c)| cost::sweep_point_cycles(p, b, c)).collect()
 }
 
 /// Fig. 12a in parallel: speedup vs ops/bandwidth ratio.
@@ -78,7 +47,7 @@ pub fn ops_bandwidth_sweep(
 ) -> Result<Vec<OpsBwPoint>, PhaseError> {
     let specs = ops_bandwidth_specs(net, quick);
     let costs = costs_of(&specs, OpsBwSpec::workload);
-    engine.run_weighted(&specs, &costs, |_, s: &OpsBwSpec| measured(s.workload(), || s.run()))
+    engine.run(&specs, Some(&costs), |_, s: &OpsBwSpec, _| s.run())
 }
 
 /// Fig. 12b in parallel: speedup vs minibatch size.
@@ -93,7 +62,7 @@ pub fn batch_sweep(
 ) -> Result<Vec<BatchPoint>, PhaseError> {
     let specs = batch_specs(nets, quick);
     let costs = costs_of(&specs, BatchSpec::workload);
-    engine.run_weighted(&specs, &costs, |_, s: &BatchSpec| measured(s.workload(), || s.run()))
+    engine.run(&specs, Some(&costs), |_, s: &BatchSpec, _| s.run())
 }
 
 /// Fig. 12c/d in parallel: speedup and energy vs precision mix.
@@ -108,7 +77,7 @@ pub fn precision_sweep(
 ) -> Result<Vec<PrecisionPoint>, PhaseError> {
     let specs = precision_specs(nets, quick);
     let costs = costs_of(&specs, PrecisionSpec::workload);
-    engine.run_weighted(&specs, &costs, |_, s: &PrecisionSpec| measured(s.workload(), || s.run()))
+    engine.run(&specs, Some(&costs), |_, s: &PrecisionSpec, _| s.run())
 }
 
 /// Fig. 13 in parallel: per-layer speedup scatter.
@@ -123,11 +92,10 @@ pub fn layer_scatter(
 ) -> Result<Vec<LayerPoint>, PhaseError> {
     let specs = layer_specs(nets, quick);
     let costs = costs_of(&specs, LayerSpec::workload);
-    engine.run_weighted(&specs, &costs, |_, s: &LayerSpec| measured(s.workload(), || s.run()))
+    engine.run(&specs, Some(&costs), |_, s: &LayerSpec, _| s.run())
 }
 
-/// Workload shape of one Fig. 9 (network, design) job — [`costs_of`] and
-/// the [`measured`] wrap must key the same shape.
+/// Workload shape of one Fig. 9 (network, design) job, for [`costs_of`].
 fn design_shape((cfg, net): &(SystemConfig, Network)) -> (u64, usize, usize) {
     (net.total_params() as u64, cfg.batch.unwrap_or(net.default_batch), cfg.base_dram.channels)
 }
@@ -207,11 +175,8 @@ pub fn design_space(
         })
         .collect();
     let costs = costs_of(&jobs, design_shape);
-    engine.run_weighted(&jobs, &costs, |_, job| {
-        measured(design_shape(job), || {
-            let (cfg, net) = job;
-            Ok(DesignPoint { design: cfg.design, report: TrainingSim::new(cfg.clone()).run(net)? })
-        })
+    engine.run(&jobs, Some(&costs), |_, (cfg, net), _| {
+        Ok(DesignPoint { design: cfg.design, report: TrainingSim::new(cfg.clone()).run(net)? })
     })
 }
 
@@ -280,8 +245,7 @@ pub fn distributed_scaling(
 ) -> Result<Vec<ScalingRow>, PhaseError> {
     let specs = scaling_specs(net, node_counts, quick);
     let costs = costs_of(&specs, DistSpec::workload);
-    let reports = engine
-        .run_weighted(&specs, &costs, |_, s: &DistSpec| measured(s.workload(), || s.run()))?;
+    let reports = engine.run(&specs, Some(&costs), |_, s: &DistSpec, _| s.run())?;
     // scaling_specs emits (baseline, gradpim) pairs per node count.
     Ok(node_counts
         .iter()

@@ -210,7 +210,7 @@ pub fn split_sidecar(input: &str) -> Result<(Report, Vec<SpanRec>), ParseError> 
 }
 
 /// Shape-level digest of a Chrome-trace document, for validation gates and
-/// the CLI `check-trace` mode. Metadata (`ph: "M"`) events are excluded
+/// the CLI `check trace` mode. Metadata (`ph: "M"`) events are excluded
 /// from every count.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TraceSummary {

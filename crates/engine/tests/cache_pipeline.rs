@@ -179,11 +179,14 @@ fn check_aliases_match_and_cache_usage_errors_exit_2() {
     std::fs::write(&report_path, to_json(&report)).expect("write report");
     let path = report_path.to_str().expect("utf-8 temp path");
 
-    // The deprecated spellings stay byte-compatible with `check {report,trace}`.
+    // `check {report,trace}` is the one spelling: the removed
+    // `check-report` / `check-trace` aliases are unknown commands (exit 2).
     let new = run_cli(&["check", "report", path], &[]);
     assert!(new.status.success(), "{}", stderr_of(&new));
-    let old = run_cli(&["check-report", path], &[]);
-    assert_eq!(new.stdout, old.stdout, "check-report diverged from `check report`");
+    for old in ["check-report", "check-trace"] {
+        let out = run_cli(&[old, path], &[]);
+        assert_eq!(out.status.code(), Some(2), "{old}: {}", stderr_of(&out));
+    }
 
     // `cache …` without a resolvable store, unknown check targets, and
     // --cache on modes that cannot use it are usage errors, not runtime ones.
@@ -192,7 +195,7 @@ fn check_aliases_match_and_cache_usage_errors_exit_2() {
         &["check", "nonsense", path][..],
         &["check", "report"][..],
         &["cache", "shrink"][..],
-        &["check-report", path, "--cache", "somewhere"][..],
+        &["check", "report", path, "--cache", "somewhere"][..],
         &["fig12b", "--emit-spec", "-", "--cache", "somewhere"][..],
     ] {
         let out = run_cli(args, &[]);

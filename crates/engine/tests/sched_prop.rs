@@ -1,7 +1,7 @@
-//! Property tests pinning the scheduler's observable contract to the
+//! Property tests pinning the batch contract of `Engine::run` to the
 //! sequential executor: over random job counts, outcome scripts (ok /
-//! error / panic), cost seeds, thread budgets, and whatever steal
-//! schedule the OS produces, an ordered batch must return exactly what a
+//! error / panic), cost seeds, thread budgets, and whatever interleaving
+//! the OS produces, an ordered batch must return exactly what a
 //! sequential left-to-right run would — same results, same
 //! lowest-index failure, same panic payload — plus the watermark and
 //! budget guarantees the parallel path adds.
@@ -11,11 +11,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use gradpim_dram::DramConfig;
-use gradpim_engine::sched::Scheduler;
 use gradpim_engine::Engine;
 use gradpim_sim::{Design, SystemConfig, TrainingSim};
 use gradpim_workloads::models;
@@ -45,10 +44,33 @@ fn first_failure(codes: &[u8]) -> Option<(usize, Outcome)> {
     codes.iter().enumerate().map(|(i, &c)| (i, outcome(c))).find(|&(_, o)| o != Outcome::Ok)
 }
 
+/// Counts the jobs running at once and keeps the high-water mark.
+#[derive(Default)]
+struct Gauge {
+    live: AtomicUsize,
+    max: AtomicUsize,
+}
+
+impl Gauge {
+    /// Marks one job running until the returned guard drops (panics
+    /// included).
+    fn enter(&self) -> impl Drop + '_ {
+        struct Leave<'a>(&'a AtomicUsize);
+        impl Drop for Leave<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let now = self.live.fetch_add(1, Ordering::SeqCst) + 1;
+        self.max.fetch_max(now, Ordering::SeqCst);
+        Leave(&self.live)
+    }
+}
+
 proptest! {
-    // Each case builds (and joins) a real scheduler; keep the count
-    // moderate — the interleavings vary per case anyway because thread
-    // budgets, job counts, and spin lengths all vary.
+    // Each case spawns (and joins) real lanes; keep the count moderate —
+    // the interleavings vary per case anyway because thread budgets, job
+    // counts, and spin lengths all vary.
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
@@ -59,7 +81,8 @@ proptest! {
         threads in 1usize..=6,
         weighted in 0u8..2,
     ) {
-        let sched = Scheduler::new(threads);
+        let engine = Engine::new(threads);
+        let gauge = Gauge::default();
         let executed: Vec<AtomicU32> = codes.iter().map(|_| AtomicU32::new(0)).collect();
         let cancels_seen: Mutex<Vec<usize>> = Mutex::new(Vec::new());
         // `costs` varies in length independently of `codes` on purpose:
@@ -68,12 +91,13 @@ proptest! {
         let cost_arg = if weighted == 1 { Some(&costs[..]) } else { None };
 
         let run = panic::catch_unwind(AssertUnwindSafe(|| {
-            sched.run_ordered_with(&codes, cost_arg, |i, &code, cancel| {
+            engine.run(&codes, cost_arg, |i, &code, cancel| {
+                let _running = gauge.enter();
                 executed[i].fetch_add(1, Ordering::Relaxed);
                 if cancel.should_cancel() {
                     cancels_seen.lock().unwrap().push(i);
                 }
-                // Unequal job lengths drive the steal paths.
+                // Unequal job lengths scramble completion order.
                 std::hint::black_box((0..spins.get(i).copied().unwrap_or(0)).sum::<u32>());
                 match outcome(code) {
                     Outcome::Ok => Ok(i as u64 * 3),
@@ -102,7 +126,7 @@ proptest! {
                     Ok(Err(e)) => format!("Err({e})"),
                     Err(_) => "panic".to_owned(),
                 };
-                prop_assert!(false, "expected {expect:?}, scheduler returned {got}");
+                prop_assert!(false, "expected {expect:?}, the batch returned {got}");
             }
         }
 
@@ -129,47 +153,16 @@ proptest! {
             );
         }
 
-        // 4. The thread budget held.
-        let stats = sched.stats();
-        prop_assert_eq!(stats.spawned, threads - 1);
-        prop_assert!(stats.max_live <= stats.spawned);
-    }
-
-    #[test]
-    fn nested_drains_match_sequential_and_stay_within_budget(
-        jobs in 1usize..12,
-        parts in 1usize..8,
-        threads in 2usize..=5,
-    ) {
-        // Every batch job fans a nested for_each_mut (the drain shape)
-        // onto the same scheduler. Results must equal the sequential
-        // computation and the budget must not grow.
-        let sched = Scheduler::new(threads);
-        let handle = sched.handle();
-        let job_ids: Vec<u64> = (0..jobs as u64).collect();
-        let out = sched
-            .run_ordered(&job_ids, |_, &j| {
-                let mut segments: Vec<u64> = (0..parts as u64).map(|k| j * 100 + k).collect();
-                let partials = handle.for_each_mut(&mut segments, |x| *x * 2);
-                Ok::<_, ()>(partials.iter().sum::<u64>())
-            })
-            .unwrap();
-        let expect: Vec<u64> =
-            (0..jobs as u64).map(|j| (0..parts as u64).map(|k| (j * 100 + k) * 2).sum()).collect();
-        prop_assert_eq!(out, expect);
-        let stats = sched.stats();
-        prop_assert_eq!(stats.spawned, threads - 1);
-        prop_assert!(stats.max_live <= stats.spawned);
+        // 4. The thread budget held: never more jobs at once than lanes.
+        let max = gauge.max.load(Ordering::SeqCst);
+        prop_assert!(max <= threads, "{max} jobs ran at once on {threads} threads");
     }
 }
 
 #[test]
-fn multi_channel_sweep_drains_intra_point_on_the_shared_budget() {
-    // The acceptance scenario: a sweep over multi-channel configs on a
-    // 4-thread engine must route the per-channel drain segments through
-    // the scheduler (drain_chunks observably non-zero), produce results
-    // bit-identical to the sequential engine, and never exceed the
-    // budget.
+fn multi_channel_sweep_matches_sequential() {
+    // A sweep over multi-channel configs on a 4-thread engine produces
+    // results bit-identical to the sequential engine.
     let net = models::mlp();
     let mut jobs = Vec::new();
     for design in [Design::Baseline, Design::GradPimBuffered] {
@@ -178,17 +171,10 @@ fn multi_channel_sweep_drains_intra_point_on_the_shared_budget() {
         cfg.apply_quick(Some((1500, 20_000)));
         jobs.push(cfg);
     }
-
-    let seq = Engine::sequential()
-        .run(&jobs, |_, cfg: &SystemConfig| TrainingSim::new(cfg.clone()).run(&net))
-        .unwrap();
+    let train = |cfg: &SystemConfig| TrainingSim::new(cfg.clone()).run(&net);
+    let seq = Engine::sequential().run(&jobs, None, |_, cfg, _| train(cfg)).unwrap();
     let engine = Engine::new(4);
-    let par =
-        engine.run(&jobs, |_, cfg: &SystemConfig| TrainingSim::new(cfg.clone()).run(&net)).unwrap();
+    let par = engine.run(&jobs, None, |_, cfg, _| train(cfg)).unwrap();
     assert_eq!(seq, par, "multi-channel parallel run diverged from sequential");
-
-    let stats = engine.sched_stats();
-    assert!(stats.drain_chunks > 0, "no drain segment ever ran through the scheduler");
-    assert_eq!(stats.spawned, 3, "Engine::new(4) must spawn exactly 3 workers");
-    assert!(stats.max_live <= stats.spawned, "live {} > spawned {}", stats.max_live, stats.spawned);
+    assert_eq!(engine.sched_stats().jobs, 2);
 }

@@ -249,12 +249,12 @@ fn traced_sharded_cli_is_byte_identical_and_merges_every_layer() {
         assert!(summary.pids.contains(&pid), "pid {pid} missing from {:?}", summary.pids);
     }
 
-    // The metrics file is the registry rendering, and `check-trace`
+    // The metrics file is the registry rendering, and `check trace`
     // accepts the trace it just wrote.
     let metrics = std::fs::read_to_string(&metrics_path).expect("metrics file written");
     assert!(metrics.starts_with("{\n  \"counters\": {"), "{metrics}");
     assert!(metrics.contains("\"sched.batches\""), "{metrics}");
-    let check = run_cli(&["check-trace", trace_str]);
+    let check = run_cli(&["check", "trace", trace_str]);
     assert!(check.status.success(), "{}", stderr_of(&check));
 
     for p in [&trace_path, &metrics_path] {

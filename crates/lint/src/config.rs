@@ -73,11 +73,8 @@ pub struct FileMeta {
 const PROCESS_EXIT_OK: &[&str] = &["crates/engine/src/bin/gradpim-cli.rs"];
 
 /// Directory prefixes allowed to create threads: the `engine::sched`
-/// work-stealing scheduler, the workspace's single spawn site — it owns
-/// the global thread budget, and everything else (the pool and channel
-/// fronts included) executes as tasks on its workers. The former
-/// file-level carve-outs for `pool.rs` and `channels.rs` are gone: those
-/// modules no longer create threads and are checked like everything else.
+/// batch pool, the workspace's single spawn site — it spawns a batch's
+/// scoped lanes, and everything else executes as jobs on them.
 const THREAD_SPAWN_OK_PREFIXES: &[&str] = &["crates/engine/src/sched/"];
 
 /// Files under panic discipline: a panic here either deadlocks a batch or
@@ -85,7 +82,6 @@ const THREAD_SPAWN_OK_PREFIXES: &[&str] = &["crates/engine/src/sched/"];
 /// panic-propagation machinery, so `unwrap`/`expect`/`panic!`/bare
 /// indexing need an explicit justification.
 const PANIC_SCOPE: &[&str] = &[
-    "crates/engine/src/pool.rs",
     "crates/engine/src/dist.rs",
     // The result cache sits on every run's hot path and inside shard
     // workers: a panic while reading or writing the store turns a cache
@@ -98,15 +94,9 @@ const PANIC_SCOPE: &[&str] = &[
 ];
 
 /// Directory prefixes under panic discipline: the scheduler subsystem,
-/// where the ordered-batch and latch machinery now lives — a stray panic
-/// there deadlocks a batch or masks the lowest-index payload.
+/// where the ordered-batch machinery lives — a stray panic there masks
+/// the lowest-index payload.
 const PANIC_SCOPE_PREFIXES: &[&str] = &["crates/engine/src/sched/"];
-
-/// Crate roots excused from `#![forbid(unsafe_code)]` — they must carry
-/// `#![deny(unsafe_code)]` instead (per-site `#[allow]` with a safety
-/// comment). Only the engine qualifies: the pool's lifetime-erased task
-/// handoff is the workspace's single unsafe block.
-const UNSAFE_DENY_OK: &[&str] = &["crates/engine/src/lib.rs"];
 
 /// Files whose non-test functions are `panic-reach` roots beyond the
 /// per-site panic-discipline scope: the report/serialize emit paths,
@@ -120,7 +110,7 @@ const PANIC_REACH_EXTRA_ROOTS: &[&str] =
 /// neither a root nor traversed through: panics below it are converted to
 /// errors at runtime, so reachability stops there.
 ///
-/// * `ExperimentSpec::run` — every shard payload and pool job it launches
+/// * `ExperimentSpec::run` — every shard payload and batch job it launches
 ///   executes under `catch_unwind` with bounded crashed-shard retry
 ///   (PR 4/5): a panic below this boundary becomes a job error or a
 ///   retried shard, not a protocol hang.
@@ -242,18 +232,9 @@ impl FileMeta {
         self.is_code()
     }
 
-    /// `forbid-unsafe`: crate roots. Returns the required attribute
-    /// (`forbid` normally, `deny` for the registered exceptions) or `None`
-    /// when the file is not a crate root.
-    pub fn required_unsafe_attr(&self) -> Option<&'static str> {
-        if !self.is_crate_root {
-            return None;
-        }
-        if UNSAFE_DENY_OK.contains(&self.rel.as_str()) {
-            Some("deny")
-        } else {
-            Some("forbid")
-        }
+    /// `forbid-unsafe`: crate roots, with no exceptions.
+    pub fn check_forbid_unsafe(&self) -> bool {
+        self.is_crate_root
     }
 }
 
@@ -351,22 +332,15 @@ mod tests {
 
     #[test]
     fn classify_roles_and_kinds() {
-        let m = FileMeta::classify("crates/engine", "crates/engine/src/pool.rs".into());
-        assert_eq!((m.role, m.kind), (Role::Lib, FileKind::Lib));
-        assert!(m.check_panic_discipline());
-        assert!(m.check_thread_spawn(), "the pool no longer owns thread creation");
-
         let m = FileMeta::classify("crates/engine", "crates/engine/src/sched/mod.rs".into());
+        assert_eq!((m.role, m.kind), (Role::Lib, FileKind::Lib));
         assert!(!m.check_thread_spawn(), "the scheduler subsystem owns thread creation");
-        assert!(m.check_panic_discipline(), "the batch/latch machinery lives here");
-        let m = FileMeta::classify("crates/engine", "crates/engine/src/sched/batch.rs".into());
+        assert!(m.check_panic_discipline(), "the batch machinery lives here");
+        let m = FileMeta::classify("crates/engine", "crates/engine/src/sched/cost.rs".into());
         assert!(!m.check_thread_spawn() && m.check_panic_discipline());
         // A flat file merely *named* sched is not the subsystem.
         let m = FileMeta::classify("crates/engine", "crates/engine/src/sched.rs".into());
         assert!(m.check_thread_spawn(), "the prefix carve-out must not match sched.rs");
-
-        let m = FileMeta::classify("crates/engine", "crates/engine/src/channels.rs".into());
-        assert!(m.check_thread_spawn(), "channels no longer spawns scoped threads");
 
         let m = FileMeta::classify("crates/engine", "crates/engine/src/bin/gradpim-cli.rs".into());
         assert_eq!(m.kind, FileKind::Bin);
@@ -378,7 +352,7 @@ mod tests {
         let m = FileMeta::classify("vendor/criterion", "vendor/criterion/src/lib.rs".into());
         assert_eq!(m.role, Role::Vendor);
         assert!(!m.check_print_macro());
-        assert_eq!(m.required_unsafe_attr(), Some("forbid"));
+        assert!(m.check_forbid_unsafe());
 
         let m = FileMeta::classify("crates/bench", "crates/bench/src/lib.rs".into());
         assert_eq!(m.role, Role::BenchHarness);
@@ -387,10 +361,10 @@ mod tests {
 
         let m = FileMeta::classify("crates/dram", "crates/dram/src/stats.rs".into());
         assert!(m.check_hash_collection() && m.check_float_accum() && m.check_print_macro());
-        assert_eq!(m.required_unsafe_attr(), None);
+        assert!(!m.check_forbid_unsafe());
 
         let m = FileMeta::classify("crates/engine", "crates/engine/src/lib.rs".into());
-        assert_eq!(m.required_unsafe_attr(), Some("deny"), "pool unsafe exception");
+        assert!(m.check_forbid_unsafe(), "no crate root is excused");
 
         let m = FileMeta::classify("crates/engine", "crates/engine/tests/shard_pipeline.rs".into());
         assert_eq!(m.kind, FileKind::Test);

@@ -1,7 +1,7 @@
 //! `panic-reach`: transitive panic-reachability from protocol roots.
 //!
 //! The per-site `panic-discipline` rule audits `unwrap`/`panic!` *inside*
-//! the protocol-critical files (pool, sched, dist, shard worker). This
+//! the protocol-critical files (sched, dist, cache, shard worker). This
 //! rule closes the gap it leaves: a panic in a helper *called from* those
 //! files crashes the protocol just the same, three frames removed from
 //! anything the token rule can see. Roots are every non-test function in
@@ -145,8 +145,8 @@ mod tests {
         let d = run(&[
             (
                 "crates/engine",
-                "crates/engine/src/pool.rs",
-                "use crate::util::checked;\npub fn run_ordered() { checked(3); }\n",
+                "crates/engine/src/dist.rs",
+                "use crate::util::checked;\npub fn run_sharded() { checked(3); }\n",
             ),
             (
                 "crates/engine",
@@ -160,7 +160,7 @@ mod tests {
         let names: Vec<&str> = d[0].chain.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(
             names,
-            ["engine::pool::run_ordered", "engine::util::checked", "engine::util::deep"]
+            ["engine::dist::run_sharded", "engine::util::checked", "engine::util::deep"]
         );
     }
 
@@ -168,8 +168,8 @@ mod tests {
     fn sites_inside_panic_discipline_scope_are_left_to_the_per_site_rule() {
         let d = run(&[(
             "crates/engine",
-            "crates/engine/src/pool.rs",
-            "pub fn run_ordered() { x.unwrap(); }\n",
+            "crates/engine/src/dist.rs",
+            "pub fn run_sharded() { x.unwrap(); }\n",
         )]);
         assert!(d.is_empty(), "panic-discipline owns in-scope sites: {d:?}");
     }
@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn unreached_panics_and_test_code_stay_silent() {
         let d = run(&[
-            ("crates/engine", "crates/engine/src/pool.rs", "pub fn run_ordered() {}\n"),
+            ("crates/engine", "crates/engine/src/dist.rs", "pub fn run_sharded() {}\n"),
             (
                 "crates/engine",
                 "crates/engine/src/other.rs",

@@ -162,9 +162,10 @@ pub fn thread_spawn(ctx: &FileCtx<'_>, meta: &FileMeta, diags: &mut Vec<Diagnost
     }
 }
 
-/// `panic-discipline`: in the pool, dist, and shard-worker files a panic
-/// does not reach the user as a diagnostic — it deadlocks a batch latch
-/// or crashes a shard — so potential panic sites need a justification.
+/// `panic-discipline`: in the sched, dist, cache, and shard-worker files
+/// a panic does not reach the user as a diagnostic — it masks a batch's
+/// lowest-index payload or crashes a shard — so potential panic sites
+/// need a justification.
 pub fn panic_discipline(ctx: &FileCtx<'_>, meta: &FileMeta, diags: &mut Vec<Diagnostic>) {
     if !meta.check_panic_discipline() {
         return;
@@ -383,16 +384,16 @@ pub(super) fn float_names<'s>(ctx: &FileCtx<'s>) -> BTreeSet<&'s str> {
 }
 
 /// `forbid-unsafe`: every crate root must carry
-/// `#![forbid(unsafe_code)]` — or, for the registered exception (the
-/// engine's lifetime-erased pool task), `#![deny(unsafe_code)]` with
-/// per-site `#[allow]`s.
+/// `#![forbid(unsafe_code)]`.
 pub fn forbid_unsafe(ctx: &FileCtx<'_>, meta: &FileMeta, diags: &mut Vec<Diagnostic>) {
-    let Some(required) = meta.required_unsafe_attr() else { return };
+    if !meta.check_forbid_unsafe() {
+        return;
+    }
     for i in 0..ctx.len().saturating_sub(7) {
         if ctx.text(i) == "#"
             && ctx.text(i + 1) == "!"
             && ctx.text(i + 2) == "["
-            && ctx.text(i + 3) == required
+            && ctx.text(i + 3) == "forbid"
             && ctx.text(i + 4) == "("
             && ctx.text(i + 5) == "unsafe_code"
             && ctx.text(i + 6) == ")"
@@ -407,7 +408,7 @@ pub fn forbid_unsafe(ctx: &FileCtx<'_>, meta: &FileMeta, diags: &mut Vec<Diagnos
             meta,
             "forbid-unsafe",
             0,
-            format!("crate root is missing `#![{required}(unsafe_code)]`"),
+            "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
         );
     }
 }
@@ -421,8 +422,8 @@ mod tests {
         FileMeta::classify("crates/dram", "crates/dram/src/stats.rs".into())
     }
 
-    fn pool_meta() -> FileMeta {
-        FileMeta::classify("crates/engine", "crates/engine/src/pool.rs".into())
+    fn dist_meta() -> FileMeta {
+        FileMeta::classify("crates/engine", "crates/engine/src/dist.rs".into())
     }
 
     fn run(src: &str, meta: &FileMeta) -> Vec<Diagnostic> {
@@ -485,8 +486,8 @@ mod tests {
     fn thread_spawn_flagged_except_in_the_scheduler() {
         let src = "fn f() { std::thread::spawn(|| {}); }";
         assert_eq!(run(src, &lib_meta()).iter().filter(|d| d.rule == "thread-spawn").count(), 1);
-        // The pool is a scheduler front-end now: spawning there is flagged.
-        assert_eq!(run(src, &pool_meta()).iter().filter(|d| d.rule == "thread-spawn").count(), 1);
+        // Panic-scoped engine files outside `sched/` are no exception.
+        assert_eq!(run(src, &dist_meta()).iter().filter(|d| d.rule == "thread-spawn").count(), 1);
         let sched = FileMeta::classify("crates/engine", "crates/engine/src/sched/mod.rs".into());
         assert!(run(src, &sched).iter().all(|d| d.rule != "thread-spawn"));
     }
@@ -494,7 +495,7 @@ mod tests {
     #[test]
     fn panic_discipline_catches_unwrap_and_indexing() {
         let src = "fn f(v: &[u32], i: usize) -> u32 { let x = v.get(i).unwrap(); v[0] + x }";
-        let d = run(src, &pool_meta());
+        let d = run(src, &dist_meta());
         let rules: Vec<_> = d.iter().filter(|d| d.rule == "panic-discipline").collect();
         assert_eq!(rules.len(), 2, "{d:?}");
         // Same file outside the panic scope: clean.
@@ -504,7 +505,7 @@ mod tests {
 
     #[test]
     fn range_slicing_is_not_bare_indexing() {
-        let d = run("fn f(v: &[u32]) -> &[u32] { &v[1..3] }", &pool_meta());
+        let d = run("fn f(v: &[u32]) -> &[u32] { &v[1..3] }", &dist_meta());
         assert!(d.iter().all(|d| d.rule != "panic-discipline"), "{d:?}");
     }
 
@@ -512,14 +513,14 @@ mod tests {
     fn mut_slice_types_are_not_bare_indexing() {
         let d = run(
             "fn f(items: &mut [u32]) -> Vec<&mut [u32]> { items.chunks_mut(2).collect() }",
-            &pool_meta(),
+            &dist_meta(),
         );
         assert!(d.iter().all(|d| d.rule != "panic-discipline"), "{d:?}");
     }
 
     #[test]
     fn unwrap_or_is_not_unwrap() {
-        let d = run("fn f(v: Option<u32>) -> u32 { v.unwrap_or(3) }", &pool_meta());
+        let d = run("fn f(v: Option<u32>) -> u32 { v.unwrap_or(3) }", &dist_meta());
         assert!(d.iter().all(|d| d.rule != "panic-discipline"), "{d:?}");
     }
 
@@ -551,11 +552,13 @@ mod tests {
     }
 
     #[test]
-    fn engine_root_requires_deny_not_forbid() {
+    fn engine_root_requires_forbid_not_deny() {
+        // The engine root is no exception: like every crate root it must
+        // forbid unsafe code outright.
         let root = FileMeta::classify("crates/engine", "crates/engine/src/lib.rs".into());
-        let d = run("#![forbid(unsafe_code)]\n", &root);
-        assert_eq!(d.iter().filter(|d| d.rule == "forbid-unsafe").count(), 1, "{d:?}");
         let d = run("#![deny(unsafe_code)]\n", &root);
+        assert_eq!(d.iter().filter(|d| d.rule == "forbid-unsafe").count(), 1, "{d:?}");
+        let d = run("#![forbid(unsafe_code)]\n", &root);
         assert!(d.iter().all(|d| d.rule != "forbid-unsafe"), "{d:?}");
     }
 }

@@ -1,7 +1,6 @@
 //! Seeded violations: panic-discipline in a panic-scoped file (bare
-//! indexing and unwrap on one line), and thread creation in a scheduler
-//! front-end — the pool lost its thread-spawn carve-out when the
-//! `engine::sched` subsystem became the single spawn site.
+//! indexing and unwrap on one line), and thread creation outside the
+//! `engine::sched` subsystem, the single spawn site.
 
 pub fn first_result(slots: Vec<Option<u32>>) -> u32 {
     slots[0].unwrap()

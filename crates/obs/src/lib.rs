@@ -1,10 +1,10 @@
-//! Observability primitives for the GradPIM workspace: tracing spans,
-//! a unified metrics registry, and the measured-cost feedback store.
+//! Observability primitives for the GradPIM workspace: tracing spans and
+//! a unified metrics registry.
 //!
 //! This crate is a **leaf**: std-only, zero dependencies, depended on by
 //! `gradpim-sim` (phase executors), `gradpim-engine` (scheduler, shard
 //! coordinator, sweeps), and `gradpim-cli` (experiment stages) — it never
-//! sees their types, it only records what they tell it. Three subsystems
+//! sees their types, it only records what they tell it. Two subsystems
 //! share the crate because they share one invariant, *non-perturbation*:
 //!
 //! * **Spans** ([`span`], [`instant`], [`SpanRec`]) — wall-clock intervals
@@ -18,10 +18,6 @@
 //!   [`Registry`]) — named counters and min/max/sum/count histograms with
 //!   a deterministic (BTreeMap-ordered) JSON rendering, replacing ad-hoc
 //!   env-var stderr dumps.
-//! * **Measured cost** ([`record_measured_cost`], [`measured_cost`],
-//!   [`cost_feedback`]) — observed per-sweep-point durations keyed by
-//!   workload shape, so `gradpim_engine::sched::cost` can prefer observed
-//!   cost over its static model under `GRADPIM_COST=measured`.
 //!
 //! Everything is **off by default** and never touches stdout: simulated
 //! results must stay byte-identical with tracing on or off, and emission
@@ -32,12 +28,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod env;
-
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -60,7 +54,7 @@ pub enum Ph {
 /// (so a child interval is always contained in its parent's).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRec {
-    /// Event name, e.g. `phase.stream` or `sched.drain_chunk`.
+    /// Event name, e.g. `phase.stream` or `sched.batch[4]`.
     pub name: Cow<'static, str>,
     /// Layer category: `phase`, `sched`, `dist`, or `cli`.
     pub cat: Cow<'static, str>,
@@ -122,9 +116,10 @@ pub fn metrics_enabled() -> bool {
 
 type Buffer = Arc<Mutex<Vec<SpanRec>>>;
 
-/// Every thread's span buffer, registered on the thread's first record.
-/// Buffers are never unregistered: scheduler workers persist for the
-/// process lifetime, and a dead thread's buffer is just drained empty.
+/// Every live thread's span buffer, registered on the thread's first
+/// record. Batch lanes are spawned per batch, so a buffer whose thread
+/// has exited is dropped by the next [`drain_spans`], after its spans are
+/// taken.
 static BUFFERS: Mutex<Vec<Buffer>> = Mutex::new(Vec::new());
 /// Spans handed over from other processes (shard-worker sidecars).
 static INJECTED: Mutex<Vec<SpanRec>> = Mutex::new(Vec::new());
@@ -202,7 +197,8 @@ pub fn span_lazy(name: impl FnOnce() -> String, cat: &'static str) -> SpanGuard 
     SpanGuard(Some(OpenSpan { name: Cow::Owned(name()), cat, start_us: now_us() }))
 }
 
-/// Records a point event (steals, retries) when tracing is enabled.
+/// Records a point event (shard retries, cache skips) when tracing is
+/// enabled.
 pub fn instant(name: impl Into<Cow<'static, str>>, cat: &'static str) {
     if !tracing() {
         return;
@@ -221,14 +217,19 @@ pub fn instant(name: impl Into<Cow<'static, str>>, cat: &'static str) {
     );
 }
 
-/// Takes every recorded span out of every thread's buffer (registrations
-/// and thread ids survive) plus everything [`inject`]ed, in an
-/// unspecified order — exporters sort.
+/// Takes every recorded span out of every thread's buffer (live threads
+/// keep their registrations and thread ids) plus everything [`inject`]ed,
+/// in an unspecified order — exporters sort.
 pub fn drain_spans() -> Vec<SpanRec> {
     let mut out: Vec<SpanRec> = std::mem::take(&mut *lock_unpoisoned(&INJECTED));
-    for buf in lock_unpoisoned(&BUFFERS).iter() {
-        out.append(&mut lock_unpoisoned(buf));
-    }
+    lock_unpoisoned(&BUFFERS).retain(|buf| {
+        let mut spans = lock_unpoisoned(buf);
+        out.append(&mut spans);
+        // Read while `spans` still holds the buffer lock: a count of 1
+        // means the owning thread's local is gone, so it finished every
+        // record before the append above and the buffer can go.
+        Arc::strong_count(buf) > 1
+    });
     out
 }
 
@@ -238,13 +239,12 @@ pub fn inject(spans: Vec<SpanRec>) {
     lock_unpoisoned(&INJECTED).extend(spans);
 }
 
-/// Clears all recorded spans, injected spans, metrics, and measured
-/// costs — for tests that assert on global state. Enable flags and
-/// thread-id assignments are left alone.
+/// Clears all recorded spans, injected spans, and metrics — for tests
+/// that assert on global state. Enable flags and thread-id assignments
+/// are left alone.
 pub fn reset() {
     drop(drain_spans());
     *lock_unpoisoned(&REGISTRY) = Registry::default();
-    lock_unpoisoned(&MEASURED).clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -398,55 +398,6 @@ pub fn registry() -> Registry {
     lock_unpoisoned(&REGISTRY).clone()
 }
 
-// ---------------------------------------------------------------------------
-// Measured-cost feedback (GRADPIM_COST=measured)
-// ---------------------------------------------------------------------------
-
-static MEASURED: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
-/// 0 = follow the environment, 1 = forced on, 2 = forced off.
-static COST_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// True when measured-cost feedback is enabled: `GRADPIM_COST=measured`
-/// in the environment, or a [`set_cost_feedback`] override. Dispatch
-/// *order* is the only thing cost feedback can change — results are
-/// order-independent by the scheduler's contract — so flipping this
-/// never perturbs reports.
-pub fn cost_feedback() -> bool {
-    match COST_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => env::cost_measured(),
-    }
-}
-
-/// Overrides [`cost_feedback`]: `Some(on)` forces, `None` returns to the
-/// environment variable. For tests and embedders.
-pub fn set_cost_feedback(force: Option<bool>) {
-    COST_OVERRIDE.store(
-        match force {
-            Some(true) => 1,
-            Some(false) => 2,
-            None => 0,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// Records the observed duration of one sweep point, keyed by its
-/// workload shape (see `gradpim_engine::sched::cost::cost_key`). Last
-/// observation wins. No-op unless [`cost_feedback`] is on.
-pub fn record_measured_cost(key: &str, nanos: u64) {
-    if !cost_feedback() {
-        return;
-    }
-    lock_unpoisoned(&MEASURED).insert(key.to_string(), nanos.max(1));
-}
-
-/// The last recorded duration for a workload-shape key, if any.
-pub fn measured_cost(key: &str) -> Option<u64> {
-    lock_unpoisoned(&MEASURED).get(key).copied()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,6 +447,48 @@ mod tests {
         assert!(outer.tid >= 1);
         // Drained means gone.
         assert!(drain_spans().is_empty());
+    }
+
+    #[test]
+    fn exited_threads_keep_their_spans_but_not_their_buffers() {
+        let _s = serial();
+        reset();
+        set_tracing(true);
+        std::thread::spawn(|| drop(span("short.lived", "test"))).join().unwrap();
+        set_tracing(false);
+        let registered = lock_unpoisoned(&BUFFERS).len();
+        let spans = drain_spans();
+        assert!(spans.iter().any(|s| s.name == "short.lived"), "{spans:?}");
+        assert!(lock_unpoisoned(&BUFFERS).len() < registered, "the exited thread's buffer stayed");
+    }
+
+    #[test]
+    fn draining_while_threads_record_and_exit_loses_no_span() {
+        const THREADS: usize = 2000;
+        const PER_THREAD: usize = 64;
+        let _s = serial();
+        reset();
+        set_tracing(true);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let mut drained = 0;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..THREADS {
+                    std::thread::spawn(|| {
+                        (0..PER_THREAD).for_each(|_| instant("lossless", "test"))
+                    })
+                    .join()
+                    .unwrap();
+                }
+                done.store(true, Ordering::Release);
+            });
+            while !done.load(Ordering::Acquire) {
+                drained += drain_spans().iter().filter(|s| s.name == "lossless").count();
+            }
+        });
+        set_tracing(false);
+        drained += drain_spans().iter().filter(|s| s.name == "lossless").count();
+        assert_eq!(drained, THREADS * PER_THREAD);
     }
 
     #[test]
@@ -567,23 +560,6 @@ mod tests {
         observe("ghost_h", 1.0);
         assert!(registry().is_empty());
         assert_eq!(registry().to_json(), "{\n  \"counters\": {},\n  \"histograms\": {}\n}\n");
-    }
-
-    #[test]
-    fn measured_costs_follow_the_feedback_flag() {
-        let _s = serial();
-        reset();
-        set_cost_feedback(Some(false));
-        record_measured_cost("sweep/1/2/3", 500);
-        assert_eq!(measured_cost("sweep/1/2/3"), None);
-        set_cost_feedback(Some(true));
-        assert!(cost_feedback());
-        record_measured_cost("sweep/1/2/3", 500);
-        record_measured_cost("sweep/1/2/3", 900); // last wins
-        assert_eq!(measured_cost("sweep/1/2/3"), Some(900));
-        record_measured_cost("sweep/0/0/0", 0); // clamped: costs are never 0
-        assert_eq!(measured_cost("sweep/0/0/0"), Some(1));
-        set_cost_feedback(None);
     }
 
     #[test]

@@ -71,52 +71,8 @@ fn reference_mode() -> bool {
     crate::env::reference_mode()
 }
 
-/// An injected drain executor: same contract as
-/// [`MemorySystem::drain`] (`(mem, max_cycles) -> Ok(elapsed)` or the
-/// sequential path's `DrainTimeout`), and it must be **bit-identical** to
-/// it — same stats, completions, traces, and return value under every
-/// input. The execution engine installs one (its scheduler-backed
-/// multi-channel drain) around each sweep job via [`with_drain_exec`], so
-/// the phase executors' inner drains parallelize across channels without
-/// this crate depending on the engine.
-pub type DrainExec =
-    std::sync::Arc<dyn Fn(&mut MemorySystem, u64) -> Result<u64, MemError> + Send + Sync>;
-
-thread_local! {
-    /// The ambient drain executor for this thread, if a driver installed
-    /// one. Thread-local (not global) so concurrent engines — or an
-    /// engine job and an unrelated sequential run — never see each
-    /// other's executors.
-    static DRAIN_EXEC: std::cell::RefCell<Option<DrainExec>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Runs `f` with `exec` installed as this thread's ambient drain executor
-/// (see [`DrainExec`]); the previous executor is restored afterwards,
-/// even on unwind, so scopes nest cleanly. Every internal `drain_phase` reached
-/// from `f` — i.e. every phase executor's final drain — goes through
-/// `exec` instead of the sequential [`MemorySystem::drain`], except under
-/// `GRADPIM_REFERENCE=1`, which keeps forcing the per-cycle reference
-/// path.
-pub fn with_drain_exec<T>(exec: DrainExec, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<DrainExec>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            DRAIN_EXEC.with(|cell| *cell.borrow_mut() = self.0.take());
-        }
-    }
-    let prev = DRAIN_EXEC.with(|cell| cell.borrow_mut().replace(exec));
-    let _restore = Restore(prev);
-    f()
-}
-
-/// This thread's ambient drain executor, if any.
-fn current_drain_exec() -> Option<DrainExec> {
-    DRAIN_EXEC.with(|cell| cell.borrow().clone())
-}
-
-/// A phase-result memo: the second hook an execution engine can install
-/// around sweep jobs (alongside [`DrainExec`]). Phase executors are pure
+/// A phase-result memo an execution engine can install around sweep
+/// jobs. Phase executors are pure
 /// functions of their arguments, so two sweep points that share a
 /// `(config × traffic shape × optimizer × precision)` phase produce
 /// bit-identical [`PhaseResult`]s — a memo collapses such repeats to one
@@ -134,8 +90,8 @@ pub trait PhaseMemo: Send + Sync {
 
 thread_local! {
     /// The ambient phase memo for this thread, if a driver installed one.
-    /// Thread-local for the same reason as [`DRAIN_EXEC`]: concurrent
-    /// engines never see each other's stores.
+    /// Thread-local (not global) so concurrent engines — or an engine job
+    /// and an unrelated sequential run — never see each other's stores.
     static PHASE_MEMO: std::cell::RefCell<Option<std::sync::Arc<dyn PhaseMemo>>> =
         const { std::cell::RefCell::new(None) };
 }
@@ -199,15 +155,7 @@ fn drain_phase(mem: &mut MemorySystem, context: &'static str) -> Result<(), Phas
     // hundred cycles (tRC/tRFC scale); 100k cycles each plus a large idle
     // floor is orders of magnitude beyond any legitimate drain.
     let budget = 50_000_000 + mem.pending() as u64 * 100_000;
-    // Reference mode wins over an installed executor: differential runs
-    // must exercise the per-cycle path no matter who drives the sweep.
-    let res = if reference_mode() {
-        mem.drain_reference(budget)
-    } else if let Some(exec) = current_drain_exec() {
-        exec(mem, budget)
-    } else {
-        mem.drain(budget)
-    };
+    let res = if reference_mode() { mem.drain_reference(budget) } else { mem.drain(budget) };
     res.map(drop).map_err(|e| PhaseError::new(context, e, mem))
 }
 
@@ -330,17 +278,26 @@ impl PhaseResult {
     }
 }
 
-/// Feeds the phase's headline observables (scaled wall-clock, raw
-/// simulated cycles, scaled energy) into the metrics registry — a no-op
-/// unless metrics are enabled — and passes the result through, so every
-/// executor records through one line.
-fn observed(context: &'static str, result: PhaseResult) -> PhaseResult {
-    if gradpim_obs::metrics_enabled() {
-        gradpim_obs::observe(&format!("phase.{context}.wall_ns"), result.time_ns);
+/// Runs one executor body through [`memoized`] and feeds the phase's
+/// headline observables into the metrics registry: scaled simulated
+/// time (`sim_ns`), the host time spent in the executor (`host_ns`, a
+/// memo hit included), raw simulated cycles and scaled energy. Without
+/// metrics enabled no clock is read.
+fn observed(
+    context: &'static str,
+    key_of: impl FnOnce() -> String,
+    compute: impl FnOnce() -> Result<PhaseResult, PhaseError>,
+) -> Result<PhaseResult, PhaseError> {
+    let start = gradpim_obs::metrics_enabled().then(std::time::Instant::now);
+    let result = memoized(key_of, compute)?;
+    if let Some(start) = start {
+        let host_ns = start.elapsed().as_nanos() as f64;
+        gradpim_obs::observe(&format!("phase.{context}.sim_ns"), result.time_ns);
+        gradpim_obs::observe(&format!("phase.{context}.host_ns"), host_ns);
         gradpim_obs::observe(&format!("phase.{context}.sim_cycles"), result.sim_cycles as f64);
         gradpim_obs::observe(&format!("phase.{context}.energy_pj"), result.energy.total_pj());
     }
-    result
+    Ok(result)
 }
 
 /// A memory request for the streaming drivers.
@@ -420,7 +377,8 @@ pub fn stream_phase(
     let w_sim = sim_total - r_sim;
     let scale = total as f64 / sim_total as f64;
 
-    let result = memoized(
+    observed(
+        "stream",
         || format!("phase/v1/stream/{read_bytes}/{write_bytes}/{cap_bursts}/{cfg:?}"),
         || {
             let mut mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
@@ -460,8 +418,7 @@ pub fn stream_phase(
             run_requests(&mut mem, reqs, "stream")?;
             Ok(PhaseResult::from_stats(cfg, &mem.stats(), scale))
         },
-    )?;
-    Ok(observed("stream", result))
+    )
 }
 
 /// The baseline (and TensorDIMM) update phase: the update engine streams
@@ -483,7 +440,8 @@ pub fn baseline_update_phase(
     if params == 0 {
         return Ok(PhaseResult::empty());
     }
-    let result = memoized(
+    observed(
+        "baseline-update",
         || format!("phase/v1/baseline-update/{optimizer:?}/{mix:?}/{params}/{cap_params}/{cfg:?}"),
         || {
             let sim_params = params.min(cap_params.max(1024)) as usize;
@@ -584,8 +542,7 @@ pub fn baseline_update_phase(
             run_requests(&mut mem, merged.into_iter(), "baseline-update")?;
             Ok(PhaseResult::from_stats(cfg, &mem.stats(), scale))
         },
-    )?;
-    Ok(observed("baseline-update", result))
+    )
 }
 
 /// The GradPIM update phase proper: the Fig. 5 (middle) update kernel
@@ -643,7 +600,8 @@ fn pim_kernel_phase(
     if params == 0 {
         return Ok(PhaseResult::empty());
     }
-    let result = memoized(
+    observed(
+        "pim-kernel",
         || {
             format!(
                 "phase/v1/pim-kernel/{optimizer:?}/{mix:?}/{hyper:?}/{params}/{cap_params}/{parts:?}/{cfg:?}"
@@ -664,8 +622,7 @@ fn pim_kernel_phase(
             )?;
             Ok(PhaseResult::from_stats(cfg, &mem.stats(), scale))
         },
-    )?;
-    Ok(observed("pim-kernel", result))
+    )
 }
 
 /// The AoS-PB update phase (§VI-B): per-bank units, arrays interleaved as
@@ -687,7 +644,8 @@ pub fn aos_per_bank_update_phase(
     if params == 0 {
         return Ok(PhaseResult::empty());
     }
-    let result = memoized(
+    observed(
+        "aos-pb",
         || format!("phase/v1/aos-pb/{optimizer:?}/{mix:?}/{params}/{cap_params}/{cfg:?}"),
         || {
             let high = mix.high.bytes();
@@ -738,8 +696,7 @@ pub fn aos_per_bank_update_phase(
             )?;
             Ok(PhaseResult::from_stats(cfg, &mem.stats(), scale))
         },
-    )?;
-    Ok(observed("aos-pb", result))
+    )
 }
 
 /// Round-robin enqueue of per-unit op streams with backpressure
@@ -935,26 +892,16 @@ mod tests {
     }
 
     #[test]
-    fn installed_drain_exec_is_used_and_restored() {
-        if reference_mode() {
-            return; // reference runs bypass the executor by design
-        }
+    fn metrics_keep_simulated_and_host_time_apart() {
         let cfg = SystemConfig::new(Design::Baseline).dram();
-        let calls = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
-        let counter = std::sync::Arc::clone(&calls);
-        let exec: DrainExec = std::sync::Arc::new(move |mem: &mut MemorySystem, budget: u64| {
-            counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            mem.drain(budget)
-        });
-        let hooked = with_drain_exec(exec, || stream_phase(&cfg, 1 << 20, 512 << 10, CAP)).unwrap();
-        let drains_inside = calls.load(std::sync::atomic::Ordering::Relaxed);
-        assert!(drains_inside > 0, "phase drain never reached the installed executor");
-        // A bit-identical executor must not change results.
-        let plain = stream_phase(&cfg, 1 << 20, 512 << 10, CAP).unwrap();
-        assert_eq!(hooked, plain);
-        // The scope ended: later drains are back on the sequential path.
-        assert_eq!(plain, stream_phase(&cfg, 1 << 20, 512 << 10, CAP).unwrap());
-        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), drains_inside);
+        gradpim_obs::set_metrics(true);
+        let r = stream_phase(&cfg, 1 << 20, 512 << 10, CAP).unwrap();
+        gradpim_obs::set_metrics(false);
+        let hists = gradpim_obs::registry().hists;
+        let sim = &hists["phase.stream.sim_ns"];
+        assert!(sim.min <= r.time_ns && r.time_ns <= sim.max, "{sim:?} vs {}", r.time_ns);
+        assert!(hists["phase.stream.host_ns"].min > 0.0);
+        assert!(!hists.contains_key("phase.stream.wall_ns"));
     }
 
     #[test]

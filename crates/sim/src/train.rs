@@ -1,12 +1,5 @@
 //! Full training-step simulation: Fig. 9 (time), Fig. 10 (energy), and
 //! Fig. 11 (bandwidth / command-bus) all come from [`TrainingSim::run`].
-//!
-//! The phase executors this module drives end every phase with a drain
-//! that honors the thread's ambient drain executor (see
-//! [`crate::phase::with_drain_exec`]): when a
-//! training step runs inside an execution-engine sweep job, its inner
-//! multi-channel drains automatically parallelize across channels on the
-//! engine's scheduler — bit-identical results, no code changes here.
 
 use gradpim_dram::EnergyBreakdown;
 use gradpim_npu::compute;

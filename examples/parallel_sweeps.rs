@@ -2,9 +2,7 @@
 //!
 //! Runs the Fig. 12b minibatch sweep twice — once on a single-threaded
 //! engine, once on a pool sized by `GRADPIM_THREADS` (default: available
-//! parallelism) — checks the points are bit-identical, and shows the
-//! threaded multi-channel drain agreeing with the sequential one on a
-//! 4-channel memory system.
+//! parallelism) — and checks the points are bit-identical.
 //!
 //! ```sh
 //! GRADPIM_THREADS=4 cargo run --release --example parallel_sweeps
@@ -12,12 +10,11 @@
 
 use std::time::Instant;
 
-use gradpim::dram::{AddressMapping, DramConfig, MemError, MemorySystem};
 use gradpim::engine::Engine;
 use gradpim::workloads::models;
 
 fn main() {
-    // --- Level 1: independent sweep points across a worker pool. ---------
+    // Independent sweep points across a worker pool.
     let nets = [models::mlp(), models::resnet18()];
     let quick = Some((4 * 1024, 32 * 1024));
 
@@ -43,32 +40,5 @@ fn main() {
         engine.threads(),
         t_par.as_secs_f64(),
         t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-9),
-    );
-
-    // --- Level 2: channels of one simulation on worker threads. ----------
-    let mut cfg = DramConfig::ddr4_2133();
-    cfg.channels = 4;
-    let mut seq_mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
-    let mut par_mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
-    for mem in [&mut seq_mem, &mut par_mem] {
-        for i in 0..4096u64 {
-            loop {
-                match mem.enqueue_read(i * 64) {
-                    Ok(_) => break,
-                    Err(MemError::QueueFull) => mem.tick_until_event(),
-                    Err(e) => panic!("{e}"),
-                }
-            }
-        }
-    }
-    let c_seq = seq_mem.drain(10_000_000).expect("sequential drain");
-    let c_par = engine.drain(&mut par_mem, 10_000_000).expect("threaded drain");
-    assert_eq!(c_seq, c_par);
-    assert_eq!(seq_mem.stats(), par_mem.stats(), "threaded drain must be bit-identical");
-    println!(
-        "\n4-channel drain: {} cycles on both paths, stats bit-identical \
-         ({} worker threads for the threaded run)",
-        c_par,
-        engine.threads().min(4),
     );
 }

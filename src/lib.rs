@@ -15,8 +15,8 @@
 //! | [`workloads`] | `gradpim-workloads` | DNN model zoo + per-layer traffic analysis |
 //! | [`npu`] | `gradpim-npu` | Diannao-like NPU performance model |
 //! | [`sim`] | `gradpim-sim` | system co-simulation (Baseline / GradPIM-DR / GradPIM-BD / TensorDIMM / AoS / AoS-PB) |
-//! | [`engine`] | `gradpim-engine` | parallel execution engine: threaded channels, sweep scheduler, `gradpim-cli` |
-//! | [`obs`] | `gradpim-obs` | tracing spans, metrics registry, measured-cost feedback (Chrome-trace export lives in [`engine::trace`]) |
+//! | [`engine`] | `gradpim-engine` | parallel execution engine: sweep-point pool, process sharding, result cache, `gradpim-cli` |
+//! | [`obs`] | `gradpim-obs` | tracing spans, metrics registry (Chrome-trace export lives in [`engine::trace`]) |
 //!
 //! # Quickstart
 //!

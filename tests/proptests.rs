@@ -294,75 +294,14 @@ proptest! {
     }
 
     /// Same identity across multi-channel configurations (lockstep
-    /// fast-forward) — also pins the per-channel-normalized bus
-    /// utilizations to sane ranges.
+    /// fast-forward) over random workloads × 1/2/4 channels × PIM
+    /// placements × issue modes × power-down thresholds, with the trace
+    /// protocol oracle run over every channel's fast-path trace (it stays
+    /// meaningful in release builds, where the simulator's debug
+    /// assertions are compiled out). Also pins the per-channel-normalized
+    /// command-bus utilization to a sane range in direct mode.
     #[test]
     fn fast_forward_matches_reference_multichannel(
-        reads in 1usize..100,
-        writes in 0usize..60,
-        seed in 0u64..500,
-    ) {
-        let mut cfg = gradpim::dram::DramConfig::ddr4_2133();
-        cfg.channels = 2;
-        cfg.powerdown_idle = 32;
-        let ops = diff_workload(&cfg, reads, writes, 0, seed);
-        let (s_ref, c_ref, t_ref) = diff_run(&cfg, &ops, false);
-        let (s_fast, c_fast, t_fast) = diff_run(&cfg, &ops, true);
-        prop_assert_eq!(&t_ref, &t_fast);
-        prop_assert_eq!(&c_ref, &c_fast);
-        prop_assert_eq!(&s_ref, &s_fast);
-        prop_assert_eq!(s_fast.channels, 2);
-        // Direct mode: per-channel command-bus utilization cannot exceed
-        // one command per tCK.
-        prop_assert!(s_fast.command_bus_utilization() <= 1.0);
-    }
-}
-
-/// Drives `ops` through a fresh multi-channel memory system and drains it
-/// either sequentially (`threads = 1`) or through the threaded channel
-/// engine, then idles across a refresh window. Returns every observable
-/// output.
-fn engine_run(
-    cfg: &gradpim::dram::DramConfig,
-    ops: &[DiffOp],
-    threads: usize,
-) -> (gradpim::dram::Stats, Vec<gradpim::dram::Completion>, Vec<Vec<gradpim::dram::TraceEntry>>) {
-    use gradpim::dram::{AddressMapping, MemError, MemorySystem};
-    use gradpim::engine::Engine;
-    let eng = Engine::new(threads);
-    let mut mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
-    mem.enable_trace();
-    for op in ops {
-        loop {
-            let r = match *op {
-                DiffOp::Read(a) => mem.enqueue_read(a).map(drop),
-                DiffOp::Write(a) => mem.enqueue_write(a, None).map(drop),
-                DiffOp::Pim(rank, bg, p) => mem.enqueue_pim(0, rank, bg, p).map(drop),
-            };
-            match r {
-                Ok(()) => break,
-                Err(MemError::QueueFull) => mem.tick_until_event(),
-                Err(e) => panic!("{e}"),
-            }
-        }
-    }
-    eng.drain(&mut mem, 20_000_000).unwrap();
-    let target = mem.cycles() + cfg.trefi + 2 * cfg.trfc + 13;
-    eng.run_until(&mut mem, target);
-    (mem.stats(), mem.take_completions(), mem.take_traces())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// The threaded multi-channel engine is *observably identical* to the
-    /// sequential drain: bit-identical stats, completions, and per-channel
-    /// command traces across random workloads × channel counts × PIM
-    /// placements × issue modes, with the trace protocol oracle run over
-    /// every threaded trace (it stays meaningful in release builds, where
-    /// the simulator's debug assertions are compiled out).
-    #[test]
-    fn threaded_engine_matches_sequential(
         reads in 0usize..100,
         writes in 0usize..60,
         pim_cols in 0u32..32,
@@ -370,31 +309,111 @@ proptest! {
         buffered in 0usize..2,
         per_bank in 0usize..2,
         pd_sel in 0usize..3,
-        threads in 2usize..5,
         seed in 0u64..1000,
     ) {
-        use gradpim::dram::{verify_trace, CommandIssueMode, DramConfig, PimPlacement};
-        let mut cfg = DramConfig::ddr4_2133();
-        cfg.channels = [1usize, 2, 4][channels_sel];
-        if buffered == 1 {
-            cfg.issue_mode = CommandIssueMode::PerRankBuffered;
-        }
-        if per_bank == 1 {
-            cfg.pim_placement = PimPlacement::PerBank;
-        }
-        cfg.powerdown_idle = [24u64, 96, u64::MAX][pd_sel];
+        let cfg = multichannel_cfg(channels_sel, buffered, per_bank, pd_sel);
         let ops = diff_workload(&cfg, reads, writes, pim_cols, seed);
-        let (s_seq, c_seq, t_seq) = engine_run(&cfg, &ops, 1);
-        let (s_par, c_par, t_par) = engine_run(&cfg, &ops, threads);
-        prop_assert_eq!(&t_seq, &t_par, "command traces diverge");
-        prop_assert_eq!(&c_seq, &c_par, "completions diverge");
-        prop_assert_eq!(&s_seq, &s_par, "stats diverge");
-        // The threaded trace must also be protocol-legal per channel under
-        // the independent replay oracle.
-        for trace in &t_par {
-            if let Err(v) = verify_trace(&cfg, trace) {
-                return Err(proptest::test_runner::TestCaseError::fail(format!("{v}")));
-            }
+        let (s_ref, c_ref, t_ref) = diff_run(&cfg, &ops, false);
+        let (s_fast, c_fast, t_fast) = diff_run(&cfg, &ops, true);
+        prop_assert_eq!(&t_ref, &t_fast, "command traces diverge");
+        prop_assert_eq!(&c_ref, &c_fast, "completions diverge");
+        prop_assert_eq!(&s_ref, &s_fast, "stats diverge");
+        prop_assert_eq!(s_fast.channels, cfg.channels as u64);
+        verify_traces(&cfg, &t_fast)?;
+        // Direct mode: per-channel command-bus utilization cannot exceed
+        // one command per tCK.
+        if buffered == 0 {
+            prop_assert!(s_fast.command_bus_utilization() <= 1.0);
+        }
+    }
+}
+
+/// DDR4-2133 with 1/2/4 channels, direct or per-rank-buffered issue,
+/// per-bank-group or per-bank PIM, and a 24/96/never power-down threshold,
+/// each picked by index.
+fn multichannel_cfg(
+    channels_sel: usize,
+    buffered: usize,
+    per_bank: usize,
+    pd_sel: usize,
+) -> gradpim::dram::DramConfig {
+    use gradpim::dram::{CommandIssueMode, PimPlacement};
+    let mut cfg = DramConfig::ddr4_2133();
+    cfg.channels = [1usize, 2, 4][channels_sel];
+    if buffered == 1 {
+        cfg.issue_mode = CommandIssueMode::PerRankBuffered;
+    }
+    if per_bank == 1 {
+        cfg.pim_placement = PimPlacement::PerBank;
+    }
+    cfg.powerdown_idle = [24u64, 96, u64::MAX][pd_sel];
+    cfg
+}
+
+/// Runs the independent protocol replay oracle over every channel's trace.
+fn verify_traces(
+    cfg: &gradpim::dram::DramConfig,
+    traces: &[Vec<gradpim::dram::TraceEntry>],
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    for trace in traces {
+        if let Err(v) = gradpim::dram::verify_trace(cfg, trace) {
+            return Err(proptest::test_runner::TestCaseError::fail(format!("{v}")));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// A batch of multi-channel memory simulations run on the threaded
+    /// engine is *observably identical* to the same batch run inline on
+    /// the sequential engine: bit-identical stats, completions and
+    /// per-channel command traces, returned in input order even though the
+    /// jobs are cost-seeded and so dispatched longest-first. Covers random
+    /// workloads × channel counts × PIM placements × issue modes ×
+    /// power-down thresholds, with the trace protocol oracle run over
+    /// every threaded trace.
+    #[test]
+    fn threaded_engine_matches_sequential(
+        seeds in proptest::collection::vec(0u64..1 << 40, 1..6),
+        threads in 2usize..5,
+    ) {
+        use gradpim::engine::Engine;
+        // Each job's shape is a mixed-radix digit string of its seed.
+        let jobs: Vec<_> = seeds
+            .iter()
+            .map(|&seed| {
+                let mut rest = seed;
+                let mut digit = |radix: u64| {
+                    let d = rest % radix;
+                    rest /= radix;
+                    d as usize
+                };
+                let cfg = multichannel_cfg(digit(3), digit(2), digit(2), digit(3));
+                let (reads, writes, pim_cols) = (digit(100), digit(60), digit(32) as u32);
+                let ops = diff_workload(&cfg, reads, writes, pim_cols, seed);
+                (cfg, ops)
+            })
+            .collect();
+        let costs: Vec<u64> = jobs.iter().map(|(_, ops)| ops.len() as u64).collect();
+        let run = |eng: Engine| {
+            eng.run(&jobs, Some(&costs), |_, (cfg, ops), _| {
+                Ok::<_, std::convert::Infallible>(diff_run(cfg, ops, true))
+            })
+            .unwrap()
+        };
+        let seq = run(Engine::sequential());
+        let par = run(Engine::new(threads));
+        prop_assert_eq!(seq.len(), jobs.len());
+        prop_assert_eq!(par.len(), jobs.len());
+        for (i, (s, p)) in seq.iter().zip(&par).enumerate() {
+            prop_assert_eq!(&s.2, &p.2, "job {}: command traces diverge", i);
+            prop_assert_eq!(&s.1, &p.1, "job {}: completions diverge", i);
+            prop_assert_eq!(&s.0, &p.0, "job {}: stats diverge", i);
+        }
+        for ((cfg, _), (_, _, traces)) in jobs.iter().zip(&par) {
+            verify_traces(cfg, traces)?;
         }
     }
 }
