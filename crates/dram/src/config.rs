@@ -362,6 +362,13 @@ impl DramConfig {
         if self.banks_per_group == 0 || self.rows == 0 || self.columns == 0 {
             return Err("organization fields must be non-zero".into());
         }
+        let banks = self.ranks.saturating_mul(self.bankgroups).saturating_mul(self.banks_per_group);
+        if banks > crate::controller::MAX_BANKS {
+            return Err(format!(
+                "{banks} banks per channel exceed the controller's {}",
+                crate::controller::MAX_BANKS
+            ));
+        }
         if self.trc < self.tras + self.trp {
             return Err(format!("tRC {} < tRAS {} + tRP {}", self.trc, self.tras, self.trp));
         }
@@ -439,6 +446,20 @@ mod tests {
         assert!(DramConfig::ddr4_2133().validate().is_ok());
         assert!(DramConfig::ddr4_3200().validate().is_ok());
         assert!(DramConfig::hbm2_like().validate().is_ok());
+        assert!(DramConfig::ddr5_like().validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_more_than_64_banks_per_channel() {
+        let mut c = DramConfig::ddr4_2133();
+        assert_eq!(c.ranks * c.banks_per_rank(), 64);
+        assert!(c.validate().is_ok(), "exactly 64 banks fit");
+        c.ranks = 5;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("80 banks"), "{err}");
+        c.ranks = 1;
+        c.banks_per_group = 17;
+        assert!(c.validate().is_err(), "68 banks");
     }
 
     #[test]

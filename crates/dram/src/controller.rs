@@ -21,7 +21,7 @@ use crate::command::{BankAddr, Command, CommandKind, PimOp};
 use crate::config::{CommandIssueMode, DramConfig, PimPlacement};
 use crate::pim::{ModeRegisters, PimUnit};
 use crate::power::PowerModel;
-use crate::stats::Stats;
+use crate::stats::{Stats, WorkCounters};
 use crate::storage::Storage;
 use crate::timing::TimingState;
 use crate::trace::TraceEntry;
@@ -93,9 +93,54 @@ const HIT_WINDOW: usize = 8;
 /// Consecutive row hits served before the head is prioritized (starvation
 /// cap).
 const MAX_STREAK: u32 = 16;
+/// Banks per channel the controller supports: one bit each in the `u64`
+/// queue and open-row sets.
+pub(crate) const MAX_BANKS: usize = 64;
+
+/// One queue's cached scheduling candidate: the command FR-FCFS would
+/// attempt next (with its queue pick) and that command's
+/// [`TimingState::earliest_in_rank`]. The shared data-bus term is left out
+/// and applied when the candidate is compared, so a burst on one rank does
+/// not invalidate the candidates of every other rank.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Candidate<P> {
+    cmd: Option<(Command, P)>,
+    at: u64,
+}
+
+impl<P> Candidate<P> {
+    const NONE: Self = Self { cmd: None, at: u64::MAX };
+}
+
+/// The set bits of `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = mask.trailing_zeros() as usize;
+        (mask != 0).then(|| {
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// The set bits of `mask` in round-robin order starting at bit `start`
+/// (< 64): `start..64`, then `0..start`.
+fn bits_from(mask: u64, start: usize) -> impl Iterator<Item = usize> {
+    let upper = u64::MAX << start;
+    bits(mask & upper).chain(bits(mask & !upper))
+}
 
 /// One channel's memory controller, DRAM timing state, and (optionally)
 /// functional storage + PIM register files.
+///
+/// Issue selection does work in proportion to the queues that hold work:
+/// `u64` bitsets track the non-empty bank and PIM queues and the open
+/// banks, and each queue caches its candidate (the command FR-FCFS would
+/// attempt next) with that command's earliest cycle within its rank. An
+/// entry goes stale on an enqueue or dequeue on its queue, on any command
+/// issued to its rank, and on a flip of its rank's `refresh_pending`:
+/// every input of a candidate and of its in-rank timing changes only
+/// through one of those.
 #[derive(Debug)]
 pub struct Controller {
     cfg: DramConfig,
@@ -113,6 +158,7 @@ pub struct Controller {
     last_done: u64,
     power: PowerModel,
     stats: Stats,
+    work: WorkCounters,
     storage: Option<Storage>,
     units: Vec<PimUnit>,
     mode: ModeRegisters,
@@ -120,17 +166,51 @@ pub struct Controller {
     trace: Option<Vec<TraceEntry>>,
     pd: Vec<PdState>,
     idle: Vec<u64>,
+    /// Flat bank index → address.
+    bank_addr: Vec<BankAddr>,
+    /// PIM queue index → (rank, bank group).
+    unit_addr: Vec<(u8, u8)>,
+    /// Per rank: the bits of its banks / of its PIM queues.
+    rank_banks: Vec<u64>,
+    rank_units: Vec<u64>,
+    /// Non-empty bank and PIM queues.
+    busy_banks: u64,
+    busy_units: u64,
+    /// Banks with an open row.
+    open_banks: u64,
+    /// Queues whose cached candidate must be rebuilt before use.
+    stale_banks: u64,
+    stale_units: u64,
+    bank_cand: Vec<Candidate<Option<usize>>>,
+    unit_cand: Vec<Candidate<bool>>,
 }
 
 impl Controller {
     /// Creates a controller; `functional` enables byte-level storage and PIM
     /// register execution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channel has more than 64 banks (which
+    /// [`DramConfig::validate`] rejects).
     pub fn new(cfg: &DramConfig, functional: bool) -> Self {
         let nbanks = cfg.ranks * cfg.banks_per_rank();
+        assert!(nbanks <= MAX_BANKS, "{nbanks} banks per channel exceed {MAX_BANKS}");
         let nunits = match cfg.pim_placement {
             PimPlacement::PerBankGroup => cfg.ranks * cfg.bankgroups,
             PimPlacement::PerBank => nbanks,
         };
+        let nqueues = cfg.ranks * cfg.bankgroups;
+        let (bpr, bpg) = (cfg.banks_per_rank(), cfg.banks_per_group);
+        // Rank `r`'s bits when every rank owns `n` consecutive bits.
+        let rank_bits = |n: usize, r: usize| (u64::MAX >> (64 - n)) << (r * n);
+        let bank_addr = (0..nbanks)
+            .map(|fb| BankAddr {
+                rank: (fb / bpr) as u8,
+                bankgroup: (fb % bpr / bpg) as u8,
+                bank: (fb % bpg) as u8,
+            })
+            .collect();
         Self {
             cfg: cfg.clone(),
             clock: 0,
@@ -138,7 +218,7 @@ impl Controller {
             banks: vec![BankState::new(); nbanks],
             bank_q: (0..nbanks).map(|_| VecDeque::new()).collect(),
             hit_streak: vec![0; nbanks],
-            pim_q: (0..cfg.ranks * cfg.bankgroups).map(|_| VecDeque::new()).collect(),
+            pim_q: (0..nqueues).map(|_| VecDeque::new()).collect(),
             refresh_due: (0..cfg.ranks).map(|r| cfg.trefi + r as u64 * 32).collect(),
             refresh_pending: vec![false; cfg.ranks],
             rr_bank: 0,
@@ -147,6 +227,7 @@ impl Controller {
             last_done: 0,
             power: PowerModel::new(cfg),
             stats: Stats::default(),
+            work: WorkCounters::default(),
             storage: functional.then(|| Storage::new(cfg.columns, cfg.burst_bytes)),
             units: (0..nunits).map(|_| PimUnit::new(cfg.burst_bytes)).collect(),
             mode: ModeRegisters::default(),
@@ -154,6 +235,19 @@ impl Controller {
             trace: None,
             pd: vec![PdState::Active; cfg.ranks],
             idle: vec![0; cfg.ranks],
+            bank_addr,
+            unit_addr: (0..nqueues)
+                .map(|u| ((u / cfg.bankgroups) as u8, (u % cfg.bankgroups) as u8))
+                .collect(),
+            rank_banks: (0..cfg.ranks).map(|r| rank_bits(bpr, r)).collect(),
+            rank_units: (0..cfg.ranks).map(|r| rank_bits(cfg.bankgroups, r)).collect(),
+            busy_banks: 0,
+            busy_units: 0,
+            open_banks: 0,
+            stale_banks: 0,
+            stale_units: 0,
+            bank_cand: vec![Candidate::NONE; nbanks],
+            unit_cand: vec![Candidate::NONE; nqueues],
         }
     }
 
@@ -191,6 +285,11 @@ impl Controller {
     /// Accumulated statistics.
     pub fn stats(&self) -> &Stats {
         &self.stats
+    }
+
+    /// Host-work counters: what the simulation of those statistics cost.
+    pub fn work(&self) -> &WorkCounters {
+        &self.work
     }
 
     /// Programs the unit mode registers (MRW).
@@ -240,19 +339,7 @@ impl Controller {
     ///
     /// [`EnqueueError::QueueFull`] if the bank queue is at capacity.
     pub fn enqueue_read(&mut self, id: u64, addr: Address) -> Result<(), EnqueueError> {
-        let fb = addr.flat_bank(&self.cfg);
-        if self.bank_q[fb].len() >= self.cfg.queue_depth {
-            return Err(EnqueueError::QueueFull);
-        }
-        self.bank_q[fb].push_back(ColReq {
-            id,
-            row: addr.row as u32,
-            col: addr.column as u32,
-            write: false,
-            data: None,
-        });
-        self.pending += 1;
-        Ok(())
+        self.enqueue_col(id, addr, false, None)
     }
 
     /// Enqueues an external write for `addr`, optionally carrying burst data
@@ -267,17 +354,25 @@ impl Controller {
         addr: Address,
         data: Option<Vec<u8>>,
     ) -> Result<(), EnqueueError> {
+        self.enqueue_col(id, addr, true, data)
+    }
+
+    fn enqueue_col(
+        &mut self,
+        id: u64,
+        addr: Address,
+        write: bool,
+        data: Option<Vec<u8>>,
+    ) -> Result<(), EnqueueError> {
         let fb = addr.flat_bank(&self.cfg);
         if self.bank_q[fb].len() >= self.cfg.queue_depth {
+            self.work.queue_full += 1;
             return Err(EnqueueError::QueueFull);
         }
-        self.bank_q[fb].push_back(ColReq {
-            id,
-            row: addr.row as u32,
-            col: addr.column as u32,
-            write: true,
-            data,
-        });
+        let (row, col) = (addr.row as u32, addr.column as u32);
+        self.bank_q[fb].push_back(ColReq { id, row, col, write, data });
+        self.busy_banks |= 1 << fb;
+        self.stale_banks |= 1 << fb;
         self.pending += 1;
         Ok(())
     }
@@ -300,9 +395,12 @@ impl Controller {
         }
         let q = rank as usize * self.cfg.bankgroups + bankgroup as usize;
         if self.pim_q[q].len() >= self.cfg.queue_depth * 4 {
+            self.work.queue_full += 1;
             return Err(EnqueueError::QueueFull);
         }
         self.pim_q[q].push_back(PimReq { id, op });
+        self.busy_units |= 1 << q;
+        self.stale_units |= 1 << q;
         self.pending += 1;
         Ok(())
     }
@@ -311,15 +409,8 @@ impl Controller {
     /// requests or an open row. Deliberately excludes refresh —
     /// [`Controller::rank_has_work`] adds that term.
     fn rank_has_queued_work(&self, r: usize) -> bool {
-        let bank_base = r * self.cfg.banks_per_rank();
-        let busy_banks = (0..self.cfg.banks_per_rank()).any(|b| {
-            !self.bank_q[bank_base + b].is_empty() || self.banks[bank_base + b].open_row().is_some()
-        });
-        if busy_banks {
-            return true;
-        }
-        let unit_base = r * self.cfg.bankgroups;
-        (0..self.cfg.bankgroups).any(|g| !self.pim_q[unit_base + g].is_empty())
+        (self.busy_banks | self.open_banks) & self.rank_banks[r] != 0
+            || self.busy_units & self.rank_units[r] != 0
     }
 
     /// Queued work *or* a due refresh. The refresh term is what forces a
@@ -362,12 +453,32 @@ impl Controller {
         self.pd[r] == PdState::Active
     }
 
+    /// The union of `per_rank` masks over the ranks that may issue now and
+    /// match `filter`.
+    fn issuable(&self, per_rank: &[u64], filter: Option<u8>) -> u64 {
+        match filter {
+            Some(r) if self.rank_issuable(r as usize) => per_rank[r as usize],
+            Some(_) => 0,
+            None => (0..self.cfg.ranks)
+                .filter(|&r| self.rank_issuable(r))
+                .fold(0, |mask, r| mask | per_rank[r]),
+        }
+    }
+
+    /// Marks every cached candidate of rank `r` stale.
+    fn invalidate_rank(&mut self, r: usize) {
+        self.stale_banks |= self.rank_banks[r];
+        self.stale_units |= self.rank_units[r];
+    }
+
     /// Advances one memory-clock cycle: refresh bookkeeping, power-down
     /// transitions, command issue, background energy.
     pub fn tick(&mut self) {
+        self.work.events += 1;
         for r in 0..self.cfg.ranks {
-            if self.clock >= self.refresh_due[r] {
+            if self.clock >= self.refresh_due[r] && !self.refresh_pending[r] {
                 self.refresh_pending[r] = true;
+                self.invalidate_rank(r);
             }
             self.update_powerdown(r);
         }
@@ -399,10 +510,7 @@ impl Controller {
                 self.stats.powerdown_cycles += n;
                 continue;
             }
-            let base = r * self.cfg.banks_per_rank();
-            let any_open =
-                (0..self.cfg.banks_per_rank()).any(|b| self.banks[base + b].open_row().is_some());
-            if any_open {
+            if self.open_banks & self.rank_banks[r] != 0 {
                 self.stats.bg_active_cycles += n;
             } else {
                 self.stats.bg_precharged_cycles += n;
@@ -421,7 +529,19 @@ impl Controller {
     /// lands. Every cycle strictly between the current cycle and the
     /// returned one is provably a no-op tick, so
     /// [`Controller::advance_to`] may skip there in bulk.
-    pub fn next_event_cycle(&self) -> u64 {
+    ///
+    /// Takes `&mut self` only to rebuild stale cached candidates; the
+    /// simulated state is not touched.
+    pub fn next_event_cycle(&mut self) -> u64 {
+        let issue = self.earliest_issue();
+        #[cfg(debug_assertions)]
+        self.check_candidates(issue);
+        self.state_event_cycle().min(issue).max(self.clock)
+    }
+
+    /// The earliest state transition other than a command issue: the drain
+    /// horizon, a refresh coming due, or a power-down entry or exit.
+    fn state_event_cycle(&self) -> u64 {
         let mut e = u64::MAX;
         // Drain horizon: the last in-flight burst/op retires.
         if self.clock < self.last_done {
@@ -453,62 +573,85 @@ impl Controller {
                 }
             }
         }
-        e.min(self.earliest_issue()).max(self.clock)
+        e
     }
 
     /// The earliest cycle at which the scheduler could issue any command,
-    /// given current queue/bank/refresh state (a pure query; `u64::MAX` when
-    /// nothing is schedulable). Built from the *same* candidate-selection
-    /// helpers `try_refresh`/`try_pim`/`try_banks` issue from, so the
-    /// scheduling policy cannot diverge from the event estimate: between
-    /// now and the returned cycle, every `tick` provably issues nothing.
-    fn earliest_issue(&self) -> u64 {
-        let mut e = u64::MAX;
+    /// given current queue/bank/refresh state (`u64::MAX` when nothing is
+    /// schedulable). Reads the *same* cached candidates
+    /// `try_refresh`/`try_pim`/`try_banks` issue from, so the scheduling
+    /// policy cannot diverge from the event estimate: between now and the
+    /// returned cycle, every `tick` provably issues nothing.
+    fn earliest_issue(&mut self) -> u64 {
+        let mut e = self.earliest_refresh();
+        for u in bits(self.busy_units & self.issuable(&self.rank_units, None)) {
+            let c = self.unit_candidate(u);
+            e = e.min(self.ready_at(&c));
+        }
+        for fb in bits(self.busy_banks & self.issuable(&self.rank_banks, None)) {
+            let c = self.bank_candidate(fb);
+            e = e.min(self.ready_at(&c));
+        }
+        e
+    }
+
+    /// The earliest cycle any refresh-path candidate of a rank with a
+    /// pending refresh could issue.
+    fn earliest_refresh(&mut self) -> u64 {
+        let (mut e, mut evals) = (u64::MAX, 0);
         for r in 0..self.cfg.ranks {
             if !self.refresh_pending[r] || !self.rank_issuable(r) {
                 continue;
             }
             for cmd in self.refresh_candidates(r) {
+                evals += 1;
                 e = e.min(self.timing.earliest(&cmd));
             }
         }
-        for u in 0..self.pim_q.len() {
-            if !self.rank_issuable(u / self.cfg.bankgroups) {
-                continue;
-            }
-            if let Some((cmd, _)) = self.pim_candidate(u) {
-                e = e.min(self.timing.earliest(&cmd));
-            }
-        }
-        for fb in 0..self.banks.len() {
-            if !self.rank_issuable(fb / self.cfg.banks_per_rank()) {
-                continue;
-            }
-            if let Some((cmd, _)) = self.bank_candidate(fb) {
-                e = e.min(self.timing.earliest(&cmd));
-            }
-        }
+        self.work.candidate_evals += evals;
         e
+    }
+
+    /// When a cached candidate can issue: its in-rank earliest joined with
+    /// the data-bus term (`u64::MAX` for no candidate).
+    fn ready_at<P>(&self, c: &Candidate<P>) -> u64 {
+        c.cmd.as_ref().map_or(u64::MAX, |(cmd, _)| c.at.max(self.timing.bus_earliest(cmd)))
     }
 
     /// The refresh-path candidates for rank `r` (caller checks
     /// `refresh_pending` and issuability): the REF itself when every bank
     /// is closed, otherwise one Precharge per open bank, in bank order.
     fn refresh_candidates(&self, r: usize) -> impl Iterator<Item = Command> + '_ {
-        let base = r * self.cfg.banks_per_rank();
-        let all_closed =
-            (0..self.cfg.banks_per_rank()).all(move |b| self.banks[base + b].open_row().is_none());
-        let refresh = all_closed.then_some(Command::Refresh { rank: r as u8 });
-        let precharges = (0..self.cfg.banks_per_rank())
-            .filter(move |&b| !all_closed && self.banks[base + b].open_row().is_some())
-            .map(move |b| Command::Precharge {
-                bank: BankAddr {
-                    rank: r as u8,
-                    bankgroup: (b / self.cfg.banks_per_group) as u8,
-                    bank: (b % self.cfg.banks_per_group) as u8,
-                },
-            });
+        let open = self.open_banks & self.rank_banks[r];
+        let refresh = (open == 0).then_some(Command::Refresh { rank: r as u8 });
+        let precharges = bits(open).map(|fb| Command::Precharge { bank: self.bank_addr[fb] });
         refresh.into_iter().chain(precharges)
+    }
+
+    /// PIM queue `u`'s cached candidate, rebuilt first if stale.
+    fn unit_candidate(&mut self, u: usize) -> Candidate<bool> {
+        self.work.slots_examined += 1;
+        if self.stale_units & (1 << u) != 0 {
+            self.stale_units &= !(1 << u);
+            self.work.candidate_evals += 1;
+            let cmd = self.pim_candidate(u);
+            let at = cmd.map_or(u64::MAX, |(cmd, _)| self.timing.earliest_in_rank(&cmd));
+            self.unit_cand[u] = Candidate { cmd, at };
+        }
+        self.unit_cand[u]
+    }
+
+    /// Bank queue `fb`'s cached candidate, rebuilt first if stale.
+    fn bank_candidate(&mut self, fb: usize) -> Candidate<Option<usize>> {
+        self.work.slots_examined += 1;
+        if self.stale_banks & (1 << fb) != 0 {
+            self.stale_banks &= !(1 << fb);
+            self.work.candidate_evals += 1;
+            let cmd = self.fr_fcfs_candidate(fb);
+            let at = cmd.map_or(u64::MAX, |(cmd, _)| self.timing.earliest_in_rank(&cmd));
+            self.bank_cand[fb] = Candidate { cmd, at };
+        }
+        self.bank_cand[fb]
     }
 
     /// The command the scheduler would attempt next for PIM unit `u`
@@ -516,8 +659,7 @@ impl Controller {
     /// whether issuing it retires the head op.
     fn pim_candidate(&self, u: usize) -> Option<(Command, bool)> {
         let req = self.pim_q[u].front()?;
-        let rank = (u / self.cfg.bankgroups) as u8;
-        let bankgroup = (u % self.cfg.bankgroups) as u8;
+        let (rank, bankgroup) = self.unit_addr[u];
         let op = req.op;
         if let Some((bank, row)) = op.row_target() {
             let addr = BankAddr { rank, bankgroup, bank };
@@ -540,37 +682,29 @@ impl Controller {
     /// `fb`'s transaction queue (None when the queue is empty or activates
     /// are refresh-gated), and the queue position served for column
     /// commands.
-    fn bank_candidate(&self, fb: usize) -> Option<(Command, Option<usize>)> {
-        if self.bank_q[fb].is_empty() {
-            return None;
-        }
-        let rank = fb / self.cfg.banks_per_rank();
-        let within = fb % self.cfg.banks_per_rank();
-        let addr = BankAddr {
-            rank: rank as u8,
-            bankgroup: (within / self.cfg.banks_per_group) as u8,
-            bank: (within % self.cfg.banks_per_group) as u8,
-        };
+    fn fr_fcfs_candidate(&self, fb: usize) -> Option<(Command, Option<usize>)> {
+        let queue = &self.bank_q[fb];
+        let head = queue.front()?;
+        let addr = self.bank_addr[fb];
         match self.banks[fb].open_row() {
             None => {
-                if self.refresh_pending[rank] {
+                if self.refresh_pending[addr.rank as usize] {
                     return None;
                 }
-                let row = self.bank_q[fb].front().expect("non-empty").row;
-                Some((Command::Activate { bank: addr, row }, None))
+                Some((Command::Activate { bank: addr, row: head.row }, None))
             }
             Some(open) => {
                 // FR-FCFS: serve a row hit from the window unless the
                 // streak cap forces head progress.
                 let hit = if self.hit_streak[fb] < MAX_STREAK {
-                    self.bank_q[fb].iter().take(HIT_WINDOW).position(|r| r.row == open)
+                    queue.iter().take(HIT_WINDOW).position(|r| r.row == open)
                 } else {
                     // only the head counts once the cap is hit
-                    self.bank_q[fb].front().and_then(|r| (r.row == open).then_some(0))
+                    (head.row == open).then_some(0)
                 };
                 match hit {
                     Some(pos) => {
-                        let req = &self.bank_q[fb][pos];
+                        let req = &queue[pos];
                         let cmd = if req.write {
                             Command::Write { bank: addr, row: open, col: req.col }
                         } else {
@@ -584,12 +718,71 @@ impl Controller {
         }
     }
 
+    /// Debug builds only: checks every fresh cache entry against a rebuild
+    /// from scratch, and `cached` (the cached [`Controller::earliest_issue`])
+    /// against the full uncached scan it replaced. Counts no work.
+    #[cfg(debug_assertions)]
+    fn check_candidates(&self, cached: u64) {
+        for u in bits(self.busy_units & !self.stale_units) {
+            let cmd = self.pim_candidate(u);
+            let at = cmd.map_or(u64::MAX, |(cmd, _)| self.timing.earliest_in_rank(&cmd));
+            debug_assert_eq!(self.unit_cand[u], Candidate { cmd, at }, "stale PIM candidate {u}");
+        }
+        for fb in bits(self.busy_banks & !self.stale_banks) {
+            let cmd = self.fr_fcfs_candidate(fb);
+            let at = cmd.map_or(u64::MAX, |(cmd, _)| self.timing.earliest_in_rank(&cmd));
+            debug_assert_eq!(
+                self.bank_cand[fb],
+                Candidate { cmd, at },
+                "stale bank candidate {fb}"
+            );
+        }
+        debug_assert_eq!(
+            cached,
+            self.earliest_issue_uncached(),
+            "cached earliest issue diverges from the full scan"
+        );
+    }
+
+    /// Debug builds only: [`Controller::earliest_issue`] the uncached way,
+    /// rebuilding the candidate of every queue of every issuable rank.
+    #[cfg(debug_assertions)]
+    fn earliest_issue_uncached(&self) -> u64 {
+        let mut e = u64::MAX;
+        for r in 0..self.cfg.ranks {
+            if !self.refresh_pending[r] || !self.rank_issuable(r) {
+                continue;
+            }
+            for cmd in self.refresh_candidates(r) {
+                e = e.min(self.timing.earliest(&cmd));
+            }
+        }
+        for u in 0..self.pim_q.len() {
+            if !self.rank_issuable(self.unit_addr[u].0 as usize) {
+                continue;
+            }
+            if let Some((cmd, _)) = self.pim_candidate(u) {
+                e = e.min(self.timing.earliest(&cmd));
+            }
+        }
+        for fb in 0..self.banks.len() {
+            if !self.rank_issuable(self.bank_addr[fb].rank as usize) {
+                continue;
+            }
+            if let Some((cmd, _)) = self.fr_fcfs_candidate(fb) {
+                e = e.min(self.timing.earliest(&cmd));
+            }
+        }
+        e
+    }
+
     /// Runs to exactly `cycle` (no overshoot), fast-forwarding over dead
     /// spans and ticking at events — observably identical to calling
     /// [`Controller::tick`] once per cycle until `cycle` is reached.
     pub fn run_until(&mut self, cycle: u64) {
         while self.clock < cycle {
-            self.advance_to(self.next_event_cycle().min(cycle));
+            let next = self.next_event_cycle();
+            self.advance_to(next.min(cycle));
             if self.clock < cycle {
                 self.tick();
             }
@@ -608,11 +801,15 @@ impl Controller {
         if n == 0 {
             return;
         }
-        debug_assert!(
-            cycle <= self.next_event_cycle(),
-            "advance_to({cycle}) past the next event at {}",
-            self.next_event_cycle()
-        );
+        #[cfg(debug_assertions)]
+        {
+            let next = self.state_event_cycle().min(self.earliest_issue_uncached());
+            assert!(
+                cycle <= next.max(self.clock),
+                "advance_to({cycle}) past the next event at {next}"
+            );
+        }
+        self.work.skipped_cycles += n;
         // Idle counters evolve exactly as `n` ticks would evolve them: reset
         // every cycle while the rank has work, otherwise count up (the
         // Active→Down transition itself is an event, so it cannot occur
@@ -662,8 +859,12 @@ impl Controller {
             }
             // Issue the first candidate whose timing is satisfied (the REF
             // itself, or a precharge closing the way for it).
-            let ready =
-                self.refresh_candidates(r).find(|cmd| self.timing.earliest(cmd) <= self.clock);
+            let mut evals = 0;
+            let ready = self.refresh_candidates(r).find(|cmd| {
+                evals += 1;
+                self.timing.earliest(cmd) <= self.clock
+            });
+            self.work.candidate_evals += evals;
             if let Some(cmd) = ready {
                 let is_refresh = matches!(cmd, Command::Refresh { .. });
                 self.issue(cmd);
@@ -678,26 +879,25 @@ impl Controller {
     }
 
     fn try_pim(&mut self, filter: Option<u8>) -> bool {
-        let nunits = self.pim_q.len();
-        for i in 0..nunits {
-            let u = (self.rr_unit + i) % nunits;
-            let rank = (u / self.cfg.bankgroups) as u8;
-            if !Self::rank_matches(filter, rank) || !self.rank_issuable(rank as usize) {
-                continue;
-            }
-            let Some((cmd, retires)) = self.pim_candidate(u) else { continue };
-            if self.timing.earliest(&cmd) > self.clock {
+        let queues = self.busy_units & self.issuable(&self.rank_units, filter);
+        for u in bits_from(queues, self.rr_unit) {
+            let c = self.unit_candidate(u);
+            let Some((cmd, retires)) = c.cmd else { continue };
+            if self.ready_at(&c) > self.clock {
                 continue;
             }
             if retires {
                 let req = self.pim_q[u].pop_front().expect("non-empty");
+                if self.pim_q[u].is_empty() {
+                    self.busy_units &= !(1 << u);
+                }
                 let op = req.op;
                 self.issue(cmd);
                 self.retire_pim(req, op);
             } else {
                 self.issue(cmd);
             }
-            self.rr_unit = (u + 1) % nunits;
+            self.rr_unit = if u + 1 == self.pim_q.len() { 0 } else { u + 1 };
             return true;
         }
         false
@@ -710,33 +910,30 @@ impl Controller {
     }
 
     fn try_banks(&mut self, filter: Option<u8>) -> bool {
-        let nbanks = self.banks.len();
-        for i in 0..nbanks {
-            let fb = (self.rr_bank + i) % nbanks;
-            let rank = (fb / self.cfg.banks_per_rank()) as u8;
-            if !Self::rank_matches(filter, rank) || !self.rank_issuable(rank as usize) {
-                continue;
-            }
-            let Some((cmd, pos)) = self.bank_candidate(fb) else { continue };
-            if self.timing.earliest(&cmd) > self.clock {
+        let queues = self.busy_banks & self.issuable(&self.rank_banks, filter);
+        for fb in bits_from(queues, self.rr_bank) {
+            let c = self.bank_candidate(fb);
+            let Some((cmd, pos)) = c.cmd else { continue };
+            if self.ready_at(&c) > self.clock {
                 continue;
             }
             match pos {
                 Some(pos) => {
                     let req = self.bank_q[fb].remove(pos).expect("in range");
+                    let emptied = self.bank_q[fb].is_empty();
+                    if emptied {
+                        self.busy_banks &= !(1 << fb);
+                    }
                     self.issue_col(cmd, req);
-                    self.hit_streak[fb] = if pos == 0 && self.bank_q[fb].is_empty() {
-                        0
-                    } else {
-                        self.hit_streak[fb] + 1
-                    };
+                    self.hit_streak[fb] =
+                        if pos == 0 && emptied { 0 } else { self.hit_streak[fb] + 1 };
                 }
                 None => {
                     self.issue(cmd);
                     self.hit_streak[fb] = 0;
                 }
             }
-            self.rr_bank = (fb + 1) % nbanks;
+            self.rr_bank = if fb + 1 == self.banks.len() { 0 } else { fb + 1 };
             return true;
         }
         false
@@ -772,6 +969,8 @@ impl Controller {
             trace.push(TraceEntry { cycle: self.clock, cmd });
         }
         self.timing.issue(&cmd, self.clock);
+        self.work.commands += 1;
+        self.invalidate_rank(cmd.rank() as usize);
         let kind = cmd.kind();
         self.stats.record(kind);
         match kind {
@@ -779,6 +978,7 @@ impl Controller {
                 if let Command::Activate { bank, row } = cmd {
                     let fb = self.flat_bank(bank);
                     self.banks[fb].activate(row);
+                    self.open_banks |= 1 << fb;
                 }
                 self.stats.energy.act_pj += self.power.act_pre_pj;
             }
@@ -786,6 +986,7 @@ impl Controller {
                 if let Command::Precharge { bank } = cmd {
                     let fb = self.flat_bank(bank);
                     self.banks[fb].precharge();
+                    self.open_banks &= !(1 << fb);
                 }
             }
             CommandKind::PrechargeAll => {
@@ -794,6 +995,7 @@ impl Controller {
                 for b in 0..self.cfg.banks_per_rank() {
                     self.banks[base + b].precharge();
                 }
+                self.open_banks &= !self.rank_banks[rank];
             }
             CommandKind::Read => {
                 self.stats.energy.rd_pj += self.power.rd_pj;
@@ -1273,6 +1475,43 @@ mod tests {
                 replay.tick();
             }
         }
+    }
+
+    #[test]
+    fn work_counters_account_every_cycle_and_command() {
+        let cfg = DramConfig::ddr4_2133();
+        let mut fast = Controller::new(&cfg, false);
+        let mut slow = Controller::new(&cfg, false);
+        for c in [&mut fast, &mut slow] {
+            for i in 0..(cfg.queue_depth as u64 + 3) {
+                let _ = c.enqueue_read(i, addr(0, 0, 0, (i % 3) as usize, i as usize));
+            }
+        }
+        fast.run_until(3 * cfg.trefi);
+        tick_to(&mut slow, 3 * cfg.trefi);
+        assert_eq!(fast.stats(), slow.stats());
+        for c in [&fast, &slow] {
+            let w = c.work();
+            assert_eq!(w.events + w.skipped_cycles, c.cycles());
+            assert_eq!(w.commands, c.stats().cmd_slots);
+            assert_eq!(w.queue_full, 3, "the three reads past the queue depth");
+        }
+        assert_eq!(slow.work().skipped_cycles, 0);
+        assert!(fast.work().events < slow.work().events / 10, "{:?}", fast.work());
+        // Only one queue ever held work: the walks visit nothing else.
+        let w = fast.work();
+        assert!(w.slots_examined < 4 * w.events, "{w:?}");
+    }
+
+    #[test]
+    fn idle_walks_examine_no_queue() {
+        let cfg = DramConfig::ddr4_2133();
+        let mut c = Controller::new(&cfg, false);
+        c.run_until(4 * cfg.trefi);
+        assert!(c.stats().count(CommandKind::Refresh) >= 3 * cfg.ranks as u64);
+        assert_eq!(c.work().slots_examined, 0, "{:?}", c.work());
+        // Only the refresh path was timed: at most a few checks per REF.
+        assert!(c.work().candidate_evals <= 4 * c.work().commands, "{:?}", c.work());
     }
 
     #[test]

@@ -28,7 +28,10 @@
 //!   [`Controller::advance_to`]/[`MemorySystem::tick_until_event`] skip
 //!   there in bulk, bit-identical to per-cycle stepping
 //!   ([`MemorySystem::drain_reference`] keeps the reference path for
-//!   differential testing).
+//!   differential testing). Issue selection walks only the queues that
+//!   hold work and reuses each queue's cached candidate until its queue,
+//!   its rank's timing or its rank's refresh state changes;
+//!   [`MemorySystem::work`] counts what that costs ([`WorkCounters`]).
 //!
 //! # Example
 //!
@@ -68,7 +71,7 @@ pub use config::{CommandIssueMode, DataBusScope, DramConfig, PimPlacement};
 pub use controller::{Completion, Controller, EnqueueError};
 pub use pim::{ElemKind, ModeRegisters, PimUnit};
 pub use power::{PimLayout, PowerModel, DDR4_8GB_DIE_MM2};
-pub use stats::{EnergyBreakdown, Stats};
+pub use stats::{EnergyBreakdown, Stats, WorkCounters};
 pub use storage::Storage;
 pub use system::{MemError, MemorySystem};
 pub use trace::{verify_trace, ProtocolViolation, TraceEntry};

@@ -151,12 +151,10 @@ impl Stats {
     ///
     /// The integer counters commute under addition, but the f64 energy
     /// accumulators do not (`(a + b) + c` ≠ `a + (b + c)` in general), so a
-    /// pairwise [`Stats::merge`] fold depends on operand order. This matters
-    /// for the threaded multi-channel engine, which may collect channel
-    /// stats in completion order: `merge_all` sums every f64 field over a
-    /// canonical (totally ordered) sequence of its per-channel
-    /// contributions, so merged results cannot depend on which channel
-    /// finished first.
+    /// pairwise [`Stats::merge`] fold depends on operand order.
+    /// `merge_all` sums every f64 field over a canonical (totally ordered)
+    /// sequence of its per-channel contributions, so merged results cannot
+    /// depend on the order the channels are listed in.
     pub fn merge_all<'a, I>(parts: I) -> Stats
     where
         I: IntoIterator<Item = &'a Stats>,
@@ -239,6 +237,54 @@ impl Stats {
     }
 }
 
+/// Host-work counters of one controller (or summed over channels): what
+/// simulating the [`Stats`] cost the cycle core. They are deterministic and
+/// host-independent, so they can be compared exactly across runs and
+/// machines. Kept apart from [`Stats`], which describes the simulated
+/// device and must not depend on how it was stepped.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounters {
+    /// Cycles simulated by a full tick (the event-driven core ticks only
+    /// at events; the per-cycle reference ticks every cycle).
+    pub events: u64,
+    /// Cycles skipped in bulk by `advance_to`.
+    pub skipped_cycles: u64,
+    /// Queue slots visited while selecting a command or estimating the
+    /// next event (only queues holding work are visited).
+    pub slots_examined: u64,
+    /// Candidate evaluations: one queue's next command and its earliest
+    /// cycle rebuilt, or one refresh-path command timed.
+    pub candidate_evals: u64,
+    /// Commands issued.
+    pub commands: u64,
+    /// Enqueue attempts rejected because the target queue was full.
+    pub queue_full: u64,
+}
+
+impl WorkCounters {
+    /// Element-wise accumulation.
+    pub fn merge(&mut self, o: &WorkCounters) {
+        self.events += o.events;
+        self.skipped_cycles += o.skipped_cycles;
+        self.slots_examined += o.slots_examined;
+        self.candidate_evals += o.candidate_evals;
+        self.commands += o.commands;
+        self.queue_full += o.queue_full;
+    }
+
+    /// Every counter with its metric name, in declaration order.
+    pub fn fields(&self) -> [(&'static str, u64); 6] {
+        [
+            ("events", self.events),
+            ("skipped_cycles", self.skipped_cycles),
+            ("slots_examined", self.slots_examined),
+            ("candidate_evals", self.candidate_evals),
+            ("commands", self.commands),
+            ("queue_full", self.queue_full),
+        ]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,8 +364,7 @@ mod tests {
     fn merge_all_is_order_insensitive() {
         // Per-channel stats with deliberately awkward f64 magnitudes: a
         // pairwise fold of these energies is order-dependent at the ULP
-        // level, which is exactly what merge_all must not be (the threaded
-        // engine may collect channels in completion order).
+        // level, which is exactly what merge_all must not be.
         let mk = |i: u64| {
             let mut s = Stats { cycles: 1000 + i, ..Default::default() };
             s.record(CommandKind::Read);

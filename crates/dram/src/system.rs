@@ -5,7 +5,7 @@ use crate::command::PimOp;
 use crate::config::DramConfig;
 use crate::controller::{Completion, Controller, EnqueueError};
 use crate::pim::ModeRegisters;
-use crate::stats::Stats;
+use crate::stats::{Stats, WorkCounters};
 
 /// Errors surfaced by [`MemorySystem`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,11 +52,9 @@ impl From<EnqueueError> for MemError {
 ///
 /// Transaction ids are **channel-striped**: the *n*-th transaction accepted
 /// by channel *c* gets id `n * channels + c`. A channel's id stream is thus
-/// a pure function of its own accept order — independent of how enqueues to
-/// different channels interleave globally — which keeps ids reproducible
-/// when a threaded driver (see the `gradpim-engine` crate) feeds or drains
-/// channels concurrently. With one channel this degenerates to the familiar
-/// sequential `0, 1, 2, …`.
+/// a pure function of its own accept order, independent of how enqueues to
+/// different channels interleave globally. With one channel this
+/// degenerates to the familiar sequential `0, 1, 2, …`.
 ///
 /// # Example
 ///
@@ -197,8 +195,8 @@ impl MemorySystem {
     /// The earliest cycle at which anything observable can change on any
     /// channel (see [`Controller::next_event_cycle`]). Cycles strictly
     /// before it are provably no-op ticks.
-    pub fn next_event_cycle(&self) -> u64 {
-        self.ctrls.iter().map(Controller::next_event_cycle).min().expect("at least one channel")
+    pub fn next_event_cycle(&mut self) -> u64 {
+        self.ctrls.iter_mut().map(Controller::next_event_cycle).min().expect("at least one channel")
     }
 
     /// Fast-forwards every channel to `cycle` (keeping them in lockstep),
@@ -224,7 +222,8 @@ impl MemorySystem {
     /// [`MemorySystem::tick`] once per cycle until `cycle` is reached.
     pub fn run_until(&mut self, cycle: u64) {
         while self.cycles() < cycle {
-            self.advance_to(self.next_event_cycle().min(cycle));
+            let next = self.next_event_cycle();
+            self.advance_to(next.min(cycle));
             if self.cycles() < cycle {
                 self.tick();
             }
@@ -245,7 +244,8 @@ impl MemorySystem {
             if self.cycles() >= deadline {
                 return Err(MemError::DrainTimeout { pending: self.pending() });
             }
-            self.advance_to(self.next_event_cycle().min(deadline));
+            let next = self.next_event_cycle();
+            self.advance_to(next.min(deadline));
             if self.is_drained() {
                 break;
             }
@@ -276,30 +276,19 @@ impl MemorySystem {
 
     /// Merged statistics across channels (`Stats::channels` reports the
     /// channel count so bus utilizations stay per-channel-normalized). Uses
-    /// the order-insensitive [`Stats::merge_all`], so the result is
-    /// bit-identical no matter how (or on which threads) the channels were
-    /// advanced.
+    /// the order-insensitive [`Stats::merge_all`], so the result does not
+    /// depend on channel order.
     pub fn stats(&self) -> Stats {
         Stats::merge_all(self.ctrls.iter().map(Controller::stats))
     }
 
-    /// The per-channel controllers, in channel order.
-    pub fn controllers(&self) -> &[Controller] {
-        &self.ctrls
-    }
-
-    /// Mutable access to the per-channel controllers, in channel order.
-    ///
-    /// This is the escape hatch parallel drivers (the `gradpim-engine`
-    /// crate) use to advance channels on worker threads: channels share no
-    /// state, so any schedule that ticks each controller at (at least) its
-    /// own event cycles and leaves all channels at a common final cycle is
-    /// observably identical to the lockstep [`MemorySystem::tick`] /
-    /// [`MemorySystem::drain`] path. Callers must restore lockstep (equal
-    /// `Controller::cycles`) before using the system-level stepping API
-    /// again.
-    pub fn controllers_mut(&mut self) -> &mut [Controller] {
-        &mut self.ctrls
+    /// Host-work counters summed over channels.
+    pub fn work(&self) -> WorkCounters {
+        let mut w = WorkCounters::default();
+        for c in &self.ctrls {
+            w.merge(c.work());
+        }
+        w
     }
 
     /// Drains completions from all channels (ids are globally unique).
@@ -496,8 +485,7 @@ mod tests {
     #[test]
     fn channel_striped_ids_are_interleaving_invariant() {
         // The k-th transaction accepted by a channel gets the same id no
-        // matter how enqueues to different channels interleave globally —
-        // the property a threaded driver needs for reproducible ids.
+        // matter how enqueues to different channels interleave globally.
         let mut cfg = DramConfig::ddr4_2133();
         cfg.channels = 2;
         // 8 bursts alternating between the two channels.

@@ -56,14 +56,21 @@ struct RankTiming {
 struct ChannelTiming {
     /// Data bus reserved until this cycle.
     data_free: u64,
-    /// Earliest next read issue (write→read turnaround).
-    rd: u64,
     /// Earliest next write issue (read→write turnaround).
     wr: u64,
     /// Rank that last owned the data bus (tRTRS accounting).
     last_data_rank: Option<u8>,
     /// When the last data burst ends (for tRTRS).
     last_data_end: u64,
+}
+
+impl ChannelTiming {
+    /// Reserves the bus for `rank`'s burst ending at `end`.
+    fn reserve(&mut self, rank: u8, end: u64) {
+        self.data_free = self.data_free.max(end);
+        self.last_data_rank = Some(rank);
+        self.last_data_end = end;
+    }
 }
 
 /// Complete timing state for one channel.
@@ -127,6 +134,13 @@ impl TimingState {
     /// Earliest cycle at which `cmd` may issue, given everything issued so
     /// far. Pure query; does not mutate state.
     pub fn earliest(&self, cmd: &Command) -> u64 {
+        self.earliest_in_rank(cmd).max(self.bus_earliest(cmd))
+    }
+
+    /// The part of [`TimingState::earliest`] set by the bank, bank-group
+    /// and rank scopes of `cmd`'s own rank: it changes only when a command
+    /// issues to that rank.
+    pub(crate) fn earliest_in_rank(&self, cmd: &Command) -> u64 {
         let c = &self.cfg;
         let kind = cmd.kind();
         let rank = &self.ranks[cmd.rank() as usize];
@@ -157,16 +171,12 @@ impl TimingState {
             CommandKind::Read => {
                 let bank = &self.banks[self.bank_idx(cmd)];
                 let group = &self.groups[self.group_idx(cmd)];
-                let bus = &self.data[self.bus_idx(cmd.rank())];
-                t = t.max(bank.col).max(group.rd).max(rank.rd).max(bus.rd);
-                t = t.max(self.data_bus_earliest(cmd, c.tcl));
+                t = t.max(bank.col).max(group.rd).max(rank.rd);
             }
             CommandKind::Write => {
                 let bank = &self.banks[self.bank_idx(cmd)];
                 let group = &self.groups[self.group_idx(cmd)];
-                let bus = &self.data[self.bus_idx(cmd.rank())];
-                t = t.max(bank.col).max(group.wr).max(rank.wr).max(bus.wr);
-                t = t.max(self.data_bus_earliest(cmd, c.tcwl));
+                t = t.max(bank.col).max(group.wr).max(rank.wr);
             }
             CommandKind::Refresh => {
                 // All banks must be precharged (tRP satisfied) and quiet.
@@ -196,6 +206,20 @@ impl TimingState {
             }
         }
         t
+    }
+
+    /// The part of [`TimingState::earliest`] set by the data bus `cmd`
+    /// would drive (0 for commands that use no bus). On a channel-wide bus
+    /// it changes whenever any rank issues a read or write.
+    pub(crate) fn bus_earliest(&self, cmd: &Command) -> u64 {
+        match cmd.kind() {
+            CommandKind::Read => self.data_bus_earliest(cmd, self.cfg.tcl),
+            CommandKind::Write => {
+                let bus = &self.data[self.bus_idx(cmd.rank())];
+                bus.wr.max(self.data_bus_earliest(cmd, self.cfg.tcwl))
+            }
+            _ => 0,
+        }
     }
 
     fn data_bus_earliest(&self, cmd: &Command, lat: u64) -> u64 {
@@ -256,20 +280,19 @@ impl TimingState {
             "command {cmd:?} issued at {t} before earliest {}",
             self.earliest(cmd)
         );
-        let c = self.cfg.clone();
-        let kind = cmd.kind();
-        match kind {
+        let (bi, gi, busi) = (self.bank_idx(cmd), self.group_idx(cmd), self.bus_idx(cmd.rank()));
+        let ri = cmd.rank() as usize;
+        let per_bank_pim = self.per_bank_pim();
+        let Self { cfg: c, banks, groups, bank_alus, ranks, data } = self;
+        match cmd.kind() {
             CommandKind::Activate => {
-                let bi = self.bank_idx(cmd);
-                let gi = self.group_idx(cmd);
-                let ri = cmd.rank() as usize;
-                let bank = &mut self.banks[bi];
+                let bank = &mut banks[bi];
                 bank.act = bank.act.max(t + c.trc);
                 bank.pre = bank.pre.max(t + c.tras);
                 bank.col = bank.col.max(t + c.trcd);
-                let group = &mut self.groups[gi];
+                let group = &mut groups[gi];
                 group.act = group.act.max(t + c.trrd_l);
-                let rank = &mut self.ranks[ri];
+                let rank = &mut ranks[ri];
                 rank.act = rank.act.max(t + c.trrd_s);
                 rank.faw.push_back(t);
                 if rank.faw.len() > 4 {
@@ -277,74 +300,59 @@ impl TimingState {
                 }
             }
             CommandKind::Precharge => {
-                let bi = self.bank_idx(cmd);
-                let bank = &mut self.banks[bi];
+                let bank = &mut banks[bi];
                 bank.act = bank.act.max(t + c.trp);
             }
             CommandKind::PrechargeAll => {
-                let r = cmd.rank() as usize;
-                let base = r * c.banks_per_rank();
-                for b in 0..c.banks_per_rank() {
-                    let bank = &mut self.banks[base + b];
+                let base = ri * c.banks_per_rank();
+                for bank in &mut banks[base..base + c.banks_per_rank()] {
                     bank.act = bank.act.max(t + c.trp);
                 }
             }
             CommandKind::Read => {
-                let bi = self.bank_idx(cmd);
-                let gi = self.group_idx(cmd);
-                let ri = cmd.rank() as usize;
-                self.banks[bi].pre = self.banks[bi].pre.max(t + c.trtp);
-                let group = &mut self.groups[gi];
+                banks[bi].pre = banks[bi].pre.max(t + c.trtp);
+                let group = &mut groups[gi];
                 group.rd = group.rd.max(t + c.tccd_l);
                 group.wr = group.wr.max(t + c.tccd_l);
-                let rank = &mut self.ranks[ri];
+                let rank = &mut ranks[ri];
                 rank.rd = rank.rd.max(t + c.tccd_s);
                 rank.wr = rank.wr.max(t + c.tccd_s);
                 // Read→write bus turnaround at bus scope.
                 let turn = t + c.tcl + c.tburst + 2 - c.tcwl.min(c.tcl + c.tburst + 1);
-                let bi = self.bus_idx(cmd.rank());
-                self.data[bi].wr = self.data[bi].wr.max(turn);
-                self.reserve_data(cmd.rank(), t + c.tcl, t + c.tcl + c.tburst);
+                data[busi].wr = data[busi].wr.max(turn);
+                data[busi].reserve(cmd.rank(), t + c.tcl + c.tburst);
             }
             CommandKind::Write => {
-                let bi = self.bank_idx(cmd);
-                let gi = self.group_idx(cmd);
-                let ri = cmd.rank() as usize;
-                self.banks[bi].pre = self.banks[bi].pre.max(t + c.tcwl + c.tburst + c.twr);
-                let group = &mut self.groups[gi];
+                banks[bi].pre = banks[bi].pre.max(t + c.tcwl + c.tburst + c.twr);
+                let group = &mut groups[gi];
                 group.wr = group.wr.max(t + c.tccd_l);
                 group.rd = group.rd.max(t + c.tcwl + c.tburst + c.twtr_l);
-                let rank = &mut self.ranks[ri];
+                let rank = &mut ranks[ri];
                 rank.wr = rank.wr.max(t + c.tccd_s);
                 rank.rd = rank.rd.max(t + c.tcwl + c.tburst + c.twtr_s);
-                self.reserve_data(cmd.rank(), t + c.tcwl, t + c.tcwl + c.tburst);
+                data[busi].reserve(cmd.rank(), t + c.tcwl + c.tburst);
             }
             CommandKind::Refresh => {
-                let ri = cmd.rank() as usize;
-                self.ranks[ri].all = self.ranks[ri].all.max(t + c.trfc);
+                ranks[ri].all = ranks[ri].all.max(t + c.trfc);
             }
             CommandKind::ScaledRead | CommandKind::QRegLoad => {
-                let bi = self.bank_idx(cmd);
-                self.banks[bi].pre = self.banks[bi].pre.max(t + c.trtp);
-                if self.per_bank_pim() {
-                    self.bank_alus[bi] = self.bank_alus[bi].max(t + c.tccd_l);
+                banks[bi].pre = banks[bi].pre.max(t + c.trtp);
+                if per_bank_pim {
+                    bank_alus[bi] = bank_alus[bi].max(t + c.tccd_l);
                 } else {
-                    let gi = self.group_idx(cmd);
-                    let group = &mut self.groups[gi];
+                    let group = &mut groups[gi];
                     group.rd = group.rd.max(t + c.tccd_l);
                     group.wr = group.wr.max(t + c.tccd_l);
                 }
             }
             CommandKind::Writeback | CommandKind::QRegStore => {
-                let bi = self.bank_idx(cmd);
                 // Data reaches the sense amplifiers through the bank-group
                 // I/O: restore completes tCCD_L (transfer) + tWR later.
-                self.banks[bi].pre = self.banks[bi].pre.max(t + c.tccd_l + c.twr);
-                if self.per_bank_pim() {
-                    self.bank_alus[bi] = self.bank_alus[bi].max(t + c.tccd_l);
+                banks[bi].pre = banks[bi].pre.max(t + c.tccd_l + c.twr);
+                if per_bank_pim {
+                    bank_alus[bi] = bank_alus[bi].max(t + c.tccd_l);
                 } else {
-                    let gi = self.group_idx(cmd);
-                    let group = &mut self.groups[gi];
+                    let group = &mut groups[gi];
                     group.rd = group.rd.max(t + c.tccd_l);
                     group.wr = group.wr.max(t + c.tccd_l);
                 }
@@ -355,30 +363,14 @@ impl TimingState {
             | CommandKind::Dequant
             | CommandKind::PimMul
             | CommandKind::PimRsqrt => {
-                if self.per_bank_pim() {
-                    let bi = self.bank_idx(cmd);
-                    self.bank_alus[bi] = self.bank_alus[bi].max(t + c.tpim);
+                if per_bank_pim {
+                    bank_alus[bi] = bank_alus[bi].max(t + c.tpim);
                 } else {
-                    let gi = self.group_idx(cmd);
-                    let group = &mut self.groups[gi];
+                    let group = &mut groups[gi];
                     group.alu = group.alu.max(t + c.tpim);
                 }
             }
         }
-    }
-
-    fn reserve_data(&mut self, rank: u8, _start: u64, end: u64) {
-        let bi = self.bus_idx(rank);
-        let bus = &mut self.data[bi];
-        bus.data_free = bus.data_free.max(end);
-        bus.last_data_rank = Some(rank);
-        bus.last_data_end = end;
-    }
-
-    /// Cycles during which the (first) data bus is reserved so far (upper
-    /// bound; used by stats).
-    pub fn data_bus_reserved_until(&self) -> u64 {
-        self.data[0].data_free
     }
 }
 

@@ -307,6 +307,16 @@ enum Req {
     Write(u64),
 }
 
+/// Adds the memory system's host-work counters to the metrics registry as
+/// `phase.<context>.dram.<counter>` (a no-op without metrics).
+fn record_work(mem: &MemorySystem, context: &str) {
+    if gradpim_obs::metrics_enabled() {
+        for (name, v) in mem.work().fields() {
+            gradpim_obs::counter_add(&format!("phase.{context}.dram.{name}"), v);
+        }
+    }
+}
+
 /// Enqueues requests with backpressure (fast-forwarding over dead cycles),
 /// then drains under a finite budget.
 fn run_requests(
@@ -328,7 +338,9 @@ fn run_requests(
             }
         }
     }
-    drain_phase(mem, context)
+    drain_phase(mem, context)?;
+    record_work(mem, context);
+    Ok(())
 }
 
 /// Burst index → address with bank-group interleaving at burst granularity:
@@ -701,6 +713,10 @@ pub fn aos_per_bank_update_phase(
 
 /// Round-robin enqueue of per-unit op streams with backpressure
 /// (fast-forwarding over dead cycles), then drain under a finite budget.
+///
+/// A round gives each unfinished stream a bounded batch. Once every
+/// unfinished stream has stopped on a full queue, no enqueue can succeed
+/// before the simulator moves, so the loop steps right away.
 fn run_unit_streams<'a>(
     mem: &mut MemorySystem,
     streams: impl Iterator<Item = (usize, u8, u8, &'a [PimOp])>,
@@ -711,33 +727,39 @@ fn run_unit_streams<'a>(
     let mut cursors = vec![0usize; streams.len()];
     loop {
         let mut all_done = true;
-        let mut progress = false;
+        let mut all_full = true;
         for (i, (ch, rank, bg, ops)) in streams.iter().enumerate() {
             // Bounded batch per unit per round to keep queues balanced.
             let mut budget = 64;
+            let mut full = false;
             while cursors[i] < ops.len() && budget > 0 {
                 match mem.enqueue_pim(*ch, *rank, *bg, ops[cursors[i]]) {
                     Ok(_) => {
                         cursors[i] += 1;
                         budget -= 1;
-                        progress = true;
                     }
-                    Err(MemError::QueueFull) => break,
+                    Err(MemError::QueueFull) => {
+                        full = true;
+                        break;
+                    }
                     Err(e) => return Err(PhaseError::new(context, e, mem)),
                 }
             }
             if cursors[i] < ops.len() {
                 all_done = false;
+                all_full &= full;
             }
         }
         if all_done {
             break;
         }
-        if !progress {
+        if all_full {
             step(mem);
         }
     }
-    drain_phase(mem, context)
+    drain_phase(mem, context)?;
+    record_work(mem, context);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,0 +1,435 @@
+//! Golden digests of the simulator's observable outputs.
+//!
+//! The fast ≡ per-cycle oracles compare two paths through the same
+//! controller, so a change that alters both the same way (say, a stale
+//! scheduling cache read by `tick` itself) yields a legal but different
+//! trace that they cannot see. These tests pin the outputs themselves: a
+//! probe suite whose results are rendered field by field (every `f64` via
+//! `to_bits`, never `Debug`) and hashed with 64-bit FNV-1a, against
+//! constants recorded before the controller's issue-selection caches
+//! existed. A digest that moves means the simulated model changed.
+//!
+//! Two layers are covered:
+//! * `PhaseResult::to_bits_string()` of the phase executors: stream,
+//!   baseline update, PIM kernels and AoS-PB on every `Design` view of
+//!   DDR4-2133, plus stream and PIM kernels on the other presets.
+//! * The command trace, `Stats` and completions of mixed read/write/PIM
+//!   traffic idled across a refresh window, at power-down 16/64/off, in
+//!   Direct and PerRankBuffered issue modes.
+//!
+//! The DDR4-2133 stream and PIM-kernel probes also bound the controller's
+//! work per issued command, read from the `phase.<ctx>.dram.*` counters.
+
+use std::sync::{Mutex, PoisonError};
+
+use gradpim::dram::{
+    AddressMapping, BankAddr, Command, CommandIssueMode, Completion, DramConfig, MemError,
+    MemorySystem, PimOp, Stats, TraceEntry,
+};
+use gradpim::optim::{HyperParams, OptimizerKind, PrecisionMix};
+use gradpim::sim::phase;
+use gradpim::sim::{Design, PhaseResult, SystemConfig};
+
+/// 64-bit FNV-1a: stable across toolchains and platforms, unlike
+/// `DefaultHasher`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+// ---------------------------------------------------------------------------
+// Phase layer
+// ---------------------------------------------------------------------------
+
+/// Stream traffic of the phase probes: bytes read, bytes written, burst cap.
+const STREAM: (u64, u64, u64) = (1 << 20, 512 << 10, 8192);
+/// Parameters and simulation cap of the update probes.
+const UPDATE: (u64, u64) = (256 << 10, 65536);
+
+/// The phase executors the probes call, by probe kind.
+const KINDS: [&str; 5] = ["stream", "baseline-update", "pim-update", "pim-quant-dequant", "aos-pb"];
+
+/// Runs one phase probe of `kind` on `cfg`.
+fn run_probe(kind: &str, cfg: &DramConfig) -> PhaseResult {
+    let (read, write, bursts) = STREAM;
+    let (params, cap) = UPDATE;
+    let (opt, mix) = (OptimizerKind::MomentumSgd, PrecisionMix::MIXED_8_32);
+    let hyper = HyperParams::default();
+    match kind {
+        "stream" => phase::stream_phase(cfg, read, write, bursts),
+        "baseline-update" => phase::baseline_update_phase(cfg, opt, mix, params, cap),
+        "pim-update" => phase::pim_update_phase(cfg, opt, mix, &hyper, params, cap),
+        "pim-quant-dequant" => phase::pim_quant_dequant_phase(cfg, opt, mix, &hyper, params, cap),
+        "aos-pb" => phase::aos_per_bank_update_phase(cfg, opt, mix, params, cap),
+        _ => unreachable!("unknown probe kind {kind}"),
+    }
+    .unwrap()
+}
+
+/// The phase probe suite, in a fixed order: (name, kind, config).
+fn phase_probes() -> Vec<(String, &'static str, DramConfig)> {
+    let mut probes = Vec::new();
+    for design in Design::ALL {
+        for kind in KINDS {
+            let cfg = SystemConfig::new(design).dram();
+            probes.push((format!("ddr4_2133/{design:?}/{kind}"), kind, cfg));
+        }
+    }
+    for (name, cfg) in [
+        ("ddr4_3200", DramConfig::ddr4_3200()),
+        ("hbm2_like", DramConfig::hbm2_like()),
+        ("ddr5_like", DramConfig::ddr5_like()),
+    ] {
+        for kind in ["stream", "pim-update"] {
+            probes.push((format!("{name}/{kind}"), kind, cfg.clone()));
+        }
+    }
+    probes
+}
+
+/// Digests recorded on the tree before the issue-selection caches.
+const PHASE_GOLDEN: &[(&str, u64)] = &[
+    ("ddr4_2133/Baseline/stream", 0x594cc7e9577a9afa),
+    ("ddr4_2133/Baseline/baseline-update", 0x35fb2ac894381e51),
+    ("ddr4_2133/Baseline/pim-update", 0x683121f45b2a27d9),
+    ("ddr4_2133/Baseline/pim-quant-dequant", 0x39a8c83c64b2aba1),
+    ("ddr4_2133/Baseline/aos-pb", 0x8fe824d6467f55e9),
+    ("ddr4_2133/GradPimDirect/stream", 0x594cc7e9577a9afa),
+    ("ddr4_2133/GradPimDirect/baseline-update", 0x35fb2ac894381e51),
+    ("ddr4_2133/GradPimDirect/pim-update", 0x683121f45b2a27d9),
+    ("ddr4_2133/GradPimDirect/pim-quant-dequant", 0x39a8c83c64b2aba1),
+    ("ddr4_2133/GradPimDirect/aos-pb", 0x8fe824d6467f55e9),
+    ("ddr4_2133/TensorDimm/stream", 0xc0bffed6e21a6ffb),
+    ("ddr4_2133/TensorDimm/baseline-update", 0x17db3a6be310d129),
+    ("ddr4_2133/TensorDimm/pim-update", 0xff369aa2c88af5bf),
+    ("ddr4_2133/TensorDimm/pim-quant-dequant", 0x7f02a60c17c50271),
+    ("ddr4_2133/TensorDimm/aos-pb", 0x6a7101ef011eae1d),
+    ("ddr4_2133/GradPimBuffered/stream", 0xb87340ba3bf48703),
+    ("ddr4_2133/GradPimBuffered/baseline-update", 0x7c51eaf6469eade6),
+    ("ddr4_2133/GradPimBuffered/pim-update", 0xff369aa2c88af5bf),
+    ("ddr4_2133/GradPimBuffered/pim-quant-dequant", 0x7f02a60c17c50271),
+    ("ddr4_2133/GradPimBuffered/aos-pb", 0x6a7101ef011eae1d),
+    ("ddr4_2133/Aos/stream", 0xb87340ba3bf48703),
+    ("ddr4_2133/Aos/baseline-update", 0x7c51eaf6469eade6),
+    ("ddr4_2133/Aos/pim-update", 0xff369aa2c88af5bf),
+    ("ddr4_2133/Aos/pim-quant-dequant", 0x7f02a60c17c50271),
+    ("ddr4_2133/Aos/aos-pb", 0x6a7101ef011eae1d),
+    ("ddr4_2133/AosPerBank/stream", 0xb87340ba3bf48703),
+    ("ddr4_2133/AosPerBank/baseline-update", 0x7c51eaf6469eade6),
+    ("ddr4_2133/AosPerBank/pim-update", 0x74c315d9f7bf1d07),
+    ("ddr4_2133/AosPerBank/pim-quant-dequant", 0x6c176cfad97999ab),
+    ("ddr4_2133/AosPerBank/aos-pb", 0x3b7ffaaddd7b0236),
+    ("ddr4_3200/stream", 0x6e57120ce76a12ef),
+    ("ddr4_3200/pim-update", 0xc2591178c9e724c3),
+    ("hbm2_like/stream", 0x878c9efe7957ee13),
+    ("hbm2_like/pim-update", 0x74d344c3d412fcfa),
+    ("ddr5_like/stream", 0xf331a7e7941f7952),
+    ("ddr5_like/pim-update", 0xd95da66ac34985fa),
+];
+
+// ---------------------------------------------------------------------------
+// Memory-system layer
+// ---------------------------------------------------------------------------
+
+fn render_bank(out: &mut String, b: BankAddr) {
+    out.push_str(&format!(" {}.{}.{}", b.rank, b.bankgroup, b.bank));
+}
+
+/// Explicit rendering of one command: a variant tag and every field.
+fn render_cmd(out: &mut String, cmd: &Command) {
+    match *cmd {
+        Command::Activate { bank, row } => {
+            out.push_str("ACT");
+            render_bank(out, bank);
+            out.push_str(&format!(" {row}"));
+        }
+        Command::Precharge { bank } => {
+            out.push_str("PRE");
+            render_bank(out, bank);
+        }
+        Command::PrechargeAll { rank } => out.push_str(&format!("PREA {rank}")),
+        Command::Read { bank, row, col } => {
+            out.push_str("RD");
+            render_bank(out, bank);
+            out.push_str(&format!(" {row} {col}"));
+        }
+        Command::Write { bank, row, col } => {
+            out.push_str("WR");
+            render_bank(out, bank);
+            out.push_str(&format!(" {row} {col}"));
+        }
+        Command::Refresh { rank } => out.push_str(&format!("REF {rank}")),
+        Command::ScaledRead { bank, row, col, scaler, dst } => {
+            out.push_str("SRD");
+            render_bank(out, bank);
+            out.push_str(&format!(" {row} {col} {scaler} {dst}"));
+        }
+        Command::Writeback { bank, row, col, src } => {
+            out.push_str("WB");
+            render_bank(out, bank);
+            out.push_str(&format!(" {row} {col} {src}"));
+        }
+        Command::QRegLoad { bank, row, col } => {
+            out.push_str("QLD");
+            render_bank(out, bank);
+            out.push_str(&format!(" {row} {col}"));
+        }
+        Command::QRegStore { bank, row, col } => {
+            out.push_str("QST");
+            render_bank(out, bank);
+            out.push_str(&format!(" {row} {col}"));
+        }
+        Command::PimAdd { unit, dst } => {
+            out.push_str("ADD");
+            render_bank(out, unit);
+            out.push_str(&format!(" {dst}"));
+        }
+        Command::PimSub { unit, dst } => {
+            out.push_str("SUB");
+            render_bank(out, unit);
+            out.push_str(&format!(" {dst}"));
+        }
+        Command::Quant { unit, pos, src } => {
+            out.push('Q');
+            render_bank(out, unit);
+            out.push_str(&format!(" {pos} {src}"));
+        }
+        Command::Dequant { unit, pos, dst } => {
+            out.push_str("DQ");
+            render_bank(out, unit);
+            out.push_str(&format!(" {pos} {dst}"));
+        }
+        Command::PimMul { unit, dst } => {
+            out.push_str("MUL");
+            render_bank(out, unit);
+            out.push_str(&format!(" {dst}"));
+        }
+        Command::PimRsqrt { unit, dst } => {
+            out.push_str("RSQ");
+            render_bank(out, unit);
+            out.push_str(&format!(" {dst}"));
+        }
+    }
+}
+
+/// Explicit rendering of every `Stats` field (floats by bit pattern).
+fn render_stats(out: &mut String, s: &Stats) {
+    let ints = [
+        s.channels,
+        s.cycles,
+        s.cmd_slots,
+        s.data_bus_busy,
+        s.external_read_bytes,
+        s.external_write_bytes,
+        s.internal_read_bytes,
+        s.internal_write_bytes,
+        s.completed,
+        s.powerdown_cycles,
+        s.bg_active_cycles,
+        s.bg_precharged_cycles,
+    ];
+    out.push_str("stats");
+    for v in ints.iter().chain(&s.commands) {
+        out.push_str(&format!(" {v}"));
+    }
+    let e = &s.energy;
+    for v in [e.act_pj, e.rd_pj, e.wr_pj, e.io_pj, e.pim_pj, e.refresh_pj, e.background_pj] {
+        out.push_str(&format!(" {:x}", v.to_bits()));
+    }
+    out.push('\n');
+}
+
+fn render_outputs(trace: &[Vec<TraceEntry>], stats: &Stats, done: &[Completion]) -> String {
+    let mut out = String::new();
+    for (ch, entries) in trace.iter().enumerate() {
+        for e in entries {
+            out.push_str(&format!("{ch} {} ", e.cycle));
+            render_cmd(&mut out, &e.cmd);
+            out.push('\n');
+        }
+    }
+    render_stats(&mut out, stats);
+    for c in done {
+        out.push_str(&format!("done {} {}", c.id, c.at_cycle));
+        if let Some(data) = &c.data {
+            out.push_str(&format!(" {:x}", fnv1a(data)));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// A small deterministic generator (xorshift64*) for probe traffic.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+}
+
+/// Enqueues with backpressure: steps to the next event while the target
+/// queue is full.
+fn push(
+    mem: &mut MemorySystem,
+    mut enqueue: impl FnMut(&mut MemorySystem) -> Result<u64, MemError>,
+) {
+    loop {
+        match enqueue(mem) {
+            Ok(_) => return,
+            Err(MemError::QueueFull) => mem.tick_until_event(),
+            Err(e) => panic!("probe enqueue failed: {e}"),
+        }
+    }
+}
+
+/// One burst of mixed traffic: row-hit runs and scattered reads/writes
+/// over every rank, interleaved with momentum-style PIM ops on a few units.
+fn mixed_traffic(mem: &mut MemorySystem, rng: &mut Rng, round: u64) {
+    let cfg = mem.config().clone();
+    let span = AddressMapping::GradPim.capacity_bytes(&cfg) / 64;
+    for i in 0..160u64 {
+        let r = rng.next();
+        let addr = if r.is_multiple_of(3) {
+            // Sequential run: row hits striped over bank groups.
+            (round * 4096 + i) * cfg.burst_bytes as u64
+        } else {
+            (r >> 8) % span * cfg.burst_bytes as u64
+        };
+        if r.is_multiple_of(5) {
+            push(mem, |m| m.enqueue_write(addr, None));
+        } else {
+            push(mem, |m| m.enqueue_read(addr));
+        }
+        if i.is_multiple_of(8) {
+            let rank = (r >> 40) as u8 % cfg.ranks as u8;
+            let bg = (r >> 44) as u8 % cfg.bankgroups as u8;
+            let col = (i / 8 + round * 32) as u32 % cfg.columns as u32;
+            let row = (r >> 48) as u32 % 4;
+            for op in [
+                PimOp::ScaledRead { bank: 1, row, col, scaler: 0, dst: 0 },
+                PimOp::ScaledRead { bank: 2, row, col, scaler: 1, dst: 1 },
+                PimOp::Add { bank: 0, dst: 1 },
+                PimOp::Writeback { bank: 2, row, col, src: 1 },
+            ] {
+                push(mem, |m| m.enqueue_pim(0, rank, bg, op));
+            }
+        }
+    }
+}
+
+/// Mixed traffic, a drain, an idle window spanning refreshes and
+/// power-down transitions, a second burst that wakes the ranks, and a
+/// final drain.
+fn dram_probe(mode: CommandIssueMode, powerdown_idle: u64) -> String {
+    let mut cfg = DramConfig::ddr4_2133();
+    cfg.issue_mode = mode;
+    cfg.powerdown_idle = powerdown_idle;
+    let mut mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
+    mem.enable_trace();
+    let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+    mixed_traffic(&mut mem, &mut rng, 0);
+    mem.drain(10_000_000).unwrap();
+    mem.run_until(mem.cycles() + 2 * cfg.trefi + 97);
+    mixed_traffic(&mut mem, &mut rng, 1);
+    mem.drain(10_000_000).unwrap();
+    let trace = mem.take_traces();
+    render_outputs(&trace, &mem.stats(), &mem.take_completions())
+}
+
+fn dram_probes() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for mode in [CommandIssueMode::Direct, CommandIssueMode::PerRankBuffered] {
+        for (pd, idle) in [("pd16", 16), ("pd64", 64), ("pdoff", u64::MAX)] {
+            out.push((format!("{mode:?}/{pd}"), dram_probe(mode, idle)));
+        }
+    }
+    out
+}
+
+/// Digests recorded on the tree before the issue-selection caches.
+const DRAM_GOLDEN: &[(&str, u64)] = &[
+    ("Direct/pd16", 0xb1416e364f978ab7),
+    ("Direct/pd64", 0x4e7f05de63fd980e),
+    ("Direct/pdoff", 0x82442823ad77237c),
+    ("PerRankBuffered/pd16", 0xcff367770181fc55),
+    ("PerRankBuffered/pd64", 0xd5babb11e92f724f),
+    ("PerRankBuffered/pdoff", 0xb79e216258294842),
+];
+
+/// Compares `actual` against `golden` and, on any mismatch, fails with the
+/// full actual table so a deliberate model change can be re-recorded.
+fn check(layer: &str, actual: &[(String, u64)], golden: &[(&str, u64)]) {
+    let same = actual.len() == golden.len()
+        && actual.iter().zip(golden).all(|((an, ad), (gn, gd))| an == gn && ad == gd);
+    if !same {
+        let table: String =
+            actual.iter().map(|(n, d)| format!("    (\"{n}\", 0x{d:016x}),\n")).collect();
+        panic!("{layer} digests moved; actual:\n{table}");
+    }
+}
+
+/// Serializes the tests that run phase executors: the work-counter test
+/// switches on the process-global metrics registry and reads its deltas.
+static PHASES: Mutex<()> = Mutex::new(());
+
+#[test]
+fn phase_results_match_golden_digests() {
+    let _serial = PHASES.lock().unwrap_or_else(PoisonError::into_inner);
+    let actual: Vec<(String, u64)> = phase_probes()
+        .into_iter()
+        .map(|(name, kind, cfg)| {
+            let bits = run_probe(kind, &cfg).to_bits_string();
+            (name, fnv1a(bits.as_bytes()))
+        })
+        .collect();
+    check("phase", &actual, PHASE_GOLDEN);
+}
+
+#[test]
+fn memory_system_outputs_match_golden_digests() {
+    let actual: Vec<(String, u64)> =
+        dram_probes().into_iter().map(|(name, text)| (name, fnv1a(text.as_bytes()))).collect();
+    check("memory-system", &actual, DRAM_GOLDEN);
+}
+
+#[test]
+fn candidate_evaluations_per_issued_command_stay_bounded() {
+    let _serial = PHASES.lock().unwrap_or_else(PoisonError::into_inner);
+    let counter = |ctx: &str, name: &str| {
+        let key = format!("phase.{ctx}.dram.{name}");
+        gradpim::obs::registry().counters.get(&key).copied().unwrap_or(0)
+    };
+    gradpim::obs::set_metrics(true);
+    let mut checked = 0;
+    for (name, kind, cfg) in phase_probes() {
+        let ctx = match kind {
+            "stream" => "stream",
+            "pim-update" | "pim-quant-dequant" => "pim-kernel",
+            _ => continue,
+        };
+        if !name.starts_with("ddr4_2133/") {
+            continue;
+        }
+        let (evals, commands) = (counter(ctx, "candidate_evals"), counter(ctx, "commands"));
+        run_probe(kind, &cfg);
+        let evals = counter(ctx, "candidate_evals") - evals;
+        let commands = counter(ctx, "commands") - commands;
+        assert!(commands > 0, "{name}: no commands counted");
+        assert!(
+            evals <= 8 * commands,
+            "{name}: {evals} candidate evaluations for {commands} commands ({:.2} each)",
+            evals as f64 / commands as f64
+        );
+        checked += 1;
+    }
+    gradpim::obs::set_metrics(false);
+    assert_eq!(checked, 18, "every DDR4-2133 stream and PIM-kernel probe is checked");
+}
