@@ -6,8 +6,8 @@
 //! tile quantization cap the gains; 20–70 % for NPU-class ratios, <20 %
 //! toward GPU-class ratios (HBM).
 
-use gradpim_bench::banner;
-use gradpim_sim::sweeps::ops_bandwidth_sweep;
+use gradpim_bench::{banner, points};
+use gradpim_sim::sweeps::OpsBandwidth;
 use gradpim_workloads::models;
 
 fn main() {
@@ -17,7 +17,7 @@ fn main() {
     } else {
         Some((12 * 1024u64, 96 * 1024usize))
     };
-    let pts = ops_bandwidth_sweep(&models::alphago_zero(), quick).expect("simulation failed");
+    let pts = points::<OpsBandwidth>(&[models::alphago_zero()], quick);
     println!("{:<12} {:>8} {:>16} {:>12}", "memory", "MAC dim", "ops/byte", "speedup %");
     for p in &pts {
         println!(

@@ -4,8 +4,8 @@
 //! phase is batch-independent, so it occupies a larger share of smaller
 //! batches.
 
-use gradpim_bench::{banner, networks};
-use gradpim_sim::sweeps::batch_sweep;
+use gradpim_bench::{banner, networks, points};
+use gradpim_sim::sweeps::BatchSize;
 
 fn main() {
     banner("Fig. 12b", "Speedup (%) vs minibatch size");
@@ -15,7 +15,7 @@ fn main() {
         Some((12 * 1024u64, 96 * 1024usize))
     };
     let nets = networks();
-    let pts = batch_sweep(&nets, quick).expect("simulation failed");
+    let pts = points::<BatchSize>(&nets, quick);
     println!("{:<14} {:>8} {:>8} {:>8}", "network", "b=16", "b=32", "b=64");
     for net in &nets {
         let row: Vec<f64> = [16, 32, 64]

@@ -3,9 +3,9 @@
 //! Paper targets: 8/16 → 1.39×, 16/32 → 1.43×, 32/32 → 1.26× (gmean across
 //! networks, each vs the same-precision baseline).
 
-use gradpim_bench::{banner, networks};
+use gradpim_bench::{banner, networks, points};
 use gradpim_optim::PrecisionMix;
-use gradpim_sim::sweeps::precision_sweep;
+use gradpim_sim::sweeps::Precision;
 
 fn main() {
     banner(
@@ -18,7 +18,7 @@ fn main() {
         Some((12 * 1024u64, 96 * 1024usize))
     };
     let nets = networks();
-    let pts = precision_sweep(&nets, quick).expect("simulation failed");
+    let pts = points::<Precision>(&nets, quick);
     println!(
         "{:<14} {:>10} {:>10} {:>10} {:>12}",
         "network", "8b/32b", "16b/32b", "8b/16b", "32b/32b"

@@ -5,9 +5,9 @@
 //! advantage on performance and energy both come from reducing the off-chip
 //! bus traffic".
 
-use gradpim_bench::{banner, networks};
+use gradpim_bench::{banner, networks, points};
 use gradpim_optim::PrecisionMix;
-use gradpim_sim::sweeps::precision_sweep;
+use gradpim_sim::sweeps::Precision;
 
 fn main() {
     banner("Fig. 12d", "Energy over baseline (%) per precision mix (lower is better)");
@@ -17,7 +17,7 @@ fn main() {
         Some((12 * 1024u64, 96 * 1024usize))
     };
     let nets = networks();
-    let pts = precision_sweep(&nets, quick).expect("simulation failed");
+    let pts = points::<Precision>(&nets, quick);
     println!(
         "{:<14} {:>10} {:>10} {:>10} {:>12}",
         "network", "8b/32b", "16b/32b", "8b/16b", "32b/32b"

@@ -5,8 +5,8 @@
 //! and the speedup"; early convs (large activations, small filters) gain
 //! little, late convs and FC layers gain 2–3.5×.
 
-use gradpim_bench::{banner, networks};
-use gradpim_sim::sweeps::layer_scatter;
+use gradpim_bench::{banner, networks, points};
+use gradpim_sim::sweeps::LayerScatter;
 
 fn main() {
     banner("Fig. 13", "Per-layer speedup (%) vs weight/activation ratio");
@@ -16,7 +16,7 @@ fn main() {
         Some((4 * 1024u64, 48 * 1024usize))
     };
     let nets = networks();
-    let mut pts = layer_scatter(&nets, quick).expect("simulation failed");
+    let mut pts = points::<LayerScatter>(&nets, quick);
     pts.sort_by(|a, b| a.ratio.total_cmp(&b.ratio));
     println!("{:<14} {:<16} {:>14} {:>12}", "network", "layer", "W/A ratio", "speedup %");
     for p in &pts {

@@ -10,6 +10,7 @@
 
 pub mod env;
 
+use gradpim_sim::sweeps::{QuickCaps, SweepFamily};
 use gradpim_sim::{Design, SystemConfig};
 use gradpim_workloads::{models, Network};
 
@@ -28,6 +29,20 @@ pub fn bench_config(design: Design) -> SystemConfig {
 /// The five evaluation networks in the paper's plotting order.
 pub fn networks() -> Vec<Network> {
     models::all_networks()
+}
+
+/// Every typed point of sweep family `F` on `nets`, simulated
+/// sequentially in figure order (`F::specs` mapped through `F::run_spec`).
+///
+/// # Panics
+///
+/// On a simulation error: a harness has nothing to recover.
+pub fn points<F: SweepFamily>(nets: &[Network], quick: QuickCaps) -> Vec<F::Out> {
+    F::specs(nets, quick)
+        .iter()
+        .map(F::run_spec)
+        .collect::<Result<_, _>>()
+        .expect("simulation failed")
 }
 
 /// Prints a figure/table banner.

@@ -61,8 +61,7 @@
 //! ship their spans back piggybacked on the report protocol and the
 //! coordinator merges them onto one timeline. `--metrics PATH` writes the
 //! unified metrics registry (scheduler counters, per-phase histograms) as
-//! JSON; `GRADPIM_SCHED_STATS=1` renders the same registry to stderr.
-//! Both artifacts are emitted after — and entirely off — the report
+//! JSON. Both artifacts are emitted after — and entirely off — the report
 //! stream, and a traced run's report is byte-identical to an untraced
 //! one. `check trace` validates an emitted trace and prints its shape.
 
@@ -437,42 +436,29 @@ fn check_failure(path: &str, what: &str, err: impl std::fmt::Display) -> CliErro
     CliError::Run(format!("`{path}` is not a valid {what}: {err}"))
 }
 
-/// Whether the `GRADPIM_SCHED_STATS=1` stderr rendering of the metrics
-/// registry was requested (the legacy alias for `--metrics`-style output).
-fn sched_stats_requested() -> bool {
-    gradpim_engine::env::sched_stats()
-}
-
-/// Turns span recording and metrics collection on per the run's arguments
-/// (and the `GRADPIM_SCHED_STATS=1` alias). Call before any work runs.
+/// Turns span recording and metrics collection on per the run's
+/// arguments. Call before any work runs.
 fn arm_observability(args: &Args) {
     if args.trace.is_some() {
         gradpim_obs::set_tracing(true);
     }
-    if args.metrics.is_some() || sched_stats_requested() {
+    if args.metrics.is_some() {
         gradpim_obs::set_metrics(true);
     }
 }
 
-/// Absorbs the engine's scheduler counters into the metrics registry —
-/// the single source both `--metrics PATH` and the `GRADPIM_SCHED_STATS=1`
-/// stderr dump render from.
+/// Absorbs the engine's scheduler counters into the metrics registry that
+/// `--metrics PATH` renders.
 fn record_sched_stats(engine: &Engine) {
     let s = engine.sched_stats();
     gradpim_obs::counter_set("sched.batches", s.batches);
     gradpim_obs::counter_set("sched.jobs", s.jobs);
 }
 
-/// Emits the observability artifacts: the `GRADPIM_SCHED_STATS=1` stderr
-/// rendering, the `--metrics PATH` registry JSON, and the `--trace PATH`
-/// Chrome-trace JSON. Runs after the report has been emitted, so none of
-/// this can perturb the data stream.
+/// Emits the observability artifacts: the `--metrics PATH` registry JSON
+/// and the `--trace PATH` Chrome-trace JSON. Runs after the report has
+/// been emitted, so none of this can perturb the data stream.
 fn finish_observability(args: &Args) -> Result<(), CliError> {
-    if sched_stats_requested() {
-        for line in gradpim_obs::registry().to_json().lines() {
-            log(format!("metrics: {line}"));
-        }
-    }
     if let Some(path) = &args.metrics {
         std::fs::write(path, gradpim_obs::registry().to_json())
             .map_err(|e| CliError::Run(format!("cannot write `{path}`: {e}")))?;
@@ -717,9 +703,6 @@ fn run_shard_worker(path: &str, args: &Args) -> Result<(), CliError> {
     if sidecar {
         gradpim_obs::set_tracing(true);
     }
-    if sched_stats_requested() {
-        gradpim_obs::set_metrics(true);
-    }
     let doc = if path == "-" {
         let mut s = String::new();
         std::io::stdin()
@@ -751,13 +734,11 @@ fn run_shard_worker(path: &str, args: &Args) -> Result<(), CliError> {
         let _span = gradpim_obs::span_lazy(|| format!("cli.worker.{}", spec.experiment), "cli");
         spec.run(&engine).map_err(rt)?
     };
-    record_sched_stats(&engine);
     let mut text = report::to_json(&report);
     if sidecar {
         text = trace::report_with_sidecar(&text, &gradpim_obs::drain_spans());
     }
-    emit_output(args.output.as_deref(), &text)?;
-    finish_observability(args)
+    emit_output(args.output.as_deref(), &text)
 }
 
 fn main() -> ExitCode {

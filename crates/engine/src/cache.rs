@@ -29,11 +29,14 @@
 //! `cache.miss` counters and a `cache.lookup` span; stores record
 //! `cache.bytes`.
 //!
-//! A hit can only ever substitute for a re-computation of the very same
-//! simulation: keys embed every input that influences the result, values
+//! Keys name a computation's *inputs* — the specs and workload shapes —
+//! but not the simulator code that computes it. For unchanged code a hit
+//! substitutes for a re-computation of the very same simulation: values
 //! round-trip bit-exactly, and a key mismatch inside a [`DiskCache`]
 //! entry (hash collision, truncated write, foreign file) degrades to a
-//! miss — never to a wrong answer.
+//! miss. A change to the simulator's code does **not** change any key, so
+//! a store filled before the change keeps serving the old results: run
+//! `gradpim-cli cache clear` after changing simulator code.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -526,7 +529,7 @@ mod tests {
 
     #[test]
     fn group_key_distinguishes_family_quick_and_specs() {
-        use crate::sweeps::{DesignSpace, Scaling};
+        use gradpim_sim::sweeps::{DesignSpace, Scaling};
         use gradpim_workloads::models;
         let nets = [models::mlp()];
         let quick = Some((1500, 20_000));

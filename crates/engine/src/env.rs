@@ -13,16 +13,15 @@
 //!
 //! | variable | effect |
 //! |---|---|
-//! | `GRADPIM_THREADS` | worker-thread count for [`crate::Engine::from_env`] |
+//! | `GRADPIM_THREADS` | worker-thread count for [`crate::Engine::from_env_with`] |
 //! | `GRADPIM_SHARD_WORKER` | worker program override for the `--shards` pipeline ([`crate::dist::WORKER_PROGRAM_ENV`]) |
 //! | `GRADPIM_TRACE_SIDECAR` | coordinator→worker request for a trace sidecar ([`crate::dist::TRACE_SIDECAR_ENV`]) |
-//! | `GRADPIM_SCHED_STATS` | `=1` renders the metrics registry to stderr after a CLI run |
 //! | `GRADPIM_CACHE` | on-disk result-cache directory (the ambient form of `gradpim-cli --cache DIR`; see [`crate::cache`]) |
 
 use std::ffi::OsString;
 
 /// Raw `GRADPIM_THREADS` value, when set. Parsing/clamping stays with
-/// [`crate::Engine::from_env`], the single consumer.
+/// [`crate::Engine::from_env_with`], the single consumer.
 pub fn threads_var() -> Option<String> {
     std::env::var("GRADPIM_THREADS").ok()
 }
@@ -37,12 +36,6 @@ pub fn shard_worker_program() -> Option<OsString> {
 /// sidecar ([`crate::dist::TRACE_SIDECAR_ENV`] `=1`).
 pub fn trace_sidecar() -> bool {
     std::env::var(crate::dist::TRACE_SIDECAR_ENV).as_deref() == Ok("1")
-}
-
-/// True when `GRADPIM_SCHED_STATS=1` requests the stderr metrics
-/// rendering (the legacy alias for the CLI's `--metrics`).
-pub fn sched_stats() -> bool {
-    std::env::var("GRADPIM_SCHED_STATS").as_deref() == Ok("1")
 }
 
 /// The on-disk result-cache directory (`GRADPIM_CACHE`), when set — the

@@ -10,9 +10,9 @@
 //!   12a–d, 13, 14) share no state. [`Engine::run`] fans them over the
 //!   scoped, ordered pool in [`sched`] with input-ordered results and
 //!   the lowest-indexed failure winning, exactly as a sequential run;
-//!   [`sweeps`] wires the `gradpim_sim` spec enumerations through it,
-//!   seeding dispatch with the [`sched::cost`] model so the heaviest
-//!   points start first.
+//!   [`serialize::ExperimentSpec::run`] — the one sweep runner — drives
+//!   every `gradpim_sim::sweeps` family through it, seeding dispatch with
+//!   the [`sched::cost`] model so the heaviest points start first.
 //! * **Across processes** — the [`dist`] module splits one
 //!   [`serialize::ExperimentSpec`] into per-shard sub-specs, launches
 //!   worker processes (`gradpim-cli shard-worker`), retries crashed
@@ -32,16 +32,17 @@
 //! # Example
 //!
 //! ```
-//! use gradpim_engine::{sweeps, Engine};
+//! use gradpim_engine::serialize::{Experiment, ExperimentSpec};
+//! use gradpim_engine::Engine;
+//! use gradpim_sim::sweeps::{BatchSize, SweepFamily};
 //! use gradpim_workloads::models;
 //!
-//! let engine = Engine::new(2);
-//! let nets = [models::mlp()];
 //! let quick = Some((1500, 20_000)); // doc-sized traffic caps
-//! let points = sweeps::batch_sweep(&nets, quick, &engine)?;
-//! // Same points, same order, as the sequential sweep.
-//! assert_eq!(points, gradpim_sim::sweeps::batch_sweep(&nets, quick)?);
-//! # Ok::<(), gradpim_sim::PhaseError>(())
+//! let spec = ExperimentSpec::new(Experiment::Fig12b, quick, Some(vec!["MLP1".into()]));
+//! let report = spec.run(&Engine::new(2))?;
+//! // Same rows, same order, as the family's sequential reference.
+//! assert_eq!(report, BatchSize::report(&[models::mlp()], quick)?);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,7 +59,6 @@ mod json;
 pub mod report;
 pub mod sched;
 pub mod serialize;
-pub mod sweeps;
 pub mod trace;
 
 use std::sync::Arc;
@@ -99,33 +99,14 @@ impl Engine {
     /// if set to an integer (`0` clamps to 1, i.e. sequential), otherwise
     /// the machine's available parallelism. A set-but-malformed value
     /// falls back to available parallelism — and an unqueryable machine
-    /// parallelism falls back to 1 — each with a diagnostic on stderr, so
-    /// a typo never *silently* changes the worker count. The diagnostic
-    /// is emitted at most once per process: benchmark loops that build an
-    /// engine per iteration no longer spam stderr mid-measurement.
+    /// parallelism falls back to 1 — each with a diagnostic passed to
+    /// `log`, so a typo never *silently* changes the worker count. The CLI
+    /// passes its own `gradpim-cli:` logger, so every affected invocation
+    /// gets an attributed diagnostic.
     ///
     /// The variable is read **here and only here**: every downstream
     /// layer (sweep batches, shard fan-out) inherits the resolved count
     /// instead of re-reading the environment.
-    pub fn from_env() -> Self {
-        let var = crate::env::threads_var();
-        let auto = std::thread::available_parallelism().map(std::num::NonZeroUsize::get).ok();
-        let (threads, warning) = resolve_threads(var.as_deref(), auto);
-        if let Some(warning) = warning {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            // gradpim-lint: allow(print-macro): once-per-process operator warning about
-            // a malformed GRADPIM_THREADS, on stderr — never the report pipe. There is
-            // no caller to return it to: from_env() is the ambient constructor.
-            WARN_ONCE.call_once(|| eprintln!("gradpim-engine: {warning}"));
-        }
-        Self::new(threads)
-    }
-
-    /// [`Engine::from_env`] with the warning routed through `log` instead
-    /// of a once-per-process stderr write — the CLI passes its own
-    /// `gradpim-cli:` logger so a misconfigured environment produces an
-    /// attributed diagnostic on every affected invocation instead of
-    /// silently degrading after the first.
     pub fn from_env_with(log: &mut dyn FnMut(&str)) -> Self {
         let var = crate::env::threads_var();
         let auto = std::thread::available_parallelism().map(std::num::NonZeroUsize::get).ok();
@@ -289,10 +270,13 @@ mod tests {
         let mut logged = Vec::new();
         let engine = Engine::from_env_with(&mut |m: &str| logged.push(m.to_string()));
         assert!(engine.threads() >= 1);
-        // Same resolution as the ambient constructor, warning or not.
-        assert_eq!(engine.threads(), Engine::from_env().threads());
+        // The pure resolution of the same inputs, warning or not.
+        let auto = std::thread::available_parallelism().map(std::num::NonZeroUsize::get).ok();
+        let (threads, warning) = resolve_threads(crate::env::threads_var().as_deref(), auto);
+        assert_eq!(engine.threads(), threads);
+        assert_eq!(logged.len(), usize::from(warning.is_some()));
         // Warnings (if the test environment is misconfigured) reach the
-        // caller's sink — never a hidden once-gated stderr write.
+        // caller's sink — never a hidden stderr write.
         for warning in &logged {
             assert!(
                 warning.contains("GRADPIM_THREADS") || warning.contains("parallelism"),
@@ -306,19 +290,23 @@ mod tests {
         if gradpim_sim::env::reference_mode() {
             return; // reference mode bypasses the memo by design
         }
-        let nets = [gradpim_workloads::models::mlp()];
-        let quick = Some((1500, 20_000));
-        let cold = sweeps::batch_sweep(&nets, quick, &Engine::sequential()).unwrap();
+        use serialize::{Experiment, ExperimentSpec};
+        let spec = ExperimentSpec::new(
+            Experiment::Fig12b,
+            Some((1500, 20_000)),
+            Some(vec!["MLP1".into()]),
+        );
+        let cold = spec.run(&Engine::sequential()).unwrap();
         let store: Arc<dyn CacheBackend> = Arc::new(cache::MemCache::new());
         let engine = Engine::sequential().with_cache(store.clone());
         assert!(engine.cache().is_some());
-        let warm = sweeps::batch_sweep(&nets, quick, &engine).unwrap();
+        let warm = spec.run(&engine).unwrap();
         assert_eq!(warm, cold);
         let filled = store.stats();
         assert!(filled.entries > 0, "phase results must land in the store");
-        // A second run is served from the memo: identical bytes, no new
+        // A second run is served from the store: identical bytes, no new
         // entries.
-        let warm2 = sweeps::batch_sweep(&nets, quick, &engine).unwrap();
+        let warm2 = spec.run(&engine).unwrap();
         assert_eq!(warm2, cold);
         assert_eq!(store.stats(), filled);
     }

@@ -7,8 +7,8 @@
 //! (`gradpim-cli --emit-spec`), farm them out to worker processes — and
 //! later hosts — and *execute* them (`gradpim-cli --run-spec`) with
 //! bit-identical results to an in-process run: [`ExperimentSpec::run`]
-//! goes through exactly the same sweep enumerations and simulations as
-//! the direct API, so the numbers cannot drift across the boundary.
+//! is the one runner of the `gradpim_sim::sweeps` families, so the
+//! numbers cannot drift across the boundary.
 //!
 //! ```
 //! use gradpim_engine::serialize::{Experiment, ExperimentSpec};
@@ -31,20 +31,15 @@ use std::fmt;
 
 use gradpim_sim::report::{Report, Schema, SweepRow};
 use gradpim_sim::sweeps::{
-    BatchSize, LayerScatter, OpsBandwidth, Precision, QuickCaps, SweepFamily,
+    BatchSize, DesignSpace, LayerScatter, OpsBandwidth, Precision, QuickCaps, Scaling, SweepFamily,
 };
 use gradpim_sim::PhaseError;
 use gradpim_workloads::{models, Network};
 
 use crate::json::{self, Json};
 use crate::report::ParseError;
-use crate::sweeps::{DesignSpace, Scaling};
-use crate::{cache, sweeps, Engine};
-
-/// The node counts of the Fig. 14 scaling study, shared by
-/// [`ExperimentSpec::run`] and [`ExperimentSpec::layout`] so the two can
-/// never disagree on the experiment's shape.
-pub const FIG14_NODES: [usize; 4] = [1, 2, 4, 8];
+use crate::sched::cost;
+use crate::{cache, Engine};
 
 /// One experiment of the paper's evaluation, as named on the
 /// `gradpim-cli` command line.
@@ -410,10 +405,11 @@ impl ExperimentSpec {
 
     /// Executes the spec on `engine` and returns the structured results.
     /// Same enumerations, same simulations, same f64 arithmetic as the
-    /// direct sweep APIs — a spec that crossed a process boundary yields
-    /// **bit-identical** rows to an in-process run. A sharded spec runs
-    /// only its own row groups (see [`Shard`]) through the very same code
-    /// path, so shard slices cannot drift from the whole either.
+    /// family's sequential [`SweepFamily::report`] — a spec that crossed a
+    /// process boundary yields **bit-identical** rows to an in-process
+    /// run. A sharded spec runs only its own row groups (see [`Shard`])
+    /// through the very same code path, so shard slices cannot drift from
+    /// the whole either.
     ///
     /// When the engine carries a cache ([`Engine::with_cache`]), each row
     /// group is first looked up by content key (see [`crate::cache`]);
@@ -508,7 +504,7 @@ fn run_family<F: SweepFamily>(spec: &ExperimentSpec, engine: &Engine) -> Result<
         .filter(|(_, hit)| hit.is_none())
         .flat_map(|(group, _)| group.iter().cloned())
         .collect();
-    let costs = sweeps::costs_of(&jobs, F::workload);
+    let costs = costs_of::<F>(&jobs);
     let outs = engine.run(&jobs, Some(&costs), |_, s: &F::Spec, _| F::run_spec(s))?;
 
     // Reassemble in group order, storing freshly computed groups back.
@@ -531,6 +527,12 @@ fn run_family<F: SweepFamily>(spec: &ExperimentSpec, engine: &Engine) -> Result<
         }
     }
     Ok(report)
+}
+
+/// Dispatch cost per spec, from each spec's workload shape — the
+/// longest-first seed (see [`cost::sweep_point_cycles`]).
+fn costs_of<F: SweepFamily>(specs: &[F::Spec]) -> Vec<u64> {
+    specs.iter().map(F::workload).map(|(p, b, c)| cost::sweep_point_cycles(p, b, c)).collect()
 }
 
 /// Keeps the groups selected by `keep`, preserving relative order — the
@@ -755,7 +757,7 @@ mod tests {
         let engine = Engine::sequential();
         let via_spec = spec.run(&engine).unwrap();
         let nets = [gradpim_workloads::models::mlp()];
-        let direct = gradpim_sim::sweeps::batch_report(&nets, QUICK).unwrap();
+        let direct = BatchSize::report(&nets, QUICK).unwrap();
         assert_eq!(via_spec, direct);
         // And the same rows through a threaded engine.
         let threaded = spec.run(&Engine::new(3)).unwrap();

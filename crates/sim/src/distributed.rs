@@ -49,9 +49,8 @@ impl DistReport {
 }
 
 /// One independent distributed-training simulation job: a system design at
-/// a node count. The unit of parallel work for Fig. 14-style scaling
-/// studies (the `gradpim-engine` crate fans these across worker threads;
-/// [`DistSpec::run`] is [`distributed_step`] on the stored inputs).
+/// a node count. The spec of the Fig. 14 [`crate::sweeps::Scaling`]
+/// family; [`DistSpec::run`] is [`distributed_step`] on the stored inputs.
 #[derive(Debug, Clone)]
 pub struct DistSpec {
     /// System configuration for every node.
@@ -83,28 +82,6 @@ impl DistSpec {
     pub fn run(&self) -> Result<DistReport, PhaseError> {
         distributed_step(&self.sys, &self.net, &self.dist)
     }
-}
-
-/// Enumerates a Fig. 14-style node-scaling study: for each node count, a
-/// baseline point followed by a GradPIM-BD point (so consecutive spec pairs
-/// form one row of the figure). `quick` caps simulated traffic as in
-/// [`crate::sweeps`].
-pub fn scaling_specs(
-    net: &Network,
-    node_counts: &[usize],
-    quick: crate::sweeps::QuickCaps,
-) -> Vec<DistSpec> {
-    use crate::config::Design;
-    let mut out = Vec::new();
-    for &nodes in node_counts {
-        for design in [Design::Baseline, Design::GradPimBuffered] {
-            let mut sys = SystemConfig::new(design);
-            sys.apply_quick(quick);
-            let dist = DistConfig { nodes, ..DistConfig::paper_default() };
-            out.push(DistSpec { sys, net: net.clone(), dist });
-        }
-    }
-    out
 }
 
 /// Simulates one distributed step of `net` on `sys` with `dist` nodes.

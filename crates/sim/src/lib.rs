@@ -2,11 +2,11 @@
 //!
 //! This crate composes the substrates into the paper's evaluation platform
 //! (§VI-A): the six designs of Fig. 9 ([`Design`]), full training-step
-//! simulation ([`TrainingSim`] → Fig. 9/10/11), the sensitivity sweeps
-//! ([`sweeps`] → Fig. 12a–d, Fig. 13), distributed data parallelism
-//! ([`distributed`] → Fig. 14), and an end-to-end functional training path
-//! ([`functional`]) that learns a real task with every parameter update
-//! executed inside the simulated DRAM.
+//! simulation ([`TrainingSim`] → Fig. 9/10/11), distributed data
+//! parallelism ([`distributed`] → Fig. 14), the six sweep families of the
+//! evaluation ([`sweeps`] → Fig. 9, 12a–d, 13, 14), and an end-to-end
+//! functional training path ([`functional`]) that learns a real task with
+//! every parameter update executed inside the simulated DRAM.
 //!
 //! # Example
 //!

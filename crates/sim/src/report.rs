@@ -1,15 +1,14 @@
 //! The shared structured-result model for sweeps and experiments.
 //!
-//! Every sweep family produces strongly-typed points ([`crate::sweeps`],
-//! [`crate::distributed`]); this module gives them a common tabular form so
-//! results can leave the process as data instead of pretty-printed text:
-//! a [`Report`] is a [`Schema`] (named, typed columns) plus [`SweepRow`]s
-//! whose cells line up with the schema. The `gradpim-engine` crate emits
-//! reports as CSV/JSON and parses the JSON back, so a figure's numbers
-//! round-trip between processes bit-for-bit.
+//! Every sweep family produces strongly-typed points ([`crate::sweeps`]);
+//! this module gives them a common tabular form so results can leave the
+//! process as data instead of pretty-printed text: a [`Report`] is a
+//! [`Schema`] (named, typed columns) plus [`SweepRow`]s whose cells line
+//! up with the schema. The `gradpim-engine` crate emits reports as
+//! CSV/JSON and parses the JSON back, so a figure's numbers round-trip
+//! between processes bit-for-bit.
 //!
-//! Point types opt in through [`ToRow`]; [`Report::from_points`] converts a
-//! whole sweep in point order.
+//! Point types opt in through [`ToRow`].
 
 use std::fmt;
 
@@ -196,15 +195,6 @@ impl Report {
     /// An empty report over `schema`.
     pub fn new(schema: Schema) -> Self {
         Self { schema, rows: Vec::new() }
-    }
-
-    /// Converts a whole sweep: one row per point, in point order.
-    pub fn from_points<T: ToRow>(points: &[T]) -> Self {
-        let mut report = Report::new(T::schema());
-        for p in points {
-            report.push(p.row());
-        }
-        report
     }
 
     /// Appends a row.

@@ -1,24 +1,18 @@
-//! Parameter sweeps for the sensitivity studies (Fig. 12a–d, Fig. 13).
+//! The evaluation's six sweep families: Fig. 9, 12a, 12b, 12c/d, 13 and 14.
 //!
-//! Every sweep is split into two layers so the execution strategy is
-//! pluggable:
+//! Each family is one [`SweepFamily`] impl — [`DesignSpace`],
+//! [`OpsBandwidth`], [`BatchSize`], [`Precision`], [`LayerScatter`] and
+//! [`Scaling`] — that enumerates its independent simulation jobs as row
+//! groups in figure order, simulates one spec at a time, and turns each
+//! group's outputs into report rows. [`SweepFamily::report`] runs a family
+//! sequentially and is the reference; `gradpim-engine`'s
+//! `ExperimentSpec::run` is the one parallel, cached and sharded runner
+//! over the same surface. Sweep points share no state, so any schedule
+//! produces bit-identical rows.
 //!
-//! * a **spec builder** (`*_specs`) enumerates the sweep's independent
-//!   simulation points in figure order, and
-//! * each spec's [`run`](OpsBwSpec::run) method simulates exactly one point.
-//!
-//! The classic sequential entry points (`ops_bandwidth_sweep` & friends)
-//! simply map `run` over the specs in order. The `gradpim-engine` crate
-//! fans the same specs across a worker pool instead — sweep points share no
-//! state, so any schedule produces bit-identical points.
-//!
-//! Since the cache/engine unification, every family also implements the
-//! [`SweepFamily`] trait ([`OpsBandwidth`], [`BatchSize`], [`Precision`],
-//! [`LayerScatter`] here; the design-space and distributed-scaling families
-//! live in `gradpim-engine`), so executors, result caches, and the CLI can
-//! dispatch generically over row groups instead of matching on the
-//! experiment kind. The free functions remain as thin compatibility
-//! wrappers over the trait surface.
+//! The typed points ([`OpsBwPoint`], [`BatchPoint`], …) are each family's
+//! [`SweepFamily::run_spec`] output; callers that want them rather than
+//! report rows map `run_spec` over [`SweepFamily::specs`].
 
 use gradpim_dram::DramConfig;
 use gradpim_npu::NpuConfig;
@@ -26,13 +20,21 @@ use gradpim_optim::PrecisionMix;
 use gradpim_workloads::{Layer, Network};
 
 use crate::config::{Design, SystemConfig};
+use crate::distributed::{DistConfig, DistReport, DistSpec};
 use crate::phase::PhaseError;
 use crate::report::{Kind, Report, Schema, SweepRow, ToRow};
-use crate::train::TrainingSim;
+use crate::train::{TrainingReport, TrainingSim};
 
 /// Traffic-scaling caps shared by every sweep: `Some((bursts, params))`
 /// overrides `max_sim_bursts` / `max_sim_params` on each simulated system.
 pub type QuickCaps = Option<(u64, usize)>;
+
+/// The coarse workload shape of one sweep point: `(params, batch,
+/// channels)` — trainable parameters simulated, activation sets streamed
+/// per step, and DRAM channels available to drain in parallel. Execution
+/// engines feed this to a cost model to start the heaviest points first;
+/// it never influences simulated results.
+pub type Workload = (u64, usize, usize);
 
 /// One sweep family behind a single generic surface.
 ///
@@ -91,9 +93,9 @@ pub trait SweepFamily {
         Self::groups(nets, quick).into_iter().flatten().collect()
     }
 
-    /// Runs the whole family sequentially into a [`Report`] (the classic
-    /// single-threaded entry point; `gradpim-engine` provides the pooled
-    /// and cached executors over the same group surface).
+    /// Runs the whole family sequentially into a [`Report`] — the
+    /// single-threaded reference that `gradpim-engine`'s pooled and
+    /// cached runner must reproduce byte for byte.
     ///
     /// # Errors
     ///
@@ -111,13 +113,140 @@ pub trait SweepFamily {
     }
 }
 
-/// A (baseline, PIM) system pair for one sweep point.
-fn design_pair(quick: QuickCaps) -> (SystemConfig, SystemConfig) {
-    let mut base = SystemConfig::new(Design::Baseline);
-    let mut pim = SystemConfig::new(Design::GradPimBuffered);
-    base.apply_quick(quick);
-    pim.apply_quick(quick);
-    (base, pim)
+/// One sweep point of the pair families (Fig. 12a–d, and Fig. 13 through
+/// [`LayerSpec`]): a baseline and a GradPIM-BD system training the same
+/// network.
+#[derive(Debug, Clone)]
+pub struct PairSpec {
+    base: SystemConfig,
+    pim: SystemConfig,
+    net: Network,
+}
+
+impl PairSpec {
+    /// A (baseline, GradPIM-BD) pair on `net`, both capped by `quick` and
+    /// then adjusted by `tweak`.
+    fn new(net: &Network, quick: QuickCaps, tweak: impl Fn(&mut SystemConfig)) -> Self {
+        let mut base = SystemConfig::new(Design::Baseline);
+        let mut pim = SystemConfig::new(Design::GradPimBuffered);
+        for c in [&mut base, &mut pim] {
+            c.apply_quick(quick);
+            tweak(c);
+        }
+        Self { base, pim, net: net.clone() }
+    }
+
+    /// This point's [`Workload`] shape (cost-model input only).
+    pub fn workload(&self) -> Workload {
+        (
+            self.net.total_params() as u64,
+            self.base.batch.unwrap_or(self.net.default_batch),
+            self.base.base_dram.channels.max(self.pim.base_dram.channels),
+        )
+    }
+
+    /// Simulates one training step on each system: `(baseline, GradPIM-BD)`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any [`PhaseError`] from either simulation.
+    pub fn run(&self) -> Result<(TrainingReport, TrainingReport), PhaseError> {
+        let tb = TrainingSim::new(self.base.clone()).run(&self.net)?;
+        let tp = TrainingSim::new(self.pim.clone()).run(&self.net)?;
+        Ok((tb, tp))
+    }
+}
+
+/// GradPIM-BD speedup over the baseline, in percent.
+fn speedup_pct(tb: &TrainingReport, tp: &TrainingReport) -> f64 {
+    tb.total_time_ns() / tp.total_time_ns() * 100.0
+}
+
+/// One row of the Fig. 9 design-space table: a network simulated on one
+/// design.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DesignPoint {
+    /// The simulated design.
+    pub design: Design,
+    /// Full per-block training report.
+    pub report: TrainingReport,
+}
+
+/// [`SweepFamily`] for the Fig. 9 design-space study: one row group per
+/// network, containing that network on every design of [`Design::ALL`].
+/// The group is the unit of sharding *and* caching because each row's
+/// speedup column references the same group's `Baseline` row.
+#[derive(Debug, Clone, Copy)]
+pub struct DesignSpace;
+
+impl SweepFamily for DesignSpace {
+    type Spec = (SystemConfig, Network);
+    type Out = DesignPoint;
+
+    const NAME: &'static str = "design-space";
+
+    fn groups(nets: &[Network], quick: QuickCaps) -> Vec<Vec<Self::Spec>> {
+        nets.iter()
+            .map(|net| {
+                Design::ALL
+                    .iter()
+                    .map(|&d| {
+                        let mut cfg = SystemConfig::new(d);
+                        cfg.apply_quick(quick);
+                        (cfg, net.clone())
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// One row per (network, design) point: the phase times and the
+    /// speedup over the network's baseline row.
+    fn schema() -> Schema {
+        Schema::new([
+            ("network", Kind::Str),
+            ("design", Kind::Str),
+            ("fwdbwd_ns", Kind::Float),
+            ("update_ns", Kind::Float),
+            ("total_ns", Kind::Float),
+            ("speedup", Kind::Float),
+        ])
+    }
+
+    fn run_spec((cfg, net): &Self::Spec) -> Result<DesignPoint, PhaseError> {
+        Ok(DesignPoint { design: cfg.design, report: TrainingSim::new(cfg.clone()).run(net)? })
+    }
+
+    fn workload((cfg, net): &Self::Spec) -> Workload {
+        (net.total_params() as u64, cfg.batch.unwrap_or(net.default_batch), cfg.base_dram.channels)
+    }
+
+    /// A row's speedup is over the latest [`Design::Baseline`] row of the
+    /// same network (`NaN` when there is none).
+    fn group_rows(_group: &[Self::Spec], outs: Vec<DesignPoint>) -> Vec<SweepRow> {
+        let mut baseline: Option<(&str, f64)> = None;
+        let mut rows = Vec::with_capacity(outs.len());
+        for p in &outs {
+            if p.design == Design::Baseline {
+                baseline = Some((&p.report.network, p.report.total_time_ns()));
+            }
+            let speedup = match baseline {
+                Some((net, base_ns)) if net == p.report.network => {
+                    base_ns / p.report.total_time_ns()
+                }
+                _ => f64::NAN,
+            };
+            rows.push(SweepRow::new([
+                p.report.network.as_str().into(),
+                p.design.to_string().into(),
+                p.report.fwdbwd_ns().into(),
+                p.report.update_ns().into(),
+                p.report.total_time_ns().into(),
+                speedup.into(),
+            ]));
+        }
+        rows
+    }
 }
 
 /// One point of the Fig. 12a ops/bandwidth sweep.
@@ -157,91 +286,57 @@ impl ToRow for OpsBwPoint {
     }
 }
 
-/// One independent simulation job of the Fig. 12a sweep.
-#[derive(Debug, Clone)]
-pub struct OpsBwSpec {
-    base: SystemConfig,
-    pim: SystemConfig,
-    net: Network,
-}
+/// [`SweepFamily`] for the Fig. 12a ops/bandwidth sweep: MAC-array sizes
+/// over memory presets, memory-major, per network (the paper uses
+/// AlphaGoZero). One point per group.
+#[derive(Debug, Clone, Copy)]
+pub struct OpsBandwidth;
 
-/// The coarse workload shape of one sweep point: `(params, batch,
-/// channels)` — trainable parameters simulated, activation sets streamed
-/// per step, and DRAM channels available to drain in parallel. Execution
-/// engines feed this to a cost model to start the heaviest points first;
-/// it never influences simulated results.
-pub type Workload = (u64, usize, usize);
+impl SweepFamily for OpsBandwidth {
+    type Spec = PairSpec;
+    type Out = OpsBwPoint;
 
-impl OpsBwSpec {
-    /// This point's [`Workload`] shape (cost-model input only).
-    pub fn workload(&self) -> Workload {
-        (
-            self.net.total_params() as u64,
-            self.base.batch.unwrap_or(self.net.default_batch),
-            self.base.base_dram.channels.max(self.pim.base_dram.channels),
-        )
+    const NAME: &'static str = "ops-bandwidth";
+
+    fn groups(nets: &[Network], quick: QuickCaps) -> Vec<Vec<PairSpec>> {
+        let mut out = Vec::new();
+        for net in nets {
+            for dram in [DramConfig::ddr4_2133(), DramConfig::ddr4_3200(), DramConfig::hbm2_like()]
+            {
+                for mac_dim in [64usize, 128, 256, 512] {
+                    out.push(vec![PairSpec::new(net, quick, |c| {
+                        c.base_dram = dram.clone();
+                        c.npu = NpuConfig::with_mac_dim(mac_dim);
+                    })]);
+                }
+            }
+        }
+        out
     }
 
-    /// Simulates this point (a baseline and a GradPIM-BD training step).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`PhaseError`] from either simulation.
-    pub fn run(&self) -> Result<OpsBwPoint, PhaseError> {
-        let tb = TrainingSim::new(self.base.clone()).run(&self.net)?;
-        let tp = TrainingSim::new(self.pim.clone()).run(&self.net)?;
+    fn schema() -> Schema {
+        OpsBwPoint::schema()
+    }
+
+    fn run_spec(spec: &PairSpec) -> Result<OpsBwPoint, PhaseError> {
+        let (tb, tp) = spec.run()?;
+        let base = &spec.base;
         Ok(OpsBwPoint {
-            network: self.net.name.clone(),
-            memory: self.base.base_dram.name.clone(),
-            mac_dim: self.base.npu.mac_dim,
-            ops_per_byte: self.base.npu.ops_per_byte(self.base.base_dram.peak_external_bw()),
-            speedup_pct: tb.total_time_ns() / tp.total_time_ns() * 100.0,
+            network: spec.net.name.clone(),
+            memory: base.base_dram.name.clone(),
+            mac_dim: base.npu.mac_dim,
+            ops_per_byte: base.npu.ops_per_byte(base.base_dram.peak_external_bw()),
+            speedup_pct: speedup_pct(&tb, &tp),
         })
     }
-}
 
-/// Enumerates the Fig. 12a sweep points in figure order: MAC-array sizes
-/// over memory presets (the paper uses AlphaGoZero).
-pub fn ops_bandwidth_specs(net: &Network, quick: QuickCaps) -> Vec<OpsBwSpec> {
-    let mut out = Vec::new();
-    for dram in [DramConfig::ddr4_2133(), DramConfig::ddr4_3200(), DramConfig::hbm2_like()] {
-        for mac_dim in [64usize, 128, 256, 512] {
-            let (mut base, mut pim) = design_pair(quick);
-            for c in [&mut base, &mut pim] {
-                c.base_dram = dram.clone();
-                c.npu = NpuConfig::with_mac_dim(mac_dim);
-            }
-            out.push(OpsBwSpec { base, pim, net: net.clone() });
-        }
+    fn workload(spec: &PairSpec) -> Workload {
+        spec.workload()
     }
-    out
-}
 
-/// Fig. 12a: speedup sensitivity to the operations/bandwidth ratio,
-/// sweeping MAC-array sizes over memory presets (the paper uses
-/// AlphaGoZero).
-///
-/// Deprecated thin wrapper: prefer the [`OpsBandwidth`] family's
-/// [`SweepFamily`] surface; this spelling is kept for one release so
-/// existing examples and benches compile unchanged.
-///
-/// # Errors
-///
-/// Propagates the first [`PhaseError`] from any simulated point.
-pub fn ops_bandwidth_sweep(net: &Network, quick: QuickCaps) -> Result<Vec<OpsBwPoint>, PhaseError> {
-    OpsBandwidth::specs(std::slice::from_ref(net), quick).iter().map(OpsBwSpec::run).collect()
-}
-
-/// Fig. 12a as a structured [`Report`] (same points, tabular form).
-///
-/// Deprecated thin wrapper: prefer [`OpsBandwidth`]'s
-/// [`SweepFamily::report`].
-///
-/// # Errors
-///
-/// Propagates the first [`PhaseError`] from any simulated point.
-pub fn ops_bandwidth_report(net: &Network, quick: QuickCaps) -> Result<Report, PhaseError> {
-    OpsBandwidth::report(std::slice::from_ref(net), quick)
+    fn group_rows(_group: &[PairSpec], outs: Vec<OpsBwPoint>) -> Vec<SweepRow> {
+        outs.iter().map(ToRow::row).collect()
+    }
 }
 
 /// One row of the Fig. 12b minibatch sweep.
@@ -265,76 +360,47 @@ impl ToRow for BatchPoint {
     }
 }
 
-/// One independent simulation job of the Fig. 12b sweep.
-#[derive(Debug, Clone)]
-pub struct BatchSpec {
-    base: SystemConfig,
-    pim: SystemConfig,
-    net: Network,
-}
+/// [`SweepFamily`] for the Fig. 12b minibatch sweep: batch 16/32/64 per
+/// network, one point per group.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchSize;
 
-impl BatchSpec {
-    /// This point's [`Workload`] shape (cost-model input only).
-    pub fn workload(&self) -> Workload {
-        (
-            self.net.total_params() as u64,
-            self.base.batch.unwrap_or(self.net.default_batch),
-            self.base.base_dram.channels.max(self.pim.base_dram.channels),
-        )
+impl SweepFamily for BatchSize {
+    type Spec = PairSpec;
+    type Out = BatchPoint;
+
+    const NAME: &'static str = "batch";
+
+    fn groups(nets: &[Network], quick: QuickCaps) -> Vec<Vec<PairSpec>> {
+        let mut out = Vec::new();
+        for net in nets {
+            for batch in [16usize, 32, 64] {
+                out.push(vec![PairSpec::new(net, quick, |c| c.batch = Some(batch))]);
+            }
+        }
+        out
     }
 
-    /// Simulates this point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`PhaseError`] from either simulation.
-    pub fn run(&self) -> Result<BatchPoint, PhaseError> {
-        let tb = TrainingSim::new(self.base.clone()).run(&self.net)?;
-        let tp = TrainingSim::new(self.pim.clone()).run(&self.net)?;
+    fn schema() -> Schema {
+        BatchPoint::schema()
+    }
+
+    fn run_spec(spec: &PairSpec) -> Result<BatchPoint, PhaseError> {
+        let (tb, tp) = spec.run()?;
         Ok(BatchPoint {
-            network: self.net.name.clone(),
-            batch: self.base.batch.expect("batch sweep sets an explicit batch"),
-            speedup_pct: tb.total_time_ns() / tp.total_time_ns() * 100.0,
+            network: spec.net.name.clone(),
+            batch: tb.batch,
+            speedup_pct: speedup_pct(&tb, &tp),
         })
     }
-}
 
-/// Enumerates the Fig. 12b sweep points (batch 16/32/64 per network).
-pub fn batch_specs(nets: &[Network], quick: QuickCaps) -> Vec<BatchSpec> {
-    let mut out = Vec::new();
-    for net in nets {
-        for batch in [16usize, 32, 64] {
-            let (mut base, mut pim) = design_pair(quick);
-            for c in [&mut base, &mut pim] {
-                c.batch = Some(batch);
-            }
-            out.push(BatchSpec { base, pim, net: net.clone() });
-        }
+    fn workload(spec: &PairSpec) -> Workload {
+        spec.workload()
     }
-    out
-}
 
-/// Fig. 12b: speedup vs minibatch size (16/32/64).
-///
-/// Deprecated thin wrapper: prefer the [`BatchSize`] family's
-/// [`SweepFamily`] surface.
-///
-/// # Errors
-///
-/// Propagates the first [`PhaseError`] from any simulated point.
-pub fn batch_sweep(nets: &[Network], quick: QuickCaps) -> Result<Vec<BatchPoint>, PhaseError> {
-    BatchSize::specs(nets, quick).iter().map(BatchSpec::run).collect()
-}
-
-/// Fig. 12b as a structured [`Report`] (same points, tabular form).
-///
-/// Deprecated thin wrapper: prefer [`BatchSize`]'s [`SweepFamily::report`].
-///
-/// # Errors
-///
-/// Propagates the first [`PhaseError`] from any simulated point.
-pub fn batch_report(nets: &[Network], quick: QuickCaps) -> Result<Report, PhaseError> {
-    BatchSize::report(nets, quick)
+    fn group_rows(_group: &[PairSpec], outs: Vec<BatchPoint>) -> Vec<SweepRow> {
+        outs.iter().map(ToRow::row).collect()
+    }
 }
 
 /// One row of the Fig. 12c/d precision sweep.
@@ -370,81 +436,49 @@ impl ToRow for PrecisionPoint {
     }
 }
 
-/// One independent simulation job of the Fig. 12c/d sweep.
-#[derive(Debug, Clone)]
-pub struct PrecisionSpec {
-    base: SystemConfig,
-    pim: SystemConfig,
-    net: Network,
-}
+/// [`SweepFamily`] for the Fig. 12c/d precision sweep: every precision mix
+/// per network, each point relative to the no-PIM baseline *at the same
+/// precision* (the paper's definition). One point per group.
+#[derive(Debug, Clone, Copy)]
+pub struct Precision;
 
-impl PrecisionSpec {
-    /// This point's [`Workload`] shape (cost-model input only).
-    pub fn workload(&self) -> Workload {
-        (
-            self.net.total_params() as u64,
-            self.base.batch.unwrap_or(self.net.default_batch),
-            self.base.base_dram.channels.max(self.pim.base_dram.channels),
-        )
+impl SweepFamily for Precision {
+    type Spec = PairSpec;
+    type Out = PrecisionPoint;
+
+    const NAME: &'static str = "precision";
+
+    fn groups(nets: &[Network], quick: QuickCaps) -> Vec<Vec<PairSpec>> {
+        let mut out = Vec::new();
+        for net in nets {
+            for mix in PrecisionMix::ALL {
+                out.push(vec![PairSpec::new(net, quick, |c| c.mix = mix)]);
+            }
+        }
+        out
     }
 
-    /// Simulates this point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`PhaseError`] from either simulation.
-    pub fn run(&self) -> Result<PrecisionPoint, PhaseError> {
-        let tb = TrainingSim::new(self.base.clone()).run(&self.net)?;
-        let tp = TrainingSim::new(self.pim.clone()).run(&self.net)?;
+    fn schema() -> Schema {
+        PrecisionPoint::schema()
+    }
+
+    fn run_spec(spec: &PairSpec) -> Result<PrecisionPoint, PhaseError> {
+        let (tb, tp) = spec.run()?;
         Ok(PrecisionPoint {
-            network: self.net.name.clone(),
-            mix: self.base.mix,
-            speedup_pct: tb.total_time_ns() / tp.total_time_ns() * 100.0,
+            network: spec.net.name.clone(),
+            mix: spec.base.mix,
+            speedup_pct: speedup_pct(&tb, &tp),
             energy_pct: tp.energy().total_pj() / tb.energy().total_pj() * 100.0,
         })
     }
-}
 
-/// Enumerates the Fig. 12c/d sweep points (every precision mix per network).
-pub fn precision_specs(nets: &[Network], quick: QuickCaps) -> Vec<PrecisionSpec> {
-    let mut out = Vec::new();
-    for net in nets {
-        for mix in PrecisionMix::ALL {
-            let (mut base, mut pim) = design_pair(quick);
-            for c in [&mut base, &mut pim] {
-                c.mix = mix;
-            }
-            out.push(PrecisionSpec { base, pim, net: net.clone() });
-        }
+    fn workload(spec: &PairSpec) -> Workload {
+        spec.workload()
     }
-    out
-}
 
-/// Fig. 12c/d: speedup and energy vs precision mix, each relative to the
-/// no-PIM baseline *at the same precision* (the paper's definition).
-///
-/// Deprecated thin wrapper: prefer the [`Precision`] family's
-/// [`SweepFamily`] surface.
-///
-/// # Errors
-///
-/// Propagates the first [`PhaseError`] from any simulated point.
-pub fn precision_sweep(
-    nets: &[Network],
-    quick: QuickCaps,
-) -> Result<Vec<PrecisionPoint>, PhaseError> {
-    Precision::specs(nets, quick).iter().map(PrecisionSpec::run).collect()
-}
-
-/// Fig. 12c/d as a structured [`Report`] (same points, tabular form).
-///
-/// Deprecated thin wrapper: prefer [`Precision`]'s [`SweepFamily::report`].
-///
-/// # Errors
-///
-/// Propagates the first [`PhaseError`] from any simulated point.
-pub fn precision_report(nets: &[Network], quick: QuickCaps) -> Result<Report, PhaseError> {
-    Precision::report(nets, quick)
+    fn group_rows(_group: &[PairSpec], outs: Vec<PrecisionPoint>) -> Vec<SweepRow> {
+        outs.iter().map(ToRow::row).collect()
+    }
 }
 
 /// One point of the Fig. 13 layer-characterization scatter.
@@ -480,198 +514,17 @@ impl ToRow for LayerPoint {
     }
 }
 
-/// One independent simulation job of the Fig. 13 scatter (a single-layer
-/// "network").
+/// One job of the Fig. 13 scatter: a [`PairSpec`] whose network is a
+/// single layer of `network`.
 #[derive(Debug, Clone)]
 pub struct LayerSpec {
-    base: SystemConfig,
-    pim: SystemConfig,
     network: String,
-    layer: String,
-    ratio: f64,
-    single: Network,
+    pair: PairSpec,
 }
 
-impl LayerSpec {
-    /// This point's [`Workload`] shape (cost-model input only).
-    pub fn workload(&self) -> Workload {
-        (
-            self.single.total_params() as u64,
-            self.base.batch.unwrap_or(self.single.default_batch),
-            self.base.base_dram.channels.max(self.pim.base_dram.channels),
-        )
-    }
-
-    /// Simulates this point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`PhaseError`] from either simulation.
-    pub fn run(&self) -> Result<LayerPoint, PhaseError> {
-        let tb = TrainingSim::new(self.base.clone()).run(&self.single)?;
-        let tp = TrainingSim::new(self.pim.clone()).run(&self.single)?;
-        Ok(LayerPoint {
-            network: self.network.clone(),
-            layer: self.layer.clone(),
-            ratio: self.ratio,
-            speedup_pct: tb.total_time_ns() / tp.total_time_ns() * 100.0,
-        })
-    }
-}
-
-/// Enumerates the Fig. 13 scatter points (every parameterized layer of
-/// every network, simulated as its own single-layer network).
-pub fn layer_specs(nets: &[Network], quick: QuickCaps) -> Vec<LayerSpec> {
-    let mut out = Vec::new();
-    for net in nets {
-        for layer in &net.layers {
-            if !layer.has_params() {
-                continue;
-            }
-            let single = Network {
-                name: format!("{}:{}", net.name, layer.name),
-                layers: vec![Layer::clone(layer)],
-                default_batch: net.default_batch,
-            };
-            let (base, pim) = design_pair(quick);
-            out.push(LayerSpec {
-                base,
-                pim,
-                network: net.name.clone(),
-                layer: layer.name.clone(),
-                ratio: layer.weight_activation_ratio(),
-                single,
-            });
-        }
-    }
-    out
-}
-
-/// Fig. 13: per-layer speedup vs weight/activation ratio. Each layer is
-/// simulated as its own single-layer "network".
-///
-/// Deprecated thin wrapper: prefer the [`LayerScatter`] family's
-/// [`SweepFamily`] surface.
-///
-/// # Errors
-///
-/// Propagates the first [`PhaseError`] from any simulated point.
-pub fn layer_scatter(nets: &[Network], quick: QuickCaps) -> Result<Vec<LayerPoint>, PhaseError> {
-    LayerScatter::specs(nets, quick).iter().map(LayerSpec::run).collect()
-}
-
-/// Fig. 13 as a structured [`Report`] (same points, tabular form).
-///
-/// Deprecated thin wrapper: prefer [`LayerScatter`]'s
-/// [`SweepFamily::report`].
-///
-/// # Errors
-///
-/// Propagates the first [`PhaseError`] from any simulated point.
-pub fn layer_report(nets: &[Network], quick: QuickCaps) -> Result<Report, PhaseError> {
-    LayerScatter::report(nets, quick)
-}
-
-/// [`SweepFamily`] for the Fig. 12a ops/bandwidth sweep. Each group is a
-/// single sweep point; a multi-network input chains each network's
-/// memory-major enumeration.
-#[derive(Debug, Clone, Copy)]
-pub struct OpsBandwidth;
-
-impl SweepFamily for OpsBandwidth {
-    type Spec = OpsBwSpec;
-    type Out = OpsBwPoint;
-
-    const NAME: &'static str = "ops-bandwidth";
-
-    fn groups(nets: &[Network], quick: QuickCaps) -> Vec<Vec<OpsBwSpec>> {
-        nets.iter()
-            .flat_map(|net| ops_bandwidth_specs(net, quick).into_iter().map(|s| vec![s]))
-            .collect()
-    }
-
-    fn schema() -> Schema {
-        OpsBwPoint::schema()
-    }
-
-    fn run_spec(spec: &OpsBwSpec) -> Result<OpsBwPoint, PhaseError> {
-        spec.run()
-    }
-
-    fn workload(spec: &OpsBwSpec) -> Workload {
-        spec.workload()
-    }
-
-    fn group_rows(_group: &[OpsBwSpec], outs: Vec<OpsBwPoint>) -> Vec<SweepRow> {
-        outs.iter().map(ToRow::row).collect()
-    }
-}
-
-/// [`SweepFamily`] for the Fig. 12b minibatch sweep (one point per group).
-#[derive(Debug, Clone, Copy)]
-pub struct BatchSize;
-
-impl SweepFamily for BatchSize {
-    type Spec = BatchSpec;
-    type Out = BatchPoint;
-
-    const NAME: &'static str = "batch";
-
-    fn groups(nets: &[Network], quick: QuickCaps) -> Vec<Vec<BatchSpec>> {
-        batch_specs(nets, quick).into_iter().map(|s| vec![s]).collect()
-    }
-
-    fn schema() -> Schema {
-        BatchPoint::schema()
-    }
-
-    fn run_spec(spec: &BatchSpec) -> Result<BatchPoint, PhaseError> {
-        spec.run()
-    }
-
-    fn workload(spec: &BatchSpec) -> Workload {
-        spec.workload()
-    }
-
-    fn group_rows(_group: &[BatchSpec], outs: Vec<BatchPoint>) -> Vec<SweepRow> {
-        outs.iter().map(ToRow::row).collect()
-    }
-}
-
-/// [`SweepFamily`] for the Fig. 12c/d precision sweep (one point per
-/// group).
-#[derive(Debug, Clone, Copy)]
-pub struct Precision;
-
-impl SweepFamily for Precision {
-    type Spec = PrecisionSpec;
-    type Out = PrecisionPoint;
-
-    const NAME: &'static str = "precision";
-
-    fn groups(nets: &[Network], quick: QuickCaps) -> Vec<Vec<PrecisionSpec>> {
-        precision_specs(nets, quick).into_iter().map(|s| vec![s]).collect()
-    }
-
-    fn schema() -> Schema {
-        PrecisionPoint::schema()
-    }
-
-    fn run_spec(spec: &PrecisionSpec) -> Result<PrecisionPoint, PhaseError> {
-        spec.run()
-    }
-
-    fn workload(spec: &PrecisionSpec) -> Workload {
-        spec.workload()
-    }
-
-    fn group_rows(_group: &[PrecisionSpec], outs: Vec<PrecisionPoint>) -> Vec<SweepRow> {
-        outs.iter().map(ToRow::row).collect()
-    }
-}
-
-/// [`SweepFamily`] for the Fig. 13 layer-characterization scatter (one
-/// single-layer point per group).
+/// [`SweepFamily`] for the Fig. 13 layer-characterization scatter: every
+/// parameterized layer of every network, simulated as its own
+/// single-layer network. One point per group.
 #[derive(Debug, Clone, Copy)]
 pub struct LayerScatter;
 
@@ -682,7 +535,19 @@ impl SweepFamily for LayerScatter {
     const NAME: &'static str = "layer-scatter";
 
     fn groups(nets: &[Network], quick: QuickCaps) -> Vec<Vec<LayerSpec>> {
-        layer_specs(nets, quick).into_iter().map(|s| vec![s]).collect()
+        let mut out = Vec::new();
+        for net in nets {
+            for layer in net.layers.iter().filter(|l| l.has_params()) {
+                let single = Network {
+                    name: format!("{}:{}", net.name, layer.name),
+                    layers: vec![Layer::clone(layer)],
+                    default_batch: net.default_batch,
+                };
+                let pair = PairSpec::new(&single, quick, |_| {});
+                out.push(vec![LayerSpec { network: net.name.clone(), pair }]);
+            }
+        }
+        out
     }
 
     fn schema() -> Schema {
@@ -690,11 +555,19 @@ impl SweepFamily for LayerScatter {
     }
 
     fn run_spec(spec: &LayerSpec) -> Result<LayerPoint, PhaseError> {
-        spec.run()
+        let (tb, tp) = spec.pair.run()?;
+        // `groups` builds every single-layer network with exactly one layer.
+        let layer = &spec.pair.net.layers[0];
+        Ok(LayerPoint {
+            network: spec.network.clone(),
+            layer: layer.name.clone(),
+            ratio: layer.weight_activation_ratio(),
+            speedup_pct: speedup_pct(&tb, &tp),
+        })
     }
 
     fn workload(spec: &LayerSpec) -> Workload {
-        spec.workload()
+        spec.pair.workload()
     }
 
     fn group_rows(_group: &[LayerSpec], outs: Vec<LayerPoint>) -> Vec<SweepRow> {
@@ -702,18 +575,139 @@ impl SweepFamily for LayerScatter {
     }
 }
 
+/// The node counts of the Fig. 14 scaling study.
+pub const FIG14_NODES: [usize; 4] = [1, 2, 4, 8];
+
+/// One row of a Fig. 14-style node-scaling study.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScalingRow {
+    /// Network under training.
+    pub network: String,
+    /// Data-parallel node count.
+    pub nodes: usize,
+    /// Baseline distributed step.
+    pub baseline: DistReport,
+    /// GradPIM-BD distributed step.
+    pub gradpim: DistReport,
+}
+
+impl ScalingRow {
+    /// Whole-step speedup of GradPIM-BD over the baseline at this node
+    /// count.
+    pub fn speedup(&self) -> f64 {
+        self.baseline.total_ns() / self.gradpim.total_ns()
+    }
+}
+
+impl ToRow for ScalingRow {
+    fn schema() -> Schema {
+        Schema::new([
+            ("network", Kind::Str),
+            ("nodes", Kind::Int),
+            ("base_fwdbwd_ns", Kind::Float),
+            ("base_comm_ns", Kind::Float),
+            ("base_update_ns", Kind::Float),
+            ("pim_fwdbwd_ns", Kind::Float),
+            ("pim_comm_ns", Kind::Float),
+            ("pim_update_ns", Kind::Float),
+            ("speedup", Kind::Float),
+        ])
+    }
+
+    fn row(&self) -> SweepRow {
+        SweepRow::new([
+            self.network.as_str().into(),
+            self.nodes.into(),
+            self.baseline.fwdbwd_ns.into(),
+            self.baseline.comm_ns.into(),
+            self.baseline.update_ns.into(),
+            self.gradpim.fwdbwd_ns.into(),
+            self.gradpim.comm_ns.into(),
+            self.gradpim.update_ns.into(),
+            self.speedup().into(),
+        ])
+    }
+}
+
+/// [`SweepFamily`] for the Fig. 14 node-scaling study: one row group per
+/// (network, node count of [`FIG14_NODES`]) — a (baseline, GradPIM-BD)
+/// [`DistSpec`] pair folding into a single [`ScalingRow`].
+#[derive(Debug, Clone, Copy)]
+pub struct Scaling;
+
+impl SweepFamily for Scaling {
+    type Spec = DistSpec;
+    type Out = DistReport;
+
+    const NAME: &'static str = "scaling";
+
+    fn groups(nets: &[Network], quick: QuickCaps) -> Vec<Vec<DistSpec>> {
+        let mut out = Vec::new();
+        for net in nets {
+            for nodes in FIG14_NODES {
+                let dist = DistConfig { nodes, ..DistConfig::paper_default() };
+                let spec = |design| {
+                    let mut sys = SystemConfig::new(design);
+                    sys.apply_quick(quick);
+                    DistSpec { sys, net: net.clone(), dist }
+                };
+                out.push(vec![spec(Design::Baseline), spec(Design::GradPimBuffered)]);
+            }
+        }
+        out
+    }
+
+    fn schema() -> Schema {
+        ScalingRow::schema()
+    }
+
+    fn run_spec(spec: &DistSpec) -> Result<DistReport, PhaseError> {
+        spec.run()
+    }
+
+    fn workload(spec: &DistSpec) -> Workload {
+        spec.workload()
+    }
+
+    fn rows_per_group(group: &[DistSpec]) -> usize {
+        group.len() / 2
+    }
+
+    fn group_rows(group: &[DistSpec], outs: Vec<DistReport>) -> Vec<SweepRow> {
+        group
+            .chunks_exact(2)
+            .zip(outs.chunks_exact(2))
+            .map(|(pair, reports)| {
+                ScalingRow {
+                    network: pair[0].net.name.clone(),
+                    nodes: pair[0].dist.nodes,
+                    baseline: reports[0],
+                    gradpim: reports[1],
+                }
+                .row()
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::distributed_step;
+    use crate::report::Value;
     use gradpim_workloads::models;
 
     const QUICK: QuickCaps = Some((1500, 20_000));
 
+    /// Every typed point of family `F` on `nets`, in figure order.
+    fn points<F: SweepFamily>(nets: &[Network]) -> Vec<F::Out> {
+        F::specs(nets, QUICK).iter().map(F::run_spec).collect::<Result<_, _>>().unwrap()
+    }
+
     #[test]
     fn batch_sweep_smaller_batches_gain_more() {
         // Fig. 12b: "smaller batch size leads to higher speedup".
-        let nets = [models::resnet18()];
-        let pts = batch_sweep(&nets, QUICK).unwrap();
+        let pts = points::<BatchSize>(&[models::resnet18()]);
         let s16 = pts.iter().find(|p| p.batch == 16).unwrap().speedup_pct;
         let s64 = pts.iter().find(|p| p.batch == 64).unwrap().speedup_pct;
         assert!(s16 > s64, "batch16 {s16} vs batch64 {s64}");
@@ -722,8 +716,7 @@ mod tests {
     #[test]
     fn precision_sweep_all_mixes_gain() {
         // Fig. 12c: 8/16, 16/32, 32/32 still provide meaningful speedups.
-        let nets = [models::mlp()];
-        let pts = precision_sweep(&nets, QUICK).unwrap();
+        let pts = points::<Precision>(&[models::mlp()]);
         assert_eq!(pts.len(), 4);
         for p in &pts {
             assert!(p.speedup_pct > 110.0, "{} gains only {}", p.mix, p.speedup_pct);
@@ -739,21 +732,20 @@ mod tests {
     fn layer_scatter_correlates_ratio_with_speedup() {
         // Fig. 13: "a clear correlation between the weight/activation ratio
         // and the speedup".
-        let nets = [models::resnet18()];
-        let pts = layer_scatter(&nets, QUICK).unwrap();
+        let pts = points::<LayerScatter>(&[models::resnet18()]);
         let lo: Vec<&LayerPoint> = pts.iter().filter(|p| p.ratio < 1.0).collect();
         let hi: Vec<&LayerPoint> = pts.iter().filter(|p| p.ratio > 10.0).collect();
         assert!(!lo.is_empty() && !hi.is_empty());
         let avg = |v: &[&LayerPoint]| v.iter().map(|p| p.speedup_pct).sum::<f64>() / v.len() as f64;
         assert!(avg(&hi) > avg(&lo) + 20.0, "hi {} lo {}", avg(&hi), avg(&lo));
+        assert!(pts.iter().all(|p| p.network == "ResNet18"), "rows name the whole network");
     }
 
     #[test]
     fn reports_are_tabular_views_of_points() {
-        use crate::report::Value;
         let nets = [models::mlp()];
-        let pts = batch_sweep(&nets, QUICK).unwrap();
-        let rep = batch_report(&nets, QUICK).unwrap();
+        let pts = points::<BatchSize>(&nets);
+        let rep = BatchSize::report(&nets, QUICK).unwrap();
         assert_eq!(rep.rows.len(), pts.len());
         let names: Vec<&str> = rep.schema.columns.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["network", "batch", "speedup_pct"]);
@@ -765,51 +757,109 @@ mod tests {
 
     #[test]
     fn specs_enumerate_in_figure_order() {
-        let net = models::mlp();
-        let specs = ops_bandwidth_specs(&net, QUICK);
-        // 3 memory presets × 4 MAC dims, memory-major.
+        let specs = OpsBandwidth::specs(&[models::mlp()], QUICK);
+        // 3 memory presets × 4 MAC dims, memory-major, one point per group.
         assert_eq!(specs.len(), 12);
+        assert_eq!(OpsBandwidth::groups(&[models::mlp()], QUICK).len(), 12);
         assert_eq!(specs[0].base.base_dram.name, specs[3].base.base_dram.name);
         assert_ne!(specs[0].base.base_dram.name, specs[4].base.base_dram.name);
         let nets = [models::mlp(), models::resnet18()];
-        assert_eq!(batch_specs(&nets, QUICK).len(), 6);
-        assert_eq!(precision_specs(&nets, QUICK).len(), 8);
+        assert_eq!(BatchSize::specs(&nets, QUICK).len(), 6);
+        assert_eq!(Precision::specs(&nets, QUICK).len(), 8);
         // Quick caps propagate to both systems of every pair.
-        for s in batch_specs(&nets, QUICK) {
+        for s in BatchSize::specs(&nets, QUICK) {
             assert_eq!(s.base.max_sim_bursts, 1500);
             assert_eq!(s.pim.max_sim_params, 20_000);
         }
     }
 
     #[test]
-    fn family_surface_matches_the_free_functions() {
-        // The trait is the canonical surface; the free wrappers and the
-        // trait must agree on enumeration, schema, and (byte-identical)
-        // simulated rows.
-        let nets = [models::mlp()];
-        assert_eq!(BatchSize::specs(&nets, QUICK).len(), batch_specs(&nets, QUICK).len());
-        assert_eq!(OpsBandwidth::groups(&nets, QUICK).len(), 12, "one group per sweep point");
-        assert_eq!(BatchSize::schema(), BatchPoint::schema());
-        let via_trait = BatchSize::report(&nets, QUICK).unwrap();
-        let via_points = Report::from_points(&batch_sweep(&nets, QUICK).unwrap());
-        assert_eq!(via_trait, via_points);
-        // Groups carry exactly the rows the report shows, in figure order.
-        let groups = LayerScatter::groups(&nets, QUICK);
-        let rows: usize = groups.iter().map(|g| LayerScatter::rows_per_group(g)).sum();
-        assert_eq!(rows, LayerScatter::report(&nets, QUICK).unwrap().rows.len());
-    }
-
-    #[test]
     fn workloads_reflect_spec_shape() {
-        let nets = [models::mlp()];
-        let specs = batch_specs(&nets, QUICK);
+        let specs = BatchSize::specs(&[models::mlp()], QUICK);
         let (params, batch, channels) = specs[0].workload();
         assert_eq!(params, models::mlp().total_params() as u64);
         assert_eq!(batch, 16, "batch sweep's first point sets batch 16");
         assert!(channels >= 1);
         // Layer points report the single layer's parameters, not the net's.
-        let layers = layer_specs(&[models::resnet18()], QUICK);
-        let total: u64 = layers.iter().map(|s| s.workload().0).sum();
+        let layers = LayerScatter::specs(&[models::resnet18()], QUICK);
+        let total: u64 = layers.iter().map(|s| LayerScatter::workload(s).0).sum();
         assert_eq!(total, models::resnet18().total_params() as u64);
+    }
+
+    #[test]
+    fn design_space_orders_network_major() {
+        let nets = [models::mlp(), models::resnet18()];
+        let groups = DesignSpace::groups(&nets, QUICK);
+        assert_eq!(groups.len(), nets.len(), "one group per network");
+        for (group, net) in groups.iter().zip(&nets) {
+            let designs: Vec<Design> = group.iter().map(|(cfg, _)| cfg.design).collect();
+            assert_eq!(designs, Design::ALL);
+            assert!(group.iter().all(|(_, n)| n.name == net.name));
+        }
+        let base = DesignSpace::run_spec(&groups[0][0]).unwrap();
+        let bd = groups[0].iter().find(|(cfg, _)| cfg.design == Design::GradPimBuffered).unwrap();
+        let bd = DesignSpace::run_spec(bd).unwrap();
+        assert!(base.report.total_time_ns() > bd.report.total_time_ns());
+    }
+
+    #[test]
+    fn design_space_family_matches_the_report_path() {
+        // Each row's speedup is the group's baseline time over the row's.
+        let nets = [models::mlp()];
+        let rep = DesignSpace::report(&nets, QUICK).unwrap();
+        let pts = points::<DesignSpace>(&nets);
+        assert_eq!(rep.rows.len(), Design::ALL.len());
+        let base_ns = pts[0].report.total_time_ns();
+        for (row, p) in rep.rows.iter().zip(&pts) {
+            assert_eq!(row.values[1], Value::Str(p.design.to_string()));
+            assert_eq!(row.values[4], Value::Float(p.report.total_time_ns()));
+            assert_eq!(row.values[5], Value::Float(base_ns / p.report.total_time_ns()));
+        }
+        let layout: Vec<usize> = DesignSpace::groups(&nets, QUICK)
+            .iter()
+            .map(|g| DesignSpace::rows_per_group(g))
+            .collect();
+        assert_eq!(layout, vec![Design::ALL.len()]);
+    }
+
+    #[test]
+    fn scaling_family_matches_distributed_scaling() {
+        let net = models::mlp();
+        let nets = [net.clone()];
+        let rep = Scaling::report(&nets, QUICK).unwrap();
+        assert_eq!(rep.rows.len(), FIG14_NODES.len());
+        for (row, nodes) in rep.rows.iter().zip(FIG14_NODES) {
+            let dist = DistConfig { nodes, ..DistConfig::paper_default() };
+            let step = |design| {
+                let mut sys = SystemConfig::new(design);
+                sys.apply_quick(QUICK);
+                distributed_step(&sys, &net, &dist).unwrap()
+            };
+            let direct = ScalingRow {
+                network: net.name.clone(),
+                nodes,
+                baseline: step(Design::Baseline),
+                gradpim: step(Design::GradPimBuffered),
+            };
+            assert_eq!(*row, direct.row(), "nodes={nodes}");
+        }
+        let layout: Vec<usize> =
+            Scaling::groups(&nets, QUICK).iter().map(|g| Scaling::rows_per_group(g)).collect();
+        assert_eq!(layout, vec![1; FIG14_NODES.len()]);
+    }
+
+    #[test]
+    fn distributed_scaling_rows_pair_up() {
+        let groups = Scaling::groups(&[models::mlp()], QUICK);
+        for (group, nodes) in groups.iter().zip(FIG14_NODES) {
+            let designs: Vec<Design> = group.iter().map(|s| s.sys.design).collect();
+            assert_eq!(designs, [Design::Baseline, Design::GradPimBuffered]);
+            assert!(group.iter().all(|s| s.dist.nodes == nodes));
+        }
+        let rep = Scaling::report(&[models::mlp()], QUICK).unwrap();
+        for row in &rep.rows {
+            let Value::Float(speedup) = row.values[8] else { panic!("speedup is a float") };
+            assert!(speedup > 1.0, "nodes={} speedup {speedup}", row.values[1]);
+        }
     }
 }

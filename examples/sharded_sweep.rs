@@ -21,7 +21,7 @@ fn main() {
         Some((4 * 1024, 32 * 1024)), // quick traffic caps
         Some(vec!["MLP1".into(), "ResNet18".into()]),
     );
-    let engine = Engine::from_env();
+    let engine = Engine::from_env_with(&mut |m: &str| eprintln!("sharded_sweep: {m}"));
 
     // The reference: the whole spec in one run.
     let whole = spec.run(&engine).expect("unsharded run");

@@ -9,13 +9,15 @@
 //! constants recorded before the controller's issue-selection caches
 //! existed. A digest that moves means the simulated model changed.
 //!
-//! Two layers are covered:
+//! Three layers are covered:
 //! * `PhaseResult::to_bits_string()` of the phase executors: stream,
 //!   baseline update, PIM kernels and AoS-PB on every `Design` view of
 //!   DDR4-2133, plus stream and PIM kernels on the other presets.
 //! * The command trace, `Stats` and completions of mixed read/write/PIM
 //!   traffic idled across a refresh window, at power-down 16/64/off, in
 //!   Direct and PerRankBuffered issue modes.
+//! * The report JSON of every experiment on `MLP1`, which pins the sweep
+//!   families' enumeration and row arithmetic above the phase layer.
 //!
 //! The DDR4-2133 stream and PIM-kernel probes also bound the controller's
 //! work per issued command, read from the `phase.<ctx>.dram.*` counters.
@@ -391,6 +393,40 @@ fn phase_results_match_golden_digests() {
         })
         .collect();
     check("phase", &actual, PHASE_GOLDEN);
+}
+
+// ---------------------------------------------------------------------------
+// Experiment layer
+// ---------------------------------------------------------------------------
+
+/// Digests of `report::to_json` for every experiment on `MLP1` at caps
+/// `(1500, 20_000)`, recorded before the sweep families moved into one
+/// module.
+const EXPERIMENT_GOLDEN: &[(&str, u64)] = &[
+    ("fig09", 0xd7b4d680755a5336),
+    ("fig12a", 0xf2d8a88382c7eda5),
+    ("fig12b", 0x3b854dceb92d97d5),
+    ("fig12c", 0xea4c659e071f0418),
+    ("fig13", 0x95cff1e236e3a12b),
+    ("fig14", 0x8dfd1b7643a35f5e),
+];
+
+#[test]
+fn experiment_reports_match_golden_digests() {
+    use gradpim::engine::serialize::{Experiment, ExperimentSpec};
+    use gradpim::engine::{report, Engine};
+    let _serial = PHASES.lock().unwrap_or_else(PoisonError::into_inner);
+    let engine = Engine::sequential();
+    let actual: Vec<(String, u64)> = Experiment::ALL
+        .into_iter()
+        .map(|experiment| {
+            let spec =
+                ExperimentSpec::new(experiment, Some((1500, 20_000)), Some(vec!["MLP1".into()]));
+            let json = report::to_json(&spec.run(&engine).unwrap());
+            (experiment.name().to_string(), fnv1a(json.as_bytes()))
+        })
+        .collect();
+    check("experiment", &actual, EXPERIMENT_GOLDEN);
 }
 
 #[test]

@@ -318,35 +318,35 @@ fn adam_requires_extended_alu_device() {
     assert!(matches!(err, gradpim::core::GradPimError::Kernel(_)));
 }
 
-/// The parallel execution engine produces bit-identical sweep results to
-/// the sequential path, in the same order, across every sweep family —
-/// sweep points share no state, so only the wall clock may differ.
+/// The parallel execution engine produces bit-identical reports to the
+/// sequential path, in the same order, for every experiment — sweep
+/// points share no state, so only the wall clock may differ — and the
+/// sequential run is the family's own `SweepFamily::report`.
 #[test]
 fn engine_sweeps_match_sequential_exactly() {
-    use gradpim::engine::{sweeps as par, Engine};
-    use gradpim::sim::sweeps as seq;
+    use gradpim::engine::serialize::{Experiment, ExperimentSpec};
+    use gradpim::engine::Engine;
+    use gradpim::sim::sweeps::{
+        BatchSize, DesignSpace, LayerScatter, OpsBandwidth, Precision, Scaling, SweepFamily,
+    };
 
     let quick = Some((1200, 16_000));
-    let nets = [models::mlp()];
-    let engine = Engine::new(3);
-
-    assert_eq!(
-        seq::batch_sweep(&nets, quick).unwrap(),
-        par::batch_sweep(&nets, quick, &engine).unwrap()
-    );
-    assert_eq!(
-        seq::precision_sweep(&nets, quick).unwrap(),
-        par::precision_sweep(&nets, quick, &engine).unwrap()
-    );
-    assert_eq!(
-        seq::layer_scatter(&nets, quick).unwrap(),
-        par::layer_scatter(&nets, quick, &engine).unwrap()
-    );
-    // And the sequential-engine fallback is the same code path end to end.
-    assert_eq!(
-        seq::batch_sweep(&nets, quick).unwrap(),
-        par::batch_sweep(&nets, quick, &Engine::sequential()).unwrap()
-    );
+    let (threaded, sequential) = (Engine::new(3), Engine::sequential());
+    for experiment in Experiment::ALL {
+        let spec = ExperimentSpec::new(experiment, quick, Some(vec!["MLP1".into()]));
+        let seq = spec.run(&sequential).unwrap();
+        assert_eq!(spec.run(&threaded).unwrap(), seq, "{experiment}: threaded diverged");
+        let nets = spec.resolve_networks().unwrap();
+        let family = match experiment {
+            Experiment::Fig09 => DesignSpace::report(&nets, quick),
+            Experiment::Fig12a => OpsBandwidth::report(&nets, quick),
+            Experiment::Fig12b => BatchSize::report(&nets, quick),
+            Experiment::Fig12c => Precision::report(&nets, quick),
+            Experiment::Fig13 => LayerScatter::report(&nets, quick),
+            Experiment::Fig14 => Scaling::report(&nets, quick),
+        };
+        assert_eq!(family.unwrap(), seq, "{experiment}: runner diverged from the family");
+    }
 }
 
 /// The structured-results pipeline end to end: a sweep spec that
@@ -358,13 +358,13 @@ fn engine_sweeps_match_sequential_exactly() {
 fn spec_pipeline_reproduces_in_process_numbers_bit_identically() {
     use gradpim::engine::serialize::{Experiment, ExperimentSpec};
     use gradpim::engine::{report, Engine};
+    use gradpim::sim::sweeps::{OpsBandwidth, SweepFamily};
 
     let quick = Some((1200, 16_000));
     let spec = ExperimentSpec::new(Experiment::Fig12a, quick, None);
     let spec = ExperimentSpec::from_json(&spec.to_json()).unwrap();
     let via_spec = spec.run(&Engine::sequential()).unwrap();
-    let direct =
-        gradpim::sim::sweeps::ops_bandwidth_report(&models::alphago_zero(), quick).unwrap();
+    let direct = OpsBandwidth::report(&[models::alphago_zero()], quick).unwrap();
     assert_eq!(via_spec, direct, "spec path diverged from the direct sweep");
     assert_eq!(spec.run(&Engine::new(4)).unwrap(), direct, "threaded engine diverged");
 
@@ -384,23 +384,30 @@ fn spec_pipeline_reproduces_in_process_numbers_bit_identically() {
 /// `distributed_step` calls, row by row.
 #[test]
 fn engine_distributed_scaling_matches_direct_steps() {
-    use gradpim::engine::{sweeps as par, Engine};
-    use gradpim::sim::{distributed_step, DistConfig};
+    use gradpim::engine::serialize::{Experiment, ExperimentSpec};
+    use gradpim::engine::Engine;
+    use gradpim::sim::sweeps::{ScalingRow, FIG14_NODES};
+    use gradpim::sim::{distributed_step, DistConfig, ToRow};
 
     let quick = Some((1200, 16_000));
     let net = models::mlp();
-    let rows = par::distributed_scaling(&net, &[2, 4], quick, &Engine::new(2)).unwrap();
-    for row in &rows {
+    let spec = ExperimentSpec::new(Experiment::Fig14, quick, Some(vec![net.name.clone()]));
+    let report = spec.run(&Engine::new(2)).unwrap();
+    assert_eq!(report.rows.len(), FIG14_NODES.len());
+    for (row, nodes) in report.rows.iter().zip(FIG14_NODES) {
         let mk = |design| {
             let mut sys = SystemConfig::new(design);
             sys.max_sim_bursts = 1200;
             sys.max_sim_params = 16_000;
             sys
         };
-        let dist = DistConfig { nodes: row.nodes, ..DistConfig::paper_default() };
-        let base = distributed_step(&mk(Design::Baseline), &net, &dist).unwrap();
-        let pim = distributed_step(&mk(Design::GradPimBuffered), &net, &dist).unwrap();
-        assert_eq!(row.baseline, base, "nodes={}", row.nodes);
-        assert_eq!(row.gradpim, pim, "nodes={}", row.nodes);
+        let dist = DistConfig { nodes, ..DistConfig::paper_default() };
+        let direct = ScalingRow {
+            network: net.name.clone(),
+            nodes,
+            baseline: distributed_step(&mk(Design::Baseline), &net, &dist).unwrap(),
+            gradpim: distributed_step(&mk(Design::GradPimBuffered), &net, &dist).unwrap(),
+        };
+        assert_eq!(*row, direct.row(), "nodes={nodes}");
     }
 }
