@@ -22,7 +22,7 @@ use crate::kernel::{compile_step_parts, KernelParts};
 use crate::placement::{ArrayName, Placement, PlacementError};
 
 /// Errors from the GradPIM memory facade.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GradPimError {
     /// Placement failed.
     Placement(PlacementError),

@@ -196,7 +196,9 @@ impl MemorySystem {
     /// channel (see [`Controller::next_event_cycle`]). Cycles strictly
     /// before it are provably no-op ticks.
     pub fn next_event_cycle(&mut self) -> u64 {
-        self.ctrls.iter_mut().map(Controller::next_event_cycle).min().expect("at least one channel")
+        // `build` validates at least one channel, so the fold's seed never
+        // survives.
+        self.ctrls.iter_mut().map(Controller::next_event_cycle).fold(u64::MAX, u64::min)
     }
 
     /// Fast-forwards every channel to `cycle` (keeping them in lockstep),

@@ -48,22 +48,28 @@
 //! shape — a cheap integrity gate for scripted pipelines; `check trace`
 //! and `check cache` do the same for trace files and cache stores.
 //!
+//! Every run simulates each distinct phase call of the experiment once
+//! (see [`ExperimentSpec::run`]), with or without a store.
+//!
 //! Caching: `--cache DIR` (or ambient `GRADPIM_CACHE`) attaches a
 //! content-addressed on-disk result store ([`gradpim_engine::cache`]).
-//! Row-group results and phase executor results are memoized under keys
-//! that capture the full workload shape, so a warm rerun is byte-identical
-//! to a cold one and a fully-cached `--shards N` run launches zero worker
-//! processes. `cache stats|clear|verify` inspect or reset the store.
+//! Row groups are stored under keys that capture their full inputs, and
+//! the distinct phase calls of the missed groups under their canonical
+//! `phase/v2/…` keys, each looked up once per run. A warm rerun is
+//! byte-identical to a cold one and a fully-cached `--shards N` run
+//! launches zero worker processes. `cache stats|clear|verify` inspect or
+//! reset the store.
 //!
 //! Observability: `--trace PATH` records spans across every layer (CLI
 //! stage → shard workers → scheduler → phase executors) and writes a
 //! Chrome-trace JSON loadable in Perfetto; with `--shards N` the workers
 //! ship their spans back piggybacked on the report protocol and the
 //! coordinator merges them onto one timeline. `--metrics PATH` writes the
-//! unified metrics registry (scheduler counters, per-phase histograms) as
-//! JSON. Both artifacts are emitted after — and entirely off — the report
-//! stream, and a traced run's report is byte-identical to an untraced
-//! one. `check trace` validates an emitted trace and prints its shape.
+//! unified metrics registry (scheduler counters, per-phase histograms
+//! with one observation per simulated distinct call) as JSON. Both
+//! artifacts are emitted after — and entirely off — the report stream,
+//! and a traced run's report is byte-identical to an untraced one.
+//! `check trace` validates an emitted trace and prints its shape.
 
 #![forbid(unsafe_code)]
 

@@ -14,12 +14,13 @@
 //!   group's rows as a self-contained report JSON document
 //!   ([`crate::report::to_json`]), schema-validated on the way back in.
 //!   Re-runs and overlapping sweeps only simulate groups never seen.
-//! * **Phases** — [`CacheMemo`] adapts a [`CacheBackend`] to
-//!   [`gradpim_sim::phase::PhaseMemo`], memoizing individual phase
-//!   executor results under their exact workload-shape keys with
-//!   bit-exact `f64::to_bits` round-tripping, so sweep points that
-//!   re-simulate identical per-layer phases collapse to their unique-work
-//!   core even across *different* group keys.
+//! * **Phases** — the runner plans the missed groups into
+//!   `gradpim_sim::PhaseCall`s, dedupes them by their canonical
+//!   `phase/v2/…` key ([`gradpim_sim::PhaseCall::key`]), and looks each
+//!   distinct call up once per run ([`load_phase`]); each call it
+//!   simulates is stored back from its lane as soon as it finishes
+//!   ([`store_phase`]), with bit-exact `f64::to_bits` round-tripping. Identical phases are thus shared even across
+//!   *different* group keys and across runs.
 //!
 //! Two backends: [`MemCache`] (in-process, for tests and one-shot reuse
 //! within a run) and [`DiskCache`] (content-addressed files under
@@ -29,8 +30,8 @@
 //! `cache.miss` counters and a `cache.lookup` span; stores record
 //! `cache.bytes`.
 //!
-//! Keys name a computation's *inputs* — the specs and workload shapes —
-//! but not the simulator code that computes it. For unchanged code a hit
+//! Keys name a computation's *inputs* — the specs and phase-call
+//! arguments — but not the simulator code that computes it. For unchanged code a hit
 //! substitutes for a re-computation of the very same simulation: values
 //! round-trip bit-exactly, and a key mismatch inside a [`DiskCache`]
 //! entry (hash collision, truncated write, foreign file) degrades to a
@@ -44,7 +45,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use gradpim_sim::phase::{PhaseMemo, PhaseResult};
+use gradpim_sim::phase::PhaseResult;
 use gradpim_sim::report::{Report, SweepRow};
 use gradpim_sim::sweeps::{QuickCaps, SweepFamily};
 
@@ -318,36 +319,23 @@ impl CacheBackend for DiskCache {
     }
 }
 
-/// Adapts a [`CacheBackend`] to the simulator's
-/// [`gradpim_sim::phase::PhaseMemo`] hook: phase results are
-/// stored under the executor's exact `phase/v1/...` key via the bit-exact
-/// [`PhaseResult::to_bits_string`] encoding. Installed around every job
-/// by [`crate::Engine::run`] and friends when the engine carries a cache.
-#[derive(Debug)]
-pub struct CacheMemo {
-    store: Arc<dyn CacheBackend>,
+/// Looks one phase result up in `store` under its call's key: a value
+/// that decodes bit-exactly ([`PhaseResult::from_bits_string`]) is a hit,
+/// anything else a miss. Records `cache.hit`/`cache.miss` and a
+/// `cache.lookup` span either way.
+pub fn load_phase(store: &dyn CacheBackend, key: &str) -> Option<PhaseResult> {
+    let _span = gradpim_obs::span("cache.lookup", "cache");
+    let hit = store.get(key).and_then(|v| PhaseResult::from_bits_string(&v));
+    gradpim_obs::counter_add(if hit.is_some() { "cache.hit" } else { "cache.miss" }, 1);
+    hit
 }
 
-impl CacheMemo {
-    /// A memo over `store`.
-    pub fn new(store: Arc<dyn CacheBackend>) -> Self {
-        Self { store }
-    }
-}
-
-impl PhaseMemo for CacheMemo {
-    fn get(&self, key: &str) -> Option<PhaseResult> {
-        let _span = gradpim_obs::span("cache.lookup", "cache");
-        let hit = self.store.get(key).and_then(|v| PhaseResult::from_bits_string(&v));
-        gradpim_obs::counter_add(if hit.is_some() { "cache.hit" } else { "cache.miss" }, 1);
-        hit
-    }
-
-    fn put(&self, key: &str, result: &PhaseResult) {
-        let value = result.to_bits_string();
-        gradpim_obs::counter_add("cache.bytes", value.len() as u64);
-        self.store.put(key, &value);
-    }
+/// Stores one freshly simulated phase result under its call's key as
+/// [`PhaseResult::to_bits_string`], recording `cache.bytes`.
+pub fn store_phase(store: &dyn CacheBackend, key: &str, result: &PhaseResult) {
+    let value = result.to_bits_string();
+    gradpim_obs::counter_add("cache.bytes", value.len() as u64);
+    store.put(key, &value);
 }
 
 /// The row-group cache key for one group of `F`'s specs: family name,
@@ -493,17 +481,16 @@ mod tests {
     }
 
     #[test]
-    fn cache_memo_round_trips_phase_results() {
-        let store: Arc<dyn CacheBackend> = Arc::new(MemCache::new());
-        let memo = CacheMemo::new(store.clone());
-        assert!(PhaseMemo::get(&memo, "phase/v1/test").is_none());
-        let result = PhaseResult { scale: 0.5, ..PhaseResult::default() };
-        PhaseMemo::put(&memo, "phase/v1/test", &result);
-        let back = PhaseMemo::get(&memo, "phase/v1/test").expect("stored result");
+    fn phase_entries_round_trip_bit_exactly() {
+        let store = MemCache::new();
+        assert!(load_phase(&store, "phase/v2/test").is_none());
+        let result = PhaseResult { scale: 0.5, time_ns: -0.0, ..PhaseResult::default() };
+        store_phase(&store, "phase/v2/test", &result);
+        let back = load_phase(&store, "phase/v2/test").expect("stored result");
         assert_eq!(back.to_bits_string(), result.to_bits_string());
         // A corrupted value degrades to a miss, not a panic or garbage.
-        store.put("phase/v1/test", "pr1 junk");
-        assert!(PhaseMemo::get(&memo, "phase/v1/test").is_none());
+        store.put("phase/v2/test", "pr1 junk");
+        assert!(load_phase(&store, "phase/v2/test").is_none());
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //! this crate runs them in parallel without changing a single simulated
 //! bit:
 //!
-//! * **Across simulations** — sweep and experiment points (Fig. 9,
-//!   12a–d, 13, 14) share no state. [`Engine::run`] fans them over the
-//!   scoped, ordered pool in [`sched`] with input-ordered results and
-//!   the lowest-indexed failure winning, exactly as a sequential run;
-//!   [`serialize::ExperimentSpec::run`] — the one sweep runner — drives
-//!   every `gradpim_sim::sweeps` family through it, seeding dispatch with
-//!   the [`sched::cost`] model so the heaviest points start first.
+//! * **Across simulations** — an experiment is a set of pure phase calls
+//!   (`gradpim_sim::PhaseCall`). [`serialize::ExperimentSpec::run`] — the
+//!   one sweep runner — plans every `gradpim_sim::sweeps` family's points
+//!   into calls, simulates each distinct call once, and assembles the
+//!   rows in figure order. [`Engine::run`] fans the distinct calls over
+//!   the scoped, ordered pool in [`sched`], with input-ordered results
+//!   and the lowest-indexed failure winning, exactly as a sequential run.
 //! * **Across processes** — the [`dist`] module splits one
 //!   [`serialize::ExperimentSpec`] into per-shard sub-specs, launches
 //!   worker processes (`gradpim-cli shard-worker`), retries crashed
@@ -63,16 +63,13 @@ pub mod trace;
 
 use std::sync::Arc;
 
-use gradpim_sim::phase::{with_phase_memo, PhaseMemo};
-
 use cache::CacheBackend;
 use sched::{Cancel, Counters, SchedStats};
 
 /// The parallel execution engine: a worker count, the batch counters,
-/// and an optional result cache ([`Engine::with_cache`]) that memoizes
-/// phase executions inside every job and row groups in
-/// [`serialize::ExperimentSpec::run`] — bit-identical results, less
-/// re-simulation.
+/// and an optional result cache ([`Engine::with_cache`]) that
+/// [`serialize::ExperimentSpec::run`] consults for row groups and distinct
+/// phase calls — bit-identical results, less re-simulation.
 #[derive(Debug)]
 pub struct Engine {
     threads: usize,
@@ -117,11 +114,12 @@ impl Engine {
         Self::new(threads)
     }
 
-    /// Attaches a result cache: every job run by this engine gets a
-    /// [`gradpim_sim::phase::PhaseMemo`] over `store` installed (phase
-    /// results served from / stored to the cache, bit-identically), and
-    /// [`serialize::ExperimentSpec::run`] additionally consults `store`
-    /// at row-group granularity. `GRADPIM_REFERENCE=1` bypasses the memo.
+    /// Attaches a result cache: [`serialize::ExperimentSpec::run`] looks
+    /// each row group up in `store`, then each distinct phase call of the
+    /// missed groups (once per run), and stores what it simulates —
+    /// bit-identically. Without a store the runner still simulates each
+    /// distinct call once per run. `GRADPIM_REFERENCE=1` bypasses the
+    /// store.
     #[must_use]
     pub fn with_cache(mut self, store: Arc<dyn CacheBackend>) -> Self {
         self.cache = Some(store);
@@ -148,10 +146,10 @@ impl Engine {
     /// results come back in input order, and the lowest-indexed failing
     /// job's error or panic wins — both independent of scheduling. Each
     /// job gets a [`Cancel`] handle it may poll to shed doomed tail work
-    /// after an earlier failure. `costs` (estimated cycles, see
-    /// [`sched::cost`]) seed longest-first dispatch; they change the wall
-    /// clock, never the results. While a job runs, the engine's phase
-    /// memo is installed when a cache is attached.
+    /// after an earlier failure. `costs` (relative job sizes) seed
+    /// longest-first dispatch; they change the wall clock, never the
+    /// results. Jobs run as given: the
+    /// engine adds no memo or store around them.
     ///
     /// # Errors
     ///
@@ -167,12 +165,7 @@ impl Engine {
         E: Send,
         F: Fn(usize, &T, &Cancel<'_>) -> Result<R, E> + Sync,
     {
-        let memo: Option<Arc<dyn PhaseMemo>> =
-            self.cache.as_ref().map(|c| Arc::new(cache::CacheMemo::new(c.clone())) as _);
-        sched::run_batch(self.threads, &self.counters, jobs, costs, |i, job, cancel| match &memo {
-            Some(m) => with_phase_memo(m.clone(), || f(i, job, cancel)),
-            None => f(i, job, cancel),
-        })
+        sched::run_batch(self.threads, &self.counters, jobs, costs, f)
     }
 }
 
@@ -288,7 +281,7 @@ mod tests {
     #[test]
     fn cached_engine_runs_are_bit_identical_and_fill_the_store() {
         if gradpim_sim::env::reference_mode() {
-            return; // reference mode bypasses the memo by design
+            return; // reference mode bypasses the store by design
         }
         use serialize::{Experiment, ExperimentSpec};
         let spec = ExperimentSpec::new(

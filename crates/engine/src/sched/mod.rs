@@ -1,7 +1,7 @@
 //! The engine's one parallel primitive: an ordered batch of independent
 //! jobs over a scoped pool of lanes.
 //!
-//! GradPIM's evaluation is a flat set of independent sweep points, so
+//! GradPIM's evaluation is a flat set of independent phase calls, so
 //! parallelism here is flat too. A parallel batch runs
 //! `min(threads, jobs)` lanes — the calling thread plus
 //! [`std::thread::scope`] threads spawned for this batch and joined before
@@ -25,12 +25,10 @@
 //!   caller, sequentially and fail-fast.
 //!
 //! The one freedom the contract leaves open is **dispatch order**: with
-//! per-job cost estimates (see [`cost`]) the lanes start the estimated-
-//! longest jobs first, so a heavy tail point never begins last. Results
-//! are collected in input order either way, so dispatch order is
-//! invisible in the output.
-
-pub mod cost;
+//! per-job cost estimates the lanes start the estimated-longest jobs
+//! first, so a heavy job never begins last. Results are collected
+//! in input order either way, so dispatch order is invisible in the
+//! output.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -77,8 +75,8 @@ impl Cancel<'static> {
 pub struct SchedStats {
     /// Batches executed on the parallel path.
     pub batches: u64,
-    /// Jobs executed on the parallel path (sweep points, shard launches,
-    /// …); the inline path counts none.
+    /// Jobs executed on the parallel path (distinct phase calls, shard
+    /// launches, …); the inline path counts none.
     pub jobs: u64,
     /// Always 0. Channel-level drains no longer exist; the field stays
     /// so existing readers of the counters keep compiling.

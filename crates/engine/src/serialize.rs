@@ -27,18 +27,19 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use gradpim_sim::report::{Report, Schema, SweepRow};
 use gradpim_sim::sweeps::{
     BatchSize, DesignSpace, LayerScatter, OpsBandwidth, Precision, QuickCaps, Scaling, SweepFamily,
 };
-use gradpim_sim::PhaseError;
+use gradpim_sim::{PhaseCall, PhaseError, PhaseResult};
 use gradpim_workloads::{models, Network};
 
+use crate::cache::CacheBackend;
 use crate::json::{self, Json};
 use crate::report::ParseError;
-use crate::sched::cost;
 use crate::{cache, Engine};
 
 /// One experiment of the paper's evaluation, as named on the
@@ -404,23 +405,31 @@ impl ExperimentSpec {
     }
 
     /// Executes the spec on `engine` and returns the structured results.
-    /// Same enumerations, same simulations, same f64 arithmetic as the
+    /// Same enumerations, same phase calls, same f64 arithmetic as the
     /// family's sequential [`SweepFamily::report`] — a spec that crossed a
     /// process boundary yields **bit-identical** rows to an in-process
     /// run. A sharded spec runs only its own row groups (see [`Shard`])
     /// through the very same code path, so shard slices cannot drift from
     /// the whole either.
     ///
+    /// The run plans every point into [`PhaseCall`]s, simulates each
+    /// distinct call (by [`PhaseCall::key`]) exactly once on the engine's
+    /// pool, and assembles the rows in figure order. Calls
+    /// are pure, so sharing one result among equal calls changes no bit.
+    ///
     /// When the engine carries a cache ([`Engine::with_cache`]), each row
     /// group is first looked up by content key (see [`crate::cache`]);
     /// validated hits are served verbatim and only the missed groups are
-    /// simulated — with the same bit-identity guarantee, since a hit is
-    /// the byte-exact stored output of the same group.
+    /// planned. Each of their distinct calls is looked up once, and each
+    /// miss is stored back as soon as it has simulated — with the same
+    /// bit-identity guarantee, since a hit is the byte-exact stored output
+    /// of the same computation.
     ///
     /// # Errors
     ///
     /// [`SpecError::UnknownNetwork`] before any simulation starts, or the
-    /// first (input-order) [`SpecError::Phase`] from the sweep.
+    /// first (input-order) [`SpecError::Phase`] from the sweep
+    /// ([`SpecError::Unresolved`] only on a broken runner invariant).
     pub fn run(&self, engine: &Engine) -> Result<Report, SpecError> {
         struct Run<'a> {
             spec: &'a ExperimentSpec,
@@ -472,8 +481,9 @@ impl ExperimentSpec {
 
 /// The one generic experiment executor behind [`ExperimentSpec::run`]:
 /// enumerate the family's row groups, keep this shard's slice, serve
-/// cached groups from the store, simulate the rest (cost-seeded,
-/// longest-first), and reassemble the report in figure order.
+/// cached groups from the store, plan the rest into phase calls, resolve
+/// each distinct call once ([`resolve_unique`]), and reassemble the report
+/// in figure order.
 fn run_family<F: SweepFamily>(spec: &ExperimentSpec, engine: &Engine) -> Result<Report, SpecError> {
     let nets = spec.resolve_networks()?;
     let quick = spec.quick;
@@ -482,8 +492,8 @@ fn run_family<F: SweepFamily>(spec: &ExperimentSpec, engine: &Engine) -> Result<
 
     // Row-group cache consultation: a schema-validated hit pins the
     // group's rows; a miss queues the group's specs for simulation.
-    // GRADPIM_REFERENCE=1 bypasses the cache exactly as it bypasses the
-    // phase memo — reference runs recompute everything.
+    // GRADPIM_REFERENCE=1 bypasses the store at both levels — reference
+    // runs recompute every distinct call.
     let store = if gradpim_sim::env::reference_mode() { None } else { engine.cache() };
     let mut keys: Vec<Option<String>> = Vec::with_capacity(groups.len());
     let mut hits: Vec<Option<Vec<SweepRow>>> = Vec::with_capacity(groups.len());
@@ -497,18 +507,19 @@ fn run_family<F: SweepFamily>(spec: &ExperimentSpec, engine: &Engine) -> Result<
         hits.push(hit);
     }
 
-    // Simulate only the missed groups' specs, flattened in figure order.
-    let jobs: Vec<F::Spec> = groups
+    // Plan only the missed groups' specs, in figure order, and resolve
+    // every distinct call of the plans once.
+    let missed: Vec<&F::Spec> = groups
         .iter()
         .zip(&hits)
         .filter(|(_, hit)| hit.is_none())
-        .flat_map(|(group, _)| group.iter().cloned())
+        .flat_map(|(group, _)| group)
         .collect();
-    let costs = costs_of::<F>(&jobs);
-    let outs = engine.run(&jobs, Some(&costs), |_, s: &F::Spec, _| F::run_spec(s))?;
+    let plans: Vec<Vec<PhaseCall>> = missed.iter().map(|s| F::plan(s)).collect();
+    let results = resolve_unique(plans, store.map(|s| s.as_ref()), engine)?;
 
     // Reassemble in group order, storing freshly computed groups back.
-    let mut outs = outs.into_iter();
+    let mut outs = missed.into_iter().zip(results).map(|(s, r)| F::assemble(s, r));
     let mut report = Report::new(F::schema());
     for ((group, key), hit) in groups.iter().zip(&keys).zip(hits) {
         let rows = match hit {
@@ -529,10 +540,79 @@ fn run_family<F: SweepFamily>(spec: &ExperimentSpec, engine: &Engine) -> Result<
     Ok(report)
 }
 
-/// Dispatch cost per spec, from each spec's workload shape — the
-/// longest-first seed (see [`cost::sweep_point_cycles`]).
-fn costs_of<F: SweepFamily>(specs: &[F::Spec]) -> Vec<u64> {
-    specs.iter().map(F::workload).map(|(p, b, c)| cost::sweep_point_cycles(p, b, c)).collect()
+/// The results of every plan, in plan order, with each distinct call
+/// (by [`PhaseCall::key`]) resolved exactly once. Distinct calls keep the
+/// order of their first appearance, so the lowest-indexed error is the
+/// first failing call in figure order. With a `store`, each distinct key
+/// is looked up once, and each miss is stored back on its lane as soon as
+/// it has simulated. The misses run on `engine` in first-appearance
+/// order. Calls that do not simulate ([`PhaseCall::simulates`]) answer
+/// [`PhaseResult::empty`] without a key, a lookup or a job.
+///
+/// Only the distinct calls outlive the deduplication, and keys are
+/// rendered again for the store instead of kept, so the memory held while
+/// calls simulate is the distinct calls' own.
+///
+/// # Errors
+///
+/// The first failing call's [`SpecError::Phase`] in figure order, or
+/// [`SpecError::Unresolved`] if a planned call was left without a result.
+fn resolve_unique(
+    plans: Vec<Vec<PhaseCall>>,
+    store: Option<&dyn CacheBackend>,
+    engine: &Engine,
+) -> Result<Vec<Vec<PhaseResult>>, SpecError> {
+    // Each planned call's index into `calls`, the distinct calls.
+    let mut index: BTreeMap<String, usize> = BTreeMap::new();
+    let mut calls: Vec<PhaseCall> = Vec::new();
+    let mut slots: Vec<Vec<Option<usize>>> = Vec::with_capacity(plans.len());
+    for plan in plans {
+        let mut plan_slots = Vec::with_capacity(plan.len());
+        for call in plan {
+            if !call.simulates() {
+                plan_slots.push(None);
+                continue;
+            }
+            let next = calls.len();
+            let i = *index.entry(call.key()).or_insert(next);
+            if i == next {
+                calls.push(call);
+            }
+            plan_slots.push(Some(i));
+        }
+        slots.push(plan_slots);
+    }
+    drop(index);
+
+    // One result per distinct call: the store's hits, then the misses
+    // simulated on the engine. `engine.run` answers every job in job
+    // order, so the misses take its answers in turn.
+    let mut results: Vec<Option<PhaseResult>> =
+        calls.iter().map(|call| store.and_then(|s| cache::load_phase(s, &call.key()))).collect();
+    let jobs: Vec<&PhaseCall> =
+        calls.iter().zip(&results).filter(|(_, hit)| hit.is_none()).map(|(call, _)| call).collect();
+    let fresh = engine.run(&jobs, None, |_, call, _| {
+        let result = call.execute()?;
+        if let Some(s) = store {
+            cache::store_phase(s, &call.key(), &result);
+        }
+        Ok::<_, PhaseError>(result)
+    })?;
+    for (miss, result) in results.iter_mut().filter(|r| r.is_none()).zip(fresh) {
+        *miss = Some(result);
+    }
+
+    slots
+        .iter()
+        .map(|plan| {
+            plan.iter()
+                .map(|slot| match *slot {
+                    None => Ok(PhaseResult::empty()),
+                    Some(i) => results.get(i).cloned().flatten().ok_or(SpecError::Unresolved),
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Keeps the groups selected by `keep`, preserving relative order — the
@@ -546,8 +626,12 @@ fn retain_groups<T>(groups: Vec<T>, keep: impl Fn(usize) -> bool) -> Vec<T> {
 pub enum SpecError {
     /// A requested network name matched nothing in the model zoo.
     UnknownNetwork(String),
-    /// A simulation failed; the lowest-indexed sweep point's error.
+    /// A simulation failed: the error of the first failing phase call in
+    /// figure order.
     Phase(PhaseError),
+    /// A planned phase call was left without a result: a broken runner
+    /// invariant, reported as an error instead of as made-up rows.
+    Unresolved,
 }
 
 impl fmt::Display for SpecError {
@@ -559,6 +643,7 @@ impl fmt::Display for SpecError {
                 write!(f, "unknown network `{name}` (known: {})", known.join(", "))
             }
             SpecError::Phase(e) => write!(f, "{e}"),
+            SpecError::Unresolved => write!(f, "a planned phase call was left without a result"),
         }
     }
 }

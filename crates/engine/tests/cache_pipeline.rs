@@ -1,22 +1,25 @@
 //! End-to-end tests of the result cache: warm reruns byte-identical to
 //! cold ones (as a property over arbitrary specs, shard counts, and
-//! overlapping network subsets), partial overlaps executing only the
-//! uncached row groups, and the real `gradpim-cli` coordinator skipping
-//! worker launches entirely on a full cache hit.
+//! overlapping network subsets), partial overlaps simulating only the
+//! uncached row groups' distinct phase calls, and the real `gradpim-cli`
+//! coordinator skipping worker launches entirely on a full cache hit.
 
 // Integration tests build without cfg(test), so the crate-root carve-out
 // for the manifest's unwrap_used/expect_used warns is restated here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::{Command, Output};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use gradpim_engine::cache::{CacheBackend, MemCache};
+use gradpim_engine::cache::{CacheBackend, CacheStats, MemCache};
 use gradpim_engine::dist::{run_sharded, InProcess, ShardOptions, WORKER_PROGRAM_ENV};
 use gradpim_engine::report::to_json;
 use gradpim_engine::serialize::{Experiment, ExperimentSpec};
 use gradpim_engine::Engine;
+use gradpim_sim::sweeps::{OpsBandwidth, SweepFamily};
+use gradpim_workloads::{models, Network};
 use proptest::prelude::*;
 
 /// The binary under test, built by cargo for this test run.
@@ -53,6 +56,56 @@ fn stderr_of(out: &Output) -> String {
 
 fn mem_store() -> Arc<dyn CacheBackend> {
     Arc::new(MemCache::new())
+}
+
+/// A [`MemCache`] that records every lookup (`get`) with whether it hit,
+/// so a test can see which cache level served a run and which keys it
+/// asked for. `contains` is a probe, not a lookup, and is not recorded.
+#[derive(Debug, Default)]
+struct CountingStore {
+    inner: MemCache,
+    lookups: Mutex<Vec<(String, bool)>>,
+}
+
+impl CountingStore {
+    /// Takes the lookups recorded so far, in order.
+    fn take(&self) -> Vec<(String, bool)> {
+        std::mem::take(&mut *self.lookups.lock().unwrap())
+    }
+}
+
+impl CacheBackend for CountingStore {
+    fn get(&self, key: &str) -> Option<String> {
+        let value = self.inner.get(key);
+        self.lookups.lock().unwrap().push((key.to_string(), value.is_some()));
+        value
+    }
+    fn put(&self, key: &str, value: &str) {
+        self.inner.put(key, value);
+    }
+    fn contains(&self, key: &str) -> bool {
+        self.inner.contains(key)
+    }
+    fn stats(&self) -> CacheStats {
+        self.inner.stats()
+    }
+    fn clear(&self) -> usize {
+        self.inner.clear()
+    }
+    fn verify(&self) -> Vec<String> {
+        self.inner.verify()
+    }
+}
+
+/// The keys of `lookups` under `prefix` that hit and that missed, sorted.
+fn split_lookups(lookups: &[(String, bool)], prefix: &str) -> (Vec<String>, Vec<String>) {
+    let (mut hits, mut misses) = (Vec::new(), Vec::new());
+    for (key, hit) in lookups.iter().filter(|(key, _)| key.starts_with(prefix)) {
+        if *hit { &mut hits } else { &mut misses }.push(key.clone());
+    }
+    hits.sort();
+    misses.sort();
+    (hits, misses)
 }
 
 proptest! {
@@ -102,13 +155,25 @@ fn partial_overlap_executes_only_uncached_groups() {
     if gradpim_sim::env::reference_mode() {
         return; // reference mode bypasses the cache by design
     }
-    let store = mem_store();
+    let counting = Arc::new(CountingStore::default());
+    let store: Arc<dyn CacheBackend> = counting.clone();
     let one = ExperimentSpec::new(Experiment::Fig12a, QUICK, Some(vec!["MLP1".into()]));
     let two = ExperimentSpec::new(
         Experiment::Fig12a,
         QUICK,
         Some(vec!["MLP1".into(), "ResNet18".into()]),
     );
+
+    // A run schedules one job per distinct phase call of its uncached
+    // groups, and looks each of those calls up once: here, the calls of
+    // one network's Fig. 12a points.
+    let groups = |net: Network| OpsBandwidth::groups(&[net], QUICK).len();
+    let distinct_keys = |net: Network| {
+        let specs = OpsBandwidth::specs(&[net], QUICK);
+        let calls = specs.iter().flat_map(OpsBandwidth::plan).filter(|c| c.simulates());
+        calls.map(|c| c.key()).collect::<BTreeSet<_>>().into_iter().collect::<Vec<_>>()
+    };
+    let distinct_calls = |net: Network| distinct_keys(net).len() as u64;
 
     // Two worker threads: the scheduler's inline path (sequential engines,
     // single-job batches) bypasses the jobs counter, and this test is
@@ -117,22 +182,39 @@ fn partial_overlap_executes_only_uncached_groups() {
     one.run(&priming).expect("priming run");
     let one_net_jobs = priming.sched_stats().jobs;
     assert!(one_net_jobs > 0, "the priming run scheduled no jobs");
+    assert_eq!(one_net_jobs, distinct_calls(models::mlp()));
+    let lookups = counting.take();
+    assert_eq!(split_lookups(&lookups, "group/").1.len(), groups(models::mlp()));
+    assert_eq!(split_lookups(&lookups, "phase/"), (vec![], distinct_keys(models::mlp())));
 
-    // Fig12a sweeps the same ratio points for every network, so a two-net
-    // run over a store already holding MLP1 must execute exactly one
-    // net's worth of sweep-point jobs — the uncached ResNet18 groups.
+    // A two-net run over a store already holding MLP1 must serve every
+    // MLP1 group from the store and simulate exactly the uncached ResNet18
+    // groups' distinct calls, looking each of them (and nothing else) up
+    // once.
     let partial = Engine::new(2).with_cache(store.clone());
     let report = two.run(&partial).expect("partially warm run");
     assert_eq!(
         partial.sched_stats().jobs,
-        one_net_jobs,
+        distinct_calls(models::resnet18()),
         "a partially warm run re-executed cached groups"
     );
+    let lookups = counting.take();
+    let (group_hits, group_misses) = split_lookups(&lookups, "group/");
+    assert_eq!(group_hits.len(), groups(models::mlp()), "MLP1's groups were not served");
+    assert_eq!(group_misses.len(), groups(models::resnet18()));
+    assert_eq!(
+        split_lookups(&lookups, "phase/"),
+        (vec![], distinct_keys(models::resnet18())),
+        "a partially warm run looked up phase calls of cached groups"
+    );
 
-    // Now everything is cached: zero jobs, same bytes.
+    // Now everything is cached: zero jobs, no phase lookup, same bytes.
     let warm = Engine::new(2).with_cache(store);
     let again = two.run(&warm).expect("fully warm run");
     assert_eq!(warm.sched_stats().jobs, 0, "a fully warm run scheduled jobs");
+    let lookups = counting.take();
+    assert_eq!(split_lookups(&lookups, "group/").0.len(), lookups.len(), "a group lookup missed");
+    assert_eq!(lookups.len(), groups(models::mlp()) + groups(models::resnet18()));
     assert_eq!(to_json(&again), to_json(&report));
     assert_eq!(to_json(&report), to_json(&two.run(&Engine::sequential()).expect("uncached run")));
 }

@@ -10,8 +10,8 @@
 use gradpim_workloads::Network;
 
 use crate::config::SystemConfig;
-use crate::phase::PhaseError;
-use crate::train::TrainingSim;
+use crate::phase::{PhaseCall, PhaseError, PhaseResult};
+use crate::train::{TrainingReport, TrainingSim};
 
 /// Distributed-training setup.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,7 +50,8 @@ impl DistReport {
 
 /// One independent distributed-training simulation job: a system design at
 /// a node count. The spec of the Fig. 14 [`crate::sweeps::Scaling`]
-/// family; [`DistSpec::run`] is [`distributed_step`] on the stored inputs.
+/// family. It splits [`distributed_step`] on the stored inputs like a
+/// training step, into [`DistSpec::plan`] and [`DistSpec::assemble`].
 #[derive(Debug, Clone)]
 pub struct DistSpec {
     /// System configuration for every node.
@@ -62,25 +63,21 @@ pub struct DistSpec {
 }
 
 impl DistSpec {
-    /// This point's [`crate::sweeps::Workload`] shape (cost-model input
-    /// only): the per-node sub-batch, since that is what each node
-    /// simulates.
-    pub fn workload(&self) -> crate::sweeps::Workload {
-        let full_batch = self.sys.batch.unwrap_or(self.net.default_batch);
-        (
-            self.net.total_params() as u64,
-            (full_batch / self.dist.nodes).max(1),
-            self.sys.base_dram.channels,
-        )
+    /// The phase calls of one node's training step, in execution order.
+    pub fn plan(&self) -> Vec<PhaseCall> {
+        node_sim(&self.sys, &self.net, &self.dist).plan(&self.net)
     }
 
-    /// Simulates this point.
+    /// This point's report from `results`, the results of
+    /// [`plan`](Self::plan) in plan order — bit-identical to
+    /// [`distributed_step`] for equal results.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Propagates any [`PhaseError`] from the per-node training simulation.
-    pub fn run(&self) -> Result<DistReport, PhaseError> {
-        distributed_step(&self.sys, &self.net, &self.dist)
+    /// If `results` ends before the plan's calls do.
+    pub fn assemble(&self, results: impl IntoIterator<Item = PhaseResult>) -> DistReport {
+        let node = node_sim(&self.sys, &self.net, &self.dist).assemble(&self.net, results);
+        step_report(&self.sys, &self.net, &self.dist, &node)
     }
 }
 
@@ -94,13 +91,27 @@ pub fn distributed_step(
     net: &Network,
     dist: &DistConfig,
 ) -> Result<DistReport, PhaseError> {
-    // Per-node sub-batch.
+    let node = node_sim(sys, net, dist).run(net)?;
+    Ok(step_report(sys, net, dist, &node))
+}
+
+/// The simulator of one node: `sys` at the per-node sub-batch.
+fn node_sim(sys: &SystemConfig, net: &Network, dist: &DistConfig) -> TrainingSim {
     let full_batch = sys.batch.unwrap_or(net.default_batch);
     let sub_batch = (full_batch / dist.nodes).max(1);
     let mut node_cfg = sys.clone();
     node_cfg.batch = Some(sub_batch);
-    let report = TrainingSim::new(node_cfg).run(net)?;
+    TrainingSim::new(node_cfg)
+}
 
+/// The distributed step from one node's training report: its phases plus
+/// the all-reduce.
+fn step_report(
+    sys: &SystemConfig,
+    net: &Network,
+    dist: &DistConfig,
+    node: &TrainingReport,
+) -> DistReport {
     // Ring all-reduce moves 2·(N−1)/N of the gradient bytes per node.
     let grad_bytes = net.total_params() as f64 * sys.mix.low.bytes() as f64;
     let wire_bytes = 2.0 * (dist.nodes as f64 - 1.0) / dist.nodes as f64 * grad_bytes;
@@ -123,11 +134,11 @@ pub fn distributed_step(
         bytes / (dram.peak_external_bw() * 0.85) * 1e9
     };
 
-    Ok(DistReport {
-        fwdbwd_ns: report.fwdbwd_ns(),
+    DistReport {
+        fwdbwd_ns: node.fwdbwd_ns(),
         comm_ns: wire_ns + reduce_ns,
-        update_ns: report.update_ns(),
-    })
+        update_ns: node.update_ns(),
+    }
 }
 
 #[cfg(test)]

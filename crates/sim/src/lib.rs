@@ -2,7 +2,8 @@
 //!
 //! This crate composes the substrates into the paper's evaluation platform
 //! (§VI-A): the six designs of Fig. 9 ([`Design`]), full training-step
-//! simulation ([`TrainingSim`] → Fig. 9/10/11), distributed data
+//! simulation ([`TrainingSim`] → Fig. 9/10/11) planned as phase calls
+//! ([`PhaseCall`]) and assembled from their results, distributed data
 //! parallelism ([`distributed`] → Fig. 14), the six sweep families of the
 //! evaluation ([`sweeps`] → Fig. 9, 12a–d, 13, 14), and an end-to-end
 //! functional training path ([`functional`]) that learns a real task with
@@ -39,6 +40,6 @@ pub mod train;
 pub use config::{Design, SystemConfig};
 pub use distributed::{distributed_step, DistConfig, DistReport, DistSpec};
 pub use functional::{synthetic_dataset, PimTrainer};
-pub use phase::{PhaseError, PhaseMemo, PhaseResult};
+pub use phase::{PhaseCall, PhaseError, PhaseMemo, PhaseResult};
 pub use report::{Column, Kind, Report, Schema, SweepRow, ToRow, Value};
 pub use train::{speedup_over_baseline, BlockReport, TrainingReport, TrainingSim};

@@ -1,6 +1,20 @@
 //! Phase executors: run one training phase's memory traffic through the
 //! cycle-level DRAM simulator and report time/energy/bandwidth.
 //!
+//! ## Calls as values
+//!
+//! A [`PhaseCall`] is one executor call as a value: the executor plus
+//! exactly the arguments it reads, with one [`PhaseCall::execute`] and one
+//! canonical [`PhaseCall::key`]. Executors are pure, so calls with equal
+//! keys produce bit-identical results. A training step plans its calls
+//! ([`crate::TrainingSim::plan`]) and assembles its report from their
+//! results ([`crate::TrainingSim::assemble`]); `gradpim-engine`'s sweep
+//! runner plans a whole experiment that way and simulates each distinct
+//! call once. The five executor functions ([`stream_phase`],
+//! [`baseline_update_phase`], [`pim_update_phase`],
+//! [`pim_quant_dequant_phase`], [`aos_per_bank_update_phase`]) each build
+//! one call and execute it.
+//!
 //! ## Event-driven stepping
 //!
 //! The executors drive the simulator with
@@ -23,22 +37,29 @@
 //! cheaper, so the default caps are generous; `GRADPIM_FULL=1` removes
 //! them entirely.
 
-use gradpim_core::{compile_step_parts, ArrayName, KernelParts, Placement};
+use std::fmt::Write as _;
+use std::sync::Arc;
+
+use gradpim_core::{compile_step_parts, ArrayName, GradPimError, KernelParts, Placement};
 use gradpim_dram::{
-    AddressMapping, DramConfig, EnergyBreakdown, MemError, MemorySystem, PimOp, Stats,
+    AddressMapping, CommandIssueMode, DataBusScope, DramConfig, EnergyBreakdown, MemError,
+    MemorySystem, PimOp, PimPlacement, Stats,
 };
-use gradpim_optim::{HyperParams, OptimizerKind, PrecisionMix};
+use gradpim_optim::{HyperParams, OptimizerKind, Precision, PrecisionMix};
 
 /// A phase executor failed: the simulator reported a condition that cannot
 /// arise from well-formed phase traffic (e.g. a scheduler livelock hitting
-/// the drain budget). Carries diagnostics instead of hanging a sweep.
+/// the drain budget), or the phase's arrays or kernels do not fit the
+/// device and optimizer. Carries diagnostics instead of hanging or
+/// crashing a sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseError {
     /// Which executor / stage failed.
     pub context: &'static str,
-    /// The underlying memory-system error.
-    pub source: MemError,
-    /// Simulated cycle at which the error surfaced.
+    /// The underlying error: memory system, placement or kernel
+    /// compilation.
+    pub source: GradPimError,
+    /// Simulated cycle at which the error surfaced (0 before simulation).
     pub cycles: u64,
     /// Transactions still outstanding.
     pub pending: usize,
@@ -46,7 +67,13 @@ pub struct PhaseError {
 
 impl PhaseError {
     fn new(context: &'static str, source: MemError, mem: &MemorySystem) -> Self {
+        let source = GradPimError::Memory(source);
         Self { context, source, cycles: mem.cycles(), pending: mem.pending() }
+    }
+
+    /// A failure while setting the phase up, before any cycle ran.
+    fn setup(context: &'static str, source: impl Into<GradPimError>) -> Self {
+        Self { context, source: source.into(), cycles: 0, pending: 0 }
     }
 }
 
@@ -71,16 +98,14 @@ fn reference_mode() -> bool {
     crate::env::reference_mode()
 }
 
-/// A phase-result memo an execution engine can install around sweep
-/// jobs. Phase executors are pure
-/// functions of their arguments, so two sweep points that share a
-/// `(config × traffic shape × optimizer × precision)` phase produce
-/// bit-identical [`PhaseResult`]s — a memo collapses such repeats to one
-/// simulation. Keys are exact: they render every argument (including the
-/// full [`DramConfig`]) via `Debug`, so a hit can only be served for the
-/// identical computation, and [`PhaseResult::to_bits_string`] round-trips
-/// every `f64` bit-exactly. `GRADPIM_REFERENCE=1` bypasses memoization
-/// entirely (reference runs exist to exercise the simulation path).
+/// An ambient phase-result memo a caller can install around a
+/// computation with [`with_phase_memo`]: every [`PhaseCall::execute`]
+/// reached inside consults it under the call's [`PhaseCall::key`] before
+/// simulating. [`PhaseResult::to_bits_string`] round-trips every `f64`
+/// bit-exactly for stores that keep text. `GRADPIM_REFERENCE=1` bypasses
+/// it entirely (reference runs exist to exercise the simulation path).
+/// No library runner installs one: `gradpim-engine` dedupes planned
+/// calls itself.
 pub trait PhaseMemo: Send + Sync {
     /// Returns the stored result for `key`, if any.
     fn get(&self, key: &str) -> Option<PhaseResult>;
@@ -89,19 +114,20 @@ pub trait PhaseMemo: Send + Sync {
 }
 
 thread_local! {
-    /// The ambient phase memo for this thread, if a driver installed one.
-    /// Thread-local (not global) so concurrent engines — or an engine job
-    /// and an unrelated sequential run — never see each other's stores.
-    static PHASE_MEMO: std::cell::RefCell<Option<std::sync::Arc<dyn PhaseMemo>>> =
+    /// The ambient phase memo for this thread, if a caller installed one.
+    /// Thread-local (not global) so concurrent computations never see
+    /// each other's stores.
+    static PHASE_MEMO: std::cell::RefCell<Option<Arc<dyn PhaseMemo>>> =
         const { std::cell::RefCell::new(None) };
 }
 
 /// Runs `f` with `memo` installed as this thread's ambient phase memo;
 /// the previous memo is restored afterwards, even on unwind, so scopes
-/// nest cleanly. Every phase executor reached from `f` consults the memo
-/// before simulating (except under `GRADPIM_REFERENCE=1`).
-pub fn with_phase_memo<T>(memo: std::sync::Arc<dyn PhaseMemo>, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<std::sync::Arc<dyn PhaseMemo>>);
+/// nest cleanly. Every phase call executed on this thread inside `f`
+/// consults the memo before simulating (except under
+/// `GRADPIM_REFERENCE=1`).
+pub fn with_phase_memo<T>(memo: Arc<dyn PhaseMemo>, f: impl FnOnce() -> T) -> T {
+    struct Restore(Option<Arc<dyn PhaseMemo>>);
     impl Drop for Restore {
         fn drop(&mut self) {
             PHASE_MEMO.with(|cell| *cell.borrow_mut() = self.0.take());
@@ -113,12 +139,12 @@ pub fn with_phase_memo<T>(memo: std::sync::Arc<dyn PhaseMemo>, f: impl FnOnce() 
 }
 
 /// This thread's ambient phase memo, if any.
-fn current_phase_memo() -> Option<std::sync::Arc<dyn PhaseMemo>> {
+fn current_phase_memo() -> Option<Arc<dyn PhaseMemo>> {
     PHASE_MEMO.with(|cell| cell.borrow().clone())
 }
 
 /// Consults the ambient memo before running `compute`. The key is only
-/// rendered when a memo is installed, so uncached runs pay nothing. A
+/// rendered when a memo is installed, so runs without one pay nothing. A
 /// stored result is returned as-is — executors are pure, so it is
 /// bit-identical to recomputing. Reference mode bypasses the memo.
 fn memoized(
@@ -188,7 +214,7 @@ impl PhaseResult {
         Self { scale: 1.0, ..Self::default() }
     }
 
-    /// Exact serialization for [`PhaseMemo`] stores: every `f64` as its
+    /// Exact serialization for result stores: every `f64` as its
     /// raw bit pattern in hex, so decoding reproduces the result
     /// bit-identically (NaN payloads and signed zeros included). The
     /// leading `pr1` tag versions the field layout.
@@ -278,19 +304,16 @@ impl PhaseResult {
     }
 }
 
-/// Runs one executor body through [`memoized`] and feeds the phase's
-/// headline observables into the metrics registry: scaled simulated
-/// time (`sim_ns`), the host time spent in the executor (`host_ns`, a
+/// Runs one call through [`memoized`] and feeds the phase's headline
+/// observables into the metrics registry: scaled simulated time
+/// (`sim_ns`), the host time spent in the executor (`host_ns`, an ambient
 /// memo hit included), raw simulated cycles and scaled energy. Without
 /// metrics enabled no clock is read.
-fn observed(
-    context: &'static str,
-    key_of: impl FnOnce() -> String,
-    compute: impl FnOnce() -> Result<PhaseResult, PhaseError>,
-) -> Result<PhaseResult, PhaseError> {
+fn observed(call: &PhaseCall) -> Result<PhaseResult, PhaseError> {
     let start = gradpim_obs::metrics_enabled().then(std::time::Instant::now);
-    let result = memoized(key_of, compute)?;
+    let result = memoized(|| call.key(), || call.simulate())?;
     if let Some(start) = start {
+        let context = call.context();
         let host_ns = start.elapsed().as_nanos() as f64;
         gradpim_obs::observe(&format!("phase.{context}.sim_ns"), result.time_ns);
         gradpim_obs::observe(&format!("phase.{context}.host_ns"), host_ns);
@@ -362,6 +385,323 @@ fn interleaved_addr(cfg: &DramConfig, base: u64, i: u64) -> u64 {
     base + wave * lanes * row_bytes + lane * row_bytes + col * burst
 }
 
+/// Bursts a stream simulates out of `total`: the cap, never below 16.
+fn capped_bursts(total: u64, cap_bursts: u64) -> u64 {
+    total.min(cap_bursts.max(16))
+}
+
+/// Parameters an update simulates out of `params`: the cap, never below
+/// 1024.
+fn capped_params(params: u64, cap_params: u64) -> u64 {
+    params.min(cap_params.max(1024))
+}
+
+/// Appends fields to a phase key as `name=value`: `key_fields!(key; a, b)`
+/// renders bindings in scope, and `key_fields!(key, value => Type { a, b })`
+/// first destructures `value` without `..`, so a new field of `Type` does
+/// not compile until the key covers it.
+macro_rules! key_fields {
+    ($key:ident, $value:expr => $ty:ident { $($field:ident),* $(,)? }) => {{
+        let $ty { $($field),* } = $value;
+        key_fields!($key; $($field),*);
+    }};
+    ($key:ident; $($field:ident),* $(,)?) => {
+        $(push_field(&mut $key, stringify!($field), $field);)*
+    };
+}
+
+/// One phase-executor call as a value: the executor plus exactly the
+/// arguments it reads.
+///
+/// Executors are pure functions of their arguments, so two calls with the
+/// same [`key`](Self::key) produce bit-identical results. A sweep runner
+/// can therefore plan a whole experiment's calls, simulate each distinct
+/// call once, and hand every caller its result. The DRAM view is shared
+/// through an [`Arc`], so a plan of many calls holds one copy of each
+/// view. Calls compare by [`key`](Self::key), so they have no `PartialEq`.
+#[derive(Debug, Clone)]
+pub struct PhaseCall {
+    dram: Arc<DramConfig>,
+    op: Op,
+}
+
+/// An executor and its arguments besides the DRAM view.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Stream {
+        read_bytes: u64,
+        write_bytes: u64,
+        cap_bursts: u64,
+    },
+    BaselineUpdate {
+        optimizer: OptimizerKind,
+        mix: PrecisionMix,
+        params: u64,
+        cap_params: u64,
+    },
+    PimKernel {
+        optimizer: OptimizerKind,
+        mix: PrecisionMix,
+        hyper: HyperParams,
+        params: u64,
+        cap_params: u64,
+        parts: KernelParts,
+    },
+    AosPerBank {
+        optimizer: OptimizerKind,
+        mix: PrecisionMix,
+        params: u64,
+        cap_params: u64,
+    },
+}
+
+impl PhaseCall {
+    /// A [`stream_phase`] call.
+    pub fn stream(
+        dram: impl Into<Arc<DramConfig>>,
+        read_bytes: u64,
+        write_bytes: u64,
+        cap_bursts: u64,
+    ) -> Self {
+        Self { dram: dram.into(), op: Op::Stream { read_bytes, write_bytes, cap_bursts } }
+    }
+
+    /// A [`baseline_update_phase`] call.
+    pub fn baseline_update(
+        dram: impl Into<Arc<DramConfig>>,
+        optimizer: OptimizerKind,
+        mix: PrecisionMix,
+        params: u64,
+        cap_params: u64,
+    ) -> Self {
+        Self { dram: dram.into(), op: Op::BaselineUpdate { optimizer, mix, params, cap_params } }
+    }
+
+    /// A [`pim_update_phase`] call.
+    pub fn pim_update(
+        dram: impl Into<Arc<DramConfig>>,
+        optimizer: OptimizerKind,
+        mix: PrecisionMix,
+        hyper: &HyperParams,
+        params: u64,
+        cap_params: u64,
+    ) -> Self {
+        let (hyper, parts) = (*hyper, KernelParts::UPDATE_ONLY);
+        Self {
+            dram: dram.into(),
+            op: Op::PimKernel { optimizer, mix, hyper, params, cap_params, parts },
+        }
+    }
+
+    /// A [`pim_quant_dequant_phase`] call.
+    pub fn pim_quant_dequant(
+        dram: impl Into<Arc<DramConfig>>,
+        optimizer: OptimizerKind,
+        mix: PrecisionMix,
+        hyper: &HyperParams,
+        params: u64,
+        cap_params: u64,
+    ) -> Self {
+        let (hyper, parts) = (*hyper, KernelParts::QUANT_DEQUANT);
+        Self {
+            dram: dram.into(),
+            op: Op::PimKernel { optimizer, mix, hyper, params, cap_params, parts },
+        }
+    }
+
+    /// An [`aos_per_bank_update_phase`] call.
+    pub fn aos_per_bank_update(
+        dram: impl Into<Arc<DramConfig>>,
+        optimizer: OptimizerKind,
+        mix: PrecisionMix,
+        params: u64,
+        cap_params: u64,
+    ) -> Self {
+        Self { dram: dram.into(), op: Op::AosPerBank { optimizer, mix, params, cap_params } }
+    }
+
+    /// The executor's span and metrics context: `stream`,
+    /// `baseline-update`, `pim-kernel` or `aos-pb`.
+    pub fn context(&self) -> &'static str {
+        match self.op {
+            Op::Stream { .. } => "stream",
+            Op::BaselineUpdate { .. } => "baseline-update",
+            Op::PimKernel { .. } => "pim-kernel",
+            Op::AosPerBank { .. } => "aos-pb",
+        }
+    }
+
+    /// False for a call its executor answers with [`PhaseResult::empty`]
+    /// without simulating: no traffic, no parameters, or the quantization
+    /// kernels of a single-precision mix. Such a call records no metrics
+    /// and never reaches a memo or a store.
+    pub fn simulates(&self) -> bool {
+        match self.op {
+            Op::Stream { read_bytes, write_bytes, .. } => read_bytes > 0 || write_bytes > 0,
+            Op::BaselineUpdate { params, .. } | Op::AosPerBank { params, .. } => params > 0,
+            Op::PimKernel { mix, params, parts, .. } => {
+                params > 0 && (parts != KernelParts::QUANT_DEQUANT || mix.is_mixed())
+            }
+        }
+    }
+
+    /// The call's canonical key: `phase/v2/<context>/<arguments>/dram/<view>`.
+    /// Every argument is rendered field by field, integers in decimal,
+    /// floats as their bit patterns in hex and names percent-escaped, so
+    /// two calls share a key exactly when they are the same computation.
+    /// The key holds no newline. It names inputs, not simulator code.
+    pub fn key(&self) -> String {
+        let mut key = String::with_capacity(1024);
+        key.push_str("phase/v2/");
+        key.push_str(self.context());
+        key.push('/');
+        match &self.op {
+            Op::Stream { read_bytes, write_bytes, cap_bursts } => {
+                key_fields!(key; read_bytes, write_bytes, cap_bursts);
+            }
+            Op::BaselineUpdate { optimizer, mix, params, cap_params }
+            | Op::AosPerBank { optimizer, mix, params, cap_params } => {
+                key_fields!(key; optimizer, params, cap_params);
+                key_fields!(key, mix => PrecisionMix { low, high });
+            }
+            Op::PimKernel { optimizer, mix, hyper, params, cap_params, parts } => {
+                key_fields!(key; optimizer, params, cap_params);
+                key_fields!(key, mix => PrecisionMix { low, high });
+                key_fields! { key, hyper => HyperParams {
+                    lr, momentum, weight_decay, beta1, beta2, eps,
+                }}
+                key_fields!(key, parts => KernelParts { dequant, update, quant });
+            }
+        }
+        key.push_str("/dram/");
+        key_fields! { key, &*self.dram => DramConfig {
+            name, channels, ranks, bankgroups, banks_per_group, rows, columns, burst_bytes,
+            tck_ps, tcl, trcd, trp, tras, trc, tccd_l, tccd_s, trrd_l, trrd_s, tfaw, twr,
+            twtr_l, twtr_s, trtp, tcwl, tburst, trefi, trfc, trtrs, tpim, txp, powerdown_idle,
+            idd0, idd2p, idd2n, idd3p, idd3n, idd4r, idd4w, iddpre, vdd, io_pj_per_bit,
+            issue_mode, data_bus, pim_placement, queue_depth, extended_alu,
+        }}
+        key
+    }
+
+    /// Runs the call: an empty result when it does not simulate,
+    /// otherwise the ambient [`PhaseMemo`] (if one is installed) or a
+    /// fresh simulation, with metrics recorded either way.
+    ///
+    /// # Errors
+    ///
+    /// [`PhaseError`] on any simulator error other than transient
+    /// backpressure (including a drain-budget overrun).
+    pub fn execute(&self) -> Result<PhaseResult, PhaseError> {
+        if !self.simulates() {
+            return Ok(PhaseResult::empty());
+        }
+        observed(self)
+    }
+
+    /// Simulates the call.
+    fn simulate(&self) -> Result<PhaseResult, PhaseError> {
+        let cfg = &self.dram;
+        match self.op {
+            Op::Stream { read_bytes, write_bytes, cap_bursts } => {
+                simulate_stream(cfg, read_bytes, write_bytes, cap_bursts)
+            }
+            Op::BaselineUpdate { optimizer, mix, params, cap_params } => {
+                simulate_baseline_update(cfg, optimizer, mix, params, cap_params)
+            }
+            Op::PimKernel { optimizer, mix, hyper, params, cap_params, parts } => {
+                simulate_pim_kernel(cfg, optimizer, mix, &hyper, params, cap_params, parts)
+            }
+            Op::AosPerBank { optimizer, mix, params, cap_params } => {
+                simulate_aos_per_bank(cfg, optimizer, mix, params, cap_params)
+            }
+        }
+    }
+}
+
+/// Appends `name=value` to a [`PhaseCall::key`], after a comma unless it
+/// opens a section.
+fn push_field(key: &mut String, name: &str, value: &(impl KeyValue + ?Sized)) {
+    if !key.ends_with('/') {
+        key.push(',');
+    }
+    key.push_str(name);
+    key.push('=');
+    value.render(key);
+}
+
+/// A value [`PhaseCall::key`] renders exactly and without `Debug`.
+trait KeyValue {
+    fn render(&self, key: &mut String);
+}
+
+/// Integers in decimal.
+macro_rules! decimal_key {
+    ($($ty:ty),*) => {$(
+        impl KeyValue for $ty {
+            fn render(&self, key: &mut String) {
+                let _ = write!(key, "{self}");
+            }
+        }
+    )*};
+}
+decimal_key!(u64, usize);
+
+/// Floats as their bit patterns in hex.
+macro_rules! bits_key {
+    ($($ty:ty),*) => {$(
+        impl KeyValue for $ty {
+            fn render(&self, key: &mut String) {
+                let _ = write!(key, "{:x}", self.to_bits());
+            }
+        }
+    )*};
+}
+bits_key!(f32, f64);
+
+/// Enums as a fixed word per variant.
+macro_rules! word_key {
+    ($($ty:ident { $($variant:ident => $word:literal),* $(,)? })*) => {$(
+        impl KeyValue for $ty {
+            fn render(&self, key: &mut String) {
+                key.push_str(match self {
+                    $($ty::$variant => $word,)*
+                });
+            }
+        }
+    )*};
+}
+word_key! {
+    OptimizerKind {
+        Sgd => "sgd", MomentumSgd => "momentum-sgd", Nag => "nag", Adam => "adam",
+        AdaGrad => "adagrad", RmsProp => "rmsprop",
+    }
+    Precision { Int8 => "int8", Fp16 => "fp16", Fp32 => "fp32" }
+    CommandIssueMode { Direct => "direct", PerRankBuffered => "per-rank-buffered" }
+    DataBusScope { Channel => "channel", PerRank => "per-rank" }
+    PimPlacement { PerBankGroup => "per-bank-group", PerBank => "per-bank" }
+}
+
+impl KeyValue for bool {
+    fn render(&self, key: &mut String) {
+        key.push(if *self { '1' } else { '0' });
+    }
+}
+
+/// Every byte outside `[A-Za-z0-9._-]` as `%XX`, so a name can hold no
+/// separator and no newline.
+impl KeyValue for String {
+    fn render(&self, key: &mut String) {
+        for b in self.bytes() {
+            if b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-') {
+                key.push(char::from(b));
+            } else {
+                let _ = write!(key, "%{b:02X}");
+            }
+        }
+    }
+}
+
 /// Streams `read_bytes` + `write_bytes` of forward/backward traffic
 /// (bank-group-interleaved walks through two disjoint bank regions, with
 /// reads and writes batched to amortize bus turnarounds) and returns the
@@ -377,60 +717,58 @@ pub fn stream_phase(
     write_bytes: u64,
     cap_bursts: u64,
 ) -> Result<PhaseResult, PhaseError> {
+    PhaseCall::stream(cfg.clone(), read_bytes, write_bytes, cap_bursts).execute()
+}
+
+fn simulate_stream(
+    cfg: &DramConfig,
+    read_bytes: u64,
+    write_bytes: u64,
+    cap_bursts: u64,
+) -> Result<PhaseResult, PhaseError> {
     let burst = cfg.burst_bytes as u64;
     let r_total = read_bytes.div_ceil(burst);
     let w_total = write_bytes.div_ceil(burst);
     let total = r_total + w_total;
-    if total == 0 {
-        return Ok(PhaseResult::empty());
-    }
-    let sim_total = total.min(cap_bursts.max(16));
+    let sim_total = capped_bursts(total, cap_bursts);
     let r_sim = (r_total as u128 * sim_total as u128 / total as u128) as u64;
     let w_sim = sim_total - r_sim;
     let scale = total as f64 / sim_total as f64;
 
-    observed(
-        "stream",
-        || format!("phase/v1/stream/{read_bytes}/{write_bytes}/{cap_bursts}/{cfg:?}"),
-        || {
-            let mut mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
-            // Reads walk bank region 0, writes bank region 2 (disjoint banks under
-            // the Fig. 7 mapping).
-            let w_base = AddressMapping::GradPim.capacity_bytes(cfg) / 2;
-            // Batch reads and writes (write-drain style) in traffic proportion.
-            const R_BATCH: u64 = 32;
-            let w_batch =
-                if r_sim == 0 { 32 } else { (R_BATCH * w_sim).div_ceil(r_sim.max(1)).max(1) };
-            let cfg2 = cfg.clone();
-            let (mut ri, mut wi) = (0u64, 0u64);
-            let mut phase_w = false;
-            let mut left_in_batch = R_BATCH;
-            let reqs = std::iter::from_fn(move || loop {
-                if ri >= r_sim && wi >= w_sim {
-                    return None;
-                }
-                if left_in_batch == 0 || (!phase_w && ri >= r_sim) || (phase_w && wi >= w_sim) {
-                    phase_w = !phase_w;
-                    left_in_batch = if phase_w { w_batch } else { R_BATCH };
-                    continue;
-                }
-                left_in_batch -= 1;
-                if !phase_w {
-                    if ri < r_sim {
-                        let a = interleaved_addr(&cfg2, 0, ri);
-                        ri += 1;
-                        return Some(Req::Read(a));
-                    }
-                } else if wi < w_sim {
-                    let a = interleaved_addr(&cfg2, w_base, wi);
-                    wi += 1;
-                    return Some(Req::Write(a));
-                }
-            });
-            run_requests(&mut mem, reqs, "stream")?;
-            Ok(PhaseResult::from_stats(cfg, &mem.stats(), scale))
-        },
-    )
+    let mut mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
+    // Reads walk bank region 0, writes bank region 2 (disjoint banks under
+    // the Fig. 7 mapping).
+    let w_base = AddressMapping::GradPim.capacity_bytes(cfg) / 2;
+    // Batch reads and writes (write-drain style) in traffic proportion.
+    const R_BATCH: u64 = 32;
+    let w_batch = if r_sim == 0 { 32 } else { (R_BATCH * w_sim).div_ceil(r_sim.max(1)).max(1) };
+    let (mut ri, mut wi) = (0u64, 0u64);
+    let mut phase_w = false;
+    let mut left_in_batch = R_BATCH;
+    let reqs = std::iter::from_fn(move || loop {
+        if ri >= r_sim && wi >= w_sim {
+            return None;
+        }
+        if left_in_batch == 0 || (!phase_w && ri >= r_sim) || (phase_w && wi >= w_sim) {
+            phase_w = !phase_w;
+            left_in_batch = if phase_w { w_batch } else { R_BATCH };
+            continue;
+        }
+        left_in_batch -= 1;
+        if !phase_w {
+            if ri < r_sim {
+                let a = interleaved_addr(cfg, 0, ri);
+                ri += 1;
+                return Some(Req::Read(a));
+            }
+        } else if wi < w_sim {
+            let a = interleaved_addr(cfg, w_base, wi);
+            wi += 1;
+            return Some(Req::Write(a));
+        }
+    });
+    run_requests(&mut mem, reqs, "stream")?;
+    Ok(PhaseResult::from_stats(cfg, &mem.stats(), scale))
 }
 
 /// The baseline (and TensorDIMM) update phase: the update engine streams
@@ -449,112 +787,91 @@ pub fn baseline_update_phase(
     params: u64,
     cap_params: u64,
 ) -> Result<PhaseResult, PhaseError> {
-    if params == 0 {
-        return Ok(PhaseResult::empty());
-    }
-    observed(
-        "baseline-update",
-        || format!("phase/v1/baseline-update/{optimizer:?}/{mix:?}/{params}/{cap_params}/{cfg:?}"),
-        || {
-            let sim_params = params.min(cap_params.max(1024)) as usize;
-            let scale = params as f64 / sim_params as f64;
-            let placement = Placement::for_optimizer(optimizer, mix, sim_params, cfg)
-                .expect("placement for baseline update");
-            let ratio = mix.quant_ratio() as u32;
-            let mixed = mix.is_mixed();
-            let states: Vec<ArrayName> = [ArrayName::State0, ArrayName::State1]
-                .into_iter()
-                .take(optimizer.state_arrays())
-                .collect();
+    PhaseCall::baseline_update(cfg.clone(), optimizer, mix, params, cap_params).execute()
+}
 
-            // Per-chunk request lists: reads and writes batched per BATCH-column
-            // group (the update engine double-buffers a small tile: load it, update
-            // it, store it — the paper's baseline has "dedicated 32bit modules", a
-            // streaming vector unit with shallow buffering, so the tile is small
-            // and read/write turnarounds are a real cost), then interleaved
-            // round-robin across chunks so every rank and bank group is fed
-            // concurrently.
-            const BATCH: u32 = 4;
-            let mut per_chunk: Vec<Vec<Req>> = Vec::new();
-            for chunk in placement.chunks(cfg) {
-                let mut reqs = Vec::new();
-                let mut col = 0u32;
-                while col < chunk.cols {
-                    let hi = (col + BATCH).min(chunk.cols);
-                    for c in col..hi {
-                        if mixed {
-                            if c % ratio == 0 {
-                                let qg = placement.array(ArrayName::QGrad);
-                                reqs.push(Req::Read(placement.quant_col_addr(
-                                    qg,
-                                    &chunk,
-                                    c / ratio,
-                                    cfg,
-                                )));
-                            }
-                        } else {
-                            let g = placement.array(ArrayName::Grad);
-                            reqs.push(Req::Read(placement.col_addr(g, &chunk, c, cfg)));
-                        }
-                        let theta = placement.array(ArrayName::Theta);
-                        reqs.push(Req::Read(placement.col_addr(theta, &chunk, c, cfg)));
-                        for s in &states {
-                            reqs.push(Req::Read(placement.col_addr(
-                                placement.array(*s),
-                                &chunk,
-                                c,
-                                cfg,
-                            )));
-                        }
+fn simulate_baseline_update(
+    cfg: &DramConfig,
+    optimizer: OptimizerKind,
+    mix: PrecisionMix,
+    params: u64,
+    cap_params: u64,
+) -> Result<PhaseResult, PhaseError> {
+    let sim_params = capped_params(params, cap_params) as usize;
+    let scale = params as f64 / sim_params as f64;
+    let placement = Placement::for_optimizer(optimizer, mix, sim_params, cfg)
+        .map_err(|e| PhaseError::setup("baseline-update", e))?;
+    let ratio = mix.quant_ratio() as u32;
+    let mixed = mix.is_mixed();
+    let states: Vec<ArrayName> =
+        [ArrayName::State0, ArrayName::State1].into_iter().take(optimizer.state_arrays()).collect();
+
+    // Per-chunk request lists: reads and writes batched per BATCH-column
+    // group (the update engine double-buffers a small tile: load it, update
+    // it, store it — the paper's baseline has "dedicated 32bit modules", a
+    // streaming vector unit with shallow buffering, so the tile is small
+    // and read/write turnarounds are a real cost), then interleaved
+    // round-robin across chunks so every rank and bank group is fed
+    // concurrently.
+    const BATCH: u32 = 4;
+    let mut per_chunk: Vec<Vec<Req>> = Vec::new();
+    for chunk in placement.chunks(cfg) {
+        let mut reqs = Vec::new();
+        let mut col = 0u32;
+        while col < chunk.cols {
+            let hi = (col + BATCH).min(chunk.cols);
+            for c in col..hi {
+                if mixed {
+                    if c % ratio == 0 {
+                        let qg = placement.array(ArrayName::QGrad);
+                        reqs.push(Req::Read(placement.quant_col_addr(qg, &chunk, c / ratio, cfg)));
                     }
-                    for c in col..hi {
-                        let theta = placement.array(ArrayName::Theta);
-                        reqs.push(Req::Write(placement.col_addr(theta, &chunk, c, cfg)));
-                        for s in &states {
-                            reqs.push(Req::Write(placement.col_addr(
-                                placement.array(*s),
-                                &chunk,
-                                c,
-                                cfg,
-                            )));
-                        }
-                        if mixed && (c % ratio == ratio - 1 || c == chunk.cols - 1) {
-                            let qt = placement.array(ArrayName::QTheta);
-                            reqs.push(Req::Write(placement.quant_col_addr(
-                                qt,
-                                &chunk,
-                                c / ratio,
-                                cfg,
-                            )));
-                        }
-                    }
-                    col = hi;
+                } else {
+                    let g = placement.array(ArrayName::Grad);
+                    reqs.push(Req::Read(placement.col_addr(g, &chunk, c, cfg)));
                 }
-                per_chunk.push(reqs);
-            }
-            // Round-robin merge in tile-sized slices.
-            let slice = (BATCH as usize) * (3 + states.len() * 2);
-            let mut cursors = vec![0usize; per_chunk.len()];
-            let mut merged = Vec::with_capacity(per_chunk.iter().map(Vec::len).sum());
-            loop {
-                let mut progressed = false;
-                for (i, reqs) in per_chunk.iter().enumerate() {
-                    if cursors[i] < reqs.len() {
-                        let hi = (cursors[i] + slice).min(reqs.len());
-                        merged.extend_from_slice(&reqs[cursors[i]..hi]);
-                        cursors[i] = hi;
-                        progressed = true;
-                    }
-                }
-                if !progressed {
-                    break;
+                let theta = placement.array(ArrayName::Theta);
+                reqs.push(Req::Read(placement.col_addr(theta, &chunk, c, cfg)));
+                for s in &states {
+                    reqs.push(Req::Read(placement.col_addr(placement.array(*s), &chunk, c, cfg)));
                 }
             }
-            let mut mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
-            run_requests(&mut mem, merged.into_iter(), "baseline-update")?;
-            Ok(PhaseResult::from_stats(cfg, &mem.stats(), scale))
-        },
-    )
+            for c in col..hi {
+                let theta = placement.array(ArrayName::Theta);
+                reqs.push(Req::Write(placement.col_addr(theta, &chunk, c, cfg)));
+                for s in &states {
+                    reqs.push(Req::Write(placement.col_addr(placement.array(*s), &chunk, c, cfg)));
+                }
+                if mixed && (c % ratio == ratio - 1 || c == chunk.cols - 1) {
+                    let qt = placement.array(ArrayName::QTheta);
+                    reqs.push(Req::Write(placement.quant_col_addr(qt, &chunk, c / ratio, cfg)));
+                }
+            }
+            col = hi;
+        }
+        per_chunk.push(reqs);
+    }
+    // Round-robin merge in tile-sized slices.
+    let slice = (BATCH as usize) * (3 + states.len() * 2);
+    let mut cursors = vec![0usize; per_chunk.len()];
+    let mut merged = Vec::with_capacity(per_chunk.iter().map(Vec::len).sum());
+    loop {
+        let mut progressed = false;
+        for (i, reqs) in per_chunk.iter().enumerate() {
+            if cursors[i] < reqs.len() {
+                let hi = (cursors[i] + slice).min(reqs.len());
+                merged.extend_from_slice(&reqs[cursors[i]..hi]);
+                cursors[i] = hi;
+                progressed = true;
+            }
+        }
+        if !progressed {
+            break;
+        }
+    }
+    let mut mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
+    run_requests(&mut mem, merged.into_iter(), "baseline-update")?;
+    Ok(PhaseResult::from_stats(cfg, &mem.stats(), scale))
 }
 
 /// The GradPIM update phase proper: the Fig. 5 (middle) update kernel
@@ -575,7 +892,7 @@ pub fn pim_update_phase(
     params: u64,
     cap_params: u64,
 ) -> Result<PhaseResult, PhaseError> {
-    pim_kernel_phase(cfg, optimizer, mix, hyper, params, cap_params, KernelParts::UPDATE_ONLY)
+    PhaseCall::pim_update(cfg.clone(), optimizer, mix, hyper, params, cap_params).execute()
 }
 
 /// The quantization + dequantization kernels (Fig. 5 top and bottom),
@@ -594,13 +911,10 @@ pub fn pim_quant_dequant_phase(
     params: u64,
     cap_params: u64,
 ) -> Result<PhaseResult, PhaseError> {
-    if !mix.is_mixed() {
-        return Ok(PhaseResult::empty());
-    }
-    pim_kernel_phase(cfg, optimizer, mix, hyper, params, cap_params, KernelParts::QUANT_DEQUANT)
+    PhaseCall::pim_quant_dequant(cfg.clone(), optimizer, mix, hyper, params, cap_params).execute()
 }
 
-fn pim_kernel_phase(
+fn simulate_pim_kernel(
     cfg: &DramConfig,
     optimizer: OptimizerKind,
     mix: PrecisionMix,
@@ -609,32 +923,19 @@ fn pim_kernel_phase(
     cap_params: u64,
     parts: KernelParts,
 ) -> Result<PhaseResult, PhaseError> {
-    if params == 0 {
-        return Ok(PhaseResult::empty());
-    }
-    observed(
+    let sim_params = capped_params(params, cap_params) as usize;
+    let scale = params as f64 / sim_params as f64;
+    let setup = |e: GradPimError| PhaseError::setup("pim-kernel", e);
+    let placement =
+        Placement::for_optimizer(optimizer, mix, sim_params, cfg).map_err(|e| setup(e.into()))?;
+    let plan = compile_step_parts(&placement, hyper, cfg, parts).map_err(|e| setup(e.into()))?;
+    let mut mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
+    run_unit_streams(
+        &mut mem,
+        plan.streams.iter().map(|s| (s.channel, s.rank, s.bankgroup, s.ops.as_slice())),
         "pim-kernel",
-        || {
-            format!(
-                "phase/v1/pim-kernel/{optimizer:?}/{mix:?}/{hyper:?}/{params}/{cap_params}/{parts:?}/{cfg:?}"
-            )
-        },
-        || {
-            let sim_params = params.min(cap_params.max(1024)) as usize;
-            let scale = params as f64 / sim_params as f64;
-            let placement = Placement::for_optimizer(optimizer, mix, sim_params, cfg)
-                .expect("placement for PIM update");
-            let plan =
-                compile_step_parts(&placement, hyper, cfg, parts).expect("kernel compilation");
-            let mut mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
-            run_unit_streams(
-                &mut mem,
-                plan.streams.iter().map(|s| (s.channel, s.rank, s.bankgroup, s.ops.as_slice())),
-                "pim-kernel",
-            )?;
-            Ok(PhaseResult::from_stats(cfg, &mem.stats(), scale))
-        },
-    )
+    )?;
+    Ok(PhaseResult::from_stats(cfg, &mem.stats(), scale))
 }
 
 /// The AoS-PB update phase (§VI-B): per-bank units, arrays interleaved as
@@ -653,62 +954,58 @@ pub fn aos_per_bank_update_phase(
     params: u64,
     cap_params: u64,
 ) -> Result<PhaseResult, PhaseError> {
-    if params == 0 {
-        return Ok(PhaseResult::empty());
+    PhaseCall::aos_per_bank_update(cfg.clone(), optimizer, mix, params, cap_params).execute()
+}
+
+fn simulate_aos_per_bank(
+    cfg: &DramConfig,
+    optimizer: OptimizerKind,
+    mix: PrecisionMix,
+    params: u64,
+    cap_params: u64,
+) -> Result<PhaseResult, PhaseError> {
+    let high = mix.high.bytes();
+    let epc = cfg.burst_bytes / high;
+    // Struct fields per element: θ + g + states (+ quantized shadow slot).
+    let fields = 2 + optimizer.state_arrays() + usize::from(mix.is_mixed());
+    let cols_per_chunk = (cfg.columns / fields).max(1) as u32;
+    let elems_per_chunk = epc * cols_per_chunk as usize;
+
+    let sim_params = capped_params(params, cap_params) as usize;
+    let scale = params as f64 / sim_params as f64;
+    let n_chunks = sim_params.div_ceil(elems_per_chunk);
+
+    let mut streams: Vec<(usize, u8, u8, Vec<PimOp>)> = Vec::new();
+    for c in 0..n_chunks {
+        let bg = (c % cfg.bankgroups) as u8;
+        let rank = ((c / cfg.bankgroups) % cfg.ranks) as u8;
+        let wave = c / (cfg.bankgroups * cfg.ranks);
+        let bank = (wave % cfg.banks_per_group) as u8;
+        let row = (wave / cfg.banks_per_group) as u32;
+        let idx = streams.iter().position(|s| s.1 == rank && s.2 == bg).unwrap_or_else(|| {
+            streams.push((0, rank, bg, Vec::new()));
+            streams.len() - 1
+        });
+        let ops = &mut streams[idx].3;
+        let remaining = sim_params - c * elems_per_chunk;
+        let cols = remaining.min(elems_per_chunk).div_ceil(epc) as u32;
+        for lc in 0..cols {
+            let base = lc * fields as u32;
+            // Momentum-style mix on struct fields: g, v, θ adjacent columns.
+            ops.push(PimOp::ScaledRead { bank, row, col: base, scaler: 0, dst: 0 });
+            ops.push(PimOp::ScaledRead { bank, row, col: base + 1, scaler: 1, dst: 1 });
+            ops.push(PimOp::Add { bank, dst: 1 });
+            ops.push(PimOp::Writeback { bank, row, col: base + 1, src: 1 });
+            ops.push(PimOp::ScaledRead { bank, row, col: base + 2, scaler: 3, dst: 0 });
+            ops.push(PimOp::Add { bank, dst: 0 });
+            ops.push(PimOp::Writeback { bank, row, col: base + 2, src: 0 });
+            // Quantization/dequantization overlap fwd/bwd as in the
+            // per-bank-group designs, so they are not part of this window.
+        }
     }
-    observed(
-        "aos-pb",
-        || format!("phase/v1/aos-pb/{optimizer:?}/{mix:?}/{params}/{cap_params}/{cfg:?}"),
-        || {
-            let high = mix.high.bytes();
-            let epc = cfg.burst_bytes / high;
-            // Struct fields per element: θ + g + states (+ quantized shadow slot).
-            let fields = 2 + optimizer.state_arrays() + usize::from(mix.is_mixed());
-            let cols_per_chunk = (cfg.columns / fields).max(1) as u32;
-            let elems_per_chunk = epc * cols_per_chunk as usize;
-
-            let sim_params = params.min(cap_params.max(1024)) as usize;
-            let scale = params as f64 / sim_params as f64;
-            let n_chunks = sim_params.div_ceil(elems_per_chunk);
-
-            let mut streams: Vec<(usize, u8, u8, Vec<PimOp>)> = Vec::new();
-            for c in 0..n_chunks {
-                let bg = (c % cfg.bankgroups) as u8;
-                let rank = ((c / cfg.bankgroups) % cfg.ranks) as u8;
-                let wave = c / (cfg.bankgroups * cfg.ranks);
-                let bank = (wave % cfg.banks_per_group) as u8;
-                let row = (wave / cfg.banks_per_group) as u32;
-                let idx =
-                    streams.iter().position(|s| s.1 == rank && s.2 == bg).unwrap_or_else(|| {
-                        streams.push((0, rank, bg, Vec::new()));
-                        streams.len() - 1
-                    });
-                let ops = &mut streams[idx].3;
-                let remaining = sim_params - c * elems_per_chunk;
-                let cols = remaining.min(elems_per_chunk).div_ceil(epc) as u32;
-                for lc in 0..cols {
-                    let base = lc * fields as u32;
-                    // Momentum-style mix on struct fields: g, v, θ adjacent columns.
-                    ops.push(PimOp::ScaledRead { bank, row, col: base, scaler: 0, dst: 0 });
-                    ops.push(PimOp::ScaledRead { bank, row, col: base + 1, scaler: 1, dst: 1 });
-                    ops.push(PimOp::Add { bank, dst: 1 });
-                    ops.push(PimOp::Writeback { bank, row, col: base + 1, src: 1 });
-                    ops.push(PimOp::ScaledRead { bank, row, col: base + 2, scaler: 3, dst: 0 });
-                    ops.push(PimOp::Add { bank, dst: 0 });
-                    ops.push(PimOp::Writeback { bank, row, col: base + 2, src: 0 });
-                    // Quantization/dequantization overlap fwd/bwd as in the
-                    // per-bank-group designs, so they are not part of this window.
-                }
-            }
-            let mut mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
-            run_unit_streams(
-                &mut mem,
-                streams.iter().map(|s| (s.0, s.1, s.2, s.3.as_slice())),
-                "aos-pb",
-            )?;
-            Ok(PhaseResult::from_stats(cfg, &mem.stats(), scale))
-        },
-    )
+    let mut mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
+    run_unit_streams(&mut mem, streams.iter().map(|s| (s.0, s.1, s.2, s.3.as_slice())), "aos-pb")?;
+    Ok(PhaseResult::from_stats(cfg, &mem.stats(), scale))
 }
 
 /// Round-robin enqueue of per-unit op streams with backpressure
@@ -999,6 +1296,138 @@ mod tests {
         let gets = memo.gets.load(std::sync::atomic::Ordering::Relaxed);
         assert_eq!(plain, stream_phase(&cfg, 1 << 20, 512 << 10, CAP).unwrap());
         assert_eq!(memo.gets.load(std::sync::atomic::Ordering::Relaxed), gets);
+    }
+
+    /// Labeled mutations of a struct, one per field, grouped by the
+    /// mutation applied. The pattern names every field without `..`, so a
+    /// new field fails to compile until it is listed here.
+    macro_rules! field_bumps {
+        ($ty:ident { $($bump:expr => [$($field:ident),+ $(,)?]),+ $(,)? }) => {{
+            let _complete = |v: &$ty| {
+                let $ty { $($($field: _,)+)+ } = v;
+            };
+            let bumps: Vec<(&str, Box<dyn Fn(&mut $ty)>)> = vec![
+                $($((stringify!($field), Box::new(|c: &mut $ty| ($bump)(&mut c.$field)))),+),+
+            ];
+            bumps
+        }};
+    }
+
+    #[test]
+    fn changing_any_single_field_changes_the_key() {
+        let opt = OptimizerKind::MomentumSgd;
+        let mix = PrecisionMix::MIXED_8_32;
+        let hyper = HyperParams::default();
+        let dram = SystemConfig::new(Design::GradPimBuffered).dram();
+        let base = PhaseCall::pim_update(dram.clone(), opt, mix, &hyper, 4096, CAP);
+        let key = base.key();
+        assert!(key.starts_with("phase/v2/pim-kernel/"), "{key}");
+        assert!(!key.contains('\n'));
+        let mut keys = std::collections::BTreeMap::new();
+        let mut record = |what: &str, call: PhaseCall| {
+            let k = call.key();
+            assert_ne!(k, key, "changing {what} left the key unchanged");
+            assert!(!k.contains('\n'), "{what}: {k}");
+            if let Some(other) = keys.insert(k, what.to_string()) {
+                panic!("changing {what} gave the same key as changing {other}");
+            }
+        };
+
+        let dram_fields = field_bumps!(DramConfig {
+            |v: &mut usize| *v += 1 => [
+                channels, ranks, bankgroups, banks_per_group, rows, columns, burst_bytes,
+                queue_depth,
+            ],
+            |v: &mut u64| *v += 1 => [
+                tck_ps, tcl, trcd, trp, tras, trc, tccd_l, tccd_s, trrd_l, trrd_s, tfaw, twr,
+                twtr_l, twtr_s, trtp, tcwl, tburst, trefi, trfc, trtrs, tpim, txp,
+                powerdown_idle,
+            ],
+            |v: &mut f64| *v += 0.5 => [
+                idd0, idd2p, idd2n, idd3p, idd3n, idd4r, idd4w, iddpre, vdd, io_pj_per_bit,
+            ],
+            |v: &mut String| v.push('\n') => [name],
+            |v: &mut bool| *v = !*v => [extended_alu],
+            |v: &mut CommandIssueMode| {
+                *v = match v {
+                    CommandIssueMode::Direct => CommandIssueMode::PerRankBuffered,
+                    CommandIssueMode::PerRankBuffered => CommandIssueMode::Direct,
+                }
+            } => [issue_mode],
+            |v: &mut DataBusScope| {
+                *v = match v {
+                    DataBusScope::Channel => DataBusScope::PerRank,
+                    DataBusScope::PerRank => DataBusScope::Channel,
+                }
+            } => [data_bus],
+            |v: &mut PimPlacement| {
+                *v = match v {
+                    PimPlacement::PerBankGroup => PimPlacement::PerBank,
+                    PimPlacement::PerBank => PimPlacement::PerBankGroup,
+                }
+            } => [pim_placement],
+        });
+        assert_eq!(dram_fields.len(), 46, "every DramConfig field");
+        for (field, bump) in &dram_fields {
+            let mut d = dram.clone();
+            bump(&mut d);
+            assert_ne!(d, dram, "{field} did not change");
+            record(field, PhaseCall::pim_update(d, opt, mix, &hyper, 4096, CAP));
+        }
+
+        let hyper_fields = field_bumps!(HyperParams {
+            |v: &mut f32| *v += 0.5 => [lr, momentum, weight_decay, beta1, beta2, eps],
+        });
+        for (field, bump) in &hyper_fields {
+            let mut h = hyper;
+            bump(&mut h);
+            record(field, PhaseCall::pim_update(dram.clone(), opt, mix, &h, 4096, CAP));
+        }
+
+        record(
+            "optimizer",
+            PhaseCall::pim_update(dram.clone(), OptimizerKind::Nag, mix, &hyper, 4096, CAP),
+        );
+        let low = PrecisionMix { low: gradpim_optim::Precision::Fp16, ..mix };
+        record("mix.low", PhaseCall::pim_update(dram.clone(), opt, low, &hyper, 4096, CAP));
+        let high = PrecisionMix { high: gradpim_optim::Precision::Fp16, ..mix };
+        record("mix.high", PhaseCall::pim_update(dram.clone(), opt, high, &hyper, 4096, CAP));
+        record("params", PhaseCall::pim_update(dram.clone(), opt, mix, &hyper, 4097, CAP));
+        record("cap", PhaseCall::pim_update(dram.clone(), opt, mix, &hyper, 4096, CAP + 1));
+        record("parts", PhaseCall::pim_quant_dequant(dram.clone(), opt, mix, &hyper, 4096, CAP));
+        // The other executors: each argument of their own moves the key,
+        // and no two executors share a key on the same arguments.
+        record("executor", PhaseCall::baseline_update(dram.clone(), opt, mix, 4096, CAP));
+        record("executor", PhaseCall::aos_per_bank_update(dram.clone(), opt, mix, 4096, CAP));
+        let stream = PhaseCall::stream(dram.clone(), 4096, 4096, CAP);
+        record("stream", stream.clone());
+        record("read", PhaseCall::stream(dram.clone(), 4097, 4096, CAP));
+        record("write", PhaseCall::stream(dram.clone(), 4096, 4097, CAP));
+        record("stream cap", PhaseCall::stream(dram.clone(), 4096, 4096, CAP + 1));
+        assert!(stream.key().starts_with("phase/v2/stream/read_bytes=4096,write_bytes=4096,"));
+    }
+
+    #[test]
+    fn executors_run_their_call() {
+        let cfg = SystemConfig::new(Design::Baseline).dram();
+        let call = PhaseCall::stream(cfg.clone(), 1 << 20, 512 << 10, CAP);
+        assert!(call.simulates());
+        assert_eq!(call.context(), "stream");
+        assert_eq!(call.execute().unwrap(), stream_phase(&cfg, 1 << 20, 512 << 10, CAP).unwrap());
+        // Calls that do not simulate answer empty: no traffic, no
+        // parameters, or quantization kernels at a single precision.
+        let hyper = HyperParams::default();
+        let full = PrecisionMix::FULL_32;
+        let opt = OptimizerKind::MomentumSgd;
+        for call in [
+            PhaseCall::stream(cfg.clone(), 0, 0, CAP),
+            PhaseCall::pim_update(cfg.clone(), opt, full, &hyper, 0, CAP),
+            PhaseCall::pim_quant_dequant(cfg.clone(), opt, full, &hyper, 4096, CAP),
+        ] {
+            assert!(!call.simulates(), "{call:?}");
+            assert_eq!(call.execute().unwrap(), PhaseResult::empty());
+        }
+        assert!(PhaseCall::pim_update(cfg.clone(), opt, full, &hyper, 4096, CAP).simulates());
     }
 
     #[test]

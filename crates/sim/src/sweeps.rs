@@ -3,12 +3,13 @@
 //! Each family is one [`SweepFamily`] impl — [`DesignSpace`],
 //! [`OpsBandwidth`], [`BatchSize`], [`Precision`], [`LayerScatter`] and
 //! [`Scaling`] — that enumerates its independent simulation jobs as row
-//! groups in figure order, simulates one spec at a time, and turns each
-//! group's outputs into report rows. [`SweepFamily::report`] runs a family
-//! sequentially and is the reference; `gradpim-engine`'s
-//! `ExperimentSpec::run` is the one parallel, cached and sharded runner
-//! over the same surface. Sweep points share no state, so any schedule
-//! produces bit-identical rows.
+//! groups in figure order, plans each spec's phase calls, assembles each
+//! spec's output from their results, and turns each group's outputs into
+//! report rows. [`SweepFamily::report`] runs a family sequentially and is
+//! the reference; `gradpim-engine`'s `ExperimentSpec::run` is the one
+//! parallel, cached and sharded runner over the same surface, and it
+//! simulates each distinct phase call of a run once. Phase calls are pure,
+//! so any schedule and any deduplication produce bit-identical rows.
 //!
 //! The typed points ([`OpsBwPoint`], [`BatchPoint`], …) are each family's
 //! [`SweepFamily::run_spec`] output; callers that want them rather than
@@ -21,20 +22,13 @@ use gradpim_workloads::{Layer, Network};
 
 use crate::config::{Design, SystemConfig};
 use crate::distributed::{DistConfig, DistReport, DistSpec};
-use crate::phase::PhaseError;
+use crate::phase::{PhaseCall, PhaseError, PhaseResult};
 use crate::report::{Kind, Report, Schema, SweepRow, ToRow};
 use crate::train::{TrainingReport, TrainingSim};
 
 /// Traffic-scaling caps shared by every sweep: `Some((bursts, params))`
 /// overrides `max_sim_bursts` / `max_sim_params` on each simulated system.
 pub type QuickCaps = Option<(u64, usize)>;
-
-/// The coarse workload shape of one sweep point: `(params, batch,
-/// channels)` — trainable parameters simulated, activation sets streamed
-/// per step, and DRAM channels available to drain in parallel. Execution
-/// engines feed this to a cost model to start the heaviest points first;
-/// it never influences simulated results.
-pub type Workload = (u64, usize, usize);
 
 /// One sweep family behind a single generic surface.
 ///
@@ -47,9 +41,10 @@ pub type Workload = (u64, usize, usize);
 /// sweeps that share a group share its rows.
 ///
 /// Implementations must be deterministic end to end: `groups` enumerates
-/// in figure order, `run_spec` is a pure function of the spec, and
-/// `group_rows` derives rows from the group's own outputs only — this is
-/// what makes a content-addressed cache over `{:?}`-rendered groups sound.
+/// in figure order, `plan` and `assemble` are pure functions of the spec
+/// (and of the results), and `group_rows` derives rows from the group's
+/// own outputs only — this is what makes a content-addressed cache over
+/// `{:?}`-rendered groups sound.
 pub trait SweepFamily {
     /// One independent simulation job. `Debug` must render every field
     /// that influences the simulated result (derived `Debug` on the spec
@@ -68,16 +63,12 @@ pub trait SweepFamily {
     /// The report schema every group's rows follow.
     fn schema() -> Schema;
 
-    /// Simulates one spec.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`PhaseError`] from the simulation.
-    fn run_spec(spec: &Self::Spec) -> Result<Self::Out, PhaseError>;
+    /// The phase calls simulating one spec takes, in execution order.
+    fn plan(spec: &Self::Spec) -> Vec<PhaseCall>;
 
-    /// The spec's [`Workload`] shape (cost-model input only — never
-    /// influences simulated results).
-    fn workload(spec: &Self::Spec) -> Workload;
+    /// The spec's output from `results`, the results of
+    /// [`plan`](Self::plan)`(spec)` in plan order.
+    fn assemble(spec: &Self::Spec, results: Vec<PhaseResult>) -> Self::Out;
 
     /// How many report rows one group contributes. Defaults to one row
     /// per spec; families that fold several specs into a row override it.
@@ -91,6 +82,18 @@ pub trait SweepFamily {
     /// All specs of every group, flattened in figure order.
     fn specs(nets: &[Network], quick: QuickCaps) -> Vec<Self::Spec> {
         Self::groups(nets, quick).into_iter().flatten().collect()
+    }
+
+    /// Simulates one spec: every call of its plan executed in order, then
+    /// assembled.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`PhaseError`] of the plan.
+    fn run_spec(spec: &Self::Spec) -> Result<Self::Out, PhaseError> {
+        let results: Vec<PhaseResult> =
+            Self::plan(spec).iter().map(PhaseCall::execute).collect::<Result<_, _>>()?;
+        Ok(Self::assemble(spec, results))
     }
 
     /// Runs the whole family sequentially into a [`Report`] — the
@@ -136,24 +139,25 @@ impl PairSpec {
         Self { base, pim, net: net.clone() }
     }
 
-    /// This point's [`Workload`] shape (cost-model input only).
-    pub fn workload(&self) -> Workload {
-        (
-            self.net.total_params() as u64,
-            self.base.batch.unwrap_or(self.net.default_batch),
-            self.base.base_dram.channels.max(self.pim.base_dram.channels),
-        )
+    /// The phase calls of one training step on each system: the
+    /// baseline's, then GradPIM-BD's.
+    pub fn plan(&self) -> Vec<PhaseCall> {
+        let mut calls = TrainingSim::new(self.base.clone()).plan(&self.net);
+        calls.extend(TrainingSim::new(self.pim.clone()).plan(&self.net));
+        calls
     }
 
-    /// Simulates one training step on each system: `(baseline, GradPIM-BD)`.
+    /// Both training reports, `(baseline, GradPIM-BD)`, from the results
+    /// of [`plan`](Self::plan) in plan order.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Propagates any [`PhaseError`] from either simulation.
-    pub fn run(&self) -> Result<(TrainingReport, TrainingReport), PhaseError> {
-        let tb = TrainingSim::new(self.base.clone()).run(&self.net)?;
-        let tp = TrainingSim::new(self.pim.clone()).run(&self.net)?;
-        Ok((tb, tp))
+    /// If `results` ends before the plan's calls do.
+    pub fn assemble(&self, results: Vec<PhaseResult>) -> (TrainingReport, TrainingReport) {
+        let mut results = results.into_iter();
+        let tb = TrainingSim::new(self.base.clone()).assemble(&self.net, results.by_ref());
+        let tp = TrainingSim::new(self.pim.clone()).assemble(&self.net, results);
+        (tb, tp)
     }
 }
 
@@ -213,12 +217,15 @@ impl SweepFamily for DesignSpace {
         ])
     }
 
-    fn run_spec((cfg, net): &Self::Spec) -> Result<DesignPoint, PhaseError> {
-        Ok(DesignPoint { design: cfg.design, report: TrainingSim::new(cfg.clone()).run(net)? })
+    fn plan((cfg, net): &Self::Spec) -> Vec<PhaseCall> {
+        TrainingSim::new(cfg.clone()).plan(net)
     }
 
-    fn workload((cfg, net): &Self::Spec) -> Workload {
-        (net.total_params() as u64, cfg.batch.unwrap_or(net.default_batch), cfg.base_dram.channels)
+    fn assemble((cfg, net): &Self::Spec, results: Vec<PhaseResult>) -> DesignPoint {
+        DesignPoint {
+            design: cfg.design,
+            report: TrainingSim::new(cfg.clone()).assemble(net, results),
+        }
     }
 
     /// A row's speedup is over the latest [`Design::Baseline`] row of the
@@ -318,20 +325,20 @@ impl SweepFamily for OpsBandwidth {
         OpsBwPoint::schema()
     }
 
-    fn run_spec(spec: &PairSpec) -> Result<OpsBwPoint, PhaseError> {
-        let (tb, tp) = spec.run()?;
+    fn plan(spec: &PairSpec) -> Vec<PhaseCall> {
+        spec.plan()
+    }
+
+    fn assemble(spec: &PairSpec, results: Vec<PhaseResult>) -> OpsBwPoint {
+        let (tb, tp) = spec.assemble(results);
         let base = &spec.base;
-        Ok(OpsBwPoint {
+        OpsBwPoint {
             network: spec.net.name.clone(),
             memory: base.base_dram.name.clone(),
             mac_dim: base.npu.mac_dim,
             ops_per_byte: base.npu.ops_per_byte(base.base_dram.peak_external_bw()),
             speedup_pct: speedup_pct(&tb, &tp),
-        })
-    }
-
-    fn workload(spec: &PairSpec) -> Workload {
-        spec.workload()
+        }
     }
 
     fn group_rows(_group: &[PairSpec], outs: Vec<OpsBwPoint>) -> Vec<SweepRow> {
@@ -385,17 +392,17 @@ impl SweepFamily for BatchSize {
         BatchPoint::schema()
     }
 
-    fn run_spec(spec: &PairSpec) -> Result<BatchPoint, PhaseError> {
-        let (tb, tp) = spec.run()?;
-        Ok(BatchPoint {
+    fn plan(spec: &PairSpec) -> Vec<PhaseCall> {
+        spec.plan()
+    }
+
+    fn assemble(spec: &PairSpec, results: Vec<PhaseResult>) -> BatchPoint {
+        let (tb, tp) = spec.assemble(results);
+        BatchPoint {
             network: spec.net.name.clone(),
             batch: tb.batch,
             speedup_pct: speedup_pct(&tb, &tp),
-        })
-    }
-
-    fn workload(spec: &PairSpec) -> Workload {
-        spec.workload()
+        }
     }
 
     fn group_rows(_group: &[PairSpec], outs: Vec<BatchPoint>) -> Vec<SweepRow> {
@@ -462,18 +469,18 @@ impl SweepFamily for Precision {
         PrecisionPoint::schema()
     }
 
-    fn run_spec(spec: &PairSpec) -> Result<PrecisionPoint, PhaseError> {
-        let (tb, tp) = spec.run()?;
-        Ok(PrecisionPoint {
+    fn plan(spec: &PairSpec) -> Vec<PhaseCall> {
+        spec.plan()
+    }
+
+    fn assemble(spec: &PairSpec, results: Vec<PhaseResult>) -> PrecisionPoint {
+        let (tb, tp) = spec.assemble(results);
+        PrecisionPoint {
             network: spec.net.name.clone(),
             mix: spec.base.mix,
             speedup_pct: speedup_pct(&tb, &tp),
             energy_pct: tp.energy().total_pj() / tb.energy().total_pj() * 100.0,
-        })
-    }
-
-    fn workload(spec: &PairSpec) -> Workload {
-        spec.workload()
+        }
     }
 
     fn group_rows(_group: &[PairSpec], outs: Vec<PrecisionPoint>) -> Vec<SweepRow> {
@@ -554,20 +561,20 @@ impl SweepFamily for LayerScatter {
         LayerPoint::schema()
     }
 
-    fn run_spec(spec: &LayerSpec) -> Result<LayerPoint, PhaseError> {
-        let (tb, tp) = spec.pair.run()?;
+    fn plan(spec: &LayerSpec) -> Vec<PhaseCall> {
+        spec.pair.plan()
+    }
+
+    fn assemble(spec: &LayerSpec, results: Vec<PhaseResult>) -> LayerPoint {
+        let (tb, tp) = spec.pair.assemble(results);
         // `groups` builds every single-layer network with exactly one layer.
         let layer = &spec.pair.net.layers[0];
-        Ok(LayerPoint {
+        LayerPoint {
             network: spec.network.clone(),
             layer: layer.name.clone(),
             ratio: layer.weight_activation_ratio(),
             speedup_pct: speedup_pct(&tb, &tp),
-        })
-    }
-
-    fn workload(spec: &LayerSpec) -> Workload {
-        spec.pair.workload()
+        }
     }
 
     fn group_rows(_group: &[LayerSpec], outs: Vec<LayerPoint>) -> Vec<SweepRow> {
@@ -661,12 +668,12 @@ impl SweepFamily for Scaling {
         ScalingRow::schema()
     }
 
-    fn run_spec(spec: &DistSpec) -> Result<DistReport, PhaseError> {
-        spec.run()
+    fn plan(spec: &DistSpec) -> Vec<PhaseCall> {
+        spec.plan()
     }
 
-    fn workload(spec: &DistSpec) -> Workload {
-        spec.workload()
+    fn assemble(spec: &DistSpec, results: Vec<PhaseResult>) -> DistReport {
+        spec.assemble(results)
     }
 
     fn rows_per_group(group: &[DistSpec]) -> usize {
@@ -771,19 +778,6 @@ mod tests {
             assert_eq!(s.base.max_sim_bursts, 1500);
             assert_eq!(s.pim.max_sim_params, 20_000);
         }
-    }
-
-    #[test]
-    fn workloads_reflect_spec_shape() {
-        let specs = BatchSize::specs(&[models::mlp()], QUICK);
-        let (params, batch, channels) = specs[0].workload();
-        assert_eq!(params, models::mlp().total_params() as u64);
-        assert_eq!(batch, 16, "batch sweep's first point sets batch 16");
-        assert!(channels >= 1);
-        // Layer points report the single layer's parameters, not the net's.
-        let layers = LayerScatter::specs(&[models::resnet18()], QUICK);
-        let total: u64 = layers.iter().map(|s| LayerScatter::workload(s).0).sum();
-        assert_eq!(total, models::resnet18().total_params() as u64);
     }
 
     #[test]

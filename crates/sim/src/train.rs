@@ -1,5 +1,9 @@
 //! Full training-step simulation: Fig. 9 (time), Fig. 10 (energy), and
-//! Fig. 11 (bandwidth / command-bus) all come from [`TrainingSim::run`].
+//! Fig. 11 (bandwidth / command-bus) all come from [`TrainingSim::run`],
+//! the composition of [`TrainingSim::plan`] (the step's phase calls) and
+//! [`TrainingSim::assemble`] (the report from their results).
+
+use std::sync::Arc;
 
 use gradpim_dram::EnergyBreakdown;
 use gradpim_npu::compute;
@@ -7,10 +11,7 @@ use gradpim_workloads::traffic::{layer_fwdbwd_rw, layer_traffic};
 use gradpim_workloads::Network;
 
 use crate::config::{Design, SystemConfig};
-use crate::phase::{
-    aos_per_bank_update_phase, baseline_update_phase, pim_quant_dequant_phase, pim_update_phase,
-    stream_phase, PhaseError, PhaseResult,
-};
+use crate::phase::{PhaseCall, PhaseError, PhaseResult};
 
 /// Results for one Fig. 9 block.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,109 +123,151 @@ impl TrainingSim {
         &self.cfg
     }
 
+    /// The phase calls of one training step of `net`, in execution order:
+    /// per block, the forward/backward stream on the design's
+    /// forward/backward DRAM view, then the update executors on its DRAM
+    /// view (the quant/dequant kernels last, on the PIM designs). Every
+    /// call of the plan shares one copy of each view.
+    pub fn plan(&self, net: &Network) -> Vec<PhaseCall> {
+        let cfg = &self.cfg;
+        let dram = Arc::new(cfg.dram());
+        let fwdbwd_dram = Arc::new(cfg.fwdbwd_dram());
+        let (opt, mix, hyper, cap) =
+            (cfg.optimizer, cfg.mix, &cfg.hyper, cfg.max_sim_params as u64);
+        let mut calls = Vec::new();
+        for b in self.blocks(net) {
+            calls.push(PhaseCall::stream(
+                Arc::clone(&fwdbwd_dram),
+                b.reads,
+                b.writes,
+                cfg.max_sim_bursts,
+            ));
+            let dram = Arc::clone(&dram);
+            let p = b.params;
+            match cfg.design {
+                Design::Baseline | Design::TensorDimm => {
+                    calls.push(PhaseCall::baseline_update(dram, opt, mix, p, cap));
+                }
+                Design::GradPimDirect | Design::GradPimBuffered | Design::Aos => {
+                    calls.push(PhaseCall::pim_update(Arc::clone(&dram), opt, mix, hyper, p, cap));
+                    calls.push(PhaseCall::pim_quant_dequant(dram, opt, mix, hyper, p, cap));
+                }
+                Design::AosPerBank => {
+                    calls.push(PhaseCall::aos_per_bank_update(Arc::clone(&dram), opt, mix, p, cap));
+                    calls.push(PhaseCall::pim_quant_dequant(dram, opt, mix, hyper, p, cap));
+                }
+            }
+        }
+        calls
+    }
+
+    /// The step's report from `results`, the results of
+    /// [`plan`](Self::plan)`(net)` in plan order. A caller may take them
+    /// from anywhere — a memo, a store, a deduplicating runner — since
+    /// calls are pure. The arithmetic is [`run`](Self::run)'s, so equal
+    /// results give a bit-identical report. `results` may run on past
+    /// this plan's calls (the rest are left unread).
+    ///
+    /// # Panics
+    ///
+    /// If `results` ends before the plan's calls do.
+    pub fn assemble(
+        &self,
+        net: &Network,
+        results: impl IntoIterator<Item = PhaseResult>,
+    ) -> TrainingReport {
+        let cfg = &self.cfg;
+        let mut results = results.into_iter();
+        let mut next = || results.next().expect("one result per planned phase call");
+        let overlapped = !matches!(cfg.design, Design::Baseline | Design::TensorDimm);
+        let blocks = self
+            .blocks(net)
+            .into_iter()
+            .map(|b| {
+                let fwdbwd = next();
+                let update = next();
+                let overlap = if overlapped { next() } else { PhaseResult::empty() };
+                // Double buffering overlaps compute with memory, and the
+                // quant/dequant kernels pipeline with fwd/bwd: the phase
+                // takes the slowest of the three.
+                let fwdbwd_ns = fwdbwd.time_ns.max(b.compute_ns).max(overlap.time_ns);
+                BlockReport {
+                    block: b.block,
+                    fwdbwd_ns,
+                    compute_ns: b.compute_ns,
+                    update_ns: update.time_ns,
+                    params: b.params,
+                    fwdbwd,
+                    update,
+                    overlap,
+                }
+            })
+            .collect();
+        let batch = cfg.batch.unwrap_or(net.default_batch);
+        TrainingReport { network: net.name.clone(), design: cfg.design, batch, blocks }
+    }
+
     /// Runs one training step of `net` and reports per-block times, energy
-    /// and bandwidths.
+    /// and bandwidths: every call of [`plan`](Self::plan) executed in
+    /// order, then [`assemble`](Self::assemble). The sequential reference
+    /// for any runner that gets the results another way.
     ///
     /// # Errors
     ///
     /// Propagates the first [`PhaseError`] any phase executor reports
     /// (simulator errors are bugs or livelocks, never workload conditions).
     pub fn run(&self, net: &Network) -> Result<TrainingReport, PhaseError> {
+        let results: Vec<PhaseResult> =
+            self.plan(net).iter().map(PhaseCall::execute).collect::<Result<_, _>>()?;
+        Ok(self.assemble(net, results))
+    }
+
+    /// Per block of `net`: its memory traffic, parameters and NPU compute
+    /// time, the analytic inputs [`plan`](Self::plan) and
+    /// [`assemble`](Self::assemble) share.
+    fn blocks(&self, net: &Network) -> Vec<BlockShape> {
         let cfg = &self.cfg;
         let batch = cfg.batch.unwrap_or(net.default_batch);
         let tcfg = cfg.traffic(batch);
-        let dram = cfg.dram();
-        let fwdbwd_dram = cfg.fwdbwd_dram();
         let inflation = cfg.design.fwdbwd_inflation(cfg.mix);
-
-        let mut blocks = Vec::new();
-        for block in net.blocks() {
-            let layers = net.block_layers(&block);
-            let mut reads = 0u64;
-            let mut writes = 0u64;
-            let mut params = 0u64;
-            let mut compute_cycles = 0u64;
-            for l in &layers {
-                let (r, w) = layer_fwdbwd_rw(l, &tcfg);
-                reads += r;
-                writes += w;
-                params += l.params() as u64;
-                compute_cycles += compute::forward_cycles(&cfg.npu, l, batch)
-                    + compute::backward_cycles(&cfg.npu, l, batch);
-                // Keep the analytic traffic model honest: the totals match.
-                debug_assert_eq!(r + w, layer_traffic(l, &tcfg).fwd_bwd());
-            }
-            let reads = (reads as f64 * inflation) as u64;
-            let writes = (writes as f64 * inflation) as u64;
-
-            let fwdbwd = stream_phase(&fwdbwd_dram, reads, writes, cfg.max_sim_bursts)?;
-            let compute_ns = compute_cycles as f64 * cfg.npu.cycle_ns();
-
-            let (update, overlap) = match cfg.design {
-                Design::Baseline | Design::TensorDimm => (
-                    baseline_update_phase(
-                        &dram,
-                        cfg.optimizer,
-                        cfg.mix,
-                        params,
-                        cfg.max_sim_params as u64,
-                    )?,
-                    PhaseResult::empty(),
-                ),
-                Design::GradPimDirect | Design::GradPimBuffered | Design::Aos => (
-                    pim_update_phase(
-                        &dram,
-                        cfg.optimizer,
-                        cfg.mix,
-                        &cfg.hyper,
-                        params,
-                        cfg.max_sim_params as u64,
-                    )?,
-                    pim_quant_dequant_phase(
-                        &dram,
-                        cfg.optimizer,
-                        cfg.mix,
-                        &cfg.hyper,
-                        params,
-                        cfg.max_sim_params as u64,
-                    )?,
-                ),
-                Design::AosPerBank => (
-                    aos_per_bank_update_phase(
-                        &dram,
-                        cfg.optimizer,
-                        cfg.mix,
-                        params,
-                        cfg.max_sim_params as u64,
-                    )?,
-                    pim_quant_dequant_phase(
-                        &dram,
-                        cfg.optimizer,
-                        cfg.mix,
-                        &cfg.hyper,
-                        params,
-                        cfg.max_sim_params as u64,
-                    )?,
-                ),
-            };
-            // Double buffering overlaps compute with memory, and the
-            // quant/dequant kernels pipeline with fwd/bwd: the phase takes
-            // the slowest of the three.
-            let fwdbwd_ns = fwdbwd.time_ns.max(compute_ns).max(overlap.time_ns);
-            let update_ns = update.time_ns;
-            blocks.push(BlockReport {
-                block,
-                fwdbwd_ns,
-                compute_ns,
-                update_ns,
-                params,
-                fwdbwd,
-                update,
-                overlap,
-            });
-        }
-        Ok(TrainingReport { network: net.name.clone(), design: cfg.design, batch, blocks })
+        net.blocks()
+            .into_iter()
+            .map(|block| {
+                let layers = net.block_layers(&block);
+                let mut reads = 0u64;
+                let mut writes = 0u64;
+                let mut params = 0u64;
+                let mut compute_cycles = 0u64;
+                for l in &layers {
+                    let (r, w) = layer_fwdbwd_rw(l, &tcfg);
+                    reads += r;
+                    writes += w;
+                    params += l.params() as u64;
+                    compute_cycles += compute::forward_cycles(&cfg.npu, l, batch)
+                        + compute::backward_cycles(&cfg.npu, l, batch);
+                    // Keep the analytic traffic model honest: the totals match.
+                    debug_assert_eq!(r + w, layer_traffic(l, &tcfg).fwd_bwd());
+                }
+                BlockShape {
+                    block,
+                    reads: (reads as f64 * inflation) as u64,
+                    writes: (writes as f64 * inflation) as u64,
+                    params,
+                    compute_ns: compute_cycles as f64 * cfg.npu.cycle_ns(),
+                }
+            })
+            .collect()
     }
+}
+
+/// One block's analytic inputs (see [`TrainingSim::blocks`]).
+struct BlockShape {
+    block: String,
+    /// Forward/backward bytes read and written, design inflation applied.
+    reads: u64,
+    writes: u64,
+    params: u64,
+    compute_ns: f64,
 }
 
 /// Convenience: speedup of `design` over the baseline on `net` (total step

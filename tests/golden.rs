@@ -12,7 +12,8 @@
 //! Three layers are covered:
 //! * `PhaseResult::to_bits_string()` of the phase executors: stream,
 //!   baseline update, PIM kernels and AoS-PB on every `Design` view of
-//!   DDR4-2133, plus stream and PIM kernels on the other presets.
+//!   DDR4-2133, plus stream and PIM kernels on the other presets. The
+//!   same probes pin `PhaseCall::key()`, the key result stores use.
 //! * The command trace, `Stats` and completions of mixed read/write/PIM
 //!   traffic idled across a refresh window, at power-down 16/64/off, in
 //!   Direct and PerRankBuffered issue modes.
@@ -20,7 +21,9 @@
 //!   families' enumeration and row arithmetic above the phase layer.
 //!
 //! The DDR4-2133 stream and PIM-kernel probes also bound the controller's
-//! work per issued command, read from the `phase.<ctx>.dram.*` counters.
+//! work per issued command, read from the `phase.<ctx>.dram.*` counters,
+//! and every experiment is checked to simulate each distinct phase call
+//! of its plan exactly once.
 
 use std::sync::{Mutex, PoisonError};
 
@@ -30,7 +33,7 @@ use gradpim::dram::{
 };
 use gradpim::optim::{HyperParams, OptimizerKind, PrecisionMix};
 use gradpim::sim::phase;
-use gradpim::sim::{Design, PhaseResult, SystemConfig};
+use gradpim::sim::{Design, PhaseCall, PhaseResult, SystemConfig};
 
 /// 64-bit FNV-1a: stable across toolchains and platforms, unlike
 /// `DefaultHasher`.
@@ -70,6 +73,23 @@ fn run_probe(kind: &str, cfg: &DramConfig) -> PhaseResult {
         _ => unreachable!("unknown probe kind {kind}"),
     }
     .unwrap()
+}
+
+/// The call one phase probe of `kind` makes on `cfg`.
+fn probe_call(kind: &str, cfg: &DramConfig) -> PhaseCall {
+    let (read, write, bursts) = STREAM;
+    let (params, cap) = UPDATE;
+    let (opt, mix) = (OptimizerKind::MomentumSgd, PrecisionMix::MIXED_8_32);
+    let hyper = HyperParams::default();
+    let cfg = cfg.clone();
+    match kind {
+        "stream" => PhaseCall::stream(cfg, read, write, bursts),
+        "baseline-update" => PhaseCall::baseline_update(cfg, opt, mix, params, cap),
+        "pim-update" => PhaseCall::pim_update(cfg, opt, mix, &hyper, params, cap),
+        "pim-quant-dequant" => PhaseCall::pim_quant_dequant(cfg, opt, mix, &hyper, params, cap),
+        "aos-pb" => PhaseCall::aos_per_bank_update(cfg, opt, mix, params, cap),
+        _ => unreachable!("unknown probe kind {kind}"),
+    }
 }
 
 /// The phase probe suite, in a fixed order: (name, kind, config).
@@ -131,6 +151,48 @@ const PHASE_GOLDEN: &[(&str, u64)] = &[
     ("hbm2_like/pim-update", 0x74d344c3d412fcfa),
     ("ddr5_like/stream", 0xf331a7e7941f7952),
     ("ddr5_like/pim-update", 0xd95da66ac34985fa),
+];
+
+/// Digests of `PhaseCall::key()` for the phase probes. A key that moves
+/// orphans every stored phase result, so a deliberate format change bumps
+/// the key's version and re-records these.
+const PHASE_KEY_GOLDEN: &[(&str, u64)] = &[
+    ("ddr4_2133/Baseline/stream", 0xb45c8621e08fd5ff),
+    ("ddr4_2133/Baseline/baseline-update", 0x4010586f44b7d34a),
+    ("ddr4_2133/Baseline/pim-update", 0xf49fd0cc801465c1),
+    ("ddr4_2133/Baseline/pim-quant-dequant", 0xaa7b628c57e16594),
+    ("ddr4_2133/Baseline/aos-pb", 0x5b3a442858c7c671),
+    ("ddr4_2133/GradPimDirect/stream", 0xb45c8621e08fd5ff),
+    ("ddr4_2133/GradPimDirect/baseline-update", 0x4010586f44b7d34a),
+    ("ddr4_2133/GradPimDirect/pim-update", 0xf49fd0cc801465c1),
+    ("ddr4_2133/GradPimDirect/pim-quant-dequant", 0xaa7b628c57e16594),
+    ("ddr4_2133/GradPimDirect/aos-pb", 0x5b3a442858c7c671),
+    ("ddr4_2133/TensorDimm/stream", 0x37e8b6f494481cc7),
+    ("ddr4_2133/TensorDimm/baseline-update", 0x270f6836b0ef8596),
+    ("ddr4_2133/TensorDimm/pim-update", 0x07af7d57fcef93ed),
+    ("ddr4_2133/TensorDimm/pim-quant-dequant", 0xa2c4abe575a001e4),
+    ("ddr4_2133/TensorDimm/aos-pb", 0x47da953442d1c51d),
+    ("ddr4_2133/GradPimBuffered/stream", 0x23506fd3106b94a0),
+    ("ddr4_2133/GradPimBuffered/baseline-update", 0x09be826a27ec974f),
+    ("ddr4_2133/GradPimBuffered/pim-update", 0x1bf368a90fe5d586),
+    ("ddr4_2133/GradPimBuffered/pim-quant-dequant", 0x484bdd348011bf55),
+    ("ddr4_2133/GradPimBuffered/aos-pb", 0xf3db5126ecbd82b6),
+    ("ddr4_2133/Aos/stream", 0x23506fd3106b94a0),
+    ("ddr4_2133/Aos/baseline-update", 0x09be826a27ec974f),
+    ("ddr4_2133/Aos/pim-update", 0x1bf368a90fe5d586),
+    ("ddr4_2133/Aos/pim-quant-dequant", 0x484bdd348011bf55),
+    ("ddr4_2133/Aos/aos-pb", 0xf3db5126ecbd82b6),
+    ("ddr4_2133/AosPerBank/stream", 0x9bbe28985d68d9b6),
+    ("ddr4_2133/AosPerBank/baseline-update", 0xfb708fc1396e8131),
+    ("ddr4_2133/AosPerBank/pim-update", 0xbada38bd7c887560),
+    ("ddr4_2133/AosPerBank/pim-quant-dequant", 0x04ba5dd0d324aed3),
+    ("ddr4_2133/AosPerBank/aos-pb", 0x3bcae963e63fc870),
+    ("ddr4_3200/stream", 0x8abb3558597ad4b0),
+    ("ddr4_3200/pim-update", 0x1dba7730a855d542),
+    ("hbm2_like/stream", 0x83572e7a2d671c2d),
+    ("hbm2_like/pim-update", 0xd1acd29586dffdc7),
+    ("ddr5_like/stream", 0xc6c4e0a58af8f779),
+    ("ddr5_like/pim-update", 0xcaef9ed893a99f3f),
 ];
 
 // ---------------------------------------------------------------------------
@@ -395,6 +457,19 @@ fn phase_results_match_golden_digests() {
     check("phase", &actual, PHASE_GOLDEN);
 }
 
+#[test]
+fn phase_call_keys_match_golden_digests() {
+    let actual: Vec<(String, u64)> = phase_probes()
+        .into_iter()
+        .map(|(name, kind, cfg)| {
+            let key = probe_call(kind, &cfg).key();
+            assert!(key.starts_with("phase/v2/") && !key.contains('\n'), "{name}: {key}");
+            (name, fnv1a(key.as_bytes()))
+        })
+        .collect();
+    check("phase-key", &actual, PHASE_KEY_GOLDEN);
+}
+
 // ---------------------------------------------------------------------------
 // Experiment layer
 // ---------------------------------------------------------------------------
@@ -468,4 +543,81 @@ fn candidate_evaluations_per_issued_command_stay_bounded() {
     }
     gradpim::obs::set_metrics(false);
     assert_eq!(checked, 18, "every DDR4-2133 stream and PIM-kernel probe is checked");
+}
+
+/// Every phase call a run of `experiment` on `nets` plans, in figure
+/// order: the calls of each point of its sweep family.
+fn experiment_plan(
+    experiment: gradpim::engine::serialize::Experiment,
+    nets: &[gradpim::workloads::Network],
+    quick: gradpim::sim::sweeps::QuickCaps,
+) -> Vec<PhaseCall> {
+    use gradpim::engine::serialize::Experiment;
+    use gradpim::sim::sweeps::{
+        BatchSize, DesignSpace, LayerScatter, OpsBandwidth, Precision, Scaling, SweepFamily,
+    };
+    fn plan<F: SweepFamily>(
+        nets: &[gradpim::workloads::Network],
+        quick: gradpim::sim::sweeps::QuickCaps,
+    ) -> Vec<PhaseCall> {
+        F::specs(nets, quick).iter().flat_map(F::plan).collect()
+    }
+    match experiment {
+        Experiment::Fig09 => plan::<DesignSpace>(nets, quick),
+        Experiment::Fig12a => plan::<OpsBandwidth>(nets, quick),
+        Experiment::Fig12b => plan::<BatchSize>(nets, quick),
+        Experiment::Fig12c => plan::<Precision>(nets, quick),
+        Experiment::Fig13 => plan::<LayerScatter>(nets, quick),
+        Experiment::Fig14 => plan::<Scaling>(nets, quick),
+    }
+}
+
+#[test]
+fn each_distinct_phase_call_simulates_once() {
+    use gradpim::engine::serialize::{Experiment, ExperimentSpec};
+    use gradpim::engine::Engine;
+    let _serial = PHASES.lock().unwrap_or_else(PoisonError::into_inner);
+    // Phases simulated so far: one `sim_ns` observation per simulated
+    // call, none for a call answered without simulating.
+    let simulated = || -> u64 {
+        gradpim::obs::registry()
+            .hists
+            .iter()
+            .filter(|(name, _)| name.starts_with("phase.") && name.ends_with(".sim_ns"))
+            .map(|(_, h)| h.count)
+            .sum()
+    };
+    let quick = Some((1500, 20_000));
+    let nets = [gradpim::workloads::models::mlp()];
+    gradpim::obs::set_metrics(true);
+    for experiment in Experiment::ALL {
+        let plan = experiment_plan(experiment, &nets, quick);
+        let simulating: Vec<&PhaseCall> = plan.iter().filter(|c| c.simulates()).collect();
+        let distinct: std::collections::BTreeSet<String> =
+            simulating.iter().map(|c| c.key()).collect();
+        let spec = ExperimentSpec::new(experiment, quick, Some(vec!["MLP1".into()]));
+        for engine in [Engine::sequential(), Engine::new(3)] {
+            let before = simulated();
+            spec.run(&engine).unwrap();
+            let runs = simulated() - before;
+            assert_eq!(
+                runs,
+                distinct.len() as u64,
+                "{experiment} on {} thread(s): {} planned calls, {} distinct",
+                engine.threads(),
+                simulating.len(),
+                distinct.len()
+            );
+        }
+    }
+    gradpim::obs::set_metrics(false);
+
+    // Fig. 12a on the paper's network: the MAC-array size changes compute
+    // time only, so each distinct call repeats across the four sizes and
+    // a quarter of the planned calls is all the run simulates.
+    let spec = ExperimentSpec::new(Experiment::Fig12a, quick, None);
+    let plan = experiment_plan(Experiment::Fig12a, &spec.resolve_networks().unwrap(), quick);
+    assert!(plan.iter().all(PhaseCall::simulates));
+    let distinct: std::collections::BTreeSet<String> = plan.iter().map(PhaseCall::key).collect();
+    assert_eq!((plan.len(), distinct.len()), (240, 60));
 }
