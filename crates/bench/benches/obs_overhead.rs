@@ -26,7 +26,7 @@ use gradpim_engine::Engine;
 /// measures recording rather than name formatting.
 fn segment_pass(engine: &Engine, segments: &mut [Vec<u64>]) -> u64 {
     let next = engine
-        .run(segments, None, |_, seg: &Vec<u64>, _| {
+        .run(segments, |seg: &Vec<u64>| {
             let mut seg = seg.clone();
             for _ in 0..64 {
                 let _span = gradpim_obs::span("bench.segment", "bench");

@@ -4,13 +4,11 @@
 //!
 //! ```text
 //! gradpim-cli <experiment> [--quick|--full] [--threads N] [--nets a,b,..]
-//!             [--shards N [--shard-retries K]] [--cache DIR]
-//!             [--format table|csv|json] [-o PATH] [--emit-spec PATH]
-//!             [--trace PATH] [--metrics PATH]
-//! gradpim-cli --run-spec FILE [--shards N [--shard-retries K]] [--threads N]
 //!             [--cache DIR] [--format table|csv|json] [-o PATH]
+//!             [--emit-spec PATH] [--trace PATH] [--metrics PATH]
+//! gradpim-cli --run-spec FILE [--threads N] [--cache DIR]
+//!             [--format table|csv|json] [-o PATH]
 //!             [--trace PATH] [--metrics PATH]
-//! gradpim-cli shard-worker FILE|- [--threads N] [-o PATH]
 //! gradpim-cli check {report|trace|cache} PATH
 //! gradpim-cli cache {stats|clear|verify} [--cache DIR]
 //! gradpim-cli list
@@ -24,21 +22,14 @@
 //!   fig14    distributed-training node scaling (Fig. 14)
 //! ```
 //!
-//! Every experiment runs through an [`ExperimentSpec`], so the in-process
-//! path and the `--emit-spec` → `--run-spec` process boundary execute the
-//! same code and produce bit-identical numbers. `--shards N` farms the
-//! spec's row groups across `N` worker *processes* (this binary
-//! re-invoked as `shard-worker`, or the program named by
-//! `GRADPIM_SHARD_WORKER`), retries crashed workers up to
-//! `--shard-retries K` times each, and merges the row sets — still
-//! bit-identical to the unsharded run. Result data goes to stdout (or
-//! `-o PATH`); progress/banner lines go to stderr, so
-//! `--format csv|json` output is pipe-clean.
+//! Every experiment runs through an [`ExperimentSpec`] on the in-process
+//! pool, so a direct run and the `--emit-spec` → `--run-spec` process
+//! boundary execute the same code and produce bit-identical numbers.
+//! Result data goes to stdout (or `-o PATH`); progress/banner lines go to
+//! stderr, so `--format csv|json` output is pipe-clean.
 //!
 //! Exit codes: `0` success, `1` runtime failure (bad spec file, unknown
-//! network, simulation error), `2` usage error, `3` shard-pipeline
-//! failure (a worker exhausted its retries, or shard output could not be
-//! merged).
+//! network, simulation error), `2` usage error.
 //!
 //! `--threads` (default: `GRADPIM_THREADS`, else available parallelism)
 //! sizes the engine's worker pool; `--quick` (the default)
@@ -56,15 +47,12 @@
 //! Row groups are stored under keys that capture their full inputs, and
 //! the distinct phase calls of the missed groups under their canonical
 //! `phase/v2/…` keys, each looked up once per run. A warm rerun is
-//! byte-identical to a cold one and a fully-cached `--shards N` run
-//! launches zero worker processes. `cache stats|clear|verify` inspect or
-//! reset the store.
+//! byte-identical to a cold one and simulates nothing.
+//! `cache stats|clear|verify` inspect or reset the store.
 //!
 //! Observability: `--trace PATH` records spans across every layer (CLI
-//! stage → shard workers → scheduler → phase executors) and writes a
-//! Chrome-trace JSON loadable in Perfetto; with `--shards N` the workers
-//! ship their spans back piggybacked on the report protocol and the
-//! coordinator merges them onto one timeline. `--metrics PATH` writes the
+//! stage → scheduler → phase executors) and writes a Chrome-trace JSON
+//! loadable in Perfetto. `--metrics PATH` writes the
 //! unified metrics registry (scheduler counters, per-phase histograms
 //! with one observation per simulated distinct call) as JSON. Both
 //! artifacts are emitted after — and entirely off — the report stream,
@@ -73,14 +61,12 @@
 
 #![forbid(unsafe_code)]
 
-use std::io::Read as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
 use gradpim_engine::cache::{self, CacheBackend, DiskCache};
-use gradpim_engine::dist::{self, DistError, ProcessWorker, ShardOptions};
 use gradpim_engine::serialize::{Experiment, ExperimentSpec};
 use gradpim_engine::{report, trace, Engine};
 use gradpim_sim::sweeps::QuickCaps;
@@ -92,10 +78,6 @@ const QUICK: QuickCaps = Some((4 * 1024, 32 * 1024));
 
 /// Exit code for usage errors.
 const EXIT_USAGE: u8 = 2;
-/// Exit code for shard-pipeline failures (vs 1 for ordinary runtime
-/// failures) so scripted drivers can tell "respawn/retry elsewhere" from
-/// "the request itself is bad".
-const EXIT_SHARD: u8 = 3;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Format {
@@ -109,9 +91,6 @@ enum Mode {
     Experiment(Experiment),
     /// Execute a spec file produced by `--emit-spec`.
     RunSpec(String),
-    /// Worker mode: execute one shard sub-spec (`-` = stdin) and print
-    /// its report JSON.
-    ShardWorker(String),
     /// Parse a report JSON and print its shape (`check report`).
     CheckReport(String),
     /// Parse a Chrome-trace JSON and print its shape (`check trace`).
@@ -140,8 +119,6 @@ struct Args {
     format: Format,
     output: Option<String>,
     emit_spec: Option<String>,
-    shards: Option<usize>,
-    shard_retries: Option<usize>,
     /// `--trace PATH`: write a Chrome-trace JSON of the run's spans.
     trace: Option<String>,
     /// `--metrics PATH`: write the metrics registry JSON.
@@ -156,8 +133,6 @@ struct Args {
 enum CliError {
     /// Ordinary runtime failure → exit 1.
     Run(String),
-    /// Shard-pipeline failure → exit [`EXIT_SHARD`].
-    Shard(String),
     /// Late-detected usage error → exit [`EXIT_USAGE`].
     Usage(String),
 }
@@ -177,13 +152,11 @@ fn log(msg: impl std::fmt::Display) {
 fn usage() -> String {
     let mut s = String::from(
         "usage: gradpim-cli <experiment> [--quick|--full] [--threads N] [--nets a,b,..]\n\
-         \u{20}                   [--shards N [--shard-retries K]] [--cache DIR]\n\
-         \u{20}                   [--format table|csv|json] [-o PATH] [--emit-spec PATH]\n\
-         \u{20}                   [--trace PATH] [--metrics PATH]\n\
-         \u{20}      gradpim-cli --run-spec FILE [--shards N [--shard-retries K]] [--threads N]\n\
          \u{20}                   [--cache DIR] [--format table|csv|json] [-o PATH]\n\
+         \u{20}                   [--emit-spec PATH] [--trace PATH] [--metrics PATH]\n\
+         \u{20}      gradpim-cli --run-spec FILE [--threads N] [--cache DIR]\n\
+         \u{20}                   [--format table|csv|json] [-o PATH]\n\
          \u{20}                   [--trace PATH] [--metrics PATH]\n\
-         \u{20}      gradpim-cli shard-worker FILE|- [--threads N] [-o PATH]\n\
          \u{20}      gradpim-cli check {report|trace|cache} PATH\n\
          \u{20}      gradpim-cli cache {stats|clear|verify} [--cache DIR]\n\
          \u{20}      gradpim-cli list\n\n\
@@ -196,7 +169,6 @@ fn usage() -> String {
     s.push_str("  check {report|trace|cache} PATH   validate an emitted artifact or cache store\n");
     s.push_str("  cache {stats|clear|verify}   inspect or reset the result store\n");
     s.push_str("                               (from --cache DIR or GRADPIM_CACHE)\n");
-    s.push_str("  shard-worker FILE|-   run one shard sub-spec, report JSON on stdout\n");
     s
 }
 
@@ -209,8 +181,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         format: Format::Table,
         output: None,
         emit_spec: None,
-        shards: None,
-        shard_retries: None,
         trace: None,
         metrics: None,
         cache: None,
@@ -228,21 +198,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     return Err("--threads must be positive".into());
                 }
                 args.threads = Some(n);
-            }
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a worker-process count")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --shards value `{v}`"))?;
-                if n == 0 {
-                    return Err("--shards must be at least 1 (got 0); \
-                                use --shards 1 for a single worker process"
-                        .into());
-                }
-                args.shards = Some(n);
-            }
-            "--shard-retries" => {
-                let v = it.next().ok_or("--shard-retries needs a retry count")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --shard-retries value `{v}`"))?;
-                args.shard_retries = Some(n);
             }
             "--nets" => {
                 let v = it.next().ok_or("--nets needs a comma-separated list")?;
@@ -311,10 +266,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 };
                 set_mode(&mut mode, Mode::Cache(cmd))?;
             }
-            "shard-worker" => {
-                let v = it.next().ok_or("shard-worker needs a spec file path (or `-`)")?;
-                set_mode(&mut mode, Mode::ShardWorker(v.clone()))?;
-            }
             other if !other.starts_with('-') => {
                 let e = Experiment::parse(other)
                     .ok_or_else(|| format!("unknown experiment `{other}`\n\n{}", usage()))?;
@@ -324,7 +275,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         }
     }
     args.mode = mode.ok_or_else(usage)?;
-    if matches!(args.mode, Mode::RunSpec(_) | Mode::ShardWorker(_)) {
+    if matches!(args.mode, Mode::RunSpec(_)) {
         // The spec file owns these knobs; rejecting beats silently
         // running different caps/networks than the user asked for.
         if args.nets.is_some() {
@@ -334,40 +285,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             return Err("the spec file owns the traffic caps; drop --quick/--full".into());
         }
     }
-    if matches!(args.mode, Mode::ShardWorker(_)) {
-        if args.format != Format::Table {
-            return Err("shard-worker always emits report JSON; drop --format".into());
-        }
-        if args.shards.is_some() {
-            return Err("shard-worker runs exactly its sub-spec; drop --shards".into());
-        }
-        if args.emit_spec.is_some() {
-            return Err("shard-worker executes a spec; drop --emit-spec".into());
-        }
-        if args.trace.is_some() || args.metrics.is_some() {
-            return Err("the coordinator controls worker tracing (GRADPIM_TRACE_SIDECAR); \
-                        drop --trace/--metrics"
-                .into());
-        }
-        if args.cache.is_some() {
-            return Err(
-                "the coordinator controls the worker cache (GRADPIM_CACHE); drop --cache".into()
-            );
-        }
-    }
-    if args.shard_retries.is_some() && args.shards.is_none() {
-        return Err("--shard-retries needs --shards".into());
-    }
     let inert_mode = matches!(
         args.mode,
         Mode::List | Mode::CheckReport(_) | Mode::CheckTrace(_) | Mode::CheckCache(_)
     );
-    if args.shards.is_some() && (inert_mode || matches!(args.mode, Mode::Cache(_))) {
-        return Err("--shards applies to experiments and --run-spec only".into());
-    }
-    if args.shards.is_some() && args.emit_spec.is_some() {
-        return Err("--emit-spec writes the spec without running it; drop --shards".into());
-    }
     if (args.trace.is_some() || args.metrics.is_some())
         && (inert_mode || matches!(args.mode, Mode::Cache(_)))
     {
@@ -543,7 +464,6 @@ fn run(args: &Args) -> Result<(), CliError> {
             return Ok(());
         }
         Mode::Cache(cmd) => return run_cache_cmd(*cmd, args),
-        Mode::ShardWorker(path) => return run_shard_worker(path, args),
         Mode::Experiment(_) | Mode::RunSpec(_) => {}
     }
 
@@ -563,8 +483,7 @@ fn run(args: &Args) -> Result<(), CliError> {
         | Mode::CheckReport(_)
         | Mode::CheckTrace(_)
         | Mode::CheckCache(_)
-        | Mode::Cache(_)
-        | Mode::ShardWorker(_) => {
+        | Mode::Cache(_) => {
             // gradpim-lint: allow(panic-discipline): these modes return from the
             // match above before spec construction; the arm is exhaustiveness only.
             unreachable!("handled above")
@@ -588,67 +507,17 @@ fn run(args: &Args) -> Result<(), CliError> {
     let report = {
         // Scoped so the stage span is closed before the trace is drained.
         let _span = gradpim_obs::span_lazy(|| format!("cli.{}", spec.experiment), "cli");
-        match args.shards {
-            Some(shards) => {
-                let opts = ShardOptions::new(shards)
-                    .retries(args.shard_retries.unwrap_or(ShardOptions::DEFAULT_RETRIES));
-                // One resolution for the whole pipeline: the coordinator's
-                // engine gets the store (so a fully-cached spec skips the
-                // workers entirely) and the workers get the same directory
-                // via GRADPIM_CACHE. If the store does not open, nobody
-                // caches — workers never diverge from the coordinator.
-                let store = cache_store(args);
-                let cache_dir = store
-                    .is_some()
-                    .then(|| cache::resolve_dir(args.cache.as_deref()))
-                    .flatten()
-                    .map(PathBuf::from);
-                let worker = ProcessWorker::from_env()
-                    .map_err(|e| CliError::Run(format!("cannot locate the worker program: {e}")))?
-                    .threads(args.threads)
-                    .trace(args.trace.is_some())
-                    .cache(cache_dir);
-                // Coordinator jobs are cheap poll-waits on child processes,
-                // not simulation work: size this pool by the shard count so
-                // every worker process runs concurrently even when the
-                // simulation thread knob (--threads / GRADPIM_THREADS) is 1
-                // — that knob is forwarded to the workers instead.
-                let coordinator = match store {
-                    Some(store) => Engine::new(shards).with_cache(store),
-                    None => Engine::new(shards),
-                };
-                log(format!(
-                    "{} ({} mode) across {} worker process{} (retry budget {})",
-                    spec.experiment,
-                    if spec.quick.is_some() { "quick" } else { "full" },
-                    shards,
-                    if shards == 1 { "" } else { "es" },
-                    opts.retries,
-                ));
-                let report =
-                    dist::run_sharded(&spec, opts, &worker, &coordinator).map_err(|e| match e {
-                        DistError::Worker { .. } | DistError::Merge(_) => {
-                            CliError::Shard(e.to_string())
-                        }
-                        other => CliError::Run(other.to_string()),
-                    })?;
-                record_sched_stats(&coordinator);
-                report
-            }
-            None => {
-                let engine = engine_for(args);
-                log(format!(
-                    "{} ({} mode, {} worker thread{})",
-                    spec.experiment,
-                    if spec.quick.is_some() { "quick" } else { "full" },
-                    engine.threads(),
-                    if engine.threads() == 1 { "" } else { "s" }
-                ));
-                let report = spec.run(&engine).map_err(rt)?;
-                record_sched_stats(&engine);
-                report
-            }
-        }
+        let engine = engine_for(args);
+        log(format!(
+            "{} ({} mode, {} worker thread{})",
+            spec.experiment,
+            if spec.quick.is_some() { "quick" } else { "full" },
+            engine.threads(),
+            if engine.threads() == 1 { "" } else { "s" }
+        ));
+        let report = spec.run(&engine).map_err(rt)?;
+        record_sched_stats(&engine);
+        report
     };
     let text = match args.format {
         Format::Table => report::to_table(&report),
@@ -699,54 +568,6 @@ fn run_cache_cmd(cmd: CacheCmd, args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Worker mode: read a (usually sharded) spec, execute it, and emit the
-/// report JSON — the child half of the `--shards` pipeline. When the
-/// coordinator set [`dist::TRACE_SIDECAR_ENV`], the worker also records
-/// spans and ships them back spliced into the report JSON as a `"trace"`
-/// member (see [`trace::report_with_sidecar`]).
-fn run_shard_worker(path: &str, args: &Args) -> Result<(), CliError> {
-    let sidecar = gradpim_engine::env::trace_sidecar();
-    if sidecar {
-        gradpim_obs::set_tracing(true);
-    }
-    let doc = if path == "-" {
-        let mut s = String::new();
-        std::io::stdin()
-            .read_to_string(&mut s)
-            .map_err(|e| CliError::Run(format!("cannot read the spec from stdin: {e}")))?;
-        s
-    } else {
-        std::fs::read_to_string(path)
-            .map_err(|e| CliError::Run(format!("cannot read `{path}`: {e}")))?
-    };
-    let spec = ExperimentSpec::from_json(&doc).map_err(|e| {
-        CliError::Run(format!(
-            "{} is not a valid spec: {e}",
-            if path == "-" { "stdin" } else { path }
-        ))
-    })?;
-    let engine = engine_for(args);
-    match spec.shard {
-        Some(shard) => log(format!(
-            "shard-worker {} shard {shard} ({} worker thread{})",
-            spec.experiment,
-            engine.threads(),
-            if engine.threads() == 1 { "" } else { "s" }
-        )),
-        None => log(format!("shard-worker {} (whole spec)", spec.experiment)),
-    }
-    let report = {
-        // Scoped so the stage span is closed before the sidecar drain.
-        let _span = gradpim_obs::span_lazy(|| format!("cli.worker.{}", spec.experiment), "cli");
-        spec.run(&engine).map_err(rt)?
-    };
-    let mut text = report::to_json(&report);
-    if sidecar {
-        text = trace::report_with_sidecar(&text, &gradpim_obs::drain_spans());
-    }
-    emit_output(args.output.as_deref(), &text)
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
@@ -761,10 +582,6 @@ fn main() -> ExitCode {
         Err(CliError::Run(e)) => {
             log(e);
             ExitCode::FAILURE
-        }
-        Err(CliError::Shard(e)) => {
-            log(e);
-            ExitCode::from(EXIT_SHARD)
         }
         Err(CliError::Usage(e)) => {
             log(e);

@@ -7,9 +7,9 @@
 //! rules guarantee no key can depend on hash-map order or lossy float
 //! formatting):
 //!
-//! * **Row groups** — the unit of sharding (see
-//!   [`crate::serialize::Shard`]) is also the unit of caching. Each
-//!   group's key is the family name + quick caps + schema fingerprint +
+//! * **Row groups** — the runs of report rows that are computed together
+//!   (see [`crate::serialize::ExperimentSpec::layout`]) are the unit of
+//!   caching. Each group's key is the family name + quick caps + schema fingerprint +
 //!   the `Debug` rendering of its specs ([`group_key`]); the value is the
 //!   group's rows as a self-contained report JSON document
 //!   ([`crate::report::to_json`]), schema-validated on the way back in.
@@ -24,9 +24,9 @@
 //!
 //! Two backends: [`MemCache`] (in-process, for tests and one-shot reuse
 //! within a run) and [`DiskCache`] (content-addressed files under
-//! `--cache DIR` / `GRADPIM_CACHE`, shared by shard worker processes;
-//! writes are tmp-file + atomic rename so concurrent workers never
-//! observe a torn entry). Every lookup records `cache.hit` /
+//! `--cache DIR` / `GRADPIM_CACHE`, which separate `gradpim-cli` runs may
+//! share; writes are tmp-file + atomic rename, so a concurrent run never
+//! reads a torn entry and a killed run never leaves one behind). Every lookup records `cache.hit` /
 //! `cache.miss` counters and a `cache.lookup` span; stores record
 //! `cache.bytes`.
 //!
@@ -50,18 +50,16 @@ use gradpim_sim::report::{Report, SweepRow};
 use gradpim_sim::sweeps::{QuickCaps, SweepFamily};
 
 /// Environment variable naming the on-disk cache directory — the ambient
-/// form of `gradpim-cli --cache DIR`, and how a shard coordinator hands
-/// its store to worker processes (see
-/// [`crate::dist::ProcessWorker::cache`]).
+/// form of `gradpim-cli --cache DIR`.
 pub const CACHE_DIR_ENV: &str = "GRADPIM_CACHE";
 
 /// A content-addressed key → value store. Keys are canonical renderings
 /// of the work they name; values are self-validating documents (report
 /// JSON for row groups, [`PhaseResult::to_bits_string`] for phases).
 ///
-/// Implementations must be safe under concurrent use from scheduler
-/// workers and sibling shard processes; `put` is best-effort (a failed
-/// store is a future miss, never an error).
+/// Implementations must be safe under concurrent use from the pool's
+/// lanes (and, for a shared directory, from other processes); `put` is
+/// best-effort (a failed store is a future miss, never an error).
 pub trait CacheBackend: Send + Sync + std::fmt::Debug {
     /// The stored value for `key`, if present and intact.
     fn get(&self, key: &str) -> Option<String>;
@@ -70,8 +68,8 @@ pub trait CacheBackend: Send + Sync + std::fmt::Debug {
     fn put(&self, key: &str, value: &str);
 
     /// Whether `key` is present — a probe that must not count as a
-    /// lookup (the shard coordinator uses it to plan without perturbing
-    /// the hit/miss counters).
+    /// lookup. The engine itself no longer calls it; it stays for the
+    /// implementors and callers outside this crate that use it.
     fn contains(&self, key: &str) -> bool {
         self.get(key).is_some()
     }
@@ -171,8 +169,9 @@ const ENTRY_SUFFIX: &str = ".entry";
 /// magic line, the full key (length-prefixed, so keys may contain
 /// anything), and the value; [`DiskCache::get`] returns `None` — a miss,
 /// never a wrong value — for any file whose header or key does not match.
-/// Writes go to a unique temp file and `rename` into place, so sibling
-/// shard workers sharing the directory can race freely.
+/// Writes go to a unique temp file and `rename` into place, so runs
+/// sharing the directory can race freely and a killed run never leaves a
+/// torn entry.
 #[derive(Debug)]
 pub struct DiskCache {
     root: PathBuf,

@@ -14,28 +14,12 @@
 //! | variable | effect |
 //! |---|---|
 //! | `GRADPIM_THREADS` | worker-thread count for [`crate::Engine::from_env_with`] |
-//! | `GRADPIM_SHARD_WORKER` | worker program override for the `--shards` pipeline ([`crate::dist::WORKER_PROGRAM_ENV`]) |
-//! | `GRADPIM_TRACE_SIDECAR` | coordinator→worker request for a trace sidecar ([`crate::dist::TRACE_SIDECAR_ENV`]) |
 //! | `GRADPIM_CACHE` | on-disk result-cache directory (the ambient form of `gradpim-cli --cache DIR`; see [`crate::cache`]) |
-
-use std::ffi::OsString;
 
 /// Raw `GRADPIM_THREADS` value, when set. Parsing/clamping stays with
 /// [`crate::Engine::from_env_with`], the single consumer.
 pub fn threads_var() -> Option<String> {
     std::env::var("GRADPIM_THREADS").ok()
-}
-
-/// The shard-worker program override ([`crate::dist::WORKER_PROGRAM_ENV`]),
-/// when set — the test/transport hook for the `--shards` pipeline.
-pub fn shard_worker_program() -> Option<OsString> {
-    std::env::var_os(crate::dist::WORKER_PROGRAM_ENV)
-}
-
-/// True when the coordinator asked this worker process for a trace
-/// sidecar ([`crate::dist::TRACE_SIDECAR_ENV`] `=1`).
-pub fn trace_sidecar() -> bool {
-    std::env::var(crate::dist::TRACE_SIDECAR_ENV).as_deref() == Ok("1")
 }
 
 /// The on-disk result-cache directory (`GRADPIM_CACHE`), when set — the

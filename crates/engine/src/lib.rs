@@ -1,6 +1,5 @@
-//! The parallel execution engine: the sweep-point pool, process
-//! sharding, the result cache, and the plumbing behind the `gradpim-cli`
-//! experiment runner.
+//! The parallel execution engine: the sweep-point pool, the result
+//! cache, and the plumbing behind the `gradpim-cli` experiment runner.
 //!
 //! GradPIM's evaluation is a flat set of independent simulations, and
 //! this crate runs them in parallel without changing a single simulated
@@ -13,12 +12,13 @@
 //!   rows in figure order. [`Engine::run`] fans the distinct calls over
 //!   the scoped, ordered pool in [`sched`], with input-ordered results
 //!   and the lowest-indexed failure winning, exactly as a sequential run.
-//! * **Across processes** — the [`dist`] module splits one
-//!   [`serialize::ExperimentSpec`] into per-shard sub-specs, launches
-//!   worker processes (`gradpim-cli shard-worker`), retries crashed
-//!   shards, and merges the row sets back into figure order — still
-//!   bit-identical to the sequential run, and one transport swap away
-//!   from cross-host distribution.
+//! * **Across runs** — an [`Engine::with_cache`] store serves row groups
+//!   and distinct phase calls that an earlier run already simulated,
+//!   bit-identically ([`cache`]).
+//!
+//! An experiment runs in one process. [`serialize::ExperimentSpec`]
+//! round-trips through JSON (`gradpim-cli --emit-spec` / `--run-spec`),
+//! so a spec written on one host runs identically on another.
 //!
 //! Each simulation itself runs on one thread: a memory system's channels
 //! drain sequentially inside [`gradpim_dram::MemorySystem::drain`].
@@ -53,7 +53,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
-pub mod dist;
 pub mod env;
 mod json;
 pub mod report;
@@ -64,7 +63,7 @@ pub mod trace;
 use std::sync::Arc;
 
 use cache::CacheBackend;
-use sched::{Cancel, Counters, SchedStats};
+use sched::{Counters, SchedStats};
 
 /// The parallel execution engine: a worker count, the batch counters,
 /// and an optional result cache ([`Engine::with_cache`]) that
@@ -102,8 +101,8 @@ impl Engine {
     /// gets an attributed diagnostic.
     ///
     /// The variable is read **here and only here**: every downstream
-    /// layer (sweep batches, shard fan-out) inherits the resolved count
-    /// instead of re-reading the environment.
+    /// layer (every sweep batch) inherits the resolved count instead of
+    /// re-reading the environment.
     pub fn from_env_with(log: &mut dyn FnMut(&str)) -> Self {
         let var = crate::env::threads_var();
         let auto = std::thread::available_parallelism().map(std::num::NonZeroUsize::get).ok();
@@ -142,13 +141,11 @@ impl Engine {
         self.counters.snapshot()
     }
 
-    /// Fans `jobs` over up to [`Engine::threads`] lanes (see [`sched`]):
-    /// results come back in input order, and the lowest-indexed failing
-    /// job's error or panic wins — both independent of scheduling. Each
-    /// job gets a [`Cancel`] handle it may poll to shed doomed tail work
-    /// after an earlier failure. `costs` (relative job sizes) seed
-    /// longest-first dispatch; they change the wall clock, never the
-    /// results. Jobs run as given: the
+    /// Runs `f` over every job on up to [`Engine::threads`] lanes (see
+    /// [`sched`]): lanes start jobs in input order, results come back in
+    /// input order, and the lowest-indexed failing job's error or panic
+    /// wins — both independent of scheduling. After a failure, jobs above
+    /// it that have not started are skipped. Jobs run as given: the
     /// engine adds no memo or store around them.
     ///
     /// # Errors
@@ -158,14 +155,14 @@ impl Engine {
     /// # Panics
     ///
     /// Re-raises the original payload of the lowest-indexed panicking job.
-    pub fn run<T, R, E, F>(&self, jobs: &[T], costs: Option<&[u64]>, f: F) -> Result<Vec<R>, E>
+    pub fn run<T, R, E, F>(&self, jobs: &[T], f: F) -> Result<Vec<R>, E>
     where
         T: Sync,
         R: Send,
         E: Send,
-        F: Fn(usize, &T, &Cancel<'_>) -> Result<R, E> + Sync,
+        F: Fn(&T) -> Result<R, E> + Sync,
     {
-        sched::run_batch(self.threads, &self.counters, jobs, costs, f)
+        sched::run_batch(self.threads, &self.counters, jobs, f)
     }
 }
 
@@ -246,7 +243,7 @@ mod tests {
         let jobs: Vec<u64> = (0..4).collect();
         let lanes = std::sync::Mutex::new(std::collections::BTreeSet::new());
         let out = engine
-            .run(&jobs, None, |_, &j, _| {
+            .run(&jobs, |&j| {
                 lanes.lock().unwrap().insert(format!("{:?}", std::thread::current().id()));
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 Ok::<_, ()>(j * 2)
@@ -302,15 +299,5 @@ mod tests {
         let warm2 = spec.run(&engine).unwrap();
         assert_eq!(warm2, cold);
         assert_eq!(store.stats(), filled);
-    }
-
-    #[test]
-    fn run_weighted_matches_run() {
-        let engine = Engine::new(3);
-        let jobs: Vec<u64> = (0..9).collect();
-        let costs: Vec<u64> = jobs.iter().map(|&j| (j % 4) * 100 + 1).collect();
-        let plain = engine.run(&jobs, None, |_, &j, _| Ok::<_, ()>(j + 7)).unwrap();
-        let weighted = engine.run(&jobs, Some(&costs), |_, &j, _| Ok::<_, ()>(j + 7)).unwrap();
-        assert_eq!(plain, weighted);
     }
 }

@@ -146,19 +146,11 @@ fn value_into(out: &mut String, value: &Value) {
 /// unknown column kind, or a row that does not match the schema.
 pub fn from_json(input: &str) -> Result<Report, ParseError> {
     let doc = json::parse(input)?;
-    from_doc(&doc, &[])
-}
-
-/// Parses an already-lexed report document, tolerating the additional
-/// top-level keys named in `extra_keys` (ignored here; the caller reads
-/// them). The plain [`from_json`] path passes `&[]`, keeping the strict
-/// "unknown report key" rejection byte-for-byte intact.
-pub(crate) fn from_doc(doc: &Json, extra_keys: &[&str]) -> Result<Report, ParseError> {
-    let Json::Obj(members) = doc else {
+    let Json::Obj(members) = &doc else {
         return Err(structural(format!("expected a report object, got {}", doc.type_name())));
     };
     for (key, _) in members {
-        if key != "schema" && key != "rows" && !extra_keys.contains(&key.as_str()) {
+        if key != "schema" && key != "rows" {
             return Err(structural(format!("unknown report key `{key}`")));
         }
     }

@@ -5,9 +5,9 @@
 //! parallelism here is flat too. A parallel batch runs
 //! `min(threads, jobs)` lanes — the calling thread plus
 //! [`std::thread::scope`] threads spawned for this batch and joined before
-//! it returns — and every lane takes job indices from one atomic cursor
-//! over the batch's dispatch order. The contract is that of a sequential
-//! left-to-right executor:
+//! it returns — and every lane takes job indices, in input order, from one
+//! atomic cursor. The contract is that of a sequential left-to-right
+//! executor:
 //!
 //! * results come back in **input order**;
 //! * the failure (error *or* panic) of the **lowest-indexed** failing job
@@ -18,17 +18,9 @@
 //!   `k` are skipped **best-effort**: the check races with failure
 //!   recording, so a higher-indexed job may still start. Every job below
 //!   the final failure watermark runs to completion, so the returned
-//!   failure is identical under any schedule, and a job that observes
-//!   [`Cancel::should_cancel`] is doomed — whatever it returns is never
-//!   observed;
+//!   failure is identical under any schedule;
 //! * with one thread or at most one job everything runs inline on the
 //!   caller, sequentially and fail-fast.
-//!
-//! The one freedom the contract leaves open is **dispatch order**: with
-//! per-job cost estimates the lanes start the estimated-longest jobs
-//! first, so a heavy job never begins last. Results are collected
-//! in input order either way, so dispatch order is invisible in the
-//! output.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -41,33 +33,6 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Cooperative-cancellation view handed to each running job (see the
-/// module docs for the exact guarantee).
-#[derive(Debug)]
-pub struct Cancel<'a> {
-    index: usize,
-    failed: &'a AtomicUsize,
-}
-
-impl Cancel<'_> {
-    /// True once a lower-indexed job has failed, i.e. this job's result
-    /// can no longer be observed: the overall call will return that
-    /// failure, so a long job may bail out with any value.
-    pub fn should_cancel(&self) -> bool {
-        self.index > self.failed.load(Ordering::Relaxed)
-    }
-}
-
-impl Cancel<'static> {
-    /// A handle that never reports cancellation — for driving a
-    /// cancel-aware job (e.g. a [`crate::dist::ShardExec`] worker launch)
-    /// outside a batch, where no failure watermark exists.
-    pub fn never() -> Self {
-        static NEVER_FAILED: AtomicUsize = AtomicUsize::new(usize::MAX);
-        Cancel { index: 0, failed: &NEVER_FAILED }
-    }
-}
-
 /// Cumulative batch counters of one [`crate::Engine`], snapshotted by
 /// [`crate::Engine::sched_stats`]. Monotone and advisory: they let tests
 /// and operators observe scheduling, they never feed back into it.
@@ -75,8 +40,8 @@ impl Cancel<'static> {
 pub struct SchedStats {
     /// Batches executed on the parallel path.
     pub batches: u64,
-    /// Jobs executed on the parallel path (distinct phase calls, shard
-    /// launches, …); the inline path counts none.
+    /// Jobs executed on the parallel path (distinct phase calls, …); the
+    /// inline path counts none.
     pub jobs: u64,
     /// Always 0. Channel-level drains no longer exist; the field stays
     /// so existing readers of the counters keep compiling.
@@ -101,24 +66,11 @@ impl Counters {
     }
 }
 
-/// The order in which batch jobs are *started*: input order when no costs
-/// are given, otherwise descending estimated cost with input order as the
-/// tie-break (stable sort). A cost slice shorter than the batch treats the
-/// missing entries as zero.
-fn dispatch_order(len: usize, costs: Option<&[u64]>) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..len).collect();
-    if let Some(costs) = costs {
-        order.sort_by_key(|&i| std::cmp::Reverse(costs.get(i).copied().unwrap_or(0)));
-    }
-    order
-}
-
 /// One job's outcome, its panic payload included; `None` until it ran.
 type Slot<R, E> = Mutex<Option<std::thread::Result<Result<R, E>>>>;
 
 /// Runs `f` over every job on up to `threads` lanes with the contract in
-/// the module docs; `costs` seed longest-first dispatch on the parallel
-/// path.
+/// the module docs.
 ///
 /// # Errors
 ///
@@ -131,52 +83,41 @@ pub(crate) fn run_batch<T, R, E, F>(
     threads: usize,
     counters: &Counters,
     jobs: &[T],
-    costs: Option<&[u64]>,
     f: F,
 ) -> Result<Vec<R>, E>
 where
     T: Sync,
     R: Send,
     E: Send,
-    F: Fn(usize, &T, &Cancel<'_>) -> Result<R, E> + Sync,
+    F: Fn(&T) -> Result<R, E> + Sync,
 {
     if threads <= 1 || jobs.len() <= 1 {
-        // Inline: fail-fast, so the watermark can never drop below a
-        // running job's index and cancellation never triggers.
-        let never_failed = AtomicUsize::new(usize::MAX);
-        return jobs
-            .iter()
-            .enumerate()
-            .map(|(i, job)| f(i, job, &Cancel { index: i, failed: &never_failed }))
-            .collect();
+        // Inline: fail-fast, stopping at the first failing job.
+        return jobs.iter().map(f).collect();
     }
     counters.batches.fetch_add(1, Ordering::Relaxed);
     let _span = gradpim_obs::span_lazy(|| format!("sched.batch[{}]", jobs.len()), "sched");
 
-    let order = dispatch_order(jobs.len(), costs);
     let cursor = AtomicUsize::new(0);
     // Lowest failing (error or panic) index observed so far; only ever
     // decreases. Every slot below the final watermark holds an Ok.
     let failed = AtomicUsize::new(usize::MAX);
     let slots: Vec<Slot<R, E>> = jobs.iter().map(|_| Mutex::new(None)).collect();
 
-    let lane = || {
-        while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-            let (Some(job), Some(slot)) = (jobs.get(i), slots.get(i)) else { break };
-            if i > failed.load(Ordering::Relaxed) {
-                continue;
-            }
-            counters.jobs.fetch_add(1, Ordering::Relaxed);
-            let cancel = Cancel { index: i, failed: &failed };
-            // Catch panics per job: the payload must reach the caller
-            // intact, and the lane must stay alive for the rest of the
-            // batch.
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| f(i, job, &cancel)));
-            if !matches!(outcome, Ok(Ok(_))) {
-                failed.fetch_min(i, Ordering::Relaxed);
-            }
-            *lock_unpoisoned(slot) = Some(outcome);
+    let lane = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        let (Some(job), Some(slot)) = (jobs.get(i), slots.get(i)) else { break };
+        if i > failed.load(Ordering::Relaxed) {
+            continue;
         }
+        counters.jobs.fetch_add(1, Ordering::Relaxed);
+        // Catch panics per job: the payload must reach the caller intact,
+        // and the lane must stay alive for the rest of the batch.
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| f(job)));
+        if !matches!(outcome, Ok(Ok(_))) {
+            failed.fetch_min(i, Ordering::Relaxed);
+        }
+        *lock_unpoisoned(slot) = Some(outcome);
     };
     std::thread::scope(|s| {
         for k in 1..threads.min(jobs.len()) {
@@ -218,14 +159,14 @@ mod tests {
     fn run<T, R, E>(
         threads: usize,
         jobs: &[T],
-        f: impl Fn(usize, &T) -> Result<R, E> + Sync,
+        f: impl Fn(&T) -> Result<R, E> + Sync,
     ) -> Result<Vec<R>, E>
     where
         T: Sync,
         R: Send,
         E: Send,
     {
-        Engine::new(threads).run(jobs, None, |i, job, _| f(i, job))
+        Engine::new(threads).run(jobs, f)
     }
 
     fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
@@ -237,30 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_order_without_costs_is_identity() {
-        assert_eq!(dispatch_order(5, None), vec![0, 1, 2, 3, 4]);
-        assert_eq!(dispatch_order(0, None), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn dispatch_order_starts_the_heaviest_first() {
-        let costs = [1u64, 1, 1, 1, 1, 1000];
-        assert_eq!(dispatch_order(6, Some(&costs)), vec![5, 0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn dispatch_order_breaks_cost_ties_by_input_order() {
-        let costs = [7u64, 9, 7, 9, 7];
-        assert_eq!(dispatch_order(5, Some(&costs)), vec![1, 3, 0, 2, 4]);
-    }
-
-    #[test]
-    fn dispatch_order_treats_missing_costs_as_zero() {
-        let costs = [5u64, 9];
-        assert_eq!(dispatch_order(4, Some(&costs)), vec![1, 0, 2, 3]);
-    }
-
-    #[test]
     fn spawn_count_is_the_budget_minus_the_caller() {
         // A batch runs on the caller plus at most threads - 1 spawned
         // lanes; a 1-thread engine never leaves the caller.
@@ -268,7 +185,7 @@ mod tests {
         for threads in [1usize, 2, 5] {
             let lanes = Mutex::new(Vec::new());
             let jobs: Vec<u64> = (0..32).collect();
-            run(threads, &jobs, |_, _| {
+            run(threads, &jobs, |_| {
                 let me = std::thread::current().id();
                 let mut seen = lock_unpoisoned(&lanes);
                 if !seen.contains(&me) {
@@ -293,11 +210,10 @@ mod tests {
     fn results_come_back_in_input_order() {
         let jobs: Vec<usize> = (0..40).collect();
         // Deliberately uneven job times so completion order scrambles.
-        let out: Vec<usize> = run(4, &jobs, |i, &j| {
+        let out: Vec<usize> = run(4, &jobs, |&j| {
             if j % 7 == 0 {
                 std::thread::sleep(Duration::from_millis(2));
             }
-            assert_eq!(i, j);
             Ok::<_, ()>(j * 10)
         })
         .unwrap();
@@ -310,7 +226,7 @@ mod tests {
         // Jobs 5 and 20 fail; the input-order-first error (5) must be
         // returned no matter which lane hits which first.
         for threads in [1usize, 3, 8] {
-            let err = run(threads, &jobs, |_, &j| {
+            let err = run(threads, &jobs, |&j| {
                 if j == 5 || j == 20 {
                     Err(format!("job {j} failed"))
                 } else {
@@ -330,7 +246,7 @@ mod tests {
         // error back.
         let jobs: Vec<usize> = (0..2000).collect();
         let ran = AtomicU32::new(0);
-        let err = run(2, &jobs, |_, &j| {
+        let err = run(2, &jobs, |&j| {
             ran.fetch_add(1, Ordering::Relaxed);
             if j == 0 {
                 Err("job 0 failed")
@@ -355,7 +271,7 @@ mod tests {
     fn sequential_fallback_is_fail_fast() {
         let ran = AtomicU32::new(0);
         let jobs: Vec<usize> = (0..10).collect();
-        let err = run(1, &jobs, |_, &j| {
+        let err = run(1, &jobs, |&j| {
             ran.fetch_add(1, Ordering::Relaxed);
             if j == 3 {
                 Err("boom")
@@ -372,14 +288,14 @@ mod tests {
     #[test]
     fn more_threads_than_jobs_is_fine() {
         let jobs = [1u64, 2];
-        let out = run(16, &jobs, |_, &j| Ok::<_, ()>(j + 1)).unwrap();
+        let out = run(16, &jobs, |&j| Ok::<_, ()>(j + 1)).unwrap();
         assert_eq!(out, vec![2, 3]);
     }
 
     #[test]
     fn empty_jobs_yield_empty_results() {
         let jobs: [u8; 0] = [];
-        let out: Vec<u8> = run(4, &jobs, |_, &j| Ok::<_, ()>(j)).unwrap();
+        let out: Vec<u8> = run(4, &jobs, |&j| Ok::<_, ()>(j)).unwrap();
         assert!(out.is_empty());
     }
 
@@ -390,7 +306,7 @@ mod tests {
         let engine = Engine::new(4);
         for round in 0..50usize {
             let jobs: Vec<usize> = (0..8).collect();
-            let out = engine.run(&jobs, None, |_, &j, _| Ok::<_, ()>(j + round)).unwrap();
+            let out = engine.run(&jobs, |&j| Ok::<_, ()>(j + round)).unwrap();
             assert_eq!(out, (0..8).map(|j| j + round).collect::<Vec<_>>());
         }
         assert_eq!(engine.threads(), 4);
@@ -404,7 +320,7 @@ mod tests {
         let jobs: Vec<usize> = (0..16).collect();
         for threads in [1usize, 4] {
             let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-                run(threads, &jobs, |_, &j| {
+                run(threads, &jobs, |&j| {
                     if j == 6 {
                         panic!("original payload from job {j}");
                     }
@@ -421,7 +337,7 @@ mod tests {
         let jobs: Vec<usize> = (0..32).collect();
         // Make the higher-indexed panic land first.
         let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-            run(4, &jobs, |_, &j| {
+            run(4, &jobs, |&j| {
                 if j == 3 {
                     std::thread::sleep(Duration::from_millis(5));
                     panic!("panic at 3");
@@ -443,7 +359,7 @@ mod tests {
         // so the error is returned and the panic payload is discarded.
         let jobs: Vec<usize> = (0..16).collect();
         let res = panic::catch_unwind(AssertUnwindSafe(|| {
-            run(4, &jobs, |_, &j| {
+            run(4, &jobs, |&j| {
                 if j == 2 {
                     std::thread::sleep(Duration::from_millis(2));
                     return Err("error at 2");
@@ -462,7 +378,7 @@ mod tests {
     fn lower_indexed_panic_beats_higher_indexed_error() {
         let jobs: Vec<usize> = (0..16).collect();
         let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-            run(4, &jobs, |_, &j| {
+            run(4, &jobs, |&j| {
                 if j == 1 {
                     std::thread::sleep(Duration::from_millis(2));
                     panic!("panic at 1");
@@ -483,70 +399,15 @@ mod tests {
         let engine = Engine::new(3);
         let jobs: Vec<usize> = (0..8).collect();
         let _ = panic::catch_unwind(AssertUnwindSafe(|| {
-            engine.run(&jobs, None, |_, &j, _| {
+            engine.run(&jobs, |&j| {
                 if j == 0 {
                     panic!("first batch dies");
                 }
                 Ok::<_, ()>(j)
             })
         }));
-        let out = engine.run(&jobs, None, |_, &j, _| Ok::<_, ()>(j * 2)).unwrap();
+        let out = engine.run(&jobs, |&j| Ok::<_, ()>(j * 2)).unwrap();
         assert_eq!(out, (0..8).map(|j| j * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn long_jobs_observe_cancellation() {
-        // Job 0 fails once another job is in flight; the in-flight job is
-        // "long" and polls the cancel hook, so at least one observer must
-        // see cancellation promptly.
-        let engine = Engine::new(4);
-        let jobs: Vec<usize> = (0..12).collect();
-        let cancelled = AtomicU32::new(0);
-        let started = AtomicU32::new(0);
-        let err = engine
-            .run(&jobs, None, |_, &j, cancel| {
-                if j == 0 {
-                    // Fail only after a long job has started, so the test
-                    // cannot race into skipping every other job outright.
-                    while started.load(Ordering::Relaxed) == 0 {
-                        std::thread::sleep(Duration::from_micros(50));
-                    }
-                    return Err("job 0 failed");
-                }
-                started.fetch_add(1, Ordering::Relaxed);
-                for _ in 0..10_000 {
-                    if cancel.should_cancel() {
-                        cancelled.fetch_add(1, Ordering::Relaxed);
-                        // A cancelled job's value is never observed.
-                        return Ok(usize::MAX);
-                    }
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-                Ok(j)
-            })
-            .unwrap_err();
-        assert_eq!(err, "job 0 failed");
-        assert!(cancelled.load(Ordering::Relaxed) > 0, "no long job saw the cancel signal");
-    }
-
-    #[test]
-    fn never_handle_never_cancels() {
-        let cancel = Cancel::never();
-        assert!(!cancel.should_cancel());
-    }
-
-    #[test]
-    fn inline_jobs_are_never_cancelled() {
-        // threads=1 is fail-fast: the watermark can never be below a
-        // running job, so should_cancel is always false.
-        let jobs: Vec<usize> = (0..4).collect();
-        let out = Engine::new(1)
-            .run(&jobs, None, |_, &j, cancel| {
-                assert!(!cancel.should_cancel());
-                Ok::<_, ()>(j)
-            })
-            .unwrap();
-        assert_eq!(out, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -556,9 +417,9 @@ mod tests {
         let engine = Engine::new(2);
         let outer: Vec<usize> = (0..4).collect();
         let out = engine
-            .run(&outer, None, |_, &j, _| {
+            .run(&outer, |&j| {
                 let inner: Vec<usize> = (0..3).collect();
-                let sums = engine.run(&inner, None, |_, &k, _| Ok::<_, ()>(k * 10))?;
+                let sums = engine.run(&inner, |&k| Ok::<_, ()>(k * 10))?;
                 Ok::<_, ()>(j + sums.iter().sum::<usize>())
             })
             .unwrap();
@@ -575,7 +436,7 @@ mod tests {
                 let engine = &engine;
                 s.spawn(move || {
                     let jobs: Vec<usize> = (0..32).collect();
-                    let out = engine.run(&jobs, None, |_, &j, _| Ok::<_, ()>(j * round)).unwrap();
+                    let out = engine.run(&jobs, |&j| Ok::<_, ()>(j * round)).unwrap();
                     assert_eq!(out, (0..32).map(|j| j * round).collect::<Vec<_>>());
                 });
             }
@@ -584,64 +445,12 @@ mod tests {
     }
 
     #[test]
-    fn cost_seeding_keeps_results_in_input_order() {
-        // Dispatch reorders (heaviest first — pinned deterministically by
-        // the dispatch_order tests); collection must not.
-        let engine = Engine::new(4);
-        let jobs: Vec<usize> = (0..24).collect();
-        let costs: Vec<u64> = jobs.iter().map(|&j| 1 + (23 - j as u64) % 7 * 100).collect();
-        let out = engine
-            .run(&jobs, Some(&costs), |i, &j, _| {
-                assert_eq!(i, j);
-                std::thread::sleep(Duration::from_micros(50));
-                Ok::<_, ()>(j * 3)
-            })
-            .unwrap();
-        assert_eq!(out, jobs.iter().map(|&j| j * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn cost_seeding_preserves_the_lowest_index_error_contract() {
-        // Errors at 4 and 19 with costs that dispatch 19 first: the
-        // returned error must still be the input-order-first one (4).
-        let engine = Engine::new(4);
-        let jobs: Vec<usize> = (0..24).collect();
-        let mut costs = vec![1u64; 24];
-        costs[19] = 1000;
-        let err = engine
-            .run(&jobs, Some(&costs), |_, &j, _| {
-                if j == 4 || j == 19 {
-                    Err(format!("job {j} failed"))
-                } else {
-                    Ok(j)
-                }
-            })
-            .unwrap_err();
-        assert_eq!(err, "job 4 failed");
-    }
-
-    #[test]
-    fn equal_costs_keep_input_dispatch_order() {
-        let engine = Engine::new(1); // inline: strict input order
-        let seen = Mutex::new(Vec::new());
-        let jobs: Vec<usize> = (0..5).collect();
-        let costs = [7u64; 5];
-        engine
-            .run(&jobs, Some(&costs), |i, _, _| {
-                lock_unpoisoned(&seen).push(i);
-                Ok::<_, ()>(())
-            })
-            .unwrap();
-        assert_eq!(*lock_unpoisoned(&seen), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
     fn stats_count_batches_and_jobs_consistently() {
         let engine = Engine::new(4);
         let jobs: Vec<u64> = (0..64).collect();
         for _ in 0..4 {
             let out = engine
-                .run(&jobs, None, |_, &j, _| {
+                .run(&jobs, |&j| {
                     std::hint::black_box((0..500u64).sum::<u64>());
                     Ok::<_, ()>(j)
                 })
@@ -650,11 +459,11 @@ mod tests {
         }
         // The inline path counts nothing: a 1-job batch on this engine,
         // and any batch on a single-thread engine.
-        engine.run(&[1u8], None, |_, &j, _| Ok::<_, ()>(j)).unwrap();
+        engine.run(&[1u8], |&j| Ok::<_, ()>(j)).unwrap();
         let stats = engine.sched_stats();
         assert_eq!((stats.batches, stats.jobs, stats.drain_chunks), (4, 4 * 64, 0));
         let sequential = Engine::sequential();
-        sequential.run(&jobs, None, |_, &j, _| Ok::<_, ()>(j)).unwrap();
+        sequential.run(&jobs, |&j| Ok::<_, ()>(j)).unwrap();
         let stats = sequential.sched_stats();
         assert_eq!((stats.batches, stats.jobs, stats.drain_chunks), (0, 0, 0));
     }

@@ -1,11 +1,12 @@
-//! Sweep-*spec* serialization: the process/host distribution boundary.
+//! Sweep-*spec* serialization: an experiment as a value that can be
+//! written down and run later, elsewhere.
 //!
 //! An [`ExperimentSpec`] names one experiment of the evaluation (Fig. 9,
 //! 12a–c/d, 13, 14) plus its knobs (quick-mode traffic caps, network
 //! subset) and round-trips through the same dependency-free JSON as the
-//! result reports, so a driving process can *emit* specs
-//! (`gradpim-cli --emit-spec`), farm them out to worker processes — and
-//! later hosts — and *execute* them (`gradpim-cli --run-spec`) with
+//! result reports, so one invocation can *emit* a spec
+//! (`gradpim-cli --emit-spec`) and another — in a later process or on
+//! another host — can *execute* it (`gradpim-cli --run-spec`) with
 //! bit-identical results to an in-process run: [`ExperimentSpec::run`]
 //! is the one runner of the `gradpim_sim::sweeps` families, so the
 //! numbers cannot drift across the boundary.
@@ -134,31 +135,6 @@ impl fmt::Display for Experiment {
     }
 }
 
-/// A shard selector over an experiment's **row groups**: a spec carrying
-/// `Shard { index, count }` executes only the groups `g` with
-/// `g % count == index` (round-robin, so expensive neighboring points
-/// spread across shards) and reports their rows in relative order.
-///
-/// A *row group* is the smallest run of report rows that must be computed
-/// together: one network for fig09 (its speedup column references the
-/// network's own baseline row), one sweep point for every other
-/// experiment. [`ExperimentSpec::layout`] names each group's row count so
-/// a coordinator can interleave per-shard reports back into input order —
-/// see [`crate::dist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    /// This shard's position in `0..count`.
-    pub index: usize,
-    /// Total number of shards the parent spec was split into (≥ 1).
-    pub count: usize,
-}
-
-impl fmt::Display for Shard {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.index, self.count)
-    }
-}
-
 /// One self-contained, serializable unit of sweep work: which experiment,
 /// which traffic caps, which networks. See the module docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -172,24 +148,17 @@ pub struct ExperimentSpec {
     /// experiment's paper default (all networks; AlphaGoZero for fig12a;
     /// ResNet-18 for fig14).
     pub nets: Option<Vec<String>>,
-    /// `Some` restricts execution to one shard's row groups (see
-    /// [`Shard`]); `None` runs the whole experiment.
-    pub shard: Option<Shard>,
 }
 
 impl ExperimentSpec {
-    /// An unsharded spec (the common construction; set
-    /// [`ExperimentSpec::shard`] or call [`ExperimentSpec::shard_specs`]
-    /// for the sharded form).
+    /// A spec for `experiment` with the given caps and networks.
     pub fn new(experiment: Experiment, quick: QuickCaps, nets: Option<Vec<String>>) -> Self {
-        Self { experiment, quick, nets, shard: None }
+        Self { experiment, quick, nets }
     }
 
     /// Serializes the spec as a small JSON document. Deterministic, and
     /// [`ExperimentSpec::from_json`] of the result is `==` to `self`
-    /// (round-trip is byte-identical). The `shard` key is emitted only for
-    /// sharded specs, so unsharded documents are unchanged from earlier
-    /// releases.
+    /// (round-trip is byte-identical).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"experiment\": ");
         json::escape_into(&mut out, self.experiment.name());
@@ -212,9 +181,6 @@ impl ExperimentSpec {
             }
             None => out.push_str("null"),
         }
-        if let Some(Shard { index, count }) = self.shard {
-            out.push_str(&format!(",\n  \"shard\": [{index}, {count}]"));
-        }
         out.push_str("\n}\n");
         out
     }
@@ -224,7 +190,8 @@ impl ExperimentSpec {
     /// # Errors
     ///
     /// A [`ParseError`] on malformed JSON or an unknown shape (unknown
-    /// experiment name, wrong `quick` arity, non-string network names…).
+    /// key or experiment name, wrong `quick` arity, non-string network
+    /// names…).
     pub fn from_json(input: &str) -> Result<Self, ParseError> {
         let shape = |message: String| ParseError { offset: 0, message };
         let doc = json::parse(input)?;
@@ -232,7 +199,7 @@ impl ExperimentSpec {
             return Err(shape(format!("expected a spec object, got {}", doc.type_name())));
         };
         for (key, _) in members {
-            if !matches!(key.as_str(), "experiment" | "quick" | "nets" | "shard") {
+            if !matches!(key.as_str(), "experiment" | "quick" | "nets") {
                 return Err(shape(format!("unknown spec key `{key}`")));
             }
         }
@@ -283,33 +250,7 @@ impl ExperimentSpec {
                 )))
             }
         };
-        let shard = match doc.get("shard") {
-            None | Some(Json::Null) => None,
-            Some(Json::Arr(parts)) => {
-                let [Json::Num(index), Json::Num(count)] = parts.as_slice() else {
-                    return Err(shape("`shard` must be [index, count]".into()));
-                };
-                let index = index
-                    .parse::<usize>()
-                    .map_err(|_| shape(format!("bad shard index `{index}`")))?;
-                let count = count
-                    .parse::<usize>()
-                    .map_err(|_| shape(format!("bad shard count `{count}`")))?;
-                if count == 0 || index >= count {
-                    return Err(shape(format!(
-                        "shard index {index} out of range for {count} shard(s)"
-                    )));
-                }
-                Some(Shard { index, count })
-            }
-            Some(v) => {
-                return Err(shape(format!(
-                    "`shard` must be an array or null, got {}",
-                    v.type_name()
-                )))
-            }
-        };
-        Ok(Self { experiment, quick, nets, shard })
+        Ok(Self { experiment, quick, nets })
     }
 
     /// Resolves the spec's network names against the model zoo
@@ -343,13 +284,14 @@ impl ExperimentSpec {
 
     /// The experiment's **row-group layout**: one entry per group (in
     /// figure order) giving that group's row count. Pure enumeration — no
-    /// simulation runs — so a coordinator can compute the merge plan for
-    /// free before spawning any workers. The layout always describes the
-    /// *whole* experiment; a `shard` field on `self` is ignored (shards
-    /// are slices of this same layout).
+    /// simulation runs — so a caller can check a report's shape before or
+    /// without running the spec.
     ///
-    /// The sum of the entries equals `self.run(..)?.rows.len()` for an
-    /// unsharded spec; see [`Shard`] for what a group is per experiment.
+    /// A *row group* is the smallest run of report rows that must be
+    /// computed together, and the unit of caching: one network for fig09
+    /// (its speedup column references the network's own baseline row), one
+    /// sweep point for every other experiment. The sum of the entries
+    /// equals `self.run(..)?.rows.len()`.
     ///
     /// # Errors
     ///
@@ -371,9 +313,8 @@ impl ExperimentSpec {
     }
 
     /// The report schema this experiment produces — statically known, so
-    /// a coordinator can validate worker output against it without
-    /// trusting any worker (including a lone `--shards 1` worker, where
-    /// cross-shard comparison proves nothing).
+    /// a caller can validate a report (one read back from a file, say)
+    /// without running the spec.
     pub fn schema(&self) -> Schema {
         struct SchemaOf;
         impl FamilyVisitor for SchemaOf {
@@ -385,32 +326,11 @@ impl ExperimentSpec {
         self.experiment.with_family(SchemaOf)
     }
 
-    /// Splits this spec into `count` sub-specs, shard `i` carrying
-    /// `Shard { index: i, count }` — the unit a coordinator farms out to
-    /// worker processes ([`crate::dist`]). Running every sub-spec and
-    /// interleaving the row sets by group reproduces the unsharded report
-    /// byte for byte.
-    ///
-    /// # Panics
-    ///
-    /// If `count` is zero or `self` already carries a shard selector
-    /// (re-sharding a shard is a coordinator bug; [`crate::dist`] rejects
-    /// both cases with typed errors first).
-    pub fn shard_specs(&self, count: usize) -> Vec<ExperimentSpec> {
-        assert!(count >= 1, "shard count must be at least 1");
-        assert!(self.shard.is_none(), "cannot re-shard an already-sharded spec");
-        (0..count)
-            .map(|index| ExperimentSpec { shard: Some(Shard { index, count }), ..self.clone() })
-            .collect()
-    }
-
     /// Executes the spec on `engine` and returns the structured results.
     /// Same enumerations, same phase calls, same f64 arithmetic as the
     /// family's sequential [`SweepFamily::report`] — a spec that crossed a
     /// process boundary yields **bit-identical** rows to an in-process
-    /// run. A sharded spec runs only its own row groups (see [`Shard`])
-    /// through the very same code path, so shard slices cannot drift from
-    /// the whole either.
+    /// run.
     ///
     /// The run plans every point into [`PhaseCall`]s, simulates each
     /// distinct call (by [`PhaseCall::key`]) exactly once on the engine's
@@ -443,52 +363,16 @@ impl ExperimentSpec {
         }
         self.experiment.with_family(Run { spec: self, engine })
     }
-
-    /// True when the engine carries a cache that already holds **every**
-    /// row group this spec would run — i.e. [`ExperimentSpec::run`] would
-    /// simulate nothing. Probed with [`cache::CacheBackend::contains`],
-    /// so planning does not perturb the hit/miss counters; a spec with no
-    /// groups at all reports `false` (nothing to serve). The shard
-    /// coordinator uses this to skip launching workers outright
-    /// ([`crate::dist::run_sharded`]).
-    pub fn fully_cached(&self, engine: &Engine) -> bool {
-        struct Cached<'a> {
-            spec: &'a ExperimentSpec,
-            engine: &'a Engine,
-        }
-        impl FamilyVisitor for Cached<'_> {
-            type Out = bool;
-            fn visit<F: SweepFamily>(self) -> bool {
-                if gradpim_sim::env::reference_mode() {
-                    return false;
-                }
-                let Some(store) = self.engine.cache() else {
-                    return false;
-                };
-                let Ok(nets) = self.spec.resolve_networks() else {
-                    return false;
-                };
-                let quick = self.spec.quick;
-                let keep = |g: usize| self.spec.shard.is_none_or(|s| g % s.count == s.index);
-                let groups = retain_groups(F::groups(&nets, quick), keep);
-                !groups.is_empty()
-                    && groups.iter().all(|g| store.contains(&cache::group_key::<F>(quick, g)))
-            }
-        }
-        self.experiment.with_family(Cached { spec: self, engine })
-    }
 }
 
 /// The one generic experiment executor behind [`ExperimentSpec::run`]:
-/// enumerate the family's row groups, keep this shard's slice, serve
-/// cached groups from the store, plan the rest into phase calls, resolve
+/// enumerate the family's row groups, serve cached groups from the store, plan the rest into phase calls, resolve
 /// each distinct call once ([`resolve_unique`]), and reassemble the report
 /// in figure order.
 fn run_family<F: SweepFamily>(spec: &ExperimentSpec, engine: &Engine) -> Result<Report, SpecError> {
     let nets = spec.resolve_networks()?;
     let quick = spec.quick;
-    let keep = |g: usize| spec.shard.is_none_or(|s| g % s.count == s.index);
-    let groups = retain_groups(F::groups(&nets, quick), keep);
+    let groups = F::groups(&nets, quick);
 
     // Row-group cache consultation: a schema-validated hit pins the
     // group's rows; a miss queues the group's specs for simulation.
@@ -591,7 +475,7 @@ fn resolve_unique(
         calls.iter().map(|call| store.and_then(|s| cache::load_phase(s, &call.key()))).collect();
     let jobs: Vec<&PhaseCall> =
         calls.iter().zip(&results).filter(|(_, hit)| hit.is_none()).map(|(call, _)| call).collect();
-    let fresh = engine.run(&jobs, None, |_, call, _| {
+    let fresh = engine.run(&jobs, |call| {
         let result = call.execute()?;
         if let Some(s) = store {
             cache::store_phase(s, &call.key(), &result);
@@ -613,12 +497,6 @@ fn resolve_unique(
                 .collect()
         })
         .collect()
-}
-
-/// Keeps the groups selected by `keep`, preserving relative order — the
-/// one filter every sharded experiment funnels through.
-fn retain_groups<T>(groups: Vec<T>, keep: impl Fn(usize) -> bool) -> Vec<T> {
-    groups.into_iter().enumerate().filter(|(g, _)| keep(*g)).map(|(_, s)| s).collect()
 }
 
 /// Why a spec could not be executed.
@@ -674,10 +552,6 @@ mod tests {
                 Some((u64::MAX, usize::MAX)),
                 Some(vec!["MLP1".into(), "ResNet18".into()]),
             ),
-            ExperimentSpec {
-                shard: Some(Shard { index: 2, count: 5 }),
-                ..ExperimentSpec::new(Experiment::Fig12b, QUICK, None)
-            },
         ] {
             let doc = spec.to_json();
             let back = ExperimentSpec::from_json(&doc).unwrap();
@@ -696,11 +570,7 @@ mod tests {
             ("{\"experiment\": \"fig09\", \"quick\": [1]}", "`quick` must be"),
             ("{\"experiment\": \"fig09\", \"quick\": [1, -2]}", "bad param cap"),
             ("{\"experiment\": \"fig09\", \"nets\": [1]}", "must be strings"),
-            ("{\"experiment\": \"fig09\", \"shard\": [1]}", "`shard` must be"),
-            ("{\"experiment\": \"fig09\", \"shard\": [-1, 2]}", "bad shard index"),
-            ("{\"experiment\": \"fig09\", \"shard\": [2, 2]}", "out of range"),
-            ("{\"experiment\": \"fig09\", \"shard\": [0, 0]}", "out of range"),
-            ("{\"experiment\": \"fig09\", \"shard\": 3}", "`shard` must be an array or null"),
+            ("{\"experiment\": \"fig09\", \"shard\": [0, 2]}", "unknown spec key `shard`"),
         ] {
             let err = ExperimentSpec::from_json(doc).unwrap_err();
             assert!(err.message.contains(what), "{doc}: got `{err}`, wanted `{what}`");
@@ -709,8 +579,8 @@ mod tests {
 
     #[test]
     fn unsharded_spec_json_has_no_shard_key() {
-        // Compatibility: specs emitted before sharding existed must parse,
-        // and fresh unsharded specs must keep emitting the old shape.
+        // Compatibility: a spec document without a `shard` key parses to
+        // the same spec, and fresh specs never emit one.
         let spec = ExperimentSpec::new(Experiment::Fig12a, QUICK, None);
         assert!(!spec.to_json().contains("shard"));
         let legacy = "{\"experiment\": \"fig12a\", \"quick\": [1500, 20000], \"nets\": null}";
@@ -718,30 +588,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_specs_enumerate_every_index() {
-        let spec = ExperimentSpec::new(Experiment::Fig12b, QUICK, None);
-        let subs = spec.shard_specs(3);
-        assert_eq!(subs.len(), 3);
-        for (i, sub) in subs.iter().enumerate() {
-            assert_eq!(sub.shard, Some(Shard { index: i, count: 3 }));
-            assert_eq!(
-                (sub.experiment, &sub.quick, &sub.nets),
-                (spec.experiment, &spec.quick, &spec.nets)
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "already-sharded")]
-    fn shard_specs_reject_resharding() {
-        let mut spec = ExperimentSpec::new(Experiment::Fig12b, QUICK, None);
-        spec.shard = Some(Shard { index: 0, count: 2 });
-        let _ = spec.shard_specs(2);
-    }
-
-    #[test]
     fn layout_row_counts_match_run() {
-        // The merge plan must agree with what the experiments actually
+        // The layout must agree with what the experiments actually
         // produce, experiment by experiment.
         let engine = Engine::sequential();
         for experiment in Experiment::ALL {
@@ -763,56 +611,13 @@ mod tests {
 
     #[test]
     fn static_schema_matches_what_run_produces() {
-        // The coordinator validates worker reports against this schema;
-        // it must agree with every experiment's actual output.
+        // Report checks validate against this schema; it must agree with
+        // every experiment's actual output.
         let engine = Engine::sequential();
         for experiment in Experiment::ALL {
             let spec = ExperimentSpec::new(experiment, QUICK, Some(vec!["MLP1".into()]));
             assert_eq!(spec.schema(), spec.run(&engine).unwrap().schema, "{experiment}");
         }
-    }
-
-    #[test]
-    fn sharded_runs_partition_the_unsharded_report() {
-        // Each shard yields exactly its round-robin slice of groups, and
-        // the slices together cover the whole report. (The interleaved
-        // re-merge is exercised end to end in `crate::dist` and by the
-        // shard_pipeline proptest.)
-        let engine = Engine::sequential();
-        for experiment in [Experiment::Fig09, Experiment::Fig12b, Experiment::Fig14] {
-            let spec = ExperimentSpec::new(experiment, QUICK, Some(vec!["MLP1".into()]));
-            let whole = spec.run(&engine).unwrap();
-            let layout = spec.layout().unwrap();
-            let count = 2;
-            let mut seen = 0;
-            for (index, sub) in spec.shard_specs(count).iter().enumerate() {
-                let part = sub.run(&engine).unwrap();
-                assert_eq!(part.schema, whole.schema, "{experiment} shard {index}");
-                // Collect the rows the shard should own, in order.
-                let mut expect = Vec::new();
-                let mut row = 0;
-                for (g, &rows) in layout.iter().enumerate() {
-                    if g % count == index {
-                        expect.extend(whole.rows[row..row + rows].iter().cloned());
-                    }
-                    row += rows;
-                }
-                assert_eq!(part.rows, expect, "{experiment} shard {index}");
-                seen += part.rows.len();
-            }
-            assert_eq!(seen, whole.rows.len(), "{experiment}: shards must cover every row");
-        }
-    }
-
-    #[test]
-    fn oversharded_spec_yields_empty_tail_shards() {
-        // More shards than groups: the tail shards run nothing but still
-        // report the experiment's schema, so the merge stays uniform.
-        let spec = ExperimentSpec::new(Experiment::Fig12b, QUICK, Some(vec!["MLP1".into()]));
-        let subs = spec.shard_specs(5); // fig12b × 1 net = 3 groups
-        let tail = subs[4].run(&Engine::sequential()).unwrap();
-        assert!(tail.rows.is_empty());
-        assert!(!tail.schema.columns.is_empty());
     }
 
     #[test]

@@ -1,36 +1,24 @@
-//! Chrome-trace (Perfetto-loadable) export for [`gradpim_obs`] spans, plus
-//! the shard-worker **trace sidecar** protocol.
+//! Chrome-trace (Perfetto-loadable) export for [`gradpim_obs`] spans, and
+//! the digest `gradpim-cli check trace` prints.
 //!
-//! Two serializations live here:
+//! [`export`] renders a span set as a Chrome trace-event JSON document
+//! (`{"traceEvents": [...]}`), the format `chrome://tracing` and
+//! <https://ui.perfetto.dev> load directly. Events are sorted
+//! deterministically, so the same run produces the same bytes.
+//! [`summarize`] parses such a document back and counts its events.
 //!
-//! - [`export`] renders a span set as a Chrome trace-event JSON document
-//!   (`{"traceEvents": [...]}`), the format `chrome://tracing` and
-//!   <https://ui.perfetto.dev> load directly. Events are sorted
-//!   deterministically, so the same run produces the same bytes.
-//! - [`report_with_sidecar`] / [`split_sidecar`] carry a worker process's
-//!   span buffer piggybacked on the report-JSON protocol: the worker
-//!   splices a `"trace"` member into its stdout report when (and only
-//!   when) the coordinator asked for it via `GRADPIM_TRACE_SIDECAR=1`,
-//!   and the coordinator strips it back out, [`rebase`]s the spans onto
-//!   its own clock/pid axis, and injects them into the local collector.
-//!   The plain [`crate::report::from_json`] path never sees the extra
-//!   key, so untraced runs keep the strict unknown-key rejection.
-//!
-//! Timeline convention: the coordinator is pid [`gradpim_obs::COORDINATOR_PID`]
-//! (= 1) and shard `i` is pid `i + 2`, each labelled through a `process_name`
-//! metadata event. Timestamps are microseconds on the coordinator's clock;
-//! worker spans are shifted by the worker's launch time, which is the best
-//! cross-process alignment available without a shared clock.
+//! Timeline convention: the program records every span under pid
+//! [`gradpim_obs::COORDINATOR_PID`] (= 1), labelled `coordinator` through a
+//! `process_name` metadata event, with one thread lane per recording
+//! thread. Timestamps are microseconds since the process epoch.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use gradpim_obs::{Ph, SpanRec};
 
-use gradpim_sim::report::Report;
-
 use crate::json::{self, Json};
-use crate::report::{self, ParseError};
+use crate::report::ParseError;
 
 fn structural(message: impl Into<String>) -> ParseError {
     ParseError { offset: 0, message: message.into() }
@@ -63,10 +51,10 @@ fn push_event(out: &mut String, s: &SpanRec) {
 /// Renders `spans` as a Chrome trace-event JSON document.
 ///
 /// The document opens with one `process_name` metadata event per distinct
-/// pid (`coordinator` for pid 1, `shard N` for pid `N + 2`), followed by
-/// the spans in a deterministic order (process, thread, start time, with
-/// parents before children on ties). Output is byte-stable for a given
-/// span set and ends with a newline.
+/// pid (`coordinator` for pid 1, `process N` for any other pid `N`),
+/// followed by the spans in a deterministic order (process, thread, start
+/// time, with parents before children on ties). Output is byte-stable for
+/// a given span set and ends with a newline.
 pub fn export(spans: &[SpanRec]) -> String {
     let mut sorted: Vec<&SpanRec> = spans.iter().collect();
     sorted.sort_by_key(|s| sort_key(s));
@@ -82,7 +70,7 @@ pub fn export(spans: &[SpanRec]) -> String {
         let label = if pid == gradpim_obs::COORDINATOR_PID {
             "coordinator".to_string()
         } else {
-            format!("shard {}", pid.saturating_sub(2))
+            format!("process {pid}")
         };
         out.push_str(&format!(
             "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \
@@ -100,44 +88,6 @@ pub fn export(spans: &[SpanRec]) -> String {
     }
     out.push_str("\n]}\n");
     out
-}
-
-/// Shifts `spans` onto the coordinator timeline: every span gets process id
-/// `pid` and its timestamp advanced by `offset_us` (the worker's launch
-/// time on the coordinator clock).
-pub fn rebase(spans: &mut [SpanRec], pid: u32, offset_us: u64) {
-    for s in spans {
-        s.pid = pid;
-        s.ts_us = s.ts_us.saturating_add(offset_us);
-    }
-}
-
-/// Renders `spans` as the compact sidecar array (the value of the
-/// `"trace"` report member).
-pub fn spans_to_sidecar(spans: &[SpanRec]) -> String {
-    let mut sorted: Vec<&SpanRec> = spans.iter().collect();
-    sorted.sort_by_key(|s| sort_key(s));
-    let mut out = String::from("[");
-    for (i, s) in sorted.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        push_event(&mut out, s);
-    }
-    out.push(']');
-    out
-}
-
-/// Splices the sidecar span array into a [`report::to_json`] document as a
-/// trailing `"trace"` member. The report body is untouched, so stripping
-/// the sidecar back out recovers the original bytes.
-pub fn report_with_sidecar(report_json: &str, spans: &[SpanRec]) -> String {
-    let Some(head) = report_json.strip_suffix("\n}\n") else {
-        // Not a to_json document; pass it through so the coordinator's
-        // parse error points at the real payload.
-        return report_json.to_string();
-    };
-    format!("{head},\n  \"trace\": {}\n}}\n", spans_to_sidecar(spans))
 }
 
 fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, ParseError> {
@@ -185,28 +135,6 @@ fn parse_span(obj: &Json) -> Result<SpanRec, ParseError> {
         tid: u32::try_from(num_u64(obj, "tid")?)
             .map_err(|_| structural("trace event `tid` does not fit in u32"))?,
     })
-}
-
-/// Parses a report document that may carry a `"trace"` sidecar, returning
-/// the report and the (possibly empty) span list.
-///
-/// # Errors
-///
-/// A [`ParseError`] on malformed JSON, a malformed report body, or a
-/// malformed sidecar event.
-pub fn split_sidecar(input: &str) -> Result<(Report, Vec<SpanRec>), ParseError> {
-    let doc = json::parse(input)?;
-    let report = report::from_doc(&doc, &["trace"])?;
-    let mut spans = Vec::new();
-    if let Some(value) = doc.get("trace") {
-        let Json::Arr(items) = value else {
-            return Err(structural(format!("`trace` must be an array, got {}", value.type_name())));
-        };
-        for item in items {
-            spans.push(parse_span(item)?);
-        }
-    }
-    Ok((report, spans))
 }
 
 /// Shape-level digest of a Chrome-trace document, for validation gates and
@@ -294,7 +222,7 @@ mod tests {
         ];
         let golden = "{\"traceEvents\": [\n\
              {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"args\": {\"name\": \"coordinator\"}},\n\
-             {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 2, \"tid\": 0, \"args\": {\"name\": \"shard 0\"}},\n\
+             {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 2, \"tid\": 0, \"args\": {\"name\": \"process 2\"}},\n\
              {\"name\": \"phase.stream\", \"cat\": \"phase\", \"ph\": \"X\", \"ts\": 5, \"dur\": 90, \"pid\": 1, \"tid\": 2},\n\
              {\"name\": \"sched.batch\", \"cat\": \"sched\", \"ph\": \"X\", \"ts\": 5, \"dur\": 40, \"pid\": 1, \"tid\": 2},\n\
              {\"name\": \"sched.steal\", \"cat\": \"sched\", \"ph\": \"i\", \"ts\": 7, \"s\": \"t\", \"pid\": 2, \"tid\": 1}\n\
@@ -316,14 +244,6 @@ mod tests {
         assert_eq!(summary.cats.get("sched"), Some(&2));
         assert_eq!(summary.cats.get("phase"), Some(&1));
         assert_eq!(summary.pids.iter().copied().collect::<Vec<_>>(), vec![1, 4]);
-    }
-
-    #[test]
-    fn rebase_shifts_pid_and_clock() {
-        let mut spans = vec![span("a", "phase", 10, 5, 1, 1)];
-        rebase(&mut spans, 3, 100);
-        assert_eq!(spans[0].pid, 3);
-        assert_eq!(spans[0].ts_us, 110);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! End-to-end tests of the result cache: warm reruns byte-identical to
-//! cold ones (as a property over arbitrary specs, shard counts, and
-//! overlapping network subsets), partial overlaps simulating only the
-//! uncached row groups' distinct phase calls, and the real `gradpim-cli`
-//! coordinator skipping worker launches entirely on a full cache hit.
+//! cold ones (as a property over arbitrary specs and overlapping network
+//! subsets), partial overlaps simulating only the uncached row groups'
+//! distinct phase calls, and a real `gradpim-cli` rerun over a store it
+//! filled serving the same bytes.
 
 // Integration tests build without cfg(test), so the crate-root carve-out
 // for the manifest's unwrap_used/expect_used warns is restated here.
@@ -14,7 +14,6 @@ use std::process::{Command, Output};
 use std::sync::{Arc, Mutex};
 
 use gradpim_engine::cache::{CacheBackend, CacheStats, MemCache};
-use gradpim_engine::dist::{run_sharded, InProcess, ShardOptions, WORKER_PROGRAM_ENV};
 use gradpim_engine::report::to_json;
 use gradpim_engine::serialize::{Experiment, ExperimentSpec};
 use gradpim_engine::Engine;
@@ -40,14 +39,8 @@ fn scratch(name: &str) -> PathBuf {
 /// Runs the CLI with ambient `GRADPIM_CACHE` scrubbed: these tests pass
 /// the store explicitly via `--cache`, so a developer's environment must
 /// not leak into the assertions.
-fn run_cli(args: &[&str], envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(CLI);
-    cmd.args(args);
-    cmd.env_remove("GRADPIM_CACHE");
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("run gradpim-cli")
+fn run_cli(args: &[&str]) -> Output {
+    Command::new(CLI).args(args).env_remove("GRADPIM_CACHE").output().expect("run gradpim-cli")
 }
 
 fn stderr_of(out: &Output) -> String {
@@ -116,7 +109,6 @@ proptest! {
     #[test]
     fn warm_reruns_are_byte_identical_across_overlapping_specs(
         exp in 0usize..Experiment::ALL.len(),
-        shards in 1usize..=4,
         overlap in 0usize..3,
         bursts in 256u64..1500,
         params in 4096usize..20_000,
@@ -141,12 +133,6 @@ proptest! {
         let warm = to_json(&spec.run(&cached).expect("warm run"));
         prop_assert_eq!(&warm, &cold, "warm run diverged from the cold run");
         prop_assert!(store.stats().entries > 0, "the priming run left the store empty");
-
-        // The same store through the sharded coordinator: `spec` is now
-        // fully cached, so this exercises the zero-launch skip too.
-        let merged = run_sharded(&spec, ShardOptions::new(shards).retries(0), &InProcess, &cached)
-            .expect("sharded warm run");
-        prop_assert_eq!(&to_json(&merged), &cold, "sharded warm run diverged");
     }
 }
 
@@ -220,7 +206,7 @@ fn partial_overlap_executes_only_uncached_groups() {
 }
 
 #[test]
-fn fully_cached_sharded_rerun_launches_no_workers() {
+fn warm_cli_rerun_is_byte_identical_to_the_cold_run() {
     if gradpim_sim::env::reference_mode() {
         return; // reference mode bypasses the cache by design
     }
@@ -230,23 +216,22 @@ fn fully_cached_sharded_rerun_launches_no_workers() {
     std::fs::write(&spec_path, fig12b_spec().to_json()).expect("write spec");
     let spec = spec_path.to_str().expect("utf-8 temp path");
     let cache = dir.to_str().expect("utf-8 temp path");
+    let args = ["--run-spec", spec, "--cache", cache, "--format", "json"];
 
-    let cold =
-        run_cli(&["--run-spec", spec, "--shards", "3", "--cache", cache, "--format", "json"], &[]);
-    assert!(cold.status.success(), "cold sharded run failed: {}", stderr_of(&cold));
+    let cold = run_cli(&args);
+    assert!(cold.status.success(), "cold run failed: {}", stderr_of(&cold));
+    let filled = std::fs::read_dir(&dir).expect("the cold run created the store").count();
+    assert!(filled > 0, "the cold run left the store empty");
 
-    // Rerun against a worker program that dies instantly: only a
-    // coordinator that never launches a single worker can succeed.
-    let warm = run_cli(
-        &["--run-spec", spec, "--shards", "3", "--cache", cache, "--format", "json"],
-        &[(WORKER_PROGRAM_ENV, "/bin/false")],
-    );
-    assert!(warm.status.success(), "fully-cached rerun launched workers: {}", stderr_of(&warm));
-    assert_eq!(cold.stdout, warm.stdout, "warm sharded rerun diverged from the cold run");
+    // The warm rerun serves the same bytes and stores nothing new.
+    let warm = run_cli(&args);
+    assert!(warm.status.success(), "warm rerun failed: {}", stderr_of(&warm));
+    assert_eq!(cold.stdout, warm.stdout, "warm rerun diverged from the cold run");
+    assert_eq!(std::fs::read_dir(&dir).expect("store").count(), filled);
 
-    // The store the pipeline built passes its own integrity gates.
+    // The store the runs built passes its own integrity gates.
     for args in [&["cache", "verify", "--cache", cache][..], &["check", "cache", cache][..]] {
-        let out = run_cli(args, &[]);
+        let out = run_cli(args);
         assert!(out.status.success(), "{args:?}: {}", stderr_of(&out));
     }
 
@@ -263,10 +248,10 @@ fn check_aliases_match_and_cache_usage_errors_exit_2() {
 
     // `check {report,trace}` is the one spelling: the removed
     // `check-report` / `check-trace` aliases are unknown commands (exit 2).
-    let new = run_cli(&["check", "report", path], &[]);
+    let new = run_cli(&["check", "report", path]);
     assert!(new.status.success(), "{}", stderr_of(&new));
     for old in ["check-report", "check-trace"] {
-        let out = run_cli(&[old, path], &[]);
+        let out = run_cli(&[old, path]);
         assert_eq!(out.status.code(), Some(2), "{old}: {}", stderr_of(&out));
     }
 
@@ -280,7 +265,7 @@ fn check_aliases_match_and_cache_usage_errors_exit_2() {
         &["check", "report", path, "--cache", "somewhere"][..],
         &["fig12b", "--emit-spec", "-", "--cache", "somewhere"][..],
     ] {
-        let out = run_cli(args, &[]);
+        let out = run_cli(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr_of(&out));
     }
 

@@ -1,6 +1,6 @@
 //! Property tests pinning the batch contract of `Engine::run` to the
 //! sequential executor: over random job counts, outcome scripts (ok /
-//! error / panic), cost seeds, thread budgets, and whatever interleaving
+//! error / panic), thread budgets, and whatever interleaving
 //! the OS produces, an ordered batch must return exactly what a
 //! sequential left-to-right run would — same results, same
 //! lowest-index failure, same panic payload — plus the watermark and
@@ -12,7 +12,6 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use gradpim_dram::DramConfig;
 use gradpim_engine::Engine;
@@ -77,26 +76,19 @@ proptest! {
     fn random_batches_match_the_sequential_executor(
         codes in prop::collection::vec(0u8..16, 0..40),
         spins in prop::collection::vec(0u32..400, 0..40),
-        costs in prop::collection::vec(0u64..1_000, 0..40),
         threads in 1usize..=6,
-        weighted in 0u8..2,
     ) {
         let engine = Engine::new(threads);
         let gauge = Gauge::default();
         let executed: Vec<AtomicU32> = codes.iter().map(|_| AtomicU32::new(0)).collect();
-        let cancels_seen: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        // `costs` varies in length independently of `codes` on purpose:
-        // short cost slices (missing entries read as zero) are part of
-        // the dispatch contract.
-        let cost_arg = if weighted == 1 { Some(&costs[..]) } else { None };
+        // Each job carries its own index, so the script can find its
+        // counters and outcome.
+        let jobs: Vec<(usize, u8)> = codes.iter().copied().enumerate().collect();
 
         let run = panic::catch_unwind(AssertUnwindSafe(|| {
-            engine.run(&codes, cost_arg, |i, &code, cancel| {
+            engine.run(&jobs, |&(i, code)| {
                 let _running = gauge.enter();
                 executed[i].fetch_add(1, Ordering::Relaxed);
-                if cancel.should_cancel() {
-                    cancels_seen.lock().unwrap().push(i);
-                }
                 // Unequal job lengths scramble completion order.
                 std::hint::black_box((0..spins.get(i).copied().unwrap_or(0)).sum::<u32>());
                 match outcome(code) {
@@ -143,17 +135,7 @@ proptest! {
             }
         }
 
-        // 3. Cancellation is sound: a job only observes should_cancel()
-        // after a lower-indexed job has failed.
-        let min_fail = first_failure(&codes).map_or(usize::MAX, |(i, _)| i);
-        for &i in cancels_seen.lock().unwrap().iter() {
-            prop_assert!(
-                i > min_fail,
-                "job {i} saw cancellation but the lowest scripted failure is {min_fail}"
-            );
-        }
-
-        // 4. The thread budget held: never more jobs at once than lanes.
+        // 3. The thread budget held: never more jobs at once than lanes.
         let max = gauge.max.load(Ordering::SeqCst);
         prop_assert!(max <= threads, "{max} jobs ran at once on {threads} threads");
     }
@@ -172,9 +154,9 @@ fn multi_channel_sweep_matches_sequential() {
         jobs.push(cfg);
     }
     let train = |cfg: &SystemConfig| TrainingSim::new(cfg.clone()).run(&net);
-    let seq = Engine::sequential().run(&jobs, None, |_, cfg, _| train(cfg)).unwrap();
+    let seq = Engine::sequential().run(&jobs, train).unwrap();
     let engine = Engine::new(4);
-    let par = engine.run(&jobs, None, |_, cfg, _| train(cfg)).unwrap();
+    let par = engine.run(&jobs, train).unwrap();
     assert_eq!(seq, par, "multi-channel parallel run diverged from sequential");
     assert_eq!(engine.sched_stats().jobs, 2);
 }

@@ -1,9 +1,8 @@
-//! End-to-end observability tests: the export/parse and sidecar
-//! round-trips as properties over arbitrary span sets, the nesting
-//! invariant of really-recorded spans, and the non-perturbation
-//! guarantee — reports byte-identical with tracing on or off — both
-//! in-process and through the real `gradpim-cli` coordinator/worker
-//! pipeline.
+//! End-to-end observability tests: the export/parse round-trip as a
+//! property over arbitrary span sets, the nesting invariant of
+//! really-recorded spans, and the non-perturbation guarantee — reports
+//! byte-identical with tracing on or off — both in-process and through
+//! the real `gradpim-cli` on a threaded pool.
 
 // Integration tests build without cfg(test), so the crate-root carve-out
 // for the manifest's unwrap_used/expect_used warns is restated here.
@@ -12,7 +11,7 @@
 use std::borrow::Cow;
 use std::path::PathBuf;
 use std::process::{Command, Output};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
 use gradpim_engine::report::to_json;
 use gradpim_engine::serialize::{Experiment, ExperimentSpec};
@@ -35,22 +34,12 @@ fn obs_guard() -> MutexGuard<'static, ()> {
     OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// One real report document, rendered once and reused as the sidecar
-/// carrier in the round-trip properties.
-fn report_json() -> &'static str {
-    static DOC: OnceLock<String> = OnceLock::new();
-    DOC.get_or_init(|| {
-        let spec = ExperimentSpec::new(Experiment::Fig12b, QUICK, Some(vec!["MLP1".into()]));
-        to_json(&spec.run(&Engine::sequential()).expect("quick fig12b run"))
-    })
-}
-
 /// Derives an arbitrary-but-valid span from one random seed, covering
 /// both phases, every layer category, and names that need escaping.
 fn synth_span(seed: u64) -> SpanRec {
     const NAMES: &[&str] =
         &["phase.stream", "sched.batch[3]", "a \"quoted\"\tname", "π.span\nline2", ""];
-    const CATS: &[&str] = &["phase", "sched", "dist", "cli"];
+    const CATS: &[&str] = &["phase", "sched", "cache", "cli"];
     let instant = seed & 1 == 1;
     SpanRec {
         name: Cow::Borrowed(NAMES[((seed >> 1) % NAMES.len() as u64) as usize]),
@@ -61,18 +50,6 @@ fn synth_span(seed: u64) -> SpanRec {
         pid: 1 + ((seed >> 36) & 3) as u32,
         tid: 1 + ((seed >> 40) & 3) as u32,
     }
-}
-
-/// Canonical order covering every field, so span multisets can be
-/// compared regardless of serialization order.
-fn canon(mut spans: Vec<SpanRec>) -> Vec<SpanRec> {
-    spans.sort_by(|a, b| {
-        let key = |s: &SpanRec| {
-            (s.pid, s.tid, s.ts_us, s.dur_us, s.name.to_string(), s.cat.to_string(), s.ph)
-        };
-        key(a).cmp(&key(b))
-    });
-    spans
 }
 
 /// True when two complete intervals are either disjoint or one contains
@@ -88,20 +65,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn sidecar_and_export_round_trip_arbitrary_spans(
+    fn export_round_trips_arbitrary_spans(
         seeds in prop::collection::vec(0u64..u64::MAX, 0..24),
     ) {
         let spans: Vec<SpanRec> = seeds.iter().map(|&s| synth_span(s)).collect();
 
-        // Sidecar: splicing spans into a report and splitting them back
-        // out recovers the report bytes exactly and every span.
-        let carrier = trace::report_with_sidecar(report_json(), &spans);
-        let (report, parsed) = trace::split_sidecar(&carrier).expect("sidecar splits");
-        prop_assert_eq!(to_json(&report), report_json());
-        prop_assert_eq!(canon(parsed), canon(spans.clone()));
-
-        // Export: the Chrome-trace document parses back to a digest that
-        // accounts for every non-metadata event, category, and pid.
+        // The Chrome-trace document parses back to a digest that accounts
+        // for every non-metadata event, category, and pid.
         let summary = trace::summarize(&trace::export(&spans)).expect("export parses");
         prop_assert_eq!(summary.events, spans.len());
         prop_assert_eq!(summary.cats.values().sum::<usize>(), spans.len());
@@ -172,7 +142,7 @@ proptest! {
 
 proptest! {
     // Each case runs a whole (capped) experiment twice; keep it small —
-    // the CLI test below covers the sharded path deterministically.
+    // the CLI test below covers the threaded CLI deterministically.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
@@ -211,24 +181,13 @@ fn stderr_of(out: &Output) -> String {
 }
 
 #[test]
-fn traced_sharded_cli_is_byte_identical_and_merges_every_layer() {
-    // The acceptance scenario: a sharded traced run produces the same
-    // report bytes as an untraced one, and its trace merges coordinator
-    // and shard-worker spans from every layer onto one timeline.
-    let trace_path = scratch("merged.trace.json");
-    let metrics_path = scratch("merged.metrics.json");
-    let base_args = [
-        "fig12b",
-        "--nets",
-        "MLP1",
-        "--quick",
-        "--format",
-        "json",
-        "--threads",
-        "2",
-        "--shards",
-        "2",
-    ];
+fn traced_threaded_cli_is_byte_identical_and_spans_every_layer() {
+    // The acceptance scenario: a traced run on a 2-thread pool produces
+    // the same report bytes as an untraced one, and its trace holds spans
+    // from the CLI stage, the scheduler and the phase executors.
+    let trace_path = scratch("threaded.trace.json");
+    let metrics_path = scratch("threaded.metrics.json");
+    let base_args = ["fig12b", "--nets", "MLP1", "--quick", "--format", "json", "--threads", "2"];
 
     let base = run_cli(&base_args);
     assert!(base.status.success(), "{}", stderr_of(&base));
@@ -238,16 +197,14 @@ fn traced_sharded_cli_is_byte_identical_and_merges_every_layer() {
     traced_args.extend_from_slice(&["--trace", trace_str, "--metrics", metrics_str]);
     let traced = run_cli(&traced_args);
     assert!(traced.status.success(), "{}", stderr_of(&traced));
-    assert_eq!(base.stdout, traced.stdout, "tracing perturbed the sharded report");
+    assert_eq!(base.stdout, traced.stdout, "tracing perturbed the threaded report");
 
     let doc = std::fs::read_to_string(&trace_path).expect("trace file written");
     let summary = trace::summarize(&doc).expect("trace parses");
-    for cat in ["cli", "phase", "sched", "dist"] {
+    for cat in ["cli", "phase", "sched"] {
         assert!(summary.cats.contains_key(cat), "no `{cat}` span in {:?}", summary.cats);
     }
-    for pid in [1, 2, 3] {
-        assert!(summary.pids.contains(&pid), "pid {pid} missing from {:?}", summary.pids);
-    }
+    assert_eq!(summary.pids.iter().copied().collect::<Vec<_>>(), [gradpim_obs::COORDINATOR_PID]);
 
     // The metrics file is the registry rendering, and `check trace`
     // accepts the trace it just wrote.

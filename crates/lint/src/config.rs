@@ -69,7 +69,7 @@ pub struct FileMeta {
 }
 
 /// Files allowed to call `std::process::exit`: the CLI owns the process
-/// exit-code contract (0 ok / 1 runtime / 2 usage / 3 shard pipeline).
+/// exit-code contract (0 ok / 1 runtime / 2 usage).
 const PROCESS_EXIT_OK: &[&str] = &["crates/engine/src/bin/gradpim-cli.rs"];
 
 /// Directory prefixes allowed to create threads: the `engine::sched`
@@ -77,19 +77,17 @@ const PROCESS_EXIT_OK: &[&str] = &["crates/engine/src/bin/gradpim-cli.rs"];
 /// scoped lanes, and everything else executes as jobs on them.
 const THREAD_SPAWN_OK_PREFIXES: &[&str] = &["crates/engine/src/sched/"];
 
-/// Files under panic discipline: a panic here either deadlocks a batch or
-/// crashes a shard without flowing through the lowest-index
+/// Files under panic discipline: a panic here either crashes a batch or
+/// aborts the run without flowing through the lowest-index
 /// panic-propagation machinery, so `unwrap`/`expect`/`panic!`/bare
 /// indexing need an explicit justification.
 const PANIC_SCOPE: &[&str] = &[
-    "crates/engine/src/dist.rs",
-    // The result cache sits on every run's hot path and inside shard
-    // workers: a panic while reading or writing the store turns a cache
-    // lookup into a crashed batch, so corruption must degrade to a miss.
+    // The result cache sits on every run's hot path: a panic while
+    // reading or writing the store turns a cache lookup into a crashed
+    // batch, so corruption must degrade to a miss.
     "crates/engine/src/cache.rs",
-    // The shard-worker path: a worker that panics is a crashed shard the
-    // coordinator must retry, so the whole CLI file is held to the same
-    // standard.
+    // The CLI owns the exit-code contract: a panic there would replace a
+    // diagnosed exit 1 or 2 with an abort.
     "crates/engine/src/bin/gradpim-cli.rs",
 ];
 
@@ -110,12 +108,14 @@ const PANIC_REACH_EXTRA_ROOTS: &[&str] =
 /// neither a root nor traversed through: panics below it are converted to
 /// errors at runtime, so reachability stops there.
 ///
-/// * `ExperimentSpec::run` — every shard payload and batch job it launches
-///   executes under `catch_unwind` with bounded crashed-shard retry
-///   (PR 4/5): a panic below this boundary becomes a job error or a
-///   retried shard, not a protocol hang.
-const PANIC_REACH_ABSORBED: &[(&str, &str)] =
-    &[("ExperimentSpec::run", "payloads run under catch_unwind with bounded crashed-shard retry")];
+/// * `ExperimentSpec::run` — every batch job it launches executes under
+///   `catch_unwind` in `engine::sched`, which re-raises the
+///   lowest-indexed payload: a panic below this boundary propagates like
+///   a sequential run's, not as a protocol hang.
+const PANIC_REACH_ABSORBED: &[(&str, &str)] = &[(
+    "ExperimentSpec::run",
+    "batch jobs run under catch_unwind with lowest-index payload propagation",
+)];
 
 /// True when `qname` (a fully-qualified fn name) is a registered
 /// `panic-reach` absorption boundary.
@@ -347,7 +347,7 @@ mod tests {
         assert!(m.is_crate_root);
         assert!(!m.check_print_macro(), "CLI stdout is its interface");
         assert!(!m.check_process_exit(), "CLI owns the exit-code contract");
-        assert!(m.check_panic_discipline(), "shard-worker path");
+        assert!(m.check_panic_discipline(), "the CLI owns the exit-code contract");
 
         let m = FileMeta::classify("vendor/criterion", "vendor/criterion/src/lib.rs".into());
         assert_eq!(m.role, Role::Vendor);
@@ -366,7 +366,7 @@ mod tests {
         let m = FileMeta::classify("crates/engine", "crates/engine/src/lib.rs".into());
         assert!(m.check_forbid_unsafe(), "no crate root is excused");
 
-        let m = FileMeta::classify("crates/engine", "crates/engine/tests/shard_pipeline.rs".into());
+        let m = FileMeta::classify("crates/engine", "crates/engine/tests/cli.rs".into());
         assert_eq!(m.kind, FileKind::Test);
         assert!(m.check_hash_collection(), "tests are covered since the role extension");
         assert!(m.check_env_discipline(), "tests read knobs through env modules too");

@@ -132,7 +132,7 @@ pub fn render_human(diags: &[Diagnostic], files_checked: usize) -> String {
 ///
 /// ```json
 /// {"rule": "panic-reach", ..., "chain": [
-///   {"name": "engine::dist::run_sharded", "file": "...", "line": 41},
+///   {"name": "engine::cache::lookup", "file": "...", "line": 41},
 ///   {"name": "engine::util::checked", "file": "...", "line": 7}
 /// ]}
 /// ```

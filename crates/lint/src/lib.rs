@@ -2,7 +2,7 @@
 //! (`gradpim-lint`).
 //!
 //! The simulator's headline property is **byte-identical output** across
-//! event-skip vs per-cycle execution, thread counts, process shards, and
+//! event-skip vs per-cycle execution, thread counts, warm/cold caches, and
 //! machines — a property that ordinary Rust tooling cannot defend. A
 //! `HashMap` iteration feeding a report, a float `+=` loop in merge code,
 //! or a stray `println!` on the spec/report pipe all compile cleanly and

@@ -13,7 +13,7 @@
 //! | `obs-protocol` | trace/metrics off the report pipe | `stdout()` handle acquisition in library code |
 //! | `process-exit` | CLI exit-code contract | `process::exit` outside `gradpim-cli` |
 //! | `thread-spawn` | global thread budget | thread creation outside the `engine::sched` subsystem |
-//! | `panic-discipline` | lowest-index panic propagation | `unwrap`/`expect`/`panic!`-family/bare indexing in sched, dist, cache, shard-worker |
+//! | `panic-discipline` | lowest-index panic propagation | `unwrap`/`expect`/`panic!`-family/bare indexing in sched, cache, CLI |
 //! | `schema-sync` | spec-family schema drift | `Schema` columns vs `ToRow::row` cells mismatch |
 //! | `forbid-unsafe` | memory safety audit trail | crate root missing `#![forbid(unsafe_code)]` |
 //! | `allow-syntax` | escape-hatch hygiene | malformed/unknown `gradpim-lint:` comments |
@@ -41,14 +41,14 @@ pub const RULES: &[(&str, &str)] = &[
     ("obs-protocol", "stdout() handle acquisition in a library crate: trace/metrics output must be returned as a string for the CLI to route, never written to the report pipe"),
     ("process-exit", "std::process::exit outside gradpim-cli: the CLI owns the exit-code contract"),
     ("thread-spawn", "thread creation outside the engine::sched subsystem: escapes the thread budget and panic propagation"),
-    ("panic-discipline", "unwrap/expect/panic!/unreachable!/todo!/unimplemented!/bare indexing in the sched, dist, cache, or shard-worker path: panics must flow through lowest-index propagation"),
+    ("panic-discipline", "unwrap/expect/panic!/unreachable!/todo!/unimplemented!/bare indexing in the sched, cache, or CLI path: panics must flow through lowest-index propagation"),
     ("schema-sync", "a sweep family's Schema columns disagree with its ToRow::row cells (names, kinds, or order)"),
     ("forbid-unsafe", "crate root missing #![forbid(unsafe_code)]"),
     ("allow-syntax", "malformed gradpim-lint allow comment (unknown rule, missing justification)"),
     ("unused-allow", "an allow comment that suppresses nothing (warning)"),
     ("env-discipline", "std::env::var/var_os read outside the crate's designated src/env.rs module: scattered env reads are per-host nondeterminism the byte-identity gates cannot see"),
     ("float-taint", "float accumulation fed by iteration over an unordered (hash) collection in ToRow::row/merge code: source-ordered nondeterminism reaches the report bytes"),
-    ("panic-reach", "a potential panic site transitively reachable from a protocol root (sched/dist/cache/shard-worker/report/serialize) through the workspace call graph; the diagnostic carries the full call chain"),
+    ("panic-reach", "a potential panic site transitively reachable from a protocol root (sched/cache/CLI/report/serialize) through the workspace call graph; the diagnostic carries the full call chain"),
 ];
 
 /// Rule names usable in allow comments.

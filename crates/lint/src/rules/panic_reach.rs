@@ -1,7 +1,7 @@
 //! `panic-reach`: transitive panic-reachability from protocol roots.
 //!
 //! The per-site `panic-discipline` rule audits `unwrap`/`panic!` *inside*
-//! the protocol-critical files (sched, dist, cache, shard worker). This
+//! the protocol-critical files (sched, cache, CLI). This
 //! rule closes the gap it leaves: a panic in a helper *called from* those
 //! files crashes the protocol just the same, three frames removed from
 //! anything the token rule can see. Roots are every non-test function in
@@ -85,7 +85,7 @@ pub fn check(graph: &Graph, sink: &mut dyn FnMut(usize, Diagnostic)) {
                     col: site.col,
                     message: format!(
                         "`{}` in `{}` is reachable from protocol root `{}` {via}: a panic here \
-                         crashes the batch/shard outside the lowest-index propagation machinery \
+                         crashes the batch or run outside the lowest-index propagation machinery \
                          — return an error, or absorb it behind a registered catch_unwind \
                          boundary",
                         site.what, f.qname, graph.fns[root].qname
@@ -145,8 +145,8 @@ mod tests {
         let d = run(&[
             (
                 "crates/engine",
-                "crates/engine/src/dist.rs",
-                "use crate::util::checked;\npub fn run_sharded() { checked(3); }\n",
+                "crates/engine/src/cache.rs",
+                "use crate::util::checked;\npub fn lookup() { checked(3); }\n",
             ),
             (
                 "crates/engine",
@@ -158,18 +158,15 @@ mod tests {
         assert_eq!(d[0].rule, "panic-reach");
         assert_eq!(d[0].file, "crates/engine/src/util.rs");
         let names: Vec<&str> = d[0].chain.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(
-            names,
-            ["engine::dist::run_sharded", "engine::util::checked", "engine::util::deep"]
-        );
+        assert_eq!(names, ["engine::cache::lookup", "engine::util::checked", "engine::util::deep"]);
     }
 
     #[test]
     fn sites_inside_panic_discipline_scope_are_left_to_the_per_site_rule() {
         let d = run(&[(
             "crates/engine",
-            "crates/engine/src/dist.rs",
-            "pub fn run_sharded() { x.unwrap(); }\n",
+            "crates/engine/src/cache.rs",
+            "pub fn lookup() { x.unwrap(); }\n",
         )]);
         assert!(d.is_empty(), "panic-discipline owns in-scope sites: {d:?}");
     }
@@ -190,7 +187,7 @@ mod tests {
     #[test]
     fn unreached_panics_and_test_code_stay_silent() {
         let d = run(&[
-            ("crates/engine", "crates/engine/src/dist.rs", "pub fn run_sharded() {}\n"),
+            ("crates/engine", "crates/engine/src/cache.rs", "pub fn lookup() {}\n"),
             (
                 "crates/engine",
                 "crates/engine/src/other.rs",

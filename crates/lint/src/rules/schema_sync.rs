@@ -1,13 +1,12 @@
 //! `schema-sync`: every sweep family's `Schema` column list must match
 //! the cells its `ToRow::row` impl emits.
 //!
-//! `merge_shard_reports` validates worker rows against
-//! `ExperimentSpec::schema`, and the CSV/JSON emitters trust
-//! `ToRow::schema` — so a point type whose `schema()` and `row()` drift
-//! apart (a field added to one but not the other, columns reordered,
-//! a kind changed) ships wrong-shaped data that is only caught at run
-//! time, deep in a sharded sweep. This rule re-derives both sides from
-//! the source and compares names, kinds, and order statically.
+//! `Report::push` checks every row against the family's schema, and the
+//! CSV/JSON emitters trust `ToRow::schema` — so a point type whose
+//! `schema()` and `row()` drift apart (a field added to one but not the
+//! other, columns reordered, a kind changed) ships wrong-shaped data that
+//! is only caught at run time, deep in a sweep. This rule re-derives both
+//! sides from the source and compares names, kinds, and order statically.
 //!
 //! The check is structural: `schema()` must build `Schema::new([...])`
 //! from literals and `row()` must build `SweepRow::new([...])`; each cell
@@ -418,7 +417,7 @@ fn check_impl(
             impl_at,
             format!(
                 "{type_name}: schema() declares {} columns but row() emits {} cells — \
-                 merge_shard_reports will reject this family's rows",
+                 Report::push will reject this family's rows",
                 cols.len(),
                 cells.len()
             ),

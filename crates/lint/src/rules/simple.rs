@@ -99,9 +99,9 @@ pub fn obs_protocol(ctx: &FileCtx<'_>, meta: &FileMeta, diags: &mut Vec<Diagnost
 }
 
 /// `process-exit`: `std::process::exit` outside `gradpim-cli`. The CLI
-/// owns the documented exit-code contract (0 ok / 1 runtime / 2 usage /
-/// 3 shard pipeline); a library calling `exit` would skip destructors and
-/// bypass that contract.
+/// owns the documented exit-code contract (0 ok / 1 runtime / 2 usage);
+/// a library calling `exit` would skip destructors and bypass that
+/// contract.
 pub fn process_exit(ctx: &FileCtx<'_>, meta: &FileMeta, diags: &mut Vec<Diagnostic>) {
     if !meta.check_process_exit() {
         return;
@@ -162,10 +162,10 @@ pub fn thread_spawn(ctx: &FileCtx<'_>, meta: &FileMeta, diags: &mut Vec<Diagnost
     }
 }
 
-/// `panic-discipline`: in the sched, dist, cache, and shard-worker files
-/// a panic does not reach the user as a diagnostic — it masks a batch's
-/// lowest-index payload or crashes a shard — so potential panic sites
-/// need a justification.
+/// `panic-discipline`: in the sched, cache, and CLI files a panic does
+/// not reach the user as a diagnostic — it masks a batch's lowest-index
+/// payload or aborts the run — so potential panic sites need a
+/// justification.
 pub fn panic_discipline(ctx: &FileCtx<'_>, meta: &FileMeta, diags: &mut Vec<Diagnostic>) {
     if !meta.check_panic_discipline() {
         return;
@@ -422,8 +422,8 @@ mod tests {
         FileMeta::classify("crates/dram", "crates/dram/src/stats.rs".into())
     }
 
-    fn dist_meta() -> FileMeta {
-        FileMeta::classify("crates/engine", "crates/engine/src/dist.rs".into())
+    fn cache_meta() -> FileMeta {
+        FileMeta::classify("crates/engine", "crates/engine/src/cache.rs".into())
     }
 
     fn run(src: &str, meta: &FileMeta) -> Vec<Diagnostic> {
@@ -487,7 +487,7 @@ mod tests {
         let src = "fn f() { std::thread::spawn(|| {}); }";
         assert_eq!(run(src, &lib_meta()).iter().filter(|d| d.rule == "thread-spawn").count(), 1);
         // Panic-scoped engine files outside `sched/` are no exception.
-        assert_eq!(run(src, &dist_meta()).iter().filter(|d| d.rule == "thread-spawn").count(), 1);
+        assert_eq!(run(src, &cache_meta()).iter().filter(|d| d.rule == "thread-spawn").count(), 1);
         let sched = FileMeta::classify("crates/engine", "crates/engine/src/sched/mod.rs".into());
         assert!(run(src, &sched).iter().all(|d| d.rule != "thread-spawn"));
     }
@@ -495,7 +495,7 @@ mod tests {
     #[test]
     fn panic_discipline_catches_unwrap_and_indexing() {
         let src = "fn f(v: &[u32], i: usize) -> u32 { let x = v.get(i).unwrap(); v[0] + x }";
-        let d = run(src, &dist_meta());
+        let d = run(src, &cache_meta());
         let rules: Vec<_> = d.iter().filter(|d| d.rule == "panic-discipline").collect();
         assert_eq!(rules.len(), 2, "{d:?}");
         // Same file outside the panic scope: clean.
@@ -505,7 +505,7 @@ mod tests {
 
     #[test]
     fn range_slicing_is_not_bare_indexing() {
-        let d = run("fn f(v: &[u32]) -> &[u32] { &v[1..3] }", &dist_meta());
+        let d = run("fn f(v: &[u32]) -> &[u32] { &v[1..3] }", &cache_meta());
         assert!(d.iter().all(|d| d.rule != "panic-discipline"), "{d:?}");
     }
 
@@ -513,14 +513,14 @@ mod tests {
     fn mut_slice_types_are_not_bare_indexing() {
         let d = run(
             "fn f(items: &mut [u32]) -> Vec<&mut [u32]> { items.chunks_mut(2).collect() }",
-            &dist_meta(),
+            &cache_meta(),
         );
         assert!(d.iter().all(|d| d.rule != "panic-discipline"), "{d:?}");
     }
 
     #[test]
     fn unwrap_or_is_not_unwrap() {
-        let d = run("fn f(v: Option<u32>) -> u32 { v.unwrap_or(3) }", &dist_meta());
+        let d = run("fn f(v: Option<u32>) -> u32 { v.unwrap_or(3) }", &cache_meta());
         assert!(d.iter().all(|d| d.rule != "panic-discipline"), "{d:?}");
     }
 

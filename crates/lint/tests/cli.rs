@@ -31,7 +31,7 @@ fn seeded_violations_exit_nonzero_with_file_line_diagnostics() {
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
     for needle in [
-        "error: crates/engine/src/dist.rs:6:",
+        "error: crates/engine/src/cache.rs:6:",
         "[panic-discipline]",
         "error: crates/npu/src/lib.rs:5:",
         "[print-macro]",

@@ -90,10 +90,10 @@ fn every_rule_fires_in_the_seeded_fixture_workspace() {
         // The reachable unwrap sits two calls below the report.rs root;
         // the chain itself is pinned frame by frame in its own test.
         ("panic-reach", "crates/engine/src/util.rs", 9),
-        ("panic-discipline", "crates/engine/src/dist.rs", 6),
+        ("panic-discipline", "crates/engine/src/cache.rs", 6),
         // Spawning outside the `sched/` subsystem is a violation, even in
         // a panic-scoped engine file.
-        ("thread-spawn", "crates/engine/src/dist.rs", 10),
+        ("thread-spawn", "crates/engine/src/cache.rs", 10),
         // A flat `sched.rs` is NOT the `sched/` subsystem: the directory
         // carve-out must not leak onto merely-similar names.
         ("thread-spawn", "crates/engine/src/sched.rs", 5),
@@ -111,14 +111,14 @@ fn every_rule_fires_in_the_seeded_fixture_workspace() {
             report.diags
         );
     }
-    // dist.rs line 6 seeds two panic-discipline hits: the indexing and the
+    // cache.rs line 6 seeds two panic-discipline hits: the indexing and the
     // unwrap.
-    let dist_hits = report
+    let cache_hits = report
         .diags
         .iter()
-        .filter(|d| d.rule == "panic-discipline" && d.file == "crates/engine/src/dist.rs")
+        .filter(|d| d.rule == "panic-discipline" && d.file == "crates/engine/src/cache.rs")
         .count();
-    assert_eq!(dist_hits, 2, "{:#?}", report.diags);
+    assert_eq!(cache_hits, 2, "{:#?}", report.diags);
     // The stale allow in npu is a warning, not an error.
     let unused: Vec<_> = report.diags.iter().filter(|d| d.rule == "unused-allow").collect();
     assert_eq!(unused.len(), 1, "{unused:?}");

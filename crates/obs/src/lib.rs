@@ -2,18 +2,17 @@
 //! a unified metrics registry.
 //!
 //! This crate is a **leaf**: std-only, zero dependencies, depended on by
-//! `gradpim-sim` (phase executors), `gradpim-engine` (scheduler, shard
-//! coordinator, sweeps), and `gradpim-cli` (experiment stages) — it never
-//! sees their types, it only records what they tell it. Two subsystems
+//! `gradpim-sim` (phase executors), `gradpim-engine` (scheduler, result
+//! cache), and `gradpim-cli` (experiment stages) — it never sees their
+//! types, it only records what they tell it. Two subsystems
 //! share the crate because they share one invariant, *non-perturbation*:
 //!
 //! * **Spans** ([`span`], [`instant`], [`SpanRec`]) — wall-clock intervals
 //!   recorded into per-thread buffers behind a single relaxed atomic load
 //!   when tracing is off. A span is opened by a guard and recorded on
-//!   drop; [`drain_spans`] collects every buffer (plus spans [`inject`]ed
-//!   from shard-worker sidecars) for export as a Chrome-trace timeline
-//!   (the exporter lives in `gradpim_engine::trace`, which owns the
-//!   workspace's JSON conventions).
+//!   drop; [`drain_spans`] collects every buffer for export as a
+//!   Chrome-trace timeline (the exporter lives in `gradpim_engine::trace`,
+//!   which owns the workspace's JSON conventions).
 //! * **Metrics** ([`counter_add`], [`counter_set`], [`observe`],
 //!   [`Registry`]) — named counters and min/max/sum/count histograms with
 //!   a deterministic (BTreeMap-ordered) JSON rendering, replacing ad-hoc
@@ -35,9 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-/// The `pid` recorded on locally-captured spans. Shard-worker spans are
-/// re-based by the coordinator onto `shard_index + 2` before [`inject`],
-/// so every process lane in a merged timeline is distinct.
+/// The `pid` recorded on every span: the program traces one process.
 pub const COORDINATOR_PID: u32 = 1;
 
 /// Chrome-trace event phase: a complete interval or a point event.
@@ -56,15 +53,15 @@ pub enum Ph {
 pub struct SpanRec {
     /// Event name, e.g. `phase.stream` or `sched.batch[4]`.
     pub name: Cow<'static, str>,
-    /// Layer category: `phase`, `sched`, `dist`, or `cli`.
+    /// Layer category: `phase`, `sched`, `cache`, or `cli`.
     pub cat: Cow<'static, str>,
     /// Complete interval or instant.
     pub ph: Ph,
-    /// Start, µs since the process epoch (re-based for injected spans).
+    /// Start, µs since the process epoch.
     pub ts_us: u64,
     /// Duration in µs; 0 for instants.
     pub dur_us: u64,
-    /// Process lane: [`COORDINATOR_PID`] locally, `shard + 2` re-based.
+    /// Process lane: [`COORDINATOR_PID`] for every recorded span.
     pub pid: u32,
     /// Thread lane: per-thread registration order, starting at 1.
     pub tid: u32,
@@ -121,8 +118,6 @@ type Buffer = Arc<Mutex<Vec<SpanRec>>>;
 /// has exited is dropped by the next [`drain_spans`], after its spans are
 /// taken.
 static BUFFERS: Mutex<Vec<Buffer>> = Mutex::new(Vec::new());
-/// Spans handed over from other processes (shard-worker sidecars).
-static INJECTED: Mutex<Vec<SpanRec>> = Mutex::new(Vec::new());
 static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 
 thread_local! {
@@ -197,8 +192,7 @@ pub fn span_lazy(name: impl FnOnce() -> String, cat: &'static str) -> SpanGuard 
     SpanGuard(Some(OpenSpan { name: Cow::Owned(name()), cat, start_us: now_us() }))
 }
 
-/// Records a point event (shard retries, cache skips) when tracing is
-/// enabled.
+/// Records a point event when tracing is enabled.
 pub fn instant(name: impl Into<Cow<'static, str>>, cat: &'static str) {
     if !tracing() {
         return;
@@ -218,10 +212,10 @@ pub fn instant(name: impl Into<Cow<'static, str>>, cat: &'static str) {
 }
 
 /// Takes every recorded span out of every thread's buffer (live threads
-/// keep their registrations and thread ids) plus everything [`inject`]ed,
-/// in an unspecified order — exporters sort.
+/// keep their registrations and thread ids), in an unspecified order —
+/// exporters sort.
 pub fn drain_spans() -> Vec<SpanRec> {
-    let mut out: Vec<SpanRec> = std::mem::take(&mut *lock_unpoisoned(&INJECTED));
+    let mut out: Vec<SpanRec> = Vec::new();
     lock_unpoisoned(&BUFFERS).retain(|buf| {
         let mut spans = lock_unpoisoned(buf);
         out.append(&mut spans);
@@ -233,13 +227,7 @@ pub fn drain_spans() -> Vec<SpanRec> {
     out
 }
 
-/// Adds externally-captured spans (a shard worker's re-based sidecar) to
-/// the next [`drain_spans`] result.
-pub fn inject(spans: Vec<SpanRec>) {
-    lock_unpoisoned(&INJECTED).extend(spans);
-}
-
-/// Clears all recorded spans, injected spans, and metrics — for tests
+/// Clears all recorded spans and metrics — for tests
 /// that assert on global state. Enable flags and thread-id assignments
 /// are left alone.
 pub fn reset() {
@@ -277,7 +265,7 @@ impl Hist {
 /// The unified metrics registry: named counters and histograms with a
 /// deterministic JSON rendering. One global instance is written through
 /// [`counter_add`]/[`counter_set`]/[`observe`] and snapshotted with
-/// [`registry`]; the type is public so coordinators can merge or render
+/// [`registry`]; the type is public so callers can merge or render
 /// snapshots themselves.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
@@ -497,23 +485,6 @@ mod tests {
         reset();
         set_tracing(false);
         let _span = span_lazy(|| unreachable!("name built while tracing is off"), "test");
-    }
-
-    #[test]
-    fn injected_spans_come_back_out_of_drain() {
-        let _s = serial();
-        reset();
-        let foreign = SpanRec {
-            name: "shard.work".into(),
-            cat: "phase".into(),
-            ph: Ph::Complete,
-            ts_us: 10,
-            dur_us: 5,
-            pid: 3,
-            tid: 1,
-        };
-        inject(vec![foreign.clone()]);
-        assert_eq!(drain_spans(), vec![foreign]);
     }
 
     #[test]

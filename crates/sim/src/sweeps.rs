@@ -7,7 +7,7 @@
 //! spec's output from their results, and turns each group's outputs into
 //! report rows. [`SweepFamily::report`] runs a family sequentially and is
 //! the reference; `gradpim-engine`'s `ExperimentSpec::run` is the one
-//! parallel, cached and sharded runner over the same surface, and it
+//! parallel, cached runner over the same surface, and it
 //! simulates each distinct phase call of a run once. Phase calls are pure,
 //! so any schedule and any deduplication produce bit-identical rows.
 //!
@@ -37,8 +37,8 @@ pub type QuickCaps = Option<(u64, usize)>;
 /// sweep point for the sensitivity sweeps; one network for the Fig. 9
 /// design space, whose speedups reference the group's own baseline row;
 /// one `(network, nodes)` spec pair for the Fig. 14 scaling study). The
-/// group is the unit of sharding *and* of result caching: two different
-/// sweeps that share a group share its rows.
+/// group is the unit of result caching: two different sweeps that share a
+/// group share its rows.
 ///
 /// Implementations must be deterministic end to end: `groups` enumerates
 /// in figure order, `plan` and `assemble` are pure functions of the spec
@@ -178,8 +178,8 @@ pub struct DesignPoint {
 
 /// [`SweepFamily`] for the Fig. 9 design-space study: one row group per
 /// network, containing that network on every design of [`Design::ALL`].
-/// The group is the unit of sharding *and* caching because each row's
-/// speedup column references the same group's `Baseline` row.
+/// The group is the unit of caching because each row's speedup column
+/// references the same group's `Baseline` row.
 #[derive(Debug, Clone, Copy)]
 pub struct DesignSpace;
 

@@ -15,7 +15,7 @@
 //! | [`workloads`] | `gradpim-workloads` | DNN model zoo + per-layer traffic analysis |
 //! | [`npu`] | `gradpim-npu` | Diannao-like NPU performance model |
 //! | [`sim`] | `gradpim-sim` | system co-simulation (Baseline / GradPIM-DR / GradPIM-BD / TensorDIMM / AoS / AoS-PB) |
-//! | [`engine`] | `gradpim-engine` | parallel execution engine: sweep-point pool, process sharding, result cache, `gradpim-cli` |
+//! | [`engine`] | `gradpim-engine` | parallel execution engine: sweep-point pool, result cache, `gradpim-cli` |
 //! | [`obs`] | `gradpim-obs` | tracing spans, metrics registry (Chrome-trace export lives in [`engine::trace`]) |
 //!
 //! # Quickstart

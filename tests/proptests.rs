@@ -369,8 +369,7 @@ proptest! {
     /// A batch of multi-channel memory simulations run on the threaded
     /// engine is *observably identical* to the same batch run inline on
     /// the sequential engine: bit-identical stats, completions and
-    /// per-channel command traces, returned in input order even though the
-    /// jobs are cost-seeded and so dispatched longest-first. Covers random
+    /// per-channel command traces, returned in input order. Covers random
     /// workloads × channel counts × PIM placements × issue modes ×
     /// power-down thresholds, with the trace protocol oracle run over
     /// every threaded trace.
@@ -396,9 +395,8 @@ proptest! {
                 (cfg, ops)
             })
             .collect();
-        let costs: Vec<u64> = jobs.iter().map(|(_, ops)| ops.len() as u64).collect();
         let run = |eng: Engine| {
-            eng.run(&jobs, Some(&costs), |_, (cfg, ops), _| {
+            eng.run(&jobs, |(cfg, ops)| {
                 Ok::<_, std::convert::Infallible>(diff_run(cfg, ops, true))
             })
             .unwrap()
