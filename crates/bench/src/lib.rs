@@ -6,8 +6,6 @@
 //! phases — see `gradpim_sim::phase`); set `GRADPIM_FULL=1` for
 //! full-fidelity runs.
 
-#![forbid(unsafe_code)]
-
 pub mod env;
 
 use gradpim_sim::sweeps::{QuickCaps, SweepFamily};

@@ -285,12 +285,13 @@ mod tests {
         // The 5-bit space is fully and unambiguously assigned: decoding all
         // 32 patterns yields 32 distinct functions that re-encode to the
         // same bits.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = Vec::new();
         for v in 0..32u8 {
             let bits = RfuBits::unpack(v);
             let f = GradPimFunc::decode(bits).expect("all patterns assigned");
             assert_eq!(f.encode().pack(), v, "{f:?}");
-            assert!(seen.insert(f), "pattern {v:#07b} duplicates {f:?}");
+            assert!(!seen.contains(&f), "pattern {v:#07b} duplicates {f:?}");
+            seen.push(f);
         }
         assert_eq!(seen.len(), 32);
     }

@@ -37,7 +37,7 @@
 //! # Ok::<(), gradpim_core::GradPimError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

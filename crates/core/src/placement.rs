@@ -548,7 +548,7 @@ mod tests {
             p.array(ArrayName::State0).bank,
             p.array(ArrayName::State1).bank,
         ];
-        let set: std::collections::HashSet<_> = banks.iter().collect();
+        let set: std::collections::BTreeSet<_> = banks.iter().collect();
         assert_eq!(set.len(), 4);
     }
 

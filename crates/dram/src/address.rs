@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn flat_indices_are_dense_and_unique() {
         let cfg = cfg();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for rank in 0..cfg.ranks {
             for bg in 0..cfg.bankgroups {
                 for bank in 0..cfg.banks_per_group {

@@ -350,7 +350,10 @@ impl DramConfig {
         streams as f64 / (self.cycle_ns() * 1e-9)
     }
 
-    /// Validates internal consistency.
+    /// Validates internal consistency, including the JEDEC cross-constraints
+    /// between timings: tFAW ≥ 4·tRRD_S (four activates fit in the window),
+    /// tRRD_L ≥ tRRD_S, tWTR_L ≥ tWTR_S, tRAS ≥ tRCD + tBURST (a row stays
+    /// open for one burst) and tRFC < tREFI.
     ///
     /// # Errors
     ///
@@ -374,6 +377,24 @@ impl DramConfig {
         }
         if self.tccd_l < self.tccd_s {
             return Err("tCCD_L must be >= tCCD_S".into());
+        }
+        if self.tfaw < self.trrd_s.saturating_mul(4) {
+            return Err(format!("tFAW {} < 4 * tRRD_S {}", self.tfaw, self.trrd_s));
+        }
+        if self.trrd_l < self.trrd_s {
+            return Err(format!("tRRD_L {} < tRRD_S {}", self.trrd_l, self.trrd_s));
+        }
+        if self.twtr_l < self.twtr_s {
+            return Err(format!("tWTR_L {} < tWTR_S {}", self.twtr_l, self.twtr_s));
+        }
+        if self.tras < self.trcd.saturating_add(self.tburst) {
+            return Err(format!(
+                "tRAS {} < tRCD {} + tBURST {}",
+                self.tras, self.trcd, self.tburst
+            ));
+        }
+        if self.trfc >= self.trefi {
+            return Err(format!("tRFC {} >= tREFI {}", self.trfc, self.trefi));
         }
         if self.burst_bytes == 0 || !self.burst_bytes.is_power_of_two() {
             return Err("burst_bytes must be a power of two".into());
@@ -467,5 +488,32 @@ mod tests {
         let mut c = DramConfig::ddr4_2133();
         c.trc = 10;
         assert!(c.validate().is_err());
+    }
+
+    /// Each JEDEC cross-constraint, broken by one cycle on every preset
+    /// (DDR5's tFAW = 4·tRRD_S is the tightest margin).
+    #[test]
+    fn validation_rejects_each_jedec_cross_constraint() {
+        type Break = fn(&mut DramConfig);
+        let cases: [(&str, Break); 5] = [
+            ("tFAW", |c| c.tfaw = 4 * c.trrd_s - 1),
+            ("tRRD_L", |c| c.trrd_l = c.trrd_s - 1),
+            ("tWTR_L", |c| c.twtr_l = c.twtr_s - 1),
+            ("tRAS", |c| c.tras = c.trcd + c.tburst - 1),
+            ("tRFC", |c| c.trfc = c.trefi),
+        ];
+        for preset in [
+            DramConfig::ddr4_2133(),
+            DramConfig::ddr4_3200(),
+            DramConfig::ddr5_like(),
+            DramConfig::hbm2_like(),
+        ] {
+            for (name, break_it) in cases {
+                let mut c = preset.clone();
+                break_it(&mut c);
+                let err = c.validate().expect_err(name);
+                assert!(err.starts_with(name), "{}: {name} broken, got {err}", preset.name);
+            }
+        }
     }
 }

@@ -48,7 +48,7 @@
 //! # Ok::<(), gradpim_dram::MemError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

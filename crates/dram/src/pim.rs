@@ -182,7 +182,7 @@ impl PimUnit {
 
     /// Scaled read (§IV-B ①): bank column → temp register, each element
     /// multiplied by scaler slot `scaler`.
-    #[allow(clippy::too_many_arguments)] // mirrors the command's full field list
+    #[expect(clippy::too_many_arguments, reason = "mirrors the command's full field list")]
     pub fn scaled_read(
         &mut self,
         storage: &Storage,

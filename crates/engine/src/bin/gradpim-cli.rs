@@ -59,7 +59,14 @@
 //! and a traced run's report is byte-identical to an untraced one.
 //! `check trace` validates an emitted trace and prints its shape.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -401,7 +408,7 @@ fn finish_observability(args: &Args) -> Result<(), CliError> {
 }
 
 fn run(args: &Args) -> Result<(), CliError> {
-    match &args.mode {
+    let spec = match &args.mode {
         Mode::List => {
             println!("experiments:");
             for e in Experiment::ALL {
@@ -464,10 +471,6 @@ fn run(args: &Args) -> Result<(), CliError> {
             return Ok(());
         }
         Mode::Cache(cmd) => return run_cache_cmd(*cmd, args),
-        Mode::Experiment(_) | Mode::RunSpec(_) => {}
-    }
-
-    let spec = match &args.mode {
         Mode::Experiment(experiment) => ExperimentSpec::new(
             *experiment,
             if args.quick.unwrap_or(true) { QUICK } else { None },
@@ -478,15 +481,6 @@ fn run(args: &Args) -> Result<(), CliError> {
                 .map_err(|e| CliError::Run(format!("cannot read `{path}`: {e}")))?;
             ExperimentSpec::from_json(&doc)
                 .map_err(|e| CliError::Run(format!("`{path}` is not a valid spec: {e}")))?
-        }
-        Mode::List
-        | Mode::CheckReport(_)
-        | Mode::CheckTrace(_)
-        | Mode::CheckCache(_)
-        | Mode::Cache(_) => {
-            // gradpim-lint: allow(panic-discipline): these modes return from the
-            // match above before spec construction; the arm is exhaustiveness only.
-            unreachable!("handled above")
         }
     };
 

@@ -3,9 +3,11 @@
 //! byte** of any report.
 //!
 //! The cache is keyed at two levels, both derived from canonical,
-//! deterministic renderings (the `hash-collection` and `float-taint` lint
-//! rules guarantee no key can depend on hash-map order or lossy float
-//! formatting):
+//! deterministic renderings. No key can depend on hash-map order, because
+//! the root `clippy.toml` disallows `HashMap` and `HashSet` workspace-wide,
+//! and none on lossy float formatting: phase keys render every `f64` by
+//! its `to_bits` pattern, and group keys by `Debug`, which round-trips
+//! exactly:
 //!
 //! * **Row groups** — the runs of report rows that are computed together
 //!   (see [`crate::serialize::ExperimentSpec::layout`]) are the unit of

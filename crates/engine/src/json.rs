@@ -70,18 +70,18 @@ pub(crate) fn escape_into(out: &mut String, s: &str) {
 /// Parses one complete JSON document (trailing whitespace allowed, trailing
 /// content rejected).
 pub(crate) fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { src: input, pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(p.err("trailing content after the JSON document"));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -91,7 +91,12 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    /// The unparsed bytes from the cursor on (empty at the end).
+    fn rest(&self) -> &[u8] {
+        self.src.as_bytes().get(self.pos..).unwrap_or_default()
     }
 
     fn skip_ws(&mut self) {
@@ -110,7 +115,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.rest().starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -209,7 +214,7 @@ impl Parser<'_> {
                             let hi = self.hex4()?;
                             let c = if (0xD800..0xDC00).contains(&hi) {
                                 // Surrogate pair: require \uXXXX for the low half.
-                                if !self.bytes[self.pos..].starts_with(b"\\u") {
+                                if !self.rest().starts_with(b"\\u") {
                                     return Err(self.err("unpaired high surrogate"));
                                 }
                                 self.pos += 2;
@@ -231,12 +236,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str, so
-                    // the bytes are valid UTF-8 by construction; a decode
-                    // failure is unreachable but degrades to an error).
-                    let rest = &self.bytes[self.pos..];
-                    let c = std::str::from_utf8(rest)
-                        .ok()
+                    // Consume one UTF-8 character. The cursor only ever
+                    // advances by whole characters, so it sits on a char
+                    // boundary; a miss is unreachable but degrades to an
+                    // error.
+                    let c = self
+                        .src
+                        .get(self.pos..)
                         .and_then(|s| s.chars().next())
                         .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
                     if (c as u32) < 0x20 {
@@ -252,7 +258,8 @@ impl Parser<'_> {
     /// Parses exactly four hex digits and advances past them.
     fn hex4(&mut self) -> Result<u32, ParseError> {
         let digits = self
-            .bytes
+            .src
+            .as_bytes()
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
         let s = std::str::from_utf8(digits).map_err(|_| self.err("invalid \\u escape"))?;
@@ -285,10 +292,10 @@ impl Parser<'_> {
                 return Err(self.err("expected digits in exponent"));
             }
         }
-        // The number lexer only consumes ASCII, so decoding cannot fail;
+        // The number lexer only consumes ASCII, so the slice cannot miss;
         // degrade to a parse error rather than panicking on the emit path.
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("non-ASCII number token"))?;
+        let raw =
+            self.src.get(start..self.pos).ok_or_else(|| self.err("non-ASCII number token"))?;
         Ok(Json::Num(raw.to_string()))
     }
 
@@ -326,7 +333,7 @@ mod tests {
         escape_into(&mut doc, tricky);
         assert_eq!(parse(&doc).unwrap(), Json::Str(tricky.to_string()));
         // Canonical escapes: re-escaping the parsed value is byte-identical.
-        let Json::Str(parsed) = parse(&doc).unwrap() else { unreachable!() };
+        let Json::Str(parsed) = parse(&doc).unwrap() else { panic!("not a string") };
         let mut again = String::new();
         escape_into(&mut again, &parsed);
         assert_eq!(doc, again);
@@ -364,7 +371,7 @@ mod tests {
     #[test]
     fn big_integers_keep_their_digits() {
         let v = parse("[9223372036854775807, -9223372036854775808]").unwrap();
-        let Json::Arr(items) = v else { unreachable!() };
+        let Json::Arr(items) = v else { panic!("not an array") };
         assert_eq!(items[0], Json::Num("9223372036854775807".into()));
         assert_eq!(items[1], Json::Num("-9223372036854775808".into()));
     }

@@ -45,12 +45,17 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-// Tests assert invariants; unwrap/expect is their natural idiom. The
-// manifest's unwrap_used/expect_used warns target shipping code only.
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
 pub mod env;

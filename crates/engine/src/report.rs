@@ -246,13 +246,14 @@ pub fn to_table(report: &Report) -> String {
     }
     let mut out = String::new();
     let emit_line = |out: &mut String, cells: &[&str]| {
-        for (i, (cell, &w)) in cells.iter().zip(&widths).enumerate() {
+        let columns = cells.iter().zip(&widths).zip(&report.schema.columns);
+        for (i, ((cell, &w), column)) in columns.enumerate() {
             if i > 0 {
                 out.push_str("  ");
             }
             let pad = w.saturating_sub(cell.chars().count());
             // Numbers read best right-aligned; strings left-aligned.
-            let right = !matches!(report.schema.columns[i].kind, Kind::Str);
+            let right = !matches!(column.kind, Kind::Str);
             if right {
                 out.extend(std::iter::repeat_n(' ', pad));
                 out.push_str(cell);

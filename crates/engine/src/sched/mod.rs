@@ -79,6 +79,7 @@ type Slot<R, E> = Mutex<Option<std::thread::Result<Result<R, E>>>>;
 /// # Panics
 ///
 /// Re-raises the original payload of the lowest-indexed panicking job.
+#[expect(clippy::disallowed_methods, reason = "engine::sched is the one thread-creation site")]
 pub(crate) fn run_batch<T, R, E, F>(
     threads: usize,
     counters: &Counters,
@@ -140,8 +141,7 @@ where
             Some(Err(payload)) => panic::resume_unwind(payload),
             // A skipped job: only possible past the lowest failing index,
             // whose own slot is reached first.
-            // gradpim-lint: allow(panic-discipline): documented invariant above —
-            // an empty slot before the first failure cannot occur.
+            #[expect(clippy::unreachable, reason = "no slot before the first failure is empty")]
             None => unreachable!("empty result slot before the first failure"),
         }
     }
@@ -427,6 +427,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "two caller threads share one engine")]
     fn concurrent_batches_share_one_pool() {
         // Two threads driving the same engine concurrently: each batch
         // keeps its own ordering.

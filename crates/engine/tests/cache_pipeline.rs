@@ -4,10 +4,6 @@
 //! distinct phase calls, and a real `gradpim-cli` rerun over a store it
 //! filled serving the same bytes.
 
-// Integration tests build without cfg(test), so the crate-root carve-out
-// for the manifest's unwrap_used/expect_used warns is restated here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::{Command, Output};

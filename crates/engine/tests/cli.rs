@@ -2,10 +2,6 @@
 //! usage errors — including the removed process-sharding spellings, which
 //! must fail loudly instead of being silently ignored.
 
-// Integration tests build without cfg(test), so the crate-root carve-out
-// for the manifest's unwrap_used/expect_used warns is restated here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::process::{Command, Output};
 
 /// The binary under test, built by cargo for this test run.

@@ -6,10 +6,6 @@
 //! lowest-index failure, same panic payload — plus the watermark and
 //! budget guarantees the parallel path adds.
 
-// Integration tests build without cfg(test), so the crate-root carve-out
-// for the manifest's unwrap_used/expect_used warns is restated here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 

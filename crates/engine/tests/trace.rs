@@ -4,10 +4,6 @@
 //! byte-identical with tracing on or off — both in-process and through
 //! the real `gradpim-cli` on a threaded pool.
 
-// Integration tests build without cfg(test), so the crate-root carve-out
-// for the manifest's unwrap_used/expect_used warns is restated here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::borrow::Cow;
 use std::path::PathBuf;
 use std::process::{Command, Output};

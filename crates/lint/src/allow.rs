@@ -1,231 +1,275 @@
-//! The inline escape hatch: `// gradpim-lint: allow(<rule>): <why>`.
+//! The escape hatch: `#[expect(<lint>, reason = "...")]` attributes, each
+//! with the code it covers.
 //!
-//! A violation the team has judged acceptable is silenced *at the site*,
-//! with a **mandatory justification** — an allow without one is itself an
-//! error, so every suppression in the tree documents its reasoning. An
-//! allow comment covers:
-//!
-//! * the rest of its own line, when it trails code
-//!   (`foo.expect("…"); // gradpim-lint: allow(panic-discipline): …`), or
-//! * the next line carrying code, when it stands alone above the site.
-//!
-//! Hygiene is linted too: a comment that name-drops `gradpim-lint` but
-//! does not parse, or names an unknown rule, is an error; an allow that
-//! suppresses nothing is reported as an `unused-allow` **warning** (the
-//! one soft severity in the tool — see [`crate::diag`]), so stale
-//! suppressions surface without instantly breaking the build when a rule
-//! tightens.
+//! rustc reports an expectation that no longer fires
+//! (`unfulfilled_lint_expectations`) and clippy one without a reason; this
+//! module only finds the attributes so [`crate::rules`] can tell which
+//! retired rule each one sanctions and whether it may sit where it does.
 
-use crate::diag::{Diagnostic, Severity};
-use crate::lexer::{TokKind, Token};
+use crate::lexer::TokKind;
+use crate::parser::{Item, ItemKind};
+use crate::rules::FileCtx;
 
-/// One parsed, well-formed allow comment.
-#[derive(Debug)]
-struct AllowEntry {
-    rule: String,
-    /// Line of the comment itself (for unused-allow reporting).
-    line: usize,
-    col: usize,
-    /// Line whose diagnostics this allow suppresses.
-    covers: usize,
-    used: bool,
+/// One attribute, `#[name(...)]` or `#![name(...)]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Attr {
+    /// Significant-token index of the attribute's `#`.
+    pub at: usize,
+    /// Significant-token index one past its closing `]`.
+    pub end: usize,
+    /// 1-based source line of the `#`.
+    pub line: usize,
+    /// `#![...]`: applies to the enclosing module or body.
+    pub inner: bool,
+    /// The attribute's name (`expect`, `deny`, `cfg`, ...).
+    pub name: String,
+    /// The lint paths in its argument list, as written (`clippy::exit`).
+    pub lints: Vec<String>,
+    /// The `reason = "..."` text, quotes stripped.
+    pub reason: Option<String>,
 }
 
-/// Every allow in one file, plus the hygiene diagnostics found while
-/// parsing them.
-#[derive(Debug, Default)]
-pub struct Allows {
-    entries: Vec<AllowEntry>,
+/// An `#[expect]` and the significant-token range `[start, end)` it covers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Expect {
+    /// The attribute itself.
+    pub attr: Attr,
+    /// What it covers: the item it is attached to, a single statement or
+    /// expression inside a function body, or (for `#![expect]`) the whole
+    /// enclosing module, body or file.
+    pub covers: (usize, usize),
 }
 
-const MARKER: &str = "gradpim-lint";
-
-/// Parses `// gradpim-lint: allow(rule): justification` out of a comment
-/// body; `Err` is a human-readable syntax complaint.
-fn parse_allow(body: &str) -> Result<(String, String), String> {
-    let rest = body
-        .trim_start()
-        .strip_prefix(MARKER)
-        .and_then(|r| r.trim_start().strip_prefix(':'))
-        .ok_or("expected `gradpim-lint: allow(<rule>): <justification>`")?;
-    let rest = rest.trim_start();
-    let rest =
-        rest.strip_prefix("allow").ok_or("expected `allow(<rule>)` after `gradpim-lint:`")?;
-    let rest = rest.trim_start().strip_prefix('(').ok_or("expected `(` after `allow`")?;
-    let close = rest.find(')').ok_or("unclosed `allow(`")?;
-    let rule = rest[..close].trim();
-    if rule.is_empty() || rule.contains(',') {
-        return Err("allow takes exactly one rule name".into());
-    }
-    let after = rest[close + 1..].trim_start();
-    let just = after.strip_prefix(':').map(str::trim).unwrap_or("");
-    if just.is_empty() {
-        return Err(format!(
-            "allow({rule}) needs a justification: `allow({rule}): <why this is sound>`"
-        ));
-    }
-    Ok((rule.to_string(), just.to_string()))
-}
-
-/// Scans a file's token stream for allow comments.
-///
-/// `known_rules` drives the unknown-rule hygiene check; malformed or
-/// unknown-rule comments land in the returned diagnostics immediately.
-pub fn collect(
-    src: &str,
-    tokens: &[Token],
-    file: &str,
-    known_rules: &[&'static str],
-    diags: &mut Vec<Diagnostic>,
-) -> Allows {
-    let mut allows = Allows::default();
-    for (i, tok) in tokens.iter().enumerate() {
-        if tok.kind != TokKind::LineComment {
+/// Every attribute of the file, in source order. Text in strings and
+/// comments is never an attribute: the lexer keeps it inside one token.
+pub fn attrs(ctx: &FileCtx<'_>) -> Vec<Attr> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i + 1 < ctx.len() {
+        let inner = ctx.text(i + 1) == "!";
+        let open = if inner { i + 2 } else { i + 1 };
+        if ctx.text(i) != "#" || open >= ctx.len() || ctx.text(open) != "[" {
+            i += 1;
             continue;
         }
-        let body = tok.text(src).trim_start_matches('/').trim_start_matches('!');
-        // Only a comment that *leads* with `gradpim-lint:` is an allow
-        // attempt; prose that merely mentions the tool (docs, rule tables,
-        // CLI usage lines) is not.
-        let lead = body.trim_start();
-        let is_attempt =
-            lead.strip_prefix(MARKER).is_some_and(|rest| rest.trim_start().starts_with(':'));
-        if !is_attempt {
-            continue;
+        let end = close_of(ctx, open);
+        let name = if open + 1 < end { ctx.text(open + 1).to_string() } else { String::new() };
+        let (lints, reason) = arguments(ctx, open + 2, end.saturating_sub(1));
+        out.push(Attr { at: i, end, line: ctx.tok(i).line, inner, name, lints, reason });
+        i = end;
+    }
+    out
+}
+
+/// Every `#[expect]` / `#![expect]` of the file with what it covers.
+pub fn collect(ctx: &FileCtx<'_>) -> Vec<Expect> {
+    attrs(ctx)
+        .into_iter()
+        .filter(|a| a.name == "expect")
+        .map(|attr| {
+            let covers = if attr.inner {
+                enclosing_body(&ctx.items, attr.at).unwrap_or((0, ctx.len()))
+            } else {
+                attached_item(&ctx.items, attr.at)
+                    .unwrap_or_else(|| (attr.at, statement_end(ctx, attr.end)))
+            };
+            Expect { attr, covers }
+        })
+        .collect()
+}
+
+/// Index one past the group closed by the bracket matching the opener at
+/// `open`, or the end of the file when it never closes.
+fn close_of(ctx: &FileCtx<'_>, open: usize) -> usize {
+    let mut depth = 0usize;
+    for j in open..ctx.len() {
+        match ctx.text(j) {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return j + 1;
+                }
+            }
+            _ => {}
         }
-        let (rule, _justification) = match parse_allow(body) {
-            Ok(parts) => parts,
-            Err(why) => {
-                diags.push(Diagnostic {
-                    rule: "allow-syntax",
-                    severity: Severity::Error,
-                    file: file.into(),
-                    line: tok.line,
-                    col: tok.col,
-                    message: format!("malformed gradpim-lint comment: {why}"),
-                    chain: Vec::new(),
-                });
+    }
+    ctx.len()
+}
+
+/// Parses `(lint, path::lint, reason = "...")` between `lo` (the `(`) and
+/// `hi` (the `]`).
+fn arguments(ctx: &FileCtx<'_>, lo: usize, hi: usize) -> (Vec<String>, Option<String>) {
+    let mut lints = Vec::new();
+    let mut reason = None;
+    if lo >= hi || ctx.text(lo) != "(" {
+        return (lints, reason);
+    }
+    let mut path = String::new();
+    let mut j = lo + 1;
+    while j < hi {
+        let t = ctx.text(j);
+        match ctx.kind(j) {
+            TokKind::Ident if t == "reason" && j + 2 < hi && ctx.text(j + 1) == "=" => {
+                if ctx.kind(j + 2) == TokKind::Str {
+                    reason = Some(ctx.text(j + 2).trim_matches('"').to_string());
+                }
+                j += 3;
                 continue;
             }
-        };
-        if !known_rules.contains(&rule.as_str()) {
-            diags.push(Diagnostic {
-                rule: "allow-syntax",
-                severity: Severity::Error,
-                file: file.into(),
-                line: tok.line,
-                col: tok.col,
-                message: format!(
-                    "unknown rule `{rule}` in allow (see `gradpim-lint rules` for the rule table)"
-                ),
-                chain: Vec::new(),
-            });
-            continue;
+            TokKind::Ident => path.push_str(t),
+            _ if t == ":" => path.push(':'),
+            _ => {
+                if !path.is_empty() {
+                    lints.push(std::mem::take(&mut path));
+                }
+            }
         }
-        // Trailing comment → covers its own line; standalone → covers the
-        // next line that carries a significant token.
-        let trails_code =
-            tokens[..i].iter().rev().take_while(|t| t.line == tok.line).any(|t| t.is_significant());
-        let covers = if trails_code {
-            tok.line
-        } else {
-            tokens[i + 1..].iter().find(|t| t.is_significant()).map(|t| t.line).unwrap_or(tok.line)
-        };
-        allows.entries.push(AllowEntry { rule, line: tok.line, col: tok.col, covers, used: false });
+        j += 1;
     }
-    allows
+    (lints, reason)
 }
 
-impl Allows {
-    /// True (and marks the allow used) if a diagnostic of `rule` on `line`
-    /// is suppressed.
-    pub fn suppress(&mut self, rule: &str, line: usize) -> bool {
-        let mut hit = false;
-        for e in self.entries.iter_mut().filter(|e| e.rule == rule && e.covers == line) {
-            e.used = true;
-            hit = true;
-        }
-        hit
+/// The span of the item whose leading attributes include the one at `at`,
+/// searching into `mod`/`impl`/`trait` bodies. `None` when `at` sits
+/// inside a function body (a statement attribute).
+fn attached_item(items: &[Item], at: usize) -> Option<(usize, usize)> {
+    let item = items.iter().find(|it| it.span.0 <= at && at < it.span.1)?;
+    match item.body {
+        Some((lo, hi)) if lo <= at && at < hi => match item.kind {
+            ItemKind::Fn => None,
+            _ => attached_item(&item.children, at),
+        },
+        _ => Some(item.span),
     }
+}
 
-    /// Warning diagnostics for allows that suppressed nothing.
-    pub fn unused(&self, file: &str, diags: &mut Vec<Diagnostic>) {
-        for e in self.entries.iter().filter(|e| !e.used) {
-            diags.push(Diagnostic {
-                rule: "unused-allow",
-                severity: Severity::Warning,
-                file: file.into(),
-                line: e.line,
-                col: e.col,
-                message: format!(
-                    "allow({}) suppresses nothing on line {} — remove it",
-                    e.rule, e.covers
-                ),
-                chain: Vec::new(),
-            });
+/// The body range of the innermost item whose body contains `at`.
+fn enclosing_body(items: &[Item], at: usize) -> Option<(usize, usize)> {
+    let item = items.iter().find(|it| it.span.0 <= at && at < it.span.1)?;
+    let (lo, hi) = item.body.filter(|&(lo, hi)| lo <= at && at < hi)?;
+    Some(enclosing_body(&item.children, at).unwrap_or((lo, hi)))
+}
+
+/// End of the statement, match arm or expression starting at `from`
+/// (after stacked attributes): through the first `;` or `,` at depth 0,
+/// through a `{...}` block opened at depth 0, or up to the close of the
+/// enclosing group.
+fn statement_end(ctx: &FileCtx<'_>, from: usize) -> usize {
+    let mut depth = 0usize;
+    let mut j = from;
+    while j < ctx.len() {
+        match ctx.text(j) {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" if depth == 0 => return j,
+            ")" | "]" => depth -= 1,
+            "}" => {
+                depth -= 1;
+                let next = if j + 1 < ctx.len() { ctx.text(j + 1) } else { "" };
+                if depth == 0 && !matches!(next, "." | "?" | "else") {
+                    return j + 1;
+                }
+            }
+            ";" | "," if depth == 0 => return j + 1,
+            _ => {}
         }
+        j += 1;
     }
+    ctx.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
+    use crate::config::FileMeta;
+    use crate::rules::{check, Finding};
 
-    const RULES: &[&str] = &["panic-discipline", "print-macro"];
-
-    fn collect_src(src: &str) -> (Allows, Vec<Diagnostic>) {
-        let toks = lex(src);
-        let mut diags = Vec::new();
-        let allows = collect(src, &toks, "f.rs", RULES, &mut diags);
-        (allows, diags)
+    fn lib_meta() -> FileMeta {
+        FileMeta::classify("crates/dram", "crates/dram/src/storage.rs".into())
     }
 
-    #[test]
-    fn trailing_allow_covers_its_own_line() {
-        let src = "x.unwrap(); // gradpim-lint: allow(panic-discipline): invariant held\n";
-        let (mut a, d) = collect_src(src);
-        assert!(d.is_empty(), "{d:?}");
-        assert!(a.suppress("panic-discipline", 1));
-        assert!(!a.suppress("panic-discipline", 2));
+    fn covered(src: &str) -> Vec<String> {
+        let ctx = FileCtx::new(src);
+        let e = collect(&ctx);
+        assert_eq!(e.len(), 1, "{e:?}");
+        let (lo, hi) = e[0].covers;
+        (lo..hi).map(|i| ctx.text(i).to_string()).collect()
+    }
+
+    fn rules_of(d: &[Finding]) -> Vec<&str> {
+        d.iter().map(|f| f.rule).collect()
     }
 
     #[test]
     fn standalone_allow_covers_next_code_line() {
-        let src = "// gradpim-lint: allow(print-macro): operator warning\n\nprintln!(\"x\");\n";
-        let (mut a, d) = collect_src(src);
-        assert!(d.is_empty(), "{d:?}");
-        assert!(a.suppress("print-macro", 3));
+        // An outer attribute covers the item it is attached to, and only it.
+        let src = "#[expect(clippy::exit, reason = \"x\")]\n\nfn a() { exit(1) }\nfn b() {}\n";
+        let toks = covered(src);
+        assert!(toks.contains(&"a".to_string()) && !toks.contains(&"b".to_string()), "{toks:?}");
+        // Inside an impl, the attached method and not its neighbour.
+        let src = "impl S {\n fn x() {}\n #[expect(clippy::exit, reason = \"x\")]\n fn y() {}\n fn z() {}\n}";
+        let toks = covered(src);
+        assert!(toks.contains(&"y".to_string()), "{toks:?}");
+        assert!(!toks.contains(&"x".to_string()) && !toks.contains(&"z".to_string()), "{toks:?}");
+        // An inner attribute covers its whole file.
+        let toks = covered("#![expect(clippy::exit, reason = \"x\")]\nfn a() {}\nfn b() {}\n");
+        assert!(toks.contains(&"a".to_string()) && toks.contains(&"b".to_string()), "{toks:?}");
+    }
+
+    #[test]
+    fn trailing_allow_covers_its_own_line() {
+        // A statement attribute inside a body covers its statement only.
+        let src = "fn f() {\n #[expect(clippy::exit, reason = \"x\")]\n let a = g(|| { 1 });\n let b = 2;\n}";
+        let toks = covered(src);
+        assert!(toks.contains(&"a".to_string()) && toks.last().is_some_and(|t| t == ";"));
+        assert!(!toks.contains(&"b".to_string()), "{toks:?}");
+        // A match arm ends at its comma.
+        let src = "fn f(x: u8) -> u8 {\n match x {\n #[expect(clippy::unreachable, reason = \"x\")]\n 0 => unreachable!(),\n _ => 1,\n }\n}";
+        let toks = covered(src);
+        assert!(toks.contains(&"unreachable".to_string()), "{toks:?}");
+        assert!(!toks.contains(&"_".to_string()), "{toks:?}");
     }
 
     #[test]
     fn justification_is_mandatory() {
-        let (_, d) = collect_src("// gradpim-lint: allow(print-macro)\nprintln!();\n");
-        assert_eq!(d.len(), 1);
-        assert!(d[0].message.contains("justification"), "{}", d[0].message);
+        let d =
+            check(&FileCtx::new("#[expect(clippy::too_many_arguments)]\nfn f() {}\n"), &lib_meta());
+        assert_eq!(rules_of(&d), ["allow-syntax"], "{d:?}");
+        assert!(d[0].message.contains("reason"), "{}", d[0].message);
+        let d =
+            check(&FileCtx::new("#[expect(dead_code, reason = \"\")]\nfn f() {}\n"), &lib_meta());
+        assert_eq!(rules_of(&d), ["allow-syntax"], "an empty reason justifies nothing: {d:?}");
+        let d = check(
+            &FileCtx::new("#[expect(dead_code, reason = \"kept for the golden\")]\nfn f() {}\n"),
+            &lib_meta(),
+        );
+        assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]
     fn unknown_rule_is_an_error() {
-        let (_, d) = collect_src("// gradpim-lint: allow(no-such-rule): because\nlet x = 1;\n");
-        assert_eq!(d.len(), 1);
+        let src = "#[expect(dead_code, reason = \"seeded: no-such-rule\")]\nfn f() {}\n";
+        let d = check(&FileCtx::new(src), &lib_meta());
+        assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("unknown rule"), "{}", d[0].message);
     }
 
     #[test]
     fn unused_allow_warns() {
-        let (mut a, mut d) = collect_src("// gradpim-lint: allow(print-macro): wat\nlet x = 1;\n");
-        assert!(!a.suppress("panic-discipline", 2));
-        a.unused("f.rs", &mut d);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "unused-allow");
-        assert_eq!(d[0].severity, Severity::Warning);
+        // A `disallowed_methods` expectation over code calling none of the
+        // paths the audit knows sanctions nothing it can place.
+        let src = "#[expect(clippy::disallowed_methods, reason = \"x\")]\nfn f() { let x = 1; }\n";
+        let d = check(&FileCtx::new(src), &lib_meta());
+        assert_eq!(rules_of(&d), ["unused-allow"], "{d:?}");
     }
 
     #[test]
     fn wrong_rule_on_right_line_does_not_suppress() {
-        let src = "x.unwrap(); // gradpim-lint: allow(print-macro): misfiled\n";
-        let (mut a, _) = collect_src(src);
-        assert!(!a.suppress("panic-discipline", 1));
+        // A print expectation over an environment read sanctions printing,
+        // not the read: the audit places it as print-macro only.
+        let src =
+            "#[expect(clippy::print_stdout, reason = \"x\")]\nfn f() { std::env::var(\"X\"); }\n";
+        let d = check(&FileCtx::new(src), &lib_meta());
+        assert_eq!(rules_of(&d), ["print-macro"], "{d:?}");
     }
 }

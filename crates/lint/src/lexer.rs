@@ -1,11 +1,9 @@
 //! A hand-rolled, error-tolerant Rust lexer.
 //!
-//! The linter must understand just enough Rust to tell *code* apart from
-//! *text* — a `println!` inside a string literal or a doc comment is not a
-//! protocol violation, and an `// gradpim-lint: allow(...)` escape hatch
-//! lives in a comment. No `syn`, no dependencies: the workspace builds
-//! offline, and the linter has to run even when the code it checks does
-//! not compile.
+//! The lint-policy audit must understand just enough Rust to tell *code*
+//! apart from *text* — an `#[expect(...)]` or `#![deny(...)]` inside a
+//! string literal or a doc comment sanctions and enables nothing. No
+//! `syn`, no dependencies: the workspace builds offline.
 //!
 //! Guarantees (property-tested in `tests/lexer_prop.rs`):
 //!

@@ -1,46 +1,32 @@
-//! The workspace's determinism/protocol static-analysis pass
-//! (`gradpim-lint`).
+//! The workspace lint policy's audit: what rustc and clippy cannot check
+//! about their own configuration.
 //!
-//! The simulator's headline property is **byte-identical output** across
-//! event-skip vs per-cycle execution, thread counts, warm/cold caches, and
-//! machines — a property that ordinary Rust tooling cannot defend. A
-//! `HashMap` iteration feeding a report, a float `+=` loop in merge code,
-//! or a stray `println!` on the spec/report pipe all compile cleanly and
-//! pass clippy, then break the identity gates (or worse, break them only
-//! on someone else's machine). This crate is the gate for exactly those
-//! hazards: a dependency-free analyzer over a hand-rolled, error-tolerant
-//! Rust lexer (no `syn`, nothing outside `std`) that walks every
-//! workspace member and reports `file:line:col` diagnostics, human or
-//! JSON.
+//! Detection belongs to the toolchain: the root `clippy.toml` disallows
+//! the nondeterministic and protocol-breaking paths, `[workspace.lints]`
+//! sets the levels, and crate roots add their own denies (README, "Lint
+//! policy"). Two things that configuration cannot say are checked here,
+//! by `cargo test`:
 //!
-//! The model is **deny by default**: every rule applies everywhere unless
-//! [`config`] carves out a structural exception (with its reasoning) or a
-//! site carries an inline
-//! `// gradpim-lint: allow(<rule>): <justification>` comment ([`allow`]).
-//! Justifications are mandatory and unused allows are themselves
-//! reported, so the suppression set cannot silently rot.
+//! * **enablement** ([`rules::simple`]) — an `#[expect]` turns its lint on
+//!   where it sits, so the [`fixture`] proves that a lint detects its
+//!   pattern, not that the workspace enables it. The audit reads the
+//!   enabling lines: lint levels, `clippy.toml` paths, every member's
+//!   `[lints] workspace = true` and the crate-root denies;
+//! * **scope** ([`rules`]) — clippy honours an `#[expect(..., reason =
+//!   ...)]` anywhere. The audit keeps each rule's sanctions where the rule
+//!   permits them: threads in `engine::sched`, environment reads in
+//!   `src/env.rs`, exits in the CLI, printing outside library code.
 //!
-//! The analysis has two layers. The **token layer**: [`lexer`] tokenizes
-//! (exact source partition, never panics) and the per-file rules in
-//! [`rules`] pattern-match the stream. The **structural layer** built on
-//! top of it: [`parser`] derives an error-tolerant item tree per file
-//! (same partition discipline, proptested the same way), [`graph`]
-//! assembles the workspace symbol graph and approximate call graph from
-//! those trees, and graph rules such as `panic-reach` traverse it,
-//! reporting multi-frame call chains. [`allow`] is the escape hatch,
-//! [`config`] the scoping tables, [`diag`] the severity model and
-//! renderers, [`json`] a minimal reader for round-trip-validating the
-//! tool's own artifacts. [`check_workspace`] is the CLI's entry point;
-//! [`check_source`] checks one in-memory file with the per-file rules
-//! (used by the golden/fixture tests).
+//! Sources are read through [`lexer`], so text in strings and comments is
+//! never taken for an attribute, and [`parser`], so an `#[expect]` covers
+//! exactly the item it is attached to. [`allow`] collects the attributes,
+//! [`config`] finds the files.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod allow;
 pub mod config;
-pub mod diag;
-pub mod graph;
-pub mod json;
+pub mod fixture;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
@@ -49,190 +35,66 @@ use std::fs;
 use std::path::Path;
 
 use config::FileMeta;
-use diag::{Diagnostic, Severity};
 use rules::FileCtx;
+pub use rules::Finding;
 
-/// The result of a lint run.
-#[derive(Debug)]
-pub struct CheckReport {
-    /// All diagnostics, in canonical order ([`diag::sort`]).
-    pub diags: Vec<Diagnostic>,
-    /// Number of files analyzed.
-    pub files_checked: usize,
+/// Audits one source file: its crate-root denies and its `#[expect]`s.
+pub fn check_source(meta: &FileMeta, src: &str) -> Vec<Finding> {
+    rules::check(&FileCtx::new(src), meta)
 }
 
-impl CheckReport {
-    /// Number of error-severity diagnostics (nonzero fails the run).
-    pub fn errors(&self) -> usize {
-        self.diags.iter().filter(|d| d.severity == Severity::Error).count()
-    }
-}
-
-/// Lints one file's source text: runs every applicable rule, subtracts
-/// the inline allows, then reports allow hygiene (malformed comments,
-/// unused suppressions).
-pub fn check_source(meta: &FileMeta, src: &str) -> Vec<Diagnostic> {
-    let ctx = FileCtx::new(src);
-    let mut raw = Vec::new();
-    rules::run_all(&ctx, meta, &mut raw);
-    let mut diags = Vec::new();
-    let mut allows = allow::collect(src, &ctx.tokens, &meta.rel, &rules::rule_names(), &mut diags);
-    for d in raw {
-        if !allows.suppress(d.rule, d.line) {
-            diags.push(d);
-        }
-    }
-    allows.unused(&meta.rel, &mut diags);
-    diags
-}
-
-/// True when `rel` falls under one of the user-supplied path filters
-/// (a file path, or a directory prefix). An empty filter matches all.
-fn matches_filter(rel: &str, filters: &[String]) -> bool {
-    if filters.is_empty() {
-        return true;
-    }
-    filters.iter().any(|f| {
-        let f = f.trim_start_matches("./").trim_end_matches('/');
-        rel == f || rel.starts_with(&format!("{f}/"))
-    })
-}
-
-/// Loads every workspace file and builds its analysis context. The graph
-/// layer and `check_workspace` share this front end.
-fn load_workspace(root: &Path) -> Result<(Vec<FileMeta>, Vec<String>), String> {
-    let metas = config::workspace_files(root)?;
-    let mut sources = Vec::with_capacity(metas.len());
-    for meta in &metas {
-        let path = root.join(&meta.rel);
-        let src = fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        sources.push(src);
-    }
-    Ok((metas, sources))
-}
-
-/// Builds the workspace symbol/call graph (the `graph` subcommand's
-/// entry point).
-///
-/// # Errors
-///
-/// Propagates workspace-discovery and file-read failures.
-pub fn workspace_graph(root: &Path) -> Result<graph::Graph, String> {
-    let (metas, sources) = load_workspace(root)?;
-    let ctxs: Vec<FileCtx<'_>> = sources.iter().map(|s| FileCtx::new(s)).collect();
-    let pairs: Vec<(&FileMeta, &FileCtx<'_>)> = metas.iter().zip(ctxs.iter()).collect();
-    Ok(graph::build(root, &pairs))
-}
-
-/// Lints the whole workspace rooted at `root` (every member listed in the
-/// root `Cargo.toml`, plus the root facade package), optionally narrowed
-/// to paths under `filters`. Diagnostics come back in canonical order.
-///
-/// The per-file rules and the graph rules (`panic-reach`) both run here;
-/// graph diagnostics are routed through the inline-allow set of the file
-/// they anchor to, exactly like token diagnostics. The graph itself is
-/// always built from the *whole* workspace — path filters narrow only the
-/// reporting, never the call-graph context.
+/// Audits the workspace rooted at `root`: the root manifest and
+/// `clippy.toml`, every member manifest, and every source file but the
+/// [`fixture`]. Findings come back sorted by file, line and rule.
 ///
 /// # Errors
 ///
 /// A human-readable message when the workspace manifest cannot be parsed
-/// or a listed source file cannot be read.
-pub fn check_workspace(root: &Path, filters: &[String]) -> Result<CheckReport, String> {
-    let (metas, sources) = load_workspace(root)?;
-    let ctxs: Vec<FileCtx<'_>> = sources.iter().map(|s| FileCtx::new(s)).collect();
-
-    // Per-file rules and allow collection, with the allow sets held open
-    // so graph diagnostics can still be suppressed per file.
-    let names = rules::rule_names();
-    let mut per_file: Vec<Vec<Diagnostic>> = vec![Vec::new(); metas.len()];
-    let mut hygiene: Vec<Vec<Diagnostic>> = vec![Vec::new(); metas.len()];
-    let mut allows: Vec<allow::Allows> = Vec::with_capacity(metas.len());
-    for (i, (meta, ctx)) in metas.iter().zip(ctxs.iter()).enumerate() {
-        rules::run_all(ctx, meta, &mut per_file[i]);
-        allows.push(allow::collect(ctx.src, &ctx.tokens, &meta.rel, &names, &mut hygiene[i]));
+/// or a file cannot be read.
+pub fn check_workspace(root: &Path) -> Result<Vec<Finding>, String> {
+    let read = |rel: &str| {
+        fs::read_to_string(root.join(rel)).map_err(|e| format!("cannot read {rel}: {e}"))
+    };
+    let mut out = rules::simple::root_config(&read("Cargo.toml")?, &read("clippy.toml")?);
+    for member in config::workspace_members(root)? {
+        let rel = if member == "." { "Cargo.toml".into() } else { format!("{member}/Cargo.toml") };
+        out.extend(rules::simple::manifest(&rel, &read(&rel)?));
     }
-
-    // Graph rules over the whole workspace, routed into per-file lists.
-    let pairs: Vec<(&FileMeta, &FileCtx<'_>)> = metas.iter().zip(ctxs.iter()).collect();
-    let g = graph::build(root, &pairs);
-    rules::panic_reach::check(&g, &mut |file, d| per_file[file].push(d));
-
-    // Subtract allows, report unused ones, then apply the path filters to
-    // the *reporting*.
-    let mut diags = Vec::new();
-    let mut files_checked = 0usize;
-    for (i, meta) in metas.iter().enumerate() {
-        if !matches_filter(&meta.rel, filters) {
-            continue;
-        }
-        files_checked += 1;
-        diags.append(&mut hygiene[i]);
-        for d in per_file[i].drain(..) {
-            if !allows[i].suppress(d.rule, d.line) {
-                diags.push(d);
-            }
-        }
-        allows[i].unused(&meta.rel, &mut diags);
+    for meta in config::workspace_files(root)? {
+        out.extend(check_source(&meta, &read(&meta.rel)?));
     }
-    if files_checked == 0 && !filters.is_empty() {
-        return Err(format!(
-            "no workspace source files match {:?} (paths are workspace-relative)",
-            filters
-        ));
-    }
-    diag::sort(&mut diags);
-    Ok(CheckReport { diags, files_checked })
+    out.sort();
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn lib_meta() -> FileMeta {
-        FileMeta::classify("crates/dram", "crates/dram/src/storage.rs".into())
+    #[test]
+    fn real_workspace_has_no_errors() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let findings = check_workspace(&root).expect("workspace reads");
+        let shown: Vec<String> = findings.iter().map(ToString::to_string).collect();
+        assert!(findings.is_empty(), "lint policy findings:\n{}", shown.join("\n"));
+        // The walk reaches every member and every library root.
+        assert!(config::workspace_members(&root).expect("members").len() >= 13);
+        let files = config::workspace_files(&root).expect("files");
+        let lib_roots = files.iter().filter(|m| m.is_crate_root && m.is_library_code()).count();
+        assert!(lib_roots >= 10, "{lib_roots} library roots");
     }
 
     #[test]
     fn violation_is_reported_then_suppressed_by_allow() {
-        let bad = "use std::collections::HashMap;\n";
-        let d = check_source(&lib_meta(), bad);
-        assert!(d.iter().any(|d| d.rule == "hash-collection"), "{d:?}");
-
-        let allowed =
-            "use std::collections::HashMap; // gradpim-lint: allow(hash-collection): never iterated\n";
-        let d = check_source(&lib_meta(), allowed);
-        assert!(d.iter().all(|d| d.rule != "hash-collection"), "{d:?}");
-        assert!(d.iter().all(|d| d.rule != "unused-allow"), "{d:?}");
-    }
-
-    #[test]
-    fn unused_allow_surfaces_as_warning() {
-        let src = "// gradpim-lint: allow(print-macro): nothing here prints\nlet x = 1;\n";
-        let d = check_source(&lib_meta(), src);
+        // An out-of-scope sanction is reported in library code and accepted
+        // once it sits in test code, where threads may be made.
+        let meta = FileMeta::classify("crates/dram", "crates/dram/src/storage.rs".into());
+        let spawn = "#[expect(clippy::disallowed_methods, reason = \"x\")]\nfn f() { std::thread::spawn(|| {}); }";
+        let d = check_source(&meta, spawn);
         assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!((d[0].rule, d[0].severity), ("unused-allow", Severity::Warning));
-    }
-
-    #[test]
-    fn filter_matches_files_and_directories() {
-        let f = |s: &str| vec![s.to_string()];
-        assert!(matches_filter("crates/engine/src/pool.rs", &f("crates/engine")));
-        assert!(matches_filter("crates/engine/src/pool.rs", &f("crates/engine/src/pool.rs")));
-        assert!(matches_filter("crates/engine/src/pool.rs", &f("./crates/engine/")));
-        assert!(!matches_filter("crates/engine2/src/lib.rs", &f("crates/engine")));
-        assert!(matches_filter("anything.rs", &[]));
-    }
-
-    #[test]
-    fn real_workspace_has_no_errors() {
-        // The repo must stay clean under its own gate — the same check CI
-        // runs, minus the process boundary.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let report = check_workspace(&root, &[]).expect("workspace lints");
-        let errors: Vec<_> =
-            report.diags.iter().filter(|d| d.severity == Severity::Error).collect();
-        assert!(errors.is_empty(), "workspace has lint errors: {errors:#?}");
+        assert_eq!((d[0].line, d[0].rule), (1, "thread-spawn"));
+        assert!(d[0].to_string().starts_with("crates/dram/src/storage.rs:1: [thread-spawn]"));
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n#[test]\n{spawn}\n}}");
+        assert!(check_source(&meta, &in_test).is_empty());
     }
 }

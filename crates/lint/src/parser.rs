@@ -1,6 +1,6 @@
 //! An error-tolerant, recursive-descent *item* parser over the
-//! [`crate::lexer`] token stream — the structural layer under the
-//! workspace symbol graph ([`crate::graph`]).
+//! [`crate::lexer`] token stream — how the audit tells which item an
+//! `#[expect]` is attached to ([`crate::allow`]).
 //!
 //! The contract mirrors the lexer's, one level up:
 //!
@@ -14,7 +14,7 @@
 //! * **approximate by design** — this is not a Rust grammar. It recovers
 //!   the item skeleton (`fn`/`mod`/`impl`/`trait`/`use`/…), names, and
 //!   brace-delimited bodies; statement-level structure inside bodies is
-//!   left as raw token ranges for the graph layer to scan.
+//!   left as raw token ranges.
 //!
 //! Both properties are proptested the same way the lexer is
 //! (`tests/parser_prop.rs`).
@@ -80,7 +80,7 @@ pub struct Item {
     pub body: Option<(usize, usize)>,
     /// Nested items, parsed for `mod`/`impl`/`trait` bodies only — they
     /// exactly partition `body`. `fn` bodies are deliberately left
-    /// unparsed (statement-level calls are scanned by the graph layer).
+    /// unparsed.
     pub children: Vec<Item>,
 }
 
@@ -427,7 +427,7 @@ fn parse_braced(
 ///
 /// `name` is the self type's final plain segment, `trait_name` the
 /// trait's — both approximate (a reference/tuple/slice self type yields
-/// its last identifier), which is all the graph layer needs.
+/// its last identifier).
 fn parse_impl(v: &View<'_>, start: usize, kw: usize, hi: usize, depth: usize) -> Item {
     // Skip generic parameters, tolerating `->` inside bounds.
     let mut j = kw + 1;

@@ -1,219 +1,35 @@
-//! `float-taint`: unordered-iteration sources feeding float accumulation
-//! in report/merge code.
-//!
-//! The syntactic `float-accum` rule flags *any* `+=` on a float inside a
-//! loop in merge code — sound but blunt. This rule is the source-to-sink
-//! refinement: it only fires when the loop being accumulated over
-//! *iterates a hash-ordered collection* (`HashMap`/`HashSet`, or a
-//! variable declared with one), inside a function on the report path — a
-//! `row` method of a `ToRow` impl, or any `merge*` function. f64 addition
-//! is not associative, so hash-iteration order there changes report bytes
-//! between hosts even when every element is identical.
-//!
-//! Intraprocedural by design: sources and sinks are matched within one
-//! function body, using the [`crate::parser`] item tree for function
-//! boundaries and impl context.
-
-use std::collections::BTreeSet;
-
-use crate::config::FileMeta;
-use crate::diag::Diagnostic;
-use crate::lexer::TokKind;
-use crate::parser::{Item, ItemKind};
-use crate::rules::{simple, FileCtx};
-
-/// Flags hash-ordered iteration feeding float `+=` in row/merge fns.
-pub fn check(ctx: &FileCtx<'_>, meta: &FileMeta, diags: &mut Vec<Diagnostic>) {
-    if !meta.check_float_taint() {
-        return;
-    }
-    let floats = simple::float_names(ctx);
-    let hashes = hash_typed_names(ctx);
-    let mut sinks: Vec<(usize, usize, String)> = Vec::new();
-    collect_sinks(&ctx.items, None, &mut sinks);
-    for (lo, hi, fn_name) in sinks {
-        scan_fn(ctx, meta, lo, hi, &fn_name, &floats, &hashes, diags);
-    }
-}
-
-/// Collects `(body_lo, body_hi, name)` for sink functions: `row` methods
-/// of `ToRow` impls and `merge*` functions anywhere.
-fn collect_sinks(items: &[Item], impl_trait: Option<&str>, out: &mut Vec<(usize, usize, String)>) {
-    for item in items {
-        match item.kind {
-            ItemKind::Fn => {
-                let (Some(name), Some(body)) = (&item.name, item.body) else { continue };
-                let is_row_sink = name == "row" && impl_trait == Some("ToRow");
-                let is_merge_sink = name.starts_with("merge");
-                if is_row_sink || is_merge_sink {
-                    out.push((body.0, body.1, name.clone()));
-                }
-            }
-            ItemKind::Impl => collect_sinks(&item.children, item.trait_name.as_deref(), out),
-            ItemKind::Mod | ItemKind::Trait => collect_sinks(&item.children, None, out),
-            _ => {}
-        }
-    }
-}
-
-/// Names declared with a hash-ordered collection type in this file:
-/// `name: HashMap<…>` annotations/fields and `name = HashMap::new()`-style
-/// bindings (`HashSet` likewise, `&`/`mut` allowed in between).
-fn hash_typed_names<'s>(ctx: &FileCtx<'s>) -> BTreeSet<&'s str> {
-    let mut out = BTreeSet::new();
-    for i in 0..ctx.len() {
-        if !matches!(ctx.text(i), "HashMap" | "HashSet") {
-            continue;
-        }
-        let mut j = i;
-        while j > 0 && matches!(ctx.text(j - 1), "&" | "mut" | "<") {
-            j -= 1;
-        }
-        if j >= 2
-            && matches!(ctx.text(j - 1), ":" | "=")
-            && ctx.text(j - 2) != ":"
-            && ctx.kind(j - 2) == TokKind::Ident
-        {
-            out.insert(ctx.text(j - 2));
-        }
-    }
-    out
-}
-
-/// Scans one sink-fn body: for every `for … in <expr> {` whose `<expr>`
-/// mentions a hash collection, flags float `+=` inside that loop body.
-#[allow(clippy::too_many_arguments)] // private helper threading the rule's precomputed sets
-fn scan_fn(
-    ctx: &FileCtx<'_>,
-    meta: &FileMeta,
-    lo: usize,
-    hi: usize,
-    fn_name: &str,
-    floats: &BTreeSet<&str>,
-    hashes: &BTreeSet<&str>,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let mut i = lo;
-    while i < hi {
-        if ctx.text(i) != "for" || ctx.kind(i) != TokKind::Ident {
-            i += 1;
-            continue;
-        }
-        // The header: `for <pat> in <expr> {`. Find `in`, then the `{` at
-        // bracket depth 0.
-        let mut j = i + 1;
-        while j < hi && !(ctx.text(j) == "in" && ctx.kind(j) == TokKind::Ident) {
-            if ctx.text(j) == "{" {
-                break;
-            }
-            j += 1;
-        }
-        if j >= hi || ctx.text(j) != "in" {
-            i += 1;
-            continue;
-        }
-        let expr_lo = j + 1;
-        let mut depth = 0usize;
-        let mut k = expr_lo;
-        while k < hi {
-            match ctx.text(k) {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth = depth.saturating_sub(1),
-                "{" if depth == 0 => break,
-                _ => {}
-            }
-            k += 1;
-        }
-        if k >= hi {
-            return;
-        }
-        // Unordered source: the header expr names a hash type or a
-        // hash-typed variable.
-        let source = (expr_lo..k).find_map(|e| {
-            let t = ctx.text(e);
-            (ctx.kind(e) == TokKind::Ident
-                && (matches!(t, "HashMap" | "HashSet") || hashes.contains(t)))
-            .then_some(t)
-        });
-        let Some(source) = source else {
-            i = k + 1;
-            continue;
-        };
-        // The loop body: matching `}` of the `{` at k.
-        let mut body_depth = 1usize;
-        let mut m = k + 1;
-        while m < hi && body_depth > 0 {
-            match ctx.text(m) {
-                "{" => body_depth += 1,
-                "}" => body_depth -= 1,
-                "+" if body_depth > 0
-                    && ctx.adjacent(m)
-                    && m + 1 < hi
-                    && ctx.text(m + 1) == "="
-                    && !ctx.in_test[m] =>
-                {
-                    if let Some(target) = simple::accum_target(ctx, m) {
-                        if floats.contains(target) {
-                            ctx.error(
-                                diags,
-                                meta,
-                                "float-taint",
-                                m,
-                                format!(
-                                    "float accumulation into `{target}` inside `{fn_name}` is fed \
-                                     by iteration over hash-ordered `{source}`: f64 addition is \
-                                     not associative, so hash order changes report bytes — \
-                                     iterate a BTree/sorted view instead"
-                                ),
-                            );
-                        }
-                    }
-                }
-                _ => {}
-            }
-            m += 1;
-        }
-        i = k + 1;
-    }
-}
+//! `float-taint`: a float sum fed by hash-ordered iteration reaches a
+//! report row or a merge, so the bytes depend on the hasher's order. Its
+//! only source is a hash collection, which `clippy.toml` disallows and no
+//! `#[expect]` outside `vendor/` may sanction; ordered collections stay
+//! allowed.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::{check, FileCtx, Finding};
+    use crate::config::FileMeta;
 
-    fn run(src: &str) -> Vec<Diagnostic> {
+    fn run(src: &str) -> Vec<Finding> {
         let meta = FileMeta::classify("crates/dram", "crates/dram/src/stats.rs".into());
-        let ctx = FileCtx::new(src);
-        let mut d = Vec::new();
-        check(&ctx, &meta, &mut d);
-        d
+        check(&FileCtx::new(src), &meta)
     }
 
     #[test]
     fn hash_fed_merge_accumulation_is_flagged() {
-        let src = "struct S { sum_pj: f64, by_op: HashMap<u32, f64> }\nimpl S {\n fn merge_parts(&mut self, o: &S) {\n  for (_, v) in &o.by_op { self.sum_pj += v; }\n }\n}";
+        let src = "#[expect(clippy::disallowed_types, reason = \"x\")]\nstruct S { sum_pj: f64, by_op: HashMap<u32, f64> }\nimpl S {\n #[expect(clippy::disallowed_types, reason = \"x\")]\n fn merge_parts(&mut self, o: &S) {\n  for (_, v) in &o.by_op { self.sum_pj += v; }\n }\n}";
         let d = run(src);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "float-taint");
-        assert!(d[0].message.contains("by_op"), "{}", d[0].message);
-    }
-
-    #[test]
-    fn row_method_of_to_row_impl_is_a_sink() {
-        let src = "use std::collections::HashSet;\nstruct R { total: f64 }\nimpl ToRow for R {\n fn row(&self) -> Vec<Cell> {\n  let seen: HashSet<u32> = HashSet::new();\n  let mut total = 0.0;\n  for s in seen.iter() { total += f(s); }\n  vec![]\n }\n}";
-        let d = run(src);
-        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d.len(), 2, "{d:?}");
+        assert!(d.iter().all(|f| f.rule == "hash-collection"), "{d:?}");
+        assert_eq!((d[0].line, d[1].line), (1, 4));
     }
 
     #[test]
     fn ordered_iteration_in_merge_is_fine() {
-        let src = "struct S { sum_pj: f64 }\nimpl S {\n fn merge_parts(&mut self, parts: &[S]) {\n  for p in parts { self.sum_pj += p.sum_pj; }\n }\n}";
+        let src = "struct S { sum_pj: f64, by_op: BTreeMap<u32, f64> }\nimpl S {\n fn merge_parts(&mut self, o: &S) {\n  for (_, v) in &o.by_op { self.sum_pj += v; }\n }\n}";
         assert!(run(src).is_empty());
-    }
-
-    #[test]
-    fn hash_iteration_outside_a_sink_fn_is_not_this_rules_business() {
-        let src = "fn tally(m: &HashMap<u32, f64>) -> f64 {\n let mut t = 0.0;\n for (_, v) in m { t += v; }\n t\n}";
-        assert!(run(src).is_empty(), "only row/merge sinks are in scope");
+        let clippy =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../clippy.toml"))
+                .expect("clippy.toml");
+        assert!(!clippy.contains("path = \"std::collections::BTree"), "ordered maps stay allowed");
     }
 }

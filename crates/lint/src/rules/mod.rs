@@ -1,62 +1,146 @@
-//! The rule set and the per-file analysis context.
+//! The sanction audit: each `#[expect]` that sanctions a retired
+//! gradpim-lint rule must sit where that rule permits it.
 //!
-//! Every rule is a pure function over a [`FileCtx`] (token stream +
-//! test-region mask) and the file's [`FileMeta`] scope flags. Rules report
-//! everything they see; [`crate::check_source`] then subtracts the inline
-//! allows. The rule table:
-//!
-//! | rule | defends | fires on |
-//! |---|---|---|
-//! | `hash-collection` | byte-identical reports | `HashMap`/`HashSet` in non-test lib/bin code |
-//! | `float-accum` | f64 sum order | `+=` on a float inside a loop in `merge*` functions |
-//! | `print-macro` | pipe-clean stdout | `print!`-family macros in library code |
-//! | `obs-protocol` | trace/metrics off the report pipe | `stdout()` handle acquisition in library code |
-//! | `process-exit` | CLI exit-code contract | `process::exit` outside `gradpim-cli` |
-//! | `thread-spawn` | global thread budget | thread creation outside the `engine::sched` subsystem |
-//! | `panic-discipline` | lowest-index panic propagation | `unwrap`/`expect`/`panic!`-family/bare indexing in sched, cache, CLI |
-//! | `schema-sync` | spec-family schema drift | `Schema` columns vs `ToRow::row` cells mismatch |
-//! | `forbid-unsafe` | memory safety audit trail | crate root missing `#![forbid(unsafe_code)]` |
-//! | `allow-syntax` | escape-hatch hygiene | malformed/unknown `gradpim-lint:` comments |
-//! | `unused-allow` *(warning)* | stale suppressions | an allow that suppresses nothing |
-//! | `env-discipline` | per-host reproducibility | `std::env::var`/`var_os` outside a crate's `src/env.rs` |
-//! | `float-taint` | f64 sum order at the source | unordered iteration feeding a float accumulation in row/merge code |
-//! | `panic-reach` *(graph)* | protocol-loop integrity | a panic site reachable from a protocol root through the call graph |
+//! rustc and clippy detect every rule's pattern (README, "Lint policy"),
+//! but clippy honours an `#[expect(..., reason = ...)]` anywhere. [`RULES`]
+//! restores the scopes the retired analyzer built in: threads are created
+//! by `engine::sched`, the environment is read in a crate's `src/env.rs`,
+//! only the CLI exits, and only binaries, tests and benches print. An
+//! expectation of `clippy::disallowed_methods` is placed by the call it
+//! covers, so a thread sanction cannot pass as an environment one.
+//! [`simple`] checks that the lints are switched on where they must be.
 
-pub mod env_discipline;
-pub mod float_taint;
-pub mod panic_reach;
-mod schema_sync;
-mod simple;
+use std::fmt;
 
-use crate::config::FileMeta;
-use crate::diag::{Diagnostic, Severity};
+use crate::allow::{self, Expect};
+use crate::config::{FileKind, FileMeta, Role};
 use crate::lexer::{lex, TokKind, Token};
 use crate::parser::{parse_items, Item};
 
-/// Every rule id, for `gradpim-lint rules` and allow-comment validation.
-pub const RULES: &[(&str, &str)] = &[
-    ("hash-collection", "HashMap/HashSet in library code: iteration order is nondeterministic and feeds reports/traces; use BTreeMap/BTreeSet or sort before emission"),
-    ("float-accum", "bare `+=` float accumulation inside a loop in merge code: f64 addition is not associative, canonical summation lives in Stats::merge_all"),
-    ("print-macro", "print!/println!/eprint!/eprintln! in a library crate: stdout is the spec/report pipe; only the CLI may write the banner, to stderr"),
-    ("obs-protocol", "stdout() handle acquisition in a library crate: trace/metrics output must be returned as a string for the CLI to route, never written to the report pipe"),
-    ("process-exit", "std::process::exit outside gradpim-cli: the CLI owns the exit-code contract"),
-    ("thread-spawn", "thread creation outside the engine::sched subsystem: escapes the thread budget and panic propagation"),
-    ("panic-discipline", "unwrap/expect/panic!/unreachable!/todo!/unimplemented!/bare indexing in the sched, cache, or CLI path: panics must flow through lowest-index propagation"),
-    ("schema-sync", "a sweep family's Schema columns disagree with its ToRow::row cells (names, kinds, or order)"),
-    ("forbid-unsafe", "crate root missing #![forbid(unsafe_code)]"),
-    ("allow-syntax", "malformed gradpim-lint allow comment (unknown rule, missing justification)"),
-    ("unused-allow", "an allow comment that suppresses nothing (warning)"),
-    ("env-discipline", "std::env::var/var_os read outside the crate's designated src/env.rs module: scattered env reads are per-host nondeterminism the byte-identity gates cannot see"),
-    ("float-taint", "float accumulation fed by iteration over an unordered (hash) collection in ToRow::row/merge code: source-ordered nondeterminism reaches the report bytes"),
-    ("panic-reach", "a potential panic site transitively reachable from a protocol root (sched/cache/CLI/report/serialize) through the workspace call graph; the diagnostic carries the full call chain"),
-];
+#[cfg(test)]
+mod env_discipline;
+#[cfg(test)]
+mod float_taint;
+pub mod simple;
 
-/// Rule names usable in allow comments.
-pub fn rule_names() -> Vec<&'static str> {
-    RULES.iter().map(|(n, _)| *n).collect()
+/// One audit finding.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Finding {
+    /// Workspace-relative path.
+    pub file: String,
+    /// 1-based line (0 for a whole-file or manifest finding).
+    pub line: usize,
+    /// The rule the finding belongs to.
+    pub rule: &'static str,
+    /// What is wrong and what to do instead.
+    pub message: String,
 }
 
-/// The analysis view of one file.
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}:{}: [{}] {}", self.file, self.line, self.rule, self.message)
+    }
+}
+
+/// A retired rule whose replacement lint an `#[expect]` can sanction.
+#[derive(Debug)]
+pub struct Rule {
+    /// The rule's name (README "Lint policy"); fixture seeds cite it as
+    /// `reason = "seeded: <name>"`.
+    pub name: &'static str,
+    /// The lints whose expectation sanctions a site of this rule.
+    pub lints: &'static [&'static str],
+    /// For `clippy::disallowed_methods`: the calls (path tails) that make an
+    /// expectation this rule's; the root `clippy.toml` lists them in full.
+    pub calls: &'static [&'static str],
+    /// Where a sanction may sit, as [`Rule::allows`] decides it.
+    pub scope: &'static str,
+    allows: fn(&FileMeta, bool) -> bool,
+}
+
+impl Rule {
+    /// True when a sanction of this rule may sit in `meta`'s file, in test
+    /// code when `in_test`.
+    pub fn allows(&self, meta: &FileMeta, in_test: bool) -> bool {
+        (self.allows)(meta, in_test)
+    }
+}
+
+const DISALLOWED_METHODS: &str = "clippy::disallowed_methods";
+
+/// Every rule an `#[expect]` can sanction, with its scope.
+pub const RULES: &[Rule] = &[
+    Rule {
+        name: "hash-collection",
+        lints: &["clippy::disallowed_types"],
+        calls: &[],
+        scope: "nowhere outside vendor/: use BTreeMap/BTreeSet, or sort before emitting",
+        allows: |m, _| m.role == Role::Vendor,
+    },
+    Rule {
+        name: "thread-spawn",
+        lints: &[DISALLOWED_METHODS],
+        calls: &["thread::spawn", "thread::scope", "thread::Builder"],
+        scope: "only in crates/engine/src/sched/ and test code: run work as engine jobs",
+        allows: |m, in_test| {
+            m.rel.starts_with("crates/engine/src/sched/") || in_test || m.role == Role::Vendor
+        },
+    },
+    Rule {
+        name: "env-discipline",
+        lints: &[DISALLOWED_METHODS],
+        calls: &["env::var", "env::var_os"],
+        scope: "only in the crate's src/env.rs: read the knob there and export a function",
+        allows: |m, _| m.is_env_module() || m.role == Role::Vendor,
+    },
+    Rule {
+        name: "obs-protocol",
+        lints: &[DISALLOWED_METHODS],
+        calls: &["io::stdout"],
+        scope: "not in library code: stdout is the report pipe, return the text to the CLI",
+        allows: |m, in_test| !m.is_library_code() || in_test,
+    },
+    Rule {
+        name: "print-macro",
+        lints: &["clippy::print_stdout", "clippy::print_stderr"],
+        calls: &[],
+        scope: "not in library code: stdout is the report pipe, return the text to the CLI",
+        allows: |m, in_test| !m.is_library_code() || in_test,
+    },
+    Rule {
+        name: "process-exit",
+        lints: &["clippy::exit"],
+        calls: &[],
+        scope: "only in the CLI, which owns the exit-code contract: return an error",
+        allows: |m, in_test| {
+            m.rel == "crates/engine/src/bin/gradpim-cli.rs" || in_test || m.role == Role::Vendor
+        },
+    },
+    Rule {
+        name: "allow-syntax",
+        lints: &["clippy::allow_attributes", "clippy::allow_attributes_without_reason"],
+        calls: &[],
+        scope: "nowhere: write `#[expect(<lint>, reason = \"...\")]`",
+        allows: |_, _| false,
+    },
+    Rule {
+        name: "panic-discipline",
+        lints: &[
+            "clippy::unwrap_used",
+            "clippy::expect_used",
+            "clippy::panic",
+            "clippy::indexing_slicing",
+            "clippy::unreachable",
+            "clippy::unimplemented",
+        ],
+        calls: &[],
+        scope: "anywhere, with a reason",
+        allows: |_, _| true,
+    },
+];
+
+/// A lexed and parsed source file.
+#[derive(Debug)]
 pub struct FileCtx<'s> {
     /// Full source text.
     pub src: &'s str,
@@ -65,10 +149,9 @@ pub struct FileCtx<'s> {
     /// Indices into `tokens` of significant (code) tokens.
     pub sig: Vec<usize>,
     /// Per-`sig` entry: true when the token sits inside a `#[test]` /
-    /// `#[cfg(test)]` item, where test-only idioms are fine.
+    /// `#[cfg(test)]` item.
     pub in_test: Vec<bool>,
-    /// The structural item tree over the significant tokens (see
-    /// [`crate::parser`]) — the layer the symbol graph is built from.
+    /// The item tree over the significant tokens ([`crate::parser`]).
     pub items: Vec<Item>,
 }
 
@@ -109,32 +192,79 @@ impl<'s> FileCtx<'s> {
         self.sig.is_empty()
     }
 
-    /// True when significant token `i` and `i+1` touch with no gap —
-    /// distinguishes `+=` from `+ =`.
-    pub fn adjacent(&self, i: usize) -> bool {
-        i + 1 < self.len() && self.tok(i).end == self.tok(i + 1).start
+    /// True when the path tail `call` (`a::b`) occurs in `lo..hi`.
+    fn calls(&self, (lo, hi): (usize, usize), call: &str) -> bool {
+        let segs: Vec<&str> = call.split("::").collect();
+        let width = 3 * segs.len() - 2; // `a`, `:`, `:`, `b`
+        (lo..hi.saturating_sub(width - 1)).any(|i| {
+            segs.iter().enumerate().all(|(k, seg)| {
+                self.text(i + 3 * k) == *seg
+                    && (k == 0
+                        || (self.text(i + 3 * k - 2) == ":" && self.text(i + 3 * k - 1) == ":"))
+            })
+        })
     }
+}
 
-    /// Emits an error diagnostic anchored at significant token `i`.
-    pub fn error(
-        &self,
-        diags: &mut Vec<Diagnostic>,
-        meta: &FileMeta,
-        rule: &'static str,
-        i: usize,
-        message: String,
-    ) {
-        let t = self.tok(i);
-        diags.push(Diagnostic {
-            rule,
-            severity: Severity::Error,
-            file: meta.rel.clone(),
-            line: t.line,
-            col: t.col,
-            message,
-            chain: Vec::new(),
-        });
+/// The rules an expectation of `lint` sanctions: for
+/// `clippy::disallowed_methods`, those whose calls it covers.
+fn sanctioned(ctx: &FileCtx<'_>, e: &Expect, lint: &str) -> Vec<&'static Rule> {
+    RULES
+        .iter()
+        .filter(|r| r.lints.contains(&lint))
+        .filter(|r| r.calls.is_empty() || r.calls.iter().any(|c| ctx.calls(e.covers, c)))
+        .collect()
+}
+
+/// Every sanction of the file: each expectation's line with the rule it
+/// sanctions, in source order.
+pub fn sanctions(ctx: &FileCtx<'_>) -> Vec<(usize, &'static str)> {
+    let mut out = Vec::new();
+    for e in allow::collect(ctx) {
+        for lint in &e.attr.lints {
+            out.extend(sanctioned(ctx, &e, lint).into_iter().map(|r| (e.attr.line, r.name)));
+        }
     }
+    out
+}
+
+/// Audits one file: crate-root lint levels ([`simple::crate_root`]),
+/// then every `#[expect]` — its reason, and each sanction's place.
+pub fn check(ctx: &FileCtx<'_>, meta: &FileMeta) -> Vec<Finding> {
+    let mut out = Vec::new();
+    simple::crate_root(ctx, meta, &mut out);
+    for e in allow::collect(ctx) {
+        let mut finding = |rule, message| {
+            out.push(Finding { file: meta.rel.clone(), line: e.attr.line, rule, message });
+        };
+        match e.attr.reason.as_deref() {
+            None | Some("") => finding(
+                "allow-syntax",
+                "an `#[expect]` needs a non-empty `reason = \"...\"` justification".into(),
+            ),
+            Some(reason) => {
+                let seeded = reason.strip_prefix("seeded: ");
+                if let Some(name) = seeded.filter(|n| RULES.iter().all(|r| r.name != *n)) {
+                    finding("allow-syntax", format!("`seeded: {name}` names an unknown rule"));
+                }
+            }
+        }
+        let in_test = meta.kind == FileKind::Test || ctx.in_test.get(e.attr.at) == Some(&true);
+        for lint in &e.attr.lints {
+            let rules = sanctioned(ctx, &e, lint);
+            if lint == DISALLOWED_METHODS && rules.is_empty() {
+                let known: Vec<&str> = RULES.iter().flat_map(|r| r.calls.iter().copied()).collect();
+                finding(
+                    "unused-allow",
+                    format!("`{lint}` covers none of {known:?}: name the call by its path"),
+                );
+            }
+            for rule in rules.into_iter().filter(|r| !r.allows(meta, in_test)) {
+                finding(rule.name, format!("`{lint}` may be sanctioned {}", rule.scope));
+            }
+        }
+    }
+    out
 }
 
 /// Marks the significant tokens covered by `#[test]` / `#[cfg(test)]`
@@ -214,21 +344,6 @@ fn test_mask(src: &str, tokens: &[Token], sig: &[usize]) -> Vec<bool> {
         i += 1;
     }
     mask
-}
-
-/// Runs every applicable rule over one file.
-pub fn run_all(ctx: &FileCtx<'_>, meta: &FileMeta, diags: &mut Vec<Diagnostic>) {
-    simple::hash_collection(ctx, meta, diags);
-    simple::float_accum(ctx, meta, diags);
-    simple::print_macro(ctx, meta, diags);
-    simple::obs_protocol(ctx, meta, diags);
-    simple::process_exit(ctx, meta, diags);
-    simple::thread_spawn(ctx, meta, diags);
-    simple::panic_discipline(ctx, meta, diags);
-    simple::forbid_unsafe(ctx, meta, diags);
-    schema_sync::check(ctx, meta, diags);
-    env_discipline::check(ctx, meta, diags);
-    float_taint::check(ctx, meta, diags);
 }
 
 #[cfg(test)]

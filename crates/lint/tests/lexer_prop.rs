@@ -1,8 +1,8 @@
 //! Property tests over the lexer: it must never panic and its token
-//! spans must exactly partition the input, for *any* input — the linter
-//! runs over every workspace file on every CI run, so a source fragment
-//! that crashes or desynchronizes the lexer would take the whole gate
-//! down with it.
+//! spans must exactly partition the input, for *any* input — the
+//! lint-policy audit lexes every workspace file on every test run, so a
+//! source fragment that crashes or desynchronizes the lexer would take
+//! the whole audit down with it.
 
 use gradpim_lint::lexer::lex;
 use proptest::prelude::*;

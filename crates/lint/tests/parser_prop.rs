@@ -1,9 +1,9 @@
 //! Property tests over the item parser — the lexer's contract, one level
 //! up: it must never panic and its item spans must exactly partition the
 //! significant-token stream at *every* nesting level, for any input. The
-//! graph layer walks the item tree of every workspace file on every CI
-//! run, so a fragment that crashes the parser or desynchronizes its spans
-//! would take the whole gate down with it.
+//! lint-policy audit parses every workspace file on every test run, so a
+//! fragment that crashes the parser or desynchronizes its spans would
+//! take the whole audit down with it.
 
 use gradpim_lint::lexer::lex;
 use gradpim_lint::parser::{parse_items, Item};

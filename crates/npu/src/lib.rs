@@ -27,7 +27,7 @@
 //! assert!(cycles > 0);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -23,7 +23,7 @@
 //! is the CLI's job. All global state is process-wide; [`reset`] exists
 //! for tests.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -438,6 +438,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the test needs a thread that exits")]
     fn exited_threads_keep_their_spans_but_not_their_buffers() {
         let _s = serial();
         reset();
@@ -451,6 +452,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs threads that exit while spans drain"
+    )]
     fn draining_while_threads_record_and_exit_loses_no_span() {
         const THREADS: usize = 2000;
         const PER_THREAD: usize = 64;
@@ -488,6 +493,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the test records from a second thread")]
     fn threads_get_distinct_tids() {
         let _s = serial();
         reset();

@@ -28,7 +28,7 @@
 //! assert!(theta[0].abs() < 1e-3);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -1,13 +1,15 @@
 //! The simulator's designated environment-variable module.
 //!
-//! Every `std::env::var` read in this crate lives here — enforced by
-//! `gradpim-lint`'s `env-discipline` rule (see `gradpim_engine::env` for
-//! the rationale). Knobs owned by this crate:
+//! Every `std::env::var` read in this crate lives here: the root
+//! `clippy.toml` disallows it elsewhere (see `gradpim_engine::env` for the
+//! rationale). Knobs owned by this crate:
 //!
 //! | variable | effect |
 //! |---|---|
 //! | `GRADPIM_REFERENCE` | `=1` forces per-cycle stepping (differential runs against the event-skip core) |
 //! | `GRADPIM_FULL` | `=1` removes the default traffic caps (full-fidelity runs) |
+
+#![expect(clippy::disallowed_methods, reason = "the simulator's designated env module")]
 
 /// `GRADPIM_REFERENCE=1` forces per-cycle stepping. Cached: the mode must
 /// not flip mid-run, and the streaming phases query it per drain.

@@ -24,7 +24,7 @@
 //! # Ok::<(), gradpim_sim::PhaseError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -4,7 +4,10 @@
 
 use crate::layer::{Layer, LayerKind, Network};
 
-#[allow(clippy::too_many_arguments)] // mirrors the (in, out, k, stride, pad, hw) conv shorthand
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors the (in, out, k, stride, pad, hw) conv shorthand"
+)]
 fn conv(
     name: &str,
     block: &str,

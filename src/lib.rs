@@ -39,7 +39,7 @@
 //! # Ok::<(), gradpim::sim::PhaseError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub use gradpim_core as core;
 pub use gradpim_dram as dram;

@@ -572,3 +572,62 @@ proptest! {
         }
     }
 }
+
+/// Three valid outside inputs, built once: a fig12a report's JSON, the
+/// spec that produced it (`--emit-spec`), and the Chrome trace of that
+/// traced run (`--trace`).
+fn outside_documents() -> &'static [String; 3] {
+    static DOCS: std::sync::OnceLock<[String; 3]> = std::sync::OnceLock::new();
+    DOCS.get_or_init(|| {
+        use gradpim::engine::serialize::{Experiment, ExperimentSpec};
+        use gradpim::engine::{report, trace, Engine};
+        let spec = ExperimentSpec::new(
+            Experiment::Fig12a,
+            Some((1500, 20_000)),
+            Some(vec!["MLP1".into()]),
+        );
+        gradpim::obs::set_tracing(true);
+        let report = spec.run(&Engine::sequential()).expect("fig12a runs");
+        gradpim::obs::set_tracing(false);
+        let trace = trace::export(&gradpim::obs::drain_spans());
+        [report::to_json(&report), spec.to_json(), trace]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// Outside input never panics a parser: a truncated document, or one
+    /// with 1–3 bytes substituted, deleted or duplicated, makes
+    /// `report::from_json`, `ExperimentSpec::from_json` and
+    /// `trace::summarize` return `Ok` or `Err`.
+    #[test]
+    fn mutated_outside_documents_parse_or_fail_without_panicking(
+        op in 0usize..4,
+        at in 0u64..1_000_000,
+        n in 1usize..4,
+        byte in 0u32..256,
+    ) {
+        use gradpim::engine::serialize::ExperimentSpec;
+        use gradpim::engine::{report, trace};
+        for (i, doc) in outside_documents().iter().enumerate() {
+            let bytes = doc.as_bytes();
+            let at = (at * bytes.len() as u64 / 1_000_000) as usize;
+            let (head, tail) = bytes.split_at(at);
+            let (span, rest) = tail.split_at(n.min(tail.len()));
+            let mutated = match op {
+                0 => head.to_vec(),
+                1 => [head, &vec![byte as u8; span.len()], rest].concat(),
+                2 => [head, rest].concat(),
+                _ => [head, span, span, rest].concat(),
+            };
+            let input = String::from_utf8_lossy(&mutated);
+            let parsed = std::panic::catch_unwind(|| match i {
+                0 => drop(report::from_json(&input)),
+                1 => drop(ExperimentSpec::from_json(&input)),
+                _ => drop(trace::summarize(&input)),
+            });
+            prop_assert!(parsed.is_ok(), "document {} panicked on op {} at byte {}", i, op, at);
+        }
+    }
+}
