@@ -327,7 +327,8 @@ impl Command {
         }
     }
 
-    /// The bank (or unit) this command addresses, if any.
+    /// The bank (or unit) this command addresses; `None` for the rank-wide
+    /// `PrechargeAll` and `Refresh`, which address no single bank.
     pub fn bank(&self) -> Option<BankAddr> {
         match *self {
             Command::Activate { bank, .. }
@@ -344,15 +345,29 @@ impl Command {
             | Command::Dequant { unit, .. }
             | Command::PimMul { unit, .. }
             | Command::PimRsqrt { unit, .. } => Some(unit),
-            Command::PrechargeAll { rank } | Command::Refresh { rank } => {
-                Some(BankAddr { rank, bankgroup: 0, bank: 0 })
-            }
+            Command::PrechargeAll { .. } | Command::Refresh { .. } => None,
         }
     }
 
     /// The rank this command addresses.
     pub fn rank(&self) -> u8 {
-        self.bank().map(|b| b.rank).unwrap_or(0)
+        match *self {
+            Command::PrechargeAll { rank } | Command::Refresh { rank } => rank,
+            Command::Activate { bank, .. }
+            | Command::Precharge { bank }
+            | Command::Read { bank, .. }
+            | Command::Write { bank, .. }
+            | Command::ScaledRead { bank, .. }
+            | Command::Writeback { bank, .. }
+            | Command::QRegLoad { bank, .. }
+            | Command::QRegStore { bank, .. } => bank.rank,
+            Command::PimAdd { unit, .. }
+            | Command::PimSub { unit, .. }
+            | Command::Quant { unit, .. }
+            | Command::Dequant { unit, .. }
+            | Command::PimMul { unit, .. }
+            | Command::PimRsqrt { unit, .. } => unit.rank,
+        }
     }
 }
 
@@ -570,6 +585,30 @@ mod tests {
         ];
         for (cmd, kind) in cmds.iter().zip(CommandKind::ALL) {
             assert_eq!(cmd.kind(), kind);
+        }
+    }
+
+    #[test]
+    fn rank_wide_commands_address_no_bank() {
+        // REF and PRE-all name a rank, not bank 0 of bank group 0: a
+        // bank-group-scoped consumer must not mistake them for a command
+        // to that group.
+        for cmd in [Command::Refresh { rank: 3 }, Command::PrechargeAll { rank: 2 }] {
+            assert_eq!(cmd.bank(), None, "{cmd:?}");
+        }
+        assert_eq!(Command::Refresh { rank: 3 }.rank(), 3);
+        assert_eq!(Command::PrechargeAll { rank: 2 }.rank(), 2);
+        let bank = BankAddr { rank: 1, bankgroup: 3, bank: 2 };
+        for cmd in [
+            Command::Activate { bank, row: 9 },
+            Command::Precharge { bank },
+            Command::Read { bank, row: 9, col: 4 },
+            Command::Writeback { bank, row: 9, col: 4, src: 0 },
+            Command::PimAdd { unit: bank, dst: 1 },
+            Command::PimRsqrt { unit: bank, dst: 0 },
+        ] {
+            assert_eq!(cmd.bank(), Some(bank), "{cmd:?}");
+            assert_eq!(cmd.rank(), 1, "{cmd:?}");
         }
     }
 }

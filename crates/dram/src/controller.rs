@@ -23,7 +23,7 @@ use crate::pim::{ModeRegisters, PimUnit};
 use crate::power::PowerModel;
 use crate::stats::{Stats, WorkCounters};
 use crate::storage::Storage;
-use crate::timing::TimingState;
+use crate::timing::{TermClass, TimingState};
 use crate::trace::TraceEntry;
 
 /// A retired transaction: its id, retire cycle, and (for functional reads)
@@ -97,19 +97,62 @@ const MAX_STREAK: u32 = 16;
 /// queue and open-row sets.
 pub(crate) const MAX_BANKS: usize = 64;
 
-/// One queue's cached scheduling candidate: the command FR-FCFS would
-/// attempt next (with its queue pick) and that command's
-/// [`TimingState::earliest_in_rank`]. The shared data-bus term is left out
-/// and applied when the candidate is compared, so a burst on one rank does
-/// not invalidate the candidates of every other rank.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Candidate<P> {
-    cmd: Option<(Command, P)>,
-    at: u64,
+/// The cached scheduling candidates of one family of queues (the bank
+/// queues or the PIM queues), one dense array per field: the command
+/// FR-FCFS or the PIM stream would attempt next (with its queue pick),
+/// that command's [`TimingState::local_earliest`] and its [`TermClass`].
+/// Queue `q`'s command can issue at `max(local[q], term)`, `term` being
+/// its rank's entry for that class in the controller's term table.
+///
+/// Entry `q` goes stale on an enqueue or dequeue on queue `q`, on any
+/// command issued to `q`'s bank group, and on a REF or PRE-all to, or a
+/// refresh coming due on, `q`'s rank: every input of a candidate command
+/// and of its local earliest cycle changes only through one of those.
+/// Rank and bus timing live in the term table instead, so a command to
+/// one bank group leaves every other group's entries fresh.
+#[derive(Debug)]
+struct Candidates<P> {
+    cmd: Vec<Option<(Command, P)>>,
+    /// `u64::MAX` where there is no command.
+    local: Vec<u64>,
+    class: Vec<TermClass>,
+    /// Entries that must be rebuilt before use.
+    stale: u64,
 }
 
-impl<P> Candidate<P> {
-    const NONE: Self = Self { cmd: None, at: u64::MAX };
+impl<P: Copy> Candidates<P> {
+    fn new(n: usize) -> Self {
+        Self {
+            cmd: vec![None; n],
+            local: vec![u64::MAX; n],
+            class: vec![TermClass::Other; n],
+            stale: 0,
+        }
+    }
+
+    /// The entry `cmd` gives a queue: (command, local earliest, class).
+    fn entry(
+        timing: &TimingState,
+        cmd: Option<(Command, P)>,
+    ) -> (Option<(Command, P)>, u64, TermClass) {
+        match cmd {
+            Some((c, _)) => (cmd, timing.local_earliest(&c), TermClass::of(c.kind())),
+            None => (None, u64::MAX, TermClass::Other),
+        }
+    }
+
+    /// Queue `q`'s cached entry, as [`Candidates::entry`] builds it.
+    #[cfg(debug_assertions)]
+    fn get(&self, q: usize) -> (Option<(Command, P)>, u64, TermClass) {
+        (self.cmd[q], self.local[q], self.class[q])
+    }
+
+    /// Stores queue `q`'s freshly built entry.
+    fn set(&mut self, q: usize, (cmd, local, class): (Option<(Command, P)>, u64, TermClass)) {
+        self.cmd[q] = cmd;
+        self.local[q] = local;
+        self.class[q] = class;
+    }
 }
 
 /// The set bits of `mask`, ascending.
@@ -126,21 +169,26 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 /// The set bits of `mask` in round-robin order starting at bit `start`
 /// (< 64): `start..64`, then `0..start`.
 fn bits_from(mask: u64, start: usize) -> impl Iterator<Item = usize> {
-    let upper = u64::MAX << start;
-    bits(mask & upper).chain(bits(mask & !upper))
+    bits(mask.rotate_right(start as u32)).map(move |i| (i + start) % 64)
 }
 
 /// One channel's memory controller, DRAM timing state, and (optionally)
 /// functional storage + PIM register files.
 ///
 /// Issue selection does work in proportion to the queues that hold work:
-/// `u64` bitsets track the non-empty bank and PIM queues and the open
-/// banks, and each queue caches its candidate (the command FR-FCFS would
-/// attempt next) with that command's earliest cycle within its rank. An
-/// entry goes stale on an enqueue or dequeue on its queue, on any command
-/// issued to its rank, and on a flip of its rank's `refresh_pending`:
-/// every input of a candidate and of its in-rank timing changes only
-/// through one of those.
+/// `u64` bitsets track the non-empty bank and PIM queues, the queues of
+/// ranks that may issue, and the open banks. Each queue caches its
+/// candidate (the command FR-FCFS would attempt next) with that command's
+/// local earliest cycle and class, and a table holds each rank's class
+/// terms (the split of [`TimingState::earliest`] that the
+/// [`crate::timing`] docs describe), so a command's earliest cycle is one
+/// `max` of two cached values. A candidate entry goes stale on an enqueue
+/// or dequeue on its queue and on any command issued to its bank group; a
+/// REF or PRE-all to its rank, or a refresh coming due there (a flip of
+/// `refresh_pending`), makes every entry of the rank stale. The term
+/// table is recomputed, whole, on its first use after an issue of an
+/// activate, read, write or refresh: on a channel-wide bus one read or
+/// write moves every rank's bus terms.
 #[derive(Debug)]
 pub struct Controller {
     cfg: DramConfig,
@@ -168,21 +216,28 @@ pub struct Controller {
     idle: Vec<u64>,
     /// Flat bank index → address.
     bank_addr: Vec<BankAddr>,
-    /// PIM queue index → (rank, bank group).
+    /// PIM queue index → (rank, bank group). PIM queue `g` belongs to flat
+    /// bank group `g`, whose banks are bits `g * banks_per_group..`.
     unit_addr: Vec<(u8, u8)>,
     /// Per rank: the bits of its banks / of its PIM queues.
     rank_banks: Vec<u64>,
     rank_units: Vec<u64>,
+    /// The bits of bank group 0's banks.
+    group_banks: u64,
     /// Non-empty bank and PIM queues.
     busy_banks: u64,
     busy_units: u64,
+    /// The bank and PIM queues of ranks that may issue (not powered down).
+    issuable_banks: u64,
+    issuable_units: u64,
     /// Banks with an open row.
     open_banks: u64,
-    /// Queues whose cached candidate must be rebuilt before use.
-    stale_banks: u64,
-    stale_units: u64,
-    bank_cand: Vec<Candidate<Option<usize>>>,
-    unit_cand: Vec<Candidate<bool>>,
+    bank_cand: Candidates<Option<usize>>,
+    unit_cand: Candidates<bool>,
+    /// Per rank: the cached [`TimingState::class_terms`].
+    terms: Vec<[u64; TermClass::COUNT]>,
+    /// The term table must be recomputed before use.
+    terms_dirty: bool,
 }
 
 impl Controller {
@@ -241,13 +296,16 @@ impl Controller {
                 .collect(),
             rank_banks: (0..cfg.ranks).map(|r| rank_bits(bpr, r)).collect(),
             rank_units: (0..cfg.ranks).map(|r| rank_bits(cfg.bankgroups, r)).collect(),
+            group_banks: rank_bits(bpg, 0),
             busy_banks: 0,
             busy_units: 0,
+            issuable_banks: rank_bits(nbanks, 0),
+            issuable_units: rank_bits(nqueues, 0),
             open_banks: 0,
-            stale_banks: 0,
-            stale_units: 0,
-            bank_cand: vec![Candidate::NONE; nbanks],
-            unit_cand: vec![Candidate::NONE; nqueues],
+            bank_cand: Candidates::new(nbanks),
+            unit_cand: Candidates::new(nqueues),
+            terms: vec![[0; TermClass::COUNT]; cfg.ranks],
+            terms_dirty: true,
         }
     }
 
@@ -372,7 +430,7 @@ impl Controller {
         let (row, col) = (addr.row as u32, addr.column as u32);
         self.bank_q[fb].push_back(ColReq { id, row, col, write, data });
         self.busy_banks |= 1 << fb;
-        self.stale_banks |= 1 << fb;
+        self.bank_cand.stale |= 1 << fb;
         self.pending += 1;
         Ok(())
     }
@@ -400,7 +458,7 @@ impl Controller {
         }
         self.pim_q[q].push_back(PimReq { id, op });
         self.busy_units |= 1 << q;
-        self.stale_units |= 1 << q;
+        self.unit_cand.stale |= 1 << q;
         self.pending += 1;
         Ok(())
     }
@@ -431,21 +489,34 @@ impl Controller {
                 } else {
                     self.idle[r] += 1;
                     if self.idle[r] >= self.cfg.powerdown_idle {
-                        self.pd[r] = PdState::Down;
+                        self.set_pd(r, PdState::Down);
                     }
                 }
             }
             PdState::Down => {
                 if self.rank_has_work(r) {
-                    self.pd[r] = PdState::Waking(self.clock + self.cfg.txp);
+                    self.set_pd(r, PdState::Waking(self.clock + self.cfg.txp));
                 }
             }
             PdState::Waking(until) => {
                 if self.clock >= until {
-                    self.pd[r] = PdState::Active;
+                    self.set_pd(r, PdState::Active);
                     self.idle[r] = 0;
                 }
             }
+        }
+    }
+
+    /// Moves rank `r` to power-down state `state`, keeping the issuable
+    /// queue masks in step: only an `Active` rank issues.
+    fn set_pd(&mut self, r: usize, state: PdState) {
+        self.pd[r] = state;
+        if state == PdState::Active {
+            self.issuable_banks |= self.rank_banks[r];
+            self.issuable_units |= self.rank_units[r];
+        } else {
+            self.issuable_banks &= !self.rank_banks[r];
+            self.issuable_units &= !self.rank_units[r];
         }
     }
 
@@ -453,22 +524,24 @@ impl Controller {
         self.pd[r] == PdState::Active
     }
 
-    /// The union of `per_rank` masks over the ranks that may issue now and
-    /// match `filter`.
-    fn issuable(&self, per_rank: &[u64], filter: Option<u8>) -> u64 {
-        match filter {
-            Some(r) if self.rank_issuable(r as usize) => per_rank[r as usize],
-            Some(_) => 0,
-            None => (0..self.cfg.ranks)
-                .filter(|&r| self.rank_issuable(r))
-                .fold(0, |mask, r| mask | per_rank[r]),
-        }
+    /// The issuable queues of `mask` (the bank or PIM queues of ranks that
+    /// may issue now) that belong to the rank `filter` names, if any.
+    fn filtered(mask: u64, per_rank: &[u64], filter: Option<u8>) -> u64 {
+        filter.map_or(mask, |r| mask & per_rank[r as usize])
     }
 
     /// Marks every cached candidate of rank `r` stale.
     fn invalidate_rank(&mut self, r: usize) {
-        self.stale_banks |= self.rank_banks[r];
-        self.stale_units |= self.rank_units[r];
+        self.bank_cand.stale |= self.rank_banks[r];
+        self.unit_cand.stale |= self.rank_units[r];
+    }
+
+    /// Marks the cached candidates of `b`'s bank group stale: its bank
+    /// queues and its PIM queue.
+    fn invalidate_group(&mut self, b: BankAddr) {
+        let g = b.rank as usize * self.cfg.bankgroups + b.bankgroup as usize;
+        self.bank_cand.stale |= self.group_banks << (g * self.cfg.banks_per_group);
+        self.unit_cand.stale |= 1 << g;
     }
 
     /// Advances one memory-clock cycle: refresh bookkeeping, power-down
@@ -578,19 +651,25 @@ impl Controller {
 
     /// The earliest cycle at which the scheduler could issue any command,
     /// given current queue/bank/refresh state (`u64::MAX` when nothing is
-    /// schedulable). Reads the *same* cached candidates
+    /// schedulable). Reads the *same* cached candidates and term table
     /// `try_refresh`/`try_pim`/`try_banks` issue from, so the scheduling
     /// policy cannot diverge from the event estimate: between now and the
     /// returned cycle, every `tick` provably issues nothing.
     fn earliest_issue(&mut self) -> u64 {
         let mut e = self.earliest_refresh();
-        for u in bits(self.busy_units & self.issuable(&self.rank_units, None)) {
-            let c = self.unit_candidate(u);
-            e = e.min(self.ready_at(&c));
+        let units = self.busy_units & self.issuable_units;
+        let banks = self.busy_banks & self.issuable_banks;
+        if units | banks == 0 {
+            return e;
         }
-        for fb in bits(self.busy_banks & self.issuable(&self.rank_banks, None)) {
-            let c = self.bank_candidate(fb);
-            e = e.min(self.ready_at(&c));
+        self.work.slots_examined += u64::from(units.count_ones() + banks.count_ones());
+        self.rebuild(units, banks);
+        self.update_terms();
+        for u in bits(units) {
+            e = e.min(self.unit_ready(u));
+        }
+        for fb in bits(banks) {
+            e = e.min(self.bank_ready(fb));
         }
         e
     }
@@ -612,12 +691,6 @@ impl Controller {
         e
     }
 
-    /// When a cached candidate can issue: its in-rank earliest joined with
-    /// the data-bus term (`u64::MAX` for no candidate).
-    fn ready_at<P>(&self, c: &Candidate<P>) -> u64 {
-        c.cmd.as_ref().map_or(u64::MAX, |(cmd, _)| c.at.max(self.timing.bus_earliest(cmd)))
-    }
-
     /// The refresh-path candidates for rank `r` (caller checks
     /// `refresh_pending` and issuability): the REF itself when every bank
     /// is closed, otherwise one Precharge per open bank, in bank order.
@@ -628,30 +701,49 @@ impl Controller {
         refresh.into_iter().chain(precharges)
     }
 
-    /// PIM queue `u`'s cached candidate, rebuilt first if stale.
-    fn unit_candidate(&mut self, u: usize) -> Candidate<bool> {
-        self.work.slots_examined += 1;
-        if self.stale_units & (1 << u) != 0 {
-            self.stale_units &= !(1 << u);
-            self.work.candidate_evals += 1;
-            let cmd = self.pim_candidate(u);
-            let at = cmd.map_or(u64::MAX, |(cmd, _)| self.timing.earliest_in_rank(&cmd));
-            self.unit_cand[u] = Candidate { cmd, at };
+    /// Rebuilds the stale cached candidates among PIM queues `units` and
+    /// bank queues `banks`.
+    fn rebuild(&mut self, units: u64, banks: u64) {
+        let (units, banks) = (units & self.unit_cand.stale, banks & self.bank_cand.stale);
+        if units | banks == 0 {
+            return;
         }
-        self.unit_cand[u]
+        self.unit_cand.stale &= !units;
+        self.bank_cand.stale &= !banks;
+        self.work.candidate_evals += u64::from(units.count_ones() + banks.count_ones());
+        for u in bits(units) {
+            let entry = Candidates::entry(&self.timing, self.pim_candidate(u));
+            self.unit_cand.set(u, entry);
+        }
+        for fb in bits(banks) {
+            let entry = Candidates::entry(&self.timing, self.fr_fcfs_candidate(fb));
+            self.bank_cand.set(fb, entry);
+        }
     }
 
-    /// Bank queue `fb`'s cached candidate, rebuilt first if stale.
-    fn bank_candidate(&mut self, fb: usize) -> Candidate<Option<usize>> {
-        self.work.slots_examined += 1;
-        if self.stale_banks & (1 << fb) != 0 {
-            self.stale_banks &= !(1 << fb);
-            self.work.candidate_evals += 1;
-            let cmd = self.fr_fcfs_candidate(fb);
-            let at = cmd.map_or(u64::MAX, |(cmd, _)| self.timing.earliest_in_rank(&cmd));
-            self.bank_cand[fb] = Candidate { cmd, at };
+    /// Recomputes the term table if a command issued since it was last
+    /// computed.
+    fn update_terms(&mut self) {
+        if self.terms_dirty {
+            self.terms_dirty = false;
+            for (r, terms) in self.terms.iter_mut().enumerate() {
+                *terms = self.timing.class_terms(r as u8);
+            }
         }
-        self.bank_cand[fb]
+    }
+
+    /// When queue `q` of `cands`, a queue of `rank`, can issue its cached
+    /// candidate (`u64::MAX` for none), from a fresh term table.
+    fn ready<P>(&self, cands: &Candidates<P>, q: usize, rank: u8) -> u64 {
+        cands.local[q].max(self.terms[rank as usize][cands.class[q].index()])
+    }
+
+    fn unit_ready(&self, u: usize) -> u64 {
+        self.ready(&self.unit_cand, u, self.unit_addr[u].0)
+    }
+
+    fn bank_ready(&self, fb: usize) -> u64 {
+        self.ready(&self.bank_cand, fb, self.bank_addr[fb].rank)
     }
 
     /// The command the scheduler would attempt next for PIM unit `u`
@@ -718,36 +810,53 @@ impl Controller {
         }
     }
 
-    /// Debug builds only: checks every fresh cache entry against a rebuild
-    /// from scratch, and `cached` (the cached [`Controller::earliest_issue`])
-    /// against the full uncached scan it replaced. Counts no work.
+    /// Debug builds only: checks the term table, while it is fresh, against
+    /// a fresh computation, and `cached` (the cached
+    /// [`Controller::earliest_issue`]) against the full uncached scan it
+    /// replaced, which checks every fresh cache entry on the way. Counts no
+    /// work.
     #[cfg(debug_assertions)]
     fn check_candidates(&self, cached: u64) {
-        for u in bits(self.busy_units & !self.stale_units) {
-            let cmd = self.pim_candidate(u);
-            let at = cmd.map_or(u64::MAX, |(cmd, _)| self.timing.earliest_in_rank(&cmd));
-            debug_assert_eq!(self.unit_cand[u], Candidate { cmd, at }, "stale PIM candidate {u}");
-        }
-        for fb in bits(self.busy_banks & !self.stale_banks) {
-            let cmd = self.fr_fcfs_candidate(fb);
-            let at = cmd.map_or(u64::MAX, |(cmd, _)| self.timing.earliest_in_rank(&cmd));
-            debug_assert_eq!(
-                self.bank_cand[fb],
-                Candidate { cmd, at },
-                "stale bank candidate {fb}"
-            );
-        }
+        self.check_terms();
         debug_assert_eq!(
             cached,
-            self.earliest_issue_uncached(),
+            self.earliest_issue_uncached(true),
             "cached earliest issue diverges from the full scan"
         );
     }
 
-    /// Debug builds only: [`Controller::earliest_issue`] the uncached way,
-    /// rebuilding the candidate of every queue of every issuable rank.
+    /// Debug builds only: checks the term table, while it is fresh, against
+    /// a fresh computation.
     #[cfg(debug_assertions)]
-    fn earliest_issue_uncached(&self) -> u64 {
+    fn check_terms(&self) {
+        if !self.terms_dirty {
+            for (r, terms) in self.terms.iter().enumerate() {
+                let fresh = self.timing.class_terms(r as u8);
+                debug_assert_eq!(*terms, fresh, "stale term table for rank {r}");
+            }
+        }
+    }
+
+    /// Debug builds only: checks queue `q`'s entry in `cands` against
+    /// `fresh`, the candidate rebuilt from scratch.
+    #[cfg(debug_assertions)]
+    fn check_entry<P: Copy + PartialEq + std::fmt::Debug>(
+        &self,
+        cands: &Candidates<P>,
+        q: usize,
+        fresh: Option<(Command, P)>,
+    ) {
+        let rebuilt = Candidates::entry(&self.timing, fresh);
+        debug_assert_eq!(cands.get(q), rebuilt, "stale cached candidate for queue {q}");
+    }
+
+    /// Debug builds only: [`Controller::earliest_issue`] the uncached way,
+    /// rebuilding the candidate of every queue of every issuable rank. With
+    /// `check`, each fresh cache entry (of any rank) is checked on the way:
+    /// against its rebuild, and, while the term table is fresh, its cached
+    /// `max(local, term)` against [`TimingState::earliest`].
+    #[cfg(debug_assertions)]
+    fn earliest_issue_uncached(&self, check: bool) -> u64 {
         let mut e = u64::MAX;
         for r in 0..self.cfg.ranks {
             if !self.refresh_pending[r] || !self.rank_issuable(r) {
@@ -757,20 +866,47 @@ impl Controller {
                 e = e.min(self.timing.earliest(&cmd));
             }
         }
-        for u in 0..self.pim_q.len() {
-            if !self.rank_issuable(self.unit_addr[u].0 as usize) {
+        let fresh_busy = |busy: u64, stale: u64| if check { busy & !stale } else { 0 };
+        let units = fresh_busy(self.busy_units, self.unit_cand.stale);
+        let banks = fresh_busy(self.busy_banks, self.bank_cand.stale);
+        let unit_rank = |u: usize| self.unit_addr[u].0;
+        let bank_rank = |fb: usize| self.bank_addr[fb].rank;
+        e.min(self.uncached_min(&self.unit_cand, units, unit_rank, |u| self.pim_candidate(u))).min(
+            self.uncached_min(&self.bank_cand, banks, bank_rank, |fb| self.fr_fcfs_candidate(fb)),
+        )
+    }
+
+    /// Debug builds only: the earliest cycle any queue of `cands` in an
+    /// issuable rank could issue (queue `q` belongs to rank `rank(q)` and
+    /// would attempt `candidate(q)`), rebuilt from scratch; checks the
+    /// entries of `checked` on the way (see
+    /// [`Controller::earliest_issue_uncached`]).
+    #[cfg(debug_assertions)]
+    fn uncached_min<P: Copy + PartialEq + std::fmt::Debug>(
+        &self,
+        cands: &Candidates<P>,
+        checked: u64,
+        rank: impl Fn(usize) -> u8,
+        candidate: impl Fn(usize) -> Option<(Command, P)>,
+    ) -> u64 {
+        let mut e = u64::MAX;
+        for q in 0..cands.cmd.len() {
+            let (rank, cached) = (rank(q), checked & (1 << q) != 0);
+            let issuable = self.rank_issuable(rank as usize);
+            if !issuable && !cached {
                 continue;
             }
-            if let Some((cmd, _)) = self.pim_candidate(u) {
-                e = e.min(self.timing.earliest(&cmd));
+            let fresh = candidate(q);
+            let earliest = fresh.map_or(u64::MAX, |(cmd, _)| self.timing.earliest(&cmd));
+            if cached {
+                self.check_entry(cands, q, fresh);
+                if !self.terms_dirty {
+                    let ready = self.ready(cands, q, rank);
+                    debug_assert_eq!(ready, earliest, "queue {q}: cached earliest diverges");
+                }
             }
-        }
-        for fb in 0..self.banks.len() {
-            if !self.rank_issuable(self.bank_addr[fb].rank as usize) {
-                continue;
-            }
-            if let Some((cmd, _)) = self.fr_fcfs_candidate(fb) {
-                e = e.min(self.timing.earliest(&cmd));
+            if issuable {
+                e = e.min(earliest);
             }
         }
         e
@@ -803,7 +939,7 @@ impl Controller {
         }
         #[cfg(debug_assertions)]
         {
-            let next = self.state_event_cycle().min(self.earliest_issue_uncached());
+            let next = self.state_event_cycle().min(self.earliest_issue_uncached(false));
             assert!(
                 cycle <= next.max(self.clock),
                 "advance_to({cycle}) past the next event at {next}"
@@ -828,10 +964,6 @@ impl Controller {
         self.stats.cycles = cycle;
     }
 
-    fn rank_matches(filter: Option<u8>, rank: u8) -> bool {
-        filter.is_none_or(|f| f == rank)
-    }
-
     fn try_issue(&mut self, filter: Option<u8>) {
         if self.try_refresh(filter) {
             return;
@@ -850,11 +982,9 @@ impl Controller {
     }
 
     fn try_refresh(&mut self, filter: Option<u8>) -> bool {
-        for r in 0..self.cfg.ranks {
-            if !self.refresh_pending[r]
-                || !Self::rank_matches(filter, r as u8)
-                || !self.rank_issuable(r)
-            {
+        let ranks = filter.map_or(0..self.cfg.ranks, |r| r as usize..r as usize + 1);
+        for r in ranks {
+            if !self.refresh_pending[r] || !self.rank_issuable(r) {
                 continue;
             }
             // Issue the first candidate whose timing is satisfied (the REF
@@ -879,28 +1009,39 @@ impl Controller {
     }
 
     fn try_pim(&mut self, filter: Option<u8>) -> bool {
-        let queues = self.busy_units & self.issuable(&self.rank_units, filter);
-        for u in bits_from(queues, self.rr_unit) {
-            let c = self.unit_candidate(u);
-            let Some((cmd, retires)) = c.cmd else { continue };
-            if self.ready_at(&c) > self.clock {
-                continue;
-            }
-            if retires {
-                let req = self.pim_q[u].pop_front().expect("non-empty");
-                if self.pim_q[u].is_empty() {
-                    self.busy_units &= !(1 << u);
-                }
-                let op = req.op;
-                self.issue(cmd);
-                self.retire_pim(req, op);
-            } else {
-                self.issue(cmd);
-            }
-            self.rr_unit = if u + 1 == self.pim_q.len() { 0 } else { u + 1 };
-            return true;
+        let queues =
+            Self::filtered(self.busy_units & self.issuable_units, &self.rank_units, filter);
+        if queues == 0 {
+            return false;
         }
-        false
+        self.rebuild(queues, 0);
+        self.update_terms();
+        #[cfg(debug_assertions)]
+        self.check_terms();
+        // Round-robin: the first queue whose candidate can issue now.
+        let mut visited = 0;
+        let ready = bits_from(queues, self.rr_unit).find(|&u| {
+            visited += 1;
+            #[cfg(debug_assertions)]
+            self.check_entry(&self.unit_cand, u, self.pim_candidate(u));
+            self.unit_ready(u) <= self.clock
+        });
+        self.work.slots_examined += visited;
+        let Some(u) = ready else { return false };
+        let (cmd, retires) = self.unit_cand.cmd[u].expect("a ready candidate");
+        if retires {
+            let req = self.pim_q[u].pop_front().expect("non-empty");
+            if self.pim_q[u].is_empty() {
+                self.busy_units &= !(1 << u);
+            }
+            let op = req.op;
+            self.issue(cmd);
+            self.retire_pim(req, op);
+        } else {
+            self.issue(cmd);
+        }
+        self.rr_unit = if u + 1 == self.pim_q.len() { 0 } else { u + 1 };
+        true
     }
 
     fn retire_pim(&mut self, req: PimReq, op: PimOp) {
@@ -910,33 +1051,43 @@ impl Controller {
     }
 
     fn try_banks(&mut self, filter: Option<u8>) -> bool {
-        let queues = self.busy_banks & self.issuable(&self.rank_banks, filter);
-        for fb in bits_from(queues, self.rr_bank) {
-            let c = self.bank_candidate(fb);
-            let Some((cmd, pos)) = c.cmd else { continue };
-            if self.ready_at(&c) > self.clock {
-                continue;
-            }
-            match pos {
-                Some(pos) => {
-                    let req = self.bank_q[fb].remove(pos).expect("in range");
-                    let emptied = self.bank_q[fb].is_empty();
-                    if emptied {
-                        self.busy_banks &= !(1 << fb);
-                    }
-                    self.issue_col(cmd, req);
-                    self.hit_streak[fb] =
-                        if pos == 0 && emptied { 0 } else { self.hit_streak[fb] + 1 };
-                }
-                None => {
-                    self.issue(cmd);
-                    self.hit_streak[fb] = 0;
-                }
-            }
-            self.rr_bank = if fb + 1 == self.banks.len() { 0 } else { fb + 1 };
-            return true;
+        let queues =
+            Self::filtered(self.busy_banks & self.issuable_banks, &self.rank_banks, filter);
+        if queues == 0 {
+            return false;
         }
-        false
+        self.rebuild(0, queues);
+        self.update_terms();
+        #[cfg(debug_assertions)]
+        self.check_terms();
+        // Round-robin: the first queue whose candidate can issue now.
+        let mut visited = 0;
+        let ready = bits_from(queues, self.rr_bank).find(|&fb| {
+            visited += 1;
+            #[cfg(debug_assertions)]
+            self.check_entry(&self.bank_cand, fb, self.fr_fcfs_candidate(fb));
+            self.bank_ready(fb) <= self.clock
+        });
+        self.work.slots_examined += visited;
+        let Some(fb) = ready else { return false };
+        let (cmd, pos) = self.bank_cand.cmd[fb].expect("a ready candidate");
+        match pos {
+            Some(pos) => {
+                let req = self.bank_q[fb].remove(pos).expect("in range");
+                let emptied = self.bank_q[fb].is_empty();
+                if emptied {
+                    self.busy_banks &= !(1 << fb);
+                }
+                self.issue_col(cmd, req);
+                self.hit_streak[fb] = if pos == 0 && emptied { 0 } else { self.hit_streak[fb] + 1 };
+            }
+            None => {
+                self.issue(cmd);
+                self.hit_streak[fb] = 0;
+            }
+        }
+        self.rr_bank = if fb + 1 == self.banks.len() { 0 } else { fb + 1 };
+        true
     }
 
     fn issue_col(&mut self, cmd: Command, req: ColReq) {
@@ -969,9 +1120,16 @@ impl Controller {
             trace.push(TraceEntry { cycle: self.clock, cmd });
         }
         self.timing.issue(&cmd, self.clock);
-        self.work.commands += 1;
-        self.invalidate_rank(cmd.rank() as usize);
         let kind = cmd.kind();
+        self.terms_dirty |= TimingState::moves_terms(kind);
+        self.work.commands += 1;
+        // By the command's kind: REF (which also ends the rank's pending
+        // refresh) and PRE-all address the whole rank, every other command
+        // one bank group.
+        match cmd.bank() {
+            Some(bank) => self.invalidate_group(bank),
+            None => self.invalidate_rank(cmd.rank() as usize),
+        }
         self.stats.record(kind);
         match kind {
             CommandKind::Activate => {

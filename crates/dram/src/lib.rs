@@ -29,9 +29,10 @@
 //!   there in bulk, bit-identical to per-cycle stepping
 //!   ([`MemorySystem::drain_reference`] keeps the reference path for
 //!   differential testing). Issue selection walks only the queues that
-//!   hold work and reuses each queue's cached candidate until its queue,
-//!   its rank's timing or its rank's refresh state changes;
-//!   [`MemorySystem::work`] counts what that costs ([`WorkCounters`]).
+//!   hold work and reuses each queue's cached candidate until its queue or
+//!   its bank group's timing changes, or its rank refreshes; rank and bus
+//!   timing come from a per-rank table of class terms. [`MemorySystem::work`]
+//!   counts what that costs ([`WorkCounters`]).
 //!
 //! # Example
 //!

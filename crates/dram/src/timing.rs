@@ -7,6 +7,26 @@
 //! availability for external column commands and the tFAW window for
 //! activates).
 //!
+//! [`TimingState::earliest`] is split along the same line the GradPIM
+//! rules draw (§IV-C) — a scaled read, a writeback or an ALU op occupies
+//! only its own bank group — into two parts, joined by `max`:
+//!
+//! * the **local** part (`TimingState::local_earliest`): the bank,
+//!   bank-group and per-bank-ALU registers of the command's bank group.
+//!   Only a command issued to that bank group moves it (REF and PRE-all
+//!   read every bank of their rank, and a PRE-all moves them all);
+//! * a **class term** per rank and command class
+//!   (`TimingState::class_terms`), the same for every command of that
+//!   class to that rank: activate (refresh recovery, tRRD_S, tFAW), read
+//!   (recovery, tCCD_S / tWTR_S, the data bus at tCL with tRTRS), write
+//!   (recovery, tCCD_S, the read→write turnaround, the data bus at tCWL),
+//!   other (recovery). Only an activate, a read, a write or a refresh
+//!   moves terms (`TimingState::moves_terms`); on a channel-wide bus a
+//!   read or write moves every rank's read and write terms.
+//!
+//! The memory controller caches the local part per queued command and the
+//! terms per rank, and invalidates each on its own.
+//!
 //! GradPIM commands follow §IV-C exactly:
 //!
 //! * **Scaled read / Q-reg load** behave like a column read *without the data
@@ -73,6 +93,42 @@ impl ChannelTiming {
     }
 }
 
+/// Which per-rank term of [`TimingState::earliest`] bounds a command: the
+/// rank- and channel-scope registers that command kind waits on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TermClass {
+    /// Activates: refresh recovery, tRRD_S and the tFAW window.
+    Activate,
+    /// External reads: refresh recovery, tCCD_S / tWTR_S, and the data
+    /// bus at tCL (plus tRTRS after another rank's burst).
+    Read,
+    /// External writes: refresh recovery, tCCD_S, the read→write
+    /// turnaround, and the data bus at tCWL (plus tRTRS).
+    Write,
+    /// Every other command: refresh recovery only.
+    Other,
+}
+
+impl TermClass {
+    /// Number of classes (for dense per-rank term tables).
+    pub(crate) const COUNT: usize = 4;
+
+    /// The class of a command of `kind`.
+    pub(crate) fn of(kind: CommandKind) -> Self {
+        match kind {
+            CommandKind::Activate => TermClass::Activate,
+            CommandKind::Read => TermClass::Read,
+            CommandKind::Write => TermClass::Write,
+            _ => TermClass::Other,
+        }
+    }
+
+    /// Dense index for term tables.
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Complete timing state for one channel.
 #[derive(Debug, Clone)]
 pub struct TimingState {
@@ -115,14 +171,17 @@ impl TimingState {
     }
 
     fn bank_idx(&self, cmd: &Command) -> usize {
-        let b = cmd.bank().expect("bank-addressed command");
-        (b.rank as usize * self.cfg.bankgroups + b.bankgroup as usize) * self.cfg.banks_per_group
-            + b.bank as usize
+        bank_and_group(&self.cfg, cmd).0
     }
 
     fn group_idx(&self, cmd: &Command) -> usize {
-        let b = cmd.bank().expect("bank-addressed command");
-        b.rank as usize * self.cfg.bankgroups + b.bankgroup as usize
+        bank_and_group(&self.cfg, cmd).1
+    }
+
+    /// The bank registers of every bank of `rank`.
+    fn rank_banks(&self, rank: u8) -> &[BankTiming] {
+        let n = self.cfg.banks_per_rank();
+        &self.banks[rank as usize * n..][..n]
     }
 
     /// Whether local (PIM) column/ALU constraints live at bank or bank-group
@@ -132,107 +191,74 @@ impl TimingState {
     }
 
     /// Earliest cycle at which `cmd` may issue, given everything issued so
-    /// far. Pure query; does not mutate state.
+    /// far: its local part joined with its rank's term for its class (see
+    /// the [module docs](self)). Pure query; does not mutate state.
     pub fn earliest(&self, cmd: &Command) -> u64 {
-        self.earliest_in_rank(cmd).max(self.bus_earliest(cmd))
+        let term = self.class_terms(cmd.rank())[TermClass::of(cmd.kind()).index()];
+        self.local_earliest(cmd).max(term)
     }
 
     /// The part of [`TimingState::earliest`] set by the bank, bank-group
-    /// and rank scopes of `cmd`'s own rank: it changes only when a command
-    /// issues to that rank.
-    pub(crate) fn earliest_in_rank(&self, cmd: &Command) -> u64 {
-        let c = &self.cfg;
-        let kind = cmd.kind();
-        let rank = &self.ranks[cmd.rank() as usize];
-        let mut t = rank.all;
-
-        match kind {
+    /// and per-bank-ALU registers of `cmd`'s bank group (for REF and
+    /// PRE-all, of every bank of its rank). It changes only when a command
+    /// issues to that bank group, or a PRE-all to its rank.
+    pub(crate) fn local_earliest(&self, cmd: &Command) -> u64 {
+        match cmd.kind() {
             CommandKind::Activate => {
-                let bank = &self.banks[self.bank_idx(cmd)];
-                let group = &self.groups[self.group_idx(cmd)];
-                t = t.max(bank.act).max(group.act).max(rank.act);
-                if rank.faw.len() == 4 {
-                    t = t.max(rank.faw[0] + c.tfaw);
-                }
+                self.banks[self.bank_idx(cmd)].act.max(self.groups[self.group_idx(cmd)].act)
             }
-            CommandKind::Precharge => {
-                let bank = &self.banks[self.bank_idx(cmd)];
-                t = t.max(bank.pre);
-            }
+            CommandKind::Precharge => self.banks[self.bank_idx(cmd)].pre,
+            // Must satisfy the precharge constraint of every bank in the
+            // rank.
             CommandKind::PrechargeAll => {
-                // Must satisfy the precharge constraint of every bank in the
-                // rank.
-                let r = cmd.rank() as usize;
-                let base = r * c.banks_per_rank();
-                for b in 0..c.banks_per_rank() {
-                    t = t.max(self.banks[base + b].pre);
-                }
+                self.rank_banks(cmd.rank()).iter().fold(0, |t, b| t.max(b.pre))
             }
             CommandKind::Read => {
-                let bank = &self.banks[self.bank_idx(cmd)];
-                let group = &self.groups[self.group_idx(cmd)];
-                t = t.max(bank.col).max(group.rd).max(rank.rd);
+                self.banks[self.bank_idx(cmd)].col.max(self.groups[self.group_idx(cmd)].rd)
             }
             CommandKind::Write => {
-                let bank = &self.banks[self.bank_idx(cmd)];
-                let group = &self.groups[self.group_idx(cmd)];
-                t = t.max(bank.col).max(group.wr).max(rank.wr);
+                self.banks[self.bank_idx(cmd)].col.max(self.groups[self.group_idx(cmd)].wr)
             }
-            CommandKind::Refresh => {
-                // All banks must be precharged (tRP satisfied) and quiet.
-                let r = cmd.rank() as usize;
-                let base = r * c.banks_per_rank();
-                for b in 0..c.banks_per_rank() {
-                    t = t.max(self.banks[base + b].act);
-                }
-            }
+            // All banks must be precharged (tRP satisfied) and quiet.
+            CommandKind::Refresh => self.rank_banks(cmd.rank()).iter().fold(0, |t, b| t.max(b.act)),
             CommandKind::ScaledRead | CommandKind::QRegLoad => {
-                let bank = &self.banks[self.bank_idx(cmd)];
-                t = t.max(bank.col);
-                t = t.max(self.local_io_rd(cmd));
+                self.banks[self.bank_idx(cmd)].col.max(self.local_io_rd(cmd))
             }
             CommandKind::Writeback | CommandKind::QRegStore => {
-                let bank = &self.banks[self.bank_idx(cmd)];
-                t = t.max(bank.col);
-                t = t.max(self.local_io_wr(cmd));
+                self.banks[self.bank_idx(cmd)].col.max(self.local_io_wr(cmd))
             }
             CommandKind::PimAdd
             | CommandKind::PimSub
             | CommandKind::Quant
             | CommandKind::Dequant
             | CommandKind::PimMul
-            | CommandKind::PimRsqrt => {
-                t = t.max(self.alu(cmd));
-            }
-        }
-        t
-    }
-
-    /// The part of [`TimingState::earliest`] set by the data bus `cmd`
-    /// would drive (0 for commands that use no bus). On a channel-wide bus
-    /// it changes whenever any rank issues a read or write.
-    pub(crate) fn bus_earliest(&self, cmd: &Command) -> u64 {
-        match cmd.kind() {
-            CommandKind::Read => self.data_bus_earliest(cmd, self.cfg.tcl),
-            CommandKind::Write => {
-                let bus = &self.data[self.bus_idx(cmd.rank())];
-                bus.wr.max(self.data_bus_earliest(cmd, self.cfg.tcwl))
-            }
-            _ => 0,
+            | CommandKind::PimRsqrt => self.alu(cmd),
         }
     }
 
-    fn data_bus_earliest(&self, cmd: &Command, lat: u64) -> u64 {
-        // The burst must start at or after the bus frees; if the previous
+    /// The parts of [`TimingState::earliest`] shared by every command of
+    /// one class to `rank`, indexed by [`TermClass::index`]: its rank
+    /// registers and, for reads and writes, the data bus they would drive.
+    /// Only issuing a command [`TimingState::moves_terms`] moves them: to
+    /// that rank, or, for a read or write, to any rank on the same bus.
+    pub(crate) fn class_terms(&self, rank: u8) -> [u64; TermClass::COUNT] {
+        let c = &self.cfg;
+        let r = &self.ranks[rank as usize];
+        let bus = &self.data[self.bus_idx(rank)];
+        // A burst must start at or after the bus frees; if the previous
         // burst came from a different rank over a shared bus, add tRTRS.
-        let bus = &self.data[self.bus_idx(cmd.rank())];
         let mut free = bus.data_free;
-        if let Some(last) = bus.last_data_rank {
-            if last != cmd.rank() {
-                free = free.max(bus.last_data_end + self.cfg.trtrs);
-            }
+        if bus.last_data_rank.is_some_and(|last| last != rank) {
+            free = free.max(bus.last_data_end + c.trtrs);
         }
-        free.saturating_sub(lat)
+        let faw = if r.faw.len() == 4 { r.faw[0] + c.tfaw } else { 0 };
+        // In `TermClass` order: activate, read, write, other.
+        [
+            r.all.max(r.act).max(faw),
+            r.all.max(r.rd).max(free.saturating_sub(c.tcl)),
+            r.all.max(r.wr).max(bus.wr).max(free.saturating_sub(c.tcwl)),
+            r.all,
+        ]
     }
 
     fn local_io_rd(&self, cmd: &Command) -> u64 {
@@ -268,6 +294,18 @@ impl TimingState {
         }
     }
 
+    /// Whether issuing a command of `kind` can move a class term
+    /// ([`TimingState::class_terms`]): an activate (tRRD_S, tFAW), a read
+    /// or write (rank and data-bus registers) or a refresh (recovery). A
+    /// precharge, a PRE-all and every GradPIM command move only bank and
+    /// bank-group registers.
+    pub(crate) fn moves_terms(kind: CommandKind) -> bool {
+        matches!(
+            kind,
+            CommandKind::Activate | CommandKind::Read | CommandKind::Write | CommandKind::Refresh
+        )
+    }
+
     /// Records the issue of `cmd` at cycle `t`, updating every affected
     /// scope.
     ///
@@ -280,12 +318,12 @@ impl TimingState {
             "command {cmd:?} issued at {t} before earliest {}",
             self.earliest(cmd)
         );
-        let (bi, gi, busi) = (self.bank_idx(cmd), self.group_idx(cmd), self.bus_idx(cmd.rank()));
-        let ri = cmd.rank() as usize;
+        let (ri, busi) = (cmd.rank() as usize, self.bus_idx(cmd.rank()));
         let per_bank_pim = self.per_bank_pim();
         let Self { cfg: c, banks, groups, bank_alus, ranks, data } = self;
         match cmd.kind() {
             CommandKind::Activate => {
+                let (bi, gi) = bank_and_group(c, cmd);
                 let bank = &mut banks[bi];
                 bank.act = bank.act.max(t + c.trc);
                 bank.pre = bank.pre.max(t + c.tras);
@@ -300,7 +338,7 @@ impl TimingState {
                 }
             }
             CommandKind::Precharge => {
-                let bank = &mut banks[bi];
+                let bank = &mut banks[bank_and_group(c, cmd).0];
                 bank.act = bank.act.max(t + c.trp);
             }
             CommandKind::PrechargeAll => {
@@ -310,6 +348,7 @@ impl TimingState {
                 }
             }
             CommandKind::Read => {
+                let (bi, gi) = bank_and_group(c, cmd);
                 banks[bi].pre = banks[bi].pre.max(t + c.trtp);
                 let group = &mut groups[gi];
                 group.rd = group.rd.max(t + c.tccd_l);
@@ -323,6 +362,7 @@ impl TimingState {
                 data[busi].reserve(cmd.rank(), t + c.tcl + c.tburst);
             }
             CommandKind::Write => {
+                let (bi, gi) = bank_and_group(c, cmd);
                 banks[bi].pre = banks[bi].pre.max(t + c.tcwl + c.tburst + c.twr);
                 let group = &mut groups[gi];
                 group.wr = group.wr.max(t + c.tccd_l);
@@ -336,6 +376,7 @@ impl TimingState {
                 ranks[ri].all = ranks[ri].all.max(t + c.trfc);
             }
             CommandKind::ScaledRead | CommandKind::QRegLoad => {
+                let (bi, gi) = bank_and_group(c, cmd);
                 banks[bi].pre = banks[bi].pre.max(t + c.trtp);
                 if per_bank_pim {
                     bank_alus[bi] = bank_alus[bi].max(t + c.tccd_l);
@@ -348,6 +389,7 @@ impl TimingState {
             CommandKind::Writeback | CommandKind::QRegStore => {
                 // Data reaches the sense amplifiers through the bank-group
                 // I/O: restore completes tCCD_L (transfer) + tWR later.
+                let (bi, gi) = bank_and_group(c, cmd);
                 banks[bi].pre = banks[bi].pre.max(t + c.tccd_l + c.twr);
                 if per_bank_pim {
                     bank_alus[bi] = bank_alus[bi].max(t + c.tccd_l);
@@ -363,6 +405,7 @@ impl TimingState {
             | CommandKind::Dequant
             | CommandKind::PimMul
             | CommandKind::PimRsqrt => {
+                let (bi, gi) = bank_and_group(c, cmd);
                 if per_bank_pim {
                     bank_alus[bi] = bank_alus[bi].max(t + c.tpim);
                 } else {
@@ -372,6 +415,17 @@ impl TimingState {
             }
         }
     }
+}
+
+/// `cmd`'s flat bank index and flat bank-group index.
+///
+/// # Panics
+///
+/// Panics for REF and PRE-all, which address no single bank.
+fn bank_and_group(cfg: &DramConfig, cmd: &Command) -> (usize, usize) {
+    let b = cmd.bank().expect("bank-addressed command");
+    let group = b.rank as usize * cfg.bankgroups + b.bankgroup as usize;
+    (group * cfg.banks_per_group + b.bank as usize, group)
 }
 
 #[cfg(test)]
@@ -584,6 +638,93 @@ mod tests {
         assert_eq!(t.earliest(&Command::PimAdd { unit: bank(0, 0, 0), dst: 0 }), 4 + c.tpim);
         // Other units unaffected.
         assert_eq!(t.earliest(&Command::PimRsqrt { unit: bank(0, 1, 0), dst: 0 }), 0);
+    }
+
+    /// One command of every kind, addressed to `b` (REF and PRE-all to its
+    /// rank).
+    fn every_kind(b: BankAddr) -> [Command; CommandKind::COUNT] {
+        [
+            Command::Activate { bank: b, row: 0 },
+            Command::Precharge { bank: b },
+            Command::PrechargeAll { rank: b.rank },
+            Command::Read { bank: b, row: 0, col: 0 },
+            Command::Write { bank: b, row: 0, col: 0 },
+            Command::Refresh { rank: b.rank },
+            Command::ScaledRead { bank: b, row: 0, col: 0, scaler: 0, dst: 0 },
+            Command::Writeback { bank: b, row: 0, col: 0, src: 0 },
+            Command::QRegLoad { bank: b, row: 0, col: 0 },
+            Command::QRegStore { bank: b, row: 0, col: 0 },
+            Command::PimAdd { unit: b, dst: 0 },
+            Command::PimSub { unit: b, dst: 0 },
+            Command::Quant { unit: b, pos: 0, src: 0 },
+            Command::Dequant { unit: b, pos: 0, dst: 0 },
+            Command::PimMul { unit: b, dst: 0 },
+            Command::PimRsqrt { unit: b, dst: 0 },
+        ]
+    }
+
+    #[test]
+    fn issues_move_only_their_bank_group_and_the_terms_they_claim() {
+        // What a scheduler caching the two parts of `earliest` relies on:
+        // a bank-addressed command moves the local part of its own bank
+        // group only, and a command moves class terms only if
+        // `moves_terms` says so. Checked for every kind, on both bus
+        // scopes and both PIM placements.
+        for (bus, placement) in [
+            (DataBusScope::Channel, PimPlacement::PerBankGroup),
+            (DataBusScope::PerRank, PimPlacement::PerBankGroup),
+            (DataBusScope::Channel, PimPlacement::PerBank),
+        ] {
+            let mut c = cfg();
+            (c.data_bus, c.pim_placement, c.extended_alu) = (bus, placement, true);
+            let mut warm = TimingState::new(&c);
+            // Some history on every rank, so no register is trivially 0.
+            for r in 0..c.ranks as u8 {
+                for cmd in [
+                    Command::Activate { bank: bank(r, 1, 0), row: 0 },
+                    Command::Read { bank: bank(r, 1, 0), row: 0, col: 0 },
+                    Command::ScaledRead { bank: bank(r, 2, 1), row: 0, col: 0, scaler: 0, dst: 0 },
+                ] {
+                    let at = warm.earliest(&cmd);
+                    warm.issue(&cmd, at);
+                }
+            }
+            let probes: Vec<Command> = (0..c.ranks as u8)
+                .flat_map(|r| (0..c.bankgroups as u8).map(move |g| bank(r, g, 1)))
+                .flat_map(every_kind)
+                .filter(|p| p.bank().is_some())
+                .collect();
+            let terms = |t: &TimingState| -> Vec<_> {
+                (0..c.ranks as u8).map(|r| t.class_terms(r)).collect()
+            };
+            for cmd in every_kind(bank(1, 2, 1)) {
+                let mut t = warm.clone();
+                let at = t.earliest(&cmd);
+                t.issue(&cmd, at);
+                if !TimingState::moves_terms(cmd.kind()) {
+                    assert_eq!(terms(&t), terms(&warm), "{cmd:?} moved a term ({bus:?})");
+                }
+                for p in &probes {
+                    let same_group = p.bank().map(|b| (b.rank, b.bankgroup)) == Some((1, 2));
+                    let rank_wide = matches!(cmd, Command::PrechargeAll { .. }) && p.rank() == 1;
+                    if !same_group && !rank_wide {
+                        assert_eq!(
+                            t.local_earliest(p),
+                            warm.local_earliest(p),
+                            "{cmd:?} moved the local part of {p:?} ({placement:?})"
+                        );
+                    }
+                }
+            }
+            // A read on rank 0 moves rank 1's bus terms only on a shared bus.
+            let mut t = warm.clone();
+            let rd = Command::Read { bank: bank(0, 1, 0), row: 0, col: 1 };
+            let at = t.earliest(&rd) + 100;
+            t.issue(&rd, at);
+            let (before, after) = (warm.class_terms(1), t.class_terms(1));
+            let read = TermClass::Read.index();
+            assert_eq!(after[read] > before[read], bus == DataBusScope::Channel, "{bus:?}");
+        }
     }
 
     #[test]
