@@ -238,6 +238,12 @@ pub struct Controller {
     terms: Vec<[u64; TermClass::COUNT]>,
     /// The term table must be recomputed before use.
     terms_dirty: bool,
+    /// Debug builds only: the bound the last
+    /// [`Controller::next_event_cycle`] returned, once checked against the
+    /// full scan. Every enqueue, tick and advance clears it: only those
+    /// can move the next event.
+    #[cfg(debug_assertions)]
+    checked_next: Option<u64>,
 }
 
 impl Controller {
@@ -306,6 +312,8 @@ impl Controller {
             unit_cand: Candidates::new(nqueues),
             terms: vec![[0; TermClass::COUNT]; cfg.ranks],
             terms_dirty: true,
+            #[cfg(debug_assertions)]
+            checked_next: None,
         }
     }
 
@@ -340,9 +348,16 @@ impl Controller {
         self.pending == 0 && self.clock >= self.last_done
     }
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    /// Accumulated statistics. Background energy is computed here, from
+    /// the integer rank-cycle counters, rather than kept per event.
+    pub fn stats(&self) -> Stats {
+        let mut stats = self.stats.clone();
+        stats.energy.background_pj = self.power.background_total_pj(
+            stats.bg_active_cycles,
+            stats.bg_precharged_cycles,
+            stats.powerdown_cycles,
+        );
+        stats
     }
 
     /// Host-work counters: what the simulation of those statistics cost.
@@ -427,6 +442,7 @@ impl Controller {
             self.work.queue_full += 1;
             return Err(EnqueueError::QueueFull);
         }
+        self.forget_checked_next();
         let (row, col) = (addr.row as u32, addr.column as u32);
         self.bank_q[fb].push_back(ColReq { id, row, col, write, data });
         self.busy_banks |= 1 << fb;
@@ -451,16 +467,33 @@ impl Controller {
         if op.kind().is_extended() && !self.cfg.extended_alu {
             return Err(EnqueueError::ExtendedAluDisabled);
         }
-        let q = rank as usize * self.cfg.bankgroups + bankgroup as usize;
-        if self.pim_q[q].len() >= self.cfg.queue_depth * 4 {
+        if self.pim_room(rank, bankgroup) == 0 {
             self.work.queue_full += 1;
             return Err(EnqueueError::QueueFull);
         }
+        self.forget_checked_next();
+        let q = rank as usize * self.cfg.bankgroups + bankgroup as usize;
         self.pim_q[q].push_back(PimReq { id, op });
         self.busy_units |= 1 << q;
         self.unit_cand.stale |= 1 << q;
         self.pending += 1;
         Ok(())
+    }
+
+    /// Drops the bound [`Controller::next_event_cycle`] checked (kept in
+    /// debug builds only): the state it was checked at is about to move.
+    fn forget_checked_next(&mut self) {
+        #[cfg(debug_assertions)]
+        {
+            self.checked_next = None;
+        }
+    }
+
+    /// How many more ops the PIM queue of the unit at (`rank`, `bankgroup`)
+    /// accepts now (its capacity is four times the bank queue depth).
+    pub fn pim_room(&self, rank: u8, bankgroup: u8) -> usize {
+        let q = rank as usize * self.cfg.bankgroups + bankgroup as usize;
+        (self.cfg.queue_depth * 4).saturating_sub(self.pim_q[q].len())
     }
 
     /// True when rank `r` has queued or in-progress work: pending bank/PIM
@@ -545,8 +578,9 @@ impl Controller {
     }
 
     /// Advances one memory-clock cycle: refresh bookkeeping, power-down
-    /// transitions, command issue, background energy.
+    /// transitions, command issue, background accounting.
     pub fn tick(&mut self) {
+        self.forget_checked_next();
         self.work.events += 1;
         for r in 0..self.cfg.ranks {
             if self.clock >= self.refresh_due[r] && !self.refresh_pending[r] {
@@ -570,13 +604,13 @@ impl Controller {
         self.stats.cycles = self.clock;
     }
 
-    /// Accounts `n` cycles of per-rank background state (energy counters and
-    /// power-down cycles), assuming every rank's power-down state and
-    /// open-row set are constant over those cycles.
+    /// Accounts `n` cycles of per-rank background state (the background
+    /// and power-down rank-cycle counters), assuming every rank's
+    /// power-down state and open-row set are constant over those cycles.
     ///
-    /// Background energy is recomputed from the integer counters rather than
-    /// accumulated per call, so one `account_cycles(n)` is bit-identical to
-    /// `n` calls of `account_cycles(1)`.
+    /// Only integer counters move here; [`Controller::stats`] derives the
+    /// background energy from them, so one `account_cycles(n)` is
+    /// bit-identical to `n` calls of `account_cycles(1)`.
     fn account_cycles(&mut self, n: u64) {
         for r in 0..self.cfg.ranks {
             if self.pd[r] == PdState::Down {
@@ -589,11 +623,6 @@ impl Controller {
                 self.stats.bg_precharged_cycles += n;
             }
         }
-        self.stats.energy.background_pj = self.power.background_total_pj(
-            self.stats.bg_active_cycles,
-            self.stats.bg_precharged_cycles,
-            self.stats.powerdown_cycles,
-        );
     }
 
     /// The earliest cycle at or after the current one at which anything
@@ -607,9 +636,13 @@ impl Controller {
     /// simulated state is not touched.
     pub fn next_event_cycle(&mut self) -> u64 {
         let issue = self.earliest_issue();
+        let next = self.state_event_cycle().min(issue).max(self.clock);
         #[cfg(debug_assertions)]
-        self.check_candidates(issue);
-        self.state_event_cycle().min(issue).max(self.clock)
+        {
+            self.check_candidates(issue);
+            self.checked_next = Some(next);
+        }
+        next
     }
 
     /// The earliest state transition other than a command issue: the drain
@@ -926,7 +959,7 @@ impl Controller {
     }
 
     /// Fast-forwards to `cycle` without attempting command issue, accounting
-    /// the skipped cycles in bulk (background energy, power-down residency,
+    /// the skipped cycles in bulk (background and power-down residency,
     /// idle counters). No-op when `cycle` is not in the future.
     ///
     /// Correct only up to [`Controller::next_event_cycle`]: past it a
@@ -939,11 +972,12 @@ impl Controller {
         }
         #[cfg(debug_assertions)]
         {
-            let next = self.state_event_cycle().min(self.earliest_issue_uncached(false));
-            assert!(
-                cycle <= next.max(self.clock),
-                "advance_to({cycle}) past the next event at {next}"
-            );
+            // The bound `next_event_cycle` checked, if nothing moved since;
+            // otherwise the full scan.
+            let next = self.checked_next.take().unwrap_or_else(|| {
+                self.state_event_cycle().min(self.earliest_issue_uncached(false)).max(self.clock)
+            });
+            assert!(cycle <= next, "advance_to({cycle}) past the next event at {next}");
         }
         self.work.skipped_cycles += n;
         // Idle counters evolve exactly as `n` ticks would evolve them: reset
@@ -1685,5 +1719,26 @@ mod tests {
             }
         }
         assert_eq!(accepted as usize, cfg.queue_depth);
+    }
+
+    #[test]
+    fn pim_room_counts_what_an_enqueue_accepts() {
+        let cfg = DramConfig::ddr4_2133();
+        let mut c = Controller::new(&cfg, false);
+        let op = PimOp::Add { bank: 0, dst: 0 };
+        let room = c.pim_room(1, 2);
+        assert_eq!(room, 4 * cfg.queue_depth);
+        for id in 0..room as u64 {
+            c.enqueue_pim(id, 1, 2, op).unwrap();
+            assert_eq!(c.pim_room(1, 2), room - 1 - id as usize);
+        }
+        assert_eq!(c.enqueue_pim(0, 1, 2, op), Err(EnqueueError::QueueFull));
+        assert_eq!(c.work().queue_full, 1);
+        // Other units keep their room; an issued op frees one slot.
+        assert_eq!(c.pim_room(1, 3), room);
+        while c.pim_room(1, 2) == 0 {
+            c.tick();
+        }
+        assert_eq!(c.pim_room(1, 2), 1);
     }
 }

@@ -185,6 +185,13 @@ impl MemorySystem {
         Ok(self.commit_id(channel))
     }
 
+    /// How many more ops the PIM queue of the unit at (`channel`, `rank`,
+    /// `bankgroup`) accepts now: that many [`MemorySystem::enqueue_pim`]
+    /// calls in a row cannot fail with [`MemError::QueueFull`].
+    pub fn pim_room(&self, channel: usize, rank: u8, bankgroup: u8) -> usize {
+        self.ctrls[channel].pim_room(rank, bankgroup)
+    }
+
     /// Advances all channels one memory-clock cycle.
     pub fn tick(&mut self) {
         for c in &mut self.ctrls {
@@ -281,7 +288,8 @@ impl MemorySystem {
     /// the order-insensitive [`Stats::merge_all`], so the result does not
     /// depend on channel order.
     pub fn stats(&self) -> Stats {
-        Stats::merge_all(self.ctrls.iter().map(Controller::stats))
+        let parts: Vec<Stats> = self.ctrls.iter().map(Controller::stats).collect();
+        Stats::merge_all(&parts)
     }
 
     /// Host-work counters summed over channels.

@@ -39,8 +39,9 @@
 //! shape — a cheap integrity gate for scripted pipelines; `check trace`
 //! and `check cache` do the same for trace files and cache stores.
 //!
-//! Every run simulates each distinct phase call of the experiment once
-//! (see [`ExperimentSpec::run`]), with or without a store.
+//! Every run answers each distinct phase call of the experiment once and
+//! runs each distinct simulation once (see [`ExperimentSpec::run`]), with
+//! or without a store.
 //!
 //! Caching: `--cache DIR` (or ambient `GRADPIM_CACHE`) attaches a
 //! content-addressed on-disk result store ([`gradpim_engine::cache`]).
@@ -53,8 +54,9 @@
 //! Observability: `--trace PATH` records spans across every layer (CLI
 //! stage → scheduler → phase executors) and writes a Chrome-trace JSON
 //! loadable in Perfetto. `--metrics PATH` writes the
-//! unified metrics registry (scheduler counters, per-phase histograms
-//! with one observation per simulated distinct call) as JSON. Both
+//! unified metrics registry (scheduler counters, per-phase histograms:
+//! `sim_ns` once per answered distinct call, `host_ns` once per
+//! simulation) as JSON. Both
 //! artifacts are emitted after — and entirely off — the report stream,
 //! and a traced run's report is byte-identical to an untraced one.
 //! `check trace` validates an emitted trace and prints its shape.

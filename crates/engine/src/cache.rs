@@ -19,10 +19,12 @@
 //! * **Phases** — the runner plans the missed groups into
 //!   `gradpim_sim::PhaseCall`s, dedupes them by their canonical
 //!   `phase/v2/…` key ([`gradpim_sim::PhaseCall::key`]), and looks each
-//!   distinct call up once per run ([`load_phase`]); each call it
-//!   simulates is stored back from its lane as soon as it finishes
-//!   ([`store_phase`]), with bit-exact `f64::to_bits` round-tripping. Identical phases are thus shared even across
-//!   *different* group keys and across runs.
+//!   distinct call up once per run ([`load_phase`]); each missed call is
+//!   answered from its simulation and stored back under its own key from
+//!   the lane that ran the simulation, as soon as it finishes
+//!   ([`store_phase`]), with bit-exact `f64::to_bits` round-tripping.
+//!   Identical phases are thus shared even across *different* group keys
+//!   and across runs.
 //!
 //! Two backends: [`MemCache`] (in-process, for tests and one-shot reuse
 //! within a run) and [`DiskCache`] (content-addressed files under

@@ -8,10 +8,12 @@
 //! * **Across simulations** — an experiment is a set of pure phase calls
 //!   (`gradpim_sim::PhaseCall`). [`serialize::ExperimentSpec::run`] — the
 //!   one sweep runner — plans every `gradpim_sim::sweeps` family's points
-//!   into calls, simulates each distinct call once, and assembles the
-//!   rows in figure order. [`Engine::run`] fans the distinct calls over
-//!   the scoped, ordered pool in [`sched`], with input-ordered results
-//!   and the lowest-indexed failure winning, exactly as a sequential run.
+//!   into calls, answers each distinct call once, runs each distinct
+//!   simulation (`gradpim_sim::Simulation`, the capped traffic calls
+//!   share) once, and assembles the rows in figure order. [`Engine::run`]
+//!   fans the distinct simulations over the scoped, ordered pool in
+//!   [`sched`], with input-ordered results and the lowest-indexed failure
+//!   winning, exactly as a sequential run.
 //! * **Across runs** — an [`Engine::with_cache`] store serves row groups
 //!   and distinct phase calls that an earlier run already simulated,
 //!   bit-identically ([`cache`]).
@@ -120,10 +122,10 @@ impl Engine {
 
     /// Attaches a result cache: [`serialize::ExperimentSpec::run`] looks
     /// each row group up in `store`, then each distinct phase call of the
-    /// missed groups (once per run), and stores what it simulates —
-    /// bit-identically. Without a store the runner still simulates each
-    /// distinct call once per run. `GRADPIM_REFERENCE=1` bypasses the
-    /// store.
+    /// missed groups (once per run), and stores every call it answers by
+    /// simulating — bit-identically. Without a store the runner still runs
+    /// each distinct simulation once per run. `GRADPIM_REFERENCE=1`
+    /// bypasses the store.
     #[must_use]
     pub fn with_cache(mut self, store: Arc<dyn CacheBackend>) -> Self {
         self.cache = Some(store);

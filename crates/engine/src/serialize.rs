@@ -35,7 +35,7 @@ use gradpim_sim::report::{Report, Schema, SweepRow};
 use gradpim_sim::sweeps::{
     BatchSize, DesignSpace, LayerScatter, OpsBandwidth, Precision, QuickCaps, Scaling, SweepFamily,
 };
-use gradpim_sim::{PhaseCall, PhaseError, PhaseResult};
+use gradpim_sim::{PhaseCall, PhaseError, PhaseResult, Simulation};
 use gradpim_workloads::{models, Network};
 
 use crate::cache::CacheBackend;
@@ -332,18 +332,22 @@ impl ExperimentSpec {
     /// process boundary yields **bit-identical** rows to an in-process
     /// run.
     ///
-    /// The run plans every point into [`PhaseCall`]s, simulates each
-    /// distinct call (by [`PhaseCall::key`]) exactly once on the engine's
-    /// pool, and assembles the rows in figure order. Calls
-    /// are pure, so sharing one result among equal calls changes no bit.
+    /// The run plans every point into [`PhaseCall`]s, answers each
+    /// distinct call (by [`PhaseCall::key`]) once, runs each distinct
+    /// [`Simulation`] (by [`Simulation::key`]) exactly once on the
+    /// engine's pool, and assembles the rows in figure order. Calls and
+    /// simulations are pure, and a call's result is a function of its
+    /// simulation's statistics and its own scale, so sharing changes no
+    /// bit.
     ///
     /// When the engine carries a cache ([`Engine::with_cache`]), each row
     /// group is first looked up by content key (see [`crate::cache`]);
     /// validated hits are served verbatim and only the missed groups are
     /// planned. Each of their distinct calls is looked up once, and each
-    /// miss is stored back as soon as it has simulated — with the same
-    /// bit-identity guarantee, since a hit is the byte-exact stored output
-    /// of the same computation.
+    /// missed call's result is stored back under its call key as soon as
+    /// its simulation has run — with the same bit-identity guarantee,
+    /// since a hit is the byte-exact stored output of the same
+    /// computation.
     ///
     /// # Errors
     ///
@@ -366,9 +370,10 @@ impl ExperimentSpec {
 }
 
 /// The one generic experiment executor behind [`ExperimentSpec::run`]:
-/// enumerate the family's row groups, serve cached groups from the store, plan the rest into phase calls, resolve
-/// each distinct call once ([`resolve_unique`]), and reassemble the report
-/// in figure order.
+/// enumerate the family's row groups, serve cached groups from the store,
+/// plan the rest into phase calls, resolve each distinct call and run each
+/// distinct simulation once ([`resolve_unique`]), and reassemble the
+/// report in figure order.
 fn run_family<F: SweepFamily>(spec: &ExperimentSpec, engine: &Engine) -> Result<Report, SpecError> {
     let nets = spec.resolve_networks()?;
     let quick = spec.quick;
@@ -425,17 +430,23 @@ fn run_family<F: SweepFamily>(spec: &ExperimentSpec, engine: &Engine) -> Result<
 }
 
 /// The results of every plan, in plan order, with each distinct call
-/// (by [`PhaseCall::key`]) resolved exactly once. Distinct calls keep the
-/// order of their first appearance, so the lowest-indexed error is the
-/// first failing call in figure order. With a `store`, each distinct key
-/// is looked up once, and each miss is stored back on its lane as soon as
-/// it has simulated. The misses run on `engine` in first-appearance
-/// order. Calls that do not simulate ([`PhaseCall::simulates`]) answer
-/// [`PhaseResult::empty`] without a key, a lookup or a job.
+/// (by [`PhaseCall::key`]) answered once and each distinct simulation (by
+/// [`Simulation::key`]) run once. Calls that do not simulate
+/// ([`PhaseCall::simulates`]) answer [`PhaseResult::empty`] without a key,
+/// a lookup or a job.
 ///
-/// Only the distinct calls outlive the deduplication, and keys are
-/// rendered again for the store instead of kept, so the memory held while
-/// calls simulate is the distinct calls' own.
+/// With a `store`, each distinct call key is looked up once. The missed
+/// calls are grouped by their [`PhaseCall::simulation`]: calls above the
+/// traffic cap differ only in scale, so they share one. The distinct
+/// simulations run on `engine` in the order of their first missed call,
+/// so the lowest-indexed error is that of the first failing call in
+/// figure order. Each job derives all of its calls' results
+/// ([`PhaseCall::result`]) and stores each under its call key on its lane
+/// as soon as it has simulated, so the store holds exactly one entry per
+/// call key, as a run that simulated every call would leave it.
+///
+/// Only the distinct calls and simulations outlive the deduplication, and
+/// keys are rendered again for the store instead of kept.
 ///
 /// # Errors
 ///
@@ -469,21 +480,51 @@ fn resolve_unique(
     drop(index);
 
     // One result per distinct call: the store's hits, then the misses
-    // simulated on the engine. `engine.run` answers every job in job
-    // order, so the misses take its answers in turn.
+    // answered from their simulations.
     let mut results: Vec<Option<PhaseResult>> =
         calls.iter().map(|call| store.and_then(|s| cache::load_phase(s, &call.key()))).collect();
-    let jobs: Vec<&PhaseCall> =
-        calls.iter().zip(&results).filter(|(_, hit)| hit.is_none()).map(|(call, _)| call).collect();
-    let fresh = engine.run(&jobs, |call| {
-        let result = call.execute()?;
-        if let Some(s) = store {
-            cache::store_phase(s, &call.key(), &result);
+
+    // The distinct simulations of the missed calls, each with the calls
+    // it answers (and their indices into `calls`), in order of first
+    // appearance.
+    let mut index: BTreeMap<String, usize> = BTreeMap::new();
+    let mut jobs: Vec<(Simulation, Vec<(usize, &PhaseCall)>)> = Vec::new();
+    for (i, (call, hit)) in calls.iter().zip(&results).enumerate() {
+        if hit.is_some() {
+            continue;
         }
-        Ok::<_, PhaseError>(result)
+        let simulation = call.simulation().ok_or(SpecError::Unresolved)?;
+        let next = jobs.len();
+        let j = *index.entry(simulation.key()).or_insert(next);
+        if j == next {
+            jobs.push((simulation, Vec::new()));
+        }
+        if let Some((_, answers)) = jobs.get_mut(j) {
+            answers.push((i, call));
+        }
+    }
+    drop(index);
+
+    let fresh = engine.run(&jobs, |(simulation, answers)| {
+        let stats = simulation.run()?;
+        let answered: Vec<PhaseResult> = answers
+            .iter()
+            .map(|(_, call)| {
+                let result = call.result(&stats);
+                if let Some(s) = store {
+                    cache::store_phase(s, &call.key(), &result);
+                }
+                result
+            })
+            .collect();
+        Ok::<_, PhaseError>(answered)
     })?;
-    for (miss, result) in results.iter_mut().filter(|r| r.is_none()).zip(fresh) {
-        *miss = Some(result);
+    for ((_, answers), answered) in jobs.iter().zip(fresh) {
+        for (&(i, _), result) in answers.iter().zip(answered) {
+            if let Some(slot) = results.get_mut(i) {
+                *slot = Some(result);
+            }
+        }
     }
 
     slots

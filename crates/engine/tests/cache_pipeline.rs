@@ -146,16 +146,20 @@ fn partial_overlap_executes_only_uncached_groups() {
         Some(vec!["MLP1".into(), "ResNet18".into()]),
     );
 
-    // A run schedules one job per distinct phase call of its uncached
-    // groups, and looks each of those calls up once: here, the calls of
-    // one network's Fig. 12a points.
+    // A run looks each distinct phase call of its uncached groups up once
+    // and schedules one job per distinct simulation of the missed calls:
+    // here, the calls of one network's Fig. 12a points.
     let groups = |net: Network| OpsBandwidth::groups(&[net], QUICK).len();
     let distinct_keys = |net: Network| {
         let specs = OpsBandwidth::specs(&[net], QUICK);
         let calls = specs.iter().flat_map(OpsBandwidth::plan).filter(|c| c.simulates());
         calls.map(|c| c.key()).collect::<BTreeSet<_>>().into_iter().collect::<Vec<_>>()
     };
-    let distinct_calls = |net: Network| distinct_keys(net).len() as u64;
+    let distinct_simulations = |net: Network| {
+        let specs = OpsBandwidth::specs(&[net], QUICK);
+        let simulations = specs.iter().flat_map(OpsBandwidth::plan).filter_map(|c| c.simulation());
+        simulations.map(|s| s.key()).collect::<BTreeSet<_>>().len() as u64
+    };
 
     // Two worker threads: the scheduler's inline path (sequential engines,
     // single-job batches) bypasses the jobs counter, and this test is
@@ -164,20 +168,20 @@ fn partial_overlap_executes_only_uncached_groups() {
     one.run(&priming).expect("priming run");
     let one_net_jobs = priming.sched_stats().jobs;
     assert!(one_net_jobs > 0, "the priming run scheduled no jobs");
-    assert_eq!(one_net_jobs, distinct_calls(models::mlp()));
+    assert_eq!(one_net_jobs, distinct_simulations(models::mlp()));
     let lookups = counting.take();
     assert_eq!(split_lookups(&lookups, "group/").1.len(), groups(models::mlp()));
     assert_eq!(split_lookups(&lookups, "phase/"), (vec![], distinct_keys(models::mlp())));
 
     // A two-net run over a store already holding MLP1 must serve every
-    // MLP1 group from the store and simulate exactly the uncached ResNet18
-    // groups' distinct calls, looking each of them (and nothing else) up
-    // once.
+    // MLP1 group from the store, look each distinct call of the uncached
+    // ResNet18 groups (and nothing else) up once, and run exactly their
+    // distinct simulations.
     let partial = Engine::new(2).with_cache(store.clone());
     let report = two.run(&partial).expect("partially warm run");
     assert_eq!(
         partial.sched_stats().jobs,
-        distinct_calls(models::resnet18()),
+        distinct_simulations(models::resnet18()),
         "a partially warm run re-executed cached groups"
     );
     let lookups = counting.take();

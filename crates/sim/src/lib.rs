@@ -40,6 +40,6 @@ pub mod train;
 pub use config::{Design, SystemConfig};
 pub use distributed::{distributed_step, DistConfig, DistReport, DistSpec};
 pub use functional::{synthetic_dataset, PimTrainer};
-pub use phase::{PhaseCall, PhaseError, PhaseMemo, PhaseResult};
+pub use phase::{PhaseCall, PhaseError, PhaseMemo, PhaseResult, Simulation};
 pub use report::{Column, Kind, Report, Schema, SweepRow, ToRow, Value};
 pub use train::{speedup_over_baseline, BlockReport, TrainingReport, TrainingSim};

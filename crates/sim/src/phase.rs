@@ -9,11 +9,20 @@
 //! keys produce bit-identical results. A training step plans its calls
 //! ([`crate::TrainingSim::plan`]) and assembles its report from their
 //! results ([`crate::TrainingSim::assemble`]); `gradpim-engine`'s sweep
-//! runner plans a whole experiment that way and simulates each distinct
+//! runner plans a whole experiment that way and answers each distinct
 //! call once. The five executor functions ([`stream_phase`],
 //! [`baseline_update_phase`], [`pim_update_phase`],
 //! [`pim_quant_dequant_phase`], [`aos_per_bank_update_phase`]) each build
 //! one call and execute it.
+//!
+//! A call splits into the traffic it simulates and the scale it applies:
+//! [`PhaseCall::simulation`] is the capped traffic as a [`Simulation`]
+//! value (with its own canonical [`Simulation::key`]), and
+//! [`PhaseCall::result`] scales that simulation's [`Stats`] into the
+//! call's [`PhaseResult`]. Calls above the traffic cap differ only in
+//! their scale, so many distinct calls share one simulation;
+//! `execute` is exactly `result(&simulation().run()?)`, and the sweep
+//! runner runs each distinct simulation once.
 //!
 //! ## Event-driven stepping
 //!
@@ -304,25 +313,6 @@ impl PhaseResult {
     }
 }
 
-/// Runs one call through [`memoized`] and feeds the phase's headline
-/// observables into the metrics registry: scaled simulated time
-/// (`sim_ns`), the host time spent in the executor (`host_ns`, an ambient
-/// memo hit included), raw simulated cycles and scaled energy. Without
-/// metrics enabled no clock is read.
-fn observed(call: &PhaseCall) -> Result<PhaseResult, PhaseError> {
-    let start = gradpim_obs::metrics_enabled().then(std::time::Instant::now);
-    let result = memoized(|| call.key(), || call.simulate())?;
-    if let Some(start) = start {
-        let context = call.context();
-        let host_ns = start.elapsed().as_nanos() as f64;
-        gradpim_obs::observe(&format!("phase.{context}.sim_ns"), result.time_ns);
-        gradpim_obs::observe(&format!("phase.{context}.host_ns"), host_ns);
-        gradpim_obs::observe(&format!("phase.{context}.sim_cycles"), result.sim_cycles as f64);
-        gradpim_obs::observe(&format!("phase.{context}.energy_pj"), result.energy.total_pj());
-    }
-    Ok(result)
-}
-
 /// A memory request for the streaming drivers.
 #[derive(Debug, Clone, Copy)]
 enum Req {
@@ -340,14 +330,12 @@ fn record_work(mem: &MemorySystem, context: &str) {
     }
 }
 
-/// Enqueues requests with backpressure (fast-forwarding over dead cycles),
-/// then drains under a finite budget.
+/// Enqueues requests with backpressure (fast-forwarding over dead cycles).
 fn run_requests(
     mem: &mut MemorySystem,
     reqs: impl Iterator<Item = Req>,
     context: &'static str,
 ) -> Result<(), PhaseError> {
-    let _span = gradpim_obs::span_lazy(|| format!("phase.{context}"), "phase");
     for r in reqs {
         loop {
             let res = match r {
@@ -361,8 +349,6 @@ fn run_requests(
             }
         }
     }
-    drain_phase(mem, context)?;
-    record_work(mem, context);
     Ok(())
 }
 
@@ -385,9 +371,23 @@ fn interleaved_addr(cfg: &DramConfig, base: u64, i: u64) -> u64 {
     base + wave * lanes * row_bytes + lane * row_bytes + col * burst
 }
 
-/// Bursts a stream simulates out of `total`: the cap, never below 16.
-fn capped_bursts(total: u64, cap_bursts: u64) -> u64 {
-    total.min(cap_bursts.max(16))
+/// A stream's bursts: all of them, and the reads and writes it simulates.
+struct Bursts {
+    total: u64,
+    reads: u64,
+    writes: u64,
+}
+
+/// The bursts of a stream of `read_bytes` + `write_bytes`: it simulates
+/// the cap (never below 16), split in traffic proportion.
+fn stream_bursts(cfg: &DramConfig, read_bytes: u64, write_bytes: u64, cap_bursts: u64) -> Bursts {
+    let burst = cfg.burst_bytes as u64;
+    let r_total = read_bytes.div_ceil(burst);
+    let w_total = write_bytes.div_ceil(burst);
+    let total = r_total + w_total;
+    let sim_total = total.min(cap_bursts.max(16));
+    let reads = (r_total as u128 * sim_total as u128 / total as u128) as u64;
+    Bursts { total, reads, writes: sim_total - reads }
 }
 
 /// Parameters an update simulates out of `params`: the cap, never below
@@ -396,16 +396,16 @@ fn capped_params(params: u64, cap_params: u64) -> u64 {
     params.min(cap_params.max(1024))
 }
 
-/// Appends fields to a phase key as `name=value`: `key_fields!(key; a, b)`
+/// Appends fields to a key as `name=value`: `key_fields!(key; a, b)`
 /// renders bindings in scope, and `key_fields!(key, value => Type { a, b })`
 /// first destructures `value` without `..`, so a new field of `Type` does
 /// not compile until the key covers it.
 macro_rules! key_fields {
-    ($key:ident, $value:expr => $ty:ident { $($field:ident),* $(,)? }) => {{
+    ($key:expr, $value:expr => $ty:ident { $($field:ident),* $(,)? }) => {{
         let $ty { $($field),* } = $value;
         key_fields!($key; $($field),*);
     }};
-    ($key:ident; $($field:ident),* $(,)?) => {
+    ($key:expr; $($field:ident),* $(,)?) => {
         $(push_field(&mut $key, stringify!($field), $field);)*
     };
 }
@@ -415,10 +415,12 @@ macro_rules! key_fields {
 ///
 /// Executors are pure functions of their arguments, so two calls with the
 /// same [`key`](Self::key) produce bit-identical results. A sweep runner
-/// can therefore plan a whole experiment's calls, simulate each distinct
-/// call once, and hand every caller its result. The DRAM view is shared
-/// through an [`Arc`], so a plan of many calls holds one copy of each
-/// view. Calls compare by [`key`](Self::key), so they have no `PartialEq`.
+/// can therefore plan a whole experiment's calls, answer each distinct
+/// call once, and hand every caller its result; calls whose
+/// [`simulation`](Self::simulation)s share a key share one run. The DRAM
+/// view is shared through an [`Arc`], so a plan of many calls holds one
+/// copy of each view. Calls compare by [`key`](Self::key), so they have
+/// no `PartialEq`.
 #[derive(Debug, Clone)]
 pub struct PhaseCall {
     dram: Arc<DramConfig>,
@@ -573,54 +575,236 @@ impl PhaseCall {
                 key_fields!(key, parts => KernelParts { dequant, update, quant });
             }
         }
-        key.push_str("/dram/");
-        key_fields! { key, &*self.dram => DramConfig {
-            name, channels, ranks, bankgroups, banks_per_group, rows, columns, burst_bytes,
-            tck_ps, tcl, trcd, trp, tras, trc, tccd_l, tccd_s, trrd_l, trrd_s, tfaw, twr,
-            twtr_l, twtr_s, trtp, tcwl, tburst, trefi, trfc, trtrs, tpim, txp, powerdown_idle,
-            idd0, idd2p, idd2n, idd3p, idd3n, idd4r, idd4w, iddpre, vdd, io_pj_per_bit,
-            issue_mode, data_bus, pim_placement, queue_depth, extended_alu,
-        }}
+        push_dram(&mut key, &self.dram);
         key
     }
 
+    /// The capped traffic the call simulates, or `None` for a call that
+    /// does not simulate ([`PhaseCall::simulates`]). Calls that differ
+    /// only above the cap share one simulation.
+    pub fn simulation(&self) -> Option<Simulation> {
+        if !self.simulates() {
+            return None;
+        }
+        let traffic = match self.op {
+            Op::Stream { read_bytes, write_bytes, cap_bursts } => {
+                let b = stream_bursts(&self.dram, read_bytes, write_bytes, cap_bursts);
+                Traffic::Stream { read_bursts: b.reads, write_bursts: b.writes }
+            }
+            Op::BaselineUpdate { optimizer, mix, params, cap_params } => {
+                let params = capped_params(params, cap_params);
+                Traffic::BaselineUpdate { optimizer, mix, params }
+            }
+            Op::PimKernel { optimizer, mix, hyper, params, cap_params, parts } => {
+                let params = capped_params(params, cap_params);
+                Traffic::PimKernel { optimizer, mix, hyper, params, parts }
+            }
+            Op::AosPerBank { optimizer, mix, params, cap_params } => {
+                let params = capped_params(params, cap_params);
+                Traffic::AosPerBank { optimizer, mix, params }
+            }
+        };
+        Some(Simulation { dram: Arc::clone(&self.dram), traffic })
+    }
+
+    /// The call's result from `stats`, the statistics of its
+    /// [`simulation`](Self::simulation): scaled linearly from the
+    /// simulated traffic to the call's full traffic. A call that does not
+    /// simulate answers [`PhaseResult::empty`]. With metrics on, records
+    /// the answer's `phase.<context>.sim_ns` (scaled simulated time) and
+    /// `energy_pj`.
+    pub fn result(&self, stats: &Stats) -> PhaseResult {
+        if !self.simulates() {
+            return PhaseResult::empty();
+        }
+        let scale = match self.op {
+            Op::Stream { read_bytes, write_bytes, cap_bursts } => {
+                let b = stream_bursts(&self.dram, read_bytes, write_bytes, cap_bursts);
+                b.total as f64 / (b.reads + b.writes) as f64
+            }
+            Op::BaselineUpdate { params, cap_params, .. }
+            | Op::PimKernel { params, cap_params, .. }
+            | Op::AosPerBank { params, cap_params, .. } => {
+                params as f64 / capped_params(params, cap_params) as f64
+            }
+        };
+        let result = PhaseResult::from_stats(&self.dram, stats, scale);
+        if gradpim_obs::metrics_enabled() {
+            let context = self.context();
+            gradpim_obs::observe(&format!("phase.{context}.sim_ns"), result.time_ns);
+            gradpim_obs::observe(&format!("phase.{context}.energy_pj"), result.energy.total_pj());
+        }
+        result
+    }
+
     /// Runs the call: an empty result when it does not simulate,
-    /// otherwise the ambient [`PhaseMemo`] (if one is installed) or a
-    /// fresh simulation, with metrics recorded either way.
+    /// otherwise the ambient [`PhaseMemo`] (if one is installed) or
+    /// `result(&simulation().run()?)`, which records the metrics.
     ///
     /// # Errors
     ///
     /// [`PhaseError`] on any simulator error other than transient
     /// backpressure (including a drain-budget overrun).
     pub fn execute(&self) -> Result<PhaseResult, PhaseError> {
-        if !self.simulates() {
+        let Some(simulation) = self.simulation() else {
             return Ok(PhaseResult::empty());
-        }
-        observed(self)
-    }
-
-    /// Simulates the call.
-    fn simulate(&self) -> Result<PhaseResult, PhaseError> {
-        let cfg = &self.dram;
-        match self.op {
-            Op::Stream { read_bytes, write_bytes, cap_bursts } => {
-                simulate_stream(cfg, read_bytes, write_bytes, cap_bursts)
-            }
-            Op::BaselineUpdate { optimizer, mix, params, cap_params } => {
-                simulate_baseline_update(cfg, optimizer, mix, params, cap_params)
-            }
-            Op::PimKernel { optimizer, mix, hyper, params, cap_params, parts } => {
-                simulate_pim_kernel(cfg, optimizer, mix, &hyper, params, cap_params, parts)
-            }
-            Op::AosPerBank { optimizer, mix, params, cap_params } => {
-                simulate_aos_per_bank(cfg, optimizer, mix, params, cap_params)
-            }
-        }
+        };
+        memoized(|| self.key(), || Ok(self.result(&simulation.run()?)))
     }
 }
 
-/// Appends `name=value` to a [`PhaseCall::key`], after a comma unless it
-/// opens a section.
+/// The DRAM traffic of one [`PhaseCall`], as a value: the DRAM view plus a
+/// stream's capped read/write burst split, or an update's optimizer,
+/// precision mix and capped parameter count (and, for the PIM kernels,
+/// the hyper-parameters and kernel parts). It holds exactly what the
+/// simulation reads, so two simulations with the same
+/// [`key`](Self::key) produce bit-identical [`Stats`]. Compared by key, so
+/// it has no `PartialEq`.
+#[derive(Debug, Clone)]
+pub struct Simulation {
+    dram: Arc<DramConfig>,
+    traffic: Traffic,
+}
+
+/// A simulation's traffic besides the DRAM view.
+#[derive(Debug, Clone, Copy)]
+enum Traffic {
+    Stream {
+        read_bursts: u64,
+        write_bursts: u64,
+    },
+    BaselineUpdate {
+        optimizer: OptimizerKind,
+        mix: PrecisionMix,
+        params: u64,
+    },
+    PimKernel {
+        optimizer: OptimizerKind,
+        mix: PrecisionMix,
+        hyper: HyperParams,
+        params: u64,
+        parts: KernelParts,
+    },
+    AosPerBank {
+        optimizer: OptimizerKind,
+        mix: PrecisionMix,
+        params: u64,
+    },
+}
+
+impl Simulation {
+    /// The span and metrics context, as [`PhaseCall::context`] names it.
+    pub fn context(&self) -> &'static str {
+        match self.traffic {
+            Traffic::Stream { .. } => "stream",
+            Traffic::BaselineUpdate { .. } => "baseline-update",
+            Traffic::PimKernel { .. } => "pim-kernel",
+            Traffic::AosPerBank { .. } => "aos-pb",
+        }
+    }
+
+    /// The simulation's canonical key:
+    /// `sim/<context>/<traffic>/dram/<view>`, rendered field by field as
+    /// [`PhaseCall::key`] renders its arguments. Two simulations share a
+    /// key exactly when they simulate the same traffic on the same view.
+    /// A key for grouping calls within a run; no store keeps it.
+    pub fn key(&self) -> String {
+        let mut key = String::with_capacity(1024);
+        key.push_str("sim/");
+        key.push_str(self.context());
+        key.push('/');
+        match &self.traffic {
+            Traffic::Stream { read_bursts, write_bursts } => {
+                key_fields!(key; read_bursts, write_bursts);
+            }
+            Traffic::BaselineUpdate { optimizer, mix, params }
+            | Traffic::AosPerBank { optimizer, mix, params } => {
+                key_fields!(key; optimizer, params);
+                key_fields!(key, mix => PrecisionMix { low, high });
+            }
+            Traffic::PimKernel { optimizer, mix, hyper, params, parts } => {
+                key_fields!(key; optimizer, params);
+                key_fields!(key, mix => PrecisionMix { low, high });
+                key_fields! { key, hyper => HyperParams {
+                    lr, momentum, weight_decay, beta1, beta2, eps,
+                }}
+                key_fields!(key, parts => KernelParts { dequant, update, quant });
+            }
+        }
+        push_dram(&mut key, &self.dram);
+        key
+    }
+
+    /// Runs the traffic through a fresh memory system and drains it. Opens
+    /// one `phase.<context>` span; with metrics on, records
+    /// `phase.<context>.host_ns` (host time of the run),
+    /// `phase.<context>.sim_cycles` and the memory system's
+    /// `phase.<context>.dram.*` work counters.
+    ///
+    /// # Errors
+    ///
+    /// [`PhaseError`] on any simulator error other than transient
+    /// backpressure (including a drain-budget overrun), or when the
+    /// arrays or kernels do not fit the device.
+    pub fn run(&self) -> Result<Stats, PhaseError> {
+        let context = self.context();
+        let _span = gradpim_obs::span_lazy(|| format!("phase.{context}"), "phase");
+        let start = gradpim_obs::metrics_enabled().then(std::time::Instant::now);
+        let cfg = &*self.dram;
+        let placement = |optimizer, mix, params: u64| {
+            Placement::for_optimizer(optimizer, mix, params as usize, cfg)
+                .map_err(|e| PhaseError::setup(context, e))
+        };
+        let mut mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
+        match self.traffic {
+            Traffic::Stream { read_bursts, write_bursts } => {
+                run_requests(&mut mem, stream_requests(cfg, read_bursts, write_bursts), context)?;
+            }
+            Traffic::BaselineUpdate { optimizer, mix, params } => {
+                let placement = placement(optimizer, mix, params)?;
+                let reqs = baseline_update_requests(cfg, &placement, optimizer, mix);
+                run_requests(&mut mem, reqs.into_iter(), context)?;
+            }
+            Traffic::PimKernel { optimizer, mix, hyper, params, parts } => {
+                let placement = placement(optimizer, mix, params)?;
+                let plan = compile_step_parts(&placement, &hyper, cfg, parts)
+                    .map_err(|e| PhaseError::setup(context, e))?;
+                let streams = plan.streams.iter();
+                let streams = streams.map(|s| (s.channel, s.rank, s.bankgroup, s.ops.as_slice()));
+                run_unit_streams(&mut mem, streams, context)?;
+            }
+            Traffic::AosPerBank { optimizer, mix, params } => {
+                let streams = aos_per_bank_streams(cfg, optimizer, mix, params);
+                let streams = streams.iter().map(|s| (s.0, s.1, s.2, s.3.as_slice()));
+                run_unit_streams(&mut mem, streams, context)?;
+            }
+        }
+        drain_phase(&mut mem, context)?;
+        let stats = mem.stats();
+        if let Some(start) = start {
+            let host_ns = start.elapsed().as_nanos() as f64;
+            gradpim_obs::observe(&format!("phase.{context}.host_ns"), host_ns);
+            gradpim_obs::observe(&format!("phase.{context}.sim_cycles"), stats.cycles as f64);
+            record_work(&mem, context);
+        }
+        Ok(stats)
+    }
+}
+
+/// Appends a DRAM view to a key: `/dram/` and every [`DramConfig`] field.
+fn push_dram(key: &mut String, dram: &DramConfig) {
+    key.push_str("/dram/");
+    key_fields! { *key, dram => DramConfig {
+        name, channels, ranks, bankgroups, banks_per_group, rows, columns, burst_bytes,
+        tck_ps, tcl, trcd, trp, tras, trc, tccd_l, tccd_s, trrd_l, trrd_s, tfaw, twr,
+        twtr_l, twtr_s, trtp, tcwl, tburst, trefi, trfc, trtrs, tpim, txp, powerdown_idle,
+        idd0, idd2p, idd2n, idd3p, idd3n, idd4r, idd4w, iddpre, vdd, io_pj_per_bit,
+        issue_mode, data_bus, pim_placement, queue_depth, extended_alu,
+    }}
+}
+
+/// Appends `name=value` to a key, after a comma unless it opens a
+/// section.
 fn push_field(key: &mut String, name: &str, value: &(impl KeyValue + ?Sized)) {
     if !key.ends_with('/') {
         key.push(',');
@@ -630,7 +814,7 @@ fn push_field(key: &mut String, name: &str, value: &(impl KeyValue + ?Sized)) {
     value.render(key);
 }
 
-/// A value [`PhaseCall::key`] renders exactly and without `Debug`.
+/// A value a key renders exactly and without `Debug`.
 trait KeyValue {
     fn render(&self, key: &mut String);
 }
@@ -720,55 +904,38 @@ pub fn stream_phase(
     PhaseCall::stream(cfg.clone(), read_bytes, write_bytes, cap_bursts).execute()
 }
 
-fn simulate_stream(
-    cfg: &DramConfig,
-    read_bytes: u64,
-    write_bytes: u64,
-    cap_bursts: u64,
-) -> Result<PhaseResult, PhaseError> {
-    let burst = cfg.burst_bytes as u64;
-    let r_total = read_bytes.div_ceil(burst);
-    let w_total = write_bytes.div_ceil(burst);
-    let total = r_total + w_total;
-    let sim_total = capped_bursts(total, cap_bursts);
-    let r_sim = (r_total as u128 * sim_total as u128 / total as u128) as u64;
-    let w_sim = sim_total - r_sim;
-    let scale = total as f64 / sim_total as f64;
-
-    let mut mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
-    // Reads walk bank region 0, writes bank region 2 (disjoint banks under
-    // the Fig. 7 mapping).
+/// A stream's requests: `reads` bursts walking bank region 0 and `writes`
+/// bursts walking bank region 2 (disjoint banks under the Fig. 7 mapping),
+/// batched write-drain style in traffic proportion.
+fn stream_requests(cfg: &DramConfig, reads: u64, writes: u64) -> impl Iterator<Item = Req> + '_ {
     let w_base = AddressMapping::GradPim.capacity_bytes(cfg) / 2;
-    // Batch reads and writes (write-drain style) in traffic proportion.
     const R_BATCH: u64 = 32;
-    let w_batch = if r_sim == 0 { 32 } else { (R_BATCH * w_sim).div_ceil(r_sim.max(1)).max(1) };
+    let w_batch = if reads == 0 { 32 } else { (R_BATCH * writes).div_ceil(reads.max(1)).max(1) };
     let (mut ri, mut wi) = (0u64, 0u64);
     let mut phase_w = false;
     let mut left_in_batch = R_BATCH;
-    let reqs = std::iter::from_fn(move || loop {
-        if ri >= r_sim && wi >= w_sim {
+    std::iter::from_fn(move || loop {
+        if ri >= reads && wi >= writes {
             return None;
         }
-        if left_in_batch == 0 || (!phase_w && ri >= r_sim) || (phase_w && wi >= w_sim) {
+        if left_in_batch == 0 || (!phase_w && ri >= reads) || (phase_w && wi >= writes) {
             phase_w = !phase_w;
             left_in_batch = if phase_w { w_batch } else { R_BATCH };
             continue;
         }
         left_in_batch -= 1;
         if !phase_w {
-            if ri < r_sim {
+            if ri < reads {
                 let a = interleaved_addr(cfg, 0, ri);
                 ri += 1;
                 return Some(Req::Read(a));
             }
-        } else if wi < w_sim {
+        } else if wi < writes {
             let a = interleaved_addr(cfg, w_base, wi);
             wi += 1;
             return Some(Req::Write(a));
         }
-    });
-    run_requests(&mut mem, reqs, "stream")?;
-    Ok(PhaseResult::from_stats(cfg, &mem.stats(), scale))
+    })
 }
 
 /// The baseline (and TensorDIMM) update phase: the update engine streams
@@ -790,17 +957,13 @@ pub fn baseline_update_phase(
     PhaseCall::baseline_update(cfg.clone(), optimizer, mix, params, cap_params).execute()
 }
 
-fn simulate_baseline_update(
+/// The baseline update's requests over `placement`'s arrays.
+fn baseline_update_requests(
     cfg: &DramConfig,
+    placement: &Placement,
     optimizer: OptimizerKind,
     mix: PrecisionMix,
-    params: u64,
-    cap_params: u64,
-) -> Result<PhaseResult, PhaseError> {
-    let sim_params = capped_params(params, cap_params) as usize;
-    let scale = params as f64 / sim_params as f64;
-    let placement = Placement::for_optimizer(optimizer, mix, sim_params, cfg)
-        .map_err(|e| PhaseError::setup("baseline-update", e))?;
+) -> Vec<Req> {
     let ratio = mix.quant_ratio() as u32;
     let mixed = mix.is_mixed();
     let states: Vec<ArrayName> =
@@ -869,9 +1032,7 @@ fn simulate_baseline_update(
             break;
         }
     }
-    let mut mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
-    run_requests(&mut mem, merged.into_iter(), "baseline-update")?;
-    Ok(PhaseResult::from_stats(cfg, &mem.stats(), scale))
+    merged
 }
 
 /// The GradPIM update phase proper: the Fig. 5 (middle) update kernel
@@ -914,30 +1075,6 @@ pub fn pim_quant_dequant_phase(
     PhaseCall::pim_quant_dequant(cfg.clone(), optimizer, mix, hyper, params, cap_params).execute()
 }
 
-fn simulate_pim_kernel(
-    cfg: &DramConfig,
-    optimizer: OptimizerKind,
-    mix: PrecisionMix,
-    hyper: &HyperParams,
-    params: u64,
-    cap_params: u64,
-    parts: KernelParts,
-) -> Result<PhaseResult, PhaseError> {
-    let sim_params = capped_params(params, cap_params) as usize;
-    let scale = params as f64 / sim_params as f64;
-    let setup = |e: GradPimError| PhaseError::setup("pim-kernel", e);
-    let placement =
-        Placement::for_optimizer(optimizer, mix, sim_params, cfg).map_err(|e| setup(e.into()))?;
-    let plan = compile_step_parts(&placement, hyper, cfg, parts).map_err(|e| setup(e.into()))?;
-    let mut mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
-    run_unit_streams(
-        &mut mem,
-        plan.streams.iter().map(|s| (s.channel, s.rank, s.bankgroup, s.ops.as_slice())),
-        "pim-kernel",
-    )?;
-    Ok(PhaseResult::from_stats(cfg, &mem.stats(), scale))
-}
-
 /// The AoS-PB update phase (§VI-B): per-bank units, arrays interleaved as
 /// structures within each bank's rows. Momentum-style op mix per logical
 /// column, chunks rotated across all banks of every group for bank-level
@@ -957,13 +1094,14 @@ pub fn aos_per_bank_update_phase(
     PhaseCall::aos_per_bank_update(cfg.clone(), optimizer, mix, params, cap_params).execute()
 }
 
-fn simulate_aos_per_bank(
+/// The AoS-PB update's per-unit op streams over `params` parameters:
+/// (channel, rank, bank group, ops).
+fn aos_per_bank_streams(
     cfg: &DramConfig,
     optimizer: OptimizerKind,
     mix: PrecisionMix,
     params: u64,
-    cap_params: u64,
-) -> Result<PhaseResult, PhaseError> {
+) -> Vec<(usize, u8, u8, Vec<PimOp>)> {
     let high = mix.high.bytes();
     let epc = cfg.burst_bytes / high;
     // Struct fields per element: θ + g + states (+ quantized shadow slot).
@@ -971,9 +1109,8 @@ fn simulate_aos_per_bank(
     let cols_per_chunk = (cfg.columns / fields).max(1) as u32;
     let elems_per_chunk = epc * cols_per_chunk as usize;
 
-    let sim_params = capped_params(params, cap_params) as usize;
-    let scale = params as f64 / sim_params as f64;
-    let n_chunks = sim_params.div_ceil(elems_per_chunk);
+    let params = params as usize;
+    let n_chunks = params.div_ceil(elems_per_chunk);
 
     let mut streams: Vec<(usize, u8, u8, Vec<PimOp>)> = Vec::new();
     for c in 0..n_chunks {
@@ -987,7 +1124,7 @@ fn simulate_aos_per_bank(
             streams.len() - 1
         });
         let ops = &mut streams[idx].3;
-        let remaining = sim_params - c * elems_per_chunk;
+        let remaining = params - c * elems_per_chunk;
         let cols = remaining.min(elems_per_chunk).div_ceil(epc) as u32;
         for lc in 0..cols {
             let base = lc * fields as u32;
@@ -1003,48 +1140,44 @@ fn simulate_aos_per_bank(
             // per-bank-group designs, so they are not part of this window.
         }
     }
-    let mut mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
-    run_unit_streams(&mut mem, streams.iter().map(|s| (s.0, s.1, s.2, s.3.as_slice())), "aos-pb")?;
-    Ok(PhaseResult::from_stats(cfg, &mem.stats(), scale))
+    streams
 }
 
 /// Round-robin enqueue of per-unit op streams with backpressure
-/// (fast-forwarding over dead cycles), then drain under a finite budget.
+/// (fast-forwarding over dead cycles).
 ///
-/// A round gives each unfinished stream a bounded batch. Once every
-/// unfinished stream has stopped on a full queue, no enqueue can succeed
-/// before the simulator moves, so the loop steps right away.
+/// A round gives each unfinished stream a bounded batch, cut to the room
+/// its queue has, so no enqueue meets a full queue. Once the room has cut
+/// every unfinished stream's batch short, no enqueue can succeed before
+/// the simulator moves, so the loop steps right away.
 fn run_unit_streams<'a>(
     mem: &mut MemorySystem,
     streams: impl Iterator<Item = (usize, u8, u8, &'a [PimOp])>,
     context: &'static str,
 ) -> Result<(), PhaseError> {
-    let _span = gradpim_obs::span_lazy(|| format!("phase.{context}"), "phase");
     let streams: Vec<_> = streams.collect();
     let mut cursors = vec![0usize; streams.len()];
     loop {
         let mut all_done = true;
         let mut all_full = true;
-        for (i, (ch, rank, bg, ops)) in streams.iter().enumerate() {
+        for ((ch, rank, bg, ops), cursor) in streams.iter().zip(&mut cursors) {
+            let left = &ops[*cursor..];
+            if left.is_empty() {
+                continue;
+            }
             // Bounded batch per unit per round to keep queues balanced.
-            let mut budget = 64;
-            let mut full = false;
-            while cursors[i] < ops.len() && budget > 0 {
-                match mem.enqueue_pim(*ch, *rank, *bg, ops[cursors[i]]) {
-                    Ok(_) => {
-                        cursors[i] += 1;
-                        budget -= 1;
-                    }
-                    Err(MemError::QueueFull) => {
-                        full = true;
-                        break;
-                    }
-                    Err(e) => return Err(PhaseError::new(context, e, mem)),
+            let batch = left.len().min(64);
+            let room = mem.pim_room(*ch, *rank, *bg);
+            let n = batch.min(room);
+            for &op in &left[..n] {
+                if let Err(e) = mem.enqueue_pim(*ch, *rank, *bg, op) {
+                    return Err(PhaseError::new(context, e, mem));
                 }
             }
-            if cursors[i] < ops.len() {
+            *cursor += n;
+            if *cursor < ops.len() {
                 all_done = false;
-                all_full &= full;
+                all_full &= room < batch;
             }
         }
         if all_done {
@@ -1054,8 +1187,6 @@ fn run_unit_streams<'a>(
             step(mem);
         }
     }
-    drain_phase(mem, context)?;
-    record_work(mem, context);
     Ok(())
 }
 
@@ -1368,11 +1499,14 @@ mod tests {
             } => [pim_placement],
         });
         assert_eq!(dram_fields.len(), 46, "every DramConfig field");
+        let sim_key = |call: &PhaseCall| call.simulation().map(|s| s.key());
         for (field, bump) in &dram_fields {
             let mut d = dram.clone();
             bump(&mut d);
             assert_ne!(d, dram, "{field} did not change");
-            record(field, PhaseCall::pim_update(d, opt, mix, &hyper, 4096, CAP));
+            let call = PhaseCall::pim_update(d, opt, mix, &hyper, 4096, CAP);
+            assert_ne!(sim_key(&call), sim_key(&base), "{field} left the simulation key unchanged");
+            record(field, call);
         }
 
         let hyper_fields = field_bumps!(HyperParams {
@@ -1405,6 +1539,27 @@ mod tests {
         record("write", PhaseCall::stream(dram.clone(), 4096, 4097, CAP));
         record("stream cap", PhaseCall::stream(dram.clone(), 4096, 4096, CAP + 1));
         assert!(stream.key().starts_with("phase/v2/stream/read_bytes=4096,write_bytes=4096,"));
+    }
+
+    #[test]
+    fn calls_above_the_cap_share_a_simulation_and_differ_in_scale() {
+        let cfg = Arc::new(SystemConfig::new(Design::Baseline).dram());
+        let sim_key = |call: &PhaseCall| call.simulation().unwrap().key();
+        // A stream of twice the traffic in the same proportion simulates
+        // the same bursts at twice the scale.
+        let small = PhaseCall::stream(Arc::clone(&cfg), 1 << 20, 512 << 10, CAP);
+        let large = PhaseCall::stream(Arc::clone(&cfg), 2 << 20, 1 << 20, CAP);
+        assert_ne!(small.key(), large.key());
+        assert_eq!(sim_key(&small), sim_key(&large));
+        assert!(sim_key(&small).starts_with("sim/stream/read_bursts=4000,write_bursts=2000/"));
+        let stats = small.simulation().unwrap().run().unwrap();
+        assert_eq!(large.result(&stats), large.execute().unwrap());
+        assert_eq!(large.result(&stats).scale, 2.0 * small.result(&stats).scale);
+        // A call that does not simulate has no simulation and answers
+        // empty whatever the statistics.
+        let none = PhaseCall::stream(Arc::clone(&cfg), 0, 0, CAP);
+        assert!(none.simulation().is_none());
+        assert_eq!(none.result(&stats), PhaseResult::empty());
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! report rows. [`SweepFamily::report`] runs a family sequentially and is
 //! the reference; `gradpim-engine`'s `ExperimentSpec::run` is the one
 //! parallel, cached runner over the same surface, and it
-//! simulates each distinct phase call of a run once. Phase calls are pure,
-//! so any schedule and any deduplication produce bit-identical rows.
+//! runs each distinct simulation of a run's phase calls once. Phase calls
+//! are pure, so any schedule and any deduplication produce bit-identical
+//! rows.
 //!
 //! The typed points ([`OpsBwPoint`], [`BatchPoint`], …) are each family's
 //! [`SweepFamily::run_spec`] output; callers that want them rather than

@@ -20,10 +20,11 @@
 //! * The report JSON of every experiment on `MLP1`, which pins the sweep
 //!   families' enumeration and row arithmetic above the phase layer.
 //!
-//! The DDR4-2133 stream and PIM-kernel probes also bound the controller's
-//! work per issued command, read from the `phase.<ctx>.dram.*` counters,
-//! and every experiment is checked to simulate each distinct phase call
-//! of its plan exactly once.
+//! The DDR4-2133 probes also bound the controller's work per issued
+//! command and the PIM executors' rejected enqueues, read from the
+//! `phase.<ctx>.dram.*` counters, and every experiment is checked to
+//! answer each distinct phase call of its plan once and to run each
+//! distinct simulation once.
 
 use std::sync::{Mutex, PoisonError};
 
@@ -521,6 +522,8 @@ fn candidate_eval_bound(context: &str) -> (u64, u64) {
     }
 }
 
+/// Also bounds rejected enqueues: the PIM executors (pim-kernel, aos-pb)
+/// enqueue only what a queue has room for, so none meets a full queue.
 #[test]
 fn candidate_evaluations_per_issued_command_stay_bounded() {
     let _serial = PHASES.lock().unwrap_or_else(PoisonError::into_inner);
@@ -535,10 +538,10 @@ fn candidate_evaluations_per_issued_command_stay_bounded() {
             continue;
         }
         let ctx = probe_call(kind, &cfg).context();
-        let (evals, commands) = (counter(ctx, "candidate_evals"), counter(ctx, "commands"));
+        let names = ["candidate_evals", "commands", "queue_full"];
+        let before = names.map(|n| counter(ctx, n));
         run_probe(kind, &cfg);
-        let evals = counter(ctx, "candidate_evals") - evals;
-        let commands = counter(ctx, "commands") - commands;
+        let [evals, commands, rejected] = [0, 1, 2].map(|i| counter(ctx, names[i]) - before[i]);
         assert!(commands > 0, "{name}: no commands counted");
         let (num, den) = candidate_eval_bound(ctx);
         assert!(
@@ -547,6 +550,9 @@ fn candidate_evaluations_per_issued_command_stay_bounded() {
             evals as f64 / commands as f64,
             num as f64 / den as f64
         );
+        if matches!(ctx, "pim-kernel" | "aos-pb") {
+            assert_eq!(rejected, 0, "{name}: {rejected} PIM enqueues met a full queue");
+        }
         checked += 1;
     }
     gradpim::obs::set_metrics(false);
@@ -584,14 +590,17 @@ fn experiment_plan(
 fn each_distinct_phase_call_simulates_once() {
     use gradpim::engine::serialize::{Experiment, ExperimentSpec};
     use gradpim::engine::Engine;
+    use std::collections::BTreeSet;
     let _serial = PHASES.lock().unwrap_or_else(PoisonError::into_inner);
-    // Phases simulated so far: one `sim_ns` observation per simulated
-    // call, none for a call answered without simulating.
-    let simulated = || -> u64 {
+    // Observations of the phase histograms named `phase.*.<suffix>` so
+    // far: each simulation records one `host_ns`, each call answered from
+    // a simulation one `sim_ns`, and a call answered without simulating
+    // neither.
+    let observed = |suffix: &str| -> u64 {
         gradpim::obs::registry()
             .hists
             .iter()
-            .filter(|(name, _)| name.starts_with("phase.") && name.ends_with(".sim_ns"))
+            .filter(|(name, _)| name.starts_with("phase.") && name.ends_with(suffix))
             .map(|(_, h)| h.count)
             .sum()
     };
@@ -600,32 +609,35 @@ fn each_distinct_phase_call_simulates_once() {
     gradpim::obs::set_metrics(true);
     for experiment in Experiment::ALL {
         let plan = experiment_plan(experiment, &nets, quick);
-        let simulating: Vec<&PhaseCall> = plan.iter().filter(|c| c.simulates()).collect();
-        let distinct: std::collections::BTreeSet<String> =
-            simulating.iter().map(|c| c.key()).collect();
+        let calls: BTreeSet<String> =
+            plan.iter().filter(|c| c.simulates()).map(|c| c.key()).collect();
+        let simulations: BTreeSet<String> =
+            plan.iter().filter_map(PhaseCall::simulation).map(|s| s.key()).collect();
         let spec = ExperimentSpec::new(experiment, quick, Some(vec!["MLP1".into()]));
         for engine in [Engine::sequential(), Engine::new(3)] {
-            let before = simulated();
+            let before = [observed(".sim_ns"), observed(".host_ns")];
             spec.run(&engine).unwrap();
-            let runs = simulated() - before;
+            let runs = [observed(".sim_ns") - before[0], observed(".host_ns") - before[1]];
             assert_eq!(
                 runs,
-                distinct.len() as u64,
-                "{experiment} on {} thread(s): {} planned calls, {} distinct",
+                [calls.len() as u64, simulations.len() as u64],
+                "{experiment} on {} thread(s): [answered calls, simulations]",
                 engine.threads(),
-                simulating.len(),
-                distinct.len()
             );
         }
     }
     gradpim::obs::set_metrics(false);
 
     // Fig. 12a on the paper's network: the MAC-array size changes compute
-    // time only, so each distinct call repeats across the four sizes and
-    // a quarter of the planned calls is all the run simulates.
+    // time only, so each distinct call repeats across the four sizes and a
+    // quarter of the planned calls is all the run answers. Above the
+    // traffic caps, blocks differ only in their scale, so on each DRAM
+    // view every block's update shares one simulation per kernel.
     let spec = ExperimentSpec::new(Experiment::Fig12a, quick, None);
     let plan = experiment_plan(Experiment::Fig12a, &spec.resolve_networks().unwrap(), quick);
     assert!(plan.iter().all(PhaseCall::simulates));
-    let distinct: std::collections::BTreeSet<String> = plan.iter().map(PhaseCall::key).collect();
-    assert_eq!((plan.len(), distinct.len()), (240, 60));
+    let calls: BTreeSet<String> = plan.iter().map(PhaseCall::key).collect();
+    let simulations: BTreeSet<String> =
+        plan.iter().filter_map(PhaseCall::simulation).map(|s| s.key()).collect();
+    assert_eq!((plan.len(), calls.len(), simulations.len()), (240, 60, 33));
 }

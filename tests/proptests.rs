@@ -473,7 +473,7 @@ fn arbitrary_report(cols: usize, rows: usize, seed: u64) -> gradpim::sim::Report
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Report JSON round-trips for arbitrary schemas and rows: parse is
     /// the exact inverse of emit (`parsed == original`), and re-emitting
@@ -628,6 +628,188 @@ proptest! {
                 _ => drop(trace::summarize(&input)),
             });
             prop_assert!(parsed.is_ok(), "document {} panicked on op {} at byte {}", i, op, at);
+        }
+    }
+}
+
+/// One phase call's inputs, drawn for the simulation-sharing property.
+#[derive(Debug, Clone)]
+struct CallShape {
+    /// 0 stream, 1 baseline update, 2 PIM update, 3 PIM quant/dequant,
+    /// 4 AoS-PB update.
+    kind: usize,
+    dram: gradpim::dram::DramConfig,
+    optimizer: gradpim::optim::OptimizerKind,
+    mix: gradpim::optim::PrecisionMix,
+    /// Bytes read and written (a stream), or parameters and 0.
+    size: (u64, u64),
+    cap: u64,
+}
+
+impl CallShape {
+    fn call(&self) -> gradpim::sim::PhaseCall {
+        use gradpim::sim::PhaseCall;
+        let (dram, opt, mix, (a, b), cap) =
+            (self.dram.clone(), self.optimizer, self.mix, self.size, self.cap);
+        let hyper = gradpim::optim::HyperParams::default();
+        match self.kind {
+            0 => PhaseCall::stream(dram, a, b, cap),
+            1 => PhaseCall::baseline_update(dram, opt, mix, a, cap),
+            2 => PhaseCall::pim_update(dram, opt, mix, &hyper, a, cap),
+            3 => PhaseCall::pim_quant_dequant(dram, opt, mix, &hyper, a, cap),
+            _ => PhaseCall::aos_per_bank_update(dram, opt, mix, a, cap),
+        }
+    }
+
+    /// What the call simulates, worked out from the executors' documented
+    /// capping rather than by the library: a stream simulates the cap
+    /// (never below 16 bursts) of its bursts, split in read/write
+    /// proportion; an update simulates the cap (never below 1024) of its
+    /// parameters. `None` for a call that answers empty.
+    fn traffic(&self) -> Option<String> {
+        let (a, b) = self.size;
+        if self.kind == 0 {
+            let burst = self.dram.burst_bytes as u64;
+            let (r, w) = (a.div_ceil(burst), b.div_ceil(burst));
+            if r + w == 0 {
+                return None;
+            }
+            let sim = (r + w).min(self.cap.max(16));
+            let reads = r * sim / (r + w);
+            return Some(format!("{:?} stream {reads} {}", self.dram, sim - reads));
+        }
+        let no_kernel = self.kind == 3 && !self.mix.is_mixed();
+        if a == 0 || no_kernel {
+            return None;
+        }
+        let params = a.min(self.cap.max(1024));
+        let (opt, mix) = (self.optimizer, self.mix);
+        Some(format!("{:?} {} {opt:?} {mix:?} {params}", self.dram, self.kind))
+    }
+}
+
+impl CallShape {
+    /// This shape with one input moved by one step: one more read burst
+    /// (a stream) or parameter, one more write burst (a stream), or a cap
+    /// one higher.
+    fn neighbours(&self) -> Vec<CallShape> {
+        let (a, b) = self.size;
+        let step = if self.kind == 0 { 64 } else { 1 };
+        let mut out = vec![
+            CallShape { size: (a + step, b), ..self.clone() },
+            CallShape { cap: self.cap + 1, ..self.clone() },
+        ];
+        if self.kind == 0 {
+            out.push(CallShape { size: (a, b + 64), ..self.clone() });
+        }
+        out
+    }
+}
+
+/// A pair of call shapes from `seed`: `b` varies `a` in a few inputs, so
+/// many pairs straddle or share the cap.
+fn call_shapes(seed: u64) -> (CallShape, CallShape) {
+    use gradpim::optim::{OptimizerKind, PrecisionMix};
+    use gradpim::sim::{Design, SystemConfig};
+    let mut rest = seed;
+    let mut digit = |radix: u64| {
+        let d = rest % radix;
+        rest /= radix;
+        d
+    };
+    let view = |i: u64| match Design::ALL.get(i as usize) {
+        Some(&design) => SystemConfig::new(design).dram(),
+        None => gradpim::dram::DramConfig::ddr4_3200(),
+    };
+    let optimizer = |i: u64| OptimizerKind::ALL[i as usize];
+    let mix = |i: u64| PrecisionMix::ALL[i as usize];
+    let kind = digit(5) as usize;
+    let stream = kind == 0;
+    let cap = if stream {
+        [0, 16, 24, 40][digit(4) as usize]
+    } else {
+        [0, 1024, 1536][digit(3) as usize]
+    };
+    let floor = if stream { cap.max(16) } else { cap.max(1024) };
+    // Parameter counts (or read bursts) below, at and above the cap.
+    let sizes = [floor / 2, floor - 1, floor, floor + 1, 2 * floor + 7, 3 * floor];
+    let size = |digit: &mut dyn FnMut(u64) -> u64| {
+        let n = sizes[digit(6) as usize];
+        if stream {
+            // Read and write bytes, not always whole bursts.
+            let w = n * digit(3) / 2;
+            (n * 64 - digit(64), (w * 64).saturating_sub(digit(64)))
+        } else {
+            (n, 0)
+        }
+    };
+    let a = CallShape {
+        kind,
+        dram: view(digit(7)),
+        optimizer: optimizer(digit(6)),
+        mix: mix(digit(4)),
+        size: size(&mut digit),
+        cap,
+    };
+    let b_size = match digit(3) {
+        // Twice the traffic in whole bursts: a stream keeps its split.
+        0 if stream => (a.size.0.div_ceil(64) * 128, a.size.1.div_ceil(64) * 128),
+        0 => (2 * a.size.0, 0),
+        1 => size(&mut digit),
+        _ => a.size,
+    };
+    let mut b = CallShape { size: b_size, ..a.clone() };
+    if digit(6) == 0 {
+        b.kind = digit(5) as usize;
+    }
+    if digit(6) == 0 {
+        b.dram = view(digit(7));
+    }
+    if digit(6) == 0 {
+        b.optimizer = optimizer(digit(6));
+    }
+    if digit(6) == 0 {
+        b.mix = mix(digit(4));
+    }
+    if digit(6) == 0 {
+        b.cap = floor + 3;
+    }
+    (a, b)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A phase call is its simulation plus its scale. Two calls share a
+    /// simulation key exactly when they simulate the same capped traffic
+    /// of the same executor on the same DRAM view, and whenever they do,
+    /// one call's result taken from the other's simulation is
+    /// bit-identical to executing it (errors included). Each case pairs a
+    /// call with a variant and with its one-step neighbours. Covers every
+    /// executor, optimizer and precision mix, sizes on either side of the
+    /// cap, and several DRAM views.
+    #[test]
+    fn calls_sharing_a_simulation_get_its_result(seed in 0u64..1 << 62) {
+        let (a, b) = call_shapes(seed);
+        let call_a = a.call();
+        let sim_a = call_a.simulation();
+        prop_assert_eq!(sim_a.is_some(), a.traffic().is_some(), "{:?}", a);
+        let Some(sim_a) = sim_a else { return Ok(()) };
+        let bits = |r: gradpim::sim::PhaseResult| r.to_bits_string();
+        let mut stats_a = None;
+        for other in std::iter::once(b).chain(a.neighbours()) {
+            let call = other.call();
+            let Some(sim) = call.simulation() else {
+                prop_assert!(other.traffic().is_none(), "{:?}", other);
+                continue;
+            };
+            let shared = sim_a.key() == sim.key();
+            prop_assert_eq!(shared, a.traffic() == other.traffic(), "{:?}\n{:?}", a, other);
+            if shared {
+                let stats = stats_a.get_or_insert_with(|| sim_a.run());
+                let borrowed = stats.clone().map(|stats| bits(call.result(&stats)));
+                prop_assert_eq!(borrowed, call.execute().map(bits), "{:?}\n{:?}", a, other);
+            }
         }
     }
 }
