@@ -12,11 +12,8 @@ use gradpim_workloads::models;
 
 fn main() {
     banner("Fig. 12a", "Speedup (%) vs operations/bandwidth ratio on AlphaGoZero");
-    let quick = if gradpim_bench::env::full_fidelity() {
-        None
-    } else {
-        Some((12 * 1024u64, 96 * 1024usize))
-    };
+    let quick =
+        if gradpim_sim::env::full_fidelity() { None } else { Some((12 * 1024u64, 96 * 1024usize)) };
     let pts = points::<OpsBandwidth>(&[models::alphago_zero()], quick);
     println!("{:<12} {:>8} {:>16} {:>12}", "memory", "MAC dim", "ops/byte", "speedup %");
     for p in &pts {

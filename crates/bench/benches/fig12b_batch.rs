@@ -9,11 +9,8 @@ use gradpim_sim::sweeps::BatchSize;
 
 fn main() {
     banner("Fig. 12b", "Speedup (%) vs minibatch size");
-    let quick = if gradpim_bench::env::full_fidelity() {
-        None
-    } else {
-        Some((12 * 1024u64, 96 * 1024usize))
-    };
+    let quick =
+        if gradpim_sim::env::full_fidelity() { None } else { Some((12 * 1024u64, 96 * 1024usize)) };
     let nets = networks();
     let pts = points::<BatchSize>(&nets, quick);
     println!("{:<14} {:>8} {:>8} {:>8}", "network", "b=16", "b=32", "b=64");

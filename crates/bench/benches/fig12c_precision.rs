@@ -12,11 +12,8 @@ fn main() {
         "Fig. 12c",
         "Speedup (%) vs precision mix (paper gmeans: 8/16 139%, 16/32 143%, 32/32 126%)",
     );
-    let quick = if gradpim_bench::env::full_fidelity() {
-        None
-    } else {
-        Some((12 * 1024u64, 96 * 1024usize))
-    };
+    let quick =
+        if gradpim_sim::env::full_fidelity() { None } else { Some((12 * 1024u64, 96 * 1024usize)) };
     let nets = networks();
     let pts = points::<Precision>(&nets, quick);
     println!(

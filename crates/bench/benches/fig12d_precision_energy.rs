@@ -11,11 +11,8 @@ use gradpim_sim::sweeps::Precision;
 
 fn main() {
     banner("Fig. 12d", "Energy over baseline (%) per precision mix (lower is better)");
-    let quick = if gradpim_bench::env::full_fidelity() {
-        None
-    } else {
-        Some((12 * 1024u64, 96 * 1024usize))
-    };
+    let quick =
+        if gradpim_sim::env::full_fidelity() { None } else { Some((12 * 1024u64, 96 * 1024usize)) };
     let nets = networks();
     let pts = points::<Precision>(&nets, quick);
     println!(

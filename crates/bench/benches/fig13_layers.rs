@@ -10,11 +10,8 @@ use gradpim_sim::sweeps::LayerScatter;
 
 fn main() {
     banner("Fig. 13", "Per-layer speedup (%) vs weight/activation ratio");
-    let quick = if gradpim_bench::env::full_fidelity() {
-        None
-    } else {
-        Some((4 * 1024u64, 48 * 1024usize))
-    };
+    let quick =
+        if gradpim_sim::env::full_fidelity() { None } else { Some((4 * 1024u64, 48 * 1024usize)) };
     let nets = networks();
     let mut pts = points::<LayerScatter>(&nets, quick);
     pts.sort_by(|a, b| a.ratio.total_cmp(&b.ratio));

@@ -4,12 +4,10 @@
 //! paper, printing the same rows/series the paper reports. By default the
 //! harnesses run with scaled traffic (linear extrapolation over streaming
 //! phases — see `gradpim_sim::phase`); set `GRADPIM_FULL=1` for
-//! full-fidelity runs.
-
-pub mod env;
+//! full-fidelity runs (read by [`gradpim_sim::env::full_fidelity`]).
 
 use gradpim_sim::sweeps::{QuickCaps, SweepFamily};
-use gradpim_sim::{Design, SystemConfig};
+use gradpim_sim::{env, Design, SystemConfig};
 use gradpim_workloads::{models, Network};
 
 /// A system configuration with bench-friendly traffic caps (unless

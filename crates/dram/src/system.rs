@@ -266,8 +266,8 @@ impl MemorySystem {
     }
 
     /// Per-cycle reference implementation of [`MemorySystem::drain`]: ticks
-    /// every cycle. Kept for differential testing of the event-driven core
-    /// (and selectable at phase level via `GRADPIM_REFERENCE=1`).
+    /// every cycle. Kept for differential testing of the event-driven core:
+    /// the property tests compare the two.
     ///
     /// # Errors
     ///

@@ -124,8 +124,7 @@ impl Engine {
     /// each row group up in `store`, then each distinct phase call of the
     /// missed groups (once per run), and stores every call it answers by
     /// simulating — bit-identically. Without a store the runner still runs
-    /// each distinct simulation once per run. `GRADPIM_REFERENCE=1`
-    /// bypasses the store.
+    /// each distinct simulation once per run.
     #[must_use]
     pub fn with_cache(mut self, store: Arc<dyn CacheBackend>) -> Self {
         self.cache = Some(store);
@@ -284,9 +283,6 @@ mod tests {
 
     #[test]
     fn cached_engine_runs_are_bit_identical_and_fill_the_store() {
-        if gradpim_sim::env::reference_mode() {
-            return; // reference mode bypasses the store by design
-        }
         use serialize::{Experiment, ExperimentSpec};
         let spec = ExperimentSpec::new(
             Experiment::Fig12b,

@@ -381,9 +381,7 @@ fn run_family<F: SweepFamily>(spec: &ExperimentSpec, engine: &Engine) -> Result<
 
     // Row-group cache consultation: a schema-validated hit pins the
     // group's rows; a miss queues the group's specs for simulation.
-    // GRADPIM_REFERENCE=1 bypasses the store at both levels — reference
-    // runs recompute every distinct call.
-    let store = if gradpim_sim::env::reference_mode() { None } else { engine.cache() };
+    let store = engine.cache();
     let mut keys: Vec<Option<String>> = Vec::with_capacity(groups.len());
     let mut hits: Vec<Option<Vec<SweepRow>>> = Vec::with_capacity(groups.len());
     for group in &groups {

@@ -109,9 +109,6 @@ proptest! {
         bursts in 256u64..1500,
         params in 4096usize..20_000,
     ) {
-        if gradpim_sim::env::reference_mode() {
-            return Ok(()); // reference mode bypasses the cache by design
-        }
         let caps = Some((bursts, params));
         let second: Vec<String> = match overlap {
             0 => vec!["MLP1".into()],                    // full overlap
@@ -134,9 +131,6 @@ proptest! {
 
 #[test]
 fn partial_overlap_executes_only_uncached_groups() {
-    if gradpim_sim::env::reference_mode() {
-        return; // reference mode bypasses the cache by design
-    }
     let counting = Arc::new(CountingStore::default());
     let store: Arc<dyn CacheBackend> = counting.clone();
     let one = ExperimentSpec::new(Experiment::Fig12a, QUICK, Some(vec!["MLP1".into()]));
@@ -207,9 +201,6 @@ fn partial_overlap_executes_only_uncached_groups() {
 
 #[test]
 fn warm_cli_rerun_is_byte_identical_to_the_cold_run() {
-    if gradpim_sim::env::reference_mode() {
-        return; // reference mode bypasses the cache by design
-    }
     let dir = scratch("store");
     let _ = std::fs::remove_dir_all(&dir);
     let spec_path = scratch("cache.spec.json");

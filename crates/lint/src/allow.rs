@@ -6,16 +6,15 @@
 //! module only finds the attributes so [`crate::rules`] can tell which
 //! retired rule each one sanctions and whether it may sit where it does.
 
-use crate::lexer::TokKind;
-use crate::parser::{Item, ItemKind};
 use crate::rules::FileCtx;
+use crate::scan::{self, tokens};
 
 /// One attribute, `#[name(...)]` or `#![name(...)]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attr {
-    /// Significant-token index of the attribute's `#`.
+    /// Byte offset of the attribute's `#`.
     pub at: usize,
-    /// Significant-token index one past its closing `]`.
+    /// Byte offset one past its closing `]`.
     pub end: usize,
     /// 1-based source line of the `#`.
     pub line: usize,
@@ -29,153 +28,105 @@ pub struct Attr {
     pub reason: Option<String>,
 }
 
-/// An `#[expect]` and the significant-token range `[start, end)` it covers.
+impl Attr {
+    /// `#[test]`, or a `#[cfg(...)]` naming `test` without `not`: the item
+    /// it precedes is test code.
+    pub(crate) fn is_test(&self) -> bool {
+        let names = |w: &str| self.lints.iter().any(|l| l == w);
+        !self.inner
+            && (self.name == "test" || (self.name == "cfg" && names("test")))
+            && !names("not")
+    }
+}
+
+/// An `#[expect]` and the byte range `[start, end)` it covers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Expect {
     /// The attribute itself.
     pub attr: Attr,
-    /// What it covers: the item it is attached to, a single statement or
-    /// expression inside a function body, or (for `#![expect]`) the whole
-    /// enclosing module, body or file.
+    /// What it covers: from its `#` through the item it precedes (its
+    /// first `{...}` or an earlier `;`), or inside a function, type or
+    /// expression body through the statement, match arm or field it
+    /// precedes; for `#![expect]`, the enclosing block or the whole file.
     pub covers: (usize, usize),
 }
 
-/// Every attribute of the file, in source order. Text in strings and
-/// comments is never an attribute: the lexer keeps it inside one token.
+/// Every attribute of the file, in source order, found by bracket matching
+/// on the blanked copy ([`scan::blank`]): text in strings and comments is
+/// never an attribute.
 pub fn attrs(ctx: &FileCtx<'_>) -> Vec<Attr> {
+    let code = ctx.code.as_str();
     let mut out = Vec::new();
-    let mut i = 0;
-    while i + 1 < ctx.len() {
-        let inner = ctx.text(i + 1) == "!";
-        let open = if inner { i + 2 } else { i + 1 };
-        if ctx.text(i) != "#" || open >= ctx.len() || ctx.text(open) != "[" {
-            i += 1;
-            continue;
-        }
-        let end = close_of(ctx, open);
-        let name = if open + 1 < end { ctx.text(open + 1).to_string() } else { String::new() };
-        let (lints, reason) = arguments(ctx, open + 2, end.saturating_sub(1));
-        out.push(Attr { at: i, end, line: ctx.tok(i).line, inner, name, lints, reason });
-        i = end;
+    let mut from = 0;
+    while let Some(at) = code.get(from..).and_then(|rest| rest.find('#')).map(|n| from + n) {
+        let mut next = tokens(code, at + 1);
+        let (inner, open) = match (next.next(), next.next()) {
+            (Some((_, "!")), Some((open, "["))) => (true, open),
+            (Some((open, "[")), _) => (false, open),
+            _ => {
+                from = at + 1;
+                continue;
+            }
+        };
+        let close = scan::close_of(code, open);
+        let mut inside = tokens(code, open + 1).take_while(|&(j, _)| j < close);
+        let name = inside.next().map_or_else(String::new, |(_, t)| t.to_string());
+        let (lints, reason) = arguments(ctx.src, inside);
+        let end = (close + 1).min(code.len());
+        out.push(Attr { at, end, line: ctx.line(at), inner, name, lints, reason });
+        from = end;
     }
     out
 }
 
 /// Every `#[expect]` / `#![expect]` of the file with what it covers.
 pub fn collect(ctx: &FileCtx<'_>) -> Vec<Expect> {
+    let code = ctx.code.as_str();
     attrs(ctx)
         .into_iter()
         .filter(|a| a.name == "expect")
         .map(|attr| {
+            let block = scan::enclosing_brace(code, attr.at);
             let covers = if attr.inner {
-                enclosing_body(&ctx.items, attr.at).unwrap_or((0, ctx.len()))
+                block.map_or((0, code.len()), |open| (open + 1, scan::close_of(code, open)))
             } else {
-                attached_item(&ctx.items, attr.at)
-                    .unwrap_or_else(|| (attr.at, statement_end(ctx, attr.end)))
+                let in_body = block.is_some_and(|open| !scan::holds_items(code, open));
+                (attr.at, scan::end_of(code, attr.end, in_body))
             };
             Expect { attr, covers }
         })
         .collect()
 }
 
-/// Index one past the group closed by the bracket matching the opener at
-/// `open`, or the end of the file when it never closes.
-fn close_of(ctx: &FileCtx<'_>, open: usize) -> usize {
-    let mut depth = 0usize;
-    for j in open..ctx.len() {
-        match ctx.text(j) {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    return j + 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    ctx.len()
-}
-
-/// Parses `(lint, path::lint, reason = "...")` between `lo` (the `(`) and
-/// `hi` (the `]`).
-fn arguments(ctx: &FileCtx<'_>, lo: usize, hi: usize) -> (Vec<String>, Option<String>) {
+/// Parses `(lint, path::lint, reason = "...")` from the tokens after an
+/// attribute's name; the reason's text comes from `src`, since the blanked
+/// copy keeps only its quotes.
+fn arguments<'c>(
+    src: &str,
+    toks: impl Iterator<Item = (usize, &'c str)>,
+) -> (Vec<String>, Option<String>) {
     let mut lints = Vec::new();
     let mut reason = None;
-    if lo >= hi || ctx.text(lo) != "(" {
+    let mut toks = toks.peekable();
+    if toks.next_if(|&(_, t)| t == "(").is_none() {
         return (lints, reason);
     }
     let mut path = String::new();
-    let mut j = lo + 1;
-    while j < hi {
-        let t = ctx.text(j);
-        match ctx.kind(j) {
-            TokKind::Ident if t == "reason" && j + 2 < hi && ctx.text(j + 1) == "=" => {
-                if ctx.kind(j + 2) == TokKind::Str {
-                    reason = Some(ctx.text(j + 2).trim_matches('"').to_string());
-                }
-                j += 3;
-                continue;
+    while let Some((_, t)) = toks.next() {
+        if t == "reason" && toks.next_if(|&(_, n)| n == "=").is_some() {
+            while toks.next_if(|&(_, n)| matches!(n, "r" | "#")).is_some() {}
+            if let (Some((lo, "\"")), Some((hi, "\""))) = (toks.next(), toks.next()) {
+                reason = src.get(lo + 1..hi).map(str::to_string);
             }
-            TokKind::Ident => path.push_str(t),
-            _ if t == ":" => path.push(':'),
-            _ => {
-                if !path.is_empty() {
-                    lints.push(std::mem::take(&mut path));
-                }
-            }
+        } else if t == ":" {
+            path.push(':');
+        } else if t.starts_with(|c: char| c == '_' || c.is_alphabetic()) {
+            path.push_str(t);
+        } else if !path.is_empty() {
+            lints.push(std::mem::take(&mut path));
         }
-        j += 1;
     }
     (lints, reason)
-}
-
-/// The span of the item whose leading attributes include the one at `at`,
-/// searching into `mod`/`impl`/`trait` bodies. `None` when `at` sits
-/// inside a function body (a statement attribute).
-fn attached_item(items: &[Item], at: usize) -> Option<(usize, usize)> {
-    let item = items.iter().find(|it| it.span.0 <= at && at < it.span.1)?;
-    match item.body {
-        Some((lo, hi)) if lo <= at && at < hi => match item.kind {
-            ItemKind::Fn => None,
-            _ => attached_item(&item.children, at),
-        },
-        _ => Some(item.span),
-    }
-}
-
-/// The body range of the innermost item whose body contains `at`.
-fn enclosing_body(items: &[Item], at: usize) -> Option<(usize, usize)> {
-    let item = items.iter().find(|it| it.span.0 <= at && at < it.span.1)?;
-    let (lo, hi) = item.body.filter(|&(lo, hi)| lo <= at && at < hi)?;
-    Some(enclosing_body(&item.children, at).unwrap_or((lo, hi)))
-}
-
-/// End of the statement, match arm or expression starting at `from`
-/// (after stacked attributes): through the first `;` or `,` at depth 0,
-/// through a `{...}` block opened at depth 0, or up to the close of the
-/// enclosing group.
-fn statement_end(ctx: &FileCtx<'_>, from: usize) -> usize {
-    let mut depth = 0usize;
-    let mut j = from;
-    while j < ctx.len() {
-        match ctx.text(j) {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" if depth == 0 => return j,
-            ")" | "]" => depth -= 1,
-            "}" => {
-                depth -= 1;
-                let next = if j + 1 < ctx.len() { ctx.text(j + 1) } else { "" };
-                if depth == 0 && !matches!(next, "." | "?" | "else") {
-                    return j + 1;
-                }
-            }
-            ";" | "," if depth == 0 => return j + 1,
-            _ => {}
-        }
-        j += 1;
-    }
-    ctx.len()
 }
 
 #[cfg(test)]
@@ -193,7 +144,7 @@ mod tests {
         let e = collect(&ctx);
         assert_eq!(e.len(), 1, "{e:?}");
         let (lo, hi) = e[0].covers;
-        (lo..hi).map(|i| ctx.text(i).to_string()).collect()
+        tokens(&ctx.code, lo).take_while(|&(at, _)| at < hi).map(|(_, t)| t.to_string()).collect()
     }
 
     fn rules_of(d: &[Finding]) -> Vec<&str> {

@@ -17,19 +17,19 @@
 //!   permits them: threads in `engine::sched`, environment reads in
 //!   `src/env.rs`, exits in the CLI, printing outside library code.
 //!
-//! Sources are read through [`lexer`], so text in strings and comments is
-//! never taken for an attribute, and [`parser`], so an `#[expect]` covers
-//! exactly the item it is attached to. [`allow`] collects the attributes,
-//! [`config`] finds the files.
+//! Sources are read on a copy in which comments and literal contents are
+//! spaces ([`scan`]), so text in a string or a comment is never taken for
+//! an attribute. [`allow`] finds the attributes on it by bracket matching,
+//! each `#[expect]` with the item or statement it precedes, and [`config`]
+//! finds the files.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod allow;
 pub mod config;
 pub mod fixture;
-pub mod lexer;
-pub mod parser;
 pub mod rules;
+pub mod scan;
 
 use std::fs;
 use std::path::Path;

@@ -14,8 +14,7 @@ use std::fmt;
 
 use crate::allow::{self, Expect};
 use crate::config::{FileKind, FileMeta, Role};
-use crate::lexer::{lex, TokKind, Token};
-use crate::parser::{parse_items, Item};
+use crate::scan;
 
 #[cfg(test)]
 mod env_discipline;
@@ -139,70 +138,45 @@ pub const RULES: &[Rule] = &[
     },
 ];
 
-/// A lexed and parsed source file.
+/// A source file as the audit reads it.
 #[derive(Debug)]
 pub struct FileCtx<'s> {
     /// Full source text.
     pub src: &'s str,
-    /// Every token, including whitespace and comments.
-    pub tokens: Vec<Token>,
-    /// Indices into `tokens` of significant (code) tokens.
-    pub sig: Vec<usize>,
-    /// Per-`sig` entry: true when the token sits inside a `#[test]` /
-    /// `#[cfg(test)]` item.
-    pub in_test: Vec<bool>,
-    /// The item tree over the significant tokens ([`crate::parser`]).
-    pub items: Vec<Item>,
+    /// `src` with comments and literal contents blanked ([`scan::blank`]);
+    /// byte offsets and lines are the source's.
+    pub code: String,
+    /// Byte ranges of `#[test]` / `#[cfg(test)]` items: from the attribute
+    /// through the item's first `{...}` or an earlier `;`.
+    pub tests: Vec<(usize, usize)>,
 }
 
 impl<'s> FileCtx<'s> {
-    /// Lexes `src`, computes the test-region mask, and parses the item
-    /// tree.
+    /// Blanks `src` and finds its test ranges.
     pub fn new(src: &'s str) -> Self {
-        let tokens = lex(src);
-        let sig: Vec<usize> =
-            tokens.iter().enumerate().filter(|(_, t)| t.is_significant()).map(|(i, _)| i).collect();
-        let in_test = test_mask(src, &tokens, &sig);
-        let items = parse_items(src, &tokens, &sig);
-        Self { src, tokens, sig, in_test, items }
+        let mut ctx = Self { src, code: scan::blank(src), tests: Vec::new() };
+        let tests = allow::attrs(&ctx).into_iter().filter(allow::Attr::is_test);
+        ctx.tests = tests.map(|a| (a.at, scan::end_of(&ctx.code, a.end, false))).collect();
+        ctx
     }
 
-    /// The `i`-th significant token.
-    pub fn tok(&self, i: usize) -> &Token {
-        &self.tokens[self.sig[i]]
+    /// The 1-based line of byte offset `at`.
+    pub(crate) fn line(&self, at: usize) -> usize {
+        1 + self.code.bytes().take(at).filter(|&c| c == b'\n').count()
     }
 
-    /// Its text.
-    pub fn text(&self, i: usize) -> &'s str {
-        self.tok(i).text(self.src)
-    }
-
-    /// Its kind.
-    pub fn kind(&self, i: usize) -> TokKind {
-        self.tok(i).kind
-    }
-
-    /// Number of significant tokens.
-    pub fn len(&self) -> usize {
-        self.sig.len()
-    }
-
-    /// True when there are no significant tokens at all.
-    pub fn is_empty(&self) -> bool {
-        self.sig.is_empty()
+    /// True when byte offset `at` lies in test code.
+    pub(crate) fn in_test(&self, at: usize) -> bool {
+        self.tests.iter().any(|&(lo, hi)| lo <= at && at < hi)
     }
 
     /// True when the path tail `call` (`a::b`) occurs in `lo..hi`.
     fn calls(&self, (lo, hi): (usize, usize), call: &str) -> bool {
-        let segs: Vec<&str> = call.split("::").collect();
-        let width = 3 * segs.len() - 2; // `a`, `:`, `:`, `b`
-        (lo..hi.saturating_sub(width - 1)).any(|i| {
-            segs.iter().enumerate().all(|(k, seg)| {
-                self.text(i + 3 * k) == *seg
-                    && (k == 0
-                        || (self.text(i + 3 * k - 2) == ":" && self.text(i + 3 * k - 1) == ":"))
-            })
-        })
+        let toks: Vec<&str> =
+            scan::tokens(&self.code, lo).take_while(|&(at, _)| at < hi).map(|(_, t)| t).collect();
+        // `a`, `:`, `:`, `b`
+        let want: Vec<&str> = call.split("::").flat_map(|seg| [":", ":", seg]).skip(2).collect();
+        toks.windows(want.len()).any(|w| w == want)
     }
 }
 
@@ -249,7 +223,7 @@ pub fn check(ctx: &FileCtx<'_>, meta: &FileMeta) -> Vec<Finding> {
                 }
             }
         }
-        let in_test = meta.kind == FileKind::Test || ctx.in_test.get(e.attr.at) == Some(&true);
+        let in_test = meta.kind == FileKind::Test || ctx.in_test(e.attr.at);
         for lint in &e.attr.lints {
             let rules = sanctioned(ctx, &e, lint);
             if lint == DISALLOWED_METHODS && rules.is_empty() {
@@ -267,92 +241,13 @@ pub fn check(ctx: &FileCtx<'_>, meta: &FileMeta) -> Vec<Finding> {
     out
 }
 
-/// Marks the significant tokens covered by `#[test]` / `#[cfg(test)]`
-/// items (the attribute, any stacked attributes after it, and the item
-/// body through its matching close brace or terminating semicolon).
-fn test_mask(src: &str, tokens: &[Token], sig: &[usize]) -> Vec<bool> {
-    let mut mask = vec![false; sig.len()];
-    let text = |i: usize| tokens[sig[i]].text(src);
-    let mut i = 0;
-    while i < sig.len() {
-        // Outer attribute only: `#[...]`, not `#![...]`.
-        if text(i) == "#" && i + 1 < sig.len() && text(i + 1) == "[" {
-            let mut j = i + 2;
-            let mut depth = 1usize;
-            let mut idents: Vec<&str> = Vec::new();
-            let mut first_ident: Option<&str> = None;
-            while j < sig.len() && depth > 0 {
-                match text(j) {
-                    "[" => depth += 1,
-                    "]" => depth -= 1,
-                    t if tokens[sig[j]].kind == TokKind::Ident => {
-                        first_ident.get_or_insert(t);
-                        idents.push(t);
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            let is_test_attr = matches!(first_ident, Some("test") | Some("cfg"))
-                && idents.contains(&"test")
-                && !idents.contains(&"not");
-            if is_test_attr {
-                // Skip any further stacked attributes.
-                let mut k = j;
-                while k + 1 < sig.len() && text(k) == "#" && text(k + 1) == "[" {
-                    let mut depth = 1usize;
-                    k += 2;
-                    while k < sig.len() && depth > 0 {
-                        match text(k) {
-                            "[" => depth += 1,
-                            "]" => depth -= 1,
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                }
-                // Consume the item: to the matching `}` of its first brace
-                // block, or to a `;` that arrives first (e.g. `use`).
-                let mut depth = 0usize;
-                while k < sig.len() {
-                    match text(k) {
-                        "{" => depth += 1,
-                        "}" => {
-                            depth = depth.saturating_sub(1);
-                            if depth == 0 {
-                                k += 1;
-                                break;
-                            }
-                        }
-                        ";" if depth == 0 => {
-                            k += 1;
-                            break;
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                for m in mask.iter_mut().take(k.min(sig.len())).skip(i) {
-                    *m = true;
-                }
-                i = k;
-                continue;
-            }
-            i = j;
-            continue;
-        }
-        i += 1;
-    }
-    mask
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn mask_of(src: &str) -> Vec<(String, bool)> {
         let ctx = FileCtx::new(src);
-        (0..ctx.len()).map(|i| (ctx.text(i).to_string(), ctx.in_test[i])).collect()
+        scan::tokens(&ctx.code, 0).map(|(at, t)| (t.to_string(), ctx.in_test(at))).collect()
     }
 
     #[test]

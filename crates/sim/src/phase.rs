@@ -31,8 +31,8 @@
 //! [`MemorySystem::drain`]: instead of spinning one tCK at a time while a
 //! queue is full or in-flight work retires, they jump straight to the next
 //! cycle at which anything can happen. The results (stats, completions,
-//! traces) are identical to per-cycle stepping — set `GRADPIM_REFERENCE=1`
-//! to force the per-cycle reference path for differential runs.
+//! traces) are identical to per-cycle stepping; the property tests hold
+//! the event-driven core to [`MemorySystem::drain_reference`].
 //!
 //! ## Traffic scaling
 //!
@@ -102,19 +102,12 @@ impl std::error::Error for PhaseError {
     }
 }
 
-/// `GRADPIM_REFERENCE=1` forces per-cycle stepping (differential runs).
-fn reference_mode() -> bool {
-    crate::env::reference_mode()
-}
-
 /// An ambient phase-result memo a caller can install around a
 /// computation with [`with_phase_memo`]: every [`PhaseCall::execute`]
 /// reached inside consults it under the call's [`PhaseCall::key`] before
 /// simulating. [`PhaseResult::to_bits_string`] round-trips every `f64`
-/// bit-exactly for stores that keep text. `GRADPIM_REFERENCE=1` bypasses
-/// it entirely (reference runs exist to exercise the simulation path).
-/// No library runner installs one: `gradpim-engine` dedupes planned
-/// calls itself.
+/// bit-exactly for stores that keep text. No library runner installs one:
+/// `gradpim-engine` dedupes planned calls itself.
 pub trait PhaseMemo: Send + Sync {
     /// Returns the stored result for `key`, if any.
     fn get(&self, key: &str) -> Option<PhaseResult>;
@@ -133,8 +126,7 @@ thread_local! {
 /// Runs `f` with `memo` installed as this thread's ambient phase memo;
 /// the previous memo is restored afterwards, even on unwind, so scopes
 /// nest cleanly. Every phase call executed on this thread inside `f`
-/// consults the memo before simulating (except under
-/// `GRADPIM_REFERENCE=1`).
+/// consults the memo before simulating.
 pub fn with_phase_memo<T>(memo: Arc<dyn PhaseMemo>, f: impl FnOnce() -> T) -> T {
     struct Restore(Option<Arc<dyn PhaseMemo>>);
     impl Drop for Restore {
@@ -155,15 +147,12 @@ fn current_phase_memo() -> Option<Arc<dyn PhaseMemo>> {
 /// Consults the ambient memo before running `compute`. The key is only
 /// rendered when a memo is installed, so runs without one pay nothing. A
 /// stored result is returned as-is — executors are pure, so it is
-/// bit-identical to recomputing. Reference mode bypasses the memo.
+/// bit-identical to recomputing.
 fn memoized(
     key_of: impl FnOnce() -> String,
     compute: impl FnOnce() -> Result<PhaseResult, PhaseError>,
 ) -> Result<PhaseResult, PhaseError> {
-    let memo = match current_phase_memo() {
-        Some(m) if !reference_mode() => m,
-        _ => return compute(),
-    };
+    let Some(memo) = current_phase_memo() else { return compute() };
     let key = key_of();
     if let Some(hit) = memo.get(&key) {
         return Ok(hit);
@@ -173,16 +162,6 @@ fn memoized(
     Ok(out)
 }
 
-/// One backpressure step: per-cycle in reference mode, event-driven
-/// otherwise (observably identical).
-fn step(mem: &mut MemorySystem) {
-    if reference_mode() {
-        mem.tick();
-    } else {
-        mem.tick_until_event();
-    }
-}
-
 /// Drains with a generous finite budget so a scheduler livelock surfaces as
 /// a loud [`PhaseError`] with diagnostics instead of hanging the sweep.
 fn drain_phase(mem: &mut MemorySystem, context: &'static str) -> Result<(), PhaseError> {
@@ -190,8 +169,7 @@ fn drain_phase(mem: &mut MemorySystem, context: &'static str) -> Result<(), Phas
     // hundred cycles (tRC/tRFC scale); 100k cycles each plus a large idle
     // floor is orders of magnitude beyond any legitimate drain.
     let budget = 50_000_000 + mem.pending() as u64 * 100_000;
-    let res = if reference_mode() { mem.drain_reference(budget) } else { mem.drain(budget) };
-    res.map(drop).map_err(|e| PhaseError::new(context, e, mem))
+    mem.drain(budget).map(drop).map_err(|e| PhaseError::new(context, e, mem))
 }
 
 /// Scaled results of one simulated phase.
@@ -344,7 +322,7 @@ fn run_requests(
             };
             match res {
                 Ok(()) => break,
-                Err(MemError::QueueFull) => step(mem),
+                Err(MemError::QueueFull) => mem.tick_until_event(),
                 Err(e) => return Err(PhaseError::new(context, e, mem)),
             }
         }
@@ -1184,7 +1162,7 @@ fn run_unit_streams<'a>(
             break;
         }
         if all_full {
-            step(mem);
+            mem.tick_until_event();
         }
     }
     Ok(())
@@ -1378,9 +1356,6 @@ mod tests {
 
     #[test]
     fn installed_phase_memo_is_consulted_and_restored() {
-        if reference_mode() {
-            return; // reference runs bypass memoization by design
-        }
         use std::sync::{Arc, Mutex};
         #[derive(Default)]
         struct Recorder {
