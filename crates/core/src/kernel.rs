@@ -13,8 +13,12 @@
 //!
 //! Scaler-slot convention for momentum SGD with weight decay (Eq. 3/4):
 //! slot 0 = −η, slot 1 = α, slot 2 = −ηβ, slot 3 = +1.
+//!
+//! [`run_unit_streams`] feeds compiled streams to a [`MemorySystem`]; it is
+//! the one PIM stream driver, shared by [`crate::GradPimMemory`] and the
+//! phase executors of `gradpim-sim`.
 
-use gradpim_dram::{DramConfig, PimOp};
+use gradpim_dram::{DramConfig, MemError, MemorySystem, PimOp};
 use gradpim_optim::{HyperParams, OptimizerKind};
 
 use crate::placement::{ArrayName, Chunk, Placement};
@@ -87,11 +91,6 @@ impl KernelCounts {
     /// Total commands.
     pub fn total(&self) -> u64 {
         self.scaled_reads + self.writebacks + self.alu_ops + self.qreg_moves + self.quant_ops
-    }
-
-    /// Commands that move a column through the bank-group I/O.
-    pub fn column_moves(&self) -> u64 {
-        self.scaled_reads + self.writebacks + self.qreg_moves
     }
 }
 
@@ -220,6 +219,51 @@ pub fn compile_step_parts(
         }
     }
     Ok(StepPlan { streams, scalers, counts })
+}
+
+/// Enqueues per-unit op streams round-robin with backpressure,
+/// fast-forwarding over dead cycles; the caller drains.
+///
+/// A round gives each unfinished stream a bounded batch, cut to the room
+/// its queue has, so no enqueue meets a full queue. Once the room has cut
+/// every unfinished stream's batch short, no enqueue can succeed before
+/// the simulator moves, so the loop steps right away.
+///
+/// # Errors
+///
+/// Any [`MemError`] an enqueue returns (a stream naming a unit the device
+/// does not have).
+pub fn run_unit_streams(mem: &mut MemorySystem, streams: &[UnitStream]) -> Result<(), MemError> {
+    let mut cursors = vec![0usize; streams.len()];
+    loop {
+        let mut all_done = true;
+        let mut all_full = true;
+        for (s, cursor) in streams.iter().zip(&mut cursors) {
+            let left = &s.ops[*cursor..];
+            if left.is_empty() {
+                continue;
+            }
+            // Bounded batch per unit per round to keep queues balanced.
+            let batch = left.len().min(64);
+            let room = mem.pim_room(s.channel, s.rank, s.bankgroup);
+            let n = batch.min(room);
+            for &op in &left[..n] {
+                mem.enqueue_pim(s.channel, s.rank, s.bankgroup, op)?;
+            }
+            *cursor += n;
+            if *cursor < s.ops.len() {
+                all_done = false;
+                all_full &= room < batch;
+            }
+        }
+        if all_done {
+            break;
+        }
+        if all_full {
+            mem.tick_until_event();
+        }
+    }
+    Ok(())
 }
 
 /// Fig. 5 (top): dequantize `Q(g)` into `g` for one chunk.

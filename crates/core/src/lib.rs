@@ -11,9 +11,11 @@
 //!   bank regions so matching elements share a bank group across different
 //!   banks, with quarter-row packing for quantized shadows;
 //! * [`kernel`] — the §IV-D procedures (dequantization, parameter update,
-//!   quantization) compiled into per-unit command streams;
+//!   quantization) compiled into per-unit command streams, and the one
+//!   driver that feeds such streams to the simulator;
 //! * [`memory`] — [`GradPimMemory`], a host-side facade that runs real
-//!   gradient-descent steps *inside* the simulated DRAM.
+//!   gradient-descent steps *inside* the simulated DRAM, over one
+//!   parameter group or several stacked ones (one per layer).
 //!
 //! # Example: momentum SGD running inside DRAM
 //!
@@ -41,7 +43,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod group;
 pub mod isa;
 pub mod kernel;
 pub mod memory;
@@ -50,11 +51,10 @@ pub mod scaler;
 pub mod schedule;
 pub mod xalu;
 
-pub use group::NetworkPimMemory;
 pub use isa::{DecodeError, GradPimFunc, RfuBits};
 pub use kernel::{
-    compile_step, compile_step_parts, scaler_bank_for, KernelCounts, KernelError, KernelParts,
-    StepPlan, UnitStream,
+    compile_step, compile_step_parts, run_unit_streams, scaler_bank_for, KernelCounts, KernelError,
+    KernelParts, StepPlan, UnitStream,
 };
 pub use memory::{GradPimError, GradPimMemory, StepReport};
 pub use placement::{ArrayName, ArraySpec, Chunk, Placement, PlacementError};

@@ -1,8 +1,13 @@
 //! `GradPimMemory`: the host-side view of a GradPIM-equipped memory.
 //!
-//! This facade owns a functional [`MemorySystem`], a [`Placement`] for one
-//! parameter group, and the MRW programming state. It exposes the workflow
-//! of §IV-D as a library API:
+//! This facade owns a functional [`MemorySystem`], one [`Placement`] per
+//! parameter group, and the MRW programming state. It holds one group
+//! ([`GradPimMemory::new`]) or several stacked by row base
+//! ([`GradPimMemory::stacked`]): real deployments hold every layer's
+//! θ/g/state arrays in the device at once (§V-B's allocator "supporting
+//! separation between data structures"). It exposes the workflow of §IV-D
+//! as a library API over the whole parameter vector, the groups' slices in
+//! stacking order:
 //!
 //! 1. the host loads master weights ([`GradPimMemory::load_theta`]);
 //! 2. each step, the NPU writes (quantized) gradients
@@ -12,13 +17,14 @@
 //!    timed GradPIM command streams inside the DRAM simulator;
 //! 4. the NPU reads back quantized weights
 //!    ([`GradPimMemory::quantized_theta`]) for the next forward pass.
+//!
+//! Each group is quantized under its own int8 scale, which the mode
+//! registers carry, so groups are separated by MRW reprogrammings (§VIII).
 
-use gradpim_dram::{
-    AddressMapping, DramConfig, ElemKind, MemError, MemorySystem, ModeRegisters, Stats,
-};
+use gradpim_dram::{AddressMapping, DramConfig, MemError, MemorySystem, ModeRegisters, Stats};
 use gradpim_optim::{HyperParams, OptimizerKind, PrecisionMix, Q8Scale};
 
-use crate::kernel::{compile_step_parts, KernelParts};
+use crate::kernel::{compile_step_parts, run_unit_streams, KernelParts, UnitStream};
 use crate::placement::{ArrayName, Placement, PlacementError};
 
 /// Errors from the GradPIM memory facade.
@@ -67,7 +73,7 @@ impl From<MemError> for GradPimError {
 pub struct StepReport {
     /// Memory-clock cycles spent on the dequantization pass.
     pub dequant_cycles: u64,
-    /// Cycles spent on update + quantization.
+    /// Cycles spent on the update and re-quantization passes.
     pub update_cycles: u64,
     /// Commands issued during this step.
     pub commands: u64,
@@ -82,35 +88,39 @@ impl StepReport {
     }
 }
 
-fn elem_for(p: gradpim_optim::Precision) -> ElemKind {
-    match p {
-        gradpim_optim::Precision::Fp32 => ElemKind::F32,
-        gradpim_optim::Precision::Fp16 => ElemKind::F16,
-        gradpim_optim::Precision::Int8 => ElemKind::I8,
-    }
+/// The dequantization kernel alone.
+const DEQUANT: KernelParts = KernelParts { dequant: true, update: false, quant: false };
+/// The quantization kernel alone.
+const QUANT: KernelParts = KernelParts { dequant: false, update: false, quant: true };
+
+/// One stacked parameter group and the int8 exponents of its quantized
+/// arrays.
+#[derive(Debug)]
+struct Group {
+    placement: Placement,
+    grad_exponent: i32,
+    theta_exponent: i32,
 }
 
-/// A GradPIM-equipped memory managing one parameter group.
+/// A GradPIM-equipped memory managing one or more stacked parameter groups.
 #[derive(Debug)]
 pub struct GradPimMemory {
     mem: MemorySystem,
-    placement: Placement,
+    /// Never empty.
+    groups: Vec<Group>,
     hyper: HyperParams,
     mode: ModeRegisters,
-    grad_exponent: i32,
-    theta_exponent: i32,
     /// Update steps applied (drives Adam's bias correction).
     steps: u64,
 }
 
 impl GradPimMemory {
-    /// Builds the memory, places the arrays, and programs the scaler bank.
+    /// Builds a memory holding one parameter group of `n_params`, places
+    /// the arrays, and programs the scaler bank.
     ///
     /// # Errors
     ///
-    /// [`GradPimError::Placement`] if the arrays don't fit;
-    /// [`GradPimError::Kernel`] if the optimizer is outside the base
-    /// primitive set.
+    /// As [`GradPimMemory::stacked`].
     pub fn new(
         cfg: DramConfig,
         optimizer: OptimizerKind,
@@ -118,7 +128,37 @@ impl GradPimMemory {
         hyper: HyperParams,
         n_params: usize,
     ) -> Result<Self, GradPimError> {
-        let placement = Placement::for_optimizer(optimizer, mix, n_params, &cfg)?;
+        Self::stacked(cfg, optimizer, mix, hyper, &[n_params])
+    }
+
+    /// Builds a memory holding one parameter group per entry of
+    /// `group_sizes` (e.g. one per layer), stacked by row base in order,
+    /// and programs the scaler bank.
+    ///
+    /// # Errors
+    ///
+    /// [`GradPimError::Placement`] if the stacked arrays don't fit the
+    /// device; [`GradPimError::Kernel`] if the optimizer is outside the
+    /// base primitive set (Adam needs `extended_alu` on the device).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group_sizes` is empty or holds an empty group.
+    pub fn stacked(
+        cfg: DramConfig,
+        optimizer: OptimizerKind,
+        mix: PrecisionMix,
+        hyper: HyperParams,
+        group_sizes: &[usize],
+    ) -> Result<Self, GradPimError> {
+        assert!(!group_sizes.is_empty(), "at least one parameter group required");
+        let mut groups = Vec::with_capacity(group_sizes.len());
+        let mut row_base = 0;
+        for &n in group_sizes {
+            let placement = Placement::for_optimizer_at(optimizer, mix, n, &cfg, row_base)?;
+            row_base += placement.rows_footprint();
+            groups.push(Group { placement, grad_exponent: -7, theta_exponent: -7 });
+        }
         // The momentum family programs its scaler bank once; Adam (via the
         // §VIII extended ALU) reprograms per pass inside step() and needs
         // `extended_alu` on the device.
@@ -134,17 +174,12 @@ impl GradPimMemory {
         let mode = ModeRegisters {
             scalers: scalers.to_mode_floats(),
             q8_exponent: -7,
-            high: elem_for(mix.high),
-            low: elem_for(mix.low),
+            high: mix.high.into(),
+            low: mix.low.into(),
             eps: hyper.eps,
         };
         mem.set_mode_registers(mode);
-        Ok(Self { mem, placement, hyper, mode, grad_exponent: -7, theta_exponent: -7, steps: 0 })
-    }
-
-    /// The placement in use.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
+        Ok(Self { mem, groups, hyper, mode, steps: 0 })
     }
 
     /// The underlying memory system (stats, config, …).
@@ -157,172 +192,151 @@ impl GradPimMemory {
         &self.hyper
     }
 
+    fn optimizer(&self) -> OptimizerKind {
+        self.groups[0].placement.optimizer()
+    }
+
+    fn mix(&self) -> PrecisionMix {
+        self.groups[0].placement.mix()
+    }
+
     /// Reprograms the learning rate (MRW reprogramming, §VIII "Learning
     /// Rate Scheduling").
     ///
     /// # Errors
     ///
-    /// [`GradPimError::Kernel`] if the optimizer became unsupported (cannot
-    /// happen for an already-constructed memory; kept for API symmetry).
+    /// [`GradPimError::Kernel`] if the optimizer is outside the base
+    /// primitive set (Adam takes its step size per step instead).
     pub fn set_lr(&mut self, lr: f32) -> Result<(), GradPimError> {
         self.hyper.lr = lr;
-        let scalers = crate::kernel::scaler_bank_for(self.placement.optimizer(), &self.hyper)?;
+        let scalers = crate::kernel::scaler_bank_for(self.optimizer(), &self.hyper)?;
         self.mode.scalers = scalers.to_mode_floats();
         self.mem.set_mode_registers(self.mode);
         Ok(())
     }
 
     fn mode_with_exponent(&self, e: i32) -> ModeRegisters {
-        let mut m = self.mode;
-        m.q8_exponent = e;
-        m
+        ModeRegisters { q8_exponent: e, ..self.mode }
     }
 
     /// Loads master weights and initializes their quantized shadow and any
     /// optimizer state to zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `theta` holds one value per parameter of every group.
     pub fn load_theta(&mut self, theta: &[f32]) {
-        let max = theta.iter().fold(0f32, |m, v| m.max(v.abs()));
-        self.theta_exponent = Q8Scale::for_max_abs(max).exponent;
-        let mode = self.mode_with_exponent(self.theta_exponent);
-        self.placement.write_master(&mut self.mem, ArrayName::Theta, &mode, theta);
-        if self.placement.has_array(ArrayName::QTheta) {
-            self.placement.write_quantized(&mut self.mem, ArrayName::QTheta, &mode, theta);
-        }
-        let zeros = vec![0.0; theta.len()];
-        if self.placement.has_array(ArrayName::State0) {
-            self.placement.write_master(&mut self.mem, ArrayName::State0, &mode, &zeros);
-        }
-        if self.placement.has_array(ArrayName::State1) {
-            self.placement.write_master(&mut self.mem, ArrayName::State1, &mode, &zeros);
+        let parts = split(&self.groups, theta);
+        for (g, part) in self.groups.iter_mut().zip(parts) {
+            g.theta_exponent = exponent_for(part, 1.0);
+            let mode = ModeRegisters { q8_exponent: g.theta_exponent, ..self.mode };
+            let p = &g.placement;
+            p.write_master(&mut self.mem, ArrayName::Theta, &mode, part);
+            if p.has_array(ArrayName::QTheta) {
+                p.write_quantized(&mut self.mem, ArrayName::QTheta, &mode, part);
+            }
+            let zeros = vec![0.0; part.len()];
+            for state in [ArrayName::State0, ArrayName::State1] {
+                if p.has_array(state) {
+                    p.write_master(&mut self.mem, state, &mode, &zeros);
+                }
+            }
         }
     }
 
     /// Writes one step's gradients, as the NPU would after its backward
-    /// pass: quantized into `Q(g)` under a fresh power-of-two scale for
-    /// mixed precision, or directly into `g` for full precision.
+    /// pass: quantized into `Q(g)` under a fresh power-of-two scale per
+    /// group for mixed precision, or directly into `g` for full precision.
     ///
     /// (This uses the storage backdoor; the *timed* gradient write-out is
     /// part of the backward phase in `gradpim-sim`, not of the update
     /// kernel.)
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `grads` holds one value per parameter of every group.
     pub fn write_gradients(&mut self, grads: &[f32]) {
-        if self.placement.mix().is_mixed() {
-            let max = grads.iter().fold(0f32, |m, v| m.max(v.abs()));
-            self.grad_exponent = Q8Scale::for_max_abs(max).exponent;
-            let mode = self.mode_with_exponent(self.grad_exponent);
-            self.placement.write_quantized(&mut self.mem, ArrayName::QGrad, &mode, grads);
-        } else {
-            self.placement.write_master(&mut self.mem, ArrayName::Grad, &self.mode, grads);
+        let parts = split(&self.groups, grads);
+        for (g, part) in self.groups.iter_mut().zip(parts) {
+            if g.placement.mix().is_mixed() {
+                g.grad_exponent = exponent_for(part, 1.0);
+                let mode = ModeRegisters { q8_exponent: g.grad_exponent, ..self.mode };
+                g.placement.write_quantized(&mut self.mem, ArrayName::QGrad, &mode, part);
+            } else {
+                g.placement.write_master(&mut self.mem, ArrayName::Grad, &self.mode, part);
+            }
         }
     }
 
-    /// Refreshes the θ quantization exponent from the current master
-    /// weights (§VIII: "utilize the mode register and let the NPU provide
-    /// the new value").
-    fn refresh_theta_exponent(&mut self) {
-        let theta = self.placement.read_master(&self.mem, ArrayName::Theta, &self.mode);
-        let max = theta.iter().fold(0f32, |m, v| m.max(v.abs()));
-        // Headroom: the update may grow |θ| slightly past the stale max.
-        self.theta_exponent = Q8Scale::for_max_abs(max * 1.25).exponent;
-    }
-
-    /// Executes one in-DRAM update step: dequantization under the gradient
-    /// scale, then update + re-quantization under the weight scale (MRW
-    /// reprogrammings between phases, cf. §VIII's mode-register
-    /// discussion). Adam dispatches to the two-pass extended-ALU schedule
-    /// of [`crate::xalu`].
+    /// Executes one in-DRAM update step over every group:
+    ///
+    /// 1. dequantization, one group at a time under its gradient scale;
+    /// 2. one update wave: every group's update streams concatenated per
+    ///    unit and run concurrently, so small groups ride along with big
+    ///    ones. Adam runs the two passes of [`crate::xalu`] as two waves,
+    ///    with the scaler bank reprogrammed between them;
+    /// 3. re-quantization, one group at a time under an exponent refreshed
+    ///    from the updated θ (§VIII: "utilize the mode register and let
+    ///    the NPU provide the new value").
     ///
     /// # Errors
     ///
     /// Propagates kernel-compilation and drain failures.
     pub fn step(&mut self) -> Result<StepReport, GradPimError> {
-        if self.placement.optimizer() == OptimizerKind::Adam {
-            return self.step_adam();
-        }
         let cfg = self.mem.config().clone();
-        let mixed = self.placement.mix().is_mixed();
+        let mixed = self.mix().is_mixed();
         let mut commands = 0;
 
-        // Phase 1: dequantization with the gradient exponent.
         let c0 = self.mem.cycles();
         if mixed {
-            let dq = compile_step_parts(
-                &self.placement,
-                &self.hyper,
-                &cfg,
-                KernelParts { dequant: true, update: false, quant: false },
-            )?;
-            self.mem.set_mode_registers(self.mode_with_exponent(self.grad_exponent));
-            commands += dq.counts.total();
-            self.run_streams(&dq.streams)?;
+            for gi in 0..self.groups.len() {
+                let plan =
+                    compile_step_parts(&self.groups[gi].placement, &self.hyper, &cfg, DEQUANT)?;
+                commands += plan.counts.total();
+                self.run(&plan.streams, self.mode_with_exponent(self.groups[gi].grad_exponent))?;
+            }
         }
         let c1 = self.mem.cycles();
 
-        // Phase 2: update + quantization with the refreshed θ exponent.
-        if mixed {
-            self.refresh_theta_exponent();
-            self.mem.set_mode_registers(self.mode_with_exponent(self.theta_exponent));
+        if self.optimizer() == OptimizerKind::Adam {
+            let t = self.steps + 1;
+            let plans = self
+                .groups
+                .iter()
+                .map(|g| crate::xalu::compile_adam(&g.placement, &self.hyper, t, &cfg))
+                .collect::<Result<Vec<_>, _>>()?;
+            commands += plans.iter().map(|p| p.counts.total()).sum::<u64>();
+            let (scalers1, scalers2) = (plans[0].scalers1, plans[0].scalers2);
+            let (pass1, pass2): (Vec<_>, Vec<_>) =
+                plans.into_iter().map(|p| (p.pass1, p.pass2)).unzip();
+            // Pass 1: moment updates under (β₁, 1−β₁, β₂, √(1−β₂)).
+            self.mode.scalers = scalers1.to_mode_floats();
+            self.run(&merge_units(pass1.into_iter().flatten()), self.mode)?;
+            // Pass 2: bias-corrected weight update under (−a_t, ·, ·, 1).
+            self.mode.scalers = scalers2.to_mode_floats();
+            self.run(&merge_units(pass2.into_iter().flatten()), self.mode)?;
+        } else {
+            let plans = self
+                .groups
+                .iter()
+                .map(|g| {
+                    compile_step_parts(&g.placement, &self.hyper, &cfg, KernelParts::UPDATE_ONLY)
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            commands += plans.iter().map(|p| p.counts.total()).sum::<u64>();
+            self.run(&merge_units(plans.into_iter().flat_map(|p| p.streams)), self.mode)?;
         }
-        let upq = compile_step_parts(
-            &self.placement,
-            &self.hyper,
-            &cfg,
-            KernelParts { dequant: false, update: true, quant: true },
-        )?;
-        commands += upq.counts.total();
-        self.run_streams(&upq.streams)?;
-        let c2 = self.mem.cycles();
 
-        self.steps += 1;
-        let stats = self.mem.stats();
-        Ok(StepReport { dequant_cycles: c1 - c0, update_cycles: c2 - c1, commands, stats })
-    }
-
-    /// The §VIII two-pass Adam step on the extended ALU: dequantize, pass 1
-    /// (moment updates) under the β scaler bank, pass 2 (bias-corrected
-    /// weight update) under the step-size bank, then re-quantize.
-    fn step_adam(&mut self) -> Result<StepReport, GradPimError> {
-        let cfg = self.mem.config().clone();
-        let mixed = self.placement.mix().is_mixed();
-        let t = self.steps + 1;
-        let plan = crate::xalu::compile_adam(&self.placement, &self.hyper, t, &cfg)?;
-        let mut commands = plan.counts.total();
-
-        let c0 = self.mem.cycles();
         if mixed {
-            let dq = compile_step_parts(
-                &self.placement,
-                &self.hyper,
-                &cfg,
-                KernelParts { dequant: true, update: false, quant: false },
-            )?;
-            self.mem.set_mode_registers(self.mode_with_exponent(self.grad_exponent));
-            commands += dq.counts.total();
-            self.run_streams(&dq.streams)?;
-        }
-        let c1 = self.mem.cycles();
-
-        // Pass 1: moment updates under (β₁, 1−β₁, β₂, √(1−β₂)).
-        self.mode.scalers = plan.scalers1.to_mode_floats();
-        self.mem.set_mode_registers(self.mode_with_exponent(self.theta_exponent));
-        self.run_streams(&plan.pass1)?;
-
-        // Pass 2: bias-corrected weight update under (−a_t, ·, ·, 1).
-        self.mode.scalers = plan.scalers2.to_mode_floats();
-        self.mem.set_mode_registers(self.mode_with_exponent(self.theta_exponent));
-        self.run_streams(&plan.pass2)?;
-
-        // Re-quantize θ under a refreshed exponent (slot 3 is still 1.0).
-        if mixed {
-            self.refresh_theta_exponent();
-            self.mem.set_mode_registers(self.mode_with_exponent(self.theta_exponent));
-            let q = compile_step_parts(
-                &self.placement,
-                &self.hyper,
-                &cfg,
-                KernelParts { dequant: false, update: false, quant: true },
-            )?;
-            commands += q.counts.total();
-            self.run_streams(&q.streams)?;
+            for gi in 0..self.groups.len() {
+                let g = &self.groups[gi];
+                let theta = g.placement.read_master(&self.mem, ArrayName::Theta, &self.mode);
+                let exponent = exponent_for(&theta, 1.25);
+                let plan = compile_step_parts(&g.placement, &self.hyper, &cfg, QUANT)?;
+                commands += plan.counts.total();
+                self.groups[gi].theta_exponent = exponent;
+                self.run(&plan.streams, self.mode_with_exponent(exponent))?;
+            }
         }
         let c2 = self.mem.cycles();
 
@@ -336,36 +350,11 @@ impl GradPimMemory {
         self.steps
     }
 
-    /// Enqueues per-unit op lists with backpressure and drains.
-    fn run_streams(&mut self, streams: &[crate::kernel::UnitStream]) -> Result<(), GradPimError> {
-        let mut cursors = vec![0usize; streams.len()];
-        loop {
-            let mut all_done = true;
-            let mut progress = false;
-            for (i, s) in streams.iter().enumerate() {
-                while cursors[i] < s.ops.len() {
-                    match self.mem.enqueue_pim(s.channel, s.rank, s.bankgroup, s.ops[cursors[i]]) {
-                        Ok(_) => {
-                            cursors[i] += 1;
-                            progress = true;
-                        }
-                        Err(MemError::QueueFull) => break,
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                if cursors[i] < s.ops.len() {
-                    all_done = false;
-                }
-            }
-            if all_done {
-                break;
-            }
-            if !progress {
-                // Nothing can retire before the controller's next event;
-                // fast-forward instead of spinning one tCK at a time.
-                self.mem.tick_until_event();
-            }
-        }
+    /// Runs `streams` under `mode` through the PIM stream driver and
+    /// drains.
+    fn run(&mut self, streams: &[UnitStream], mode: ModeRegisters) -> Result<(), GradPimError> {
+        self.mem.set_mode_registers(mode);
+        run_unit_streams(&mut self.mem, streams)?;
         // Generous budget: streams of millions of ops still drain well
         // before this.
         let total_ops: usize = streams.iter().map(|s| s.ops.len()).sum();
@@ -374,14 +363,26 @@ impl GradPimMemory {
         Ok(())
     }
 
+    /// Reads master array `name` of every group, in stacking order.
+    fn read_master(&self, name: ArrayName) -> Vec<f32> {
+        self.groups
+            .iter()
+            .flat_map(|g| g.placement.read_master(&self.mem, name, &self.mode))
+            .collect()
+    }
+
     /// Reads the master weights θ.
     pub fn theta(&self) -> Vec<f32> {
-        self.placement.read_master(&self.mem, ArrayName::Theta, &self.mode)
+        self.read_master(ArrayName::Theta)
     }
 
     /// Reads the optimizer's first state array (momentum v / Adam m).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the optimizer keeps no state array.
     pub fn state0(&self) -> Vec<f32> {
-        self.placement.read_master(&self.mem, ArrayName::State0, &self.mode)
+        self.read_master(ArrayName::State0)
     }
 
     /// Reads the optimizer's second state array (Adam u).
@@ -390,24 +391,29 @@ impl GradPimMemory {
     ///
     /// Panics if the optimizer keeps fewer than two state arrays.
     pub fn state1(&self) -> Vec<f32> {
-        self.placement.read_master(&self.mem, ArrayName::State1, &self.mode)
+        self.read_master(ArrayName::State1)
     }
 
     /// Reads the dequantized gradient array g (after a step's dequant
     /// phase).
     pub fn grad(&self) -> Vec<f32> {
-        self.placement.read_master(&self.mem, ArrayName::Grad, &self.mode)
+        self.read_master(ArrayName::Grad)
     }
 
     /// Reads back what the NPU will see: the quantized weights,
-    /// dequantized to f32. Full-precision configurations return θ itself.
+    /// dequantized to f32, each group under its own scale. Full-precision
+    /// configurations return θ itself.
     pub fn quantized_theta(&self) -> Vec<f32> {
-        if self.placement.mix().is_mixed() {
-            let mode = self.mode_with_exponent(self.theta_exponent);
-            self.placement.read_quantized(&self.mem, ArrayName::QTheta, &mode)
-        } else {
-            self.theta()
+        if !self.mix().is_mixed() {
+            return self.theta();
         }
+        self.groups
+            .iter()
+            .flat_map(|g| {
+                let mode = self.mode_with_exponent(g.theta_exponent);
+                g.placement.read_quantized(&self.mem, ArrayName::QTheta, &mode)
+            })
+            .collect()
     }
 
     /// Cumulative simulation statistics.
@@ -416,10 +422,54 @@ impl GradPimMemory {
     }
 }
 
+/// The int8 exponent whose range covers the largest magnitude in `values`
+/// times `headroom`.
+fn exponent_for(values: &[f32], headroom: f32) -> i32 {
+    let max = values.iter().fold(0f32, |m, v| m.max(v.abs()));
+    Q8Scale::for_max_abs(max * headroom).exponent
+}
+
+/// `data` cut into the groups' slices, in stacking order.
+///
+/// # Panics
+///
+/// Panics unless `data` holds one value per parameter of every group.
+fn split<'a>(groups: &[Group], data: &'a [f32]) -> Vec<&'a [f32]> {
+    let total: usize = groups.iter().map(|g| g.placement.n_params()).sum();
+    assert_eq!(data.len(), total, "array length mismatch");
+    let mut rest = data;
+    groups
+        .iter()
+        .map(|g| {
+            let (head, tail) = rest.split_at(g.placement.n_params());
+            rest = tail;
+            head
+        })
+        .collect()
+}
+
+/// Concatenates the streams of each unit, in order: the unit's in-order
+/// queue runs every group's ops back to back.
+fn merge_units(streams: impl IntoIterator<Item = UnitStream>) -> Vec<UnitStream> {
+    let mut merged: Vec<UnitStream> = Vec::new();
+    for s in streams {
+        let unit = (s.channel, s.rank, s.bankgroup);
+        match merged.iter_mut().find(|m| (m.channel, m.rank, m.bankgroup) == unit) {
+            Some(m) => m.ops.extend(s.ops),
+            None => merged.push(s),
+        }
+    }
+    merged
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use gradpim_optim::{MomentumSgd, Optimizer, Sgd};
+
+    fn hyper() -> HyperParams {
+        HyperParams { lr: 0.125, momentum: 0.5, weight_decay: 0.0, ..Default::default() }
+    }
 
     fn small_cfg() -> DramConfig {
         DramConfig::ddr4_2133()
@@ -578,5 +628,110 @@ mod tests {
         gpm.write_gradients(&vec![1.0; n]);
         gpm.step().unwrap();
         assert!((gpm.theta()[0] - 0.25).abs() < 1e-6);
+    }
+
+    #[test]
+    fn two_groups_update_independently_and_match_references() {
+        let mut net = GradPimMemory::stacked(
+            DramConfig::ddr4_2133(),
+            OptimizerKind::MomentumSgd,
+            PrecisionMix::FULL_32,
+            hyper(),
+            &[2048, 512],
+        )
+        .unwrap();
+        let t1: Vec<f32> = (0..2048).map(|i| (i as f32 * 0.01).sin()).collect();
+        let t2: Vec<f32> = (0..512).map(|i| (i as f32 * 0.02).cos()).collect();
+        net.load_theta(&[&t1[..], &t2[..]].concat());
+
+        let mut r1 = MomentumSgd::new(0.125, 0.5, 0.0, 2048);
+        let mut r2 = MomentumSgd::new(0.125, 0.5, 0.0, 512);
+        let mut e1 = t1.clone();
+        let mut e2 = t2.clone();
+        for step in 0..3 {
+            let g1: Vec<f32> = (0..2048).map(|i| ((i + step * 7) as f32 * 0.03).cos()).collect();
+            let g2: Vec<f32> = (0..512).map(|i| ((i + step * 3) as f32 * 0.05).sin()).collect();
+            net.write_gradients(&[&g1[..], &g2[..]].concat());
+            net.step().unwrap();
+            r1.step(&mut e1, &g1);
+            r2.step(&mut e2, &g2);
+        }
+        let theta = net.theta();
+        let (th1, th2) = theta.split_at(2048);
+        assert_eq!(th1, e1, "group fc1");
+        assert_eq!(th2, e2, "group fc2");
+    }
+
+    #[test]
+    fn mixed_precision_groups_keep_separate_scales() {
+        // Two groups with wildly different gradient magnitudes: per-group
+        // exponents keep both accurate.
+        let mut net = GradPimMemory::stacked(
+            DramConfig::ddr4_2133(),
+            OptimizerKind::Sgd,
+            PrecisionMix::MIXED_8_32,
+            HyperParams { lr: 0.5, weight_decay: 0.0, ..Default::default() },
+            &[2048, 2048],
+        )
+        .unwrap();
+        net.load_theta(&vec![0.0; 2 * 2048]);
+        let g_big: Vec<f32> = (0..2048).map(|i| 100.0 + (i % 10) as f32).collect();
+        let g_small: Vec<f32> = (0..2048).map(|i| 0.001 * (1.0 + (i % 10) as f32 / 10.0)).collect();
+        net.write_gradients(&[&g_big[..], &g_small[..]].concat());
+        net.step().unwrap();
+        // θ = −lr·g within each group's own quantization step.
+        let theta = net.theta();
+        let (th_big, th_small) = theta.split_at(2048);
+        let step_big = Q8Scale::for_max_abs(109.0).factor();
+        let step_small = Q8Scale::for_max_abs(0.002).factor();
+        for (t, g) in th_big.iter().zip(&g_big) {
+            assert!((t + 0.5 * g).abs() <= 0.5 * step_big / 2.0 + 1e-4, "{t} vs {g}");
+        }
+        for (t, g) in th_small.iter().zip(&g_small) {
+            assert!((t + 0.5 * g).abs() <= 0.5 * step_small / 2.0 + 1e-6, "{t} vs {g}");
+        }
+    }
+
+    #[test]
+    fn groups_are_isolated() {
+        // Stepping with zero gradients in one group must leave the other
+        // group's weights untouched (row stacking does not alias).
+        let mut net = GradPimMemory::stacked(
+            DramConfig::ddr4_2133(),
+            OptimizerKind::Sgd,
+            PrecisionMix::FULL_32,
+            HyperParams { lr: 0.25, weight_decay: 0.0, ..Default::default() },
+            &[4096, 4096],
+        )
+        .unwrap();
+        let ta: Vec<f32> = (0..4096).map(|i| i as f32 * 0.001).collect();
+        let tb: Vec<f32> = (0..4096).map(|i| -(i as f32) * 0.002).collect();
+        net.load_theta(&[&ta[..], &tb[..]].concat());
+        net.write_gradients(&[vec![1.0; 4096], vec![0.0; 4096]].concat());
+        net.step().unwrap();
+        let theta = net.theta();
+        let (a, b) = theta.split_at(4096);
+        assert_eq!(b, tb, "group b must be unchanged");
+        for (x, x0) in a.iter().zip(&ta) {
+            assert!((x - (x0 - 0.25)).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn stacking_overflows_are_reported() {
+        let mut cfg = DramConfig::ddr4_2133();
+        cfg.rows = 8; // tiny device
+        let err = GradPimMemory::stacked(
+            cfg,
+            OptimizerKind::Sgd,
+            PrecisionMix::MIXED_8_32,
+            HyperParams::default(),
+            &[
+                2048 * 16 * 4, // 4 rows of chunks
+                2048 * 16 * 8,
+            ],
+        )
+        .unwrap_err();
+        assert!(matches!(err, GradPimError::Placement(_)), "{err}");
     }
 }

@@ -118,22 +118,6 @@ pub struct Placement {
     rows_span: u32,
 }
 
-fn high_elem(mix: PrecisionMix) -> ElemKind {
-    match mix.high {
-        gradpim_optim::Precision::Fp32 => ElemKind::F32,
-        gradpim_optim::Precision::Fp16 => ElemKind::F16,
-        gradpim_optim::Precision::Int8 => ElemKind::I8,
-    }
-}
-
-fn low_elem(mix: PrecisionMix) -> ElemKind {
-    match mix.low {
-        gradpim_optim::Precision::Fp32 => ElemKind::F32,
-        gradpim_optim::Precision::Fp16 => ElemKind::F16,
-        gradpim_optim::Precision::Int8 => ElemKind::I8,
-    }
-}
-
 impl Placement {
     /// Places the arrays for `optimizer` under `mix` on `cfg`.
     ///
@@ -157,7 +141,7 @@ impl Placement {
 
     /// Like [`Placement::for_optimizer`], but starting at row `row_base` of
     /// every bank — used to stack multiple parameter groups (one per layer)
-    /// in the same device; see [`crate::group::NetworkPimMemory`].
+    /// in the same device; see [`crate::GradPimMemory::stacked`].
     ///
     /// # Errors
     ///
@@ -178,7 +162,7 @@ impl Placement {
             return Err(PlacementError::TooManyArrays { needed, banks: cfg.banks_per_group });
         }
 
-        let high = high_elem(mix);
+        let high = ElemKind::from(mix.high);
         let elems_per_col = cfg.burst_bytes / high.bytes();
         let elems_per_chunk = elems_per_col * cfg.columns;
         let chunk_count = n_params.div_ceil(elems_per_chunk);
@@ -212,7 +196,7 @@ impl Placement {
         }
         let mut rows_needed = rows_span as u64;
         if mix.is_mixed() {
-            let low = low_elem(mix);
+            let low = ElemKind::from(mix.low);
             // Q(g) must avoid g's bank (dequant phase); Q(θ) must avoid θ's
             // bank (quant phase). Place them in the two highest banks,
             // stacked above any state array sharing that bank.

@@ -42,11 +42,6 @@ impl Address {
     pub fn flat_bank(&self, cfg: &DramConfig) -> usize {
         (self.rank * cfg.bankgroups + self.bankgroup) * cfg.banks_per_group + self.bank
     }
-
-    /// Flat index of this address's bank group within a channel.
-    pub fn flat_bankgroup(&self, cfg: &DramConfig) -> usize {
-        self.rank * cfg.bankgroups + self.bankgroup
-    }
 }
 
 /// An address-bit interleaving scheme.

@@ -1248,11 +1248,8 @@ impl Controller {
             Command::Writeback { bank, row, col, src } => {
                 let fb = self.flat_bank(bank);
                 let u = self.flat_unit(bank.rank, bank.bankgroup, bank.bank);
-                let unit = &self.units[u];
-                // Clone the source register to end the immutable borrow.
-                let reg = unit.temp(src as usize & 1).to_vec();
                 let storage = self.storage.as_mut().expect("checked");
-                storage.write_col(fb, row, col, &reg);
+                self.units[u].writeback(storage, fb, row, col, src);
             }
             Command::QRegLoad { bank, row, col } => {
                 let fb = self.flat_bank(bank);
@@ -1263,9 +1260,8 @@ impl Controller {
             Command::QRegStore { bank, row, col } => {
                 let fb = self.flat_bank(bank);
                 let u = self.flat_unit(bank.rank, bank.bankgroup, bank.bank);
-                let reg = self.units[u].quant_reg().to_vec();
                 let storage = self.storage.as_mut().expect("checked");
-                storage.poke(fb, row, col, &reg);
+                self.units[u].qreg_store(storage, fb, row, col);
             }
             Command::PimAdd { unit, dst } => {
                 let u = self.flat_unit(unit.rank, unit.bankgroup, unit.bank);

@@ -10,6 +10,7 @@
 //! reference optimizers agree bit-for-bit on quantization behaviour.
 
 use gradpim_optim::quant::{f16_to_f32, f32_to_f16, Q8Scale};
+use gradpim_optim::Precision;
 
 use crate::storage::Storage;
 
@@ -31,6 +32,16 @@ impl ElemKind {
             ElemKind::F32 => 4,
             ElemKind::F16 => 2,
             ElemKind::I8 => 1,
+        }
+    }
+}
+
+impl From<Precision> for ElemKind {
+    fn from(p: Precision) -> Self {
+        match p {
+            Precision::Fp32 => ElemKind::F32,
+            Precision::Fp16 => ElemKind::F16,
+            Precision::Int8 => ElemKind::I8,
         }
     }
 }
@@ -173,11 +184,6 @@ impl PimUnit {
     /// Panics if `i > 1`.
     pub fn temp(&self, i: usize) -> &[u8] {
         &self.temp[i]
-    }
-
-    /// Read access to the quantization register (tests/debug).
-    pub fn quant_reg(&self) -> &[u8] {
-        &self.quant
     }
 
     /// Scaled read (§IV-B ①): bank column → temp register, each element

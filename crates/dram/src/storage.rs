@@ -36,11 +36,6 @@ impl Storage {
         self.rows.keys().copied()
     }
 
-    /// Resident bytes.
-    pub fn resident_bytes(&self) -> usize {
-        self.rows.len() * self.row_bytes
-    }
-
     fn row_mut(&mut self, bank: usize, row: u32) -> &mut Vec<u8> {
         let row_bytes = self.row_bytes;
         self.rows.entry((bank, row)).or_insert_with(|| vec![0; row_bytes])

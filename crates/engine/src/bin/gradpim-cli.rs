@@ -9,7 +9,7 @@
 //! gradpim-cli --run-spec FILE [--threads N] [--cache DIR]
 //!             [--format table|csv|json] [-o PATH]
 //!             [--trace PATH] [--metrics PATH]
-//! gradpim-cli check {report|trace|cache} PATH
+//! gradpim-cli check {report|trace} PATH
 //! gradpim-cli cache {stats|clear|verify} [--cache DIR]
 //! gradpim-cli list
 //!
@@ -37,7 +37,7 @@
 //! defaults (combine with `GRADPIM_FULL=1` to remove caps entirely).
 //! `check report` parses a previously emitted report JSON and reports its
 //! shape — a cheap integrity gate for scripted pipelines; `check trace`
-//! and `check cache` do the same for trace files and cache stores.
+//! does the same for trace files, and `cache verify` for cache stores.
 //!
 //! Every run answers each distinct phase call of the experiment once and
 //! runs each distinct simulation once (see [`ExperimentSpec::run`]), with
@@ -49,7 +49,8 @@
 //! the distinct phase calls of the missed groups under their canonical
 //! `phase/v2/…` keys, each looked up once per run. A warm rerun is
 //! byte-identical to a cold one and simulates nothing.
-//! `cache stats|clear|verify` inspect or reset the store.
+//! `cache stats|clear|verify` inspect or reset an existing store; they
+//! never create one.
 //!
 //! Observability: `--trace PATH` records spans across every layer (CLI
 //! stage → scheduler → phase executors) and writes a Chrome-trace JSON
@@ -104,8 +105,6 @@ enum Mode {
     CheckReport(String),
     /// Parse a Chrome-trace JSON and print its shape (`check trace`).
     CheckTrace(String),
-    /// Open a cache store and verify every entry (`check cache`).
-    CheckCache(String),
     /// Inspect or reset the resolved cache store.
     Cache(CacheCmd),
     /// Print experiments and networks.
@@ -166,7 +165,7 @@ fn usage() -> String {
          \u{20}      gradpim-cli --run-spec FILE [--threads N] [--cache DIR]\n\
          \u{20}                   [--format table|csv|json] [-o PATH]\n\
          \u{20}                   [--trace PATH] [--metrics PATH]\n\
-         \u{20}      gradpim-cli check {report|trace|cache} PATH\n\
+         \u{20}      gradpim-cli check {report|trace} PATH\n\
          \u{20}      gradpim-cli cache {stats|clear|verify} [--cache DIR]\n\
          \u{20}      gradpim-cli list\n\n\
          experiments:\n",
@@ -175,7 +174,7 @@ fn usage() -> String {
         s.push_str(&format!("  {:<8} {}\n", e.name(), e.describe()));
     }
     s.push_str("  list     print experiments and networks\n");
-    s.push_str("  check {report|trace|cache} PATH   validate an emitted artifact or cache store\n");
+    s.push_str("  check {report|trace} PATH   validate an emitted artifact\n");
     s.push_str("  cache {stats|clear|verify}   inspect or reset the result store\n");
     s.push_str("                               (from --cache DIR or GRADPIM_CACHE)\n");
     s
@@ -247,15 +246,14 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "list" => set_mode(&mut mode, Mode::List)?,
             "check" => {
-                let what = it.next().ok_or("check needs a target: report, trace, or cache")?;
+                let what = it.next().ok_or("check needs a target: report or trace")?;
                 let path = it.next().ok_or_else(|| format!("check {what} needs a path"))?;
                 let checked = match what.as_str() {
                     "report" => Mode::CheckReport(path.clone()),
                     "trace" => Mode::CheckTrace(path.clone()),
-                    "cache" => Mode::CheckCache(path.clone()),
                     other => {
                         return Err(format!(
-                            "unknown check target `{other}` (expected report, trace, or cache)"
+                            "unknown check target `{other}` (expected report or trace)"
                         ))
                     }
                 };
@@ -294,10 +292,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             return Err("the spec file owns the traffic caps; drop --quick/--full".into());
         }
     }
-    let inert_mode = matches!(
-        args.mode,
-        Mode::List | Mode::CheckReport(_) | Mode::CheckTrace(_) | Mode::CheckCache(_)
-    );
+    let inert_mode = matches!(args.mode, Mode::List | Mode::CheckReport(_) | Mode::CheckTrace(_));
     if (args.trace.is_some() || args.metrics.is_some())
         && (inert_mode || matches!(args.mode, Mode::Cache(_)))
     {
@@ -366,8 +361,8 @@ fn entries(n: usize) -> String {
     format!("{n} entr{}", if n == 1 { "y" } else { "ies" })
 }
 
-/// The shared rendering for `check {report|trace|cache}` validation
-/// failures: one shape, every artifact.
+/// The shared rendering for `check {report|trace}` validation failures:
+/// one shape, every artifact.
 fn check_failure(path: &str, what: &str, err: impl std::fmt::Display) -> CliError {
     CliError::Run(format!("`{path}` is not a valid {what}: {err}"))
 }
@@ -454,24 +449,6 @@ fn run(args: &Args) -> Result<(), CliError> {
             );
             return Ok(());
         }
-        Mode::CheckCache(path) => {
-            let store =
-                DiskCache::open(Path::new(path)).map_err(|e| check_failure(path, "cache", e))?;
-            let problems = store.verify();
-            if !problems.is_empty() {
-                for p in &problems {
-                    log(p);
-                }
-                return Err(check_failure(
-                    path,
-                    "cache",
-                    format!("{} corrupt", entries(problems.len())),
-                ));
-            }
-            let s = store.stats();
-            println!("{path}: valid cache, {} ({} bytes)", entries(s.entries), s.bytes);
-            return Ok(());
-        }
         Mode::Cache(cmd) => return run_cache_cmd(*cmd, args),
         Mode::Experiment(experiment) => ExperimentSpec::new(
             *experiment,
@@ -527,15 +504,18 @@ fn run(args: &Args) -> Result<(), CliError> {
 }
 
 /// `cache stats|clear|verify`: operate on the store named by `--cache DIR`
-/// or ambient `GRADPIM_CACHE`. Unlike a run (which degrades to uncached),
-/// these commands exist to touch the store, so an unresolvable or
-/// unusable one is an error.
+/// or ambient `GRADPIM_CACHE`. Unlike a run (which degrades to uncached
+/// and creates its store), these commands exist to touch an existing
+/// store, so an unresolvable, missing or unusable one is an error.
 fn run_cache_cmd(cmd: CacheCmd, args: &Args) -> Result<(), CliError> {
     let Some(dir) = cache::resolve_dir(args.cache.as_deref()) else {
         return Err(CliError::Usage(
             "the cache subcommand needs a store: pass --cache DIR or set GRADPIM_CACHE".into(),
         ));
     };
+    if !Path::new(&dir).is_dir() {
+        return Err(CliError::Run(format!("{dir}: no cache store (not a directory)")));
+    }
     let store = DiskCache::open(Path::new(&dir)).map_err(CliError::Run)?;
     match cmd {
         CacheCmd::Stats => {

@@ -36,16 +36,6 @@ impl MomentumSgd {
         &self.velocity
     }
 
-    /// Overwrites the velocity array (used to seed equivalence tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len()` differs from the constructed length.
-    pub fn set_velocity(&mut self, v: &[f32]) {
-        assert_eq!(v.len(), self.velocity.len(), "velocity length mismatch");
-        self.velocity.copy_from_slice(v);
-    }
-
     /// The learning rate η.
     pub fn lr(&self) -> f32 {
         self.lr

@@ -5,11 +5,13 @@
 //! DRAM*: the host (standing in for the NPU) computes forward/backward in
 //! the NPU's low precision using the quantized weights `Q(θ)` it reads from
 //! DRAM, writes quantized gradients `Q(g)` back, and triggers the §IV-D
-//! update procedure. This validates the whole stack — placement, kernels,
-//! scaler approximation, quantization registers — on an actual learning
-//! problem.
+//! update procedure. Each layer is one parameter group of a
+//! [`GradPimMemory`] built by [`GradPimMemory::stacked`], quantized under
+//! its own scale, and one [`GradPimMemory::step`] updates every layer. This
+//! validates the whole stack — placement, kernels, scaler approximation,
+//! quantization registers — on an actual learning problem.
 
-use gradpim_core::{GradPimError, NetworkPimMemory};
+use gradpim_core::{GradPimError, GradPimMemory};
 use gradpim_dram::DramConfig;
 use gradpim_optim::{HyperParams, OptimizerKind, PrecisionMix};
 
@@ -18,7 +20,7 @@ use gradpim_optim::{HyperParams, OptimizerKind, PrecisionMix};
 /// scales.
 #[derive(Debug)]
 pub struct PimTrainer {
-    mem: NetworkPimMemory,
+    mem: GradPimMemory,
     input: usize,
     hidden: usize,
     classes: usize,
@@ -56,7 +58,7 @@ impl PimTrainer {
     ///
     /// # Errors
     ///
-    /// Propagates placement/kernel errors from [`NetworkPimMemory`].
+    /// Propagates placement/kernel errors from [`GradPimMemory::stacked`].
     pub fn new(
         input: usize,
         hidden: usize,
@@ -64,8 +66,8 @@ impl PimTrainer {
         hyper: HyperParams,
     ) -> Result<Self, GradPimError> {
         let classes = 2;
-        let layers = vec![("w1".to_string(), input * hidden), ("w2".to_string(), hidden * classes)];
-        let mut mem = NetworkPimMemory::new(
+        let layers = [input * hidden, hidden * classes];
+        let mut mem = GradPimMemory::stacked(
             DramConfig::ddr4_2133(),
             OptimizerKind::MomentumSgd,
             mix,
@@ -78,21 +80,13 @@ impl PimTrainer {
                 .map(|i| ((((i + salt) * 2654435761) % 1000) as f32 / 1000.0 - 0.5) * 0.4)
                 .collect()
         };
-        mem.load_theta("w1", &init(input * hidden, 0));
-        mem.load_theta("w2", &init(hidden * classes, 131));
+        mem.load_theta(&[init(layers[0], 0), init(layers[1], 131)].concat());
         Ok(Self { mem, input, hidden, classes })
     }
 
-    /// The underlying GradPIM network memory (stats inspection).
-    pub fn memory(&self) -> &NetworkPimMemory {
+    /// The underlying GradPIM memory (stats inspection).
+    pub fn memory(&self) -> &GradPimMemory {
         &self.mem
-    }
-
-    /// Quantized weights of both layers concatenated (what the NPU sees).
-    fn weights(&self) -> Vec<f32> {
-        let mut w = self.mem.quantized_theta("w1");
-        w.extend(self.mem.quantized_theta("w2"));
-        w
     }
 
     fn forward(&self, w: &[f32], x: &[f32; 2]) -> (Vec<f32>, Vec<f32>) {
@@ -124,8 +118,9 @@ impl PimTrainer {
     ///
     /// Propagates simulation failures from the update step.
     pub fn train_epoch(&mut self, xs: &[[f32; 2]], ys: &[usize]) -> Result<f32, GradPimError> {
-        // The NPU sees Q(θ) — the quantized weights (§IV-D3).
-        let w = self.weights();
+        // The NPU sees Q(θ) — the quantized weights (§IV-D3), both layers
+        // concatenated.
+        let w = self.mem.quantized_theta();
         let n_params = w.len();
         let mut grads = vec![0.0f32; n_params];
         let mut loss_sum = 0.0f32;
@@ -164,16 +159,14 @@ impl PimTrainer {
             *g *= scale;
         }
         // NPU writes Q(g) per layer (own scale); GradPIM updates in-DRAM.
-        let w1_len = self.input * self.hidden;
-        self.mem.write_gradients("w1", &grads[..w1_len]);
-        self.mem.write_gradients("w2", &grads[w1_len..]);
-        self.mem.step_all()?;
+        self.mem.write_gradients(&grads);
+        self.mem.step()?;
         Ok(loss_sum / xs.len() as f32)
     }
 
     /// Classification accuracy with the current quantized weights.
     pub fn accuracy(&self, xs: &[[f32; 2]], ys: &[usize]) -> f32 {
-        let w = self.weights();
+        let w = self.mem.quantized_theta();
         let correct = xs
             .iter()
             .zip(ys)

@@ -42,4 +42,4 @@ pub use distributed::{distributed_step, DistConfig, DistReport, DistSpec};
 pub use functional::{synthetic_dataset, PimTrainer};
 pub use phase::{PhaseCall, PhaseError, PhaseMemo, PhaseResult, Simulation};
 pub use report::{Column, Kind, Report, Schema, SweepRow, ToRow, Value};
-pub use train::{speedup_over_baseline, BlockReport, TrainingReport, TrainingSim};
+pub use train::{BlockReport, TrainingReport, TrainingSim};

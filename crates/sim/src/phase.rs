@@ -49,7 +49,10 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use gradpim_core::{compile_step_parts, ArrayName, GradPimError, KernelParts, Placement};
+use gradpim_core::{
+    compile_step_parts, run_unit_streams, ArrayName, GradPimError, KernelParts, Placement,
+    UnitStream,
+};
 use gradpim_dram::{
     AddressMapping, CommandIssueMode, DataBusScope, DramConfig, EnergyBreakdown, MemError,
     MemorySystem, PimOp, PimPlacement, Stats,
@@ -747,14 +750,13 @@ impl Simulation {
                 let placement = placement(optimizer, mix, params)?;
                 let plan = compile_step_parts(&placement, &hyper, cfg, parts)
                     .map_err(|e| PhaseError::setup(context, e))?;
-                let streams = plan.streams.iter();
-                let streams = streams.map(|s| (s.channel, s.rank, s.bankgroup, s.ops.as_slice()));
-                run_unit_streams(&mut mem, streams, context)?;
+                run_unit_streams(&mut mem, &plan.streams)
+                    .map_err(|e| PhaseError::new(context, e, &mem))?;
             }
             Traffic::AosPerBank { optimizer, mix, params } => {
                 let streams = aos_per_bank_streams(cfg, optimizer, mix, params);
-                let streams = streams.iter().map(|s| (s.0, s.1, s.2, s.3.as_slice()));
-                run_unit_streams(&mut mem, streams, context)?;
+                run_unit_streams(&mut mem, &streams)
+                    .map_err(|e| PhaseError::new(context, e, &mem))?;
             }
         }
         drain_phase(&mut mem, context)?;
@@ -1072,14 +1074,13 @@ pub fn aos_per_bank_update_phase(
     PhaseCall::aos_per_bank_update(cfg.clone(), optimizer, mix, params, cap_params).execute()
 }
 
-/// The AoS-PB update's per-unit op streams over `params` parameters:
-/// (channel, rank, bank group, ops).
+/// The AoS-PB update's per-unit op streams over `params` parameters.
 fn aos_per_bank_streams(
     cfg: &DramConfig,
     optimizer: OptimizerKind,
     mix: PrecisionMix,
     params: u64,
-) -> Vec<(usize, u8, u8, Vec<PimOp>)> {
+) -> Vec<UnitStream> {
     let high = mix.high.bytes();
     let epc = cfg.burst_bytes / high;
     // Struct fields per element: θ + g + states (+ quantized shadow slot).
@@ -1090,18 +1091,19 @@ fn aos_per_bank_streams(
     let params = params as usize;
     let n_chunks = params.div_ceil(elems_per_chunk);
 
-    let mut streams: Vec<(usize, u8, u8, Vec<PimOp>)> = Vec::new();
+    let mut streams: Vec<UnitStream> = Vec::new();
     for c in 0..n_chunks {
         let bg = (c % cfg.bankgroups) as u8;
         let rank = ((c / cfg.bankgroups) % cfg.ranks) as u8;
         let wave = c / (cfg.bankgroups * cfg.ranks);
         let bank = (wave % cfg.banks_per_group) as u8;
         let row = (wave / cfg.banks_per_group) as u32;
-        let idx = streams.iter().position(|s| s.1 == rank && s.2 == bg).unwrap_or_else(|| {
-            streams.push((0, rank, bg, Vec::new()));
-            streams.len() - 1
-        });
-        let ops = &mut streams[idx].3;
+        let idx =
+            streams.iter().position(|s| s.rank == rank && s.bankgroup == bg).unwrap_or_else(|| {
+                streams.push(UnitStream { channel: 0, rank, bankgroup: bg, ops: Vec::new() });
+                streams.len() - 1
+            });
+        let ops = &mut streams[idx].ops;
         let remaining = params - c * elems_per_chunk;
         let cols = remaining.min(elems_per_chunk).div_ceil(epc) as u32;
         for lc in 0..cols {
@@ -1119,53 +1121,6 @@ fn aos_per_bank_streams(
         }
     }
     streams
-}
-
-/// Round-robin enqueue of per-unit op streams with backpressure
-/// (fast-forwarding over dead cycles).
-///
-/// A round gives each unfinished stream a bounded batch, cut to the room
-/// its queue has, so no enqueue meets a full queue. Once the room has cut
-/// every unfinished stream's batch short, no enqueue can succeed before
-/// the simulator moves, so the loop steps right away.
-fn run_unit_streams<'a>(
-    mem: &mut MemorySystem,
-    streams: impl Iterator<Item = (usize, u8, u8, &'a [PimOp])>,
-    context: &'static str,
-) -> Result<(), PhaseError> {
-    let streams: Vec<_> = streams.collect();
-    let mut cursors = vec![0usize; streams.len()];
-    loop {
-        let mut all_done = true;
-        let mut all_full = true;
-        for ((ch, rank, bg, ops), cursor) in streams.iter().zip(&mut cursors) {
-            let left = &ops[*cursor..];
-            if left.is_empty() {
-                continue;
-            }
-            // Bounded batch per unit per round to keep queues balanced.
-            let batch = left.len().min(64);
-            let room = mem.pim_room(*ch, *rank, *bg);
-            let n = batch.min(room);
-            for &op in &left[..n] {
-                if let Err(e) = mem.enqueue_pim(*ch, *rank, *bg, op) {
-                    return Err(PhaseError::new(context, e, mem));
-                }
-            }
-            *cursor += n;
-            if *cursor < ops.len() {
-                all_done = false;
-                all_full &= room < batch;
-            }
-        }
-        if all_done {
-            break;
-        }
-        if all_full {
-            mem.tick_until_event();
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -270,18 +270,6 @@ struct BlockShape {
     compute_ns: f64,
 }
 
-/// Convenience: speedup of `design` over the baseline on `net` (total step
-/// time).
-///
-/// # Errors
-///
-/// Propagates any [`PhaseError`] from either simulation.
-pub fn speedup_over_baseline(design: Design, net: &Network) -> Result<f64, PhaseError> {
-    let base = TrainingSim::new(SystemConfig::new(Design::Baseline)).run(net)?;
-    let d = TrainingSim::new(SystemConfig::new(design)).run(net)?;
-    Ok(base.total_time_ns() / d.total_time_ns())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

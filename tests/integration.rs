@@ -260,47 +260,52 @@ fn all_networks_times_all_designs_smoke() {
 
 /// §VIII extension: the two-pass Adam schedule on the extended ALU matches
 /// a host reference that mirrors the approximated scaler constants and the
-/// exact datapath op order — bit-for-bit over multiple steps.
+/// exact datapath op order — bit-for-bit over multiple steps, for one
+/// parameter group and for two stacked groups updated in one wave.
 #[test]
 fn extended_alu_adam_matches_mirrored_reference() {
     use gradpim::core::adam_scalers;
-    let n = 2048;
     // Power-of-two-friendly betas: every scaler constant is exact.
     let hyper = HyperParams { lr: 0.125, beta1: 0.5, beta2: 0.75, eps: 1e-8, ..Default::default() };
     let mut cfg = DramConfig::ddr4_2133();
     cfg.extended_alu = true;
-    let mut pim =
-        GradPimMemory::new(cfg, OptimizerKind::Adam, PrecisionMix::FULL_32, hyper, n).unwrap();
-    let theta0: Vec<f32> = (0..n).map(|i| ((i * 13) % 401) as f32 / 200.0 - 1.0).collect();
-    pim.load_theta(&theta0);
+    for groups in [&[2048][..], &[2048, 512]] {
+        let n: usize = groups.iter().sum();
+        let mut pim = GradPimMemory::stacked(
+            cfg.clone(),
+            OptimizerKind::Adam,
+            PrecisionMix::FULL_32,
+            hyper,
+            groups,
+        )
+        .unwrap();
+        let theta0: Vec<f32> = (0..n).map(|i| ((i * 13) % 401) as f32 / 200.0 - 1.0).collect();
+        pim.load_theta(&theta0);
 
-    let mut theta = theta0.clone();
-    let mut m = vec![0f32; n];
-    let mut u = vec![0f32; n];
-    for step in 1..=3u64 {
-        let grads: Vec<f32> =
-            (0..n).map(|i| (((i + step as usize * 59) * 23) % 89) as f32 / 89.0 - 0.5).collect();
-        pim.write_gradients(&grads);
-        pim.step().unwrap();
+        let mut theta = theta0.clone();
+        let mut m = vec![0f32; n];
+        let mut u = vec![0f32; n];
+        for step in 1..=3u64 {
+            let grads: Vec<f32> = (0..n)
+                .map(|i| (((i + step as usize * 59) * 23) % 89) as f32 / 89.0 - 0.5)
+                .collect();
+            pim.write_gradients(&grads);
+            pim.step().unwrap();
 
-        // Mirror the datapath: same approximated constants, same op order.
-        let (_, _, c) = adam_scalers(&hyper, step);
-        for i in 0..n {
-            m[i] = (c.beta1 * m[i]) + (c.one_minus_beta1 * grads[i]);
-            let r = c.sqrt_one_minus_beta2 * grads[i];
-            u[i] = (c.beta2 * u[i]) + (r * r);
-            let rs = 1.0 / (u[i].max(0.0) + hyper.eps).sqrt();
-            theta[i] += rs * (c.neg_step * m[i]);
+            // Mirror the datapath: same approximated constants, same op order.
+            let (_, _, c) = adam_scalers(&hyper, step);
+            for i in 0..n {
+                m[i] = (c.beta1 * m[i]) + (c.one_minus_beta1 * grads[i]);
+                let r = c.sqrt_one_minus_beta2 * grads[i];
+                u[i] = (c.beta2 * u[i]) + (r * r);
+                let rs = 1.0 / (u[i].max(0.0) + hyper.eps).sqrt();
+                theta[i] += rs * (c.neg_step * m[i]);
+            }
         }
+        assert_eq!(pim.theta(), theta, "Adam θ, groups {groups:?}");
+        assert_eq!(pim.state0(), m, "Adam m, groups {groups:?}");
+        assert_eq!(pim.state1(), u, "Adam u, groups {groups:?}");
     }
-    assert_eq!(pim.theta(), theta, "Adam θ");
-    assert_eq!(pim.state0(), m, "Adam m");
-    let u_got = {
-        // State1 read back through the placement helper.
-        pim.memory();
-        pim.state1()
-    };
-    assert_eq!(u_got, u, "Adam u");
 }
 
 /// The extended ALU is rejected by base devices (§VIII requires a hardware

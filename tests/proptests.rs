@@ -813,3 +813,36 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The functional memory and the figure executors time the same
+    /// update: the first in-DRAM step of a single-pass optimizer at full
+    /// precision takes exactly the cycles of the uncapped update phase, on
+    /// every DRAM view the figures use.
+    #[test]
+    fn in_dram_step_times_like_the_update_phase(
+        opt in 0usize..3,
+        n in 1usize..60_001,
+        view in 0usize..4,
+    ) {
+        use gradpim::core::GradPimMemory;
+        use gradpim::optim::{HyperParams, OptimizerKind, PrecisionMix};
+        use gradpim::sim::{phase::pim_update_phase, Design, SystemConfig};
+        let optimizer = [OptimizerKind::Sgd, OptimizerKind::MomentumSgd, OptimizerKind::Nag][opt];
+        let cfg = match view {
+            0 => DramConfig::ddr4_2133(),
+            1 => SystemConfig::new(Design::GradPimBuffered).dram(),
+            2 => DramConfig::ddr4_3200(),
+            _ => DramConfig::hbm2_like(),
+        };
+        let (mix, hyper) = (PrecisionMix::FULL_32, HyperParams::default());
+        let mut mem = GradPimMemory::new(cfg.clone(), optimizer, mix, hyper, n).unwrap();
+        mem.load_theta(&vec![0.5; n]);
+        mem.write_gradients(&vec![0.25; n]);
+        let report = mem.step().unwrap();
+        let phase = pim_update_phase(&cfg, optimizer, mix, &hyper, n as u64, n as u64).unwrap();
+        prop_assert_eq!(report.update_cycles, phase.sim_cycles, "{} on {}, n = {}", optimizer, cfg.name, n);
+    }
+}
