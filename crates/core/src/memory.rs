@@ -174,8 +174,7 @@ impl GradPimMemory {
         let mode = ModeRegisters {
             scalers: scalers.to_mode_floats(),
             q8_exponent: -7,
-            high: mix.high.into(),
-            low: mix.low.into(),
+            mix,
             eps: hyper.eps,
         };
         mem.set_mode_registers(mode);
@@ -228,17 +227,17 @@ impl GradPimMemory {
     pub fn load_theta(&mut self, theta: &[f32]) {
         let parts = split(&self.groups, theta);
         for (g, part) in self.groups.iter_mut().zip(parts) {
-            g.theta_exponent = exponent_for(part, 1.0);
+            g.theta_exponent = Q8Scale::for_tensor(part).exponent;
             let mode = ModeRegisters { q8_exponent: g.theta_exponent, ..self.mode };
             let p = &g.placement;
-            p.write_master(&mut self.mem, ArrayName::Theta, &mode, part);
+            p.write(&mut self.mem, ArrayName::Theta, &mode, part);
             if p.has_array(ArrayName::QTheta) {
-                p.write_quantized(&mut self.mem, ArrayName::QTheta, &mode, part);
+                p.write(&mut self.mem, ArrayName::QTheta, &mode, part);
             }
             let zeros = vec![0.0; part.len()];
             for state in [ArrayName::State0, ArrayName::State1] {
                 if p.has_array(state) {
-                    p.write_master(&mut self.mem, state, &mode, &zeros);
+                    p.write(&mut self.mem, state, &mode, &zeros);
                 }
             }
         }
@@ -259,11 +258,11 @@ impl GradPimMemory {
         let parts = split(&self.groups, grads);
         for (g, part) in self.groups.iter_mut().zip(parts) {
             if g.placement.mix().is_mixed() {
-                g.grad_exponent = exponent_for(part, 1.0);
+                g.grad_exponent = Q8Scale::for_tensor(part).exponent;
                 let mode = ModeRegisters { q8_exponent: g.grad_exponent, ..self.mode };
-                g.placement.write_quantized(&mut self.mem, ArrayName::QGrad, &mode, part);
+                g.placement.write(&mut self.mem, ArrayName::QGrad, &mode, part);
             } else {
-                g.placement.write_master(&mut self.mem, ArrayName::Grad, &self.mode, part);
+                g.placement.write(&mut self.mem, ArrayName::Grad, &self.mode, part);
             }
         }
     }
@@ -330,8 +329,8 @@ impl GradPimMemory {
         if mixed {
             for gi in 0..self.groups.len() {
                 let g = &self.groups[gi];
-                let theta = g.placement.read_master(&self.mem, ArrayName::Theta, &self.mode);
-                let exponent = exponent_for(&theta, 1.25);
+                let theta = g.placement.read(&self.mem, ArrayName::Theta, &self.mode);
+                let exponent = Q8Scale::for_tensor(&theta).exponent;
                 let plan = compile_step_parts(&g.placement, &self.hyper, &cfg, QUANT)?;
                 commands += plan.counts.total();
                 self.groups[gi].theta_exponent = exponent;
@@ -364,16 +363,13 @@ impl GradPimMemory {
     }
 
     /// Reads master array `name` of every group, in stacking order.
-    fn read_master(&self, name: ArrayName) -> Vec<f32> {
-        self.groups
-            .iter()
-            .flat_map(|g| g.placement.read_master(&self.mem, name, &self.mode))
-            .collect()
+    fn read_array(&self, name: ArrayName) -> Vec<f32> {
+        self.groups.iter().flat_map(|g| g.placement.read(&self.mem, name, &self.mode)).collect()
     }
 
     /// Reads the master weights θ.
     pub fn theta(&self) -> Vec<f32> {
-        self.read_master(ArrayName::Theta)
+        self.read_array(ArrayName::Theta)
     }
 
     /// Reads the optimizer's first state array (momentum v / Adam m).
@@ -382,7 +378,7 @@ impl GradPimMemory {
     ///
     /// Panics if the optimizer keeps no state array.
     pub fn state0(&self) -> Vec<f32> {
-        self.read_master(ArrayName::State0)
+        self.read_array(ArrayName::State0)
     }
 
     /// Reads the optimizer's second state array (Adam u).
@@ -391,13 +387,13 @@ impl GradPimMemory {
     ///
     /// Panics if the optimizer keeps fewer than two state arrays.
     pub fn state1(&self) -> Vec<f32> {
-        self.read_master(ArrayName::State1)
+        self.read_array(ArrayName::State1)
     }
 
     /// Reads the dequantized gradient array g (after a step's dequant
     /// phase).
     pub fn grad(&self) -> Vec<f32> {
-        self.read_master(ArrayName::Grad)
+        self.read_array(ArrayName::Grad)
     }
 
     /// Reads back what the NPU will see: the quantized weights,
@@ -411,7 +407,7 @@ impl GradPimMemory {
             .iter()
             .flat_map(|g| {
                 let mode = self.mode_with_exponent(g.theta_exponent);
-                g.placement.read_quantized(&self.mem, ArrayName::QTheta, &mode)
+                g.placement.read(&self.mem, ArrayName::QTheta, &mode)
             })
             .collect()
     }
@@ -420,13 +416,6 @@ impl GradPimMemory {
     pub fn stats(&self) -> Stats {
         self.mem.stats()
     }
-}
-
-/// The int8 exponent whose range covers the largest magnitude in `values`
-/// times `headroom`.
-fn exponent_for(values: &[f32], headroom: f32) -> i32 {
-    let max = values.iter().fold(0f32, |m, v| m.max(v.abs()));
-    Q8Scale::for_max_abs(max * headroom).exponent
 }
 
 /// `data` cut into the groups' slices, in stacking order.
@@ -606,6 +595,28 @@ mod tests {
         assert!(report.update_cycles > 0);
         // All traffic stayed inside the DRAM: zero external bytes.
         assert_eq!(report.stats.external_bytes(), 0);
+    }
+
+    #[test]
+    fn requantization_takes_the_finest_scale_covering_the_updated_theta() {
+        // Q(θ)'s exponent comes from the updated θ, so it needs no
+        // headroom: max|θ| = 0.9 fits 127 · 2⁻⁷, and rounding stays within
+        // half of that step.
+        let n = 4096;
+        let mut gpm = GradPimMemory::new(
+            small_cfg(),
+            OptimizerKind::Sgd,
+            PrecisionMix::MIXED_8_32,
+            hyper(),
+            n,
+        )
+        .unwrap();
+        gpm.load_theta(&(0..n).map(|i| 0.9 * (i as f32).sin()).collect::<Vec<_>>());
+        gpm.write_gradients(&vec![0.0; n]);
+        gpm.step().unwrap();
+        let (q, theta) = (gpm.quantized_theta(), gpm.theta());
+        let err = q.iter().zip(&theta).fold(0f32, |m, (a, b)| m.max((a - b).abs()));
+        assert!(err <= 2f32.powi(-8), "max |Q(θ) − θ| = {err}");
     }
 
     #[test]

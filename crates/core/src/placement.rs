@@ -5,17 +5,20 @@
 //! *same bank group but different banks*, so a GradPIM unit can hold all of
 //! their rows open simultaneously. Under the Fig. 7 mapping (bank bits at
 //! the MSB) this is achieved by aligning every array to the bank-region
-//! boundary; this module assigns banks, computes row/column coordinates, and
-//! provides functional load/store helpers.
+//! boundary; this module assigns banks and computes row/column coordinates
+//! ([`Placement::col_addr`]).
 //!
 //! Quantized arrays cannot be element-aligned with their masters (their
 //! elements are narrower), so per §V-B they use only the first
 //! `1/quant_ratio` of each row: DRAM capacity is wasted, but every quantized
 //! row corresponds 1:1 to a master row in the same bank group, and no
-//! off-chip bandwidth is lost.
+//! off-chip bandwidth is lost. One functional load/store pair,
+//! [`Placement::write`] and [`Placement::read`], serves every array: a
+//! master array in the mix's high format, a quantized one packed in its
+//! low format.
 
-use gradpim_dram::{Address, AddressMapping, DramConfig, ElemKind, MemorySystem, ModeRegisters};
-use gradpim_optim::{OptimizerKind, PrecisionMix};
+use gradpim_dram::{Address, AddressMapping, DramConfig, MemorySystem, ModeRegisters};
+use gradpim_optim::{OptimizerKind, Precision, PrecisionMix};
 
 /// Logical names for the DRAM-resident arrays of one parameter group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,9 +46,8 @@ pub struct ArraySpec {
     pub bank: u8,
     /// First row used in every bank of that index.
     pub base_row: u32,
-    /// Element kind as stored.
-    pub elem: ElemKind,
-    /// `true` if this array packs into the first `1/ratio` of each row.
+    /// `true` if this array holds the mix's low format, packed into the
+    /// first `1/ratio` of each row.
     pub quantized: bool,
 }
 
@@ -162,41 +164,26 @@ impl Placement {
             return Err(PlacementError::TooManyArrays { needed, banks: cfg.banks_per_group });
         }
 
-        let high = ElemKind::from(mix.high);
-        let elems_per_col = cfg.burst_bytes / high.bytes();
+        let elems_per_col = cfg.burst_bytes / mix.high.bytes();
         let elems_per_chunk = elems_per_col * cfg.columns;
         let chunk_count = n_params.div_ceil(elems_per_chunk);
         let chunks_per_row = cfg.channels * cfg.ranks * cfg.bankgroups;
         let rows_span = chunk_count.div_ceil(chunks_per_row) as u32;
 
         let mut arrays = vec![
-            ArraySpec {
-                name: ArrayName::Theta,
-                bank: 0,
-                base_row: row_base,
-                elem: high,
-                quantized: false,
-            },
-            ArraySpec {
-                name: ArrayName::Grad,
-                bank: 1,
-                base_row: row_base,
-                elem: high,
-                quantized: false,
-            },
+            ArraySpec { name: ArrayName::Theta, bank: 0, base_row: row_base, quantized: false },
+            ArraySpec { name: ArrayName::Grad, bank: 1, base_row: row_base, quantized: false },
         ];
         for s in 0..states {
             arrays.push(ArraySpec {
                 name: if s == 0 { ArrayName::State0 } else { ArrayName::State1 },
                 bank: (2 + s) as u8,
                 base_row: row_base,
-                elem: high,
                 quantized: false,
             });
         }
         let mut rows_needed = rows_span as u64;
         if mix.is_mixed() {
-            let low = ElemKind::from(mix.low);
             // Q(g) must avoid g's bank (dequant phase); Q(θ) must avoid θ's
             // bank (quant phase). Place them in the two highest banks,
             // stacked above any state array sharing that bank.
@@ -208,14 +195,12 @@ impl Placement {
                 name: ArrayName::QGrad,
                 bank: qg_bank,
                 base_row: row_base + base,
-                elem: low,
                 quantized: true,
             });
             arrays.push(ArraySpec {
                 name: ArrayName::QTheta,
                 bank: qt_bank,
                 base_row: row_base + base_t,
-                elem: low,
                 quantized: true,
             });
             rows_needed += rows_span as u64; // worst case stacking
@@ -318,10 +303,11 @@ impl Placement {
         out
     }
 
-    /// Linear address of the column holding master element
-    /// `chunk.elem_start + col × elems_per_col` of `array`.
+    /// Linear address of column `col` of `array` for `chunk`. Master column
+    /// `col` starts at element `chunk.elem_start + col × elems_per_col`; a
+    /// quantized array uses the first `1/ratio` of each row, so each of its
+    /// columns packs the elements of `ratio` master columns.
     pub fn col_addr(&self, array: &ArraySpec, chunk: &Chunk, col: u32, cfg: &DramConfig) -> u64 {
-        debug_assert!(!array.quantized, "use quant_col_addr for quantized arrays");
         let loc = Address {
             channel: chunk.channel,
             rank: chunk.rank as usize,
@@ -333,35 +319,26 @@ impl Placement {
         AddressMapping::GradPim.encode(loc, cfg)
     }
 
-    /// Linear address of quantized column `qcol` of `array` for `chunk`
-    /// (quantized arrays use the first `1/ratio` of each row).
-    pub fn quant_col_addr(
-        &self,
-        array: &ArraySpec,
-        chunk: &Chunk,
-        qcol: u32,
-        cfg: &DramConfig,
-    ) -> u64 {
-        debug_assert!(array.quantized, "use col_addr for master arrays");
-        let loc = Address {
-            channel: chunk.channel,
-            rank: chunk.rank as usize,
-            bankgroup: chunk.bankgroup as usize,
-            bank: array.bank as usize,
-            row: (array.base_row + chunk.row_offset) as usize,
-            column: qcol as usize,
-        };
-        AddressMapping::GradPim.encode(loc, cfg)
+    /// How `array` stores its elements: their format, and how many master
+    /// columns one of its columns packs (the quantization ratio for a
+    /// quantized array, else 1).
+    fn format(&self, array: &ArraySpec) -> (Precision, usize) {
+        if array.quantized {
+            (self.mix.low, self.mix.quant_ratio())
+        } else {
+            (self.mix.high, 1)
+        }
     }
 
-    /// Functional helper: writes `data` (f32 values) into a *master* array
-    /// through the backdoor, following the chunk layout.
+    /// Functional helper: writes `data` (f32 values) into array `name`
+    /// through the backdoor, following the chunk layout, in the array's
+    /// format (int8 under `mode`'s exponent). Writing a quantized array is
+    /// what the NPU does with gradients after the backward pass.
     ///
     /// # Panics
     ///
-    /// Panics if `data.len() != n_params`, storage is disabled, or the array
-    /// is quantized.
-    pub fn write_master(
+    /// Panics if `data.len() != n_params` or storage is disabled.
+    pub fn write(
         &self,
         mem: &mut MemorySystem,
         name: ArrayName,
@@ -371,113 +348,40 @@ impl Placement {
         assert_eq!(data.len(), self.n_params, "array length mismatch");
         let array = *self.array(name);
         let cfg = mem.config().clone();
+        let (format, ratio) = self.format(&array);
+        let elems_per_col = self.elems_per_col * ratio;
         for chunk in self.chunks(&cfg) {
-            for col in 0..chunk.cols {
-                let start = chunk.elem_start + col as usize * self.elems_per_col;
-                let end = (start + self.elems_per_col).min(self.n_params);
+            for col in 0..(chunk.cols as usize).div_ceil(ratio) as u32 {
+                let start = chunk.elem_start + col as usize * elems_per_col;
+                let end = (start + elems_per_col).min(self.n_params);
                 let mut lane = data[start..end].to_vec();
-                lane.resize(self.elems_per_col, 0.0);
-                let bytes = mode.encode_high(&lane);
+                lane.resize(elems_per_col, 0.0);
+                let bytes = mode.encode(format, &lane);
+                debug_assert_eq!(bytes.len(), cfg.burst_bytes);
                 mem.poke(self.col_addr(&array, &chunk, col, &cfg), &bytes);
             }
         }
     }
 
-    /// Functional helper: reads a master array back as f32 values.
+    /// Functional helper: reads array `name` back as f32 values, decoded
+    /// from its format (int8 under `mode`'s exponent).
     ///
     /// # Panics
     ///
-    /// Panics if storage is disabled or the array is quantized.
-    pub fn read_master(
-        &self,
-        mem: &MemorySystem,
-        name: ArrayName,
-        mode: &ModeRegisters,
-    ) -> Vec<f32> {
+    /// Panics if storage is disabled.
+    pub fn read(&self, mem: &MemorySystem, name: ArrayName, mode: &ModeRegisters) -> Vec<f32> {
         let array = *self.array(name);
         let cfg = mem.config().clone();
+        let (format, ratio) = self.format(&array);
         let mut out = Vec::with_capacity(self.n_params);
         for chunk in self.chunks(&cfg) {
-            for col in 0..chunk.cols {
+            for col in 0..(chunk.cols as usize).div_ceil(ratio) as u32 {
                 let bytes = mem.peek(self.col_addr(&array, &chunk, col, &cfg), cfg.burst_bytes);
-                let lane = mode.decode_high(&bytes);
-                for v in lane {
-                    if out.len() < self.n_params {
-                        out.push(v);
-                    }
-                }
+                out.extend(mode.decode(format, &bytes));
             }
         }
-        out
-    }
-
-    /// Functional helper: quantizes `data` with the mode registers' low
-    /// format and writes it into a *quantized* array (as the NPU does with
-    /// gradients after the backward pass).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths mismatch, storage is disabled, or the array is not
-    /// quantized.
-    pub fn write_quantized(
-        &self,
-        mem: &mut MemorySystem,
-        name: ArrayName,
-        mode: &ModeRegisters,
-        data: &[f32],
-    ) {
-        assert_eq!(data.len(), self.n_params, "array length mismatch");
-        let array = *self.array(name);
-        assert!(array.quantized, "{name:?} is not quantized");
-        let cfg = mem.config().clone();
-        let ratio = mode.quant_ratio();
-        let elems_per_qcol = self.elems_per_col * ratio;
-        for chunk in self.chunks(&cfg) {
-            let qcols = (chunk.cols as usize).div_ceil(ratio) as u32;
-            for qcol in 0..qcols {
-                let start = chunk.elem_start + qcol as usize * elems_per_qcol;
-                let end = (start + elems_per_qcol).min(self.n_params);
-                let mut lane = data[start..end].to_vec();
-                lane.resize(elems_per_qcol, 0.0);
-                let bytes = mode.encode_low(&lane);
-                debug_assert_eq!(bytes.len(), cfg.burst_bytes);
-                mem.poke(self.quant_col_addr(&array, &chunk, qcol, &cfg), &bytes);
-            }
-        }
-    }
-
-    /// Functional helper: reads a quantized array back as (dequantized) f32
-    /// values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if storage is disabled or the array is not quantized.
-    pub fn read_quantized(
-        &self,
-        mem: &MemorySystem,
-        name: ArrayName,
-        mode: &ModeRegisters,
-    ) -> Vec<f32> {
-        let array = *self.array(name);
-        assert!(array.quantized, "{name:?} is not quantized");
-        let cfg = mem.config().clone();
-        let ratio = mode.quant_ratio();
-        let elems_per_qcol = self.elems_per_col * ratio;
-        let mut out = Vec::with_capacity(self.n_params);
-        for chunk in self.chunks(&cfg) {
-            let qcols = (chunk.cols as usize).div_ceil(ratio) as u32;
-            for qcol in 0..qcols {
-                let bytes =
-                    mem.peek(self.quant_col_addr(&array, &chunk, qcol, &cfg), cfg.burst_bytes);
-                let lane = mode.decode_low(&bytes);
-                debug_assert_eq!(lane.len(), elems_per_qcol);
-                for v in lane {
-                    if out.len() < self.n_params {
-                        out.push(v);
-                    }
-                }
-            }
-        }
+        // Drop the padding of the last column.
+        out.truncate(self.n_params);
         out
     }
 }
@@ -604,8 +508,8 @@ mod tests {
         let mut mem = MemorySystem::with_storage(c, AddressMapping::GradPim);
         let mode = ModeRegisters::default();
         let data: Vec<f32> = (0..5000).map(|i| i as f32 * 0.5 - 100.0).collect();
-        p.write_master(&mut mem, ArrayName::Theta, &mode, &data);
-        assert_eq!(p.read_master(&mem, ArrayName::Theta, &mode), data);
+        p.write(&mut mem, ArrayName::Theta, &mode, &data);
+        assert_eq!(p.read(&mem, ArrayName::Theta, &mode), data);
     }
 
     #[test]
@@ -621,8 +525,8 @@ mod tests {
         let mut mem = MemorySystem::with_storage(c, AddressMapping::GradPim);
         let mode = ModeRegisters { q8_exponent: -6, ..Default::default() };
         let data: Vec<f32> = (0..3000).map(|i| ((i % 127) as f32 - 63.0) / 64.0).collect();
-        p.write_quantized(&mut mem, ArrayName::QGrad, &mode, &data);
-        let back = p.read_quantized(&mem, ArrayName::QGrad, &mode);
+        p.write(&mut mem, ArrayName::QGrad, &mode, &data);
+        let back = p.read(&mem, ArrayName::QGrad, &mode);
         let step = 2f32.powi(-6);
         for (a, b) in data.iter().zip(&back) {
             assert!((a - b).abs() <= step / 2.0 + 1e-7, "{a} vs {b}");

@@ -1,6 +1,9 @@
 //! The DDR4 command set plus the GradPIM protocol extension (§IV-B, Table I).
 //!
-//! GradPIM adds seven commands on top of the standard set, mapped onto RFU
+//! A [`Command`] is a standard DDR4 command or [`Command::Pim`]: one
+//! [`PimOp`] for the GradPIM unit of one bank group. The kernel compiler
+//! emits bare [`PimOp`]s; the controller opens the rows they need and
+//! issues each as a `Command::Pim` of its unit. GradPIM's ops map onto RFU
 //! encodings (see `gradpim_core::isa` for the bit-level truth table):
 //!
 //! * **Scaled read** — bank column → temporary register, scaled by one of
@@ -12,6 +15,8 @@
 //! * **Parallel add/sub** — `Reg0 op Reg1` → chosen destination register.
 //! * **Quant / Dequant** — temporary register ↔ a 1/ratio slice of the
 //!   quantization register.
+//! * **Mul / Rsqrt** — the §VIII extended ALU, on devices with
+//!   `DramConfig::extended_alu`.
 
 use crate::address::Address;
 
@@ -101,35 +106,6 @@ impl CommandKind {
         self as usize
     }
 
-    /// True for the commands added by GradPIM.
-    pub fn is_pim(self) -> bool {
-        matches!(
-            self,
-            CommandKind::ScaledRead
-                | CommandKind::Writeback
-                | CommandKind::QRegLoad
-                | CommandKind::QRegStore
-                | CommandKind::PimAdd
-                | CommandKind::PimSub
-                | CommandKind::Quant
-                | CommandKind::Dequant
-                | CommandKind::PimMul
-                | CommandKind::PimRsqrt
-        )
-    }
-
-    /// True for PIM commands that move a column between a bank and a PIM
-    /// register (occupying the bank-group I/O gating for tCCD_L, §IV-C).
-    pub fn is_pim_column(self) -> bool {
-        matches!(
-            self,
-            CommandKind::ScaledRead
-                | CommandKind::Writeback
-                | CommandKind::QRegLoad
-                | CommandKind::QRegStore
-        )
-    }
-
     /// True for PIM commands executed by the parallel ALU (occupying it for
     /// tPIM, §IV-C).
     pub fn is_pim_alu(self) -> bool {
@@ -148,18 +124,6 @@ impl CommandKind {
     /// `DramConfig::extended_alu` is set (§VIII).
     pub fn is_extended(self) -> bool {
         matches!(self, CommandKind::PimMul | CommandKind::PimRsqrt)
-    }
-
-    /// True for commands that read a column out of the cells (tRTP applies
-    /// before a following precharge).
-    pub fn is_column_read(self) -> bool {
-        matches!(self, CommandKind::Read | CommandKind::ScaledRead | CommandKind::QRegLoad)
-    }
-
-    /// True for commands that write a column into the cells (tWR applies
-    /// before a following precharge).
-    pub fn is_column_write(self) -> bool {
-        matches!(self, CommandKind::Write | CommandKind::Writeback | CommandKind::QRegStore)
     }
 }
 
@@ -206,101 +170,15 @@ pub enum Command {
         /// Target rank.
         rank: u8,
     },
-    /// GradPIM: read one column into temporary register `dst`, scaling every
-    /// element by scaler slot `scaler` (Table I "Scaled Read").
-    ScaledRead {
-        /// Target bank.
-        bank: BankAddr,
-        /// Open row.
-        row: u32,
-        /// Burst column.
-        col: u32,
-        /// Scaler slot id (0–3).
-        scaler: u8,
-        /// Destination temporary register (0 or 1).
-        dst: u8,
-    },
-    /// GradPIM: write temporary register `src` into one column (Table I
-    /// "Writeback").
-    Writeback {
-        /// Target bank.
-        bank: BankAddr,
-        /// Open row.
-        row: u32,
-        /// Burst column.
-        col: u32,
-        /// Source temporary register (0 or 1).
-        src: u8,
-    },
-    /// GradPIM: load one column into the quantization register (Table I
-    /// "Q. Reg", RD direction).
-    QRegLoad {
-        /// Target bank.
-        bank: BankAddr,
-        /// Open row.
-        row: u32,
-        /// Burst column.
-        col: u32,
-    },
-    /// GradPIM: store the quantization register into one column (Table I
-    /// "Q. Reg", WR direction).
-    QRegStore {
-        /// Target bank.
-        bank: BankAddr,
-        /// Open row.
-        row: u32,
-        /// Burst column.
-        col: u32,
-    },
-    /// GradPIM: `Reg0 + Reg1 → Reg[dst]` (Table I "Add").
-    PimAdd {
-        /// Bank-group address of the PIM unit (bank ignored for
-        /// per-bank-group placement).
-        unit: BankAddr,
-        /// Destination temporary register.
-        dst: u8,
-    },
-    /// GradPIM: `Reg0 − Reg1 → Reg[dst]` (Table I "Sub").
-    PimSub {
-        /// Bank-group address of the PIM unit.
-        unit: BankAddr,
-        /// Destination temporary register.
-        dst: u8,
-    },
-    /// GradPIM: quantize temporary register `src` into quarter `pos` of the
-    /// quantization register (Table I "Quant").
-    Quant {
-        /// Bank-group address of the PIM unit.
-        unit: BankAddr,
-        /// Slice position within the quantization register.
-        pos: u8,
-        /// Source temporary register.
-        src: u8,
-    },
-    /// GradPIM: dequantize quarter `pos` of the quantization register into
-    /// temporary register `dst` (Table I "DeQuant").
-    Dequant {
-        /// Bank-group address of the PIM unit.
-        unit: BankAddr,
-        /// Slice position within the quantization register.
-        pos: u8,
-        /// Destination temporary register.
-        dst: u8,
-    },
-    /// Extended ALU: `Reg0 × Reg1 → Reg[dst]` (§VIII).
-    PimMul {
-        /// Bank-group address of the PIM unit.
-        unit: BankAddr,
-        /// Destination temporary register.
-        dst: u8,
-    },
-    /// Extended ALU: `1/√(Reg0 + ε) → Reg[dst]` with ε from the mode
-    /// registers (§VIII).
-    PimRsqrt {
-        /// Bank-group address of the PIM unit.
-        unit: BankAddr,
-        /// Destination temporary register.
-        dst: u8,
+    /// GradPIM: `op` on the unit of bank group `bankgroup` of `rank` (of
+    /// bank `op.bank()` there, for per-bank units).
+    Pim {
+        /// Rank of the unit.
+        rank: u8,
+        /// Bank group of the unit.
+        bankgroup: u8,
+        /// The micro-operation.
+        op: PimOp,
     },
 }
 
@@ -314,16 +192,7 @@ impl Command {
             Command::Read { .. } => CommandKind::Read,
             Command::Write { .. } => CommandKind::Write,
             Command::Refresh { .. } => CommandKind::Refresh,
-            Command::ScaledRead { .. } => CommandKind::ScaledRead,
-            Command::Writeback { .. } => CommandKind::Writeback,
-            Command::QRegLoad { .. } => CommandKind::QRegLoad,
-            Command::QRegStore { .. } => CommandKind::QRegStore,
-            Command::PimAdd { .. } => CommandKind::PimAdd,
-            Command::PimSub { .. } => CommandKind::PimSub,
-            Command::Quant { .. } => CommandKind::Quant,
-            Command::Dequant { .. } => CommandKind::Dequant,
-            Command::PimMul { .. } => CommandKind::PimMul,
-            Command::PimRsqrt { .. } => CommandKind::PimRsqrt,
+            Command::Pim { op, .. } => op.kind(),
         }
     }
 
@@ -334,17 +203,10 @@ impl Command {
             Command::Activate { bank, .. }
             | Command::Precharge { bank }
             | Command::Read { bank, .. }
-            | Command::Write { bank, .. }
-            | Command::ScaledRead { bank, .. }
-            | Command::Writeback { bank, .. }
-            | Command::QRegLoad { bank, .. }
-            | Command::QRegStore { bank, .. } => Some(bank),
-            Command::PimAdd { unit, .. }
-            | Command::PimSub { unit, .. }
-            | Command::Quant { unit, .. }
-            | Command::Dequant { unit, .. }
-            | Command::PimMul { unit, .. }
-            | Command::PimRsqrt { unit, .. } => Some(unit),
+            | Command::Write { bank, .. } => Some(bank),
+            Command::Pim { rank, bankgroup, op } => {
+                Some(BankAddr { rank, bankgroup, bank: op.bank() })
+            }
             Command::PrechargeAll { .. } | Command::Refresh { .. } => None,
         }
     }
@@ -352,31 +214,24 @@ impl Command {
     /// The rank this command addresses.
     pub fn rank(&self) -> u8 {
         match *self {
-            Command::PrechargeAll { rank } | Command::Refresh { rank } => rank,
+            Command::PrechargeAll { rank }
+            | Command::Refresh { rank }
+            | Command::Pim { rank, .. } => rank,
             Command::Activate { bank, .. }
             | Command::Precharge { bank }
             | Command::Read { bank, .. }
-            | Command::Write { bank, .. }
-            | Command::ScaledRead { bank, .. }
-            | Command::Writeback { bank, .. }
-            | Command::QRegLoad { bank, .. }
-            | Command::QRegStore { bank, .. } => bank.rank,
-            Command::PimAdd { unit, .. }
-            | Command::PimSub { unit, .. }
-            | Command::Quant { unit, .. }
-            | Command::Dequant { unit, .. }
-            | Command::PimMul { unit, .. }
-            | Command::PimRsqrt { unit, .. } => unit.rank,
+            | Command::Write { bank, .. } => bank.rank,
         }
     }
 }
 
-/// A PIM micro-operation as produced by the `gradpim-core` kernel compiler:
-/// a [`Command`]-shaped payload without the ACT/PRE plumbing, which the
-/// memory controller generates on demand.
+/// A GradPIM micro-operation, as produced by the `gradpim-core` kernel
+/// compiler and queued per unit: the controller generates the ACT/PRE
+/// plumbing on demand and issues it as [`Command::Pim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PimOp {
-    /// See [`Command::ScaledRead`].
+    /// Read one column into temporary register `dst`, scaling every
+    /// element by scaler slot `scaler` (Table I "Scaled Read").
     ScaledRead {
         /// Target bank within the unit's bank group.
         bank: u8,
@@ -386,10 +241,11 @@ pub enum PimOp {
         col: u32,
         /// Scaler slot (0–3).
         scaler: u8,
-        /// Destination temporary register.
+        /// Destination temporary register (0 or 1).
         dst: u8,
     },
-    /// See [`Command::Writeback`].
+    /// Write temporary register `src` into one column (Table I
+    /// "Writeback").
     Writeback {
         /// Target bank within the unit's bank group.
         bank: u8,
@@ -397,10 +253,11 @@ pub enum PimOp {
         row: u32,
         /// Target column.
         col: u32,
-        /// Source temporary register.
+        /// Source temporary register (0 or 1).
         src: u8,
     },
-    /// See [`Command::QRegLoad`].
+    /// Load one column into the quantization register (Table I "Q. Reg",
+    /// RD direction).
     QRegLoad {
         /// Target bank within the unit's bank group.
         bank: u8,
@@ -409,7 +266,8 @@ pub enum PimOp {
         /// Target column.
         col: u32,
     },
-    /// See [`Command::QRegStore`].
+    /// Store the quantization register into one column (Table I "Q. Reg",
+    /// WR direction).
     QRegStore {
         /// Target bank within the unit's bank group.
         bank: u8,
@@ -418,7 +276,7 @@ pub enum PimOp {
         /// Target column.
         col: u32,
     },
-    /// See [`Command::PimAdd`].
+    /// `Reg0 + Reg1 → Reg[dst]` (Table I "Add").
     Add {
         /// Bank owning the unit (meaningful for per-bank placement only;
         /// 0 for per-bank-group units).
@@ -426,39 +284,42 @@ pub enum PimOp {
         /// Destination temporary register.
         dst: u8,
     },
-    /// See [`Command::PimSub`].
+    /// `Reg0 − Reg1 → Reg[dst]` (Table I "Sub").
     Sub {
         /// Bank owning the unit (per-bank placement only).
         bank: u8,
         /// Destination temporary register.
         dst: u8,
     },
-    /// See [`Command::Quant`].
+    /// Quantize temporary register `src` into slice `pos` of the
+    /// quantization register (Table I "Quant").
     Quant {
         /// Bank owning the unit (per-bank placement only).
         bank: u8,
-        /// Quant-register slice position.
+        /// Slice position within the quantization register.
         pos: u8,
         /// Source temporary register.
         src: u8,
     },
-    /// See [`Command::Dequant`].
+    /// Dequantize slice `pos` of the quantization register into temporary
+    /// register `dst` (Table I "DeQuant").
     Dequant {
         /// Bank owning the unit (per-bank placement only).
         bank: u8,
-        /// Quant-register slice position.
+        /// Slice position within the quantization register.
         pos: u8,
         /// Destination temporary register.
         dst: u8,
     },
-    /// See [`Command::PimMul`] (extended ALU, §VIII).
+    /// Extended ALU: `Reg0 × Reg1 → Reg[dst]` (§VIII).
     Mul {
         /// Bank owning the unit (per-bank placement only).
         bank: u8,
         /// Destination temporary register.
         dst: u8,
     },
-    /// See [`Command::PimRsqrt`] (extended ALU, §VIII).
+    /// Extended ALU: `1/√(Reg0 + ε) → Reg[dst]` with ε from the mode
+    /// registers (§VIII).
     Rsqrt {
         /// Bank owning the unit (per-bank placement only).
         bank: u8,
@@ -468,29 +329,7 @@ pub enum PimOp {
 }
 
 impl PimOp {
-    /// Lowers this op into a full [`Command`] for the unit at
-    /// (`rank`, `bankgroup`).
-    pub fn to_command(self, rank: u8, bankgroup: u8) -> Command {
-        let at = |bank: u8| BankAddr { rank, bankgroup, bank };
-        match self {
-            PimOp::ScaledRead { bank, row, col, scaler, dst } => {
-                Command::ScaledRead { bank: at(bank), row, col, scaler, dst }
-            }
-            PimOp::Writeback { bank, row, col, src } => {
-                Command::Writeback { bank: at(bank), row, col, src }
-            }
-            PimOp::QRegLoad { bank, row, col } => Command::QRegLoad { bank: at(bank), row, col },
-            PimOp::QRegStore { bank, row, col } => Command::QRegStore { bank: at(bank), row, col },
-            PimOp::Add { bank, dst } => Command::PimAdd { unit: at(bank), dst },
-            PimOp::Sub { bank, dst } => Command::PimSub { unit: at(bank), dst },
-            PimOp::Quant { bank, pos, src } => Command::Quant { unit: at(bank), pos, src },
-            PimOp::Dequant { bank, pos, dst } => Command::Dequant { unit: at(bank), pos, dst },
-            PimOp::Mul { bank, dst } => Command::PimMul { unit: at(bank), dst },
-            PimOp::Rsqrt { bank, dst } => Command::PimRsqrt { unit: at(bank), dst },
-        }
-    }
-
-    /// The kind of the lowered command.
+    /// The kind of the issued command.
     pub fn kind(self) -> CommandKind {
         match self {
             PimOp::ScaledRead { .. } => CommandKind::ScaledRead,
@@ -503,6 +342,22 @@ impl PimOp {
             PimOp::Dequant { .. } => CommandKind::Dequant,
             PimOp::Mul { .. } => CommandKind::PimMul,
             PimOp::Rsqrt { .. } => CommandKind::PimRsqrt,
+        }
+    }
+
+    /// The bank within the unit's bank group this op addresses.
+    pub fn bank(self) -> u8 {
+        match self {
+            PimOp::ScaledRead { bank, .. }
+            | PimOp::Writeback { bank, .. }
+            | PimOp::QRegLoad { bank, .. }
+            | PimOp::QRegStore { bank, .. }
+            | PimOp::Add { bank, .. }
+            | PimOp::Sub { bank, .. }
+            | PimOp::Quant { bank, .. }
+            | PimOp::Dequant { bank, .. }
+            | PimOp::Mul { bank, .. }
+            | PimOp::Rsqrt { bank, .. } => bank,
         }
     }
 
@@ -523,24 +378,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_classification_is_consistent() {
-        for k in CommandKind::ALL {
-            // Column reads/writes are disjoint.
-            assert!(!(k.is_column_read() && k.is_column_write()), "{k:?}");
-            // PIM column ops are PIM and column ops.
-            if k.is_pim_column() {
-                assert!(k.is_pim());
-                assert!(k.is_column_read() || k.is_column_write());
-            }
-            // ALU ops never touch columns.
-            if k.is_pim_alu() {
-                assert!(k.is_pim());
-                assert!(!k.is_column_read() && !k.is_column_write());
-            }
-        }
-    }
-
-    #[test]
     fn indices_are_dense() {
         for (i, k) in CommandKind::ALL.iter().enumerate() {
             assert_eq!(k.index(), i);
@@ -550,21 +387,21 @@ mod tests {
     #[test]
     fn pim_op_lowering_preserves_addresses() {
         let op = PimOp::ScaledRead { bank: 2, row: 7, col: 13, scaler: 1, dst: 0 };
-        match op.to_command(3, 1) {
-            Command::ScaledRead { bank, row, col, scaler, dst } => {
-                assert_eq!(bank, BankAddr { rank: 3, bankgroup: 1, bank: 2 });
-                assert_eq!((row, col, scaler, dst), (7, 13, 1, 0));
-            }
-            other => panic!("wrong lowering: {other:?}"),
-        }
+        let cmd = Command::Pim { rank: 3, bankgroup: 1, op };
+        assert_eq!(cmd.bank(), Some(BankAddr { rank: 3, bankgroup: 1, bank: 2 }));
+        assert_eq!(cmd.rank(), 3);
+        assert_eq!(cmd.kind(), CommandKind::ScaledRead);
         assert_eq!(op.kind(), CommandKind::ScaledRead);
         assert_eq!(op.row_target(), Some((2, 7)));
         assert_eq!(PimOp::Add { bank: 0, dst: 1 }.row_target(), None);
+        // The controller caches one candidate command per queue.
+        assert_eq!(std::mem::size_of::<Command>(), 16);
     }
 
     #[test]
     fn command_kind_round_trip() {
         let bank = BankAddr { rank: 0, bankgroup: 1, bank: 2 };
+        let pim = |op| Command::Pim { rank: 0, bankgroup: 1, op };
         let cmds = [
             Command::Activate { bank, row: 1 },
             Command::Precharge { bank },
@@ -572,16 +409,16 @@ mod tests {
             Command::Read { bank, row: 1, col: 2 },
             Command::Write { bank, row: 1, col: 2 },
             Command::Refresh { rank: 1 },
-            Command::ScaledRead { bank, row: 1, col: 2, scaler: 0, dst: 0 },
-            Command::Writeback { bank, row: 1, col: 2, src: 1 },
-            Command::QRegLoad { bank, row: 1, col: 2 },
-            Command::QRegStore { bank, row: 1, col: 2 },
-            Command::PimAdd { unit: bank, dst: 0 },
-            Command::PimSub { unit: bank, dst: 1 },
-            Command::Quant { unit: bank, pos: 3, src: 0 },
-            Command::Dequant { unit: bank, pos: 2, dst: 1 },
-            Command::PimMul { unit: bank, dst: 0 },
-            Command::PimRsqrt { unit: bank, dst: 1 },
+            pim(PimOp::ScaledRead { bank: 2, row: 1, col: 2, scaler: 0, dst: 0 }),
+            pim(PimOp::Writeback { bank: 2, row: 1, col: 2, src: 1 }),
+            pim(PimOp::QRegLoad { bank: 2, row: 1, col: 2 }),
+            pim(PimOp::QRegStore { bank: 2, row: 1, col: 2 }),
+            pim(PimOp::Add { bank: 2, dst: 0 }),
+            pim(PimOp::Sub { bank: 2, dst: 1 }),
+            pim(PimOp::Quant { bank: 2, pos: 3, src: 0 }),
+            pim(PimOp::Dequant { bank: 2, pos: 2, dst: 1 }),
+            pim(PimOp::Mul { bank: 2, dst: 0 }),
+            pim(PimOp::Rsqrt { bank: 2, dst: 1 }),
         ];
         for (cmd, kind) in cmds.iter().zip(CommandKind::ALL) {
             assert_eq!(cmd.kind(), kind);
@@ -599,13 +436,14 @@ mod tests {
         assert_eq!(Command::Refresh { rank: 3 }.rank(), 3);
         assert_eq!(Command::PrechargeAll { rank: 2 }.rank(), 2);
         let bank = BankAddr { rank: 1, bankgroup: 3, bank: 2 };
+        let pim = |op| Command::Pim { rank: 1, bankgroup: 3, op };
         for cmd in [
             Command::Activate { bank, row: 9 },
             Command::Precharge { bank },
             Command::Read { bank, row: 9, col: 4 },
-            Command::Writeback { bank, row: 9, col: 4, src: 0 },
-            Command::PimAdd { unit: bank, dst: 1 },
-            Command::PimRsqrt { unit: bank, dst: 0 },
+            pim(PimOp::Writeback { bank: 2, row: 9, col: 4, src: 0 }),
+            pim(PimOp::Add { bank: 2, dst: 1 }),
+            pim(PimOp::Rsqrt { bank: 2, dst: 0 }),
         ] {
             assert_eq!(cmd.bank(), Some(bank), "{cmd:?}");
             assert_eq!(cmd.rank(), 1, "{cmd:?}");

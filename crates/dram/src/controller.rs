@@ -796,10 +796,10 @@ impl Controller {
                     Some((Command::Activate { bank: addr, row }, false))
                 }
                 Some(open) if open != row => Some((Command::Precharge { bank: addr }, false)),
-                Some(_) => Some((op.to_command(rank, bankgroup), true)),
+                Some(_) => Some((Command::Pim { rank, bankgroup, op }, true)),
             }
         } else {
-            Some((op.to_command(rank, bankgroup), true))
+            Some((Command::Pim { rank, bankgroup, op }, true))
         }
     }
 
@@ -1232,62 +1232,27 @@ impl Controller {
     /// Executes the functional semantics of a PIM command, when storage is
     /// enabled.
     fn exec_pim(&mut self, cmd: Command) {
+        let Command::Pim { rank, bankgroup, op } = cmd else { return };
         if self.storage.is_none() {
             return;
         }
         let mode = self.mode;
-        match cmd {
-            Command::ScaledRead { bank, row, col, scaler, dst } => {
-                let fb = self.flat_bank(bank);
-                let u = self.flat_unit(bank.rank, bank.bankgroup, bank.bank);
-                let storage = self.storage.as_ref().expect("checked");
-                // Split borrow: read column first, then mutate the unit.
-                let unit = &mut self.units[u];
+        let fb = self.flat_bank(BankAddr { rank, bankgroup, bank: op.bank() });
+        let u = self.flat_unit(rank, bankgroup, op.bank());
+        let (unit, storage) = (&mut self.units[u], self.storage.as_mut().expect("checked"));
+        match op {
+            PimOp::ScaledRead { row, col, scaler, dst, .. } => {
                 unit.scaled_read(storage, &mode, fb, row, col, scaler, dst);
             }
-            Command::Writeback { bank, row, col, src } => {
-                let fb = self.flat_bank(bank);
-                let u = self.flat_unit(bank.rank, bank.bankgroup, bank.bank);
-                let storage = self.storage.as_mut().expect("checked");
-                self.units[u].writeback(storage, fb, row, col, src);
-            }
-            Command::QRegLoad { bank, row, col } => {
-                let fb = self.flat_bank(bank);
-                let u = self.flat_unit(bank.rank, bank.bankgroup, bank.bank);
-                let storage = self.storage.as_ref().expect("checked");
-                self.units[u].qreg_load(storage, fb, row, col);
-            }
-            Command::QRegStore { bank, row, col } => {
-                let fb = self.flat_bank(bank);
-                let u = self.flat_unit(bank.rank, bank.bankgroup, bank.bank);
-                let storage = self.storage.as_mut().expect("checked");
-                self.units[u].qreg_store(storage, fb, row, col);
-            }
-            Command::PimAdd { unit, dst } => {
-                let u = self.flat_unit(unit.rank, unit.bankgroup, unit.bank);
-                self.units[u].add(&mode, dst);
-            }
-            Command::PimSub { unit, dst } => {
-                let u = self.flat_unit(unit.rank, unit.bankgroup, unit.bank);
-                self.units[u].sub(&mode, dst);
-            }
-            Command::Quant { unit, pos, src } => {
-                let u = self.flat_unit(unit.rank, unit.bankgroup, unit.bank);
-                self.units[u].quant_op(&mode, pos, src);
-            }
-            Command::Dequant { unit, pos, dst } => {
-                let u = self.flat_unit(unit.rank, unit.bankgroup, unit.bank);
-                self.units[u].dequant_op(&mode, pos, dst);
-            }
-            Command::PimMul { unit, dst } => {
-                let u = self.flat_unit(unit.rank, unit.bankgroup, unit.bank);
-                self.units[u].mul(&mode, dst);
-            }
-            Command::PimRsqrt { unit, dst } => {
-                let u = self.flat_unit(unit.rank, unit.bankgroup, unit.bank);
-                self.units[u].rsqrt(&mode, dst);
-            }
-            _ => {}
+            PimOp::Writeback { row, col, src, .. } => unit.writeback(storage, fb, row, col, src),
+            PimOp::QRegLoad { row, col, .. } => unit.qreg_load(storage, fb, row, col),
+            PimOp::QRegStore { row, col, .. } => unit.qreg_store(storage, fb, row, col),
+            PimOp::Add { dst, .. } => unit.add(&mode, dst),
+            PimOp::Sub { dst, .. } => unit.sub(&mode, dst),
+            PimOp::Quant { pos, src, .. } => unit.quant_op(&mode, pos, src),
+            PimOp::Dequant { pos, dst, .. } => unit.dequant_op(&mode, pos, dst),
+            PimOp::Mul { dst, .. } => unit.mul(&mode, dst),
+            PimOp::Rsqrt { dst, .. } => unit.rsqrt(&mode, dst),
         }
     }
 }

@@ -19,8 +19,14 @@
 //! * **Energy** — Micron power-calculator formulas over Table II currents,
 //!   IDDpre-based internal transfers, and the Table III PIM-unit layout
 //!   numbers.
+//! * **Protocol** — the DDR4 commands plus one [`Command::Pim`], which
+//!   carries a GradPIM [`PimOp`] (Table I, §VIII) to the unit of one bank
+//!   group. Kernels queue bare ops per unit; the controller opens their
+//!   rows.
 //! * **Function** — optional byte-level storage and live PIM register
-//!   files, so kernels *compute* while they are being timed.
+//!   files, so kernels *compute* while they are being timed. The
+//!   [`ModeRegisters`] hold the scalers, the int8 exponent and the element
+//!   formats as one `PrecisionMix`.
 //! * **Speed** — an event-driven fast-forward core:
 //!   [`Controller::next_event_cycle`] computes the earliest cycle anything
 //!   observable can change (timing-constraint expiry, refresh due,
@@ -70,7 +76,7 @@ pub use address::{Address, AddressMapping};
 pub use command::{BankAddr, Command, CommandKind, PimOp};
 pub use config::{CommandIssueMode, DataBusScope, DramConfig, PimPlacement};
 pub use controller::{Completion, Controller, EnqueueError};
-pub use pim::{ElemKind, ModeRegisters, PimUnit};
+pub use pim::{ModeRegisters, PimUnit};
 pub use power::{PimLayout, PowerModel, DDR4_8GB_DIE_MM2};
 pub use stats::{EnergyBreakdown, Stats, WorkCounters};
 pub use storage::Storage;

@@ -9,42 +9,10 @@
 //! Numerics are shared with `gradpim-optim` so the in-DRAM datapath and the
 //! reference optimizers agree bit-for-bit on quantization behaviour.
 
-use gradpim_optim::quant::{f16_to_f32, f32_to_f16, Q8Scale};
-use gradpim_optim::Precision;
+use gradpim_optim::quant::{dequantize_i8, f16_to_f32, f32_to_f16, quantize_i8, Q8Scale};
+use gradpim_optim::{Precision, PrecisionMix};
 
 use crate::storage::Storage;
-
-/// Element type stored in DRAM arrays, as seen by the PIM datapath.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ElemKind {
-    /// 32-bit IEEE float (master precision).
-    F32,
-    /// 16-bit IEEE float.
-    F16,
-    /// 8-bit integer with the power-of-two scale from the mode register.
-    I8,
-}
-
-impl ElemKind {
-    /// Bytes per element.
-    pub const fn bytes(self) -> usize {
-        match self {
-            ElemKind::F32 => 4,
-            ElemKind::F16 => 2,
-            ElemKind::I8 => 1,
-        }
-    }
-}
-
-impl From<Precision> for ElemKind {
-    fn from(p: Precision) -> Self {
-        match p {
-            Precision::Fp32 => ElemKind::F32,
-            Precision::Fp16 => ElemKind::F16,
-            Precision::Int8 => ElemKind::I8,
-        }
-    }
-}
 
 /// The MRW-programmable state of the GradPIM units (§IV-B: scaler values are
 /// "programmed with MRW command in case the user needs different set of
@@ -57,10 +25,9 @@ pub struct ModeRegisters {
     pub scalers: [f32; 4],
     /// Power-of-two exponent for int8 quantization.
     pub q8_exponent: i32,
-    /// Element kind of high-precision (master) arrays.
-    pub high: ElemKind,
-    /// Element kind of quantized arrays.
-    pub low: ElemKind,
+    /// Element formats: `mix.high` of master arrays and the temporary
+    /// registers, `mix.low` of quantized arrays.
+    pub mix: PrecisionMix,
     /// Numerical-stability epsilon for the extended-ALU reciprocal square
     /// root (§VIII).
     pub eps: f32,
@@ -68,96 +35,40 @@ pub struct ModeRegisters {
 
 impl Default for ModeRegisters {
     fn default() -> Self {
-        Self {
-            scalers: [1.0; 4],
-            q8_exponent: -7,
-            high: ElemKind::F32,
-            low: ElemKind::I8,
-            eps: 1e-8,
-        }
+        Self { scalers: [1.0; 4], q8_exponent: -7, mix: PrecisionMix::MIXED_8_32, eps: 1e-8 }
     }
 }
 
 impl ModeRegisters {
-    /// Quantization ratio (how many low-precision columns pack into one
-    /// register): `high.bytes() / low.bytes()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `low` is wider than `high`.
-    pub fn quant_ratio(&self) -> usize {
-        assert!(self.high.bytes() >= self.low.bytes(), "low precision wider than high");
-        self.high.bytes() / self.low.bytes()
-    }
-
-    /// Decodes a high-precision column into f32 lanes.
-    pub fn decode_high(&self, bytes: &[u8]) -> Vec<f32> {
-        match self.high {
-            ElemKind::F32 => bytes
+    /// Decodes `bytes` of format `p` into f32 lanes (int8 under the
+    /// programmed exponent).
+    pub fn decode(&self, p: Precision, bytes: &[u8]) -> Vec<f32> {
+        match p {
+            Precision::Fp32 => bytes
                 .chunks_exact(4)
                 .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
                 .collect(),
-            ElemKind::F16 => bytes
+            Precision::Fp16 => bytes
                 .chunks_exact(2)
                 .map(|c| f16_to_f32(u16::from_le_bytes([c[0], c[1]])))
                 .collect(),
-            ElemKind::I8 => bytes
+            Precision::Int8 => bytes
                 .iter()
-                .map(|&b| (b as i8) as f32 * Q8Scale { exponent: self.q8_exponent }.factor())
+                .map(|&b| dequantize_i8(b as i8, Q8Scale { exponent: self.q8_exponent }))
                 .collect(),
         }
     }
 
-    /// Encodes f32 lanes into a high-precision column.
-    pub fn encode_high(&self, vals: &[f32]) -> Vec<u8> {
-        match self.high {
-            ElemKind::F32 => vals.iter().flat_map(|v| v.to_le_bytes()).collect(),
-            ElemKind::F16 => vals.iter().flat_map(|&v| f32_to_f16(v).to_le_bytes()).collect(),
-            ElemKind::I8 => vals
+    /// Encodes f32 lanes into format `p` (int8 under the programmed
+    /// exponent).
+    pub fn encode(&self, p: Precision, vals: &[f32]) -> Vec<u8> {
+        match p {
+            Precision::Fp32 => vals.iter().flat_map(|v| v.to_le_bytes()).collect(),
+            Precision::Fp16 => vals.iter().flat_map(|&v| f32_to_f16(v).to_le_bytes()).collect(),
+            Precision::Int8 => vals
                 .iter()
-                .map(|&v| {
-                    gradpim_optim::quant::quantize_i8(v, Q8Scale { exponent: self.q8_exponent })
-                        as u8
-                })
+                .map(|&v| quantize_i8(v, Q8Scale { exponent: self.q8_exponent }) as u8)
                 .collect(),
-        }
-    }
-
-    /// Decodes a low-precision slice into f32 lanes.
-    pub fn decode_low(&self, bytes: &[u8]) -> Vec<f32> {
-        match self.low {
-            ElemKind::I8 => bytes
-                .iter()
-                .map(|&b| {
-                    gradpim_optim::quant::dequantize_i8(
-                        b as i8,
-                        Q8Scale { exponent: self.q8_exponent },
-                    )
-                })
-                .collect(),
-            ElemKind::F16 => bytes
-                .chunks_exact(2)
-                .map(|c| f16_to_f32(u16::from_le_bytes([c[0], c[1]])))
-                .collect(),
-            ElemKind::F32 => bytes
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect(),
-        }
-    }
-
-    /// Encodes f32 lanes into a low-precision slice.
-    pub fn encode_low(&self, vals: &[f32]) -> Vec<u8> {
-        match self.low {
-            ElemKind::I8 => vals
-                .iter()
-                .map(|&v| {
-                    gradpim_optim::quant::quantize_i8(v, Q8Scale { exponent: self.q8_exponent })
-                        as u8
-                })
-                .collect(),
-            ElemKind::F16 => vals.iter().flat_map(|&v| f32_to_f16(v).to_le_bytes()).collect(),
-            ElemKind::F32 => vals.iter().flat_map(|v| v.to_le_bytes()).collect(),
         }
     }
 }
@@ -201,8 +112,8 @@ impl PimUnit {
     ) {
         let raw = storage.read_col(bank_flat, row, col);
         let s = mode.scalers[scaler as usize & 3];
-        let vals: Vec<f32> = mode.decode_high(&raw).into_iter().map(|v| v * s).collect();
-        self.temp[dst as usize & 1] = mode.encode_high(&vals);
+        let vals: Vec<f32> = mode.decode(mode.mix.high, &raw).into_iter().map(|v| v * s).collect();
+        self.temp[dst as usize & 1] = mode.encode(mode.mix.high, &vals);
     }
 
     /// Writeback (§IV-B ③): temp register → bank column.
@@ -220,36 +131,35 @@ impl PimUnit {
         storage.write_col(bank_flat, row, col, &self.quant);
     }
 
+    /// `f(Reg0, Reg1) → Reg[dst]`, lane by lane.
+    fn lanewise(&mut self, mode: &ModeRegisters, dst: u8, f: impl Fn(f32, f32) -> f32) {
+        let a = mode.decode(mode.mix.high, &self.temp[0]);
+        let b = mode.decode(mode.mix.high, &self.temp[1]);
+        let out: Vec<f32> = a.iter().zip(&b).map(|(&x, &y)| f(x, y)).collect();
+        self.temp[dst as usize & 1] = mode.encode(mode.mix.high, &out);
+    }
+
     /// Parallel add (§IV-B ②): `Reg0 + Reg1 → Reg[dst]`.
     pub fn add(&mut self, mode: &ModeRegisters, dst: u8) {
-        let a = mode.decode_high(&self.temp[0]);
-        let b = mode.decode_high(&self.temp[1]);
-        let sum: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
-        self.temp[dst as usize & 1] = mode.encode_high(&sum);
+        self.lanewise(mode, dst, |x, y| x + y);
     }
 
     /// Parallel subtract: `Reg0 − Reg1 → Reg[dst]`.
     pub fn sub(&mut self, mode: &ModeRegisters, dst: u8) {
-        let a = mode.decode_high(&self.temp[0]);
-        let b = mode.decode_high(&self.temp[1]);
-        let diff: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x - y).collect();
-        self.temp[dst as usize & 1] = mode.encode_high(&diff);
+        self.lanewise(mode, dst, |x, y| x - y);
     }
 
     /// Extended-ALU parallel multiply: `Reg0 × Reg1 → Reg[dst]` (§VIII).
     pub fn mul(&mut self, mode: &ModeRegisters, dst: u8) {
-        let a = mode.decode_high(&self.temp[0]);
-        let b = mode.decode_high(&self.temp[1]);
-        let prod: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x * y).collect();
-        self.temp[dst as usize & 1] = mode.encode_high(&prod);
+        self.lanewise(mode, dst, |x, y| x * y);
     }
 
     /// Extended-ALU reciprocal square root:
     /// `1/√(max(Reg0, 0) + ε) → Reg[dst]` (§VIII).
     pub fn rsqrt(&mut self, mode: &ModeRegisters, dst: u8) {
-        let a = mode.decode_high(&self.temp[0]);
+        let a = mode.decode(mode.mix.high, &self.temp[0]);
         let r: Vec<f32> = a.iter().map(|x| 1.0 / (x.max(0.0) + mode.eps).sqrt()).collect();
-        self.temp[dst as usize & 1] = mode.encode_high(&r);
+        self.temp[dst as usize & 1] = mode.encode(mode.mix.high, &r);
     }
 
     /// Quantization (§IV-D3): temp register `src` → slice `pos` of the
@@ -259,10 +169,10 @@ impl PimUnit {
     ///
     /// Panics if `pos` exceeds the quantization ratio.
     pub fn quant_op(&mut self, mode: &ModeRegisters, pos: u8, src: u8) {
-        let ratio = mode.quant_ratio();
+        let ratio = mode.mix.quant_ratio();
         assert!((pos as usize) < ratio, "quant position {pos} out of range for ratio {ratio}");
-        let vals = mode.decode_high(&self.temp[src as usize & 1]);
-        let low = mode.encode_low(&vals);
+        let vals = mode.decode(mode.mix.high, &self.temp[src as usize & 1]);
+        let low = mode.encode(mode.mix.low, &vals);
         let slice_len = self.quant.len() / ratio;
         debug_assert_eq!(low.len(), slice_len);
         let off = pos as usize * slice_len;
@@ -276,12 +186,12 @@ impl PimUnit {
     ///
     /// Panics if `pos` exceeds the quantization ratio.
     pub fn dequant_op(&mut self, mode: &ModeRegisters, pos: u8, dst: u8) {
-        let ratio = mode.quant_ratio();
+        let ratio = mode.mix.quant_ratio();
         assert!((pos as usize) < ratio, "dequant position {pos} out of range for ratio {ratio}");
         let slice_len = self.quant.len() / ratio;
         let off = pos as usize * slice_len;
-        let vals = mode.decode_low(&self.quant[off..off + slice_len]);
-        self.temp[dst as usize & 1] = mode.encode_high(&vals);
+        let vals = mode.decode(mode.mix.low, &self.quant[off..off + slice_len]);
+        self.temp[dst as usize & 1] = mode.encode(mode.mix.high, &vals);
     }
 }
 
@@ -353,10 +263,10 @@ mod tests {
         // register, so this is repeated four times").
         let (mut storage, mut unit, mut mode) = setup();
         mode.q8_exponent = -4; // step 1/16
-        assert_eq!(mode.quant_ratio(), 4);
+        assert_eq!(mode.mix.quant_ratio(), 4);
         for pos in 0..4u8 {
             let vals: Vec<f32> = (0..16).map(|i| (pos as f32) + i as f32 / 16.0).collect();
-            let bytes = mode.encode_high(&vals);
+            let bytes = mode.encode(Precision::Fp32, &vals);
             storage.write_col(0, 0, pos as u32, &bytes);
             unit.scaled_read(&storage, &mode, 0, 0, pos as u32, 0, 0);
             unit.quant_op(&mode, pos, 0);
@@ -377,11 +287,11 @@ mod tests {
 
     #[test]
     fn quant_ratio_two_for_16_32() {
-        let mode = ModeRegisters { low: ElemKind::F16, ..Default::default() };
-        assert_eq!(mode.quant_ratio(), 2);
+        let mode = ModeRegisters { mix: PrecisionMix::MIXED_16_32, ..Default::default() };
+        assert_eq!(mode.mix.quant_ratio(), 2);
         let mut unit = PimUnit::new(64);
         let vals: Vec<f32> = (0..16).map(|i| 1.5 * i as f32).collect();
-        unit.temp[0] = mode.encode_high(&vals);
+        unit.temp[0] = mode.encode(Precision::Fp32, &vals);
         unit.quant_op(&mode, 1, 0);
         unit.dequant_op(&mode, 1, 1);
         // f16 representable values survive exactly.
@@ -391,25 +301,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range for ratio")]
     fn quant_position_checked() {
-        let mode = ModeRegisters { low: ElemKind::F16, ..Default::default() };
+        let mode = ModeRegisters { mix: PrecisionMix::MIXED_16_32, ..Default::default() };
         let mut unit = PimUnit::new(64);
         unit.quant_op(&mode, 2, 0);
     }
 
     #[test]
     fn f16_master_precision_mode() {
-        // 8/16 mix: high = F16 (32 lanes per 64 B column), low = I8.
-        let mode = ModeRegisters {
-            high: ElemKind::F16,
-            low: ElemKind::I8,
-            q8_exponent: -5,
-            ..Default::default()
-        };
-        assert_eq!(mode.quant_ratio(), 2);
+        // 8/16 mix: high = fp16 (32 lanes per 64 B column), low = int8.
+        let mode =
+            ModeRegisters { mix: PrecisionMix::MIXED_8_16, q8_exponent: -5, ..Default::default() };
+        assert_eq!(mode.mix.quant_ratio(), 2);
         let vals: Vec<f32> = (0..32).map(|i| i as f32 / 32.0).collect();
-        let bytes = mode.encode_high(&vals);
+        let bytes = mode.encode(Precision::Fp16, &vals);
         assert_eq!(bytes.len(), 64);
-        let back = mode.decode_high(&bytes);
+        let back = mode.decode(Precision::Fp16, &bytes);
         for (v, b) in vals.iter().zip(&back) {
             assert!((v - b).abs() < 1e-3);
         }

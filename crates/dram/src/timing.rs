@@ -431,7 +431,7 @@ fn bank_and_group(cfg: &DramConfig, cmd: &Command) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::BankAddr;
+    use crate::command::{BankAddr, PimOp};
 
     fn cfg() -> DramConfig {
         DramConfig::ddr4_2133()
@@ -439,6 +439,11 @@ mod tests {
 
     fn bank(rank: u8, bg: u8, b: u8) -> BankAddr {
         BankAddr { rank, bankgroup: bg, bank: b }
+    }
+
+    /// `op` issued to the unit of bank group `bg` of `rank`.
+    fn pim(rank: u8, bg: u8, op: PimOp) -> Command {
+        Command::Pim { rank, bankgroup: bg, op }
     }
 
     #[test]
@@ -480,15 +485,13 @@ mod tests {
         t.issue(&Command::Activate { bank: bank(0, 0, 0), row: 0 }, 0);
         t.issue(&Command::Activate { bank: bank(0, 1, 0), row: 0 }, c.trrd_l);
         let t0 = c.trcd + c.trrd_l;
-        let sr0 = Command::ScaledRead { bank: bank(0, 0, 0), row: 0, col: 0, scaler: 0, dst: 0 };
+        let sr0 = pim(0, 0, PimOp::ScaledRead { bank: 0, row: 0, col: 0, scaler: 0, dst: 0 });
         t.issue(&sr0, t0);
         // Same bank group paced at tCCD_L…
-        let sr_same =
-            Command::ScaledRead { bank: bank(0, 0, 0), row: 0, col: 1, scaler: 0, dst: 1 };
+        let sr_same = pim(0, 0, PimOp::ScaledRead { bank: 0, row: 0, col: 1, scaler: 0, dst: 1 });
         assert_eq!(t.earliest(&sr_same), t0 + c.tccd_l);
         // …but a different bank group can issue immediately (no tCCD_S).
-        let sr_cross =
-            Command::ScaledRead { bank: bank(0, 1, 0), row: 0, col: 0, scaler: 0, dst: 0 };
+        let sr_cross = pim(0, 1, PimOp::ScaledRead { bank: 0, row: 0, col: 0, scaler: 0, dst: 0 });
         assert_eq!(t.earliest(&sr_cross), t0);
     }
 
@@ -496,16 +499,16 @@ mod tests {
     fn alu_paced_by_tpim_within_bankgroup_only() {
         let c = cfg();
         let mut t = TimingState::new(&c);
-        let add0 = Command::PimAdd { unit: bank(0, 0, 0), dst: 0 };
+        let add0 = pim(0, 0, PimOp::Add { bank: 0, dst: 0 });
         t.issue(&add0, 10);
         // Same unit: +tPIM.
-        assert_eq!(t.earliest(&Command::PimAdd { unit: bank(0, 0, 0), dst: 1 }), 10 + c.tpim);
+        assert_eq!(t.earliest(&pim(0, 0, PimOp::Add { bank: 0, dst: 1 })), 10 + c.tpim);
         // Other bank group's unit: free.
-        assert_eq!(t.earliest(&Command::PimAdd { unit: bank(0, 1, 0), dst: 0 }), 0);
+        assert_eq!(t.earliest(&pim(0, 1, PimOp::Add { bank: 0, dst: 0 })), 0);
         // §IV-C: tPIM "does not interfere with any other commands" — a
         // scaled read in the same group is not blocked by the ALU.
         t.issue(&Command::Activate { bank: bank(0, 0, 1), row: 3 }, 11);
-        let sr = Command::ScaledRead { bank: bank(0, 0, 1), row: 3, col: 0, scaler: 0, dst: 0 };
+        let sr = pim(0, 0, PimOp::ScaledRead { bank: 1, row: 3, col: 0, scaler: 0, dst: 0 });
         assert_eq!(t.earliest(&sr), 11 + c.trcd);
     }
 
@@ -515,7 +518,7 @@ mod tests {
         let mut t = TimingState::new(&c);
         let b = bank(0, 0, 0);
         t.issue(&Command::Activate { bank: b, row: 0 }, 0);
-        let wb = Command::Writeback { bank: b, row: 0, col: 0, src: 0 };
+        let wb = pim(0, 0, PimOp::Writeback { bank: 0, row: 0, col: 0, src: 0 });
         let t_wb = t.earliest(&wb);
         t.issue(&wb, t_wb);
         let pre = Command::Precharge { bank: b };
@@ -533,7 +536,7 @@ mod tests {
         let t_wr = t.earliest(&wr);
         t.issue(&wr, t_wr);
         // A writeback in another bank group is *not* delayed by the bus.
-        let wb = Command::Writeback { bank: bank(0, 1, 0), row: 0, col: 0, src: 0 };
+        let wb = pim(0, 1, PimOp::Writeback { bank: 0, row: 0, col: 0, src: 0 });
         assert_eq!(t.earliest(&wb), c.trrd_l + c.trcd);
     }
 
@@ -633,16 +636,17 @@ mod tests {
     fn extended_alu_ops_share_tpim_pacing() {
         let c = cfg();
         let mut t = TimingState::new(&c);
-        t.issue(&Command::PimMul { unit: bank(0, 0, 0), dst: 0 }, 4);
-        assert_eq!(t.earliest(&Command::PimRsqrt { unit: bank(0, 0, 0), dst: 0 }), 4 + c.tpim);
-        assert_eq!(t.earliest(&Command::PimAdd { unit: bank(0, 0, 0), dst: 0 }), 4 + c.tpim);
+        t.issue(&pim(0, 0, PimOp::Mul { bank: 0, dst: 0 }), 4);
+        assert_eq!(t.earliest(&pim(0, 0, PimOp::Rsqrt { bank: 0, dst: 0 })), 4 + c.tpim);
+        assert_eq!(t.earliest(&pim(0, 0, PimOp::Add { bank: 0, dst: 0 })), 4 + c.tpim);
         // Other units unaffected.
-        assert_eq!(t.earliest(&Command::PimRsqrt { unit: bank(0, 1, 0), dst: 0 }), 0);
+        assert_eq!(t.earliest(&pim(0, 1, PimOp::Rsqrt { bank: 0, dst: 0 })), 0);
     }
 
     /// One command of every kind, addressed to `b` (REF and PRE-all to its
     /// rank).
     fn every_kind(b: BankAddr) -> [Command; CommandKind::COUNT] {
+        let (r, g, k) = (b.rank, b.bankgroup, b.bank);
         [
             Command::Activate { bank: b, row: 0 },
             Command::Precharge { bank: b },
@@ -650,16 +654,16 @@ mod tests {
             Command::Read { bank: b, row: 0, col: 0 },
             Command::Write { bank: b, row: 0, col: 0 },
             Command::Refresh { rank: b.rank },
-            Command::ScaledRead { bank: b, row: 0, col: 0, scaler: 0, dst: 0 },
-            Command::Writeback { bank: b, row: 0, col: 0, src: 0 },
-            Command::QRegLoad { bank: b, row: 0, col: 0 },
-            Command::QRegStore { bank: b, row: 0, col: 0 },
-            Command::PimAdd { unit: b, dst: 0 },
-            Command::PimSub { unit: b, dst: 0 },
-            Command::Quant { unit: b, pos: 0, src: 0 },
-            Command::Dequant { unit: b, pos: 0, dst: 0 },
-            Command::PimMul { unit: b, dst: 0 },
-            Command::PimRsqrt { unit: b, dst: 0 },
+            pim(r, g, PimOp::ScaledRead { bank: k, row: 0, col: 0, scaler: 0, dst: 0 }),
+            pim(r, g, PimOp::Writeback { bank: k, row: 0, col: 0, src: 0 }),
+            pim(r, g, PimOp::QRegLoad { bank: k, row: 0, col: 0 }),
+            pim(r, g, PimOp::QRegStore { bank: k, row: 0, col: 0 }),
+            pim(r, g, PimOp::Add { bank: k, dst: 0 }),
+            pim(r, g, PimOp::Sub { bank: k, dst: 0 }),
+            pim(r, g, PimOp::Quant { bank: k, pos: 0, src: 0 }),
+            pim(r, g, PimOp::Dequant { bank: k, pos: 0, dst: 0 }),
+            pim(r, g, PimOp::Mul { bank: k, dst: 0 }),
+            pim(r, g, PimOp::Rsqrt { bank: k, dst: 0 }),
         ]
     }
 
@@ -683,7 +687,7 @@ mod tests {
                 for cmd in [
                     Command::Activate { bank: bank(r, 1, 0), row: 0 },
                     Command::Read { bank: bank(r, 1, 0), row: 0, col: 0 },
-                    Command::ScaledRead { bank: bank(r, 2, 1), row: 0, col: 0, scaler: 0, dst: 0 },
+                    pim(r, 2, PimOp::ScaledRead { bank: 1, row: 0, col: 0, scaler: 0, dst: 0 }),
                 ] {
                     let at = warm.earliest(&cmd);
                     warm.issue(&cmd, at);
@@ -735,14 +739,13 @@ mod tests {
         t.issue(&Command::Activate { bank: bank(0, 0, 0), row: 0 }, 0);
         t.issue(&Command::Activate { bank: bank(0, 0, 1), row: 0 }, c.trrd_l);
         let t0 = c.trcd + c.trrd_l;
-        let sr0 = Command::ScaledRead { bank: bank(0, 0, 0), row: 0, col: 0, scaler: 0, dst: 0 };
+        let sr0 = pim(0, 0, PimOp::ScaledRead { bank: 0, row: 0, col: 0, scaler: 0, dst: 0 });
         t.issue(&sr0, t0);
         // Same bank: paced.
-        let sr_same =
-            Command::ScaledRead { bank: bank(0, 0, 0), row: 0, col: 1, scaler: 0, dst: 1 };
+        let sr_same = pim(0, 0, PimOp::ScaledRead { bank: 0, row: 0, col: 1, scaler: 0, dst: 1 });
         assert_eq!(t.earliest(&sr_same), t0 + c.tccd_l);
         // Sibling bank in the same group: independent unit, no pacing.
-        let sr_sib = Command::ScaledRead { bank: bank(0, 0, 1), row: 0, col: 0, scaler: 0, dst: 0 };
+        let sr_sib = pim(0, 0, PimOp::ScaledRead { bank: 1, row: 0, col: 0, scaler: 0, dst: 0 });
         assert_eq!(t.earliest(&sr_sib), t0);
     }
 }

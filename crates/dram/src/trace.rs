@@ -130,12 +130,8 @@ pub fn verify_trace(cfg: &DramConfig, trace: &[TraceEntry]) -> Result<(), Protoc
         // Row legality.
         let row_of = |cmd: &Command| -> Option<u32> {
             match *cmd {
-                Command::Read { row, .. }
-                | Command::Write { row, .. }
-                | Command::ScaledRead { row, .. }
-                | Command::Writeback { row, .. }
-                | Command::QRegLoad { row, .. }
-                | Command::QRegStore { row, .. } => Some(row),
+                Command::Read { row, .. } | Command::Write { row, .. } => Some(row),
+                Command::Pim { op, .. } => op.row_target().map(|(_, row)| row),
                 _ => None,
             }
         };
@@ -191,7 +187,7 @@ pub fn verify_trace(cfg: &DramConfig, trace: &[TraceEntry]) -> Result<(), Protoc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::BankAddr;
+    use crate::command::{BankAddr, PimOp};
 
     fn cfg() -> DramConfig {
         DramConfig::ddr4_2133()
@@ -270,7 +266,8 @@ mod tests {
     #[test]
     fn extended_alu_gate_is_checked() {
         let c = cfg();
-        let trace = vec![TraceEntry { cycle: 0, cmd: Command::PimMul { unit: bank0(), dst: 0 } }];
+        let mul = Command::Pim { rank: 0, bankgroup: 0, op: PimOp::Mul { bank: 0, dst: 0 } };
+        let trace = vec![TraceEntry { cycle: 0, cmd: mul }];
         assert!(matches!(
             verify_trace(&c, &trace),
             Err(ProtocolViolation::ExtendedAluDisabled { index: 0, .. })

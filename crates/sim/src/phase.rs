@@ -967,7 +967,7 @@ fn baseline_update_requests(
                 if mixed {
                     if c % ratio == 0 {
                         let qg = placement.array(ArrayName::QGrad);
-                        reqs.push(Req::Read(placement.quant_col_addr(qg, &chunk, c / ratio, cfg)));
+                        reqs.push(Req::Read(placement.col_addr(qg, &chunk, c / ratio, cfg)));
                     }
                 } else {
                     let g = placement.array(ArrayName::Grad);
@@ -987,7 +987,7 @@ fn baseline_update_requests(
                 }
                 if mixed && (c % ratio == ratio - 1 || c == chunk.cols - 1) {
                     let qt = placement.array(ArrayName::QTheta);
-                    reqs.push(Req::Write(placement.quant_col_addr(qt, &chunk, c / ratio, cfg)));
+                    reqs.push(Req::Write(placement.col_addr(qt, &chunk, c / ratio, cfg)));
                 }
             }
             col = hi;

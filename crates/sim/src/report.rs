@@ -209,44 +209,6 @@ impl Report {
         }
         self.rows.push(row);
     }
-
-    /// Appends every row of `other`.
-    ///
-    /// # Panics
-    ///
-    /// If the schemas differ — concatenation is only meaningful across
-    /// same-shaped reports (e.g. the same sweep over several networks).
-    pub fn extend(&mut self, other: Report) {
-        self.try_extend(other).unwrap_or_else(|e| panic!("cannot extend report: {e}"));
-    }
-
-    /// Appends every row of `other` after checking schema compatibility —
-    /// the non-panicking merge primitive for reports that crossed a
-    /// process boundary (a worker's rows are external input, not a
-    /// programming error).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the schema mismatch; `self` is
-    /// unchanged on error.
-    pub fn try_extend(&mut self, other: Report) -> Result<(), String> {
-        if self.schema != other.schema {
-            let names = |s: &Schema| {
-                s.columns
-                    .iter()
-                    .map(|c| format!("{}:{}", c.name, c.kind))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            };
-            return Err(format!(
-                "schema mismatch: [{}] vs [{}]",
-                names(&self.schema),
-                names(&other.schema)
-            ));
-        }
-        self.rows.extend(other.rows);
-        Ok(())
-    }
 }
 
 /// Conversion of a typed sweep point into a [`SweepRow`] under a fixed,
@@ -287,27 +249,6 @@ mod tests {
     fn push_rejects_arity_mismatch() {
         let mut r = Report::new(schema());
         r.push(SweepRow::new(["MLP".into(), 16usize.into()]));
-    }
-
-    #[test]
-    fn extend_concatenates_same_schema() {
-        let mut a = Report::new(schema());
-        a.push(SweepRow::new(["MLP".into(), 16usize.into(), 142.5.into()]));
-        let mut b = Report::new(schema());
-        b.push(SweepRow::new(["ResNet18".into(), 32usize.into(), 128.0.into()]));
-        a.extend(b);
-        assert_eq!(a.rows.len(), 2);
-    }
-
-    #[test]
-    fn try_extend_rejects_schema_mismatch_without_mutating() {
-        let mut a = Report::new(schema());
-        a.push(SweepRow::new(["MLP".into(), 16usize.into(), 142.5.into()]));
-        let other = Report::new(Schema::new([("net", Kind::Str), ("batch", Kind::Str)]));
-        let err = a.try_extend(other).unwrap_err();
-        assert!(err.contains("schema mismatch"), "{err}");
-        assert!(err.contains("batch:str"), "{err}");
-        assert_eq!(a.rows.len(), 1, "failed merge must leave the target untouched");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! constants recorded before the controller's issue-selection caches
 //! existed. A digest that moves means the simulated model changed.
 //!
-//! Three layers are covered:
+//! Four layers are covered:
 //! * `PhaseResult::to_bits_string()` of the phase executors: stream,
 //!   baseline update, PIM kernels and AoS-PB on every `Design` view of
 //!   DDR4-2133, plus stream and PIM kernels on the other presets. The
@@ -17,6 +17,10 @@
 //! * The command trace, `Stats` and completions of mixed read/write/PIM
 //!   traffic idled across a refresh window, at power-down 16/64/off, in
 //!   Direct and PerRankBuffered issue modes.
+//! * The functional in-DRAM update: three `GradPimMemory` steps of SGD,
+//!   momentum and NAG on every precision mix and three group shapes, and
+//!   of stacked Adam on an extended-ALU device, each step's cycles and
+//!   commands and the bits of every array the facade reads back.
 //! * The report JSON of every experiment on `MLP1`, which pins the sweep
 //!   families' enumeration and row arithmetic above the phase layer.
 //!
@@ -28,6 +32,7 @@
 
 use std::sync::{Mutex, PoisonError};
 
+use gradpim::core::GradPimMemory;
 use gradpim::dram::{
     AddressMapping, BankAddr, Command, CommandIssueMode, Completion, DramConfig, MemError,
     MemorySystem, PimOp, Stats, TraceEntry,
@@ -228,55 +233,24 @@ fn render_cmd(out: &mut String, cmd: &Command) {
             out.push_str(&format!(" {row} {col}"));
         }
         Command::Refresh { rank } => out.push_str(&format!("REF {rank}")),
-        Command::ScaledRead { bank, row, col, scaler, dst } => {
-            out.push_str("SRD");
-            render_bank(out, bank);
-            out.push_str(&format!(" {row} {col} {scaler} {dst}"));
-        }
-        Command::Writeback { bank, row, col, src } => {
-            out.push_str("WB");
-            render_bank(out, bank);
-            out.push_str(&format!(" {row} {col} {src}"));
-        }
-        Command::QRegLoad { bank, row, col } => {
-            out.push_str("QLD");
-            render_bank(out, bank);
-            out.push_str(&format!(" {row} {col}"));
-        }
-        Command::QRegStore { bank, row, col } => {
-            out.push_str("QST");
-            render_bank(out, bank);
-            out.push_str(&format!(" {row} {col}"));
-        }
-        Command::PimAdd { unit, dst } => {
-            out.push_str("ADD");
-            render_bank(out, unit);
-            out.push_str(&format!(" {dst}"));
-        }
-        Command::PimSub { unit, dst } => {
-            out.push_str("SUB");
-            render_bank(out, unit);
-            out.push_str(&format!(" {dst}"));
-        }
-        Command::Quant { unit, pos, src } => {
-            out.push('Q');
-            render_bank(out, unit);
-            out.push_str(&format!(" {pos} {src}"));
-        }
-        Command::Dequant { unit, pos, dst } => {
-            out.push_str("DQ");
-            render_bank(out, unit);
-            out.push_str(&format!(" {pos} {dst}"));
-        }
-        Command::PimMul { unit, dst } => {
-            out.push_str("MUL");
-            render_bank(out, unit);
-            out.push_str(&format!(" {dst}"));
-        }
-        Command::PimRsqrt { unit, dst } => {
-            out.push_str("RSQ");
-            render_bank(out, unit);
-            out.push_str(&format!(" {dst}"));
+        Command::Pim { rank, bankgroup, op } => {
+            let (tag, fields) = match op {
+                PimOp::ScaledRead { row, col, scaler, dst, .. } => {
+                    ("SRD", format!("{row} {col} {scaler} {dst}"))
+                }
+                PimOp::Writeback { row, col, src, .. } => ("WB", format!("{row} {col} {src}")),
+                PimOp::QRegLoad { row, col, .. } => ("QLD", format!("{row} {col}")),
+                PimOp::QRegStore { row, col, .. } => ("QST", format!("{row} {col}")),
+                PimOp::Add { dst, .. } => ("ADD", format!("{dst}")),
+                PimOp::Sub { dst, .. } => ("SUB", format!("{dst}")),
+                PimOp::Quant { pos, src, .. } => ("Q", format!("{pos} {src}")),
+                PimOp::Dequant { pos, dst, .. } => ("DQ", format!("{pos} {dst}")),
+                PimOp::Mul { dst, .. } => ("MUL", format!("{dst}")),
+                PimOp::Rsqrt { dst, .. } => ("RSQ", format!("{dst}")),
+            };
+            out.push_str(tag);
+            render_bank(out, BankAddr { rank, bankgroup, bank: op.bank() });
+            out.push_str(&format!(" {fields}"));
         }
     }
 }
@@ -510,6 +484,128 @@ fn memory_system_outputs_match_golden_digests() {
     let actual: Vec<(String, u64)> =
         dram_probes().into_iter().map(|(name, text)| (name, fnv1a(text.as_bytes()))).collect();
     check("memory-system", &actual, DRAM_GOLDEN);
+}
+
+// ---------------------------------------------------------------------------
+// Functional layer
+// ---------------------------------------------------------------------------
+
+/// One functional probe: the optimizer, the mix, the stacked group sizes
+/// and the device.
+type FunctionalProbe = (OptimizerKind, PrecisionMix, &'static [usize], DramConfig);
+
+/// The momentum family on every mix and three group shapes (a partial
+/// chunk, whole chunks, two stacked groups), then stacked Adam on an
+/// extended-ALU device at 32/32 and 8/32.
+fn functional_probes() -> Vec<(String, FunctionalProbe)> {
+    let mut probes = Vec::new();
+    let shapes: [&'static [usize]; 3] = [&[777], &[4096], &[2048, 512]];
+    for opt in [OptimizerKind::Sgd, OptimizerKind::MomentumSgd, OptimizerKind::Nag] {
+        for mix in PrecisionMix::ALL {
+            for groups in shapes {
+                probes.push((opt, mix, groups, DramConfig::ddr4_2133()));
+            }
+        }
+    }
+    let mut xalu = DramConfig::ddr4_2133();
+    xalu.extended_alu = true;
+    for mix in [PrecisionMix::FULL_32, PrecisionMix::MIXED_8_32] {
+        probes.push((OptimizerKind::Adam, mix, &[2048, 512], xalu.clone()));
+    }
+    probes
+        .into_iter()
+        .map(|probe| {
+            let (opt, mix, groups, _) = &probe;
+            let sizes: Vec<String> = groups.iter().map(usize::to_string).collect();
+            (format!("{opt:?}/{}-{}/{}", mix.low, mix.high, sizes.join("+")), probe)
+        })
+        .collect()
+}
+
+/// Three in-DRAM steps of `probe`, rendered: after each step its cycles
+/// and commands, then the bits of θ, g, Q(θ) and every state array. The
+/// inputs come from integer arithmetic and correctly rounded division
+/// only, so no platform math library can move them.
+fn functional_probe((opt, mix, groups, cfg): FunctionalProbe) -> Vec<u8> {
+    let n: usize = groups.iter().sum();
+    let mut mem = GradPimMemory::stacked(cfg, opt, mix, HyperParams::default(), groups).unwrap();
+    let theta: Vec<f32> = (0..n).map(|i| (((i * 13) % 401) as f32 - 200.0) / 224.0).collect();
+    mem.load_theta(&theta);
+    let mut out = Vec::new();
+    for step in 0..3 {
+        let grads: Vec<f32> =
+            (0..n).map(|i| ((((i + step * 59) * 23) % 89) as f32 - 44.0) / 64.0).collect();
+        mem.write_gradients(&grads);
+        let r = mem.step().unwrap();
+        out.extend(
+            format!("step {} {} {}\n", r.dequant_cycles, r.update_cycles, r.commands).bytes(),
+        );
+        let mut arrays = vec![mem.theta(), mem.grad(), mem.quantized_theta()];
+        if opt.state_arrays() > 0 {
+            arrays.push(mem.state0());
+        }
+        if opt.state_arrays() > 1 {
+            arrays.push(mem.state1());
+        }
+        for values in arrays {
+            out.extend(values.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+            out.push(b'\n');
+        }
+    }
+    out
+}
+
+/// Digests recorded before the PIM ops, element formats and array
+/// load/store paths each got one representation; the rows with int8 Q(θ)
+/// re-recorded when re-quantization dropped its 1.25× range headroom.
+const FUNCTIONAL_GOLDEN: &[(&str, u64)] = &[
+    ("Sgd/8b-32b/777", 0xd9cbdbe7470014a7),
+    ("Sgd/8b-32b/4096", 0x401389d4ddbb2e3a),
+    ("Sgd/8b-32b/2048+512", 0xccb1537f3602b5b3),
+    ("Sgd/16b-32b/777", 0x91ab4abd3d97c393),
+    ("Sgd/16b-32b/4096", 0xa29bec1f4f6d4e20),
+    ("Sgd/16b-32b/2048+512", 0xce420d66ae8b6ee2),
+    ("Sgd/8b-16b/777", 0xc3a4e005f16a9ad8),
+    ("Sgd/8b-16b/4096", 0x7dd31c6af5ab9e3a),
+    ("Sgd/8b-16b/2048+512", 0xd81fd8c441300988),
+    ("Sgd/32b-32b/777", 0x2bd24c1d7de61909),
+    ("Sgd/32b-32b/4096", 0x447f0d607914f00c),
+    ("Sgd/32b-32b/2048+512", 0x2af04f34270c4783),
+    ("MomentumSgd/8b-32b/777", 0x36b3dab98d0b5fd6),
+    ("MomentumSgd/8b-32b/4096", 0xbd7cbe32720f7a60),
+    ("MomentumSgd/8b-32b/2048+512", 0x425d497561976d65),
+    ("MomentumSgd/16b-32b/777", 0x53bd1b84446a40bf),
+    ("MomentumSgd/16b-32b/4096", 0xe134fd00374af6f7),
+    ("MomentumSgd/16b-32b/2048+512", 0x9a6e99a5c7fe40b0),
+    ("MomentumSgd/8b-16b/777", 0x4004e0729ac450ee),
+    ("MomentumSgd/8b-16b/4096", 0x88e0a10a40f5c22a),
+    ("MomentumSgd/8b-16b/2048+512", 0x78b7deca9e293e1c),
+    ("MomentumSgd/32b-32b/777", 0x28e1f4e377fdbf49),
+    ("MomentumSgd/32b-32b/4096", 0xcc4e3bbe17cf0c6c),
+    ("MomentumSgd/32b-32b/2048+512", 0x899d05fa15521670),
+    ("Nag/8b-32b/777", 0xb80d61b5d3e6bd20),
+    ("Nag/8b-32b/4096", 0xc7c25561d3cf32e2),
+    ("Nag/8b-32b/2048+512", 0x9f11ca94fd0572c6),
+    ("Nag/16b-32b/777", 0x459743b613d92ec3),
+    ("Nag/16b-32b/4096", 0x4f5e5df205cb6135),
+    ("Nag/16b-32b/2048+512", 0xc072463580f4c704),
+    ("Nag/8b-16b/777", 0xefdc6103298333ad),
+    ("Nag/8b-16b/4096", 0xf23d5acebb96d348),
+    ("Nag/8b-16b/2048+512", 0x634ca5c546a5d56d),
+    ("Nag/32b-32b/777", 0x0a98f6b19e6ed6ef),
+    ("Nag/32b-32b/4096", 0xc6eb971017450fbb),
+    ("Nag/32b-32b/2048+512", 0xa813eaa23f6703ac),
+    ("Adam/32b-32b/2048+512", 0x2c14fcdb0275963f),
+    ("Adam/8b-32b/2048+512", 0xd2f94e16f9d714b8),
+];
+
+#[test]
+fn functional_steps_match_golden_digests() {
+    let actual: Vec<(String, u64)> = functional_probes()
+        .into_iter()
+        .map(|(name, probe)| (name, fnv1a(&functional_probe(probe))))
+        .collect();
+    check("functional", &actual, FUNCTIONAL_GOLDEN);
 }
 
 /// The most candidate evaluations one issued command may cost on a
