@@ -5,7 +5,7 @@
 //! optimizers under the base ALU.
 
 use gradpim_bench::banner;
-use gradpim_core::{compile_step, Placement};
+use gradpim_core::{compile_step, KernelParts, Placement};
 use gradpim_dram::DramConfig;
 use gradpim_optim::{HyperParams, OptimizerKind, PrecisionMix};
 use gradpim_sim::phase::pim_update_phase;
@@ -23,10 +23,10 @@ fn main() {
     for opt in OptimizerKind::ALL {
         let placement =
             Placement::for_optimizer(opt, PrecisionMix::MIXED_8_32, n, &cfg).expect("placement");
-        match compile_step(&placement, &hyper, &cfg) {
+        match compile_step(&placement, &hyper, &cfg, KernelParts::ALL) {
             Ok(plan) => {
                 let cols = (n / placement.elems_per_col()) as f64;
-                let c = plan.counts;
+                let c = plan.counts();
                 let sys = SystemConfig::new(Design::GradPimBuffered);
                 let t = pim_update_phase(
                     &sys.dram(),

@@ -2,7 +2,9 @@
 //! scaler approximation, ISA encode/decode, and a full functional step.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use gradpim_core::{compile_step, GradPimFunc, GradPimMemory, Placement, RfuBits, ScalerValue};
+use gradpim_core::{
+    compile_step, GradPimFunc, GradPimMemory, KernelParts, Placement, RfuBits, ScalerValue,
+};
 use gradpim_dram::DramConfig;
 use gradpim_optim::{HyperParams, OptimizerKind, PrecisionMix};
 
@@ -16,7 +18,9 @@ fn bench_kernel_compile(c: &mut Criterion) {
     let mut g = c.benchmark_group("pim_compile");
     g.throughput(Throughput::Elements(n as u64));
     g.bench_function("momentum_128k_params", |b| {
-        b.iter(|| compile_step(&placement, &hyper, &cfg).unwrap().counts.total())
+        b.iter(|| {
+            compile_step(&placement, &hyper, &cfg, KernelParts::ALL).unwrap().counts().total()
+        })
     });
     g.finish();
 }

@@ -14,6 +14,13 @@
 //! Scaler-slot convention for momentum SGD with weight decay (Eq. 3/4):
 //! slot 0 = −η, slot 1 = α, slot 2 = −ηβ, slot 3 = +1.
 //!
+//! A compiled kernel is its op streams: [`compile_step`] emits the
+//! selected sub-kernels ([`KernelParts`]) as one [`StepPlan`], and the
+//! plan's [`KernelCounts`] are counted from those ops, never kept beside
+//! them. A step's update is a sequence of such plans, one per pass, each
+//! with its own scaler programming: one for the momentum family, two for
+//! Adam ([`crate::xalu::compile_adam`]).
+//!
 //! [`run_unit_streams`] feeds compiled streams to a [`MemorySystem`]; it is
 //! the one PIM stream driver, shared by [`crate::GradPimMemory`] and the
 //! phase executors of `gradpim-sim`.
@@ -71,7 +78,22 @@ pub struct UnitStream {
     pub ops: Vec<PimOp>,
 }
 
-/// Static op-count analytics for a compiled step (drives the performance
+impl UnitStream {
+    /// The ops of `unit` (channel, rank, bank group) in `streams`, after
+    /// appending an empty stream if the unit has none: streams keep the
+    /// order in which their units first appear.
+    pub fn ops_of(streams: &mut Vec<UnitStream>, unit: (usize, u8, u8)) -> &mut Vec<PimOp> {
+        let i = streams.iter().position(|s| (s.channel, s.rank, s.bankgroup) == unit);
+        let i = i.unwrap_or_else(|| {
+            let (channel, rank, bankgroup) = unit;
+            streams.push(UnitStream { channel, rank, bankgroup, ops: Vec::new() });
+            streams.len() - 1
+        });
+        &mut streams[i].ops
+    }
+}
+
+/// Static op-count analytics for compiled streams (drives the performance
 /// model and the Fig. 11 command-pressure analysis).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelCounts {
@@ -88,21 +110,45 @@ pub struct KernelCounts {
 }
 
 impl KernelCounts {
+    /// The counts of the ops in `streams`.
+    pub fn of(streams: &[UnitStream]) -> Self {
+        let mut counts = Self::default();
+        for op in streams.iter().flat_map(|s| &s.ops) {
+            let count = match op {
+                PimOp::ScaledRead { .. } => &mut counts.scaled_reads,
+                PimOp::Writeback { .. } => &mut counts.writebacks,
+                PimOp::Add { .. } | PimOp::Sub { .. } | PimOp::Mul { .. } | PimOp::Rsqrt { .. } => {
+                    &mut counts.alu_ops
+                }
+                PimOp::QRegLoad { .. } | PimOp::QRegStore { .. } => &mut counts.qreg_moves,
+                PimOp::Quant { .. } | PimOp::Dequant { .. } => &mut counts.quant_ops,
+            };
+            *count += 1;
+        }
+        counts
+    }
+
     /// Total commands.
     pub fn total(&self) -> u64 {
         self.scaled_reads + self.writebacks + self.alu_ops + self.qreg_moves + self.quant_ops
     }
 }
 
-/// A compiled update step: per-unit streams plus the scaler programming.
+/// One compiled pass: per-unit streams plus the scaler programming they
+/// run under.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepPlan {
     /// Streams, one per participating unit.
     pub streams: Vec<UnitStream>,
-    /// The scaler values the step expects in the mode registers.
+    /// The scaler values the pass expects in the mode registers.
     pub scalers: ScalerBank,
-    /// Op-count analytics.
-    pub counts: KernelCounts,
+}
+
+impl StepPlan {
+    /// Op-count analytics of the streams.
+    pub fn counts(&self) -> KernelCounts {
+        KernelCounts::of(&self.streams)
+    }
 }
 
 /// Which of the three §IV-D sub-kernels to emit.
@@ -123,7 +169,7 @@ pub struct KernelParts {
 }
 
 impl KernelParts {
-    /// Every sub-kernel (the [`compile_step`] default).
+    /// Every sub-kernel: a whole training step.
     pub const ALL: Self = Self { dequant: true, update: true, quant: true };
     /// The update procedure only (the paper's timed update phase).
     pub const UPDATE_ONLY: Self = Self { dequant: false, update: true, quant: false };
@@ -150,29 +196,14 @@ pub fn scaler_bank_for(
     Ok(ScalerBank::program([-lr, alpha, -lr * wd, 1.0]))
 }
 
-/// Compiles one full training-step kernel (dequant → update → quant) for
-/// every unit that owns part of the parameter group.
-///
-/// # Errors
-///
-/// [`KernelError::UnsupportedOptimizer`] for optimizers outside the base
-/// primitive set.
-pub fn compile_step(
-    placement: &Placement,
-    hyper: &HyperParams,
-    cfg: &DramConfig,
-) -> Result<StepPlan, KernelError> {
-    compile_step_parts(placement, hyper, cfg, KernelParts::ALL)
-}
-
 /// Compiles the selected sub-kernels of one training step (see
-/// [`KernelParts`]).
+/// [`KernelParts`]) for every unit that owns part of the parameter group.
 ///
 /// # Errors
 ///
-/// [`KernelError::UnsupportedOptimizer`] for optimizers outside the base
-/// primitive set.
-pub fn compile_step_parts(
+/// [`KernelError::UnsupportedOptimizer`] for an update kernel of an
+/// optimizer outside the base primitive set.
+pub fn compile_step(
     placement: &Placement,
     hyper: &HyperParams,
     cfg: &DramConfig,
@@ -188,37 +219,20 @@ pub fn compile_step_parts(
     };
     let mixed = placement.mix().is_mixed();
     let ratio = placement.mix().quant_ratio();
-    let mut counts = KernelCounts::default();
-
-    // Group chunks by owning unit.
-    let mut streams: Vec<UnitStream> = Vec::new();
+    let mut streams = Vec::new();
     for chunk in placement.chunks(cfg) {
-        let idx = streams
-            .iter()
-            .position(|s| {
-                s.channel == chunk.channel && s.rank == chunk.rank && s.bankgroup == chunk.bankgroup
-            })
-            .unwrap_or_else(|| {
-                streams.push(UnitStream {
-                    channel: chunk.channel,
-                    rank: chunk.rank,
-                    bankgroup: chunk.bankgroup,
-                    ops: Vec::new(),
-                });
-                streams.len() - 1
-            });
-        let ops = &mut streams[idx].ops;
+        let ops = UnitStream::ops_of(&mut streams, (chunk.channel, chunk.rank, chunk.bankgroup));
         if mixed && parts.dequant {
-            emit_dequant(placement, &chunk, ratio, ops, &mut counts);
+            emit_dequant(placement, &chunk, ratio, ops);
         }
         if parts.update {
-            emit_update(placement, hyper, &chunk, ops, &mut counts);
+            emit_update(placement, hyper, &chunk, ops);
         }
         if mixed && parts.quant {
-            emit_quant(placement, &chunk, ratio, ops, &mut counts);
+            emit_quant(placement, &chunk, ratio, ops);
         }
     }
-    Ok(StepPlan { streams, scalers, counts })
+    Ok(StepPlan { streams, scalers })
 }
 
 /// Enqueues per-unit op streams round-robin with backpressure,
@@ -267,13 +281,7 @@ pub fn run_unit_streams(mem: &mut MemorySystem, streams: &[UnitStream]) -> Resul
 }
 
 /// Fig. 5 (top): dequantize `Q(g)` into `g` for one chunk.
-fn emit_dequant(
-    p: &Placement,
-    chunk: &Chunk,
-    ratio: usize,
-    ops: &mut Vec<PimOp>,
-    counts: &mut KernelCounts,
-) {
+fn emit_dequant(p: &Placement, chunk: &Chunk, ratio: usize, ops: &mut Vec<PimOp>) {
     let qg = *p.array(ArrayName::QGrad);
     let g = *p.array(ArrayName::Grad);
     let g_row = g.base_row + chunk.row_offset;
@@ -282,7 +290,6 @@ fn emit_dequant(
     for qcol in 0..qcols {
         // ① load one column of Q(g) into the quantization register.
         ops.push(PimOp::QRegLoad { bank: qg.bank, row: q_row, col: qcol });
-        counts.qreg_moves += 1;
         // ② dequantize each slice and write the master column back.
         for pos in 0..ratio as u32 {
             let col = qcol * ratio as u32 + pos;
@@ -291,20 +298,12 @@ fn emit_dequant(
             }
             ops.push(PimOp::Dequant { bank: g.bank, pos: pos as u8, dst: 0 });
             ops.push(PimOp::Writeback { bank: g.bank, row: g_row, col, src: 0 });
-            counts.quant_ops += 1;
-            counts.writebacks += 1;
         }
     }
 }
 
 /// Fig. 5 (middle): the update procedure for one chunk.
-fn emit_update(
-    p: &Placement,
-    hyper: &HyperParams,
-    chunk: &Chunk,
-    ops: &mut Vec<PimOp>,
-    counts: &mut KernelCounts,
-) {
+fn emit_update(p: &Placement, hyper: &HyperParams, chunk: &Chunk, ops: &mut Vec<PimOp>) {
     let theta = *p.array(ArrayName::Theta);
     let grad = *p.array(ArrayName::Grad);
     let t_row = theta.base_row + chunk.row_offset;
@@ -321,7 +320,6 @@ fn emit_update(
                     scaler: slots::NEG_LR,
                     dst: 0,
                 });
-                counts.scaled_reads += 1;
                 if wd {
                     // R1 ← −ηβ·θ ; R0 ← R0 + R1
                     ops.push(PimOp::ScaledRead {
@@ -332,8 +330,6 @@ fn emit_update(
                         dst: 1,
                     });
                     ops.push(PimOp::Add { bank: theta.bank, dst: 0 });
-                    counts.scaled_reads += 1;
-                    counts.alu_ops += 1;
                 }
                 // R1 ← θ ; R1 ← R0 + R1 ; θ ← R1
                 ops.push(PimOp::ScaledRead {
@@ -345,9 +341,6 @@ fn emit_update(
                 });
                 ops.push(PimOp::Add { bank: theta.bank, dst: 1 });
                 ops.push(PimOp::Writeback { bank: theta.bank, row: t_row, col, src: 1 });
-                counts.scaled_reads += 1;
-                counts.alu_ops += 1;
-                counts.writebacks += 1;
             }
         }
         OptimizerKind::MomentumSgd => {
@@ -370,10 +363,8 @@ fn emit_update(
                     scaler: slots::MOMENTUM,
                     dst: 1,
                 });
-                counts.scaled_reads += 2;
                 // ② R1 ← R0 + R1 (= αv − ηg)
                 ops.push(PimOp::Add { bank: vel.bank, dst: 1 });
-                counts.alu_ops += 1;
                 if wd {
                     // ③ R0 ← −ηβ·θ ; ④ R1 ← R0 + R1 (= v_t, Eq. 4)
                     ops.push(PimOp::ScaledRead {
@@ -384,12 +375,9 @@ fn emit_update(
                         dst: 0,
                     });
                     ops.push(PimOp::Add { bank: theta.bank, dst: 1 });
-                    counts.scaled_reads += 1;
-                    counts.alu_ops += 1;
                 }
                 // ⑤ v ← R1
                 ops.push(PimOp::Writeback { bank: vel.bank, row: v_row, col, src: 1 });
-                counts.writebacks += 1;
                 // ⑥ R0 ← θ ; R0 ← R0 + R1 (= θ + v_t, Eq. 3) ; θ ← R0
                 ops.push(PimOp::ScaledRead {
                     bank: theta.bank,
@@ -400,9 +388,6 @@ fn emit_update(
                 });
                 ops.push(PimOp::Add { bank: theta.bank, dst: 0 });
                 ops.push(PimOp::Writeback { bank: theta.bank, row: t_row, col, src: 0 });
-                counts.scaled_reads += 1;
-                counts.alu_ops += 1;
-                counts.writebacks += 1;
             }
         }
         OptimizerKind::Nag => {
@@ -446,9 +431,6 @@ fn emit_update(
                 });
                 ops.push(PimOp::Add { bank: theta.bank, dst: 0 });
                 ops.push(PimOp::Writeback { bank: theta.bank, row: t_row, col, src: 0 });
-                counts.scaled_reads += 4;
-                counts.alu_ops += 3;
-                counts.writebacks += 2;
             }
         }
         other => unreachable!("scaler_bank_for already rejected {other}"),
@@ -456,13 +438,7 @@ fn emit_update(
 }
 
 /// Fig. 5 (bottom): quantize θ into `Q(θ)` for one chunk.
-fn emit_quant(
-    p: &Placement,
-    chunk: &Chunk,
-    ratio: usize,
-    ops: &mut Vec<PimOp>,
-    counts: &mut KernelCounts,
-) {
+fn emit_quant(p: &Placement, chunk: &Chunk, ratio: usize, ops: &mut Vec<PimOp>) {
     let qt = *p.array(ArrayName::QTheta);
     let theta = *p.array(ArrayName::Theta);
     let t_row = theta.base_row + chunk.row_offset;
@@ -483,12 +459,9 @@ fn emit_quant(
                 dst: 0,
             });
             ops.push(PimOp::Quant { bank: theta.bank, pos: pos as u8, src: 0 });
-            counts.scaled_reads += 1;
-            counts.quant_ops += 1;
         }
         // ② write the filled quantization register to Q(θ).
         ops.push(PimOp::QRegStore { bank: qt.bank, row: q_row, col: qcol });
-        counts.qreg_moves += 1;
     }
 }
 
@@ -501,7 +474,7 @@ mod tests {
     fn plan(optimizer: OptimizerKind, mix: PrecisionMix, n: usize) -> StepPlan {
         let cfg = DramConfig::ddr4_2133();
         let placement = Placement::for_optimizer(optimizer, mix, n, &cfg).unwrap();
-        compile_step(&placement, &HyperParams::default(), &cfg).unwrap()
+        compile_step(&placement, &HyperParams::default(), &cfg, KernelParts::ALL).unwrap()
     }
 
     #[test]
@@ -514,13 +487,13 @@ mod tests {
         // weight decay).
         // Dequant: (1 QRegLoad)/4 + 1 Dequant + 1 WB per column.
         // Quant: 1 SR + 1 Quant per column + (1 QRegStore)/4.
-        assert_eq!(p.counts.scaled_reads, cols * (4 + 1));
-        assert_eq!(p.counts.alu_ops, cols * 3);
-        assert_eq!(p.counts.writebacks, cols * (2 + 1));
-        assert_eq!(p.counts.qreg_moves, cols / 4 * 2);
-        assert_eq!(p.counts.quant_ops, cols * 2);
+        assert_eq!(p.counts().scaled_reads, cols * (4 + 1));
+        assert_eq!(p.counts().alu_ops, cols * 3);
+        assert_eq!(p.counts().writebacks, cols * (2 + 1));
+        assert_eq!(p.counts().qreg_moves, cols / 4 * 2);
+        assert_eq!(p.counts().quant_ops, cols * 2);
         // Total per column: 9 + 2.25 + 2.25 = 13.5.
-        assert_eq!(p.counts.total(), cols * 13 + cols / 2);
+        assert_eq!(p.counts().total(), cols * 13 + cols / 2);
     }
 
     #[test]
@@ -534,18 +507,18 @@ mod tests {
         )
         .unwrap();
         let hyper = HyperParams { weight_decay: 0.0, ..Default::default() };
-        let p = compile_step(&placement, &hyper, &cfg).unwrap();
-        assert_eq!(p.counts.scaled_reads, 128 * 4); // 3 update + 1 quant
-        assert_eq!(p.counts.alu_ops, 128 * 2);
+        let p = compile_step(&placement, &hyper, &cfg, KernelParts::ALL).unwrap();
+        assert_eq!(p.counts().scaled_reads, 128 * 4); // 3 update + 1 quant
+        assert_eq!(p.counts().alu_ops, 128 * 2);
     }
 
     #[test]
     fn full_precision_skips_quant_kernels() {
         let p = plan(OptimizerKind::MomentumSgd, PrecisionMix::FULL_32, 2048);
-        assert_eq!(p.counts.qreg_moves, 0);
-        assert_eq!(p.counts.quant_ops, 0);
+        assert_eq!(p.counts().qreg_moves, 0);
+        assert_eq!(p.counts().quant_ops, 0);
         // Columns: 2048 f32 = 128 cols. 4 SR + 3 Add + 2 WB each.
-        assert_eq!(p.counts.total(), 128 * 9);
+        assert_eq!(p.counts().total(), 128 * 9);
     }
 
     #[test]
@@ -565,7 +538,8 @@ mod tests {
         for opt in [OptimizerKind::Adam, OptimizerKind::AdaGrad, OptimizerKind::RmsProp] {
             let placement =
                 Placement::for_optimizer(opt, PrecisionMix::MIXED_8_32, 1000, &cfg).unwrap();
-            let err = compile_step(&placement, &HyperParams::default(), &cfg).unwrap_err();
+            let err = compile_step(&placement, &HyperParams::default(), &cfg, KernelParts::ALL)
+                .unwrap_err();
             assert_eq!(err, KernelError::UnsupportedOptimizer(opt));
         }
     }
@@ -609,7 +583,7 @@ mod tests {
         let placement =
             Placement::for_optimizer(OptimizerKind::Sgd, PrecisionMix::FULL_32, 16, &cfg).unwrap();
         let hyper = HyperParams { weight_decay: 0.0, ..Default::default() };
-        let p = compile_step(&placement, &hyper, &cfg).unwrap();
+        let p = compile_step(&placement, &hyper, &cfg, KernelParts::ALL).unwrap();
         // 16 f32 = 1 column: SR g, SR θ, Add, WB θ.
         assert_eq!(
             p.streams[0].ops,

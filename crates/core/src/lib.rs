@@ -11,11 +11,17 @@
 //!   bank regions so matching elements share a bank group across different
 //!   banks, with quarter-row packing for quantized shadows;
 //! * [`kernel`] — the §IV-D procedures (dequantization, parameter update,
-//!   quantization) compiled into per-unit command streams, and the one
-//!   driver that feeds such streams to the simulator;
+//!   quantization) compiled by one [`compile_step`] into a [`StepPlan`]:
+//!   per-unit command streams plus the scalers they run under, with op
+//!   counts derived from the streams; and the one driver that feeds such
+//!   streams to the simulator;
+//! * [`xalu`] — the §VIII extended ALU: Adam compiled into two such
+//!   plans, one per pass;
 //! * [`memory`] — [`GradPimMemory`], a host-side facade that runs real
 //!   gradient-descent steps *inside* the simulated DRAM, over one
-//!   parameter group or several stacked ones (one per layer).
+//!   parameter group or several stacked ones (one per layer); a step runs
+//!   its update as a sequence of passes, each programming its own
+//!   scalers, for Adam and the momentum family alike.
 //!
 //! # Example: momentum SGD running inside DRAM
 //!
@@ -53,11 +59,11 @@ pub mod xalu;
 
 pub use isa::{DecodeError, GradPimFunc, RfuBits};
 pub use kernel::{
-    compile_step, compile_step_parts, run_unit_streams, scaler_bank_for, KernelCounts, KernelError,
-    KernelParts, StepPlan, UnitStream,
+    compile_step, run_unit_streams, scaler_bank_for, KernelCounts, KernelError, KernelParts,
+    StepPlan, UnitStream,
 };
 pub use memory::{GradPimError, GradPimMemory, StepReport};
 pub use placement::{ArrayName, ArraySpec, Chunk, Placement, PlacementError};
 pub use scaler::{ScalerBank, ScalerValue};
 pub use schedule::LrSchedule;
-pub use xalu::{adam_scalers, adam_step_size, compile_adam, AdamConstants, AdamPlan};
+pub use xalu::{adam_scalers, adam_step_size, compile_adam, AdamConstants};

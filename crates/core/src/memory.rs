@@ -24,8 +24,9 @@
 use gradpim_dram::{AddressMapping, DramConfig, MemError, MemorySystem, ModeRegisters, Stats};
 use gradpim_optim::{HyperParams, OptimizerKind, PrecisionMix, Q8Scale};
 
-use crate::kernel::{compile_step_parts, run_unit_streams, KernelParts, UnitStream};
+use crate::kernel::{compile_step, run_unit_streams, KernelError, KernelParts, UnitStream};
 use crate::placement::{ArrayName, Placement, PlacementError};
+use crate::xalu::compile_adam;
 
 /// Errors from the GradPIM memory facade.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,7 +34,7 @@ pub enum GradPimError {
     /// Placement failed.
     Placement(PlacementError),
     /// Kernel compilation failed.
-    Kernel(crate::kernel::KernelError),
+    Kernel(KernelError),
     /// The underlying memory simulation failed.
     Memory(MemError),
 }
@@ -56,8 +57,8 @@ impl From<PlacementError> for GradPimError {
     }
 }
 
-impl From<crate::kernel::KernelError> for GradPimError {
-    fn from(e: crate::kernel::KernelError) -> Self {
+impl From<KernelError> for GradPimError {
+    fn from(e: KernelError) -> Self {
         GradPimError::Kernel(e)
     }
 }
@@ -115,8 +116,8 @@ pub struct GradPimMemory {
 }
 
 impl GradPimMemory {
-    /// Builds a memory holding one parameter group of `n_params`, places
-    /// the arrays, and programs the scaler bank.
+    /// Builds a memory holding one parameter group of `n_params` and
+    /// places the arrays.
     ///
     /// # Errors
     ///
@@ -132,8 +133,9 @@ impl GradPimMemory {
     }
 
     /// Builds a memory holding one parameter group per entry of
-    /// `group_sizes` (e.g. one per layer), stacked by row base in order,
-    /// and programs the scaler bank.
+    /// `group_sizes` (e.g. one per layer), stacked by row base in order.
+    /// The scaler bank starts at the identity; each step programs it per
+    /// update pass.
     ///
     /// # Errors
     ///
@@ -159,24 +161,16 @@ impl GradPimMemory {
             row_base += placement.rows_footprint();
             groups.push(Group { placement, grad_exponent: -7, theta_exponent: -7 });
         }
-        // The momentum family programs its scaler bank once; Adam (via the
-        // §VIII extended ALU) reprograms per pass inside step() and needs
-        // `extended_alu` on the device.
-        let scalers = if optimizer == OptimizerKind::Adam {
-            if !cfg.extended_alu {
-                return Err(crate::kernel::KernelError::UnsupportedOptimizer(optimizer).into());
-            }
-            crate::scaler::ScalerBank::program([0.0, 0.0, 0.0, 1.0])
-        } else {
-            crate::kernel::scaler_bank_for(optimizer, &hyper)?
-        };
+        // Each step programs the scalers of its update passes, so the mode
+        // registers start at the identity. The momentum family runs one
+        // pass on the base ALU; of the adaptive optimizers only Adam
+        // compiles, into two passes on the §VIII extended ALU.
+        if !(optimizer.single_pass() || (optimizer == OptimizerKind::Adam && cfg.extended_alu)) {
+            return Err(KernelError::UnsupportedOptimizer(optimizer).into());
+        }
         let mut mem = MemorySystem::with_storage(cfg, AddressMapping::GradPim);
-        let mode = ModeRegisters {
-            scalers: scalers.to_mode_floats(),
-            q8_exponent: -7,
-            mix,
-            eps: hyper.eps,
-        };
+        let mode =
+            ModeRegisters { scalers: [0.0, 0.0, 0.0, 1.0], q8_exponent: -7, mix, eps: hyper.eps };
         mem.set_mode_registers(mode);
         Ok(Self { mem, groups, hyper, mode, steps: 0 })
     }
@@ -199,18 +193,17 @@ impl GradPimMemory {
         self.groups[0].placement.mix()
     }
 
-    /// Reprograms the learning rate (MRW reprogramming, §VIII "Learning
-    /// Rate Scheduling").
+    /// Sets the learning rate of the steps that follow (§VIII "Learning
+    /// Rate Scheduling"): each step programs its update passes' scalers
+    /// from it over MRW, Adam's bias-corrected step size a_t included.
     ///
     /// # Errors
     ///
-    /// [`GradPimError::Kernel`] if the optimizer is outside the base
-    /// primitive set (Adam takes its step size per step instead).
+    /// None for a memory [`GradPimMemory::stacked`] built: no scaler is
+    /// programmed before the next step, which compiles the update passes
+    /// of the optimizer the memory was built for.
     pub fn set_lr(&mut self, lr: f32) -> Result<(), GradPimError> {
         self.hyper.lr = lr;
-        let scalers = crate::kernel::scaler_bank_for(self.optimizer(), &self.hyper)?;
-        self.mode.scalers = scalers.to_mode_floats();
-        self.mem.set_mode_registers(self.mode);
         Ok(())
     }
 
@@ -270,10 +263,10 @@ impl GradPimMemory {
     /// Executes one in-DRAM update step over every group:
     ///
     /// 1. dequantization, one group at a time under its gradient scale;
-    /// 2. one update wave: every group's update streams concatenated per
-    ///    unit and run concurrently, so small groups ride along with big
-    ///    ones. Adam runs the two passes of [`crate::xalu`] as two waves,
-    ///    with the scaler bank reprogrammed between them;
+    /// 2. one update wave per pass (the momentum family's one, Adam's two
+    ///    of [`crate::xalu`]): the scaler bank programmed for the pass,
+    ///    then every group's streams of the pass concatenated per unit and
+    ///    run concurrently, so small groups ride along with big ones;
     /// 3. re-quantization, one group at a time under an exponent refreshed
     ///    from the updated θ (§VIII: "utilize the mode register and let
     ///    the NPU provide the new value").
@@ -289,41 +282,36 @@ impl GradPimMemory {
         let c0 = self.mem.cycles();
         if mixed {
             for gi in 0..self.groups.len() {
-                let plan =
-                    compile_step_parts(&self.groups[gi].placement, &self.hyper, &cfg, DEQUANT)?;
-                commands += plan.counts.total();
-                self.run(&plan.streams, self.mode_with_exponent(self.groups[gi].grad_exponent))?;
+                let plan = compile_step(&self.groups[gi].placement, &self.hyper, &cfg, DEQUANT)?;
+                let mode = self.mode_with_exponent(self.groups[gi].grad_exponent);
+                commands += self.run(&plan.streams, mode)?;
             }
         }
         let c1 = self.mem.cycles();
 
-        if self.optimizer() == OptimizerKind::Adam {
-            let t = self.steps + 1;
-            let plans = self
-                .groups
-                .iter()
-                .map(|g| crate::xalu::compile_adam(&g.placement, &self.hyper, t, &cfg))
-                .collect::<Result<Vec<_>, _>>()?;
-            commands += plans.iter().map(|p| p.counts.total()).sum::<u64>();
-            let (scalers1, scalers2) = (plans[0].scalers1, plans[0].scalers2);
-            let (pass1, pass2): (Vec<_>, Vec<_>) =
-                plans.into_iter().map(|p| (p.pass1, p.pass2)).unzip();
-            // Pass 1: moment updates under (β₁, 1−β₁, β₂, √(1−β₂)).
-            self.mode.scalers = scalers1.to_mode_floats();
-            self.run(&merge_units(pass1.into_iter().flatten()), self.mode)?;
-            // Pass 2: bias-corrected weight update under (−a_t, ·, ·, 1).
-            self.mode.scalers = scalers2.to_mode_floats();
-            self.run(&merge_units(pass2.into_iter().flatten()), self.mode)?;
-        } else {
-            let plans = self
-                .groups
-                .iter()
-                .map(|g| {
-                    compile_step_parts(&g.placement, &self.hyper, &cfg, KernelParts::UPDATE_ONLY)
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            commands += plans.iter().map(|p| p.counts.total()).sum::<u64>();
-            self.run(&merge_units(plans.into_iter().flat_map(|p| p.streams)), self.mode)?;
+        // The update passes, each group's streams merged into the pass.
+        let t = self.steps + 1;
+        let mut passes = Vec::new();
+        for g in &self.groups {
+            let plans = if self.optimizer() == OptimizerKind::Adam {
+                Vec::from(compile_adam(&g.placement, &self.hyper, t, &cfg)?)
+            } else {
+                vec![compile_step(&g.placement, &self.hyper, &cfg, KernelParts::UPDATE_ONLY)?]
+            };
+            for (i, plan) in plans.into_iter().enumerate() {
+                let Some(pass) = passes.get_mut(i) else {
+                    passes.push(plan);
+                    continue;
+                };
+                for s in plan.streams {
+                    UnitStream::ops_of(&mut pass.streams, (s.channel, s.rank, s.bankgroup))
+                        .extend(s.ops);
+                }
+            }
+        }
+        for pass in passes {
+            self.mode.scalers = pass.scalers.to_mode_floats();
+            commands += self.run(&pass.streams, self.mode)?;
         }
 
         if mixed {
@@ -331,10 +319,9 @@ impl GradPimMemory {
                 let g = &self.groups[gi];
                 let theta = g.placement.read(&self.mem, ArrayName::Theta, &self.mode);
                 let exponent = Q8Scale::for_tensor(&theta).exponent;
-                let plan = compile_step_parts(&g.placement, &self.hyper, &cfg, QUANT)?;
-                commands += plan.counts.total();
+                let plan = compile_step(&g.placement, &self.hyper, &cfg, QUANT)?;
                 self.groups[gi].theta_exponent = exponent;
-                self.run(&plan.streams, self.mode_with_exponent(exponent))?;
+                commands += self.run(&plan.streams, self.mode_with_exponent(exponent))?;
             }
         }
         let c2 = self.mem.cycles();
@@ -350,16 +337,16 @@ impl GradPimMemory {
     }
 
     /// Runs `streams` under `mode` through the PIM stream driver and
-    /// drains.
-    fn run(&mut self, streams: &[UnitStream], mode: ModeRegisters) -> Result<(), GradPimError> {
+    /// drains; returns the number of commands run, one per op.
+    fn run(&mut self, streams: &[UnitStream], mode: ModeRegisters) -> Result<u64, GradPimError> {
         self.mem.set_mode_registers(mode);
         run_unit_streams(&mut self.mem, streams)?;
+        let commands = streams.iter().map(|s| s.ops.len() as u64).sum();
         // Generous budget: streams of millions of ops still drain well
         // before this.
-        let total_ops: usize = streams.iter().map(|s| s.ops.len()).sum();
-        self.mem.drain(1_000_000 + total_ops as u64 * 64)?;
+        self.mem.drain(1_000_000 + commands * 64)?;
         self.mem.take_completions();
-        Ok(())
+        Ok(commands)
     }
 
     /// Reads master array `name` of every group, in stacking order.
@@ -437,23 +424,10 @@ fn split<'a>(groups: &[Group], data: &'a [f32]) -> Vec<&'a [f32]> {
         .collect()
 }
 
-/// Concatenates the streams of each unit, in order: the unit's in-order
-/// queue runs every group's ops back to back.
-fn merge_units(streams: impl IntoIterator<Item = UnitStream>) -> Vec<UnitStream> {
-    let mut merged: Vec<UnitStream> = Vec::new();
-    for s in streams {
-        let unit = (s.channel, s.rank, s.bankgroup);
-        match merged.iter_mut().find(|m| (m.channel, m.rank, m.bankgroup) == unit) {
-            Some(m) => m.ops.extend(s.ops),
-            None => merged.push(s),
-        }
-    }
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gradpim_dram::CommandKind;
     use gradpim_optim::{MomentumSgd, Optimizer, Sgd};
 
     fn hyper() -> HyperParams {
@@ -462,6 +436,16 @@ mod tests {
 
     fn small_cfg() -> DramConfig {
         DramConfig::ddr4_2133()
+    }
+
+    /// Every optimizer a memory can hold, Adam on an extended-ALU device.
+    fn every_optimizer() -> [(OptimizerKind, DramConfig); 4] {
+        [
+            (OptimizerKind::Sgd, small_cfg()),
+            (OptimizerKind::MomentumSgd, small_cfg()),
+            (OptimizerKind::Nag, small_cfg()),
+            (OptimizerKind::Adam, DramConfig { extended_alu: true, ..small_cfg() }),
+        ]
     }
 
     #[test]
@@ -595,6 +579,37 @@ mod tests {
         assert!(report.update_cycles > 0);
         // All traffic stayed inside the DRAM: zero external bytes.
         assert_eq!(report.stats.external_bytes(), 0);
+
+        // The counts derived from the compiled ops are the PIM commands
+        // the memory issues, for every optimizer, mix and stacking.
+        let pim_commands = |stats: &Stats| {
+            let pim = &CommandKind::ALL[CommandKind::ScaledRead.index()..];
+            pim.iter().map(|&k| stats.count(k)).sum::<u64>()
+        };
+        for (optimizer, cfg) in every_optimizer() {
+            for mix in PrecisionMix::ALL {
+                for sizes in [&[777][..], &[2048, 512]] {
+                    let what = format!("{optimizer} {mix:?} {sizes:?}");
+                    let mut gpm = GradPimMemory::stacked(
+                        cfg.clone(),
+                        optimizer,
+                        mix,
+                        HyperParams::default(),
+                        sizes,
+                    )
+                    .unwrap();
+                    let n: usize = sizes.iter().sum();
+                    gpm.load_theta(&(0..n).map(|i| (i % 13) as f32 / 16.0).collect::<Vec<_>>());
+                    for step in 0..2 {
+                        gpm.write_gradients(&vec![0.25 - step as f32 / 8.0; n]);
+                        let before = pim_commands(&gpm.stats());
+                        let report = gpm.step().unwrap();
+                        let issued = pim_commands(&report.stats) - before;
+                        assert_eq!(report.commands, issued, "{what}, step {step}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -639,6 +654,30 @@ mod tests {
         gpm.write_gradients(&vec![1.0; n]);
         gpm.step().unwrap();
         assert!((gpm.theta()[0] - 0.25).abs() < 1e-6);
+
+        // Every optimizer takes a new rate at its next step, Adam through
+        // a_t: a memory set to 0.5 steps as one built at 0.5, and unlike
+        // one left at 0.05.
+        let n = 512;
+        for (optimizer, cfg) in every_optimizer() {
+            let stepped = |lr: f32, set: Option<f32>| {
+                let hyper = HyperParams { lr, ..hyper() };
+                let mut gpm =
+                    GradPimMemory::new(cfg.clone(), optimizer, PrecisionMix::FULL_32, hyper, n)
+                        .unwrap();
+                gpm.load_theta(&(0..n).map(|i| (i % 7) as f32 / 8.0).collect::<Vec<_>>());
+                if let Some(lr) = set {
+                    assert_eq!(gpm.set_lr(lr), Ok(()), "{optimizer}");
+                }
+                gpm.write_gradients(&vec![0.5; n]);
+                gpm.step().unwrap();
+                gpm.theta()
+            };
+            let reset = stepped(0.05, Some(0.5));
+            assert_eq!(reset, stepped(0.5, None), "{optimizer}");
+            let kept = stepped(0.05, None);
+            assert!(reset.iter().zip(&kept).all(|(a, b)| a != b), "{optimizer}");
+        }
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //!   step), following the paper's sketch exactly: four banks hold θ, g, m,
 //!   u, and the intermediate values never leave the bank group.
 //!
+//! [`compile_adam`] returns the two passes as two [`StepPlan`]s, each with
+//! its own scalers, so a step runs Adam as it runs the momentum family's
+//! one pass: program the pass's scalers, run its streams, repeat.
+//!
 //! Pass structure per column (momentum-SGD baseline is 9 ops — the §VIII
 //! prediction "slightly degrade the speedup" lands at 17 ops):
 //!
@@ -31,24 +35,9 @@
 use gradpim_dram::{DramConfig, PimOp};
 use gradpim_optim::{HyperParams, OptimizerKind};
 
-use crate::kernel::{KernelCounts, KernelError, UnitStream};
+use crate::kernel::{KernelError, StepPlan, UnitStream};
 use crate::placement::{ArrayName, Placement};
 use crate::scaler::ScalerBank;
-
-/// A compiled two-pass adaptive-optimizer step.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdamPlan {
-    /// Pass-1 streams (moment updates).
-    pub pass1: Vec<UnitStream>,
-    /// Scaler programming for pass 1: (β₁, 1−β₁, β₂, √(1−β₂)).
-    pub scalers1: ScalerBank,
-    /// Pass-2 streams (bias-corrected weight update).
-    pub pass2: Vec<UnitStream>,
-    /// Scaler programming for pass 2: (−a_t, 0, 0, 1).
-    pub scalers2: ScalerBank,
-    /// Op counts over both passes.
-    pub counts: KernelCounts,
-}
 
 /// The exact constants the hardware will use after ±(2ⁿ ± 2ᵐ)
 /// approximation — exposed so references/tests can mirror the datapath.
@@ -95,7 +84,8 @@ pub fn adam_scalers(hyper: &HyperParams, t: u64) -> (ScalerBank, ScalerBank, Ada
 }
 
 /// Compiles the two-pass Adam step for step number `t` (1-based, for bias
-/// correction).
+/// correction): the moment updates under (β₁, 1−β₁, β₂, √(1−β₂)), then
+/// the bias-corrected weight update under (−a_t, 0, 0, 1).
 ///
 /// # Errors
 ///
@@ -106,7 +96,7 @@ pub fn compile_adam(
     hyper: &HyperParams,
     t: u64,
     cfg: &DramConfig,
-) -> Result<AdamPlan, KernelError> {
+) -> Result<[StepPlan; 2], KernelError> {
     if placement.optimizer() != OptimizerKind::Adam || !cfg.extended_alu {
         return Err(KernelError::UnsupportedOptimizer(placement.optimizer()));
     }
@@ -116,36 +106,15 @@ pub fn compile_adam(
     let m = *placement.array(ArrayName::State0);
     let u = *placement.array(ArrayName::State1);
 
-    let mut counts = KernelCounts::default();
-    let mut pass1: Vec<UnitStream> = Vec::new();
-    let mut pass2: Vec<UnitStream> = Vec::new();
+    let (mut pass1, mut pass2) = (Vec::new(), Vec::new());
     for chunk in placement.chunks(cfg) {
-        let find = |streams: &mut Vec<UnitStream>| -> usize {
-            streams
-                .iter()
-                .position(|s| {
-                    s.channel == chunk.channel
-                        && s.rank == chunk.rank
-                        && s.bankgroup == chunk.bankgroup
-                })
-                .unwrap_or_else(|| {
-                    streams.push(UnitStream {
-                        channel: chunk.channel,
-                        rank: chunk.rank,
-                        bankgroup: chunk.bankgroup,
-                        ops: Vec::new(),
-                    });
-                    streams.len() - 1
-                })
-        };
         let t_row = theta.base_row + chunk.row_offset;
         let g_row = grad.base_row + chunk.row_offset;
         let m_row = m.base_row + chunk.row_offset;
         let u_row = u.base_row + chunk.row_offset;
 
-        let i1 = find(&mut pass1);
+        let ops = UnitStream::ops_of(&mut pass1, (chunk.channel, chunk.rank, chunk.bankgroup));
         for col in 0..chunk.cols {
-            let ops = &mut pass1[i1].ops;
             // m ← β₁·m + (1−β₁)·g
             ops.push(PimOp::ScaledRead { bank: m.bank, row: m_row, col, scaler: 0, dst: 0 });
             ops.push(PimOp::ScaledRead { bank: grad.bank, row: g_row, col, scaler: 1, dst: 1 });
@@ -158,14 +127,10 @@ pub fn compile_adam(
             ops.push(PimOp::ScaledRead { bank: u.bank, row: u_row, col, scaler: 2, dst: 0 });
             ops.push(PimOp::Add { bank: u.bank, dst: 0 });
             ops.push(PimOp::Writeback { bank: u.bank, row: u_row, col, src: 0 });
-            counts.scaled_reads += 5;
-            counts.alu_ops += 3; // Add ×2 + Mul
-            counts.writebacks += 2;
         }
 
-        let i2 = find(&mut pass2);
+        let ops = UnitStream::ops_of(&mut pass2, (chunk.channel, chunk.rank, chunk.bankgroup));
         for col in 0..chunk.cols {
-            let ops = &mut pass2[i2].ops;
             // θ ← θ + (−a_t)·m · 1/√(u+ε)
             ops.push(PimOp::ScaledRead { bank: u.bank, row: u_row, col, scaler: 3, dst: 0 });
             ops.push(PimOp::Rsqrt { bank: u.bank, dst: 0 });
@@ -174,17 +139,18 @@ pub fn compile_adam(
             ops.push(PimOp::ScaledRead { bank: theta.bank, row: t_row, col, scaler: 3, dst: 1 });
             ops.push(PimOp::Add { bank: theta.bank, dst: 1 });
             ops.push(PimOp::Writeback { bank: theta.bank, row: t_row, col, src: 1 });
-            counts.scaled_reads += 3;
-            counts.alu_ops += 3; // Rsqrt + Mul + Add
-            counts.writebacks += 1;
         }
     }
-    Ok(AdamPlan { pass1, scalers1, pass2, scalers2, counts })
+    Ok([
+        StepPlan { streams: pass1, scalers: scalers1 },
+        StepPlan { streams: pass2, scalers: scalers2 },
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::KernelCounts;
     use gradpim_optim::PrecisionMix;
 
     fn cfg_ext() -> DramConfig {
@@ -222,12 +188,13 @@ mod tests {
         let c = cfg_ext();
         let p =
             Placement::for_optimizer(OptimizerKind::Adam, PrecisionMix::FULL_32, 2048, &c).unwrap();
-        let plan = compile_adam(&p, &hyper(), 1, &c).unwrap();
+        let [pass1, pass2] = compile_adam(&p, &hyper(), 1, &c).unwrap();
+        let counts = KernelCounts::of(&[pass1.streams, pass2.streams].concat());
         let cols = 128u64;
-        assert_eq!(plan.counts.scaled_reads, cols * 8);
-        assert_eq!(plan.counts.writebacks, cols * 3);
-        assert_eq!(plan.counts.alu_ops, cols * 6); // 2 Add + 1 Mul | Rsqrt + Mul + Add
-        assert_eq!(plan.counts.total(), cols * 17);
+        assert_eq!(counts.scaled_reads, cols * 8);
+        assert_eq!(counts.writebacks, cols * 3);
+        assert_eq!(counts.alu_ops, cols * 6); // 2 Add + 1 Mul | Rsqrt + Mul + Add
+        assert_eq!(counts.total(), cols * 17);
     }
 
     #[test]
@@ -259,8 +226,8 @@ mod tests {
         let c = cfg_ext();
         let p = Placement::for_optimizer(OptimizerKind::Adam, PrecisionMix::FULL_32, 2048 * 16, &c)
             .unwrap();
-        let plan = compile_adam(&p, &hyper(), 3, &c).unwrap();
-        assert_eq!(plan.pass1.len(), 16);
-        assert_eq!(plan.pass2.len(), 16);
+        let [pass1, pass2] = compile_adam(&p, &hyper(), 3, &c).unwrap();
+        assert_eq!(pass1.streams.len(), 16);
+        assert_eq!(pass2.streams.len(), 16);
     }
 }

@@ -9,8 +9,9 @@
 //!   (`gradpim_sim::PhaseCall`). [`serialize::ExperimentSpec::run`] — the
 //!   one sweep runner — plans every `gradpim_sim::sweeps` family's points
 //!   into calls, answers each distinct call once, runs each distinct
-//!   simulation (`gradpim_sim::Simulation`, the capped traffic calls
-//!   share) once, and assembles the rows in figure order. [`Engine::run`]
+//!   simulation (`gradpim_sim::Simulation`, a call cut to its cap, which
+//!   the calls above that cap share) once, and assembles the rows in
+//!   figure order. [`Engine::run`]
 //!   fans the distinct simulations over the scoped, ordered pool in
 //!   [`sched`], with input-ordered results and the lowest-indexed failure
 //!   winning, exactly as a sequential run.

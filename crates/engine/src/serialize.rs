@@ -434,8 +434,9 @@ fn run_family<F: SweepFamily>(spec: &ExperimentSpec, engine: &Engine) -> Result<
 /// a lookup or a job.
 ///
 /// With a `store`, each distinct call key is looked up once. The missed
-/// calls are grouped by their [`PhaseCall::simulation`]: calls above the
-/// traffic cap differ only in scale, so they share one. The distinct
+/// calls are grouped by their [`PhaseCall::simulation`], the call cut to
+/// its cap: calls above the traffic cap cut to the same call and differ
+/// only in scale, so they share one. The distinct
 /// simulations run on `engine` in the order of their first missed call,
 /// so the lowest-indexed error is that of the first failing call in
 /// figure order. Each job derives all of its calls' results

@@ -16,13 +16,13 @@
 //! one call and execute it.
 //!
 //! A call splits into the traffic it simulates and the scale it applies:
-//! [`PhaseCall::simulation`] is the capped traffic as a [`Simulation`]
-//! value (with its own canonical [`Simulation::key`]), and
+//! [`PhaseCall::simulation`] is the call cut to its cap, as a
+//! [`Simulation`] keyed by that cut call's [`PhaseCall::key`], and
 //! [`PhaseCall::result`] scales that simulation's [`Stats`] into the
-//! call's [`PhaseResult`]. Calls above the traffic cap differ only in
-//! their scale, so many distinct calls share one simulation;
-//! `execute` is exactly `result(&simulation().run()?)`, and the sweep
-//! runner runs each distinct simulation once.
+//! call's [`PhaseResult`]. Calls above the traffic cap cut to the same
+//! call and differ only in their scale, so many distinct calls share one
+//! simulation; `execute` is exactly `result(&simulation().run()?)`, and
+//! the sweep runner runs each distinct simulation once.
 //!
 //! ## Event-driven stepping
 //!
@@ -50,8 +50,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use gradpim_core::{
-    compile_step_parts, run_unit_streams, ArrayName, GradPimError, KernelParts, Placement,
-    UnitStream,
+    compile_step, run_unit_streams, ArrayName, GradPimError, KernelParts, Placement, UnitStream,
 };
 use gradpim_dram::{
     AddressMapping, CommandIssueMode, DataBusScope, DramConfig, EnergyBreakdown, MemError,
@@ -352,31 +351,6 @@ fn interleaved_addr(cfg: &DramConfig, base: u64, i: u64) -> u64 {
     base + wave * lanes * row_bytes + lane * row_bytes + col * burst
 }
 
-/// A stream's bursts: all of them, and the reads and writes it simulates.
-struct Bursts {
-    total: u64,
-    reads: u64,
-    writes: u64,
-}
-
-/// The bursts of a stream of `read_bytes` + `write_bytes`: it simulates
-/// the cap (never below 16), split in traffic proportion.
-fn stream_bursts(cfg: &DramConfig, read_bytes: u64, write_bytes: u64, cap_bursts: u64) -> Bursts {
-    let burst = cfg.burst_bytes as u64;
-    let r_total = read_bytes.div_ceil(burst);
-    let w_total = write_bytes.div_ceil(burst);
-    let total = r_total + w_total;
-    let sim_total = total.min(cap_bursts.max(16));
-    let reads = (r_total as u128 * sim_total as u128 / total as u128) as u64;
-    Bursts { total, reads, writes: sim_total - reads }
-}
-
-/// Parameters an update simulates out of `params`: the cap, never below
-/// 1024.
-fn capped_params(params: u64, cap_params: u64) -> u64 {
-    params.min(cap_params.max(1024))
-}
-
 /// Appends fields to a key as `name=value`: `key_fields!(key; a, b)`
 /// renders bindings in scope, and `key_fields!(key, value => Type { a, b })`
 /// first destructures `value` without `..`, so a new field of `Type` does
@@ -560,32 +534,44 @@ impl PhaseCall {
         key
     }
 
-    /// The capped traffic the call simulates, or `None` for a call that
-    /// does not simulate ([`PhaseCall::simulates`]). Calls that differ
-    /// only above the cap share one simulation.
+    /// The call cut to its cap, or `None` for a call that does not
+    /// simulate ([`PhaseCall::simulates`]). Calls that differ only above
+    /// the cap cut to the same call, so they share one simulation.
     pub fn simulation(&self) -> Option<Simulation> {
-        if !self.simulates() {
-            return None;
-        }
-        let traffic = match self.op {
+        let op = self.simulates().then(|| self.cut().0)?;
+        Some(Simulation(PhaseCall { dram: Arc::clone(&self.dram), op }))
+    }
+
+    /// A simulating call's arguments cut to the traffic it simulates, and
+    /// the scale from that traffic back to its own. A stream simulates
+    /// the cap (never below 16) of its bursts, split in traffic
+    /// proportion, as whole bursts that are their own cap; an update
+    /// simulates the cap (never below 1024) of its parameters, which is
+    /// then its cap too.
+    fn cut(&self) -> (Op, f64) {
+        let mut op = self.op;
+        let scale = match &mut op {
             Op::Stream { read_bytes, write_bytes, cap_bursts } => {
-                let b = stream_bursts(&self.dram, read_bytes, write_bytes, cap_bursts);
-                Traffic::Stream { read_bursts: b.reads, write_bursts: b.writes }
+                let burst = self.dram.burst_bytes as u64;
+                let (r_total, w_total) = (read_bytes.div_ceil(burst), write_bytes.div_ceil(burst));
+                let total = r_total + w_total;
+                let sim_total = total.min((*cap_bursts).max(16));
+                let reads = (r_total as u128 * sim_total as u128 / total as u128) as u64;
+                *read_bytes = reads * burst;
+                *write_bytes = (sim_total - reads) * burst;
+                *cap_bursts = sim_total;
+                total as f64 / sim_total as f64
             }
-            Op::BaselineUpdate { optimizer, mix, params, cap_params } => {
-                let params = capped_params(params, cap_params);
-                Traffic::BaselineUpdate { optimizer, mix, params }
-            }
-            Op::PimKernel { optimizer, mix, hyper, params, cap_params, parts } => {
-                let params = capped_params(params, cap_params);
-                Traffic::PimKernel { optimizer, mix, hyper, params, parts }
-            }
-            Op::AosPerBank { optimizer, mix, params, cap_params } => {
-                let params = capped_params(params, cap_params);
-                Traffic::AosPerBank { optimizer, mix, params }
+            Op::BaselineUpdate { params, cap_params, .. }
+            | Op::PimKernel { params, cap_params, .. }
+            | Op::AosPerBank { params, cap_params, .. } => {
+                let full = *params;
+                *params = full.min((*cap_params).max(1024));
+                *cap_params = *params;
+                full as f64 / *params as f64
             }
         };
-        Some(Simulation { dram: Arc::clone(&self.dram), traffic })
+        (op, scale)
     }
 
     /// The call's result from `stats`, the statistics of its
@@ -598,18 +584,7 @@ impl PhaseCall {
         if !self.simulates() {
             return PhaseResult::empty();
         }
-        let scale = match self.op {
-            Op::Stream { read_bytes, write_bytes, cap_bursts } => {
-                let b = stream_bursts(&self.dram, read_bytes, write_bytes, cap_bursts);
-                b.total as f64 / (b.reads + b.writes) as f64
-            }
-            Op::BaselineUpdate { params, cap_params, .. }
-            | Op::PimKernel { params, cap_params, .. }
-            | Op::AosPerBank { params, cap_params, .. } => {
-                params as f64 / capped_params(params, cap_params) as f64
-            }
-        };
-        let result = PhaseResult::from_stats(&self.dram, stats, scale);
+        let result = PhaseResult::from_stats(&self.dram, stats, self.cut().1);
         if gradpim_obs::metrics_enabled() {
             let context = self.context();
             gradpim_obs::observe(&format!("phase.{context}.sim_ns"), result.time_ns);
@@ -634,86 +609,20 @@ impl PhaseCall {
     }
 }
 
-/// The DRAM traffic of one [`PhaseCall`], as a value: the DRAM view plus a
-/// stream's capped read/write burst split, or an update's optimizer,
-/// precision mix and capped parameter count (and, for the PIM kernels,
-/// the hyper-parameters and kernel parts). It holds exactly what the
-/// simulation reads, so two simulations with the same
-/// [`key`](Self::key) produce bit-identical [`Stats`]. Compared by key, so
-/// it has no `PartialEq`.
+/// A [`PhaseCall`] cut to its cap ([`PhaseCall::simulation`]): its
+/// arguments are exactly the traffic it simulates, so it is its own
+/// simulation at scale 1. It holds what the simulation reads, so two
+/// simulations with the same [`key`](Self::key) produce bit-identical
+/// [`Stats`]. Only a call that simulates can be cut, so a `Simulation`
+/// never runs an update of no parameters or a stream of no bursts.
 #[derive(Debug, Clone)]
-pub struct Simulation {
-    dram: Arc<DramConfig>,
-    traffic: Traffic,
-}
-
-/// A simulation's traffic besides the DRAM view.
-#[derive(Debug, Clone, Copy)]
-enum Traffic {
-    Stream {
-        read_bursts: u64,
-        write_bursts: u64,
-    },
-    BaselineUpdate {
-        optimizer: OptimizerKind,
-        mix: PrecisionMix,
-        params: u64,
-    },
-    PimKernel {
-        optimizer: OptimizerKind,
-        mix: PrecisionMix,
-        hyper: HyperParams,
-        params: u64,
-        parts: KernelParts,
-    },
-    AosPerBank {
-        optimizer: OptimizerKind,
-        mix: PrecisionMix,
-        params: u64,
-    },
-}
+pub struct Simulation(PhaseCall);
 
 impl Simulation {
-    /// The span and metrics context, as [`PhaseCall::context`] names it.
-    pub fn context(&self) -> &'static str {
-        match self.traffic {
-            Traffic::Stream { .. } => "stream",
-            Traffic::BaselineUpdate { .. } => "baseline-update",
-            Traffic::PimKernel { .. } => "pim-kernel",
-            Traffic::AosPerBank { .. } => "aos-pb",
-        }
-    }
-
-    /// The simulation's canonical key:
-    /// `sim/<context>/<traffic>/dram/<view>`, rendered field by field as
-    /// [`PhaseCall::key`] renders its arguments. Two simulations share a
-    /// key exactly when they simulate the same traffic on the same view.
-    /// A key for grouping calls within a run; no store keeps it.
+    /// The cut call's [`PhaseCall::key`]. Two simulations share a key
+    /// exactly when they simulate the same traffic on the same view.
     pub fn key(&self) -> String {
-        let mut key = String::with_capacity(1024);
-        key.push_str("sim/");
-        key.push_str(self.context());
-        key.push('/');
-        match &self.traffic {
-            Traffic::Stream { read_bursts, write_bursts } => {
-                key_fields!(key; read_bursts, write_bursts);
-            }
-            Traffic::BaselineUpdate { optimizer, mix, params }
-            | Traffic::AosPerBank { optimizer, mix, params } => {
-                key_fields!(key; optimizer, params);
-                key_fields!(key, mix => PrecisionMix { low, high });
-            }
-            Traffic::PimKernel { optimizer, mix, hyper, params, parts } => {
-                key_fields!(key; optimizer, params);
-                key_fields!(key, mix => PrecisionMix { low, high });
-                key_fields! { key, hyper => HyperParams {
-                    lr, momentum, weight_decay, beta1, beta2, eps,
-                }}
-                key_fields!(key, parts => KernelParts { dequant, update, quant });
-            }
-        }
-        push_dram(&mut key, &self.dram);
-        key
+        self.0.key()
     }
 
     /// Runs the traffic through a fresh memory system and drains it. Opens
@@ -728,32 +637,34 @@ impl Simulation {
     /// backpressure (including a drain-budget overrun), or when the
     /// arrays or kernels do not fit the device.
     pub fn run(&self) -> Result<Stats, PhaseError> {
-        let context = self.context();
+        let context = self.0.context();
         let _span = gradpim_obs::span_lazy(|| format!("phase.{context}"), "phase");
         let start = gradpim_obs::metrics_enabled().then(std::time::Instant::now);
-        let cfg = &*self.dram;
+        let cfg = &*self.0.dram;
         let placement = |optimizer, mix, params: u64| {
             Placement::for_optimizer(optimizer, mix, params as usize, cfg)
                 .map_err(|e| PhaseError::setup(context, e))
         };
         let mut mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
-        match self.traffic {
-            Traffic::Stream { read_bursts, write_bursts } => {
-                run_requests(&mut mem, stream_requests(cfg, read_bursts, write_bursts), context)?;
+        match self.0.op {
+            Op::Stream { read_bytes, write_bytes, .. } => {
+                let burst = cfg.burst_bytes as u64;
+                let reqs = stream_requests(cfg, read_bytes / burst, write_bytes / burst);
+                run_requests(&mut mem, reqs, context)?;
             }
-            Traffic::BaselineUpdate { optimizer, mix, params } => {
+            Op::BaselineUpdate { optimizer, mix, params, .. } => {
                 let placement = placement(optimizer, mix, params)?;
                 let reqs = baseline_update_requests(cfg, &placement, optimizer, mix);
                 run_requests(&mut mem, reqs.into_iter(), context)?;
             }
-            Traffic::PimKernel { optimizer, mix, hyper, params, parts } => {
+            Op::PimKernel { optimizer, mix, hyper, params, parts, .. } => {
                 let placement = placement(optimizer, mix, params)?;
-                let plan = compile_step_parts(&placement, &hyper, cfg, parts)
+                let plan = compile_step(&placement, &hyper, cfg, parts)
                     .map_err(|e| PhaseError::setup(context, e))?;
                 run_unit_streams(&mut mem, &plan.streams)
                     .map_err(|e| PhaseError::new(context, e, &mem))?;
             }
-            Traffic::AosPerBank { optimizer, mix, params } => {
+            Op::AosPerBank { optimizer, mix, params, .. } => {
                 let streams = aos_per_bank_streams(cfg, optimizer, mix, params);
                 run_unit_streams(&mut mem, &streams)
                     .map_err(|e| PhaseError::new(context, e, &mem))?;
@@ -1091,19 +1002,14 @@ fn aos_per_bank_streams(
     let params = params as usize;
     let n_chunks = params.div_ceil(elems_per_chunk);
 
-    let mut streams: Vec<UnitStream> = Vec::new();
+    let mut streams = Vec::new();
     for c in 0..n_chunks {
         let bg = (c % cfg.bankgroups) as u8;
         let rank = ((c / cfg.bankgroups) % cfg.ranks) as u8;
         let wave = c / (cfg.bankgroups * cfg.ranks);
         let bank = (wave % cfg.banks_per_group) as u8;
         let row = (wave / cfg.banks_per_group) as u32;
-        let idx =
-            streams.iter().position(|s| s.rank == rank && s.bankgroup == bg).unwrap_or_else(|| {
-                streams.push(UnitStream { channel: 0, rank, bankgroup: bg, ops: Vec::new() });
-                streams.len() - 1
-            });
-        let ops = &mut streams[idx].ops;
+        let ops = UnitStream::ops_of(&mut streams, (0, rank, bg));
         let remaining = params - c * elems_per_chunk;
         let cols = remaining.min(elems_per_chunk).div_ceil(epc) as u32;
         for lc in 0..cols {
@@ -1481,7 +1387,8 @@ mod tests {
         let large = PhaseCall::stream(Arc::clone(&cfg), 2 << 20, 1 << 20, CAP);
         assert_ne!(small.key(), large.key());
         assert_eq!(sim_key(&small), sim_key(&large));
-        assert!(sim_key(&small).starts_with("sim/stream/read_bursts=4000,write_bursts=2000/"));
+        let cut = "phase/v2/stream/read_bytes=256000,write_bytes=128000,cap_bursts=6000/";
+        assert!(sim_key(&small).starts_with(cut));
         let stats = small.simulation().unwrap().run().unwrap();
         assert_eq!(large.result(&stats), large.execute().unwrap());
         assert_eq!(large.result(&stats).scale, 2.0 * small.result(&stats).scale);

@@ -633,7 +633,7 @@ proptest! {
 }
 
 /// One phase call's inputs, drawn for the simulation-sharing property.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct CallShape {
     /// 0 stream, 1 baseline update, 2 PIM update, 3 PIM quant/dequant,
     /// 4 AoS-PB update.
@@ -661,12 +661,16 @@ impl CallShape {
         }
     }
 
-    /// What the call simulates, worked out from the executors' documented
-    /// capping rather than by the library: a stream simulates the cap
-    /// (never below 16 bursts) of its bursts, split in read/write
-    /// proportion; an update simulates the cap (never below 1024) of its
-    /// parameters. `None` for a call that answers empty.
-    fn traffic(&self) -> Option<String> {
+    /// The call at its cap: exactly what it simulates, worked out from
+    /// the executors' documented capping rather than by the library. A
+    /// stream simulates the cap (never below 16 bursts) of its bursts,
+    /// split in read/write proportion, so at its cap it moves those whole
+    /// bursts and its cap is their count (and, as a stream reads neither,
+    /// a fixed optimizer and mix); an update simulates the cap (never
+    /// below 1024) of its parameters, which is then its cap too. `None`
+    /// for a call that answers empty.
+    fn at_cap(&self) -> Option<CallShape> {
+        use gradpim::optim::{OptimizerKind, PrecisionMix};
         let (a, b) = self.size;
         if self.kind == 0 {
             let burst = self.dram.burst_bytes as u64;
@@ -676,15 +680,16 @@ impl CallShape {
             }
             let sim = (r + w).min(self.cap.max(16));
             let reads = r * sim / (r + w);
-            return Some(format!("{:?} stream {reads} {}", self.dram, sim - reads));
+            let size = (reads * burst, (sim - reads) * burst);
+            let (optimizer, mix) = (OptimizerKind::Sgd, PrecisionMix::FULL_32);
+            return Some(CallShape { size, cap: sim, optimizer, mix, ..self.clone() });
         }
         let no_kernel = self.kind == 3 && !self.mix.is_mixed();
         if a == 0 || no_kernel {
             return None;
         }
         let params = a.min(self.cap.max(1024));
-        let (opt, mix) = (self.optimizer, self.mix);
-        Some(format!("{:?} {} {opt:?} {mix:?} {params}", self.dram, self.kind))
+        Some(CallShape { size: (params, 0), cap: params, ..self.clone() })
     }
 }
 
@@ -785,26 +790,33 @@ proptest! {
     /// of the same executor on the same DRAM view, and whenever they do,
     /// one call's result taken from the other's simulation is
     /// bit-identical to executing it (errors included). Each case pairs a
-    /// call with a variant and with its one-step neighbours. Covers every
-    /// executor, optimizer and precision mix, sizes on either side of the
-    /// cap, and several DRAM views.
+    /// call with a variant, with its one-step neighbours, and with the
+    /// call at its cap, which shares its simulation key and executes at
+    /// scale 1. Covers every executor, optimizer and precision mix, sizes
+    /// on either side of the cap, and several DRAM views.
     #[test]
     fn calls_sharing_a_simulation_get_its_result(seed in 0u64..1 << 62) {
         let (a, b) = call_shapes(seed);
         let call_a = a.call();
         let sim_a = call_a.simulation();
-        prop_assert_eq!(sim_a.is_some(), a.traffic().is_some(), "{:?}", a);
-        let Some(sim_a) = sim_a else { return Ok(()) };
+        let at_cap = a.at_cap();
+        prop_assert_eq!(sim_a.is_some(), at_cap.is_some(), "{:?}", a);
+        let (Some(sim_a), Some(at_cap)) = (sim_a, at_cap) else { return Ok(()) };
+        let cut = at_cap.call();
+        prop_assert_eq!(cut.simulation().map(|s| s.key()), Some(sim_a.key()), "{:?}", a);
+        if let Ok(r) = cut.execute() {
+            prop_assert_eq!(r.scale, 1.0, "{:?}", at_cap);
+        }
         let bits = |r: gradpim::sim::PhaseResult| r.to_bits_string();
         let mut stats_a = None;
-        for other in std::iter::once(b).chain(a.neighbours()) {
+        for other in [b, at_cap].into_iter().chain(a.neighbours()) {
             let call = other.call();
             let Some(sim) = call.simulation() else {
-                prop_assert!(other.traffic().is_none(), "{:?}", other);
+                prop_assert!(other.at_cap().is_none(), "{:?}", other);
                 continue;
             };
             let shared = sim_a.key() == sim.key();
-            prop_assert_eq!(shared, a.traffic() == other.traffic(), "{:?}\n{:?}", a, other);
+            prop_assert_eq!(shared, a.at_cap() == other.at_cap(), "{:?}\n{:?}", a, other);
             if shared {
                 let stats = stats_a.get_or_insert_with(|| sim_a.run());
                 let borrowed = stats.clone().map(|stats| bits(call.result(&stats)));
