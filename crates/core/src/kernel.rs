@@ -235,49 +235,102 @@ pub fn compile_step(
     Ok(StepPlan { streams, scalers })
 }
 
+/// Ops a round offers one stream, at most, to keep the queues balanced.
+const BATCH: usize = 64;
+
 /// Enqueues per-unit op streams round-robin with backpressure,
 /// fast-forwarding over dead cycles; the caller drains.
 ///
-/// A round gives each unfinished stream a bounded batch, cut to the room
-/// its queue has, so no enqueue meets a full queue. Once the room has cut
-/// every unfinished stream's batch short, no enqueue can succeed before
-/// the simulator moves, so the loop steps right away.
+/// A round offers each unfinished stream a batch of up to 64 ops, in
+/// stream order, cut to the room its queue has, so no enqueue meets a full
+/// queue. Once the room has cut every unfinished stream's batch short,
+/// every unfinished stream's queue is full and no enqueue can succeed
+/// before the simulator moves, so the loop steps right away. After a step
+/// only the queues that retired an op there have room
+/// ([`MemorySystem::take_pim_retired`]), so the next round offers only
+/// their streams: the enqueues are exactly those of a round over every
+/// stream, without asking every other stream's queue for the room it
+/// lacks.
 ///
 /// # Errors
 ///
-/// Any [`MemError`] an enqueue returns (a stream naming a unit the device
-/// does not have).
+/// [`MemError::NoSuchUnit`] for a stream naming a unit or an op naming a
+/// bank the device does not have, before anything is enqueued.
 pub fn run_unit_streams(mem: &mut MemorySystem, streams: &[UnitStream]) -> Result<(), MemError> {
+    for s in streams {
+        mem.check_pim(s.channel, s.rank, s.bankgroup, &s.ops)?;
+    }
+    let cfg = mem.config();
+    let (channels, bankgroups, queues) = (cfg.channels, cfg.bankgroups, cfg.ranks * cfg.bankgroups);
+    // The streams of channel `c`'s PIM queue `q` at `c * queues + q`, in
+    // stream order.
+    let mut by_queue = vec![Vec::new(); channels * queues];
+    for (i, s) in streams.iter().enumerate() {
+        by_queue[s.channel * queues + usize::from(s.rank) * bankgroups + usize::from(s.bankgroup)]
+            .push(i);
+    }
+    for c in 0..channels {
+        mem.take_pim_retired(c);
+    }
     let mut cursors = vec![0usize; streams.len()];
+    let mut unfinished = streams.iter().filter(|s| !s.ops.is_empty()).count();
+    // The streams the next round offers a batch, in stream order.
+    let mut offer: Vec<usize> = (0..streams.len()).collect();
     loop {
-        let mut all_done = true;
         let mut all_full = true;
-        for (s, cursor) in streams.iter().zip(&mut cursors) {
+        for &i in &offer {
+            let (s, cursor) = (&streams[i], &mut cursors[i]);
             let left = &s.ops[*cursor..];
             if left.is_empty() {
                 continue;
             }
-            // Bounded batch per unit per round to keep queues balanced.
-            let batch = left.len().min(64);
+            let batch = left.len().min(BATCH);
             let room = mem.pim_room(s.channel, s.rank, s.bankgroup);
             let n = batch.min(room);
             for &op in &left[..n] {
                 mem.enqueue_pim(s.channel, s.rank, s.bankgroup, op)?;
             }
             *cursor += n;
-            if *cursor < s.ops.len() {
-                all_done = false;
+            if *cursor == s.ops.len() {
+                unfinished -= 1;
+            } else {
                 all_full &= room < batch;
             }
         }
-        if all_done {
+        if unfinished == 0 {
             break;
         }
+        // Unless every unfinished queue is full, some stream took a whole
+        // batch and may take more: the next round offers the same
+        // streams, since no queue outside `offer` gained room.
         if all_full {
             mem.tick_until_event();
+            offer.clear();
+            for c in 0..channels {
+                let mut retired = mem.take_pim_retired(c);
+                while retired != 0 {
+                    offer.extend(&by_queue[c * queues + retired.trailing_zeros() as usize]);
+                    retired &= retired - 1;
+                }
+            }
+            offer.sort_unstable();
+            #[cfg(debug_assertions)]
+            check_offer(mem, streams, &cursors, &offer);
         }
     }
     Ok(())
+}
+
+/// Debug builds only: checks that every unfinished stream a round leaves
+/// out of `offer` has a full queue, so offering it would enqueue nothing.
+#[cfg(debug_assertions)]
+fn check_offer(mem: &MemorySystem, streams: &[UnitStream], cursors: &[usize], offer: &[usize]) {
+    for (i, (s, &cursor)) in streams.iter().zip(cursors).enumerate() {
+        if cursor < s.ops.len() && offer.binary_search(&i).is_err() {
+            let room = mem.pim_room(s.channel, s.rank, s.bankgroup);
+            debug_assert_eq!(room, 0, "stream {i} has room but is not offered a batch");
+        }
+    }
 }
 
 /// Fig. 5 (top): dequantize `Q(g)` into `g` for one chunk.
@@ -574,6 +627,30 @@ mod tests {
         assert_eq!(loads.len(), 32);
         for w in loads.windows(2) {
             assert_eq!(w[1] - w[0], 9);
+        }
+    }
+
+    #[test]
+    fn streams_naming_a_missing_unit_or_bank_enqueue_nothing() {
+        use gradpim_dram::{AddressMapping, MemError, MemorySystem};
+        let cfg = DramConfig::ddr4_2133();
+        let good = plan(OptimizerKind::Sgd, PrecisionMix::FULL_32, 2048).streams.remove(0);
+        let op = PimOp::Add { bank: 2, dst: 0 };
+        let last_bad = [&good.ops[..], &[PimOp::Add { bank: 4, dst: 0 }]].concat();
+        // The error names a missing unit with its first op's bank (0 for
+        // no op), and an existing unit with its first missing bank.
+        let missing = [
+            (UnitStream { channel: 1, ops: vec![op], ..good.clone() }, 2),
+            (UnitStream { rank: 4, ops: Vec::new(), ..good.clone() }, 0),
+            (UnitStream { bankgroup: 4, ops: vec![op], ..good.clone() }, 2),
+            (UnitStream { ops: last_bad, ..good.clone() }, 4),
+        ];
+        for (bad, bank) in missing {
+            let mut mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
+            let (channel, rank, bankgroup) = (bad.channel, bad.rank, bad.bankgroup);
+            let want = MemError::NoSuchUnit { channel, rank, bankgroup, bank };
+            assert_eq!(run_unit_streams(&mut mem, &[good.clone(), bad]), Err(want));
+            assert_eq!(mem.pending(), 0, "{want}: ops were enqueued");
         }
     }
 

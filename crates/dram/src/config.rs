@@ -149,7 +149,8 @@ pub struct DramConfig {
     pub data_bus: DataBusScope,
     /// GradPIM unit placement.
     pub pim_placement: PimPlacement,
-    /// Transaction-queue capacity per channel.
+    /// Capacity of each bank's transaction queue; each PIM unit's queue
+    /// holds four times as many ops.
     pub queue_depth: usize,
     /// Enables the §VIII extended ALU (parallel multiply + reciprocal
     /// square root), required for Adam/AdaGrad/RMSprop kernels. Off in the

@@ -98,11 +98,11 @@ const MAX_STREAK: u32 = 16;
 pub(crate) const MAX_BANKS: usize = 64;
 
 /// The cached scheduling candidates of one family of queues (the bank
-/// queues or the PIM queues), one dense array per field: the command
-/// FR-FCFS or the PIM stream would attempt next (with its queue pick),
-/// that command's [`TimingState::local_earliest`] and its [`TermClass`].
-/// Queue `q`'s command can issue at `max(local[q], term)`, `term` being
-/// its rank's entry for that class in the controller's term table.
+/// queues or the PIM queues), one fixed-capacity array per field, indexed
+/// by queue: the command FR-FCFS or the PIM stream would attempt next (with
+/// its queue pick), that command's [`TimingState::local_earliest`] and its
+/// [`term_slot`]. Queue `q`'s command can issue at `max(local[q],
+/// terms[slot[q]])`, `terms` being the controller's flat term table.
 ///
 /// Entry `q` goes stale on an enqueue or dequeue on queue `q`, on any
 /// command issued to `q`'s bank group, and on a REF or PRE-all to, or a
@@ -112,47 +112,61 @@ pub(crate) const MAX_BANKS: usize = 64;
 /// one bank group leaves every other group's entries fresh.
 #[derive(Debug)]
 struct Candidates<P> {
-    cmd: Vec<Option<(Command, P)>>,
+    cmd: [Option<(Command, P)>; MAX_BANKS],
     /// `u64::MAX` where there is no command.
-    local: Vec<u64>,
-    class: Vec<TermClass>,
+    local: [u64; MAX_BANKS],
+    /// 0 where there is no command (its `local` alone decides).
+    slot: [u8; MAX_BANKS],
     /// Entries that must be rebuilt before use.
     stale: u64,
 }
 
+/// A cached candidate: its command (with queue pick), local earliest
+/// cycle and term slot.
+type Entry<P> = (Option<(Command, P)>, u64, u8);
+
 impl<P: Copy> Candidates<P> {
-    fn new(n: usize) -> Self {
+    fn new() -> Self {
         Self {
-            cmd: vec![None; n],
-            local: vec![u64::MAX; n],
-            class: vec![TermClass::Other; n],
+            cmd: [None; MAX_BANKS],
+            local: [u64::MAX; MAX_BANKS],
+            slot: [0; MAX_BANKS],
             stale: 0,
         }
     }
 
-    /// The entry `cmd` gives a queue: (command, local earliest, class).
-    fn entry(
-        timing: &TimingState,
-        cmd: Option<(Command, P)>,
-    ) -> (Option<(Command, P)>, u64, TermClass) {
+    /// The entry `cmd` gives a queue.
+    fn entry(timing: &TimingState, cmd: Option<(Command, P)>) -> Entry<P> {
         match cmd {
-            Some((c, _)) => (cmd, timing.local_earliest(&c), TermClass::of(c.kind())),
-            None => (None, u64::MAX, TermClass::Other),
+            Some((c, _)) => (cmd, timing.local_earliest(&c), term_slot(&c)),
+            None => (None, u64::MAX, 0),
         }
     }
 
     /// Queue `q`'s cached entry, as [`Candidates::entry`] builds it.
     #[cfg(debug_assertions)]
-    fn get(&self, q: usize) -> (Option<(Command, P)>, u64, TermClass) {
-        (self.cmd[q], self.local[q], self.class[q])
+    fn get(&self, q: usize) -> Entry<P> {
+        (self.cmd[q], self.local[q], self.slot[q])
     }
 
     /// Stores queue `q`'s freshly built entry.
-    fn set(&mut self, q: usize, (cmd, local, class): (Option<(Command, P)>, u64, TermClass)) {
+    fn set(&mut self, q: usize, (cmd, local, slot): Entry<P>) {
         self.cmd[q] = cmd;
         self.local[q] = local;
-        self.class[q] = class;
+        self.slot[q] = slot;
     }
+}
+
+/// Slots in the flat term table: one per rank and [`TermClass`], as many
+/// as a `u8` slot can name, so a lookup needs no bounds check.
+const TERM_SLOTS: usize = MAX_BANKS * TermClass::COUNT;
+const _: () = assert!(TERM_SLOTS == 1 << u8::BITS);
+
+/// The term-table slot of `cmd`'s rank and class: `rank *
+/// TermClass::COUNT + class`. Below [`TERM_SLOTS`], since every rank has
+/// a bank.
+fn term_slot(cmd: &Command) -> u8 {
+    (usize::from(cmd.rank()) * TermClass::COUNT + TermClass::of(cmd.kind()).index()) as u8
 }
 
 /// The set bits of `mask`, ascending.
@@ -179,16 +193,16 @@ fn bits_from(mask: u64, start: usize) -> impl Iterator<Item = usize> {
 /// `u64` bitsets track the non-empty bank and PIM queues, the queues of
 /// ranks that may issue, and the open banks. Each queue caches its
 /// candidate (the command FR-FCFS would attempt next) with that command's
-/// local earliest cycle and class, and a table holds each rank's class
-/// terms (the split of [`TimingState::earliest`] that the
-/// [`crate::timing`] docs describe), so a command's earliest cycle is one
-/// `max` of two cached values. A candidate entry goes stale on an enqueue
-/// or dequeue on its queue and on any command issued to its bank group; a
-/// REF or PRE-all to its rank, or a refresh coming due there (a flip of
-/// `refresh_pending`), makes every entry of the rank stale. The term
-/// table is recomputed, whole, on its first use after an issue of an
-/// activate, read, write or refresh: on a channel-wide bus one read or
-/// write moves every rank's bus terms.
+/// local earliest cycle and term slot, and one flat table holds every
+/// rank's class terms (the split of [`TimingState::earliest`] that the
+/// [`crate::timing`] docs describe), one slot per rank and class, so a
+/// command's earliest cycle is one `max` of two cached values. A candidate
+/// entry goes stale on an enqueue or dequeue on its queue and on any
+/// command issued to its bank group; a REF or PRE-all to its rank, or a
+/// refresh coming due there (a flip of `refresh_pending`), makes every
+/// entry of the rank stale. The term table is recomputed, whole, on its
+/// first use after an issue of an activate, read, write or refresh: on a
+/// channel-wide bus one read or write moves every rank's bus terms.
 #[derive(Debug)]
 pub struct Controller {
     cfg: DramConfig,
@@ -232,10 +246,14 @@ pub struct Controller {
     issuable_units: u64,
     /// Banks with an open row.
     open_banks: u64,
+    /// PIM queues that retired an op since the last
+    /// [`Controller::take_pim_retired`].
+    pim_retired: u64,
     bank_cand: Candidates<Option<usize>>,
     unit_cand: Candidates<bool>,
-    /// Per rank: the cached [`TimingState::class_terms`].
-    terms: Vec<[u64; TermClass::COUNT]>,
+    /// Rank `r`'s cached [`TimingState::class_terms`], at slots
+    /// `r * TermClass::COUNT..` (see [`term_slot`]).
+    terms: [u64; TERM_SLOTS],
     /// The term table must be recomputed before use.
     terms_dirty: bool,
     /// Debug builds only: the bound the last
@@ -308,9 +326,10 @@ impl Controller {
             issuable_banks: rank_bits(nbanks, 0),
             issuable_units: rank_bits(nqueues, 0),
             open_banks: 0,
-            bank_cand: Candidates::new(nbanks),
-            unit_cand: Candidates::new(nqueues),
-            terms: vec![[0; TermClass::COUNT]; cfg.ranks],
+            pim_retired: 0,
+            bank_cand: Candidates::new(),
+            unit_cand: Candidates::new(),
+            terms: [0; TERM_SLOTS],
             terms_dirty: true,
             #[cfg(debug_assertions)]
             checked_next: None,
@@ -452,7 +471,9 @@ impl Controller {
     }
 
     /// Enqueues one GradPIM micro-op for the unit at (`rank`, `bankgroup`).
-    /// Ops execute in order per bank group.
+    /// Ops execute in order per bank group. The unit and `op`'s bank must
+    /// exist ([`crate::MemorySystem::check_pim`] checks; debug builds
+    /// assert).
     ///
     /// # Errors
     ///
@@ -464,6 +485,12 @@ impl Controller {
         bankgroup: u8,
         op: PimOp,
     ) -> Result<(), EnqueueError> {
+        debug_assert!(
+            usize::from(rank) < self.cfg.ranks
+                && usize::from(bankgroup) < self.cfg.bankgroups
+                && usize::from(op.bank()) < self.cfg.banks_per_group,
+            "{op:?} for rank {rank}, bank group {bankgroup}: no such unit or bank"
+        );
         if op.kind().is_extended() && !self.cfg.extended_alu {
             return Err(EnqueueError::ExtendedAluDisabled);
         }
@@ -490,10 +517,22 @@ impl Controller {
     }
 
     /// How many more ops the PIM queue of the unit at (`rank`, `bankgroup`)
-    /// accepts now (its capacity is four times the bank queue depth).
+    /// accepts now (its capacity is four times the bank queue depth); 0
+    /// for a unit the channel does not have.
     pub fn pim_room(&self, rank: u8, bankgroup: u8) -> usize {
+        if usize::from(rank) >= self.cfg.ranks || usize::from(bankgroup) >= self.cfg.bankgroups {
+            return 0;
+        }
         let q = rank as usize * self.cfg.bankgroups + bankgroup as usize;
         (self.cfg.queue_depth * 4).saturating_sub(self.pim_q[q].len())
+    }
+
+    /// The PIM queues that retired an op since the last call, bit `rank *
+    /// bankgroups + bankgroup` for the unit at (`rank`, `bankgroup`), and
+    /// clears them. Only a retired op frees room in a PIM queue, so a
+    /// queue without its bit set has no more room than it had then.
+    pub(crate) fn take_pim_retired(&mut self) -> u64 {
+        std::mem::take(&mut self.pim_retired)
     }
 
     /// True when rank `r` has queued or in-progress work: pending bank/PIM
@@ -699,10 +738,10 @@ impl Controller {
         self.rebuild(units, banks);
         self.update_terms();
         for u in bits(units) {
-            e = e.min(self.unit_ready(u));
+            e = e.min(self.ready(&self.unit_cand, u));
         }
         for fb in bits(banks) {
-            e = e.min(self.bank_ready(fb));
+            e = e.min(self.ready(&self.bank_cand, fb));
         }
         e
     }
@@ -759,24 +798,18 @@ impl Controller {
     fn update_terms(&mut self) {
         if self.terms_dirty {
             self.terms_dirty = false;
-            for (r, terms) in self.terms.iter_mut().enumerate() {
-                *terms = self.timing.class_terms(r as u8);
+            let rows = self.terms.chunks_exact_mut(TermClass::COUNT).take(self.cfg.ranks);
+            for (r, terms) in rows.enumerate() {
+                terms.copy_from_slice(&self.timing.class_terms(r as u8));
             }
         }
     }
 
-    /// When queue `q` of `cands`, a queue of `rank`, can issue its cached
-    /// candidate (`u64::MAX` for none), from a fresh term table.
-    fn ready<P>(&self, cands: &Candidates<P>, q: usize, rank: u8) -> u64 {
-        cands.local[q].max(self.terms[rank as usize][cands.class[q].index()])
-    }
-
-    fn unit_ready(&self, u: usize) -> u64 {
-        self.ready(&self.unit_cand, u, self.unit_addr[u].0)
-    }
-
-    fn bank_ready(&self, fb: usize) -> u64 {
-        self.ready(&self.bank_cand, fb, self.bank_addr[fb].rank)
+    /// When queue `q` of `cands` can issue its cached candidate
+    /// (`u64::MAX` for none), from a fresh term table.
+    fn ready<P>(&self, cands: &Candidates<P>, q: usize) -> u64 {
+        let q = q % MAX_BANKS;
+        cands.local[q].max(self.terms[usize::from(cands.slot[q])])
     }
 
     /// The command the scheduler would attempt next for PIM unit `u`
@@ -863,9 +896,10 @@ impl Controller {
     #[cfg(debug_assertions)]
     fn check_terms(&self) {
         if !self.terms_dirty {
-            for (r, terms) in self.terms.iter().enumerate() {
+            let rows = self.terms.chunks_exact(TermClass::COUNT).take(self.cfg.ranks);
+            for (r, terms) in rows.enumerate() {
                 let fresh = self.timing.class_terms(r as u8);
-                debug_assert_eq!(*terms, fresh, "stale term table for rank {r}");
+                debug_assert_eq!(terms, fresh, "stale term table for rank {r}");
             }
         }
     }
@@ -904,26 +938,31 @@ impl Controller {
         let banks = fresh_busy(self.busy_banks, self.bank_cand.stale);
         let unit_rank = |u: usize| self.unit_addr[u].0;
         let bank_rank = |fb: usize| self.bank_addr[fb].rank;
-        e.min(self.uncached_min(&self.unit_cand, units, unit_rank, |u| self.pim_candidate(u))).min(
-            self.uncached_min(&self.bank_cand, banks, bank_rank, |fb| self.fr_fcfs_candidate(fb)),
-        )
+        let (nunits, nbanks) = (self.pim_q.len(), self.bank_q.len());
+        let unit_min =
+            self.uncached_min(&self.unit_cand, nunits, units, unit_rank, |u| self.pim_candidate(u));
+        let bank_min = self.uncached_min(&self.bank_cand, nbanks, banks, bank_rank, |fb| {
+            self.fr_fcfs_candidate(fb)
+        });
+        e.min(unit_min).min(bank_min)
     }
 
-    /// Debug builds only: the earliest cycle any queue of `cands` in an
-    /// issuable rank could issue (queue `q` belongs to rank `rank(q)` and
-    /// would attempt `candidate(q)`), rebuilt from scratch; checks the
-    /// entries of `checked` on the way (see
+    /// Debug builds only: the earliest cycle any of the first `n` queues
+    /// of `cands` in an issuable rank could issue (queue `q` belongs to
+    /// rank `rank(q)` and would attempt `candidate(q)`), rebuilt from
+    /// scratch; checks the entries of `checked` on the way (see
     /// [`Controller::earliest_issue_uncached`]).
     #[cfg(debug_assertions)]
     fn uncached_min<P: Copy + PartialEq + std::fmt::Debug>(
         &self,
         cands: &Candidates<P>,
+        n: usize,
         checked: u64,
         rank: impl Fn(usize) -> u8,
         candidate: impl Fn(usize) -> Option<(Command, P)>,
     ) -> u64 {
         let mut e = u64::MAX;
-        for q in 0..cands.cmd.len() {
+        for q in 0..n {
             let (rank, cached) = (rank(q), checked & (1 << q) != 0);
             let issuable = self.rank_issuable(rank as usize);
             if !issuable && !cached {
@@ -934,7 +973,7 @@ impl Controller {
             if cached {
                 self.check_entry(cands, q, fresh);
                 if !self.terms_dirty {
-                    let ready = self.ready(cands, q, rank);
+                    let ready = self.ready(cands, q);
                     debug_assert_eq!(ready, earliest, "queue {q}: cached earliest diverges");
                 }
             }
@@ -1058,13 +1097,14 @@ impl Controller {
             visited += 1;
             #[cfg(debug_assertions)]
             self.check_entry(&self.unit_cand, u, self.pim_candidate(u));
-            self.unit_ready(u) <= self.clock
+            self.ready(&self.unit_cand, u) <= self.clock
         });
         self.work.slots_examined += visited;
         let Some(u) = ready else { return false };
         let (cmd, retires) = self.unit_cand.cmd[u].expect("a ready candidate");
         if retires {
             let req = self.pim_q[u].pop_front().expect("non-empty");
+            self.pim_retired |= 1 << u;
             if self.pim_q[u].is_empty() {
                 self.busy_units &= !(1 << u);
             }
@@ -1100,7 +1140,7 @@ impl Controller {
             visited += 1;
             #[cfg(debug_assertions)]
             self.check_entry(&self.bank_cand, fb, self.fr_fcfs_candidate(fb));
-            self.bank_ready(fb) <= self.clock
+            self.ready(&self.bank_cand, fb) <= self.clock
         });
         self.work.slots_examined += visited;
         let Some(fb) = ready else { return false };

@@ -36,8 +36,11 @@
 //!   ([`MemorySystem::drain_reference`] keeps the reference path for
 //!   differential testing). Issue selection walks only the queues that
 //!   hold work and reuses each queue's cached candidate until its queue or
-//!   its bank group's timing changes, or its rank refreshes; rank and bus
-//!   timing come from a per-rank table of class terms. [`MemorySystem::work`]
+//!   its bank group's timing changes, or its rank refreshes; each
+//!   candidate keeps the slot of its rank and class in one flat table of
+//!   rank and bus terms, so its earliest cycle is one `max` of two loads.
+//!   [`MemorySystem::take_pim_retired`] names the PIM queues that freed
+//!   room, so a stream driver refills only those. [`MemorySystem::work`]
 //!   counts what that costs ([`WorkCounters`]).
 //!
 //! # Example

@@ -20,6 +20,18 @@ pub enum MemError {
         /// Transactions still outstanding when the budget ran out.
         pending: usize,
     },
+    /// A PIM op addressed to a unit (channel, rank, bank group) or a bank
+    /// the device does not have; nothing was enqueued.
+    NoSuchUnit {
+        /// Channel of the unit.
+        channel: usize,
+        /// Rank of the unit.
+        rank: u8,
+        /// Bank group of the unit.
+        bankgroup: u8,
+        /// Bank the op addresses within its bank group.
+        bank: u8,
+    },
 }
 
 impl std::fmt::Display for MemError {
@@ -32,6 +44,11 @@ impl std::fmt::Display for MemError {
             MemError::DrainTimeout { pending } => {
                 write!(f, "drain timed out with {pending} transactions pending")
             }
+            MemError::NoSuchUnit { channel, rank, bankgroup, bank } => write!(
+                f,
+                "PIM op for channel {channel}, rank {rank}, bank group {bankgroup}, bank {bank}: \
+                 the device has no such unit or bank"
+            ),
         }
     }
 }
@@ -172,6 +189,8 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
+    /// [`MemError::NoSuchUnit`] when the device has no such unit or no
+    /// such bank for `op` (see [`MemorySystem::check_pim`]);
     /// [`MemError::QueueFull`] when the unit's queue is full.
     pub fn enqueue_pim(
         &mut self,
@@ -180,16 +199,61 @@ impl MemorySystem {
         bankgroup: u8,
         op: PimOp,
     ) -> Result<u64, MemError> {
+        self.check_pim(channel, rank, bankgroup, std::slice::from_ref(&op))?;
         let id = self.peek_id(channel);
         self.ctrls[channel].enqueue_pim(id, rank, bankgroup, op)?;
         Ok(self.commit_id(channel))
     }
 
+    /// Checks that (`channel`, `rank`, `bankgroup`) names a PIM unit of the
+    /// device and that every op of `ops` addresses a bank of its bank
+    /// group.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::NoSuchUnit`] naming the unit and the first op's bank if
+    /// the unit does not exist, else the first bank that does not.
+    pub fn check_pim(
+        &self,
+        channel: usize,
+        rank: u8,
+        bankgroup: u8,
+        ops: &[PimOp],
+    ) -> Result<(), MemError> {
+        let c = &self.cfg;
+        let unit = channel < c.channels
+            && usize::from(rank) < c.ranks
+            && usize::from(bankgroup) < c.bankgroups;
+        let mut banks = ops.iter().map(|op| op.bank());
+        let bad = if unit {
+            banks.find(|&b| usize::from(b) >= c.banks_per_group)
+        } else {
+            Some(banks.next().unwrap_or(0))
+        };
+        match bad {
+            None => Ok(()),
+            Some(bank) => Err(MemError::NoSuchUnit { channel, rank, bankgroup, bank }),
+        }
+    }
+
     /// How many more ops the PIM queue of the unit at (`channel`, `rank`,
     /// `bankgroup`) accepts now: that many [`MemorySystem::enqueue_pim`]
-    /// calls in a row cannot fail with [`MemError::QueueFull`].
+    /// calls in a row cannot fail with [`MemError::QueueFull`]. 0 for a
+    /// unit the device does not have.
     pub fn pim_room(&self, channel: usize, rank: u8, bankgroup: u8) -> usize {
-        self.ctrls[channel].pim_room(rank, bankgroup)
+        self.ctrls.get(channel).map_or(0, |c| c.pim_room(rank, bankgroup))
+    }
+
+    /// The PIM queues of `channel` that retired an op since the last call
+    /// (bit `rank * bankgroups + bankgroup` for the unit at (`rank`,
+    /// `bankgroup`)), and clears them: every other queue has no more
+    /// [`MemorySystem::pim_room`] than it had at that call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device has no channel `channel`.
+    pub fn take_pim_retired(&mut self, channel: usize) -> u64 {
+        self.ctrls[channel].take_pim_retired()
     }
 
     /// Advances all channels one memory-clock cycle.
@@ -590,6 +654,54 @@ mod tests {
             Err(MemError::DrainTimeout { pending }) => assert_eq!(pending, 1),
             other => panic!("expected timeout, got {other:?}"),
         }
+    }
+
+    /// Enqueues `op` for (`channel`, `rank`, `bankgroup`) on a fresh
+    /// one-channel DDR4-2133 system, which lacks that unit or `op`'s bank:
+    /// the enqueue fails, and nothing is queued or issued.
+    fn assert_rejected(channel: usize, rank: u8, bankgroup: u8, op: PimOp) -> MemorySystem {
+        let mut mem = MemorySystem::new(DramConfig::ddr4_2133(), AddressMapping::GradPim);
+        mem.enable_trace();
+        let want = MemError::NoSuchUnit { channel, rank, bankgroup, bank: op.bank() };
+        assert_eq!(mem.enqueue_pim(channel, rank, bankgroup, op), Err(want));
+        assert_eq!(mem.pending(), 0);
+        mem.run_until(1_000);
+        assert!(mem.take_traces().iter().all(Vec::is_empty), "a rejected op issued commands");
+        mem
+    }
+
+    #[test]
+    fn pim_ops_for_a_missing_channel_are_rejected() {
+        let mem = assert_rejected(1, 0, 0, PimOp::Add { bank: 0, dst: 0 });
+        assert_eq!(mem.pim_room(1, 0, 0), 0);
+    }
+
+    #[test]
+    fn pim_ops_for_a_missing_rank_are_rejected() {
+        let mem = assert_rejected(0, 4, 0, PimOp::Add { bank: 0, dst: 0 });
+        assert_eq!(mem.pim_room(0, 4, 0), 0);
+    }
+
+    #[test]
+    fn pim_ops_for_a_missing_bankgroup_are_rejected() {
+        // Bank group 5 of rank 0 would alias rank 1's bank group 1 as a
+        // flat queue index (0 * 4 + 5); so would its room.
+        let mem = assert_rejected(0, 0, 5, PimOp::Add { bank: 0, dst: 0 });
+        assert_eq!(mem.pim_room(0, 0, 5), 0);
+        assert_eq!(mem.pim_room(0, 1, 1), 4 * mem.config().queue_depth);
+    }
+
+    #[test]
+    fn pim_ops_for_a_missing_bank_are_rejected() {
+        // Bank 5 of bank group 0 would alias bank group 1's bank 1.
+        let op = PimOp::ScaledRead { bank: 5, row: 0, col: 0, scaler: 0, dst: 0 };
+        let mut mem = assert_rejected(0, 0, 0, op);
+        let ok = PimOp::ScaledRead { bank: 3, row: 0, col: 0, scaler: 0, dst: 0 };
+        assert_eq!(
+            mem.check_pim(0, 0, 0, &[ok, op, ok]),
+            Err(MemError::NoSuchUnit { channel: 0, rank: 0, bankgroup: 0, bank: 5 })
+        );
+        assert_eq!(mem.enqueue_pim(0, 0, 0, ok), Ok(0), "the unit itself exists");
     }
 
     #[test]

@@ -608,14 +608,22 @@ fn functional_steps_match_golden_digests() {
     check("functional", &actual, FUNCTIONAL_GOLDEN);
 }
 
-/// The most candidate evaluations one issued command may cost on a
-/// DDR4-2133 probe of each phase context, as `(numerator, denominator)`.
-/// These only ever tighten.
-fn candidate_eval_bound(context: &str) -> (u64, u64) {
-    match context {
+/// The most work one issued command may cost on a DDR4-2133 probe of
+/// phase context `context`: per counter of `phase.<context>.dram.*`, the
+/// bound on that counter over `commands` as `(counter, numerator,
+/// denominator)`. These only ever tighten.
+fn work_bounds(context: &str) -> [(&'static str, u64, u64); 3] {
+    // Queue slots the issue walks examine per command.
+    let slots = match context {
+        "stream" => 40,
+        "baseline-update" => 50,
+        _ => 18,
+    };
+    let evals = match context {
         "stream" | "baseline-update" => (3, 1),
         _ => (5, 4),
-    }
+    };
+    [("candidate_evals", evals.0, evals.1), ("events", 51, 50), ("slots_examined", slots, 1)]
 }
 
 /// Also bounds rejected enqueues: the PIM executors (pim-kernel, aos-pb)
@@ -623,10 +631,6 @@ fn candidate_eval_bound(context: &str) -> (u64, u64) {
 #[test]
 fn candidate_evaluations_per_issued_command_stay_bounded() {
     let _serial = PHASES.lock().unwrap_or_else(PoisonError::into_inner);
-    let counter = |ctx: &str, name: &str| {
-        let key = format!("phase.{ctx}.dram.{name}");
-        gradpim::obs::registry().counters.get(&key).copied().unwrap_or(0)
-    };
     gradpim::obs::set_metrics(true);
     let mut checked = 0;
     for (name, kind, cfg) in phase_probes() {
@@ -634,19 +638,29 @@ fn candidate_evaluations_per_issued_command_stay_bounded() {
             continue;
         }
         let ctx = probe_call(kind, &cfg).context();
-        let names = ["candidate_evals", "commands", "queue_full"];
-        let before = names.map(|n| counter(ctx, n));
+        let before = gradpim::obs::registry().counters;
         run_probe(kind, &cfg);
-        let [evals, commands, rejected] = [0, 1, 2].map(|i| counter(ctx, names[i]) - before[i]);
+        let after = gradpim::obs::registry().counters;
+        let delta = |counter: &str| {
+            let key = format!("phase.{ctx}.dram.{counter}");
+            let read = |counters: &std::collections::BTreeMap<String, u64>| {
+                counters.get(&key).copied().unwrap_or(0)
+            };
+            read(&after) - read(&before)
+        };
+        let commands = delta("commands");
         assert!(commands > 0, "{name}: no commands counted");
-        let (num, den) = candidate_eval_bound(ctx);
-        assert!(
-            den * evals <= num * commands,
-            "{name}: {evals} candidate evaluations for {commands} commands ({:.2} each, bound {:.2})",
-            evals as f64 / commands as f64,
-            num as f64 / den as f64
-        );
+        for (work, num, den) in work_bounds(ctx) {
+            let n = delta(work);
+            assert!(
+                den * n <= num * commands,
+                "{name}: {n} {work} for {commands} commands ({:.3} each, bound {:.3})",
+                n as f64 / commands as f64,
+                num as f64 / den as f64
+            );
+        }
         if matches!(ctx, "pim-kernel" | "aos-pb") {
+            let rejected = delta("queue_full");
             assert_eq!(rejected, 0, "{name}: {rejected} PIM enqueues met a full queue");
         }
         checked += 1;

@@ -363,6 +363,134 @@ fn verify_traces(
     Ok(())
 }
 
+/// The PIM stream driver that offers every stream a batch in every round,
+/// as `run_unit_streams` did before it offered batches only to the streams
+/// whose queue retired an op: the reference of
+/// `refill_driver_matches_visiting_every_stream`.
+fn run_unit_streams_visiting_all(
+    mem: &mut gradpim::dram::MemorySystem,
+    streams: &[gradpim::core::UnitStream],
+) -> Result<(), gradpim::dram::MemError> {
+    let mut cursors = vec![0usize; streams.len()];
+    loop {
+        let mut all_done = true;
+        let mut all_full = true;
+        for (s, cursor) in streams.iter().zip(&mut cursors) {
+            let left = &s.ops[*cursor..];
+            if left.is_empty() {
+                continue;
+            }
+            let batch = left.len().min(64);
+            let room = mem.pim_room(s.channel, s.rank, s.bankgroup);
+            let n = batch.min(room);
+            for &op in &left[..n] {
+                mem.enqueue_pim(s.channel, s.rank, s.bankgroup, op)?;
+            }
+            *cursor += n;
+            if *cursor < s.ops.len() {
+                all_done = false;
+                all_full &= room < batch;
+            }
+        }
+        if all_done {
+            break;
+        }
+        if all_full {
+            mem.tick_until_event();
+        }
+    }
+    Ok(())
+}
+
+/// `n` random unit streams for `cfg` from a seed. Units are drawn with
+/// replacement, so two streams may share one; lengths fall empty, below
+/// the 64-op batch, between it and the 256-entry PIM queue, or above it;
+/// ops mix scaled reads and writebacks over three rows of four banks
+/// (row hits and conflicts) with ALU and quantization-register ops.
+fn random_unit_streams(cfg: &DramConfig, n: usize, seed: u64) -> Vec<gradpim::core::UnitStream> {
+    use gradpim::dram::PimOp;
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(5);
+    let mut next = move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        state
+    };
+    (0..n)
+        .map(|_| {
+            let channel = (next() % cfg.channels as u64) as usize;
+            let rank = (next() % cfg.ranks as u64) as u8;
+            let bankgroup = (next() % cfg.bankgroups as u64) as u8;
+            let len = match next() % 5 {
+                0 => 0,
+                1 => 1 + next() % 63,
+                2 => 64 + next() % 192,
+                3 => 256 + next() % 400,
+                _ => next() % 900,
+            };
+            let ops = (0..len)
+                .map(|_| {
+                    let r = next();
+                    let (bank, row, col) =
+                        ((r % 4) as u8, (r >> 2) as u32 % 3, (r >> 4) as u32 % 128);
+                    let (reg, pos) = ((r >> 12) as u8 % 2, (r >> 13) as u8 % 4);
+                    match (r >> 16) % 8 {
+                        0..=2 => PimOp::ScaledRead { bank, row, col, scaler: pos, dst: reg },
+                        3 | 4 => PimOp::Writeback { bank, row, col, src: reg },
+                        5 => PimOp::Add { bank, dst: reg },
+                        6 => PimOp::Sub { bank, dst: reg },
+                        _ => PimOp::QRegLoad { bank, row, col },
+                    }
+                })
+                .collect();
+            gradpim::core::UnitStream { channel, rank, bankgroup, ops }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The PIM stream driver, which after each step offers batches only to
+    /// the streams whose queue retired an op, enqueues exactly what a
+    /// driver offering every stream a batch every round does: identical
+    /// command traces, `Stats`, completions and work counters, over random
+    /// streams on 1 or 2 channels in either issue mode.
+    #[test]
+    fn refill_driver_matches_visiting_every_stream(
+        n in 1usize..8,
+        channels in 1usize..3,
+        buffered in 0usize..2,
+        seed in 0u64..1 << 32,
+    ) {
+        use gradpim::dram::{CommandIssueMode, MemorySystem};
+        let mut cfg = DramConfig::ddr4_2133();
+        cfg.channels = channels;
+        if buffered == 1 {
+            cfg.issue_mode = CommandIssueMode::PerRankBuffered;
+        }
+        let streams = random_unit_streams(&cfg, n, seed);
+        let run = |refill: bool| {
+            let mut mem = MemorySystem::new(cfg.clone(), AddressMapping::GradPim);
+            mem.enable_trace();
+            if refill {
+                gradpim::core::run_unit_streams(&mut mem, &streams).unwrap();
+            } else {
+                run_unit_streams_visiting_all(&mut mem, &streams).unwrap();
+            }
+            mem.drain(50_000_000).unwrap();
+            (mem.take_traces(), mem.stats(), mem.take_completions(), mem.work())
+        };
+        let (t_ref, s_ref, c_ref, w_ref) = run(false);
+        let (t, s, c, w) = run(true);
+        prop_assert_eq!(&t_ref, &t, "command traces diverge");
+        prop_assert_eq!(&s_ref, &s, "stats diverge");
+        prop_assert_eq!(&c_ref, &c, "completions diverge");
+        prop_assert_eq!(&w_ref, &w, "work counters diverge");
+        prop_assert_eq!(w.queue_full, 0);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
